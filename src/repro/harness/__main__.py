@@ -24,7 +24,6 @@ from repro.harness.presets import preset_by_name, trace_path
 from repro.harness.report import render_trace_summary
 from repro.obs import Tracer, set_active_tracer
 from repro.perf.parallel import default_jobs
-from repro.workloads.batching import batch_ops, set_batch_ops
 
 
 def main(argv=None) -> int:
@@ -54,17 +53,7 @@ def main(argv=None) -> int:
         help="worker processes for independent sweep points (default: "
         "$REPRO_JOBS or 1); any value produces bit-identical figures",
     )
-    parser.add_argument(
-        "--batch-ops",
-        type=int,
-        default=batch_ops(),
-        metavar="N",
-        help="op-vector size for batched workload clients (default: "
-        "$REPRO_BATCH_OPS or 64); 0 disables batching — every figure is "
-        "bit-identical either way, batching only changes wall-clock speed",
-    )
     args = parser.parse_args(argv)
-    set_batch_ops(args.batch_ops)
 
     if args.trace and args.jobs > 1:
         # Worker processes would record their trace events into their own

@@ -37,7 +37,7 @@ from repro.errors import (
     IOFaultError,
     OutOfSpaceError,
 )
-from repro.fs.filesystem import SimFile, SimFileSystem
+from repro.fs.filesystem import SimFileSystem
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.compaction import CompactionJob, CompactionPicker
 from repro.lsm.costs import DEFAULT_COSTS, CostModel
@@ -46,7 +46,7 @@ from repro.lsm.flush import FlushJob
 from repro.lsm.format import KIND_DELETE, KIND_PUT, Entry
 from repro.lsm.io_retry import IO_RETRIES, IO_RETRY_BACKOFF_NS
 from repro.lsm.memtable import MemTable, MemTableList
-from repro.lsm.options import WAL_SYNC, Options
+from repro.lsm.options import Options
 from repro.lsm.pipelined_write import ROLE_LEADER, WriteQueue, Writer
 from repro.lsm.sst_file_manager import SstFileManager
 from repro.lsm.value import Value, materialize, value_size
@@ -462,181 +462,6 @@ class DB:
     def mean_waiting_writers(self) -> float:
         """Time-averaged writers waiting across all queue shards (Fig. 16)."""
         return sum(q.mean_waiting() for q in self.write_queues)
-
-    # ------------------------------------------------------- batched fast path
-
-    def put_fast(self, key: bytes, value: Value) -> Optional[int]:
-        """Non-generator twin of :meth:`put` for the no-yield-needed case.
-
-        Executes a solo-leader, non-stalled, buffered-WAL put entirely
-        inline, advancing the clock directly instead of round-tripping
-        through the engine for its two CPU sleeps.  Returns the op latency,
-        or ``None`` when any Algorithm-1/2 state makes the op observable by
-        the rest of the simulated world — a stall, a queued writer, a due
-        memtable switch, WAL sync/replication/writeback, tracing, or another
-        occurrence scheduled inside the op's time span — in which case the
-        caller must fall back to ``yield from db.put(...)`` (eligibility is
-        checked before any mutation, so falling back is always safe).
-
-        Effect order replicates the per-op path exactly; the only divergence
-        is virtual-time bookkeeping the kernel would have done for us.
-        """
-        engine = self.engine
-        if (
-            self._closed
-            or engine._trace
-            or self.error_handler.severity
-            or self.controller.state != NORMAL
-            or len(self.write_queues) != 1
-        ):
-            return None
-        queue = self.write_queues[0]
-        if queue._has_leader or queue._waiting:
-            return None
-        options = self.options
-        mt = self.memtables.mutable
-        if mt.charged_bytes >= options.write_buffer_size:
-            return None  # memtable switch due
-        wbm = self.write_buffer_manager
-        if wbm is not None:
-            # Mirror should_flush()'s early-False arm without calling it: a
-            # True return increments its flush_triggers ticker, which the
-            # fallback path would then double-count.
-            usage = wbm.memory_usage()
-            if usage > wbm.peak_usage:
-                wbm.peak_usage = usage
-            mutable = wbm.mutable_usage()
-            if mutable > wbm.mutable_limit or (
-                usage >= wbm.buffer_size and mutable >= wbm.buffer_size // 2
-            ):
-                return None
-        costs = self.costs
-        wal = self.wal
-        wal_cpu = 0
-        append_bytes = 0
-        if wal.enabled:
-            if wal.on_group is not None or options.wal_mode == WAL_SYNC:
-                return None
-            f = wal.current
-            if f is None or f.__class__ is not SimFile:
-                return None  # fault-injecting file: keep the audited path
-            if value is None:
-                vsize = 0
-            elif value.__class__ is bytes:
-                vsize = len(value)
-            else:
-                vsize = getattr(value, "size", None)
-                if vsize is None:
-                    return None  # odd value type: keep the audited path
-            append_bytes = len(key) + vsize + options.wal_record_overhead
-            wal_cpu = costs.wal_serialize(append_bytes)
-            if options.wal_compression:
-                wal_cpu += (
-                    append_bytes * costs.wal_compress_per_byte_ps
-                ) // 1000
-                append_bytes = max(
-                    1, int(append_bytes * options.wal_compression_ratio)
-                )
-            wal_cpu += wal._seq_write_half_ns
-            writeback_at = (
-                f.writeback_bytes
-                if f.writeback_bytes is not None
-                else f.fs.writeback_bytes
-            )
-            if f.size + append_bytes - f._flushed_size >= writeback_at:
-                return None  # append would start a writeback flush
-        total_cpu = (
-            self.costs.write_group_leader_ns
-            + self.costs.write_group_per_writer_ns
-            + wal_cpu
-        )
-        mem_cpu = costs.memtable_insert(mt.entry_count)
-        wake = engine._now + total_cpu + mem_cpu
-        if (
-            engine._nowq
-            or (engine._heap and engine._heap[0][0] <= wake)
-            or wake > engine.run_limit
-        ):
-            return None  # something else runs inside the op's span
-        # Eligible: from here on, every effect matches the per-op path.
-        start = engine._now
-        writer = Writer([(KIND_PUT, key, value)], len(key) + value_size(value))
-        writer.queue = queue
-        queue.join(writer)  # solo -> leader, no gauge touch
-        group = queue.form_group(writer)
-        seq = self.versions.last_sequence + 1
-        entry: Entry = (seq, KIND_PUT, value)
-        writer.records = [(key, entry)]
-        self.versions.last_sequence = seq
-        writer.wal_number = wal.current_number
-        try:
-            got_cpu, wal_event = wal.add_group(writer.records)
-        except GeneratorExit:
-            raise
-        except BaseException as exc:
-            queue.fail_group(group, exc)
-            if isinstance(exc, (IOFaultError, OutOfSpaceError)):
-                self.error_handler.on_background_error("wal", exc)
-            raise
-        if wal_event is not None or got_cpu != wal_cpu:
-            # Excluded by the pre-checks; a mismatch here is a bug, not a
-            # fallback case (state is already mutated).
-            raise DBError("fast-path put diverged from wal.add_group")
-        engine._now += total_cpu
-        queue.wal_phase_done(group)
-        if wal.enabled and writer.wal_number:
-            mt.min_log_number = min(mt.min_log_number, writer.wal_number)
-        mt.add(key, entry)
-        engine._now += mem_cpu
-        queue.member_done(group)
-        self.stats.inc("puts", 1)
-        latency = engine._now - start
-        self._write_latency.record(latency)
-        return latency
-
-    def get_fast(self, key: bytes) -> Optional[Tuple[bool, Optional[Value]]]:
-        """Non-generator twin of :meth:`get` for memtable-hit lookups.
-
-        Returns ``(found, value)`` on a memtable hit whose CPU span can be
-        warped past (nothing else scheduled inside it), else ``None`` — the
-        caller falls back to ``yield from db.get(...)``.  Memtable probing
-        is pure, so bailing after a probe is side-effect-free; misses always
-        fall back (the SST path does I/O and mutates the block cache LRU).
-        """
-        if self._closed:
-            return None
-        engine = self.engine
-        costs = self.costs
-        mts = self.memtables
-        table = mts.mutable
-        cpu = costs.memtable_lookup(table.entry_count)
-        entry = table.get(key)
-        if entry is None:
-            if not mts.immutables:
-                return None
-            for table in reversed(mts.immutables):
-                cpu += costs.memtable_lookup(table.entry_count)
-                entry = table.get(key)
-                if entry is not None:
-                    break
-            else:
-                return None
-        wake = engine._now + cpu
-        if (
-            engine._nowq
-            or (engine._heap and engine._heap[0][0] <= wake)
-            or wake > engine.run_limit
-        ):
-            return None
-        engine._now = wake
-        stats = self.stats
-        stats.inc("gets")
-        stats.inc("get.memtable_hit")
-        result = entry[2] if entry[1] == KIND_PUT else None
-        if result is None:
-            stats.inc("get.tombstone")
-        self._read_latency.record(cpu)
-        return True, result
 
     def _memtable_should_switch(self) -> bool:
         """Mutable memtable full, or the shared write-buffer budget says so."""

@@ -31,6 +31,20 @@ Determinism
 Two events scheduled for the same timestamp fire in scheduling order (a
 monotonically increasing sequence number breaks ties), so a run with a fixed
 seed replays identically.
+
+Lonely-sleep warp
+-----------------
+``Engine.run()`` is the only writer of the clock.  When a process sleeps and
+*nothing else in the simulated world can run before that sleep expires* —
+the now-queue is empty, the wake-up does not cross ``until``, and the next
+heap entry lies strictly beyond the wake-up (strictly: a heap tie was pushed
+earlier and must fire first) — the heap round-trip is pure overhead: the
+kernel sets the clock to the wake-up and resumes the same generator inline.
+Dispatch order is provably identical to pushing the entry: the guard fails
+in precisely the cases where another occurrence would be popped first, and a
+warped sleep only removes a (push, pop) pair no other process could observe.
+A caller stepping with ``run(until=peek())`` never sees a warp, because any
+positive sleep from the deadline wakes beyond it.
 """
 
 from __future__ import annotations
@@ -302,7 +316,6 @@ class Engine:
         "_seq",
         "_running",
         "_crashed",
-        "run_limit",
         "tracer",
         "_trace",
     )
@@ -315,9 +328,6 @@ class Engine:
         self._seq = 0
         self._running = False
         self._crashed: list[Process] = []
-        # The active run()'s deadline (inf when open-ended), -1 outside
-        # run(): the ceiling :func:`drive` may warp the clock up to.
-        self.run_limit: Any = -1
         self.tracer = (tracer if tracer is not None else active_tracer()).bind(self)
         # Cached so hot paths skip even the no-op tracer calls when tracing
         # is off (NullTracer.enabled is False; EngineTracer.enabled True).
@@ -355,9 +365,14 @@ class Engine:
 
         Returns the clock value at exit.  Unhandled exceptions in processes
         that nothing joined are re-raised here (errors never pass silently).
+        An ``until`` in the past is an error: the clock never runs backwards.
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) lies before the clock ({self._now})"
+            )
         self._running = True
         heap = self._heap
         nowq = self._nowq
@@ -367,15 +382,10 @@ class Engine:
         crashed_box = self._crashed
         trace = self._trace
         limit = _INF if until is None else until
-        self.run_limit = limit
         now = self._now
         try:
             while True:
                 if nowq:
-                    # Re-read the clock: a drive()-warped process may have
-                    # advanced it past this loop's local copy, and both the
-                    # tie check and sleep bases below must use warped time.
-                    now = self._now
                     # Heap entries tied at the current clock value predate
                     # every queued delay-zero entry; drain them first.
                     if heap and heap[0][0] <= now:
@@ -398,10 +408,12 @@ class Engine:
                     # Process stepping inlined: advancing a generator is the
                     # single hottest operation in the simulator, and a method
                     # call per resume plus re-binding the engine state it
-                    # needs measurably slows every experiment.  Integer
-                    # sleeps push a heap entry directly (no allocation beyond
-                    # the entry tuple itself) with a precomputed type tag so
-                    # this loop never runs ``isinstance`` on the pop path.
+                    # needs measurably slows every experiment.  Lonely
+                    # sleeps (module docstring) warp the clock and resume
+                    # inline; other sleeps push a heap entry directly (no
+                    # allocation beyond the entry tuple itself) with a
+                    # precomputed type tag so this loop never runs
+                    # ``isinstance`` on the pop path.
                     gen = target.gen
                     send = gen.send
                     while True:
@@ -431,14 +443,25 @@ class Engine:
                             break
 
                         cls = yielded.__class__
-                        if cls is int:
-                            # Zero-allocation sleep fast path (the most
-                            # common yield).
+                        if cls is int or cls is float:
+                            # Sleep (the most common yield); floats truncate
+                            # to whole nanoseconds.
                             if yielded > 0:
+                                wake = now + (
+                                    yielded if cls is int else int(yielded)
+                                )
+                                if (
+                                    not nowq
+                                    and (not heap or heap[0][0] > wake)
+                                    and wake <= limit
+                                ):
+                                    # Lonely sleep: warp, resume inline.
+                                    self._now = now = wake
+                                    value = None
+                                    continue
                                 self._seq = seq = self._seq + 1
                                 heappush(
-                                    heap,
-                                    (now + yielded, seq, True, target, None, None),
+                                    heap, (wake, seq, True, target, None, None)
                                 )
                                 break
                             if yielded == 0:
@@ -446,19 +469,6 @@ class Engine:
                                 continue
                             exc = SimulationError(f"negative sleep: {yielded}")
                             continue
-                        if cls is float:
-                            if yielded < 0:
-                                exc = SimulationError(f"negative sleep: {yielded}")
-                                continue
-                            if yielded == 0:
-                                value = now
-                                continue
-                            self._seq = seq = self._seq + 1
-                            heappush(
-                                heap,
-                                (now + int(yielded), seq, True, target, None, None),
-                            )
-                            break
                         if cls is Event or isinstance(yielded, Event):
                             if yielded.triggered:
                                 if yielded._exc is not None:
@@ -489,7 +499,6 @@ class Engine:
                     ) from crashed._exc
         finally:
             self._running = False
-            self.run_limit = -1
         return self._now
 
     def peek(self) -> Optional[int]:
@@ -533,80 +542,3 @@ class Engine:
             _heappush(self._heap, (self._now + delay, self._seq, _EVENT, event, value, None))
         else:
             self._nowq.append((_EVENT, event, value, None))
-
-
-def drive(engine: Engine, gen: ProcessGen) -> ProcessGen:
-    """Wrap a process generator, warping the clock past lonely sleeps.
-
-    When the wrapped generator sleeps and *nothing else in the simulated
-    world can run before that sleep expires* — the now-queue is empty and
-    the next heap entry lies strictly beyond the wakeup (strictly: a heap
-    tie was pushed earlier and must fire first) — the kernel round-trip is
-    pure overhead: ``drive`` advances ``engine._now`` directly and resumes
-    the generator inline.  Any other yield falls through to the kernel
-    unchanged, so event waits, joins, and contended sleeps behave exactly
-    as if the generator were spawned bare.
-
-    Dispatch order is provably identical to the unwrapped run: the warp
-    guard fails in precisely the cases where another occurrence would run
-    first, and a warped sleep only removes a (pop, resume) pair that no
-    other process could observe.  Sleeps that do reach the kernel are
-    rebased by the time warped since the kernel last resumed us, because
-    ``run()`` computes wakeups from its pop-time clock.
-
-    Use ``engine.process(drive(engine, gen), name)`` inside ``run()`` only
-    (outside a run ``engine.run_limit`` is -1 and nothing warps).
-    """
-    nowq = engine._nowq
-    heap = engine._heap
-    resume_t = engine._now  # kernel's view of our last resume time
-    value: Any = None
-    exc: Optional[BaseException] = None
-    while True:
-        try:
-            if exc is not None:
-                pending, exc = exc, None
-                yielded = gen.throw(pending)
-            else:
-                yielded = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-        cls = yielded.__class__
-        if cls is int or cls is float:
-            if yielded < 0:
-                exc = SimulationError(f"negative sleep: {yielded}")
-                continue
-            if yielded == 0:
-                value = engine._now
-                continue
-            wake = engine._now + int(yielded)
-            if (
-                not nowq
-                and (not heap or heap[0][0] > wake)
-                and wake <= engine.run_limit
-            ):
-                engine._now = wake
-                value = None  # kernel resumes heap sleeps with send(None)
-                continue
-            try:
-                value = yield (engine._now - resume_t) + int(yielded)
-            except BaseException as err:  # noqa: BLE001 - forward to gen
-                exc = err
-            resume_t = engine._now
-            continue
-        if isinstance(yielded, Event):
-            if yielded.triggered:
-                if yielded._exc is not None:
-                    exc = yielded._exc
-                else:
-                    value = yielded._value
-                continue
-            try:
-                value = yield yielded
-            except BaseException as err:  # noqa: BLE001 - forward to gen
-                exc = err
-            resume_t = engine._now
-            continue
-        exc = SimulationError(
-            f"process yielded unsupported value {yielded!r}"
-        )

@@ -358,18 +358,6 @@ class TimeWeightedGauge:
         if value > self.max_value:
             self.max_value = value
 
-    def update_many(self, updates: Sequence[Tuple[int, float]]) -> None:
-        """Apply ``(now, value)`` updates in order.
-
-        Deliberately a plain sequential loop: the running ``_area`` float
-        accumulates in update order, and any vectorized (pairwise) summation
-        would round differently — bit-identity beats vectorizing here, and
-        gauge updates are orders of magnitude rarer than histogram samples.
-        """
-        update = self.update
-        for now, value in updates:
-            update(now, value)
-
     def mean(self, now: Optional[int] = None) -> float:
         """Time-weighted mean from first update to ``now`` (or last update)."""
         if self._last_t is None or self._start is None:

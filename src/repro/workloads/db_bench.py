@@ -16,17 +16,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
 from repro.lsm.format import KIND_PUT
-from repro.sim.engine import Engine, drive
+from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram, TimeSeries
 from repro.sim.units import SEC, seconds
-from repro.workloads.batching import batch_ops, batching_enabled
-from repro.workloads.generators import (
-    BurstSchedule,
-    KeySpace,
-    OperationMix,
-    ValueSpec,
-)
+from repro.workloads.generators import BurstSchedule, KeySpace, ValueSpec
 
 
 @dataclass(frozen=True)
@@ -50,9 +44,8 @@ class DbBenchConfig:
             raise WorkloadError(f"duration must be positive: {self.duration_ns}")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise WorkloadError(f"write_fraction out of [0,1]: {self.write_fraction}")
-        if self.warmup_ns < 0 or self.warmup_ns >= self.duration_ns:
-            if self.warmup_ns != 0:
-                raise WorkloadError("warmup must fall inside the run")
+        if not 0 <= self.warmup_ns < self.duration_ns:
+            raise WorkloadError("warmup must fall inside the run")
 
 
 @dataclass
@@ -120,49 +113,29 @@ class DbBench:
         result.timeline = TimeSeries(bucket_ns=cfg.timeline_bucket_ns)
         keyspace = KeySpace(cfg.key_count)
         values = ValueSpec(cfg.value_size)
-        mix = OperationMix(cfg.write_fraction)
 
-        # Batched clients pre-draw RNG vectors and use the DB fast path;
-        # burst schedules stay per-op (the chance draw is time-dependent,
-        # and draw *counts* change when the fraction saturates at 0 or 1).
-        batched = batching_enabled() and cfg.schedule is None
         buffers: List[Tuple[List[int], List[int], List[int]]] = []
         for pid in range(cfg.processes):
             rng = RandomStream(cfg.seed, f"db_bench/client{pid}")
-            if batched:
-                buf: Tuple[List[int], List[int], List[int]] = ([], [], [])
-                buffers.append(buf)
-                gen = self._client_batched(
-                    engine, db, rng, keyspace, values, mix, end,
-                    measure_from, result, buf,
-                )
-                if cfg.processes == 1:
-                    # The drive() wrapper rebases kernel sleeps issued after
-                    # a synchronous clock warp — without it a post-warp
-                    # ``yield overhead`` would be scheduled from the kernel's
-                    # stale pop-time clock, rewinding time.  The batched
-                    # client therefore only warps (fast paths included) when
-                    # it is the sole client and wrapped; concurrent clients
-                    # never touch the clock and skip the wrapper's per-yield
-                    # frame hop.
-                    gen = drive(engine, gen)
-                engine.process(gen, name=f"db_bench-{pid}")
-            else:
-                engine.process(
-                    self._client(
-                        engine, db, rng, keyspace, values, mix, end,
-                        measure_from, result,
-                    ),
-                    name=f"db_bench-{pid}",
-                )
+            buf: Tuple[List[int], List[int], List[int]] = ([], [], [])
+            buffers.append(buf)
+            engine.process(
+                self._client(
+                    engine, db, rng, keyspace, values, end, measure_from,
+                    result, buf,
+                ),
+                name=f"db_bench-{pid}",
+            )
         engine.process(
             self._sampler(engine, db, end, result), name="db_bench-sampler"
         )
         engine.run(until=end)
 
-        # Bulk-flush the batched clients' buffered samples.  Histogram and
-        # timeline state is order-independent (integer adds), so one flush
-        # per client matches the per-op run's interleaved records exactly.
+        # Bulk-flush the clients' buffered samples.  Histogram and timeline
+        # state is order-independent (integer adds), so one flush per client
+        # equals recording each sample as its op finished (per client, not
+        # one shared list: the numpy temporaries of a single big flush cost
+        # ~0.6 % peak RSS on the ledger's 4-client workload).
         for w_lat, r_lat, fin in buffers:
             result.write_latency.record_many(w_lat)
             result.read_latency.record_many(r_lat)
@@ -180,70 +153,21 @@ class DbBench:
         rng: RandomStream,
         keyspace: KeySpace,
         values: ValueSpec,
-        mix: OperationMix,
         end: int,
         measure_from: int,
         result: BenchResult,
+        buf: Tuple[List[int], List[int], List[int]],
     ):
-        cfg = self.config
-        overhead = db.costs.client_op_overhead_ns
-        schedule = cfg.schedule
-        version_counter = 1
-        while engine.now < end:
-            if overhead:
-                yield overhead
-            if schedule is not None:
-                write = rng.chance(schedule.write_fraction_at(engine.now))
-            else:
-                write = mix.next_op(rng) == "write"
-            key_index = rng.randint(0, keyspace.count - 1)
-            key = keyspace.key_at(key_index)
-            began = engine.now
-            if write:
-                version_counter += 1
-                yield from db.put(key, values.value_for(key_index, version_counter))
-                finished = engine.now
-                if began >= measure_from:
-                    result.writes += 1
-                    result.write_latency.record(finished - began)
-            else:
-                yield from db.get(key)
-                finished = engine.now
-                if began >= measure_from:
-                    result.reads += 1
-                    result.read_latency.record(finished - began)
-            if began >= measure_from:
-                result.ops += 1
-                result.timeline.record(finished)
+        """One closed-loop client: per op, the read/write draw, then the key.
 
-    def _client_batched(
-        self,
-        engine: Engine,
-        db: DB,
-        rng: RandomStream,
-        keyspace: KeySpace,
-        values: ValueSpec,
-        mix: OperationMix,
-        end: int,
-        measure_from: int,
-        result: BenchResult,
-        buf: "Tuple[List[int], List[int], List[int]]",
-    ):
-        """Vectorized twin of :meth:`_client`, bit-identical op stream.
-
-        Per wakeup, one op vector's RNG values are pre-drawn in the exact
-        per-op order (the mix's chance draw — skipped entirely when the
-        write fraction saturates, matching ``RandomStream.chance`` — then
-        the key draw).  Each op tries the DB fast path first and falls back
-        to the per-op generator at any boundary; latencies and timeline
-        stamps accumulate in ``buf`` for one ``record_many`` per run.
-        Surplus tail draws when the run ends mid-vector are unobservable:
-        the stream is private to this client.
+        Latencies and timeline stamps accumulate in ``buf`` for one
+        ``record_many`` per run.
         """
         overhead = db.costs.client_op_overhead_ns
-        wf = mix.write_fraction
+        schedule = self.config.schedule
+        write_fraction = self.config.write_fraction
+        chance = rng.chance
         count = keyspace.count
-        random = rng.random
         # rng.randint(0, count - 1) normalizes its arguments through two
         # call layers before landing in Random._randbelow(count); drawing
         # through _randbelow directly consumes the identical underlying
@@ -254,99 +178,41 @@ class DbBench:
             def randbelow(n):
                 return randint(0, n - 1)
         key_at = keyspace.key_at
-        put_fast = db.put_fast
-        get_fast = db.get_fast
+        value_for = values.value_for
         write_ops = db._write_ops
-        mts = db.memtables
-        solo = self.config.processes == 1
-        # Cheap eligibility gates, hoisted from the fast paths themselves:
-        # attempting (and bailing out of) put_fast/get_fast costs more than
-        # these probes.  Fast paths (and the inline overhead warp below) are
-        # solo-client only: they advance ``engine._now`` synchronously, which
-        # is safe only under the rebasing drive() wrapper run() adds for
-        # single-client configs.  With concurrent clients every op takes the
-        # generator path — the gates are perf-only either way, the op stream
-        # is bit-identical.
-        queue = (
-            db.write_queues[0]
-            if solo and len(db.write_queues) == 1
-            else None
-        )
-        fast_mts = mts if solo else None
-        nowq = engine._nowq
-        heap = engine._heap
-        batch = batch_ops()
+        get = db.get
         version_counter = 1
         w_lat, r_lat, fin = buf
-        always_write = wf >= 1.0
-        never_write = wf <= 0.0
-        mixed = not (always_write or never_write)
         while engine._now < end:
-            if mixed:
-                ops = [
-                    (random() < wf, randbelow(count)) for _ in range(batch)
-                ]
+            if overhead:
+                yield overhead
+            if schedule is not None:
+                write_fraction = schedule.write_fraction_at(engine._now)
+            write = chance(write_fraction)
+            key_index = randbelow(count)
+            key = key_at(key_index)
+            began = engine._now
+            if write:
+                version_counter += 1
+                value = value_for(key_index, version_counter)
+                # db.put() minus its wrapper: the op tuple and the data-bytes
+                # arithmetic are built inline (values are always ValueRefs
+                # here).
+                yield from write_ops(
+                    [(KIND_PUT, key, value)], len(key) + value.size
+                )
             else:
-                ops = [
-                    (always_write, randbelow(count)) for _ in range(batch)
-                ]
-            for write, key_index in ops:
-                if engine._now >= end:
-                    return
-                if overhead:
-                    if solo:
-                        wake = engine._now + overhead
-                        if (
-                            nowq
-                            or (heap and heap[0][0] <= wake)
-                            or wake > engine.run_limit
-                        ):
-                            yield overhead
-                        else:
-                            engine._now = wake
-                    else:
-                        yield overhead
-                key = key_at(key_index)
-                began = engine._now
+                yield from get(key)
+            if began >= measure_from:
+                finished = engine._now
+                result.ops += 1
+                fin.append(finished)
                 if write:
-                    version_counter += 1
-                    value = values.value_for(key_index, version_counter)
-                    if queue is not None and not (
-                        queue._has_leader or queue._waiting
-                    ):
-                        lat = put_fast(key, value)
-                    else:
-                        lat = None
-                    if lat is None:
-                        # db.put() minus its wrapper: the op tuple and the
-                        # data-bytes arithmetic are built inline (values are
-                        # always ValueRefs here).
-                        yield from write_ops(
-                            [(KIND_PUT, key, value)], len(key) + value.size
-                        )
-                        lat = engine._now - began
-                    if began >= measure_from:
-                        result.writes += 1
-                        result.ops += 1
-                        w_lat.append(lat)
-                        fin.append(began + lat)
+                    result.writes += 1
+                    w_lat.append(finished - began)
                 else:
-                    if (
-                        fast_mts is not None
-                        and (
-                            fast_mts.immutables
-                            or fast_mts.mutable.get(key) is not None
-                        )
-                        and get_fast(key) is not None
-                    ):
-                        pass  # memtable hit, clock already advanced
-                    else:
-                        yield from db.get(key)
-                    if began >= measure_from:
-                        result.reads += 1
-                        result.ops += 1
-                        r_lat.append(engine._now - began)
-                        fin.append(engine._now)
+                    result.reads += 1
+                    r_lat.append(finished - began)
 
     def _sampler(self, engine: Engine, db: DB, end: int, result: BenchResult):
         """Sample the Level-0 file count once per timeline bucket."""

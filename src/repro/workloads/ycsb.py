@@ -21,12 +21,10 @@ from typing import Dict
 
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
-from repro.lsm.format import KIND_PUT
-from repro.sim.engine import Engine, drive
+from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram
 from repro.sim.units import SEC
-from repro.workloads.batching import batch_ops, batching_enabled
 from repro.workloads.generators import ValueSpec, encode_key
 
 OP_READ = "read"
@@ -69,12 +67,8 @@ class ZipfianGenerator:
         tail = (n ** (1 - theta) - 10_000 ** (1 - theta)) / (1 - theta)
         return head + tail
 
-    def rank_of(self, u: float) -> int:
-        """Map one uniform draw ``u`` in [0, 1) to a zipfian rank.
-
-        Pure in ``u`` for a fixed generator — batched clients pre-draw the
-        uniforms and defer (or front-load) the mapping freely.
-        """
+    def next(self, rng: RandomStream) -> int:
+        u = rng.random()
         uz = u * self._zetan
         if uz < 1.0:
             return 0
@@ -85,9 +79,6 @@ class ZipfianGenerator:
         return min(
             self.n - 1, int(self.n * (self._eta * u - self._eta + 1) ** self._alpha)
         )
-
-    def next(self, rng: RandomStream) -> int:
-        return self.rank_of(rng.random())
 
 
 class LatestGenerator:
@@ -103,17 +94,8 @@ class LatestGenerator:
         if self.n > self._zipf.n * 2:
             self._zipf = ZipfianGenerator(self.n, self.theta)
 
-    def key_for(self, u: float) -> int:
-        """Map one uniform draw to a key under the *current* population.
-
-        Unlike :meth:`ZipfianGenerator.rank_of` this mapping shifts as
-        inserts grow ``n`` — batched clients must apply it at execution
-        time, not at draw time.
-        """
-        return max(0, self.n - 1 - self._zipf.rank_of(u))
-
     def next(self, rng: RandomStream) -> int:
-        return self.key_for(rng.random())
+        return max(0, self.n - 1 - self._zipf.next(rng))
 
 
 @dataclass(frozen=True)
@@ -136,8 +118,8 @@ class YcsbSpec:
         if self.distribution not in ("zipfian", "uniform", "latest"):
             raise WorkloadError(f"unknown distribution {self.distribution!r}")
 
-    def op_for(self, u: float) -> str:
-        """Map one uniform draw in [0, 1) to an operation kind (pure)."""
+    def pick_op(self, rng: RandomStream) -> str:
+        u = rng.random()
         for fraction, op in (
             (self.read, OP_READ),
             (self.update, OP_UPDATE),
@@ -148,9 +130,6 @@ class YcsbSpec:
                 return op
             u -= fraction
         return OP_RMW
-
-    def pick_op(self, rng: RandomStream) -> str:
-        return self.op_for(rng.random())
 
 
 WORKLOAD_A = YcsbSpec("A", read=0.5, update=0.5)
@@ -247,33 +226,17 @@ class YcsbRunner:
             chooser = ZipfianGenerator(self.key_count, self.zipf_theta)
         else:
             chooser = None  # uniform
-        # Uniform key picks draw randint(0, next_insert - 1): the *bound*
-        # (hence the stream consumption) shifts with inserts, so that one
-        # combination stays per-op.
-        batched = batching_enabled() and not (
-            chooser is None and self.spec.insert > 0.0
-        )
         buffers = []
         for cid in range(self.clients):
             rng = RandomStream(self.seed, f"ycsb/{self.spec.name}/{cid}")
-            if batched:
-                buf = ([], [], [])
-                buffers.append(buf)
-                gen = self._client_batched(
-                    engine, db, rng, chooser, end, result, buf
-                )
-                if self.clients == 1:
-                    # Same rule as db_bench: only a solo, drive()-wrapped
-                    # client may warp the clock (fast paths, inline
-                    # overhead); see DbBench.run.
-                    gen = drive(engine, gen)
-                engine.process(gen, name=f"ycsb-{self.spec.name}-{cid}")
-            else:
-                engine.process(
-                    self._client(engine, db, rng, chooser, end, result),
-                    name=f"ycsb-{self.spec.name}-{cid}",
-                )
+            buf = ([], [], [])
+            buffers.append(buf)
+            engine.process(
+                self._client(engine, db, rng, chooser, end, result, buf),
+                name=f"ycsb-{self.spec.name}-{cid}",
+            )
         engine.run(until=end)
+        # One bulk flush per client: histogram state is order-independent.
         for lat_all, lat_read, lat_update in buffers:
             result.latency.record_many(lat_all)
             result.read_latency.record_many(lat_read)
@@ -286,28 +249,34 @@ class YcsbRunner:
             return rng.randint(0, max(0, self._next_insert - 1))
         return min(chooser.next(rng), self._next_insert - 1)
 
-    def _client(self, engine, db, rng, chooser, end, result: YcsbResult):
+    def _client(self, engine, db, rng, chooser, end, result: YcsbResult, buf):
         spec = self.spec
-        while engine.now < end:
-            yield db.costs.client_op_overhead_ns
+        values = self.values
+        overhead = db.costs.client_op_overhead_ns
+        pick_key = self._pick_key
+        grows = isinstance(chooser, LatestGenerator)
+        op_counts = result.op_counts
+        lat_all, lat_read, lat_update = buf
+        while engine._now < end:
+            yield overhead
             op = spec.pick_op(rng)
-            began = engine.now
+            began = engine._now
             if op == OP_READ:
-                index = self._pick_key(rng, chooser)
+                index = pick_key(rng, chooser)
                 yield from db.get(encode_key(index))
-                result.read_latency.record(engine.now - began)
+                lat_read.append(engine._now - began)
             elif op == OP_UPDATE:
-                index = self._pick_key(rng, chooser)
-                yield from db.put(encode_key(index), self.values.value_for(index, 1))
-                result.update_latency.record(engine.now - began)
+                index = pick_key(rng, chooser)
+                yield from db.put(encode_key(index), values.value_for(index, 1))
+                lat_update.append(engine._now - began)
             elif op == OP_INSERT:
                 index = self._next_insert
                 self._next_insert += 1
-                if isinstance(chooser, LatestGenerator):
+                if grows:
                     chooser.grow()
-                yield from db.put(encode_key(index), self.values.value_for(index))
+                yield from db.put(encode_key(index), values.value_for(index))
             elif op == OP_SCAN:
-                start = self._pick_key(rng, chooser)
+                start = pick_key(rng, chooser)
                 length = rng.randint(1, spec.max_scan_len)
                 yield from db.scan(
                     encode_key(start),
@@ -315,150 +284,9 @@ class YcsbRunner:
                     limit=length,
                 )
             else:  # read-modify-write
-                index = self._pick_key(rng, chooser)
+                index = pick_key(rng, chooser)
                 yield from db.get(encode_key(index))
-                yield from db.put(encode_key(index), self.values.value_for(index, 2))
+                yield from db.put(encode_key(index), values.value_for(index, 2))
             result.ops += 1
-            result.op_counts[op] = result.op_counts.get(op, 0) + 1
-            result.latency.record(engine.now - began)
-
-    def _client_batched(self, engine, db, rng, chooser, end, result: YcsbResult, buf):
-        """Vectorized twin of :meth:`_client`, bit-identical op stream.
-
-        Per wakeup one vector of ops is pre-drawn in the exact per-op draw
-        order (the op-kind uniform, then the key draw, then a scan-length
-        draw).  Zipfian ranks are mapped at draw time (the mapping is fixed);
-        'latest' keys store the raw uniform and map at *execution* time —
-        the population grows with inserts.  Key clamps against the shared
-        insert counter likewise apply at execution time.  Latencies buffer
-        in ``buf`` for one ``record_many`` per run; surplus tail draws when
-        the run ends mid-vector are unobservable (the stream is private).
-        """
-        spec = self.spec
-        values = self.values
-        overhead = db.costs.client_op_overhead_ns
-        op_for = spec.op_for
-        random = rng.random
-        randint = rng.randint
-        max_scan_len = spec.max_scan_len
-        latest = isinstance(chooser, LatestGenerator)
-        zipf_rank = (
-            chooser.rank_of if (chooser is not None and not latest) else None
-        )
-        uniform_bound = max(0, self._next_insert - 1)  # fixed: no inserts
-        solo = self.clients == 1
-        # Fast paths (and the inline overhead warp) are solo-client only —
-        # they advance ``engine._now`` synchronously, which is safe only
-        # under the rebasing drive() wrapper (see DbBench._client_batched).
-        put_fast = db.put_fast
-        get_fast = db.get_fast
-        write_ops = db._write_ops
-        queue = (
-            db.write_queues[0]
-            if solo and len(db.write_queues) == 1
-            else None
-        )
-        fast_mts = db.memtables if solo else None
-        nowq = engine._nowq
-        heap = engine._heap
-        batch = batch_ops()
-        lat_all, lat_read, lat_update = buf
-        op_counts = result.op_counts
-        while engine._now < end:
-            ops = []
-            append = ops.append
-            for _ in range(batch):
-                op = op_for(random())
-                if op is OP_INSERT:
-                    append((op, 0, 0))
-                    continue
-                if zipf_rank is not None:
-                    draw = zipf_rank(random())
-                elif latest:
-                    draw = random()
-                else:
-                    draw = randint(0, uniform_bound)
-                if op is OP_SCAN:
-                    append((op, draw, randint(1, max_scan_len)))
-                else:
-                    append((op, draw, 0))
-            for op, draw, scan_len in ops:
-                if engine._now >= end:
-                    return
-                if overhead:
-                    if solo:
-                        wake = engine._now + overhead
-                        if (
-                            nowq
-                            or (heap and heap[0][0] <= wake)
-                            or wake > engine.run_limit
-                        ):
-                            yield overhead
-                        else:
-                            engine._now = wake
-                    else:
-                        yield overhead
-                began = engine._now
-                if op is OP_INSERT:
-                    index = self._next_insert
-                    self._next_insert += 1
-                    if latest:
-                        chooser.grow()
-                    yield from db.put(
-                        encode_key(index), values.value_for(index)
-                    )
-                elif op is OP_SCAN:
-                    if latest:
-                        start = min(
-                            chooser.key_for(draw), self._next_insert - 1
-                        )
-                    elif zipf_rank is not None:
-                        start = min(draw, self._next_insert - 1)
-                    else:
-                        start = draw
-                    yield from db.scan(
-                        encode_key(start),
-                        encode_key(min(start + scan_len, 10**15 - 1)),
-                        limit=scan_len,
-                    )
-                else:
-                    if latest:
-                        index = min(
-                            chooser.key_for(draw), self._next_insert - 1
-                        )
-                    elif zipf_rank is not None:
-                        index = min(draw, self._next_insert - 1)
-                    else:
-                        index = draw
-                    key = encode_key(index)
-                    if op is OP_READ:
-                        if not (
-                            fast_mts is not None
-                            and (
-                                fast_mts.immutables
-                                or fast_mts.mutable.get(key) is not None
-                            )
-                            and get_fast(key) is not None
-                        ):
-                            yield from db.get(key)
-                        lat_read.append(engine._now - began)
-                    elif op is OP_UPDATE:
-                        value = values.value_for(index, 1)
-                        if queue is not None and not (
-                            queue._has_leader or queue._waiting
-                        ):
-                            lat = put_fast(key, value)
-                        else:
-                            lat = None
-                        if lat is None:
-                            yield from write_ops(
-                                [(KIND_PUT, key, value)],
-                                len(key) + value.size,
-                            )
-                        lat_update.append(engine._now - began)
-                    else:  # read-modify-write
-                        yield from db.get(key)
-                        yield from db.put(key, values.value_for(index, 2))
-                result.ops += 1
-                op_counts[op] = op_counts.get(op, 0) + 1
-                lat_all.append(engine._now - began)
+            op_counts[op] = op_counts.get(op, 0) + 1
+            lat_all.append(engine._now - began)

@@ -64,6 +64,103 @@ def test_run_until_idle_advances_to_deadline(engine):
     assert engine.now == 5_000
 
 
+def test_run_until_in_the_past_is_rejected(engine):
+    """run(until=t) with t < now used to rewind the clock to t."""
+
+    def proc():
+        yield 10
+        yield 20
+
+    engine.process(proc())
+    assert engine.run(until=15) == 15
+    with pytest.raises(SimulationError):
+        engine.run(until=5)
+    assert engine.now == 15
+    assert engine.run(until=15) == 15  # the present is not the past
+    assert engine.run() == 30
+
+
+# -- lonely-sleep warp --------------------------------------------------------
+# A sleep nothing else can observe skips the heap (the clock jumps, the
+# generator resumes inline); these pin the cases where it must not.
+
+
+def test_lonely_sleeps_take_no_heap_entry(engine):
+    stamps = []
+
+    def proc():
+        ev = engine.event()
+        ev.succeed(7)
+        assert (yield ev) == 7
+        # A warped resume sends None like a heap resume, not the stale 7.
+        for delay in (100, 2.9):  # floats truncate to whole nanoseconds
+            got = yield delay
+            stamps.append((engine.now, got))
+
+    engine.process(proc())
+    assert engine.run() == 102
+    assert stamps == [(100, None), (102, None)]
+    assert engine._seq == 0
+
+
+def test_sleep_crossing_until_is_not_warped_past_it(engine):
+    stamps = []
+
+    def proc():
+        for delay in (100, 100, 50.0):
+            yield delay
+            stamps.append(engine.now)
+
+    engine.process(proc())
+    assert engine.run(until=150) == 150
+    assert stamps == [100]
+    assert engine.peek() == 200
+    assert engine.run(until=200) == 200  # wake == until still fires
+    assert stamps == [100, 200]
+    assert engine.run(until=249) == 249
+    assert engine.run() == 250
+    assert stamps == [100, 200, 250]
+
+
+@pytest.mark.parametrize("second_leg", [6, 6.0])
+def test_heap_entry_tied_at_wakeup_fires_before_the_sleeper(engine, second_leg):
+    order = []
+
+    def early():  # queued behind late's spawn: its sleep goes to the heap
+        yield 10
+        order.append(("early", engine.now))
+
+    def late():
+        yield 4  # lonely up to t=4 ...
+        yield second_leg  # ... but t=10 ties with early's older entry
+        order.append(("late", engine.now))
+
+    engine.process(early())
+    engine.process(late())
+    engine.run()
+    assert order == [("early", 10), ("late", 10)]
+
+
+def test_nonempty_now_queue_blocks_the_warp(engine):
+    ev = engine.event()
+    order = []
+
+    def waiter():
+        yield ev
+        order.append(("waiter", engine.now))
+
+    def trigger():
+        yield 3
+        ev.succeed()  # waiter is now due at t=3, ahead of our wake-up
+        yield 5
+        order.append(("trigger", engine.now))
+
+    engine.process(waiter())
+    engine.process(trigger())
+    engine.run()
+    assert order == [("waiter", 3), ("trigger", 8)]
+
+
 def test_process_return_value(engine):
     def proc():
         yield 1

@@ -1,7 +1,8 @@
 """Property tests pinning kernel semantics under hot-path optimization.
 
 The engine's run loop is heavily optimized (now-queue for delay-zero
-occurrences, inlined process stepping, zero-allocation sleeps).  These tests
+occurrences, inlined process stepping, zero-allocation sleeps, the
+lonely-sleep warp).  These tests
 check the *semantics* never drifted: randomized scenarios — integer sleeps
 including zero, cross-process event fires, failures, spawns, joins and
 same-timestamp ties — are executed both on :class:`repro.sim.engine.Engine`
@@ -218,15 +219,21 @@ def _ref_driver(kernel, events, pid, script, log):
     return ret
 
 
-def run_on_engine(scenario, tracer=None):
+def run_on_engine(scenario, tracer=None, chunks=None):
+    """Run to idle: in one ``run()``, or — given a ``random.Random`` as
+    ``chunks`` — in random-size ``run(until=...)`` steps (the final clock
+    then overshoots the last occurrence by at most one step, 3 ns)."""
     n_events, scripts = scenario
     engine = Engine(tracer=tracer)
     events = [engine.event() for _ in range(n_events)]
     log = []
     for i, script in enumerate(scripts):
         engine.process(_engine_driver(engine, events, f"p{i}", script, log), name=f"p{i}")
-    final = engine.run()
-    return log, final
+    if chunks is None:
+        return log, engine.run()
+    while engine.peek() is not None:
+        engine.run(until=engine.now + chunks.randint(0, 3))
+    return log, engine.now
 
 
 def run_on_reference(scenario):
@@ -330,6 +337,18 @@ def test_random_scenarios_match_reference(seed):
     ref_log, ref_final = run_on_reference(scenario)
     assert engine_log == ref_log
     assert engine_final == ref_final
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chunked_runs_match_reference(seed):
+    """Deadlines are invisible: sleeps (scenario delays are 0-3 ns) keep
+    crossing the 0-3 ns ``until`` steps, and the lonely-sleep warp must stop
+    at each one without reordering anything."""
+    scenario = _random_scenario(seed)
+    engine_log, engine_final = run_on_engine(scenario, chunks=random.Random(seed))
+    ref_log, ref_final = run_on_reference(scenario)
+    assert engine_log == ref_log
+    assert ref_final <= engine_final <= ref_final + 3
 
 
 @pytest.mark.parametrize("seed", range(0, 40, 5))

@@ -37,8 +37,10 @@ def test_config_validation():
         DbBenchConfig(duration_ns=0)
     with pytest.raises(WorkloadError):
         DbBenchConfig(write_fraction=2.0)
-    with pytest.raises(WorkloadError):
-        DbBenchConfig(duration_ns=100, warmup_ns=200)
+    for warmup_ns in (200, 100, -1):  # past the end, at the end, negative
+        with pytest.raises(WorkloadError):
+            DbBenchConfig(duration_ns=100, warmup_ns=warmup_ns)
+    assert DbBenchConfig(duration_ns=100, warmup_ns=99).warmup_ns == 99
 
 
 def test_run_produces_counts_and_latencies(engine):
