@@ -232,13 +232,17 @@ class Cluster:
         self._ack_wait: Dict[int, Tuple[int, Event]] = {}
         self._commit_waiters: List[Tuple[int, Event]] = []
         self._shipped_groups = 0
-        self._failovers = 0
 
     # -- bookkeeping ---------------------------------------------------------
 
     @property
     def quorum(self) -> int:
         return len(self.nodes) // 2 + 1
+
+    @property
+    def failovers(self) -> int:
+        """Leader changes after the initial election."""
+        return max(0, len(self.term_history) - 1)
 
     @property
     def leader_node(self) -> Optional[ClusterNode]:
@@ -303,7 +307,6 @@ class Cluster:
         self.leader_id = node.node_id
         self.term_history.append((self.term, node.node_id))
         node.durable_len = len(node.log)
-        self._failovers += 1
         self._match_len = {}
         self._install_leader_hook(node)
         self._log(f"leader node {node.node_id} term {self.term}")

@@ -6,6 +6,13 @@ minimal repro command; ``--save`` dumps the fault schedule as JSON and
 ``--replay`` re-runs a saved schedule under any seed's workload.
 ``--selfcheck`` runs every seed twice in-process and demands
 byte-identical event logs — the determinism contract CI leans on.
+
+One seed worker and one sweep loop serve all four modes, so every flag
+above, ``--jobs`` and the handling of a harness that raises (printed as
+``EXCEPTION(...)``, counted as a failure, sweep continues) are
+mode-independent.  A mode supplies its config class (a flag applies where
+that config has the field) and, in :data:`_CLI`, its summary line and
+sweep epilogue.
 """
 
 from __future__ import annotations
@@ -14,10 +21,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.dst.cluster import ClusterDstConfig, ClusterDstRun
-from repro.dst.harness import DstConfig, DstResult, DstRun
-from repro.dst.serving import ServingDstConfig, ServingDstRun
-from repro.dst.storm import STORM_AUTO, STORM_KINDS, StormConfig, StormRun
+from repro.dst import MODES
+from repro.dst.core import RunResult, guarded, make_config
+from repro.dst.storm import STORM_AUTO, STORM_KINDS
 from repro.faults import FaultSchedule
 from repro.perf.parallel import default_jobs, imap_points
 
@@ -35,26 +41,18 @@ def _parse_seeds(args: argparse.Namespace) -> List[int]:
     return [args.seed]
 
 
-def _repro_line(args: argparse.Namespace, seed: int) -> str:
+def _repro_line(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str, seed: int
+) -> str:
+    """The command that re-runs ``seed`` as this sweep ran it: the mode
+    plus every sizing flag that was moved off its default."""
     parts = [f"python -m repro.dst --seed {seed}"]
-    if args.storm:
-        parts.append("--storm")
-        if args.storm_kind != STORM_AUTO:
-            parts.append(f"--storm-kind {args.storm_kind}")
-    if args.cluster:
-        parts.append("--cluster")
-        if args.nodes != 3:
-            parts.append(f"--nodes {args.nodes}")
-    if args.serving:
-        parts.append("--serving")
-        if args.shards != 2:
-            parts.append(f"--shards {args.shards}")
-        if args.replicas != 3:
-            parts.append(f"--replicas {args.replicas}")
-    if args.ops != 300:
-        parts.append(f"--ops {args.ops}")
-    if args.keys != 40:
-        parts.append(f"--keys {args.keys}")
+    if mode != "dst":
+        parts.append(f"--{mode}")
+    for dest in ("storm_kind", "nodes", "shards", "replicas", "ops", "keys", "max_faults"):
+        value = getattr(args, dest)
+        if value != parser.get_default(dest):
+            parts.append(f"--{dest.replace('_', '-')} {value}")
     if args.no_faults:
         parts.append("--no-faults")
     if args.replay:
@@ -62,224 +60,159 @@ def _repro_line(args: argparse.Namespace, seed: int) -> str:
     return " ".join(parts)
 
 
-# -- seed workers (run inside worker processes under --jobs) -----------------
-#
-# Each worker runs one seed's full universe (plus the --selfcheck rerun) and
-# ships back only picklable results.  Configs are constructed *inside* the
-# worker, one fresh instance per run, exactly as the serial loop does, so
-# the event logs are byte-identical for every jobs value.
+def _seed_worker(item):
+    """One seed's full universe (plus the ``--selfcheck`` rerun).
+
+    Runs inside a worker process under ``--jobs``, so it ships back only
+    picklable results; each run gets a fresh config instance, exactly as
+    a serial loop would, so event logs are byte-identical for any jobs
+    value.
+    """
+    mode, seed, flags, selfcheck = item
+    run_cls, config_cls = MODES[mode]
+
+    def once() -> RunResult:
+        return guarded(lambda: run_cls(seed, make_config(config_cls, **flags)))
+
+    return once(), (once() if selfcheck else None)
 
 
-def _dst_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-    result = DstRun(seed, DstConfig(**cfg_kwargs)).run()
-    again = DstRun(seed, DstConfig(**cfg_kwargs)).run() if selfcheck else None
-    return result, again
+def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The parsed flags under the config-field names they go by.
 
-
-def _cluster_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-    result = ClusterDstRun(seed, ClusterDstConfig(**cfg_kwargs)).run()
-    again = ClusterDstRun(seed, ClusterDstConfig(**cfg_kwargs)).run() if selfcheck else None
-    return result, again
-
-
-def _serving_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-    result = ServingDstRun(seed, ServingDstConfig(**cfg_kwargs)).run()
-    again = (
-        ServingDstRun(seed, ServingDstConfig(**cfg_kwargs)).run()
-        if selfcheck
-        else None
-    )
-    return result, again
-
-
-def _storm_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-
-    def make() -> StormConfig:
-        cfg = StormConfig(kind=cfg_kwargs["kind"])
-        if cfg_kwargs["ops"] is not None:
-            cfg.num_ops = cfg_kwargs["ops"]
-        if cfg_kwargs["keys"] is not None:
-            cfg.num_keys = cfg_kwargs["keys"]
-        return cfg
-
-    result = StormRun(seed, make()).run()
-    again = StormRun(seed, make()).run() if selfcheck else None
-    return result, again
-
-
-def _run_storm(args: argparse.Namespace, seeds: List[int]) -> int:
-    """The --storm main loop: degraded-mode/auto-resume sweeps."""
-    failures = 0
-    degraded_seeds = 0
-    cfg_kwargs = {
-        "kind": args.storm_kind,
-        "ops": args.ops if args.ops != 300 else None,
-        "keys": args.keys if args.keys != 40 else None,
-    }
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_storm_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if again.events != result.events or again.verdict != result.verdict:
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        if result.degraded_entries:
-            degraded_seeds += 1
-        quiesce = "never" if result.quiesce_ns < 0 else f"{result.quiesce_ns}ns"
-        print(
-            f"seed={seed} {result.verdict} kind={result.kind} "
-            f"acked={result.writes_acked}/{result.writes_issued} "
-            f"rejected={result.writes_rejected} "
-            f"degraded={result.degraded_entries} "
-            f"resumes={result.resume_successes} "
-            f"read_only={'y' if result.went_read_only else 'n'} "
-            f"quiesce={quiesce}"
-            + (" deterministic" if args.selfcheck else "")
-        )
-        if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
-            with open(args.save, "w", encoding="utf-8") as fh:
-                fh.write(result.schedule_json + "\n")
-            print(f"  schedule saved to {args.save}")
-        if not result.ok:
-            failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    if len(seeds) > 1:
-        print(f"storm sweep: {degraded_seeds}/{len(seeds)} seeds entered degraded mode")
-        if degraded_seeds == 0:
-            print("  FAIL: no seed ever degraded — the storm is not storming")
-            failures += 1
-    return 1 if failures else 0
-
-
-def _run_cluster(args: argparse.Namespace, seeds: List[int]) -> int:
-    """The --cluster main loop: replication/failover invariant sweeps."""
-    schedule = FaultSchedule.from_file(args.replay) if args.replay else None
-    failures = 0
-    failovers = 0
-    cfg_kwargs = {
-        "num_ops": args.ops if args.ops != 300 else 160,
-        "num_keys": args.keys if args.keys != 40 else 24,
-        "n_nodes": args.nodes,
+    One table serves every mode: ``make_config`` applies a flag where
+    the mode's config has its field (``--nodes`` means nothing to a
+    storm).  ``--ops`` / ``--keys`` left at the parser default are
+    dropped, so each mode keeps its own default size.
+    """
+    flags = {
+        "num_ops": args.ops,
+        "num_keys": args.keys,
+        "key_count": args.keys,
         "faults": not args.no_faults,
         "max_faults": args.max_faults,
-        "schedule": schedule,
-    }
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_cluster_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if (
-                again.events != result.events
-                or again.verdict != result.verdict
-                or again.log_digest != result.log_digest
-            ):
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        failovers += result.failovers
-        print(
-            f"seed={seed} {result.verdict} cut={result.cut}/{result.writes_issued} "
-            f"acked={result.writes_acked} failovers={result.failovers} "
-            f"crashes={result.crashes} "
-            f"converged={'y' if result.converged else 'n'} "
-            f"log={result.log_digest[:8]}"
-            + (" gave_up" if result.gave_up else "")
-            + (" deterministic" if args.selfcheck else "")
-        )
-        if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
-            with open(args.save, "w", encoding="utf-8") as fh:
-                fh.write(result.schedule_json + "\n")
-            print(f"  schedule saved to {args.save}")
-        if not result.ok:
-            failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    if len(seeds) > 1:
-        print(f"cluster sweep: {failovers} failover(s) across {len(seeds)} seeds")
-    return 1 if failures else 0
-
-
-def _run_serving(args: argparse.Namespace, seeds: List[int]) -> int:
-    """The --serving main loop: fleet-under-chaos resilience sweeps.
-
-    Beyond per-seed verdicts, the sweep itself fails unless *every* seed
-    injected at least one leader-affecting fault (crash or partition)
-    while tenant traffic was live — fair-weather sweeps prove nothing.
-    """
-    schedule = FaultSchedule.from_file(args.replay) if args.replay else None
-    failures = 0
-    failovers = 0
-    cfg_kwargs = {
+        "kind": args.storm_kind,
+        "n_nodes": args.nodes,
         "shards": args.shards,
         "replicas": args.replicas,
-        "faults": not args.no_faults,
-        "schedule": schedule,
     }
-    if args.keys != 40:
-        cfg_kwargs["key_count"] = args.keys
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_serving_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if (
-                again.events != result.events
-                or again.verdict != result.verdict
-                or again.log_digest != result.log_digest
-            ):
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        failovers += result.failovers
-        print(
-            f"seed={seed} {result.verdict} ops={result.ops} "
-            f"shed={result.shed} errors={result.errors} "
-            f"acked={result.writes_acked} failovers={result.failovers} "
-            f"leader_faults={result.leader_faults} "
-            f"ryw={result.ryw_violations} unresolved={result.unresolved} "
-            f"max_op={result.max_elapsed_us}us "
-            f"converged={'y' if result.converged else 'n'} "
-            f"log={result.log_digest[:8]}"
-            + (" deterministic" if args.selfcheck else "")
-        )
+    if args.ops == parser.get_default("ops"):
+        del flags["num_ops"]
+    if args.keys == parser.get_default("keys"):
+        del flags["num_keys"], flags["key_count"]
+    if args.replay:
+        flags["schedule"] = FaultSchedule.from_file(args.replay)
+    return flags
+
+
+# -- what each mode supplies: its summary line and its sweep epilogue ----------
+
+
+def _dst_line(r) -> str:
+    crash = "clean" if r.crash_ns < 0 else f"t={r.crash_ns}"
+    return (
+        f"cut={r.cut}/{r.writes_issued} acked={r.writes_acked} "
+        f"crash={crash} faults={r.faults_fired}"
+    )
+
+
+def _storm_line(r) -> str:
+    quiesce = "never" if r.quiesce_ns < 0 else f"{r.quiesce_ns}ns"
+    return (
+        f"kind={r.kind} acked={r.writes_acked}/{r.writes_issued} "
+        f"rejected={r.writes_rejected} degraded={r.degraded_entries} "
+        f"resumes={r.resume_successes} "
+        f"read_only={'y' if r.went_read_only else 'n'} quiesce={quiesce}"
+    )
+
+
+def _cluster_line(r) -> str:
+    return (
+        f"cut={r.cut}/{r.writes_issued} acked={r.writes_acked} "
+        f"failovers={r.failovers} crashes={r.crashes} "
+        f"converged={'y' if r.converged else 'n'} log={r.log_digest[:8]}"
+        + (" gave_up" if r.gave_up else "")
+    )
+
+
+def _serving_line(r) -> str:
+    return (
+        f"ops={r.ops} shed={r.shed} errors={r.errors} "
+        f"acked={r.writes_acked} failovers={r.failovers} "
+        f"leader_faults={r.leader_faults} ryw={r.ryw_violations} "
+        f"unresolved={r.unresolved} max_op={r.max_elapsed_us}us "
+        f"converged={'y' if r.converged else 'n'} log={r.log_digest[:8]}"
+    )
+
+
+def _storm_epilogue(_mode: str, results: List[RunResult], n_seeds: int) -> int:
+    """A storm sweep in which no seed degraded is not storming: fail it."""
+    degraded = sum(1 for r in results if r.degraded_entries)
+    print(f"storm sweep: {degraded}/{n_seeds} seeds entered degraded mode")
+    if degraded == 0:
+        print("  FAIL: no seed ever degraded — the storm is not storming")
+        return 1
+    return 0
+
+
+def _failover_epilogue(mode: str, results: List[RunResult], n_seeds: int) -> int:
+    failovers = sum(r.failovers for r in results)
+    print(f"{mode} sweep: {failovers} failover(s) across {n_seeds} seeds")
+    return 0
+
+
+#: mode -> (summary line after the verdict, multi-seed epilogue returning
+#: extra failures, or None).
+_CLI = {
+    "dst": (_dst_line, None),
+    "storm": (_storm_line, _storm_epilogue),
+    "cluster": (_cluster_line, _failover_epilogue),
+    "serving": (_serving_line, _failover_epilogue),
+}
+
+
+def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str) -> int:
+    """The one sweep loop; returns the process exit code."""
+    seeds = _parse_seeds(args)
+    line, epilogue = _CLI[mode]
+    flags = _config_flags(parser, args)
+    items = [(mode, seed, flags, args.selfcheck) for seed in seeds]
+    failures = 0
+    verdicts: List[RunResult] = []  # deterministic runs that returned a verdict
+    for seed, (result, again) in zip(seeds, imap_points(_seed_worker, items, jobs=args.jobs)):
+        if again is not None and any(
+            getattr(again, f, None) != getattr(result, f, None)
+            for f in ("events", "verdict", "log_digest")
+        ):
+            print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
+            for a, b in zip(result.events, again.events):
+                if a != b:
+                    print(f"  first : {a}\n  second: {b}")
+                    break
+            failures += 1
+            continue
+        if result.raised:
+            print(f"seed={seed} {result.verdict}")
+        else:
+            verdicts.append(result)
+            print(
+                f"seed={seed} {result.verdict} {line(result)}"
+                + (" deterministic" if args.selfcheck else "")
+            )
         if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
+            for event in result.events:
+                print(f"  {event}")
+        if args.save and result.schedule_json:
             with open(args.save, "w", encoding="utf-8") as fh:
                 fh.write(result.schedule_json + "\n")
             print(f"  schedule saved to {args.save}")
         if not result.ok:
             failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    if len(seeds) > 1:
-        print(
-            f"serving sweep: {failovers} failover(s) across {len(seeds)} seeds"
-        )
+            if not result.raised:
+                print(f"  reason: {result.reason}")
+            print(f"  repro: {_repro_line(parser, args, mode, seed)}")
+    if len(seeds) > 1 and epilogue is not None:
+        failures += epilogue(mode, verdicts, len(seeds))
     return 1 if failures else 0
 
 
@@ -358,59 +291,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if sum((args.storm, args.cluster, args.serving)) > 1:
+    chosen = [m for m in ("storm", "cluster", "serving") if getattr(args, m)]
+    if len(chosen) > 1:
         raise SystemExit("--storm, --cluster and --serving are mutually exclusive")
-    if args.storm:
-        if args.replay:
-            raise SystemExit("--storm generates its own schedule; --replay invalid")
-        return _run_storm(args, _parse_seeds(args))
-    if args.cluster:
-        return _run_cluster(args, _parse_seeds(args))
-    if args.serving:
-        return _run_serving(args, _parse_seeds(args))
-
-    schedule = FaultSchedule.from_file(args.replay) if args.replay else None
-    failures = 0
-    seeds = _parse_seeds(args)
-    cfg_kwargs = {
-        "num_ops": args.ops,
-        "num_keys": args.keys,
-        "faults": not args.no_faults,
-        "max_faults": args.max_faults,
-        "schedule": schedule,
-    }
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_dst_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if again.events != result.events or again.verdict != result.verdict:
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        status = result.verdict
-        crash = "clean" if result.crash_ns < 0 else f"t={result.crash_ns}"
-        print(
-            f"seed={seed} {status} cut={result.cut}/{result.writes_issued} "
-            f"acked={result.writes_acked} crash={crash} "
-            f"faults={result.faults_fired}"
-            + (" deterministic" if args.selfcheck else "")
-        )
-        if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
-            with open(args.save, "w", encoding="utf-8") as fh:
-                fh.write(result.schedule_json + "\n")
-            print(f"  schedule saved to {args.save}")
-        if not result.ok:
-            failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    return 1 if failures else 0
+    return _sweep(parser, args, chosen[0] if chosen else "dst")
 
 
 if __name__ == "__main__":

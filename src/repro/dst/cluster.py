@@ -27,19 +27,19 @@ bit-identically, serial or under ``--jobs N``.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.dst.harness import DELETE, GET, PUT, _dst_options, _Op
+from repro.dst import core
+from repro.dst.core import DELETE, GET, PUT, Op, RunResult, Scenario
+from repro.dst.harness import _dst_options
 from repro.errors import DBError
-from repro.faults import CRASH, NET_KINDS, FaultSchedule
+from repro.faults import NET_KINDS, FaultSchedule
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.net import NetConfig, Network
 from repro.sim.engine import Engine
-from repro.sim.rng import RandomStream
 from repro.sim.units import mb, ms, us
 from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
@@ -69,12 +69,9 @@ class ClusterDstConfig:
 
 
 @dataclass
-class ClusterDstResult:
+class ClusterDstResult(RunResult):
     """Outcome of one run: verdict + the byte-comparable event log."""
 
-    seed: int
-    ok: bool
-    reason: str  # "" when ok
     cut: int  # matched prefix cut (write index), -1 if none
     writes_issued: int
     writes_acked: int
@@ -84,38 +81,21 @@ class ClusterDstResult:
     gave_up: bool
     converged: bool
     log_digest: str  # md5 over the final leader log's tags
-    schedule_json: str
-    events: List[str] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.ok else f"FAIL({self.reason})"
 
 
-class ClusterDstRun:
+class ClusterDstRun(Scenario):
     """One seeded workload/fault/failover/converge/verify cycle."""
 
+    stream = "cluster-dst"
+
     def __init__(self, seed: int, config: Optional[ClusterDstConfig] = None) -> None:
-        self.seed = seed
-        self.config = config or ClusterDstConfig()
-        self.rng = RandomStream(seed, "cluster-dst")
-        self.events: List[str] = []
-        self.issued: List[_Op] = []
-        self.acked: List[_Op] = []
+        super().__init__(seed, config or ClusterDstConfig())
+        self.issued: List[Op] = []  # one entry per write *attempt*
+        self.acked: List[Op] = []
         self.gave_up = False
         self.engine = Engine()
 
-        schedule = self.config.schedule
-        if schedule is None:
-            schedule = FaultSchedule()
-            if self.config.faults:
-                schedule = FaultSchedule.random_cluster(
-                    self.rng.fork("faults"),
-                    self.config.horizon_ns,
-                    self.config.n_nodes,
-                    max_faults=self.config.max_faults,
-                )
-        self.schedule = schedule
+        self.schedule = schedule = self.resolve_schedule()
 
         n = self.config.n_nodes
         fss = []
@@ -136,45 +116,21 @@ class ClusterDstRun:
             self.rng.fork("cluster"),
             ClusterConfig(),
         )
-        # Node crashes become control events; each gets a seed-derived
-        # restart so the node rejoins (and divergence-truncation runs)
-        # within the horizon.
-        restart_rng = self.rng.fork("restarts")
-        self.controls: List[Tuple[int, str, int]] = []
-        for spec in schedule.specs:
-            if spec.kind != CRASH:
-                continue
-            node = spec.node if spec.node is not None else 0
-            self.controls.append((spec.at_time, "crash", node))
-            delay = restart_rng.randint(ms(2), max(ms(4), self.config.horizon_ns // 4))
-            self.controls.append((spec.at_time + delay, "restart", node))
-        self.controls.sort()
+        # Node crashes become control events, each with a seed-derived
+        # restart.
+        self.controls = core.crash_controls(
+            schedule.specs, self.rng.fork("restarts"), self.config.horizon_ns, n
+        )
+
+    def draw_schedule(self) -> FaultSchedule:
+        cfg = self.config
+        return FaultSchedule.random_cluster(
+            self.rng.fork("faults"), cfg.horizon_ns, cfg.n_nodes, max_faults=cfg.max_faults
+        )
 
     # -- workload ----------------------------------------------------------
 
-    def _key(self, key_id: int) -> bytes:
-        return b"k%04d" % key_id
-
-    def _gen_ops(self) -> List[_Op]:
-        """Logical ops; write indexes are assigned at *attempt* time."""
-        rng = self.rng.fork("workload")
-        ops: List[_Op] = []
-        for _ in range(self.config.num_ops):
-            key = self._key(rng.randint(0, self.config.num_keys - 1))
-            roll = rng.uniform(0.0, 1.0)
-            if roll < 0.70:
-                pad = rng.randint(0, 64)
-                ops.append(_Op(PUT, key, b"x" * pad))  # value finalized per attempt
-            elif roll < 0.85:
-                ops.append(_Op(DELETE, key))
-            else:
-                ops.append(_Op(GET, key))
-        return ops
-
-    def _log(self, line: str) -> None:
-        self.events.append(f"t={self.engine.now} {line}")
-
-    def _client(self, ops: List[_Op]):
+    def _client(self, ops: List[Op]):
         """Generator: sequential client with retry-as-new-write semantics."""
         cluster = self.cluster
         write_index = 0
@@ -184,7 +140,7 @@ class ClusterDstRun:
                     value = yield from cluster.get(op.key)
                 except DBError:
                     value = None
-                self._log(
+                self.log(
                     f"get {op.key.decode()} -> "
                     + ("miss" if value is None else f"{len(value)}B")
                 )
@@ -192,12 +148,12 @@ class ClusterDstRun:
             for attempt in range(self.config.max_retries):
                 write_index += 1
                 if op.kind == PUT:
-                    value = b"op%06d:%s:" % (write_index, op.key) + op.value
-                    issued = _Op(PUT, op.key, value, write_index)
+                    value = core.stamped(write_index, op.key, op.value)
+                    issued = Op(PUT, op.key, value, write_index)
                 else:
-                    issued = _Op(DELETE, op.key, None, write_index)
+                    issued = Op(DELETE, op.key, None, write_index)
                 self.issued.append(issued)
-                self._log(
+                self.log(
                     f"issue #{issued.index} {issued.kind} {op.key.decode()}"
                     + (f" (retry {attempt})" if attempt else "")
                 )
@@ -207,156 +163,50 @@ class ClusterDstRun:
                     acked, _seq = yield from cluster.delete(issued.key)
                 if acked:
                     self.acked.append(issued)
-                    self._log(f"ack #{issued.index}")
+                    self.log(f"ack #{issued.index}")
                     break
-                self._log(f"unacked #{issued.index}")
+                self.log(f"unacked #{issued.index}")
                 yield self.config.retry_backoff_ns
             else:
                 # Retries exhausted: stop issuing entirely.  A trailing run
                 # of same-key attempts is prefix-consistent; writes *after*
                 # a lost one would not be.
                 self.gave_up = True
-                self._log(f"client gave up after #{write_index}")
+                self.log(f"client gave up after #{write_index}")
                 return
 
-    # -- scheduler loop ----------------------------------------------------
+    def _fire(self, action: str, node: int) -> None:
+        if action == "crash":
+            self.cluster.crash_node(node)
+        else:
+            self.cluster.restart_node(node)
 
-    def _step(self, proc) -> None:
-        """Drive the engine, firing control events at exact virtual times."""
-        engine = self.engine
-        cluster = self.cluster
-        i = 0
-        while True:
-            if proc.done and proc.exception is not None:
-                raise proc.exception
-            due = self.controls[i][0] if i < len(self.controls) else None
-            if proc.done and due is None:
-                return
-            nxt = engine.peek()
-            if due is not None and (nxt is None or due <= nxt):
-                if engine.now < due:
-                    engine.run(until=due)
-                _t, action, node = self.controls[i]
-                i += 1
-                if action == "crash":
-                    cluster.crash_node(node)
-                else:
-                    cluster.restart_node(node)
-                continue
-            if nxt is None:
-                raise DBError("cluster dst deadlocked")
-            engine.run(until=nxt)
-
-    def _run_gen(self, gen, name: str):
-        proc = self.engine.process(gen, name=name)
-        proc.callbacks.append(lambda _ev: None)
-        while not proc.done:
-            nxt = self.engine.peek()
-            if nxt is None:
-                raise DBError(f"cluster dst: {name} deadlocked")
-            self.engine.run(until=nxt)
-        if proc.exception is not None:
-            raise proc.exception
-        return proc.value
-
-    # -- settle + verification --------------------------------------------
-
-    def _settle(self) -> bool:
-        """Heal, restart everyone, wait for log convergence (True if it came)."""
-        cluster = self.cluster
-        self.network.heal()
-        self._windows_off()
-        for node in cluster.nodes:
-            if not node.alive:
-                cluster.restart_node(node.node_id)
-        cluster.elect()
-
-        def waiter():
-            deadline = self.engine.now + self.config.settle_ns
-            while self.engine.now < deadline:
-                if self._converged():
-                    return True
-                yield ms(1)
-            return self._converged()
-
-        return self._run_gen(waiter(), "settle")
-
-    def _windows_off(self) -> None:
-        """End every net window still open (delay/drop storms included)."""
-        now = self.engine.now
-        for w in self.network._windows:
-            if w.end > now:
-                w.end = now
-
-    def _converged(self) -> bool:
-        cluster = self.cluster
-        leader = cluster.leader_node
-        if leader is None:
-            return False
-        llen = len(leader.log)
-        for node in cluster.nodes:
-            if not node.active or len(node.log) != llen:
-                return False
-        return True
-
-    def _collect(self, node) -> Dict[bytes, bytes]:
-        observed: Dict[bytes, bytes] = {}
-
-        def reader():
-            for key_id in range(self.config.num_keys):
-                key = self._key(key_id)
-                value = yield from node.db.get(key)
-                if value is not None:
-                    observed[key] = value
-
-        self._run_gen(reader(), f"verify-{node.node_id}")
-        return observed
-
-    def _find_cut(self, observed: Dict[bytes, bytes], min_cut: int) -> int:
-        """Smallest prefix cut >= ``min_cut`` whose replay matches."""
-        state: Dict[bytes, bytes] = {}
-        writes = self.issued
-        for cut in range(len(writes) + 1):
-            if cut > 0:
-                op = writes[cut - 1]
-                if op.kind == PUT:
-                    state[op.key] = op.value
-                else:
-                    state.pop(op.key, None)
-            if cut >= min_cut and state == observed:
-                return cut
-        return -1
-
-    def _prefix_violation(self) -> Optional[str]:
-        leader = self.cluster.leader_node
-        ltags = [g.tag for g in leader.log]
-        for node in self.cluster.nodes:
-            tags = [g.tag for g in node.log]
-            if tags != ltags[: len(tags)]:
-                return f"node {node.node_id} log is not a leader-log prefix"
-        return None
+    def _observe(self, node):
+        return self.read_keys(node.db.get, f"verify-{node.node_id}")
 
     # -- the run -----------------------------------------------------------
 
     def run(self) -> ClusterDstResult:
         cfg = self.config
-        ops = self._gen_ops()
-        self._log(
+        # Unnumbered: write indexes are assigned at *attempt* time.
+        ops = core.gen_ops(
+            self.rng.fork("workload"), cfg.num_ops, cfg.num_keys, pad=(0, 64), numbered=False
+        )
+        self.log(
             f"cluster dst seed={self.seed} nodes={cfg.n_nodes} "
             f"ops={cfg.num_ops} keys={cfg.num_keys} "
             f"specs={len(self.schedule)} controls={len(self.controls)}"
         )
         self.cluster.start()
-        proc = self.engine.process(self._client(ops), name="cluster-client")
-        proc.callbacks.append(lambda _ev: None)
-        self._step(proc)
-        self._log(
+        proc = self.spawn(self._client(ops), "cluster-client")
+        self.step([proc], self.controls, self._fire)
+        self.log(
             f"workload done issued={len(self.issued)} acked={len(self.acked)}"
             + (" gave_up" if self.gave_up else "")
         )
 
-        converged = self._settle()
         cluster = self.cluster
+        converged = self.settle([cluster])
         self.events.append("-- cluster --")
         self.events.extend(cluster.events)
         self.events.append("-- net --")
@@ -365,24 +215,16 @@ class ClusterDstRun:
         leader = cluster.leader_node
         last_acked = max((op.index for op in self.acked), default=0)
         cut = -1
-        reason = ""
-        if cluster.violations:
-            reason = f"invariant: {cluster.violations[0]}"
-        elif leader is None:
+        reason = core.recorded_violation(cluster)
+        if reason is None and leader is None:
             reason = "no leader after settle"
-        elif not converged:
+        if reason is None and not converged:
             reason = "nodes did not converge after heal+restart"
-        else:
-            structural = self._prefix_violation()
-            if structural is not None:
-                reason = structural
-            else:
-                terms = [t for t, _n in cluster.term_history]
-                if len(terms) != len(set(terms)):
-                    reason = f"multiple leaders in one term: {cluster.term_history}"
-        if not reason:
-            observed = self._collect(leader)
-            cut = self._find_cut(observed, last_acked)
+        if reason is None:
+            reason = core.prefix_violation(cluster) or core.term_violation(cluster)
+        if reason is None:
+            observed = self._observe(leader)
+            cut = core.find_cut(self.issued, observed, last_acked)
             if cut < 0:
                 reason = (
                     f"no consistent prefix cut >= {last_acked} "
@@ -392,32 +234,23 @@ class ClusterDstRun:
                 for node in cluster.nodes:
                     if node is leader:
                         continue
-                    if self._collect(node) != observed:
+                    if self._observe(node) != observed:
                         reason = f"node {node.node_id} state differs from leader"
                         break
-        ok = reason == ""
-
-        digest = hashlib.md5()
-        if leader is not None:
-            for g in leader.log:
-                digest.update(b"%d:%d;" % g.tag)
-        self._log(
-            f"verdict={'PASS' if ok else 'FAIL'} cut={cut}/{len(self.issued)} "
-            f"acked={len(self.acked)} failovers={cluster._failovers - 1}"
+        self.log(
+            f"verdict={'PASS' if reason is None else 'FAIL'} cut={cut}/{len(self.issued)} "
+            f"acked={len(self.acked)} failovers={cluster.failovers}"
         )
-        return ClusterDstResult(
-            seed=self.seed,
-            ok=ok,
-            reason=reason,
+        return self.result(
+            ClusterDstResult,
+            reason,
             cut=cut,
             writes_issued=len(self.issued),
             writes_acked=len(self.acked),
             n_nodes=cfg.n_nodes,
-            failovers=cluster._failovers - 1,
+            failovers=cluster.failovers,
             crashes=sum(1 for _t, a, _n in self.controls if a == "crash"),
             gave_up=self.gave_up,
             converged=converged,
-            log_digest=digest.hexdigest(),
-            schedule_json=self.schedule.to_json(),
-            events=self.events,
+            log_digest=core.log_digest([cluster]),
         )

@@ -19,41 +19,16 @@ never silent wrong data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.errors import CorruptionError, DBError, IOFaultError
-from repro.faults import (
-    CRASH,
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
-)
-from repro.fs.page_cache import PageCache
+from repro.dst.core import GET, PUT, Op, RunResult, Scenario, find_cut, gen_ops
+from repro.errors import CorruptionError, DBError, DBReadOnlyError, IOFaultError
+from repro.faults import CRASH, FaultSchedule, FaultSpec
 from repro.lsm.db import DB
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
 from repro.sim.engine import Engine
-from repro.sim.rng import RandomStream
-from repro.sim.units import kb, mb, us
-from repro.storage.profiles import xpoint_ssd
-
-_CORRUPT = object()  # observed-value sentinel: read failed with CorruptionError
-
-PUT = "put"
-DELETE = "delete"
-GET = "get"
-
-
-@dataclass(frozen=True)
-class _Op:
-    """One generated workload operation (index counts writes only)."""
-
-    kind: str
-    key: bytes
-    value: Optional[bytes] = None
-    index: int = 0  # 1-based write index; 0 for reads
+from repro.sim.units import kb, us
 
 
 @dataclass
@@ -76,23 +51,14 @@ class DstConfig:
 
 
 @dataclass
-class DstResult:
+class DstResult(RunResult):
     """Outcome of one run: verdict + the byte-comparable event log."""
 
-    seed: int
-    ok: bool
-    reason: str  # "" when ok
     cut: int  # matched prefix cut (write index), -1 if none
     writes_issued: int
     writes_acked: int
     crash_ns: int  # virtual crash time (-1: clean end-of-run power cut)
     faults_fired: int
-    schedule_json: str
-    events: List[str] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.ok else f"FAIL({self.reason})"
 
 
 def _dst_options() -> Options:
@@ -116,95 +82,63 @@ def _dst_options() -> Options:
     )
 
 
-class DstRun:
+class DstRun(Scenario):
     """One seeded workload/fault/crash/recover/verify cycle."""
 
+    stream = "dst"
+
     def __init__(self, seed: int, config: Optional[DstConfig] = None) -> None:
-        self.seed = seed
-        self.config = config or DstConfig()
-        self.rng = RandomStream(seed, "dst")
-        self.events: List[str] = []
-        self.issued: List[_Op] = []
-        self.acked: List[_Op] = []
+        super().__init__(seed, config or DstConfig())
+        self.issued: List[Op] = []  # writes only, in issue order
+        self.acked: List[Op] = []
         self.engine = Engine()
-
-        schedule = self.config.schedule
-        if schedule is None:
-            schedule = FaultSchedule()
-            if self.config.faults:
-                horizon = self.config.horizon_ns
-                schedule = FaultSchedule.random(
-                    self.rng.fork("faults"),
-                    horizon,
-                    max_faults=self.config.max_faults,
-                )
-                crash_at = self.rng.fork("crash").randint(horizon // 8, horizon)
-                schedule.add(FaultSpec(CRASH, at_time=crash_at))
-        self.schedule = schedule
-
-        self.injector = FaultInjector(self.engine, schedule)
-        self.device = FaultyDevice(
-            self.engine, xpoint_ssd(), self.injector, self.rng.fork("device")
-        )
-        self.fs = FaultyFileSystem(
-            self.engine, self.device, PageCache(mb(16)), self.injector
-        )
+        self.schedule = self.resolve_schedule()
+        self.build_machine()
         self.options = _dst_options()
+
+    def draw_schedule(self) -> FaultSchedule:
+        horizon = self.config.horizon_ns
+        schedule = FaultSchedule.random(
+            self.rng.fork("faults"), horizon, max_faults=self.config.max_faults
+        )
+        crash_at = self.rng.fork("crash").randint(horizon // 8, horizon)
+        schedule.add(FaultSpec(CRASH, at_time=crash_at))
+        return schedule
 
     # -- workload ----------------------------------------------------------
 
-    def _key(self, key_id: int) -> bytes:
-        return b"k%04d" % key_id
+    def _client(self, db: DB, ops: List[Op]):
+        """Generator: issue ops sequentially, recording issue/ack points.
 
-    def _gen_ops(self) -> List[_Op]:
-        """The full op sequence, fixed up front (writes numbered from 1)."""
-        rng = self.rng.fork("workload")
-        ops: List[_Op] = []
-        write_index = 0
-        for _ in range(self.config.num_ops):
-            key = self._key(rng.randint(0, self.config.num_keys - 1))
-            roll = rng.uniform(0.0, 1.0)
-            if roll < 0.70:
-                write_index += 1
-                pad = rng.randint(0, 96)
-                value = b"op%06d:%s:" % (write_index, key) + b"x" * pad
-                ops.append(_Op(PUT, key, value, write_index))
-            elif roll < 0.85:
-                write_index += 1
-                ops.append(_Op(DELETE, key, None, write_index))
-            else:
-                ops.append(_Op(GET, key))
-        return ops
-
-    def _log(self, line: str) -> None:
-        self.events.append(f"t={self.engine.now} {line}")
-
-    def _client(self, db: DB, ops: List[_Op]):
-        """Generator: issue ops sequentially, recording issue/ack points."""
+        Stops issuing at the first typed read-only rejection (a hard
+        background error, e.g. a WAL-sync fault): a rejected tail is
+        prefix-consistent, writes accepted after a gap would not be.
+        """
         for op in ops:
             try:
-                if op.kind == PUT:
-                    self.issued.append(op)
-                    self._log(f"issue #{op.index} put {op.key.decode()}")
-                    yield from db.put(op.key, op.value)
-                    self.acked.append(op)
-                    self._log(f"ack #{op.index}")
-                elif op.kind == DELETE:
-                    self.issued.append(op)
-                    self._log(f"issue #{op.index} del {op.key.decode()}")
-                    yield from db.delete(op.key)
-                    self.acked.append(op)
-                    self._log(f"ack #{op.index}")
-                else:
+                if op.kind == GET:
                     value = yield from db.get(op.key)
-                    self._log(
+                    self.log(
                         f"get {op.key.decode()} -> "
                         + ("miss" if value is None else f"{len(value)}B")
                     )
+                    continue
+                self.issued.append(op)
+                if op.kind == PUT:
+                    self.log(f"issue #{op.index} put {op.key.decode()}")
+                    yield from db.put(op.key, op.value)
+                else:
+                    self.log(f"issue #{op.index} del {op.key.decode()}")
+                    yield from db.delete(op.key)
+                self.acked.append(op)
+                self.log(f"ack #{op.index}")
+            except DBReadOnlyError as exc:
+                self.log(f"reject #{op.index} read-only ({exc.severity})")
+                return
             except CorruptionError as exc:
-                self._log(f"op detected corruption: {exc}")
+                self.log(f"op detected corruption: {exc}")
             except IOFaultError as exc:
-                self._log(f"op failed: {exc.op} io fault (transient={exc.transient})")
+                self.log(f"op failed: {exc.op} io fault (transient={exc.transient})")
 
     # -- scheduler loop ----------------------------------------------------
 
@@ -235,66 +169,7 @@ class DstRun:
                 continue
             engine.run(until=nxt if due is None else min(nxt, due))
 
-    def _run_op(self, gen, name: str):
-        """Drive one generator to completion (no crash checks)."""
-        proc = self.engine.process(gen, name=name)
-        proc.callbacks.append(lambda _ev: None)
-        while not proc.done:
-            nxt = self.engine.peek()
-            if nxt is None:
-                raise DBError(f"dst: {name} deadlocked")
-            self.engine.run(until=nxt)
-        if proc.exception is not None:
-            raise proc.exception
-        return proc.value
-
     # -- verification ------------------------------------------------------
-
-    def _collect(self, db: DB) -> Dict[bytes, object]:
-        """Observed durable state: key -> value bytes (or _CORRUPT)."""
-        observed: Dict[bytes, object] = {}
-
-        def reader():
-            for key_id in range(self.config.num_keys):
-                key = self._key(key_id)
-                try:
-                    value = yield from db.get(key)
-                except CorruptionError as exc:
-                    self._log(f"verify read {key.decode()}: corruption detected")
-                    observed[key] = _CORRUPT
-                    continue
-                if value is not None:
-                    observed[key] = value
-
-        self._run_op(reader(), "dst-verify")
-        return observed
-
-    @staticmethod
-    def _matches(state: Dict[bytes, bytes], observed: Dict[bytes, object]) -> bool:
-        for key, value in observed.items():
-            if value is _CORRUPT:
-                continue  # detected loss: consistent with any expectation
-            if state.get(key) != value:
-                return False
-        for key in state:
-            if key not in observed:
-                return False
-        return True
-
-    def _find_cut(self, observed: Dict[bytes, object], min_cut: int) -> int:
-        """Smallest prefix cut >= ``min_cut`` matching ``observed``."""
-        writes = [op for op in self.issued if op.kind != GET]
-        state: Dict[bytes, bytes] = {}
-        for cut in range(len(writes) + 1):
-            if cut > 0:
-                op = writes[cut - 1]
-                if op.kind == PUT:
-                    state[op.key] = op.value
-                else:
-                    state.pop(op.key, None)
-            if cut >= min_cut and self._matches(state, observed):
-                return cut
-        return -1
 
     def _check_structure(self, db: DB) -> Optional[str]:
         """Structural invariant I3; returns a failure reason or None."""
@@ -315,18 +190,18 @@ class DstRun:
     # -- the run -----------------------------------------------------------
 
     def run(self) -> DstResult:
-        ops = self._gen_ops()
-        self._log(
-            f"dst seed={self.seed} ops={self.config.num_ops} "
-            f"keys={self.config.num_keys} specs={len(self.schedule)}"
+        cfg = self.config
+        ops = gen_ops(self.rng.fork("workload"), cfg.num_ops, cfg.num_keys, pad=(0, 96))
+        self.log(
+            f"dst seed={self.seed} ops={cfg.num_ops} "
+            f"keys={cfg.num_keys} specs={len(self.schedule)}"
         )
         db = DB(self.engine, self.fs, self.options, rng=self.rng.fork("db"))
-        proc = self.engine.process(self._client(db, ops), name="dst-client")
-        proc.callbacks.append(lambda _ev: None)
+        proc = self.spawn(self._client(db, ops), "dst-client")
 
         crashed = self._step_until_crash(proc)
         crash_ns = self.engine.now if crashed else -1
-        self._log("crash point" if crashed else "workload drained; power cut")
+        self.log("crash point" if crashed else "workload drained; power cut")
         self.events.append("-- faults --")
         self.events.extend(self.injector.log)
 
@@ -335,7 +210,7 @@ class DstRun:
         self.fs.crash()
         self.injector.disarm()
         db2 = DB(self.engine, self.fs, self.options, rng=self.rng.fork("db2"))
-        self._log(
+        self.log(
             "recovered"
             f" wal_records={db2.stats.get('recovery.wal_records')}"
             f" wal_bad={db2.stats.get('recovery.wal_bad_records')}"
@@ -344,11 +219,8 @@ class DstRun:
             f" files={db2.stats.get('recovery.files')}"
         )
 
-        observed = self._collect(db2)
-        structure = self._check_structure(db2)
-        writes = [op for op in self.issued if op.kind != GET]
-        acked = [op for op in self.acked if op.kind != GET]
-        last_acked = max((op.index for op in acked), default=0)
+        observed = self.read_keys(db2.get, "dst-verify")
+        last_acked = max((op.index for op in self.acked), default=0)
         # Acked durability holds up to *detected* loss: when recovery itself
         # reported truncating bad WAL/manifest records (injected media
         # corruption destroyed synced data — unrecoverable without
@@ -361,32 +233,25 @@ class DstRun:
             or db2.versions.stats.get("manifest_truncated_records")
         )
         min_cut = 0 if detected_loss else last_acked
-        cut = self._find_cut(observed, min_cut)
+        cut = find_cut(self.issued, observed, min_cut)
 
-        if structure is not None:
-            ok, reason = False, structure
-        elif cut < 0:
-            ok, reason = False, (
+        reason = self._check_structure(db2)
+        if reason is None and cut < 0:
+            reason = (
                 f"no consistent prefix cut >= {min_cut} "
                 f"(last acked write #{last_acked}, "
                 f"detected_loss={bool(detected_loss)})"
             )
-        else:
-            ok, reason = True, ""
-        self._log(
-            f"verdict={'PASS' if ok else 'FAIL'} cut={cut}/{len(writes)} "
-            f"acked={len(acked)}"
+        self.log(
+            f"verdict={'PASS' if reason is None else 'FAIL'} "
+            f"cut={cut}/{len(self.issued)} acked={len(self.acked)}"
         )
-
-        return DstResult(
-            seed=self.seed,
-            ok=ok,
-            reason=reason,
+        return self.result(
+            DstResult,
+            reason,
             cut=cut,
-            writes_issued=len(writes),
-            writes_acked=len(acked),
+            writes_issued=len(self.issued),
+            writes_acked=len(self.acked),
             crash_ns=crash_ns,
             faults_fired=len(self.injector.log),
-            schedule_json=self.schedule.to_json(),
-            events=self.events,
         )

@@ -30,11 +30,11 @@ serial or under ``--jobs N``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.errors import DBError
+from repro.dst import core
+from repro.dst.core import RunResult, Scenario
 from repro.faults import CRASH, PARTITION, FaultSchedule, FaultSpec
 from repro.serving.fleet import default_tenants
 from repro.serving.resilient import (
@@ -90,28 +90,12 @@ def draw_serving_chaos(
         w1 = w0 + storm_rng.randint(horizon_ns // 10, horizon_ns // 4)
         kind_roll = storm_rng.uniform(0.0, 1.0)
         node = storm_rng.randint(0, total - 1)
+        window = dict(at_time=w0, until_time=w1, count=1_000_000, node=node)
         if kind_roll < 0.5:
-            specs.append(
-                FaultSpec(
-                    "write_error",
-                    at_time=w0,
-                    until_time=w1,
-                    count=1_000_000,
-                    transient=True,
-                    node=node,
-                )
-            )
+            specs.append(FaultSpec("write_error", transient=True, **window))
         else:
-            specs.append(
-                FaultSpec(
-                    "latency_spike",
-                    at_time=w0,
-                    until_time=w1,
-                    count=1_000_000,
-                    extra_ns=storm_rng.randint(us(200), ms(2)),
-                    node=node,
-                )
-            )
+            extra_ns = storm_rng.randint(us(200), ms(2))
+            specs.append(FaultSpec("latency_spike", extra_ns=extra_ns, **window))
     return FaultSchedule(specs)
 
 
@@ -123,13 +107,11 @@ def leader_fault_count(schedule: FaultSchedule, replicas: int) -> int:
     guaranteed draw targets an initial leader explicitly, so this count
     is >= 1 for any schedule :func:`draw_serving_chaos` produces.
     """
-    count = 0
-    for spec in schedule.specs:
-        if spec.kind == CRASH:
-            count += 1
-        elif spec.kind == PARTITION and spec.nodes:
-            count += 1
-    return count
+    return sum(
+        1
+        for spec in schedule.specs
+        if spec.kind == CRASH or (spec.kind == PARTITION and spec.nodes)
+    )
 
 
 @dataclass
@@ -154,12 +136,9 @@ class ServingDstConfig:
 
 
 @dataclass
-class ServingDstResult:
+class ServingDstResult(RunResult):
     """Outcome of one run: verdict + the byte-comparable event log."""
 
-    seed: int
-    ok: bool
-    reason: str  # "" when ok
     shards: int
     replicas: int
     tenants: int
@@ -174,40 +153,23 @@ class ServingDstResult:
     max_elapsed_us: float
     converged: bool
     log_digest: str  # md5 over every group leader log's tags
-    schedule_json: str
     tenant_rows: List[dict] = field(default_factory=list)
-    events: List[str] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.ok else f"FAIL({self.reason})"
 
 
-class ServingDstRun:
+class ServingDstRun(Scenario):
     """One seeded fleet/chaos/settle/verify cycle."""
 
+    stream = "serving-dst"
+
     def __init__(self, seed: int, config: Optional[ServingDstConfig] = None) -> None:
-        self.seed = seed
-        self.config = config or ServingDstConfig()
-        self.rng = RandomStream(seed, "serving-dst")
-        self.events: List[str] = []
+        super().__init__(seed, config or ServingDstConfig())
         cfg = self.config
 
         # The ≥1-leader-fault floor only binds self-drawn schedules: a
         # replayed/fuzzed schedule is allowed to explore fault-free or
         # follower-only chaos without that counting as a failure.
         self._own_schedule = cfg.schedule is None and cfg.faults
-        schedule = cfg.schedule
-        if schedule is None:
-            schedule = FaultSchedule()
-            if cfg.faults:
-                schedule = draw_serving_chaos(
-                    self.rng.fork("chaos"),
-                    cfg.horizon_ns,
-                    cfg.shards,
-                    cfg.replicas,
-                )
-        self.schedule = schedule
+        self.schedule = schedule = self.resolve_schedule()
 
         self.stack = ResilientServingStack(
             ResilientServingConfig(
@@ -219,21 +181,20 @@ class ServingDstRun:
             chaos=schedule,
         )
         self.engine = self.stack.engine
+        self.clusters = [group.cluster for group in self.stack.groups]
 
-        # Crash specs become control events with seed-derived restarts, so
-        # every crashed node rejoins (and divergence truncation runs)
-        # within the settle budget.
-        restart_rng = self.rng.fork("restarts")
-        self.controls: List[Tuple[int, str, int]] = []
-        for spec in self.stack.crash_specs:
-            node = (spec.node or 0) % self.stack.config.total_nodes
-            self.controls.append((spec.at_time, "crash", node))
-            delay = restart_rng.randint(ms(2), max(ms(4), cfg.horizon_ns // 4))
-            self.controls.append((spec.at_time + delay, "restart", node))
+        # Crash specs (global node space) become control events, each
+        # with a seed-derived restart.
+        self.controls = core.crash_controls(
+            self.stack.crash_specs,
+            self.rng.fork("restarts"),
+            cfg.horizon_ns,
+            self.stack.config.total_nodes,
+        )
         # Sometimes squeeze one node's quota over a mid-run window (the
         # space-storm dimension: ENOSPC behind the replication layer).
         space_rng = self.rng.fork("space")
-        if cfg.faults and cfg.schedule is None and space_rng.chance(0.3):
+        if self._own_schedule and space_rng.chance(0.3):
             node = space_rng.randint(0, self.stack.config.total_nodes - 1)
             w0 = space_rng.randint(cfg.horizon_ns // 5, cfg.horizon_ns // 2)
             w1 = w0 + space_rng.randint(cfg.horizon_ns // 10, cfg.horizon_ns // 4)
@@ -242,6 +203,12 @@ class ServingDstRun:
         self.controls.sort()
 
         self.stack.fault_windows = self._fault_windows()
+
+    def draw_schedule(self) -> FaultSchedule:
+        cfg = self.config
+        return draw_serving_chaos(
+            self.rng.fork("chaos"), cfg.horizon_ns, cfg.shards, cfg.replicas
+        )
 
     # -- fault windows -------------------------------------------------------
 
@@ -257,16 +224,11 @@ class ServingDstRun:
             )
             windows.append((spec.at_time, end))
         for at, action, _node in self.controls:
-            if action == "crash":
-                windows.append((at, at + _POINT_FAULT_WINDOW_NS))
-            elif action == "squeeze":
+            if action in ("crash", "squeeze"):
                 windows.append((at, at + _POINT_FAULT_WINDOW_NS))
         return sorted(windows)
 
     # -- plumbing ------------------------------------------------------------
-
-    def _log(self, line: str) -> None:
-        self.events.append(f"t={self.engine.now} {line}")
 
     def _node_fs(self, node: int):
         cfg = self.stack.config
@@ -275,123 +237,27 @@ class ServingDstRun:
         ].fs
 
     def _fire(self, action: str, node: int) -> None:
+        detail = ""
         if action == "crash":
             self.stack.crash_global(node)
-            self._log(f"control crash node {node}")
         elif action == "restart":
             self.stack.restart_global(node)
-            self._log(f"control restart node {node}")
         elif action == "squeeze":
             fs = self._node_fs(node)
             quota = fs.used_bytes()
             fs.set_quota(quota)
-            self._log(f"control squeeze node {node} to {quota} bytes")
+            detail = f" to {quota} bytes"
         else:  # unsqueeze
             self._node_fs(node).set_quota(None)
-            self._log(f"control unsqueeze node {node}")
-
-    def _step(self, procs) -> None:
-        """Drive the engine, firing control events at exact virtual times."""
-        engine = self.engine
-        i = 0
-        while True:
-            done = all(p.done for p in procs)
-            for p in procs:
-                if p.done and p.exception is not None:
-                    raise p.exception
-            due = self.controls[i][0] if i < len(self.controls) else None
-            if done and due is None:
-                return
-            nxt = engine.peek()
-            if due is not None and (nxt is None or due <= nxt):
-                if engine.now < due:
-                    engine.run(until=due)
-                _t, action, node = self.controls[i]
-                i += 1
-                self._fire(action, node)
-                continue
-            if nxt is None:
-                raise DBError("serving dst deadlocked (hung op?)")
-            engine.run(until=nxt)
-
-    def _run_gen(self, gen, name: str):
-        proc = self.engine.process(gen, name=name)
-        proc.callbacks.append(lambda _ev: None)
-        while not proc.done:
-            nxt = self.engine.peek()
-            if nxt is None:
-                raise DBError(f"serving dst: {name} deadlocked")
-            self.engine.run(until=nxt)
-        if proc.exception is not None:
-            raise proc.exception
-        return proc.value
-
-    # -- settle --------------------------------------------------------------
-
-    def _settle(self) -> bool:
-        """Heal, lift quotas, restart everyone, wait for group convergence."""
-        stack = self.stack
-        for group in stack.groups:
-            group.network.heal()
-            now = self.engine.now
-            for w in group.network._windows:
-                if w.end > now:
-                    w.end = now
-        for node in range(stack.config.total_nodes):
-            self._node_fs(node).set_quota(None)
-        for g, group in enumerate(stack.groups):
-            for node in group.cluster.nodes:
-                if not node.alive:
-                    group.cluster.restart_node(node.node_id)
-            group.cluster.elect()
-
-        def waiter():
-            deadline = self.engine.now + self.config.settle_ns
-            while self.engine.now < deadline:
-                if self._converged():
-                    return True
-                yield ms(1)
-            return self._converged()
-
-        return self._run_gen(waiter(), "settle")
-
-    def _converged(self) -> bool:
-        for group in self.stack.groups:
-            cluster = group.cluster
-            leader = cluster.leader_node
-            if leader is None:
-                return False
-            llen = len(leader.log)
-            for node in cluster.nodes:
-                if not node.active or len(node.log) != llen:
-                    return False
-        return True
-
-    def _prefix_violation(self) -> Optional[str]:
-        for g, group in enumerate(self.stack.groups):
-            leader = group.cluster.leader_node
-            ltags = [x.tag for x in leader.log]
-            for node in group.cluster.nodes:
-                tags = [x.tag for x in node.log]
-                if tags != ltags[: len(tags)]:
-                    return (
-                        f"group {g} node {node.node_id} log is not a "
-                        f"leader-log prefix"
-                    )
-        return None
+        self.log(f"control {action} node {node}{detail}")
 
     # -- the run -------------------------------------------------------------
-
-    def _tenant_rows(self, workloads) -> List[dict]:
-        for wl in workloads:
-            wl.stats.duration_ns = self.config.duration_ns
-        return [wl.stats.row() for wl in workloads]
 
     def run(self) -> ServingDstResult:
         cfg = self.config
         stack = self.stack
         leader_faults = leader_fault_count(self.schedule, cfg.replicas)
-        self._log(
+        self.log(
             f"serving dst seed={self.seed} shards={cfg.shards} "
             f"replicas={cfg.replicas} tenants={cfg.tenants} "
             f"duration={cfg.duration_ns} specs={len(self.schedule)} "
@@ -407,17 +273,21 @@ class ServingDstRun:
         workloads = stack.build_fleet(tenants)
         end = self.engine.now + cfg.duration_ns
         procs = stack.spawn_fleet(workloads, end)
-        self._step(procs)
+        self.step(procs, self.controls, self._fire)
         total_ops = sum(wl.stats.ops for wl in workloads)
         total_shed = sum(wl.stats.shed_ops for wl in workloads)
         total_errors = sum(wl.stats.error_ops for wl in workloads)
-        self._log(
+        self.log(
             f"fleet done ops={total_ops} shed={total_shed} "
             f"errors={total_errors} started={stack.ops_started} "
             f"resolved={stack.ops_resolved}"
         )
 
-        converged = self._settle()
+        # Lift every quota squeeze, then heal + restart + converge.
+        for node in range(stack.config.total_nodes):
+            self._node_fs(node).set_quota(None)
+        clusters = self.clusters
+        converged = self.settle(clusters)
         for g, group in enumerate(stack.groups):
             self.events.append(f"-- group {g} cluster --")
             self.events.extend(group.cluster.events)
@@ -428,82 +298,62 @@ class ServingDstRun:
                     self.events.append(f"-- group {g} node {r} faults --")
                     self.events.extend(injector.log)
 
-        reason = ""
+        reason = None
         if self._own_schedule and leader_faults < 1:
             reason = "schedule drew no leader-affecting fault"
-        if not reason:
-            for g, group in enumerate(stack.groups):
-                if group.cluster.violations:
-                    reason = f"group {g} invariant: {group.cluster.violations[0]}"
-                    break
-                terms = [t for t, _n in group.cluster.term_history]
-                if len(terms) != len(set(terms)):
-                    reason = f"group {g} multiple leaders in one term"
-                    break
-        if not reason and not converged:
+        if reason is None:
+            reason = core.first_violation(
+                clusters, core.recorded_violation, core.term_violation
+            )
+        if reason is None and not converged:
             reason = "groups did not converge after heal+restart"
-        if not reason:
-            structural = self._prefix_violation()
-            if structural is not None:
-                reason = structural
-        if not reason and stack.ops_started != stack.ops_resolved:
+        if reason is None:
+            reason = core.first_violation(clusters, core.prefix_violation)
+        if reason is None and stack.ops_started != stack.ops_resolved:
             reason = (
                 f"unresolved ops: {stack.ops_started - stack.ops_resolved} "
                 f"of {stack.ops_started} never resolved"
             )
         policy = stack.config.policy
-        if not reason and stack.max_elapsed_ns > policy.op_deadline_ns:
+        if reason is None and stack.max_elapsed_ns > policy.op_deadline_ns:
             reason = (
                 f"deadline breached: an op took {stack.max_elapsed_ns}ns "
                 f"(deadline {policy.op_deadline_ns}ns)"
             )
         ryw = stack.ryw_violations()
-        if not reason and ryw:
+        if reason is None and ryw:
             reason = f"read-your-writes violated: {ryw[0]}"
-        if not reason:
-            losses = self._run_gen(stack.verify_writes(), "verify-writes")
+        if reason is None:
+            losses = self.drive(stack.verify_writes(), "verify-writes")
             if losses:
                 reason = f"acked write lost: {losses[0]}"
-        ok = reason == ""
-
-        digest = hashlib.md5()
-        for group in stack.groups:
-            leader = group.cluster.leader_node
-            if leader is not None:
-                for x in leader.log:
-                    digest.update(b"%d:%d;" % x.tag)
-            digest.update(b"|")
-        failovers = sum(
-            group.cluster._failovers - 1 for group in stack.groups
-        )
-        writes_acked = sum(len(v) for v in stack._acked.values())
-        self._log(
-            f"verdict={'PASS' if ok else 'FAIL'} ops={total_ops} "
-            f"acked_keys={len(stack._acked)} failovers={failovers} "
+        failovers = sum(cluster.failovers for cluster in clusters)
+        for wl in workloads:
+            wl.stats.duration_ns = cfg.duration_ns
+        self.log(
+            f"verdict={'PASS' if reason is None else 'FAIL'} ops={total_ops} "
+            f"acked_keys={stack.acked_keys} failovers={failovers} "
             f"ryw={len(ryw)} max_elapsed={stack.max_elapsed_ns}"
         )
         stack.shutdown()
-        return ServingDstResult(
-            seed=self.seed,
-            ok=ok,
-            reason=reason,
+        return self.result(
+            ServingDstResult,
+            reason,
             shards=cfg.shards,
             replicas=cfg.replicas,
             tenants=cfg.tenants,
             ops=total_ops,
             shed=total_shed,
             errors=total_errors,
-            writes_acked=writes_acked,
+            writes_acked=stack.acked_writes,
             failovers=failovers,
             leader_faults=leader_faults,
             ryw_violations=len(ryw),
             unresolved=stack.ops_started - stack.ops_resolved,
             max_elapsed_us=round(stack.max_elapsed_ns / 1e3, 1),
             converged=converged,
-            log_digest=digest.hexdigest(),
-            schedule_json=self.schedule.to_json(),
-            tenant_rows=self._tenant_rows(workloads),
-            events=self.events,
+            log_digest=core.log_digest(clusters),
+            tenant_rows=[wl.stats.row() for wl in workloads],
         )
 
 

@@ -27,9 +27,10 @@ failed group can't be half-applied).  The final probe write must succeed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.dst.core import GET, PUT, Op, RunResult, Scenario, apply_write, gen_ops
 from repro.errors import (
     CorruptionError,
     DBError,
@@ -37,22 +38,11 @@ from repro.errors import (
     IOFaultError,
     OutOfSpaceError,
 )
-from repro.faults import (
-    READ_ERROR,
-    WRITE_ERROR,
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
-)
-from repro.fs.page_cache import PageCache
+from repro.faults import READ_ERROR, WRITE_ERROR, FaultSchedule, FaultSpec
 from repro.lsm.db import DB
 from repro.lsm.options import HASH_REP, WAL_BUFFERED, WAL_SYNC, Options
 from repro.sim.engine import Engine
-from repro.sim.rng import RandomStream
-from repro.sim.units import kb, mb, ms, us
-from repro.storage.profiles import xpoint_ssd
+from repro.sim.units import kb, ms, us
 
 STORM_IO = "io"
 STORM_SPACE = "space"
@@ -60,22 +50,10 @@ STORM_MIXED = "mixed"
 STORM_AUTO = "auto"
 STORM_KINDS = (STORM_IO, STORM_SPACE, STORM_MIXED)
 
-PUT = "put"
-DELETE = "delete"
-GET = "get"
-
 
 def _sleep(ns: int):
     """Generator: advance virtual time by ``ns``."""
     yield ns
-
-
-@dataclass(frozen=True)
-class _Op:
-    kind: str
-    key: bytes
-    value: Optional[bytes] = None
-    index: int = 0  # 1-based write index; 0 for reads
 
 
 @dataclass
@@ -111,13 +89,10 @@ class StormConfig:
 
 
 @dataclass
-class StormResult:
+class StormResult(RunResult):
     """Outcome of one run: verdict plus the degraded-mode trajectory."""
 
-    seed: int
     kind: str  # resolved kind (never "auto")
-    ok: bool
-    reason: str  # "" when ok
     writes_issued: int
     writes_acked: int
     writes_rejected: int  # typed failures surfaced to the client
@@ -126,12 +101,6 @@ class StormResult:
     went_read_only: bool  # reached hard/fatal at least once
     quiesce_ns: int  # virtual ns from window close to idle (-1: never)
     faults_fired: int
-    schedule_json: str
-    events: List[str] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.ok else f"FAIL({self.reason})"
 
 
 def _storm_options() -> Options:
@@ -151,16 +120,15 @@ def _storm_options() -> Options:
     )
 
 
-class StormRun:
+class StormRun(Scenario):
     """One seeded storm/clear/resume/verify cycle (no crash)."""
 
+    stream = "storm"
+
     def __init__(self, seed: int, config: Optional[StormConfig] = None) -> None:
-        self.seed = seed
-        self.config = config or StormConfig()
-        self.rng = RandomStream(seed, "storm")
-        self.events: List[str] = []
-        self.issued: List[_Op] = []
-        self.acked: List[_Op] = []
+        super().__init__(seed, config or StormConfig())
+        self.issued: List[Op] = []  # writes only, in issue order
+        self.acked: List[Op] = []
         self.rejected = 0
         self.engine = Engine()
 
@@ -171,19 +139,9 @@ class StormRun:
             raise DBError(f"unknown storm kind {kind!r}")
         self.kind = kind
 
-        w0, w1 = self.config.window_ns
-        self.window = (w0, w1)
-        if self.config.schedule is not None:
-            self.schedule = self.config.schedule
-        else:
-            self.schedule = self._build_schedule(w0, w1)
-        self.injector = FaultInjector(self.engine, self.schedule)
-        self.device = FaultyDevice(
-            self.engine, xpoint_ssd(), self.injector, self.rng.fork("device")
-        )
-        self.fs = FaultyFileSystem(
-            self.engine, self.device, PageCache(mb(16)), self.injector
-        )
+        self.window = self.config.window_ns
+        self.schedule = self.resolve_schedule()
+        self.build_machine()
         self.options = _storm_options()
         # io storms usually keep the WAL buffered so injected write faults
         # surface at background fsyncs (the error handler's job, soft
@@ -196,59 +154,25 @@ class StormRun:
         else:
             self.options.wal_mode = WAL_BUFFERED
 
-    def _build_schedule(self, w0: int, w1: int) -> FaultSchedule:
+    def draw_schedule(self) -> FaultSchedule:
+        """Transient write (and, half the time, read) faults over the window."""
         schedule = FaultSchedule()
         if self.kind in (STORM_IO, STORM_MIXED):
-            rng = self.rng.fork("faults")
-            schedule.add(
-                FaultSpec(
-                    WRITE_ERROR,
-                    at_time=w0,
-                    until_time=w1,
-                    count=1_000_000,
-                    transient=True,
-                )
-            )
-            if rng.chance(0.5):
+            w0, w1 = self.window
+            kinds = [WRITE_ERROR]
+            if self.rng.fork("faults").chance(0.5):
+                kinds.append(READ_ERROR)
+            for kind in kinds:
                 schedule.add(
                     FaultSpec(
-                        READ_ERROR,
-                        at_time=w0,
-                        until_time=w1,
-                        count=1_000_000,
-                        transient=True,
+                        kind, at_time=w0, until_time=w1, count=1_000_000, transient=True
                     )
                 )
         return schedule
 
     # -- workload ----------------------------------------------------------
 
-    def _key(self, key_id: int) -> bytes:
-        return b"k%04d" % key_id
-
-    def _gen_ops(self) -> List[_Op]:
-        rng = self.rng.fork("workload")
-        ops: List[_Op] = []
-        write_index = 0
-        for _ in range(self.config.num_ops):
-            key = self._key(rng.randint(0, self.config.num_keys - 1))
-            roll = rng.uniform(0.0, 1.0)
-            if roll < 0.70:
-                write_index += 1
-                pad = rng.randint(64, 512)  # fat values: flushes land in-window
-                value = b"op%06d:%s:" % (write_index, key) + b"x" * pad
-                ops.append(_Op(PUT, key, value, write_index))
-            elif roll < 0.85:
-                write_index += 1
-                ops.append(_Op(DELETE, key, None, write_index))
-            else:
-                ops.append(_Op(GET, key))
-        return ops
-
-    def _log(self, line: str) -> None:
-        self.events.append(f"t={self.engine.now} {line}")
-
-    def _client(self, db: DB, ops: List[_Op]):
+    def _client(self, db: DB, ops: List[Op]):
         """Generator: paced ops; typed failures are counted, never fatal."""
         rng = self.rng.fork("pace")
         for op in ops:
@@ -256,28 +180,27 @@ class StormRun:
             if think:
                 yield think
             try:
-                if op.kind == PUT:
-                    self.issued.append(op)
-                    yield from db.put(op.key, op.value)
-                    self.acked.append(op)
-                elif op.kind == DELETE:
-                    self.issued.append(op)
-                    yield from db.delete(op.key)
-                    self.acked.append(op)
-                else:
+                if op.kind == GET:
                     try:
                         yield from db.get(op.key)
                     except (CorruptionError, IOFaultError):
                         pass  # reads may fail during the storm; that's fine
+                    continue
+                self.issued.append(op)
+                if op.kind == PUT:
+                    yield from db.put(op.key, op.value)
+                else:
+                    yield from db.delete(op.key)
+                self.acked.append(op)
             except DBReadOnlyError as exc:
                 self.rejected += 1
-                self._log(f"reject #{op.index} read-only ({exc.severity})")
+                self.log(f"reject #{op.index} read-only ({exc.severity})")
             except OutOfSpaceError:
                 self.rejected += 1
-                self._log(f"reject #{op.index} enospc")
+                self.log(f"reject #{op.index} enospc")
             except IOFaultError as exc:
                 self.rejected += 1
-                self._log(f"reject #{op.index} io fault (transient={exc.transient})")
+                self.log(f"reject #{op.index} io fault (transient={exc.transient})")
 
     def _quota_squeeze(self, w0: int, w1: int):
         """Generator: squeeze the quota over [w0, w1), then lift it."""
@@ -285,25 +208,12 @@ class StormRun:
             yield w0 - self.engine.now
         quota = self.fs.used_bytes() + self.config.squeeze_slack_bytes
         self.fs.set_quota(quota)
-        self._log(f"quota squeezed to {quota} bytes ({self.fs.free_bytes()} free)")
+        self.log(f"quota squeezed to {quota} bytes ({self.fs.free_bytes()} free)")
         yield w1 - self.engine.now
         self.fs.set_quota(None)
-        self._log("quota lifted")
+        self.log("quota lifted")
 
-    # -- scheduler loop ----------------------------------------------------
-
-    def _run_proc(self, gen, name: str):
-        """Drive one generator to completion; raise what it raised."""
-        proc = self.engine.process(gen, name=name)
-        proc.callbacks.append(lambda _ev: None)
-        while not proc.done:
-            nxt = self.engine.peek()
-            if nxt is None:
-                raise DBError(f"storm: {name} deadlocked")
-            self.engine.run(until=nxt)
-        if proc.exception is not None:
-            raise proc.exception
-        return proc.value
+    # -- quiesce -----------------------------------------------------------
 
     def _drain(self, db: DB):
         """Generator: True once healthy *and* idle, False past the budget."""
@@ -322,52 +232,27 @@ class StormRun:
                 return False
             yield us(20)
 
-    # -- verification ------------------------------------------------------
-
-    def _expected_state(self) -> Dict[bytes, bytes]:
-        """Exact replay of the acked writes (no crash: no prefix cut)."""
-        state: Dict[bytes, bytes] = {}
-        for op in self.acked:
-            if op.kind == PUT:
-                state[op.key] = op.value
-            elif op.kind == DELETE:
-                state.pop(op.key, None)
-        return state
-
-    def _collect(self, db: DB) -> Dict[bytes, object]:
-        observed: Dict[bytes, object] = {}
-
-        def reader():
-            keys = [self._key(k) for k in range(self.config.num_keys)]
-            for key in keys + [b"probe"]:
-                value = yield from db.get(key)
-                if value is not None:
-                    observed[key] = value
-
-        self._run_proc(reader(), "storm-verify")
-        return observed
-
     # -- the run -----------------------------------------------------------
 
     def run(self) -> StormResult:
         cfg = self.config
         w0, w1 = self.window
-        ops = self._gen_ops()
-        self._log(
+        # Fat values, so flushes land inside the storm window.
+        ops = gen_ops(self.rng.fork("workload"), cfg.num_ops, cfg.num_keys, pad=(64, 512))
+        self.log(
             f"storm seed={self.seed} kind={self.kind} ops={cfg.num_ops} "
             f"keys={cfg.num_keys} window=[{w0},{w1})"
         )
         db = DB(self.engine, self.fs, self.options, rng=self.rng.fork("db"))
         if self.kind in (STORM_SPACE, STORM_MIXED):
-            squeeze = self.engine.process(self._quota_squeeze(w0, w1), name="squeeze")
-            squeeze.callbacks.append(lambda _ev: None)
+            self.spawn(self._quota_squeeze(w0, w1), "squeeze")
 
         failure: Optional[str] = None
         try:
-            self._run_proc(self._client(db, ops), name="storm-client")
+            self.drive(self._client(db, ops), name="storm-client")
         except DBError as exc:
             failure = f"client died: {exc}"
-        self._log(
+        self.log(
             f"workload done: acked={len(self.acked)} rejected={self.rejected}"
         )
 
@@ -376,32 +261,36 @@ class StormRun:
         quiesce_ns = -1
         if failure is None:
             if self.engine.now < w1:
-                self._run_proc(_sleep(w1 - self.engine.now), name="storm-wait")
+                self.drive(_sleep(w1 - self.engine.now), name="storm-wait")
             drain_from = self.engine.now
-            drained = self._run_proc(self._drain(db), name="storm-drain")
+            drained = self.drive(self._drain(db), name="storm-drain")
             if drained:
                 quiesce_ns = self.engine.now - drain_from
-                self._log(f"quiesced in {quiesce_ns}ns after window close")
+                self.log(f"quiesced in {quiesce_ns}ns after window close")
             else:
                 failure = (
                     f"liveness: not idle {cfg.drain_ns}ns after the storm "
                     f"cleared (severity={db.error_handler.severity or 'none'}, "
                     f"immutables={len(db.memtables.immutables)})"
                 )
-                self._log(failure)
+                self.log(failure)
 
         # The storm is over: the DB must accept writes again.
         probe_key, probe_value = b"probe", b"post-storm"
         if failure is None:
             try:
-                self._run_proc(db.put(probe_key, probe_value), name="storm-probe")
+                self.drive(db.put(probe_key, probe_value), name="storm-probe")
             except (DBReadOnlyError, OutOfSpaceError, IOFaultError) as exc:
                 failure = f"probe write rejected after storm: {exc!r}"
-                self._log(failure)
+                self.log(failure)
 
         if failure is None:
-            expected = self._expected_state()
-            observed = self._collect(db)
+            # No crash, so no prefix cut: the state must be the exact
+            # replay of the acked writes.
+            expected: Dict[bytes, bytes] = {}
+            for op in self.acked:
+                apply_write(expected, op)
+            observed = self.read_keys(db.get, "storm-verify", extra=[probe_key])
             probe = observed.pop(probe_key, None)
             if probe != probe_value:
                 failure = "probe write not readable after ack"
@@ -426,20 +315,18 @@ class StormRun:
         went_read_only = bool(
             stats.get("bg_error.to_hard") or stats.get("bg_error.to_fatal")
         )
-        ok = failure is None
-        self._log(
-            f"verdict={'PASS' if ok else 'FAIL'} degraded={degraded_entries} "
+        self.log(
+            f"verdict={'PASS' if failure is None else 'FAIL'} degraded={degraded_entries} "
             f"resumes={resume_successes} read_only={went_read_only}"
         )
         self.events.append("-- faults --")
         self.events.extend(self.injector.log)
 
-        return StormResult(
-            seed=self.seed,
+        return self.result(
+            StormResult,
+            failure,
             kind=self.kind,
-            ok=ok,
-            reason=failure or "",
-            writes_issued=len([op for op in self.issued if op.kind != GET]),
+            writes_issued=len(self.issued),
             writes_acked=len(self.acked),
             writes_rejected=self.rejected,
             degraded_entries=degraded_entries,
@@ -447,6 +334,4 @@ class StormRun:
             went_read_only=went_read_only,
             quiesce_ns=quiesce_ns,
             faults_fired=len(self.injector.log),
-            schedule_json=self.schedule.to_json(),
-            events=self.events,
         )

@@ -7,9 +7,9 @@ every ``*.json`` in that directory into parametrized pytest cases, so a
 fuzzer find — once minimized, fixed and flipped to ``expect.ok: true``
 — can never silently regress.
 
-Bootstrap genomes mirror the schedules the existing DST / storm /
-cluster harnesses would draw for their first few seeds, so the fuzzer
-starts from scenarios that are known-meaningful rather than from noise.
+Bootstrap genomes are the schedules the four DST harnesses draw for
+their first few seeds, so the fuzzer starts from scenarios that are
+known-meaningful rather than from noise.
 """
 
 from __future__ import annotations
@@ -19,14 +19,9 @@ import os
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.dst.cluster import ClusterDstConfig
-from repro.dst.harness import DstConfig
-from repro.dst.serving import ServingDstConfig, draw_serving_chaos
-from repro.dst.storm import StormConfig, StormRun
 from repro.errors import FaultConfigError
-from repro.faults import CRASH, FaultSchedule, FaultSpec
+from repro.fuzz.executor import native_genome
 from repro.fuzz.genome import (
-    HORIZON_PER_OP_NS,
     MODE_CLUSTER,
     MODE_DST,
     MODE_SERVING,
@@ -34,10 +29,17 @@ from repro.fuzz.genome import (
     MODES,
     Genome,
 )
-from repro.sim.rng import RandomStream
 
 CORPUS_SCHEMA = 1
 DEFAULT_CORPUS_DIR = os.path.join("tests", "corpus")
+
+#: Harness seeds each mode contributes to the bootstrap corpus.
+BOOTSTRAP_SEEDS = {
+    MODE_DST: (0, 1, 2, 3),
+    MODE_STORM: (0, 1, 2),
+    MODE_CLUSTER: (0, 1),
+    MODE_SERVING: (0, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -107,87 +109,20 @@ def load_corpus(dirpath: str) -> List[CorpusEntry]:
 
 
 def bootstrap_genomes(modes: Sequence[str] = MODES) -> List[Genome]:
-    """Deterministic seed scenarios mirroring the existing harnesses.
+    """Deterministic seed scenarios taken from the harnesses themselves.
 
-    Each genome reproduces exactly what ``python -m repro.dst`` (or
-    ``--storm`` / ``--cluster``) would run for that seed: the harnesses
-    draw their schedules from named RNG forks, so pre-drawing the same
-    schedule and passing it back via the config override is
-    byte-identical to letting the harness draw it.
+    Each genome is what ``python -m repro.dst`` (or ``--storm`` /
+    ``--cluster`` / ``--serving``) runs for that seed: the harness draws
+    its schedule from named RNG forks, and passing the drawn schedule
+    back through the config override is byte-identical to letting the
+    harness draw it.
     """
-    genomes: List[Genome] = []
-    if MODE_DST in modes:
-        for seed in (0, 1, 2, 3):
-            cfg = DstConfig()
-            rng = RandomStream(seed, "dst")
-            schedule = FaultSchedule.random(
-                rng.fork("faults"), cfg.horizon_ns, max_faults=cfg.max_faults
-            )
-            crash_at = rng.fork("crash").randint(cfg.horizon_ns // 8, cfg.horizon_ns)
-            schedule.add(FaultSpec(CRASH, at_time=crash_at))
-            genomes.append(
-                Genome(
-                    MODE_DST,
-                    workload_seed=seed,
-                    num_ops=cfg.num_ops,
-                    num_keys=cfg.num_keys,
-                    schedule=schedule,
-                )
-            )
-    if MODE_STORM in modes:
-        for seed in (0, 1, 2):
-            # Let the harness resolve kind/schedule for this seed, then
-            # freeze both into the genome.
-            run = StormRun(seed, StormConfig())
-            genomes.append(
-                Genome(
-                    MODE_STORM,
-                    workload_seed=seed,
-                    num_ops=run.config.num_ops,
-                    num_keys=run.config.num_keys,
-                    schedule=run.schedule,
-                    storm_kind=run.kind,
-                )
-            )
-    if MODE_CLUSTER in modes:
-        for seed in (0, 1):
-            cfg = ClusterDstConfig()
-            rng = RandomStream(seed, "cluster-dst")
-            schedule = FaultSchedule.random_cluster(
-                rng.fork("faults"),
-                cfg.horizon_ns,
-                cfg.n_nodes,
-                max_faults=cfg.max_faults,
-            )
-            genomes.append(
-                Genome(
-                    MODE_CLUSTER,
-                    workload_seed=seed,
-                    num_ops=cfg.num_ops,
-                    num_keys=cfg.num_keys,
-                    schedule=schedule,
-                    n_nodes=cfg.n_nodes,
-                )
-            )
-    if MODE_SERVING in modes:
-        for seed in (0, 1):
-            cfg = ServingDstConfig()
-            rng = RandomStream(seed, "serving-dst")
-            schedule = draw_serving_chaos(
-                rng.fork("chaos"), cfg.horizon_ns, cfg.shards, cfg.replicas
-            )
-            genomes.append(
-                Genome(
-                    MODE_SERVING,
-                    workload_seed=seed,
-                    num_ops=cfg.duration_ns // HORIZON_PER_OP_NS[MODE_SERVING],
-                    num_keys=cfg.key_count,
-                    schedule=schedule,
-                    n_nodes=cfg.replicas,
-                    shards=cfg.shards,
-                )
-            )
-    return genomes
+    return [
+        native_genome(mode, seed)
+        for mode in MODES
+        if mode in modes
+        for seed in BOOTSTRAP_SEEDS[mode]
+    ]
 
 
 __all__ = [

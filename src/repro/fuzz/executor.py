@@ -5,20 +5,28 @@ matching DST harness runs it with a fresh :class:`~repro.obs.Tracer`
 bound, and what comes out is (a) the harness's own invariant verdict and
 (b) the run's coverage vocabulary (trace items + event-log shapes +
 outcome tokens).  A harness that *raises* instead of returning a verdict
-is itself a finding — the exception becomes a failing outcome rather
-than killing the fuzz loop.
+is itself a finding — :func:`repro.dst.core.guarded` turns the exception
+into a failing result rather than letting it kill the fuzz loop.
+
+The harness is looked up in :data:`repro.dst.MODES`, the one mode
+dispatch in the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import FrozenSet
 
-from repro.dst.cluster import ClusterDstConfig, ClusterDstRun
-from repro.dst.harness import DstConfig, DstRun
-from repro.dst.serving import ServingDstConfig, ServingDstRun
-from repro.dst.storm import StormConfig, StormRun
-from repro.fuzz.genome import MODE_CLUSTER, MODE_DST, MODE_SERVING, MODE_STORM, Genome
+from repro import dst
+from repro.dst.core import guarded, make_config
+from repro.fuzz.genome import (
+    HORIZON_PER_OP_NS,
+    MODE_CLUSTER,
+    MODE_DST,
+    MODE_SERVING,
+    MODE_STORM,
+    Genome,
+)
 from repro.obs import Tracer, set_active_tracer
 from repro.obs.vocab import log_vocabulary, normalize_log_line, trace_vocabulary
 
@@ -43,45 +51,50 @@ class Outcome:
 
 
 def build_run(genome: Genome):
-    """Instantiate the harness run a genome describes (not yet executed)."""
-    if genome.mode == MODE_DST:
-        return DstRun(
-            genome.workload_seed,
-            DstConfig(
-                num_ops=genome.num_ops,
-                num_keys=genome.num_keys,
-                schedule=genome.schedule,
-            ),
-        )
-    if genome.mode == MODE_STORM:
-        return StormRun(
-            genome.workload_seed,
-            StormConfig(
-                kind=genome.storm_kind,
-                num_ops=genome.num_ops,
-                num_keys=genome.num_keys,
-                schedule=genome.schedule,
-            ),
-        )
-    if genome.mode == MODE_SERVING:
-        return ServingDstRun(
-            genome.workload_seed,
-            ServingDstConfig(
-                shards=genome.shards,
-                replicas=genome.n_nodes,
-                key_count=genome.num_keys,
-                duration_ns=genome.horizon_ns,
-                schedule=genome.schedule,
-            ),
-        )
-    return ClusterDstRun(
-        genome.workload_seed,
-        ClusterDstConfig(
-            num_ops=genome.num_ops,
-            num_keys=genome.num_keys,
-            n_nodes=genome.n_nodes,
-            schedule=genome.schedule,
-        ),
+    """Instantiate the harness run a genome describes (not yet executed).
+
+    Every knob is offered under each config-field name it goes by; a
+    config takes the ones it has (``make_config``), so no mode is named.
+    """
+    run_cls, config_cls = dst.MODES[genome.mode]
+    config = make_config(
+        config_cls,
+        schedule=genome.schedule,
+        num_ops=genome.num_ops,
+        duration_ns=genome.horizon_ns,  # serving: open-loop over a duration
+        num_keys=genome.num_keys,
+        key_count=genome.num_keys,
+        n_nodes=genome.n_nodes,
+        replicas=genome.n_nodes,
+        shards=genome.shards,
+        kind=genome.storm_kind,
+    )
+    return run_cls(genome.workload_seed, config)
+
+
+#: mode -> the genome fields, beyond seed, size and schedule, a built run fixes.
+_GENOME_FIELDS = {
+    MODE_DST: lambda run, cfg: dict(num_keys=cfg.num_keys),
+    # run.kind, not cfg.kind: a genome's kind is resolved, never "auto".
+    MODE_STORM: lambda run, cfg: dict(num_keys=cfg.num_keys, storm_kind=run.kind),
+    MODE_CLUSTER: lambda run, cfg: dict(num_keys=cfg.num_keys, n_nodes=cfg.n_nodes),
+    MODE_SERVING: lambda run, cfg: dict(
+        num_keys=cfg.key_count, n_nodes=cfg.replicas, shards=cfg.shards
+    ),
+}
+
+
+def native_genome(mode: str, seed: int) -> Genome:
+    """What the ``mode`` harness runs for ``seed`` at its default config,
+    frozen into a genome: the harness draws the schedule (and resolves
+    any per-seed choice), the genome records it."""
+    run = dst.MODES[mode][0](seed)
+    return Genome(
+        mode,
+        workload_seed=seed,
+        num_ops=run.config.horizon_ns // HORIZON_PER_OP_NS[mode],
+        schedule=run.schedule,
+        **_GENOME_FIELDS[mode](run, run.config),
     )
 
 
@@ -89,38 +102,25 @@ def execute(genome: Genome, max_trace_events: int = 200_000) -> Outcome:
     """Run ``genome`` deterministically; never raises for harness failures."""
     tracer = Tracer(max_events=max_trace_events)
     set_active_tracer(tracer)
-    events: List[str] = []
-    faults_fired = 0
-    run = None
     try:
-        run = build_run(genome)
-        result = run.run()
-        ok = result.ok
-        reason = result.reason
-        verdict = result.verdict
-        events = result.events
-        faults_fired = getattr(result, "faults_fired", 0)
-    except Exception as exc:  # noqa: BLE001 — an escaping exception IS the finding
-        ok = False
-        reason = f"{type(exc).__name__}: {exc}"
-        verdict = f"EXCEPTION({reason})"
-        events = list(getattr(run, "events", []) or [])
+        result = guarded(lambda: build_run(genome))
     finally:
         set_active_tracer(None)
+    ok, reason = result.ok, result.reason
 
     vocab = set(trace_vocabulary(tracer))
-    vocab |= log_vocabulary(events)
+    vocab |= log_vocabulary(result.events)
     vocab.add(f"outcome|{genome.mode}|{'pass' if ok else 'fail'}")
     if not ok:
         vocab.add(f"outcome|{genome.mode}|{normalize_log_line(reason)}")
     return Outcome(
         ok=ok,
-        verdict=verdict,
+        verdict=result.verdict,
         reason=reason,
         vocab=frozenset(vocab),
-        faults_fired=faults_fired,
+        faults_fired=getattr(result, "faults_fired", 0),
         trace_events=tracer.num_events,
     )
 
 
-__all__ = ["Outcome", "build_run", "execute"]
+__all__ = ["Outcome", "build_run", "execute", "native_genome"]

@@ -177,6 +177,14 @@ class Network:
                 w.end = now
         self._record("heal")
 
+    def end_windows(self) -> None:
+        """End every fault window still open now — delay/drop storms too,
+        which :meth:`heal` leaves running.  Logs nothing."""
+        now = self.engine.now
+        for w in self._windows:
+            if w.end > now:
+                w.end = now
+
     def partitioned(self, src: int, dst: int, now: Optional[int] = None) -> bool:
         """True when a partition window separates src and dst right now."""
         if now is None:

@@ -547,6 +547,16 @@ class ResilientServingStack:
     def audited_keys(self) -> List[bytes]:
         return sorted(self._acked)
 
+    @property
+    def acked_keys(self) -> int:
+        """Keys with at least one acked write."""
+        return len(self._acked)
+
+    @property
+    def acked_writes(self) -> int:
+        """Acked writes over all keys."""
+        return sum(len(v) for v in self._acked.values())
+
     def verify_writes(self):
         """Generator: the no-acked-write-loss audit; returns violations.
 
@@ -604,7 +614,7 @@ class ResilientServingStack:
                     "group": g,
                     "leader": cluster.leader_id if leader else -1,
                     "term": cluster.term,
-                    "failovers": cluster._failovers - 1,
+                    "failovers": cluster.failovers,
                     "log_len": len(leader.log) if leader else 0,
                 }
             )

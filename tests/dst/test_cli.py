@@ -1,0 +1,96 @@
+"""The one sweep CLI: worker, EXCEPTION handling, --save/--replay."""
+
+import pytest
+
+from repro.dst import MODES, DstRun
+from repro.dst.__main__ import _seed_worker, main
+from repro.perf.parallel import imap_points
+from repro.sim.units import ms
+
+pytestmark = pytest.mark.dst
+
+#: Small per-mode sizes so the four-mode tests stay fast.
+SMALL = {
+    "dst": {"num_ops": 80},
+    "storm": {"num_ops": 160, "num_keys": 24},
+    "cluster": {"num_ops": 60},
+    "serving": {"duration_ns": ms(40)},
+}
+
+
+class TestSweepWorker:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_serial_and_parallel_sweeps_match(self, mode):
+        """--jobs is a pure speedup: per-run named RNG substreams make the
+        worker's results byte-identical to the serial loop's, in every mode."""
+        items = [(mode, seed, SMALL[mode], False) for seed in range(4)]
+        serial = [r for r, _ in imap_points(_seed_worker, items, jobs=1)]
+        parallel = [r for r, _ in imap_points(_seed_worker, items, jobs=2)]
+        assert [r.seed for r in serial] == [0, 1, 2, 3]
+        for a, b in zip(serial, parallel):
+            assert a.events == b.events
+            assert a.verdict == b.verdict
+            assert getattr(a, "log_digest", None) == getattr(b, "log_digest", None)
+
+    def test_selfcheck_rerun_comes_back_identical(self):
+        result, again = _seed_worker(("dst", 1, SMALL["dst"], True))
+        assert again is not None and again.events == result.events
+
+
+class _RaisesOnSeedOne(DstRun):
+    def run(self):
+        if self.seed == 1:
+            raise RuntimeError("harness bug")
+        return super().run()
+
+
+class TestRaisingHarness:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_survives_a_raising_seed(self, monkeypatch, capsys, jobs):
+        """One seed of three raises: three lines, no traceback, exit 1."""
+        monkeypatch.setitem(MODES, "dst", (_RaisesOnSeedOne, MODES["dst"][1]))
+        code = main(["--seeds", "0:3", "--ops", "60", "--jobs", str(jobs)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line.split()[0] for line in out if line.startswith("seed=")] == [
+            "seed=0",
+            "seed=1",
+            "seed=2",
+        ]
+        assert out[1] == "seed=1 EXCEPTION(RuntimeError: harness bug)"
+        assert out[2] == "  repro: python -m repro.dst --seed 1 --ops 60"
+        assert out[0].startswith("seed=0 PASS") and out[3].startswith("seed=2 PASS")
+        assert "Traceback" not in "\n".join(out)
+
+    def test_jobs_do_not_change_the_output(self, monkeypatch, capsys):
+        monkeypatch.setitem(MODES, "dst", (_RaisesOnSeedOne, MODES["dst"][1]))
+        outputs = []
+        for jobs in ("1", "2"):
+            main(["--seeds", "0:3", "--ops", "60", "--log", "--jobs", jobs])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestSaveReplay:
+    @pytest.mark.parametrize("kind", ["io", "space", "mixed"])
+    def test_storm_schedule_round_trips(self, tmp_path, capsys, kind):
+        """--storm --save writes a file --storm --replay reads: same seed,
+        same kind, identical event log."""
+        path = str(tmp_path / "storm.json")
+        common = ["--storm", "--storm-kind", kind, "--seed", "2", "--ops", "200", "--log"]
+        assert main(common + ["--save", path]) == 0
+        saved = capsys.readouterr().out
+        assert f"  schedule saved to {path}\n" in saved
+        assert main(common + ["--replay", path]) == 0
+        replayed = capsys.readouterr().out
+        assert replayed == saved.replace(f"  schedule saved to {path}\n", "")
+
+    def test_replay_reaches_every_mode(self, tmp_path, capsys):
+        """One loop: a schedule saved by a mode replays through that mode."""
+        path = str(tmp_path / "s.json")
+        for flag in ([], ["--cluster"], ["--serving"]):
+            assert main(flag + ["--seed", "1", "--save", path]) == 0
+            saved = capsys.readouterr().out.splitlines()[0]
+            main(flag + ["--seed", "1", "--replay", path])
+            replayed = capsys.readouterr().out.splitlines()[0]
+            assert replayed.split()[:2] == saved.split()[:2]  # seed=1 PASS

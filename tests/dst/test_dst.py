@@ -51,6 +51,21 @@ class TestVerdicts:
             result.events[-20:]
         )
 
+    @pytest.mark.parametrize(
+        "seed, cut, issued", [(1965, 89, 90), (1980, 79, 80), (3332, 161, 162)]
+    )
+    def test_read_only_rejection_stops_the_client(self, seed, cut, issued):
+        """A WAL-sync fault classifies hard and the next put is rejected
+        read-only.  The client must log the typed rejection and stop
+        issuing (a rejected tail is prefix-consistent) — these three seeds
+        used to leak the DBReadOnlyError out of ``run()``."""
+        result = DstRun(seed).run()
+        assert result.ok, result.reason
+        assert (result.cut, result.writes_issued) == (cut, issued)
+        rejects = [e for e in result.events if " reject #" in e]
+        assert len(rejects) == 1 and "read-only (hard)" in rejects[0]
+        assert not any(" issue #" in e for e in result.events[result.events.index(rejects[0]):])
+
     def test_explicit_schedule_replayed(self):
         """A caller-supplied schedule overrides the random one (--replay)."""
         schedule = FaultSchedule(

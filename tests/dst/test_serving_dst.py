@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.dst import ServingDstConfig, ServingDstRun
-from repro.dst.__main__ import _serving_seed_worker
 from repro.dst.serving import draw_serving_chaos, leader_fault_count
 from repro.faults import CRASH, PARTITION, FaultSchedule, FaultSpec
-from repro.perf.parallel import imap_points
 from repro.sim.rng import RandomStream
 from repro.sim.units import ms
 
@@ -53,16 +51,6 @@ class TestDeterminism:
         a = ServingDstRun(1, ServingDstConfig(duration_ns=ms(50))).run()
         b = ServingDstRun(2, ServingDstConfig(duration_ns=ms(50))).run()
         assert a.events != b.events
-
-    def test_serial_and_parallel_sweeps_match(self):
-        """--jobs is a pure speedup: worker results are byte-identical."""
-        items = [(seed, {"duration_ns": ms(40)}, False) for seed in range(4)]
-        serial = [r for r, _ in imap_points(_serving_seed_worker, items, jobs=1)]
-        parallel = [r for r, _ in imap_points(_serving_seed_worker, items, jobs=2)]
-        for a, b in zip(serial, parallel):
-            assert a.events == b.events
-            assert a.log_digest == b.log_digest
-            assert a.verdict == b.verdict
 
 
 class TestVerdicts:
