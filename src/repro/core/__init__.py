@@ -9,13 +9,11 @@
 
 from repro.core.bottlenecks import (
     NearStopPeriod,
-    l0_probe_rate,
     near_stop_fraction,
     near_stop_periods,
     read_amplification,
     stall_summary,
     throughput_variation,
-    timeline_of,
     write_amplification,
 )
 from repro.core.dynamic_l0 import DynamicL0Manager, dynamic_l0_options
@@ -45,7 +43,6 @@ __all__ = [
     "TwoStageWriteController",
     "application_kops",
     "dynamic_l0_options",
-    "l0_probe_rate",
     "logging_configurations",
     "make_two_stage_controller",
     "model_table",
@@ -55,6 +52,5 @@ __all__ = [
     "read_amplification",
     "stall_summary",
     "throughput_variation",
-    "timeline_of",
     "write_amplification",
 ]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.lsm.db import DB
-from repro.sim.stats import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,6 @@ def read_amplification(db: DB) -> float:
     return db.stats.get("get.block_device_reads") / gets
 
 
-def l0_probe_rate(db: DB) -> float:
-    """Level-0 table probes per GET (files actually searched)."""
-    gets = db.stats.get("gets")
-    if gets == 0:
-        return 0.0
-    return db.stats.get("get.l0_probes") / gets
-
-
 def stall_summary(db: DB) -> Dict[str, float]:
     """How hard Algorithm 1 bit during a run."""
     tickers = db.stats.tickers()
@@ -115,10 +106,3 @@ def write_amplification(db: DB) -> float:
         return 0.0
     compacted = db.stats.get("compaction.bytes_written")
     return (flushed + compacted) / flushed
-
-
-def timeline_of(result) -> List[Tuple[float, float]]:
-    """Timeline series of a BenchResult (helper for analyzers)."""
-    timeline: TimeSeries = result.timeline
-    cfg = result.config
-    return timeline.series(start=cfg.warmup_ns, end=cfg.duration_ns)

@@ -18,14 +18,14 @@ sweep epilogue.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
 from repro.dst import MODES
 from repro.dst.core import RunResult, guarded, make_config
 from repro.dst.storm import STORM_AUTO, STORM_KINDS
+from repro.errors import run_cli
 from repro.faults import FaultSchedule
-from repro.perf.parallel import default_jobs, imap_points
+from repro.jobs import default_jobs, imap_points
 
 
 def _parse_seeds(args: argparse.Namespace) -> List[int]:
@@ -298,4 +298,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

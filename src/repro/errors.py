@@ -6,9 +6,29 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+import sys
+from typing import Callable, NoReturn, Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
+
+
+def run_cli(main: Callable[[], Optional[int]]) -> NoReturn:
+    """Run a ``python -m repro.<pkg>`` entry point and exit with its status.
+
+    The one CLI error contract: a :class:`ReproError` (bad option value,
+    malformed input file) or :class:`OSError` (unreadable path) escaping
+    ``main`` becomes a single ``error: <message>`` line on stderr and exit
+    code 2 — never a traceback.  ``main`` itself keeps raising, so library
+    callers and tests that invoke it directly still see the typed error.
+    """
+    try:
+        status = main()
+    except (ReproError, OSError) as exc:
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
+        status = 2
+    sys.exit(status)
 
 
 class SimulationError(ReproError):

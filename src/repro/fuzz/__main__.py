@@ -16,16 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 from typing import List, Optional
 
-from repro.errors import FaultConfigError
+from repro.errors import FaultConfigError, run_cli
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, CorpusEntry
 from repro.fuzz.executor import execute
 from repro.fuzz.fuzzer import FuzzConfig, run_fuzz
 from repro.fuzz.genome import MODES, Genome
+from repro.jobs import default_jobs
 from repro.obs.vocab import vocabulary_fingerprint
-from repro.perf.parallel import default_jobs
 
 
 def _replay(path: str) -> int:
@@ -186,4 +185,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

@@ -30,8 +30,8 @@ from repro.fuzz.executor import Outcome, execute
 from repro.fuzz.genome import MODES, Genome
 from repro.fuzz.minimize import minimize
 from repro.fuzz.mutators import mutate_genome
+from repro.jobs import map_points
 from repro.obs.vocab import vocabulary_fingerprint
-from repro.perf.parallel import map_points
 from repro.sim.rng import RandomStream
 
 

@@ -16,14 +16,14 @@ intervals — after the figures.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
+from repro.errors import run_cli
 from repro.harness.experiments import EXPERIMENTS, set_jobs
 from repro.harness.presets import preset_by_name, trace_path
 from repro.harness.report import render_trace_summary
+from repro.jobs import default_jobs
 from repro.obs import Tracer, set_active_tracer
-from repro.perf.parallel import default_jobs
 
 
 def main(argv=None) -> int:
@@ -90,4 +90,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

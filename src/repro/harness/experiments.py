@@ -29,9 +29,9 @@ from repro.core.two_stage_throttle import TwoStageWriteController
 from repro.harness.machine import Machine
 from repro.harness.presets import ScalePreset, bench_preset
 from repro.harness.report import ExperimentResult
+from repro.jobs import map_points
 from repro.lsm.db import DB
 from repro.lsm.options import Options
-from repro.perf.parallel import map_points
 from repro.sim.units import MB, SEC, mb, ms, seconds
 from repro.storage.iotoolkit import RawBenchmark, RawWorkloadConfig
 from repro.storage.profiles import (
@@ -142,7 +142,7 @@ def set_jobs(jobs: int) -> None:
 
     ``jobs <= 1`` keeps the plain serial in-process loop.  Results are
     always merged in point order, so every jobs value produces bit-identical
-    figures (see :mod:`repro.perf.parallel`).
+    figures (see :mod:`repro.jobs`).
     """
     global _jobs
     _jobs = max(1, int(jobs))

@@ -2,13 +2,12 @@
 
 The harness and DST sweeps are embarrassingly parallel: every (device,
 config, seed) point builds its own engine, machine and RNG universe from
-scratch, so points share no state.  :func:`map_points` exploits that with a
-``multiprocessing`` pool while keeping the *observable* contract of the
-serial loop:
+scratch, so points share no state.  :func:`imap_points` exploits that with a
+``multiprocessing`` pool behind every ``--jobs N`` flag while keeping the
+*observable* contract of the serial loop:
 
-* results come back as a list in point order (``imap`` preserves order), so
-  downstream merging, printing and report rows are byte-identical to
-  ``jobs=1``;
+* results come back in point order (``imap`` preserves order), so downstream
+  merging, printing and report rows are byte-identical to ``jobs=1``;
 * ``jobs <= 1`` never touches multiprocessing at all — it is the plain
   serial loop, which keeps single-job runs debuggable (breakpoints, perf
   profiles, exceptions with full local state);
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, Iterable, List, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, List, Sequence, TypeVar
 
 P = TypeVar("P")
 R = TypeVar("R")
@@ -50,41 +49,28 @@ def _context():
         return multiprocessing.get_context("spawn")
 
 
-def map_points(
-    worker: Callable[[P], R],
-    points: Iterable[P],
-    jobs: int = 1,
-    chunksize: int = 1,
-) -> List[R]:
-    """Apply ``worker`` to every point; return results in point order.
+def imap_points(
+    worker: Callable[[P], R], points: Iterable[P], jobs: int = 1
+) -> Iterator[R]:
+    """Apply ``worker`` to every point; yield results **in point order** as
+    they become available — lets a CLI print per-point lines while later
+    points are still running, without ever reordering output versus serial.
 
     With ``jobs <= 1`` (or fewer than two points) this is a plain in-process
     loop.  Otherwise a pool of ``min(jobs, len(points))`` processes consumes
-    the points and the ordered results are collected as they stream back.
-    """
-    seq: Sequence[P] = list(points)
-    if jobs <= 1 or len(seq) <= 1:
-        return [worker(p) for p in seq]
-    ctx = _context()
-    with ctx.Pool(processes=min(jobs, len(seq))) as pool:
-        return list(pool.imap(worker, seq, chunksize=chunksize))
-
-
-def imap_points(
-    worker: Callable[[P], R],
-    points: Iterable[P],
-    jobs: int = 1,
-    chunksize: int = 1,
-):
-    """Like :func:`map_points` but yields results as they become available
-    **in point order** — lets a CLI print per-point lines while later points
-    are still running, without ever reordering output versus serial mode.
+    the points and the ordered results stream back.
     """
     seq: Sequence[P] = list(points)
     if jobs <= 1 or len(seq) <= 1:
         for p in seq:
             yield worker(p)
         return
-    ctx = _context()
-    with ctx.Pool(processes=min(jobs, len(seq))) as pool:
-        yield from pool.imap(worker, seq, chunksize=chunksize)
+    with _context().Pool(processes=min(jobs, len(seq))) as pool:
+        yield from pool.imap(worker, seq)
+
+
+def map_points(
+    worker: Callable[[P], R], points: Iterable[P], jobs: int = 1
+) -> List[R]:
+    """:func:`imap_points`, collected: the results as a list in point order."""
+    return list(imap_points(worker, points, jobs))

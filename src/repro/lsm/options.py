@@ -17,7 +17,7 @@ Notable defaults reproduced faithfully:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import OptionsError
 from repro.sim.units import KB, MB, us
@@ -60,7 +60,6 @@ class Options:
 
     # --- write path --------------------------------------------------------
     enable_pipelined_write: bool = True
-    allow_concurrent_memtable_write: bool = True
     max_write_batch_group_size: int = 1 * MB
     # Section VI implication: "multiple short write thread queues rather
     # than one single long queue".  1 = RocksDB's single queue.
@@ -113,7 +112,6 @@ class Options:
 
     # Free-form label used in reports.
     name: str = "default"
-    extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         """Raise :class:`OptionsError` on inconsistent settings."""

@@ -15,10 +15,11 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.errors import run_cli
+from repro.jobs import default_jobs
 from repro.matrix.registry import TABLES, table_by_id
 from repro.matrix.render import extract_block, inject_block, render_table
 from repro.matrix.runner import run_cells
-from repro.perf.parallel import default_jobs
 
 DEFAULT_DOC = "EXPERIMENTS.md"
 
@@ -126,4 +127,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

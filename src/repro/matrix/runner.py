@@ -6,7 +6,7 @@ empty, so clean and degraded cells run the *same* code path), page
 cache, filesystem, prefilled DB — then drives the cell's YCSB mix for
 the matrix preset's duration and reports throughput and latency
 percentiles.  ``run_cells`` fans cells out over
-:func:`~repro.perf.parallel.map_points`; because nothing is shared
+:func:`~repro.jobs.map_points`; because nothing is shared
 between cells, results are bit-identical for any jobs value.
 """
 
@@ -20,6 +20,7 @@ from repro.faults.device import FaultyDevice
 from repro.faults.injector import FaultInjector
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
+from repro.jobs import map_points
 from repro.lsm.db import DB
 from repro.matrix.registry import (
     MATRIX_PRESET,
@@ -29,7 +30,6 @@ from repro.matrix.registry import (
     SERVING_SCENARIOS,
     ServingCellSpec,
 )
-from repro.perf.parallel import map_points
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.storage.profiles import profile_by_name

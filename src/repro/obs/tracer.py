@@ -20,11 +20,11 @@ Design
     reports spans with explicit timestamps via :meth:`EngineTracer.complete`.
 
 ``NullTracer``
-    The disabled tracer.  Every hook is an empty method and ``bind`` returns
-    the same singleton, so instrumented call sites run unconditionally — no
-    ``if tracing:`` branches on hot paths — at the cost of one no-op call.
-    Hot-path hooks take only positional scalars (no kwargs, no dicts) so the
-    disabled call allocates nothing.
+    The disabled tracer.  ``bind`` returns the same singleton and every
+    public ``EngineTracer`` method is one shared no-op, so instrumented call
+    sites run unconditionally at the cost of one no-op call.  The two hot
+    paths (the engine kernel, the storage device) cache ``tracer.enabled``
+    at bind time and make no tracer call at all when it is off.
 
 Events are buffered as plain tuples ``(pid, tid, ph, name, ts, dur, args)``
 with nanosecond timestamps; conversion to the JSON schema (microsecond
@@ -214,7 +214,7 @@ class EngineTracer:
             self.pid, track, _COUNTER, name, self.engine.now, 0, {"value": value}
         )
 
-    # -- domain hooks (positional-only signatures keep disabled calls free) --
+    # -- domain hooks (the one place that knows the track/name formats) ----
 
     def process_spawn(self, name: str) -> None:
         self.instant("engine", f"spawn:{name}")
@@ -290,12 +290,17 @@ class EngineTracer:
         )
 
 
+def _noop(self, *args, **kwargs) -> None:
+    return None
+
+
 class NullTracer:
     """The disabled tracer: every hook is a no-op and ``bind`` returns self.
 
     A single shared instance (:data:`NULL_TRACER`) is installed on every
     engine when no tracer is active, so instrumented code never branches on
-    whether tracing is on.
+    whether tracing is on.  The loop below the class derives its surface
+    from :class:`EngineTracer` — a new hook is one method there.
     """
 
     enabled = False
@@ -305,84 +310,23 @@ class NullTracer:
     def bind(self, engine, label: str = "") -> "NullTracer":
         return self
 
-    def span_begin(self, track, name, args=None) -> None:
-        pass
 
-    def span_end(self, track, args=None) -> None:
-        pass
-
-    def complete(self, track, name, start_ns, dur_ns, args=None) -> None:
-        pass
-
-    def instant(self, track, name, args=None) -> None:
-        pass
-
-    def counter(self, track, name, value) -> None:
-        pass
-
-    def process_spawn(self, name) -> None:
-        pass
-
-    def process_finish(self, name, ok) -> None:
-        pass
-
-    def device_request(
-        self, track, op, submit_ns, start_ns, finish_ns, nbytes, sequential
-    ) -> None:
-        pass
-
-    def gc_pause(self, track, at_ns, pause_ns) -> None:
-        pass
-
-    def stall_transition(self, old, new, delayed_write_rate) -> None:
-        pass
-
-    def write_group(self, start_ns, end_ns, writers) -> None:
-        pass
-
-    def bg_error(self, source, severity) -> None:
-        pass
-
-    def degraded_transition(self, old, new) -> None:
-        pass
-
-    def resume_attempt(self, attempt, source) -> None:
-        pass
-
-    def resume_success(self, attempts, degraded_ns) -> None:
-        pass
-
-    def failover(self, term, leader_id) -> None:
-        pass
-
-    def replication_apply(self, node_id, seq) -> None:
-        pass
+for _name, _hook in vars(EngineTracer).items():
+    if callable(_hook) and not _name.startswith("_"):
+        setattr(NullTracer, _name, _noop)
 
 
 NULL_TRACER = NullTracer()
 
 _active: Any = NULL_TRACER
 
-#: Module-level tracing switch, kept in sync by :func:`set_active_tracer`.
-#: Hot paths (the engine kernel, the storage device) cache a per-object
-#: copy of ``tracer.enabled`` at bind time; this flag is the cheap global
-#: answer for code without an engine at hand.  When it is False, untraced
-#: runs make no tracer calls at all — not even no-ops.
-ENABLED = False
-
 
 def set_active_tracer(tracer: Optional[Tracer]) -> None:
     """Install ``tracer`` for every Engine created from now on (None clears)."""
-    global _active, ENABLED
+    global _active
     _active = tracer if tracer is not None else NULL_TRACER
-    ENABLED = _active is not NULL_TRACER
 
 
 def active_tracer():
     """The tracer new engines bind to (NULL_TRACER when tracing is off)."""
     return _active
-
-
-def tracing_enabled() -> bool:
-    """True when a real tracer is globally active (see :data:`ENABLED`)."""
-    return ENABLED

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.perf.parallel import default_jobs
+from repro.errors import run_cli
+from repro.jobs import default_jobs
 from repro.serving.sweep import ServingPoint, run_sweep
 from repro.storage.profiles import PROFILES
 
@@ -175,4 +176,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_cli(main)

@@ -27,17 +27,22 @@ admission:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ShedError, WorkloadError
 from repro.lsm.write_controller import DELAYED, STOPPED, WriteController
 from repro.sim.stats import StatsSet
 from repro.sim.units import SEC, ms
 
+if TYPE_CHECKING:
+    from repro.serving.fleet import TenantSpec
+
 #: Fraction of the provisioned rate still admitted while a shard is STOPPED.
 STOP_FACTOR = 0.05
 #: Lower bound on the DELAYED scale so admission never rounds to zero.
 MIN_PRESSURE = 0.01
+#: Provisioned rate over each tenant's diurnal-peak aggregate arrival rate.
+ADMISSION_HEADROOM = 1.5
 
 
 class TokenBucket:
@@ -101,6 +106,18 @@ class AdmissionController:
 
     def set_budget(self, tenant: str, budget: TenantBudget) -> None:
         self._buckets[tenant] = TokenBucket(budget.ops_per_sec, budget.burst)
+
+    def provision(self, spec: TenantSpec) -> None:
+        """Budget a tenant for its diurnal peak plus
+        :data:`ADMISSION_HEADROOM`, bursting four ops per client."""
+        peak = 1.0 + spec.diurnal_amplitude
+        self.set_budget(
+            spec.name,
+            TenantBudget(
+                ops_per_sec=spec.aggregate_rate * peak * ADMISSION_HEADROOM,
+                burst=max(4, spec.clients * 4),
+            ),
+        )
 
     def pressure(self) -> float:
         """Rate scale from the worst shard write-controller state in [0,1]."""

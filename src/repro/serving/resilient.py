@@ -63,17 +63,17 @@ from repro.fs.page_cache import PageCache
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
 from repro.net import NetConfig, Network
 from repro.obs import tenant_slo_digest
-from repro.serving.admission import (
-    BrownoutAdmission,
-    ErrorBudgetSpec,
-    TenantBudget,
-)
+from repro.serving.admission import BrownoutAdmission, ErrorBudgetSpec
 from repro.serving.client import ClientPolicy, ClientSession, ShardClient
 from repro.serving.fleet import TenantSpec, TenantWorkload
 from repro.serving.router import HashRing
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import SEC, kb, mb
+
+
+#: Each replica's private page cache (every node is its own machine).
+PAGE_CACHE_BYTES = mb(2)
 
 
 def _node_options() -> Options:
@@ -103,19 +103,14 @@ class ResilientServingConfig:
     replicas: int = 3
     device: str = "xpoint"
     seed: int = 1
-    page_cache_bytes: int = mb(2)
-    vnodes: int = 64
     policy: ClientPolicy = ClientPolicy()
     error_budget: ErrorBudgetSpec = ErrorBudgetSpec()
-    admission_headroom: float = 1.5
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise WorkloadError(f"need at least one shard group: {self.shards}")
         if self.replicas < 2:
             raise WorkloadError(f"a shard group needs >= 2 replicas: {self.replicas}")
-        if self.admission_headroom <= 0:
-            raise WorkloadError("admission headroom must be positive")
 
     @property
     def total_nodes(self) -> int:
@@ -231,7 +226,7 @@ class ResilientServingStack:
         self.config = config
         self.engine = Engine()
         self.rng = RandomStream(config.seed, "resilient-serving")
-        self.ring = HashRing(config.shards, vnodes=config.vnodes)
+        self.ring = HashRing(config.shards)
 
         specs = list(chaos.specs) if chaos is not None else []
         #: CRASH specs (global node space) for the harness to schedule.
@@ -258,7 +253,7 @@ class ResilientServingStack:
                     FaultyFileSystem(
                         self.engine,
                         device,
-                        PageCache(config.page_cache_bytes),
+                        PageCache(PAGE_CACHE_BYTES),
                         injector,
                     )
                 )
@@ -497,16 +492,7 @@ class ResilientServingStack:
             for i, spec in enumerate(tenants)
         ]
         for wl in workloads:
-            peak = 1.0 + wl.spec.diurnal_amplitude
-            self.admission.set_budget(
-                wl.spec.name,
-                TenantBudget(
-                    ops_per_sec=wl.spec.aggregate_rate
-                    * peak
-                    * self.config.admission_headroom,
-                    burst=max(4, wl.spec.clients * 4),
-                ),
-            )
+            self.admission.provision(wl.spec)
         return workloads
 
     def prefill(self, workloads: List[TenantWorkload]):

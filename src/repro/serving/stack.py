@@ -30,13 +30,16 @@ from repro.lsm.block_cache import BlockCache
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_buffer_manager import WriteBufferManager
-from repro.serving.admission import AdmissionController, TenantBudget
+from repro.serving.admission import AdmissionController
 from repro.serving.fleet import TenantSpec, TenantWorkload
 from repro.serving.router import HashRing
 from repro.serving.shardfs import ShardFsView
 from repro.sim.units import MB, SEC, mb, seconds
 from repro.storage.profiles import profile_by_name
 from repro.workloads.prefill import prefill_keys
+
+#: The one page cache under every shard (the paper's contention point).
+PAGE_CACHE_BYTES = mb(8)
 
 
 @dataclass(frozen=True)
@@ -46,26 +49,18 @@ class ServingConfig:
     shards: int = 2
     device: str = "xpoint"
     seed: int = 1
-    page_cache_bytes: int = mb(8)
     #: Shared block cache across all shards.
     block_cache_bytes: int = mb(1)
-    #: Shared memtable byte budget across all shards.
+    #: Shared memtable byte budget across all shards; each shard's
+    #: write_buffer_size is budget // shards, so the joint budget binds
+    #: before any one shard's private cap does.
     write_buffer_budget: int = 4 * MB
-    #: Per-shard options template; write_buffer_size is derived from the
-    #: budget when left at 0 (budget // shards, so the joint budget binds
-    #: before any one shard's private cap does).
-    shard_options: Optional[Options] = None
-    #: Admission headroom over each tenant's nominal aggregate rate.
-    admission_headroom: float = 1.5
-    vnodes: int = 64
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise WorkloadError(f"need at least one shard: {self.shards}")
         if self.write_buffer_budget <= 0 or self.block_cache_bytes <= 0:
             raise WorkloadError("shared budgets must be positive")
-        if self.admission_headroom <= 0:
-            raise WorkloadError("admission headroom must be positive")
 
 
 @dataclass
@@ -131,23 +126,16 @@ class ServingStack:
     def __init__(self, config: ServingConfig) -> None:
         self.config = config
         profile = profile_by_name(config.device)
-        self.machine = Machine.create(
-            profile, config.page_cache_bytes, seed=config.seed
-        )
+        self.machine = Machine.create(profile, PAGE_CACHE_BYTES, seed=config.seed)
         self.engine = self.machine.engine
         self.block_cache = BlockCache(config.block_cache_bytes)
         self.write_buffer_manager = WriteBufferManager(config.write_buffer_budget)
-        self.ring = HashRing(config.shards, vnodes=config.vnodes)
+        self.ring = HashRing(config.shards)
 
         per_shard_wb = max(64 * 1024, config.write_buffer_budget // config.shards)
         self.dbs: List[DB] = []
         for shard in range(config.shards):
-            if config.shard_options is not None:
-                opts = config.shard_options.copy(name=f"shard-{shard}")
-            else:
-                opts = Options(
-                    name=f"shard-{shard}", write_buffer_size=per_shard_wb
-                )
+            opts = Options(name=f"shard-{shard}", write_buffer_size=per_shard_wb)
             fs_view = ShardFsView(self.machine.fs, f"shard-{shard}")
             db = DB(
                 self.engine,
@@ -233,16 +221,7 @@ class ServingStack:
         if prefill:
             self.prefill_fleet(workloads)
         for wl in workloads:
-            peak = 1.0 + wl.spec.diurnal_amplitude
-            self.admission.set_budget(
-                wl.spec.name,
-                TenantBudget(
-                    ops_per_sec=wl.spec.aggregate_rate
-                    * peak
-                    * self.config.admission_headroom,
-                    burst=max(4, wl.spec.clients * 4),
-                ),
-            )
+            self.admission.provision(wl.spec)
         end = self.engine.now + duration_ns
         for wl in workloads:
             for cid in range(wl.spec.clients):

@@ -4,7 +4,7 @@ A serving sweep point — (device, shard count, fleet shape, seed) — builds
 its own engine, machine and RNG universe from scratch, exactly like the
 harness figure sweeps, so points are embarrassingly parallel.  Points are
 plain picklable dataclasses, the worker is a module-level callable, and
-results merge in point order: :func:`repro.perf.parallel.map_points`
+results merge in point order: :func:`repro.jobs.map_points`
 therefore guarantees ``--jobs N`` output is bit-identical to serial.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.perf.parallel import map_points
+from repro.jobs import map_points
 from repro.serving.fleet import default_tenants
 from repro.serving.stack import ServingConfig, ServingResult, ServingStack
 from repro.sim.units import mb, seconds
@@ -33,7 +33,6 @@ class ServingPoint:
     seed: int = 1
     block_cache_mb: float = 1.0
     write_buffer_mb: float = 4.0
-    page_cache_mb: float = 8.0
 
 
 def run_serving_point(point: ServingPoint) -> ServingResult:
@@ -42,7 +41,6 @@ def run_serving_point(point: ServingPoint) -> ServingResult:
         shards=point.shards,
         device=point.device,
         seed=point.seed,
-        page_cache_bytes=mb(point.page_cache_mb),
         block_cache_bytes=mb(point.block_cache_mb),
         write_buffer_budget=mb(point.write_buffer_mb),
     )

@@ -172,13 +172,6 @@ class Event:
             for cb in callbacks:
                 cb(self)
 
-    def _add_waiter(self, proc: "Process") -> None:
-        waiters = self._waiters
-        if waiters is None:
-            self._waiters = [proc]
-        else:
-            waiters.append(proc)
-
 
 class Timeout(Event):
     """An event that fires automatically after a delay.
@@ -522,19 +515,6 @@ class Engine:
         return dropped
 
     # -- kernel internals ---------------------------------------------------
-
-    def _schedule(
-        self,
-        proc: Process,
-        value: Any,
-        exc: Optional[BaseException],
-        delay: int,
-    ) -> None:
-        if delay:
-            self._seq += 1
-            _heappush(self._heap, (self._now + delay, self._seq, _PROC, proc, value, exc))
-        else:
-            self._nowq.append((_PROC, proc, value, exc))
 
     def _schedule_event(self, event: Event, value: Any, delay: int) -> None:
         if delay:

@@ -18,7 +18,7 @@ faithful to the hardware class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.sim.units import GB, MB, gb, us
 
@@ -66,7 +66,6 @@ class DeviceProfile:
 
     # Descriptive notes surfaced in reports.
     description: str = ""
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:

@@ -3,11 +3,8 @@
 from repro.workloads.db_bench import BenchResult, DbBench, DbBenchConfig
 from repro.workloads.generators import (
     KEY_WIDTH,
-    OP_READ,
-    OP_WRITE,
     BurstSchedule,
     KeySpace,
-    OperationMix,
     ValueSpec,
     decode_key,
     encode_key,
@@ -37,9 +34,6 @@ __all__ = [
     "DbBenchConfig",
     "KEY_WIDTH",
     "KeySpace",
-    "OP_READ",
-    "OP_WRITE",
-    "OperationMix",
     "PrefillSpec",
     "ValueSpec",
     "decode_key",

@@ -17,9 +17,6 @@ from repro.sim.rng import RandomStream
 
 KEY_WIDTH = 16
 
-OP_READ = "read"
-OP_WRITE = "write"
-
 
 def encode_key(index: int) -> bytes:
     """db_bench-style fixed-width key (byte order == numeric order)."""
@@ -66,21 +63,6 @@ class ValueSpec:
 
     def value_for(self, key_index: int, version: int = 0) -> ValueRef:
         return ValueRef(seed=(key_index << 20) | (version & 0xFFFFF), size=self.size)
-
-
-class OperationMix:
-    """randomreadrandomwrite: a Bernoulli read/write mixer.
-
-    ``write_fraction`` is the paper's "insertion ratio".
-    """
-
-    def __init__(self, write_fraction: float) -> None:
-        if not 0.0 <= write_fraction <= 1.0:
-            raise WorkloadError(f"write_fraction out of [0,1]: {write_fraction}")
-        self.write_fraction = write_fraction
-
-    def next_op(self, rng: RandomStream) -> str:
-        return OP_WRITE if rng.chance(self.write_fraction) else OP_READ
 
 
 class BurstSchedule:

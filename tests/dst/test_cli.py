@@ -4,7 +4,7 @@ import pytest
 
 from repro.dst import MODES, DstRun
 from repro.dst.__main__ import _seed_worker, main
-from repro.perf.parallel import imap_points
+from repro.jobs import imap_points
 from repro.sim.units import ms
 
 pytestmark = pytest.mark.dst

@@ -1,11 +1,13 @@
 """Tests for the virtual-time tracing layer (repro.obs)."""
 
+import inspect
 import json
 
 from repro.lsm.db import DB
 from repro.lsm.write_controller import StallMetrics, WriteController
 from repro.obs import (
     NULL_TRACER,
+    EngineTracer,
     NullTracer,
     Tracer,
     active_tracer,
@@ -156,17 +158,21 @@ class TestNullTracer:
         null = NullTracer()
         assert null.bind(Engine()) is null
         assert null.enabled is False
-        null.span_begin("t", "n")
-        null.span_end("t")
-        null.complete("t", "n", 0, 1)
-        null.instant("t", "n")
-        null.counter("t", "n", 1)
-        null.process_spawn("p")
-        null.process_finish("p", True)
-        null.device_request("t", "write", 0, 0, 1, 10, True)
-        null.gc_pause("t", 0, 1)
-        null.stall_transition("normal", "delayed", 1.0)
-        null.write_group(0, 1, 2)
+        real = Tracer().bind(Engine())
+        hooks = {
+            name: inspect.signature(hook)
+            for name, hook in vars(EngineTracer).items()
+            if callable(hook) and not name.startswith("_")
+        }
+        assert len(hooks) >= 17 and "replication_apply" in hooks
+        for name, sig in hooks.items():
+            # Every EngineTracer call shape — positional and by keyword —
+            # is accepted by the null hook, which does and returns nothing.
+            kwargs = {p: 0 for p in list(sig.parameters)[1:]}
+            getattr(real, name)(*kwargs.values())
+            getattr(real, name)(**kwargs)
+            assert getattr(null, name)(*kwargs.values()) is None
+            assert getattr(null, name)(**kwargs) is None
 
     def test_set_active_tracer_scopes_new_engines(self):
         tracer = Tracer()

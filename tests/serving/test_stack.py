@@ -41,8 +41,6 @@ class TestServingConfig:
             tiny_config(shards=0)
         with pytest.raises(WorkloadError):
             tiny_config(write_buffer_budget=0)
-        with pytest.raises(WorkloadError):
-            tiny_config(admission_headroom=0.0)
 
 
 class TestServingStack:

@@ -1,5 +1,11 @@
 """Tests for the exception hierarchy, top-level API surface, and CLI."""
 
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -47,6 +53,14 @@ def test_top_level_exports():
     assert repro.__version__
 
 
+def test_every_module_imports():
+    """A stale import anywhere under ``src/repro`` fails tier-1, not a smoke job."""
+    names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+    assert "repro.jobs" in names and "repro.dst.__main__" in names
+    for name in names:
+        importlib.import_module(name)
+
+
 def test_readme_quickstart_snippet():
     """The README's quickstart code must actually run."""
     from repro import Machine, Options, xpoint_ssd
@@ -91,3 +105,37 @@ class TestCli:
 
         with pytest.raises(WorkloadError):
             main(["model1", "--preset", "huge"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro.serving", "--cache-mb", "0"],
+        ["repro.serving", "--users", "0"],
+        ["repro.serving", "--resilient", "--replicas", "1"],
+        ["repro.harness", "fig03", "--preset", "nope"],
+        ["repro.matrix", "--only", "nope"],
+        ["repro.dst", "--replay", "/nonexistent.json"],
+        ["repro.fuzz", "--replay", "/nonexistent.json"],
+        ["repro.dst", "--replay", "TRUNCATED"],
+        ["repro.fuzz", "--replay", "TRUNCATED"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_errors_exit_2_with_one_line(argv, tmp_path):
+    """The :func:`repro.errors.run_cli` contract, through every entry point."""
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"trunc')
+    argv = [str(truncated) if a == "TRUNCATED" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -1,4 +1,4 @@
-"""Tests for the deterministic parallel sweep runner (``repro.perf.parallel``).
+"""Tests for the deterministic parallel sweep runner (``repro.jobs``).
 
 The contract under test: any ``jobs`` value returns results in point order,
 bit-identical to the serial loop, and worker failures surface in the parent.
@@ -8,7 +8,7 @@ The workers here are module-level (the multiprocessing pickling contract).
 import pytest
 
 from repro.errors import SimulationError
-from repro.perf.parallel import default_jobs, imap_points, map_points
+from repro.jobs import default_jobs, imap_points, map_points
 
 
 def square(x):
@@ -52,6 +52,14 @@ def test_imap_points_streams_in_order(jobs):
     points = list(range(12))
     seen = list(imap_points(square, points, jobs=jobs))
     assert seen == [p * p for p in points]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_points_is_the_collected_imap(jobs):
+    points = [(seed, 20) for seed in range(4)]
+    assert map_points(simulate_point, points, jobs=jobs) == list(
+        imap_points(simulate_point, points, jobs=jobs)
+    )
 
 
 def test_parallel_matches_serial_on_simulations():

@@ -8,11 +8,8 @@ from repro.errors import WorkloadError
 from repro.sim.rng import RandomStream
 from repro.sim.units import seconds
 from repro.workloads.generators import (
-    OP_READ,
-    OP_WRITE,
     BurstSchedule,
     KeySpace,
-    OperationMix,
     ValueSpec,
     decode_key,
     encode_key,
@@ -74,25 +71,6 @@ class TestValueSpec:
     def test_invalid_size(self):
         with pytest.raises(WorkloadError):
             ValueSpec(0)
-
-
-class TestOperationMix:
-    def test_extremes(self):
-        rng = RandomStream(1)
-        all_writes = OperationMix(1.0)
-        all_reads = OperationMix(0.0)
-        assert all(all_writes.next_op(rng) == OP_WRITE for _ in range(20))
-        assert all(all_reads.next_op(rng) == OP_READ for _ in range(20))
-
-    def test_frequency(self):
-        mix = OperationMix(0.3)
-        rng = RandomStream(7)
-        writes = sum(mix.next_op(rng) == OP_WRITE for _ in range(5000))
-        assert writes / 5000 == pytest.approx(0.3, abs=0.03)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(WorkloadError):
-            OperationMix(1.5)
 
 
 class TestBurstSchedule:
