@@ -61,7 +61,7 @@ class ScalePreset:
 
     @property
     def dataset_bytes(self) -> int:
-        return self.key_count * (16 + self.value_size + 8)
+        return self.prefill_spec().total_bytes
 
 
 TINY = ScalePreset(

@@ -27,6 +27,7 @@ short-circuit device reads.
 
 from __future__ import annotations
 
+import heapq
 import zlib
 from typing import Iterator, List, Optional, Tuple
 
@@ -762,9 +763,7 @@ class DB:
                 yield self.engine.all_of(io_events)
 
             # Merge newest-first per key: decorate with (key, -seq).
-            import heapq as _heapq
-
-            merged = _heapq.merge(
+            merged = heapq.merge(
                 *[(((k, -e[0]), k, e) for k, e in src) for src in sources]
             )
             out: List[Tuple[bytes, Value]] = []
@@ -1005,17 +1004,11 @@ class DB:
         for level in range(self.options.num_levels):
             for meta in version.overlapping_files(level, start, end):
                 sst = meta.sst
-                lo = max(0, self._key_index(sst, start))
-                hi = min(sst.entry_count, self._key_index(sst, end))
+                lo = sst.key_index(start)
+                hi = sst.key_index(end)
                 if hi > lo:
                     total += sst.file_bytes * (hi - lo) // sst.entry_count
         return total
-
-    @staticmethod
-    def _key_index(sst, key: bytes) -> int:
-        from bisect import bisect_left
-
-        return bisect_left(sst.keys, key)
 
     def compact_range(self, start: Optional[bytes] = None, end: Optional[bytes] = None):
         """Generator: manually compact [start, end] down level by level.

@@ -7,15 +7,15 @@ once the table is open; only **data blocks** cost I/O — which is precisely
 the read path the paper's Level-0 experiments measure (index binary search is
 CPU, then one data-block read to confirm or reject the key).
 
-Content is kept as parallel Python arrays (``keys`` / ``entries``) attached
-to the simulated file as its payload; byte offsets are modelled so block
-reads hit the right device ranges.
+Content is kept as a key list and an aligned entry sequence (``keys`` /
+``entries``) attached to the simulated file as its payload; byte offsets are
+modelled so block reads hit the right device ranges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, DBError
 from repro.lsm.bloom import BloomFilter
@@ -29,39 +29,26 @@ class SSTable:
         self,
         number: int,
         keys: List[bytes],
-        entries: List[Entry],
-        block_size: int,
+        entries: Sequence[Entry],
+        block_first: List[int],
+        block_offset: List[int],
+        data_bytes: int,
+        largest_seq: int,
         bloom_bits_per_key: int = 0,
     ) -> None:
         if len(keys) != len(entries):
             raise DBError("keys/entries length mismatch")
         if not keys:
             raise DBError("SSTable cannot be empty")
-        if block_size <= 0:
-            raise DBError(f"block_size must be positive: {block_size}")
         self.number = number
-        self.keys = keys
-        self.entries = entries
-        self.block_size = block_size
+        self.keys = keys  # a real list: C bisect over it *is* the index
+        self.entries = entries  # any sequence aligned with keys
         self.smallest = keys[0]
         self.largest = keys[-1]
-
-        # Block layout: cut a new block whenever block_size logical bytes
-        # accumulate.  _block_first[i] is the index of block i's first entry;
-        # _block_offset[i] is its byte offset in the file (blocks are usually
-        # slightly smaller than block_size since entries do not split).
-        block_first: List[int] = [0]
-        block_offset: List[int] = [0]
-        acc = 0
-        total = 0
-        for idx in range(len(keys)):
-            nbytes = entry_file_bytes(keys[idx], entries[idx])
-            if acc + nbytes > block_size and acc > 0:
-                block_first.append(idx)
-                block_offset.append(total)
-                acc = 0
-            acc += nbytes
-            total += nbytes
+        self.largest_seq = largest_seq  # FileMetaData::largest_seqno
+        # Block layout, cut by whoever sized the entries (SSTBuilder):
+        # _block_first[i] is the index of block i's first entry;
+        # _block_offset[i] is its byte offset in the file.
         self._block_first = block_first
         self._block_offset = block_offset
         # Per-block CRC32 of the logical content, computed lazily (the build
@@ -70,7 +57,7 @@ class SSTable:
         # block metadata itself (fault injection XORs into it).
         self._block_crcs: List[Optional[int]] = [None] * len(block_first)
         self._block_crc_tamper: Optional[dict] = None
-        self.data_bytes = total
+        self.data_bytes = data_bytes
         # Index/footer overhead: one handle per block plus per-key restarts.
         self.index_bytes = len(block_first) * 24 + len(keys) * 2
         self.bloom: Optional[BloomFilter] = None
@@ -103,6 +90,10 @@ class SSTable:
         return self.bloom.may_contain(key)
 
     # -- lookup ---------------------------------------------------------------
+
+    def key_index(self, key: bytes) -> int:
+        """How many of the table's keys sort before ``key``."""
+        return bisect_left(self.keys, key)
 
     def block_for_key(self, key: bytes) -> int:
         """Index binary search: which data block could hold ``key``."""
@@ -200,7 +191,13 @@ class SSTable:
 
 
 class SSTBuilder:
-    """Accumulates sorted (key, entry) pairs and produces an :class:`SSTable`."""
+    """Accumulates sorted (key, entry) pairs and produces an :class:`SSTable`.
+
+    The builder sizes every entry once, so it is also what cuts the data
+    blocks: a new block starts whenever ``block_size`` logical bytes have
+    accumulated (blocks are usually slightly smaller than ``block_size``
+    since entries do not split).
+    """
 
     def __init__(
         self,
@@ -208,41 +205,67 @@ class SSTBuilder:
         block_size: int,
         bloom_bits_per_key: int = 0,
     ) -> None:
+        if block_size <= 0:
+            raise DBError(f"block_size must be positive: {block_size}")
         self.number = number
         self.block_size = block_size
         self.bloom_bits_per_key = bloom_bits_per_key
         self._keys: List[bytes] = []
         self._entries: List[Entry] = []
-        self._bytes = 0
+        self._largest_seq = 0
+        self._block_first: List[int] = [0]
+        self._block_offset: List[int] = [0]
+        self.estimated_bytes = 0  # data bytes of everything added so far
 
     def add(self, key: bytes, entry: Entry) -> None:
-        if self._keys and key <= self._keys[-1]:
+        self.add_sized(key, entry_file_bytes(key, entry))
+        self._entries.append(entry)
+        if entry[0] > self._largest_seq:
+            self._largest_seq = entry[0]
+
+    def add_sized(self, key: bytes, nbytes: int) -> None:
+        """Add a key whose entry occupies ``nbytes`` of a data block.
+
+        For callers that know an entry's size without building it; they hand
+        the entries those sizes describe to :meth:`finish`.
+        """
+        keys = self._keys
+        if keys and key <= keys[-1]:
             raise DBError(
                 f"keys must be added in strictly increasing order: "
-                f"{key!r} after {self._keys[-1]!r}"
+                f"{key!r} after {keys[-1]!r}"
             )
-        self._keys.append(key)
-        self._entries.append(entry)
-        self._bytes += entry_file_bytes(key, entry)
+        total = self.estimated_bytes
+        block_bytes = total - self._block_offset[-1]  # in the block being filled
+        if block_bytes + nbytes > self.block_size and block_bytes > 0:
+            self._block_first.append(len(keys))
+            self._block_offset.append(total)
+        keys.append(key)
+        self.estimated_bytes = total + nbytes
 
     @property
     def entry_count(self) -> int:
         return len(self._keys)
 
-    @property
-    def estimated_bytes(self) -> int:
-        return self._bytes
-
     def empty(self) -> bool:
         return not self._keys
 
-    def finish(self) -> SSTable:
+    def finish(
+        self, entries: Optional[Sequence[Entry]] = None, largest_seq: int = 0
+    ) -> SSTable:
+        """The finished table, over the added entries or — after
+        :meth:`add_sized` — over ``entries``, whose newest is ``largest_seq``."""
         if not self._keys:
             raise DBError("cannot finish an empty SSTable")
+        if entries is None:
+            entries, largest_seq = self._entries, self._largest_seq
         return SSTable(
             self.number,
             self._keys,
-            self._entries,
-            self.block_size,
+            entries,
+            self._block_first,
+            self._block_offset,
+            self.estimated_bytes,
+            largest_seq,
             self.bloom_bits_per_key,
         )

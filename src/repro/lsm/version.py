@@ -227,7 +227,7 @@ class VersionSet:
             vs.apply(edit)
         for meta in vs.current.all_files():
             vs.next_file_number = max(vs.next_file_number, meta.number + 1)
-            vs.last_sequence = max(vs.last_sequence, max(e[0] for e in meta.sst.entries))
+            vs.last_sequence = max(vs.last_sequence, meta.sst.largest_seq)
         return vs
 
     def _init_durability_state(self) -> None:

@@ -51,6 +51,11 @@ class KeySpace:
         return encode_key(0), encode_key(self.count - 1)
 
 
+def benchmark_value(key_index: int, size: int, version: int = 0) -> ValueRef:
+    """The benchmark value of one key: ``seed >> 20`` is the key's index."""
+    return ValueRef((key_index << 20) | (version & 0xFFFFF), size)
+
+
 @dataclass(frozen=True)
 class ValueSpec:
     """How workload values are produced."""
@@ -62,7 +67,7 @@ class ValueSpec:
             raise WorkloadError(f"value size must be positive: {self.size}")
 
     def value_for(self, key_index: int, version: int = 0) -> ValueRef:
-        return ValueRef(seed=(key_index << 20) | (version & 0xFFFFF), size=self.size)
+        return benchmark_value(key_index, self.size, version)
 
 
 class BurstSchedule:

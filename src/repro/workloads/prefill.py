@@ -4,21 +4,37 @@ The paper benchmarks against an existing ~100 GB database.  Simulating the
 initial fill op-by-op would dwarf the measured run, so the prefiller builds
 the steady-state LSM shape directly: keys are deterministically distributed
 across levels (L1 .. Lk filled to their byte targets, the remainder in the
-deepest level), cut into target-size SST files, and installed through real
-version edits on durably "synced" files.  The page cache starts cold, as
-after a reboot.
+deepest level), cut into target-size SST files on durably "synced" files,
+and installed by one version edit.  The page cache starts cold, as after a
+reboot.  The edit is applied in memory and never logged to MANIFEST: a
+prefilled database does not survive a reopen (ROADMAP item 1).
+
+A prefilled table holds its keys — C ``bisect`` over the key list *is* the
+index — but not its entries: each is a function of the key's position, so
+the table regenerates it when read (:class:`_RegeneratedEntries`).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from itertools import islice
+from operator import ge
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
+from repro.lsm.format import KIND_PUT, Entry
 from repro.lsm.sst import SSTBuilder
 from repro.lsm.version import FileMetadata, VersionEdit
-from repro.workloads.generators import KeySpace, ValueSpec, encode_key
+from repro.workloads.generators import (
+    KEY_WIDTH,
+    KeySpace,
+    ValueSpec,
+    benchmark_value,
+    encode_key,
+)
 
 _HASH = 2654435761  # Knuth multiplicative hash
 
@@ -38,7 +54,7 @@ class PrefillSpec:
 
     @property
     def entry_bytes(self) -> int:
-        return 16 + self.value_size + 8  # key + value + header
+        return KEY_WIDTH + self.value_size + 8  # key + value + header
 
     @property
     def total_bytes(self) -> int:
@@ -75,6 +91,115 @@ def _level_budgets(db: DB, total_bytes: int) -> Dict[int, int]:
     return {lvl: b for lvl, b in budgets.items() if b > 0}
 
 
+class _RegeneratedEntries:
+    """Read-only ``Sequence[Entry]`` of one prefilled table.
+
+    Entry ``j`` is a pure function of its key's position in the prefilled
+    key list — ``(first_seq + j, KIND_PUT, benchmark_value(position, size))``
+    — so it is rebuilt when read instead of being held (the
+    :class:`~repro.lsm.value.ValueRef` idea one level up).
+    """
+
+    __slots__ = ("_positions", "_first_seq", "_value_size", "_value_sizes")
+
+    def __init__(self, positions, first_seq, value_size, value_sizes) -> None:
+        self._positions = positions  # array('q'), aligned with the table's keys
+        self._first_seq = first_seq
+        self._value_size = value_size
+        self._value_sizes = value_sizes  # per position, or None: value_size
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, j: int) -> Entry:
+        position = self._positions[j]  # IndexError past either end
+        if j < 0:
+            j += len(self._positions)
+        sizes = self._value_sizes
+        size = self._value_size if sizes is None else sizes[position]
+        return (self._first_seq + j, KIND_PUT, benchmark_value(position, size))
+
+    def __iter__(self) -> Iterator[Entry]:
+        sizes = self._value_sizes
+        for seq, position in enumerate(self._positions, self._first_seq):
+            size = self._value_size if sizes is None else sizes[position]
+            yield (seq, KIND_PUT, benchmark_value(position, size))
+
+
+def _install(
+    db: DB,
+    n: int,
+    key_at: Callable[[int], bytes],
+    key_bytes: int,
+    value_size: int,
+    value_sizes: Optional[Sequence[int]],
+) -> Dict[int, int]:
+    """Install ``n`` ascending keys (``key_bytes`` in all) as the steady-state
+    shape; returns files-per-level.
+
+    Each key's *position* hashes to a level with probability proportional to
+    the level's byte budget, so every level's files span the whole key range.
+    Files and blocks are cut from entry sizes; no entry is built.  Keys are
+    fetched table by table (``key_at``), so a table's key objects sit together
+    in memory: ``bisect`` over them is the read path's hot loop.
+    """
+    if db.versions.current.num_files() != 0:
+        raise WorkloadError("prefill requires an empty database")
+    if (value_size if value_sizes is None else min(value_sizes)) <= 0:
+        raise WorkloadError("value size must be positive")
+    value_bytes = value_size * n if value_sizes is None else sum(value_sizes)
+    budgets = _level_budgets(db, key_bytes + value_bytes + 8 * n)
+    if not budgets:
+        raise WorkloadError("no level budget computed")
+    levels = sorted(budgets)
+    total = sum(budgets.values())
+    # Cumulative probability thresholds scaled to 2^32; the deepest level
+    # takes whatever hashes past the last one.
+    thresholds: List[int] = []
+    acc = 0
+    for level in levels[:-1]:
+        acc += budgets[level]
+        thresholds.append(int(acc / total * (1 << 32)))
+    per_level = [array("q") for _ in levels]
+    for position in range(n):
+        per_level[bisect_right(thresholds, (position * _HASH) & 0xFFFFFFFF)].append(position)
+
+    opts = db.options
+    edit = VersionEdit()
+    files_per_level: Dict[int, int] = {}
+    seq = db.versions.last_sequence
+    for level, positions in zip(levels, per_level):
+        target = opts.target_file_size(level)
+        start = 0
+        while start < len(positions):
+            builder = SSTBuilder(
+                db.versions.new_file_number(), opts.block_size, opts.bloom_bits_per_key
+            )
+            add = builder.add_sized
+            for end in range(start, len(positions)):
+                position = positions[end]
+                key = key_at(position)
+                size = value_size if value_sizes is None else value_sizes[position]
+                add(key, len(key) + size + 8)  # == entry_file_bytes(key, entry)
+                if builder.estimated_bytes >= target:
+                    break
+            end += 1  # one past the last key added
+            entries = _RegeneratedEntries(positions[start:end], seq + 1, value_size, value_sizes)
+            seq += end - start
+            sst = builder.finish(entries, largest_seq=seq)
+            f = db.fs.install_synced(f"sst/{sst.number:06d}.sst", sst.file_bytes)
+            f.payload = sst
+            edit.add_file(level, FileMetadata(sst.number, sst, f, level))
+            files_per_level[level] = files_per_level.get(level, 0) + 1
+            start = end
+
+    db.versions.last_sequence = seq
+    db.versions.apply(edit)
+    db.versions.current.check_invariants()
+    db.stats.inc("prefill.keys", n)
+    return files_per_level
+
+
 def prefill(db: DB, spec: PrefillSpec) -> Dict[int, int]:
     """Populate ``db`` with ``spec.key_count`` keys; returns files-per-level.
 
@@ -83,71 +208,8 @@ def prefill(db: DB, spec: PrefillSpec) -> Dict[int, int]:
     whole key space (the real read-amplification shape: a GET walks through
     every level above the key's home level before finding it).
     """
-    if db.versions.current.num_files() != 0:
-        raise WorkloadError("prefill requires an empty database")
-    budgets = _level_budgets(db, spec.total_bytes)
-    if not budgets:
-        raise WorkloadError("no level budget computed")
-    levels = sorted(budgets)
-    total = sum(budgets.values())
-    # Cumulative probability thresholds scaled to 2^32.
-    thresholds: List[int] = []
-    acc = 0
-    for level in levels:
-        acc += budgets[level]
-        thresholds.append(int(acc / total * (1 << 32)))
-
-    values = spec.value_spec()
-    per_level_keys: Dict[int, List[int]] = {level: [] for level in levels}
-    for i in range(spec.key_count):
-        h = (i * _HASH) & 0xFFFFFFFF
-        for level, bound in zip(levels, thresholds):
-            if h < bound:
-                per_level_keys[level].append(i)
-                break
-        else:
-            per_level_keys[levels[-1]].append(i)
-
-    edit = VersionEdit()
-    files_per_level: Dict[int, int] = {}
-    seq = db.versions.last_sequence
-    for level in levels:
-        key_indices = per_level_keys[level]
-        if not key_indices:
-            continue
-        target = db.options.target_file_size(level)
-        builder: SSTBuilder | None = None
-        count = 0
-
-        def finish(builder: SSTBuilder) -> None:
-            sst = builder.finish()
-            f = db.fs.install_synced(f"sst/{sst.number:06d}.sst", sst.file_bytes)
-            f.payload = sst
-            edit.add_file(level, FileMetadata(sst.number, sst, f, level))
-
-        for i in key_indices:
-            if builder is None:
-                builder = SSTBuilder(
-                    db.versions.new_file_number(),
-                    db.options.block_size,
-                    db.options.bloom_bits_per_key,
-                )
-            seq += 1
-            builder.add(encode_key(i), (seq, 1, values.value_for(i)))
-            if builder.estimated_bytes >= target:
-                finish(builder)
-                builder = None
-                count += 1
-        if builder is not None and not builder.empty():
-            finish(builder)
-            count += 1
-        files_per_level[level] = count
-
-    db.versions.last_sequence = seq
-    db.versions.apply(edit)
-    db.versions.current.check_invariants()
-    db.stats.inc("prefill.keys", spec.key_count)
-    return files_per_level
+    n = spec.key_count
+    return _install(db, n, encode_key, KEY_WIDTH * n, spec.value_size, None)
 
 
 def prefill_keys(
@@ -168,76 +230,8 @@ def prefill_keys(
     """
     if not keys:
         return {}
-    if db.versions.current.num_files() != 0:
-        raise WorkloadError("prefill requires an empty database")
     if value_sizes is not None and len(value_sizes) != len(keys):
         raise WorkloadError("value_sizes must align with keys")
-    if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
+    if any(map(ge, keys, islice(keys, 1, None))):
         raise WorkloadError("prefill_keys requires strictly ascending keys")
-
-    def size_of(i: int) -> int:
-        return value_sizes[i] if value_sizes is not None else value_size
-
-    total_bytes = sum(len(k) + size_of(i) + 8 for i, k in enumerate(keys))
-    budgets = _level_budgets(db, total_bytes)
-    if not budgets:
-        raise WorkloadError("no level budget computed")
-    levels = sorted(budgets)
-    total = sum(budgets.values())
-    thresholds: List[int] = []
-    acc = 0
-    for level in levels:
-        acc += budgets[level]
-        thresholds.append(int(acc / total * (1 << 32)))
-
-    per_level: Dict[int, List[int]] = {level: [] for level in levels}
-    for i in range(len(keys)):
-        h = (i * _HASH) & 0xFFFFFFFF
-        for level, bound in zip(levels, thresholds):
-            if h < bound:
-                per_level[level].append(i)
-                break
-        else:
-            per_level[levels[-1]].append(i)
-
-    edit = VersionEdit()
-    files_per_level: Dict[int, int] = {}
-    seq = db.versions.last_sequence
-    for level in levels:
-        indices = per_level[level]
-        if not indices:
-            continue
-        target = db.options.target_file_size(level)
-        builder: SSTBuilder | None = None
-        count = 0
-
-        def finish(builder: SSTBuilder) -> None:
-            sst = builder.finish()
-            f = db.fs.install_synced(f"sst/{sst.number:06d}.sst", sst.file_bytes)
-            f.payload = sst
-            edit.add_file(level, FileMetadata(sst.number, sst, f, level))
-
-        for i in indices:
-            if builder is None:
-                builder = SSTBuilder(
-                    db.versions.new_file_number(),
-                    db.options.block_size,
-                    db.options.bloom_bits_per_key,
-                )
-            seq += 1
-            value = ValueSpec(size_of(i)).value_for(i)
-            builder.add(keys[i], (seq, 1, value))
-            if builder.estimated_bytes >= target:
-                finish(builder)
-                builder = None
-                count += 1
-        if builder is not None and not builder.empty():
-            finish(builder)
-            count += 1
-        files_per_level[level] = count
-
-    db.versions.last_sequence = seq
-    db.versions.apply(edit)
-    db.versions.current.check_invariants()
-    db.stats.inc("prefill.keys", len(keys))
-    return files_per_level
+    return _install(db, len(keys), keys.__getitem__, sum(map(len, keys)), value_size, value_sizes)

@@ -1,5 +1,7 @@
 """Tests for SSTables: build, block layout, lookup, iteration."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,57 @@ class TestBuilder:
         b.add(b"k", (1, KIND_PUT, b"v"))
         assert b.entry_count == 1
         assert not b.empty()
+
+    def test_non_positive_block_size_rejected(self):
+        with pytest.raises(DBError):
+            SSTBuilder(1, 0, 0)
+
+    def test_block_layout_equals_one_shot_cut(self):
+        """The builder cuts blocks as it goes; the reference walks the
+        finished table once (entry 40 alone overflows a block)."""
+        rng = random.Random(7)
+        block_size = 1024
+        sizes = [rng.randrange(1, 400) for _ in range(300)]
+        sizes[40] = 3 * block_size
+        b = SSTBuilder(1, block_size, 0)
+        for i, size in enumerate(sizes):
+            b.add(b"%08d" % i, (i + 1, KIND_PUT, ValueRef(i, size)))
+        sst = b.finish()
+
+        first, offset, acc, total = [0], [0], 0, 0
+        for idx, (key, entry) in enumerate(sst.items()):
+            nbytes = entry_file_bytes(key, entry)
+            if acc + nbytes > block_size and acc > 0:
+                first.append(idx)
+                offset.append(total)
+                acc = 0
+            acc += nbytes
+            total += nbytes
+        ends = offset[1:] + [total]
+        assert sst._block_first == first
+        assert [sst.block_span(i) for i in range(sst.block_count)] == [
+            (lo, hi - lo) for lo, hi in zip(offset, ends)
+        ]
+        assert sst.data_bytes == b.estimated_bytes == total
+
+    def test_sized_keys_take_the_entries_given_to_finish(self):
+        entries = [(i + 5, KIND_PUT, ValueRef(i, 100)) for i in range(30)]
+        eager, sized = SSTBuilder(1, 512, 0), SSTBuilder(1, 512, 0)
+        for i, entry in enumerate(entries):
+            eager.add(b"%08d" % i, entry)
+            sized.add_sized(b"%08d" % i, entry_file_bytes(b"%08d" % i, entry))
+        a, b = eager.finish(), sized.finish(tuple(entries), largest_seq=34)
+        assert a.largest_seq == b.largest_seq == 34
+        assert list(a.items()) == list(b.items())
+        assert a._block_first == b._block_first and a.file_bytes == b.file_bytes
+        with pytest.raises(DBError):
+            sized.finish()  # no entries were added alongside the sized keys
+
+    def test_largest_seq_is_a_running_max(self):
+        b = SSTBuilder(1, 1024, 0)
+        for key, seq in ((b"a", 7), (b"b", 19), (b"c", 3)):
+            b.add(key, (seq, KIND_PUT, b"v"))
+        assert b.finish().largest_seq == 19
 
 
 class TestTable:
@@ -115,6 +168,13 @@ class TestTable:
         assert len(items) == 10
         assert items[0][0] == sst.smallest
 
+    def test_key_index_counts_smaller_keys(self):
+        sst = build(10, stride=10)
+        assert sst.key_index(b"") == 0
+        assert sst.key_index(b"%08d" % 40) == 4
+        assert sst.key_index(b"%08d" % 45) == 5
+        assert sst.key_index(b"~") == 10
+
     def test_items_from(self):
         sst = build(10, stride=10)
         tail = list(sst.items_from(b"%08d" % 45))
@@ -138,11 +198,11 @@ class TestTable:
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(DBError):
-            SSTable(1, [b"a"], [], 1024)
+            SSTable(1, [b"a"], [], [0], [0], 0, 0)
 
     def test_empty_table_rejected(self):
         with pytest.raises(DBError):
-            SSTable(1, [], [], 1024)
+            SSTable(1, [], [], [0], [0], 0, 0)
 
 
 @given(
