@@ -6,6 +6,8 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
 from typing import Callable, NoReturn, Optional
 
@@ -22,9 +24,18 @@ def run_cli(main: Callable[[], Optional[int]]) -> NoReturn:
     ``main`` becomes a single ``error: <message>`` line on stderr and exit
     code 2 — never a traceback.  ``main`` itself keeps raising, so library
     callers and tests that invoke it directly still see the typed error.
+
+    A reader that closes the pipe early (``... | head``) is not an error to
+    report: stdout is pointed at ``os.devnull`` so the interpreter's exit
+    flush stays quiet, and the exit status is the shell's for a process
+    ended by SIGPIPE (141; 1 and 2 mean something else here).
     """
     try:
         status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 128 + signal.SIGPIPE
     except (ReproError, OSError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         status = 2

@@ -401,7 +401,7 @@ class SimFileSystem:
         if f is None:
             raise FileNotFoundInFS(path)
         f.deleted = True
-        self.page_cache.invalidate_file(f.file_id)
+        self.page_cache.invalidate_file(f.file_id, len(f.extents) * EXTENT_BYTES)
         for phys in f.extents:
             self._free_extents.append(phys)
             self._used_extents -= 1
@@ -480,7 +480,7 @@ class SimFileSystem:
                         self.stats.inc("torn_records")
                     break
             f.records = kept
-            self.page_cache.invalidate_file(f.file_id)
+            self.page_cache.invalidate_file(f.file_id, len(f.extents) * EXTENT_BYTES)
         self.stats.inc("crashes")
 
     # -- allocation ---------------------------------------------------------------

@@ -10,6 +10,7 @@ must touch the device.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 from typing import List, Tuple
 
 from repro.errors import FileSystemError
@@ -178,11 +179,15 @@ class PageCache:
             (file_id, page) in pages for page in self._page_range(offset, nbytes)
         )
 
-    def invalidate_file(self, file_id: int) -> None:
-        """Drop every page of a deleted file."""
-        stale = [key for key in self._pages if key[0] == file_id]
+    def invalidate_file(self, file_id: int, nbytes: int) -> None:
+        """Drop every page of a deleted file whose pages all lie in its first
+        ``nbytes`` (its allocated span): the probes are per page of the file,
+        not per page of the cache."""
+        pages = self._pages
+        span = zip(repeat(file_id), range(-(-nbytes // self.page_size)))
+        stale = list(filter(pages.__contains__, span))
         for key in stale:
-            del self._pages[key]
+            del pages[key]
         self.stats.inc("pages_invalidated", len(stale))
 
     def _evict_excess(self) -> None:

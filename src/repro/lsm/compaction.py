@@ -2,7 +2,7 @@
 
 The picker is RocksDB's classic score-based leveled picker: Level 0 scores
 by file count against ``level0_file_num_compaction_trigger``; levels >= 1
-score by byte size against their targets.  The job k-way-merges the input
+score by byte size against their targets.  The job merges the input
 tables, drops shadowed entries and bottommost tombstones, and writes size-
 capped output files to the next level.
 
@@ -10,19 +10,24 @@ I/O modelling: input tables are read in ``compaction_readahead_bytes``
 chunks as the merge consumes them (freshly flushed inputs usually hit the
 page cache — deep-level inputs hit the device); outputs stream through
 buffered appends with an fsync per file.  CPU is charged per merged entry.
+The host computes the merge per run and replays that schedule per event
+(:func:`_merge_inputs`; DESIGN.md section 4 has the contract).
 Compaction therefore competes with foreground reads for device channels,
 which is the read/write interference at the heart of the paper's findings.
 """
 
 from __future__ import annotations
 
-import heapq
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from operator import itemgetter, ne, not_
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import DBError
-from repro.lsm.format import KIND_DELETE
+from repro.lsm.format import KIND_DELETE, Entry
 from repro.lsm.io_retry import retry_call, retry_gen
-from repro.lsm.sst import SSTBuilder
+from repro.lsm.sst import SSTable, cumulative_sizes
 from repro.lsm.version import FileMetadata, Version, VersionEdit, VersionSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,25 +144,75 @@ class CompactionPicker:
         return None
 
 
-def _tracked_items(meta: FileMetadata, chunk: int, read_requests: List):
-    """Iterate a table's items, queueing chunked read requests as consumed.
+def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int):
+    """Merge the input tables as whole runs, at C speed.
 
-    Byte progress uses the table's mean entry size — the scheduling of the
-    read-ahead chunks only needs to be approximately aligned with merge
-    progress, and this keeps per-entry host cost minimal.
+    Returns ``(keys, entries, counted, unshadowed, read_at, reads)``.  The
+    output ``keys``/``entries`` are what a k-way merge (by key, newest
+    sequence first within one key) leaves after dropping shadowed entries
+    and, with ``drop_tombstones``, tombstones.  Output entry ``o`` is the
+    ``counted[o]``-th of the ``unshadowed`` entries, and read-ahead request
+    ``reads[r]`` is queued by the time the merge reaches output entry
+    ``read_at[r]`` (see :func:`_read_schedule`).
     """
-    total = meta.sst.data_bytes
-    per_entry = max(1.0, total / meta.sst.entry_count)
-    entries_per_chunk = max(1, int(chunk / per_entry))
-    next_mark = 0
-    countdown = 0
-    for item in meta.sst.items():
-        if countdown == 0 and next_mark < total:
-            read_requests.append((meta, next_mark, min(chunk, total - next_mark)))
-            next_mark += chunk
-            countdown = entries_per_chunk
-        countdown -= 1
-        yield item
+    keys: List[bytes] = []
+    entries: List[Entry] = []
+    for meta in inputs:
+        keys += meta.sst.keys
+        entries += meta.sst.entries
+    n = len(keys)
+    # Timsort finds the presorted input runs and merges them; it is stable,
+    # so entries of one key come out in input order, to be put right below.
+    order = sorted(range(n), key=keys.__getitem__)
+    merged_keys = list(map(keys.__getitem__, order))
+    # fresh[p]: merge step p's key differs from its predecessor's (+ sentinel).
+    fresh = [True, *map(ne, islice(merged_keys, 1, None), merged_keys), True]
+    stop = 0
+    for pos in compress(range(n), map(not_, fresh)):  # a shadowed entry...
+        if pos >= stop:  # ...in a new group [pos - 1, stop) of equal keys
+            stop = fresh.index(True, pos)
+            order[pos - 1 : stop] = sorted(order[pos - 1 : stop], key=lambda i: -entries[i][0])
+    steps = array("q", compress(range(n), fresh))
+    out_keys = list(compress(merged_keys, fresh))
+    out_entries = list(map(entries.__getitem__, compress(order, fresh)))
+    unshadowed = len(out_keys)
+    counted = range(1, unshadowed + 1)
+    if drop_tombstones:
+        live = list(map(KIND_DELETE.__ne__, map(itemgetter(1), out_entries)))
+        out_keys, out_entries = list(compress(out_keys, live)), list(compress(out_entries, live))
+        steps, counted = array("q", compress(steps, live)), array("q", compress(counted, live))
+    read_at, reads = _read_schedule(inputs, chunk, keys, order, merged_keys, steps)
+    return out_keys, out_entries, counted, unshadowed, read_at, reads
+
+
+def _read_schedule(inputs: List[FileMetadata], chunk: int, keys, order, merged_keys, steps):
+    """The merge's read-ahead requests, in the order a k-way merge queues them.
+
+    Each input is read in ``chunk``-sized requests, one per
+    ``entries_per_chunk`` entries consumed (byte progress uses the table's mean
+    entry size — read-ahead only needs to be roughly aligned with the merge).
+    A streaming merge pulls every input's first entry before step 0, in input
+    order, and entry ``j + 1`` of an input when its consumer asks for the
+    element after entry ``j``: request ``c > 0`` of an input is queued at the
+    step after the one that merged its entry ``c * entries_per_chunk - 1``.
+    Returns ``(read_at, requests)`` in queueing order: ``(meta, offset,
+    nbytes)`` requests and the first output entry (by ``steps``) each precedes.
+    """
+    schedule = []
+    first = 0  # index in ``keys`` of this input's first entry
+    for meta in inputs:
+        total, count = meta.sst.data_bytes, meta.sst.entry_count
+        entries_per_chunk = max(1, int(chunk / max(1.0, total / count)))
+        for c in range(min(-(-total // chunk), -(-count // entries_per_chunk))):
+            step = 0
+            if c:
+                i = first + c * entries_per_chunk - 1
+                step = order.index(i, bisect_left(merged_keys, keys[i])) + 1
+            schedule.append((step, (meta, c * chunk, min(chunk, total - c * chunk))))
+        first += count
+    schedule.sort(key=itemgetter(0))  # stable: step-0 requests stay in input order
+    read_at = [bisect_left(steps, step) for step, _ in schedule]
+    return read_at, [request for _, request in schedule]
 
 
 class CompactionJob:
@@ -167,17 +222,16 @@ class CompactionJob:
     (the DB passes its worker's track so concurrent jobs don't overlap).
     """
 
-    def __init__(
-        self, db: "DB", compaction: Compaction, track: str = "compact"
-    ) -> None:
+    def __init__(self, db: "DB", compaction: Compaction, track: str = "compact") -> None:
         self.db = db
         self.compaction = compaction
         self.track = track
 
-    def _issue_reads(self, read_requests: List, pending_events: List):
-        """Generator: submit queued input reads, retrying transient faults."""
+    def _read_and_wait(self, requests: List, pending_events: List):
+        """Generator: submit input reads (retrying transient faults), then
+        wait for them and for any output appends still in flight."""
         db = self.db
-        for meta, offset, nbytes in read_requests:
+        for meta, offset, nbytes in requests:
             ev = yield from retry_call(
                 lambda m=meta, o=offset, n=nbytes: m.file.read(o, n, sequential=True),
                 db.stats,
@@ -185,7 +239,12 @@ class CompactionJob:
             )
             if ev is not None:
                 pending_events.append(ev)
-        read_requests.clear()
+        if pending_events:
+            if len(pending_events) == 1:
+                yield pending_events[0]
+            else:
+                yield db.engine.all_of(pending_events)
+            pending_events.clear()
 
     def _is_bottommost(self) -> bool:
         """True if no deeper level overlaps this compaction's key range."""
@@ -227,81 +286,77 @@ class CompactionJob:
             raise
 
     def _merge_and_install(self):
+        """Generator: the merge is computed per run (:func:`_merge_inputs`) and
+        its simulated effects are replayed per event (DESIGN.md section 4)."""
         db = self.db
         c = self.compaction
         opts = db.options
         chunk = opts.compaction_readahead_bytes
-        drop_tombstones = self._is_bottommost()
         target_bytes = opts.target_file_size(c.output_level)
         tracer = db.engine.tracer
         tracer.span_begin(self.track, f"compact L{c.level}->L{c.output_level}")
 
-        read_requests: List = []
-        # Decorate each stream with a (key, -seq) sort key so the k-way merge
-        # yields the newest entry first within one user key.
-        decorated = [
-            (((k, -e[0]), k, e) for k, e in _tracked_items(meta, chunk, read_requests))
-            for meta in c.all_inputs
-        ]
-        merged = heapq.merge(*decorated)
+        out_keys, out_entries, counted, unshadowed, read_at, reads = _merge_inputs(
+            c.all_inputs, self._is_bottommost(), chunk
+        )
+        cum = cumulative_sizes(out_keys, out_entries)
+        entries_in = sum(f.sst.entry_count for f in c.all_inputs)
+        entries_out = len(out_keys)
 
-        outputs: List[Tuple[SSTBuilder, object]] = []  # (builder, sim file)
         new_files: List[FileMetadata] = []
-        builder: Optional[SSTBuilder] = None
-        out_file = None
-        appended = 0  # bytes already appended for the current output
-        prev_key: Optional[bytes] = None
-        batch = 0
-        cpu_pending = 0
-        entries_out = 0
-        entries_in = 0
         pending_events: List = []
+        number = 0  # of the output file being written
+        out_file = None
+        start = 0  # first output entry of that file
+        appended = 0  # bytes already appended to it
+        charged = 0  # unshadowed entries whose CPU is paid
+        reads_done = 0
 
         def start_output():
-            nonlocal builder, out_file, appended
+            nonlocal number, out_file, appended
             number = db.versions.new_file_number()
-            builder = SSTBuilder(number, opts.block_size, opts.bloom_bits_per_key)
             out_file = db.fs.create(f"sst/{number:06d}.sst")
             self._created_paths.append(out_file.path)
             appended = 0
 
-        def finish_output_steps():
-            """Generator: final append + fsync + metadata for current output."""
-            nonlocal builder, out_file, appended
-            if builder is None or builder.empty():
-                builder, out_file = None, None
-                return
-            sst = builder.finish()
+        def finish_output(stop):
+            """Generator: table, final append, fsync and metadata for the
+            current output, which holds output entries ``start .. stop-1``."""
+            nonlocal out_file, start
+            sst = SSTable.build(
+                number, out_keys[start:stop], out_entries[start:stop], cum, start,
+                opts.block_size, opts.bloom_bits_per_key,
+            )
             out_file.payload = sst
-            remaining = sst.file_bytes - appended
-            if remaining > 0:
-                bp = out_file.append(remaining)
-                if bp is not None:
-                    yield bp
+            bp = out_file.append(sst.file_bytes - appended)  # at least the index
+            if bp is not None:
+                yield bp
             yield from retry_gen(out_file.sync, db.stats, "compaction.io_retries")
-            meta = FileMetadata(sst.number, sst, out_file, c.output_level)
-            new_files.append(meta)
-            builder, out_file = None, None
+            new_files.append(FileMetadata(number, sst, out_file, c.output_level))
+            out_file, start = None, stop
 
+        # The first output takes its number and file before anything is
+        # merged; each later one when its first entry arrives (a concurrent
+        # flush may take numbers while the previous output is being synced).
         start_output()
-        for _, key, entry in merged:
-            entries_in += 1
-            if key == prev_key:
-                continue  # shadowed by a newer entry
-            prev_key = key
-            if drop_tombstones and entry[1] == KIND_DELETE:
-                batch += 1
-                continue
-            if builder is None:
-                start_output()
-            builder.add(key, entry)
-            entries_out += 1
-            batch += 1
-
-            # Stream output in chunk-sized appends (paced by the limiter).
-            if builder.estimated_bytes - appended >= chunk:
-                grow = builder.estimated_bytes - appended
-                appended += grow
+        while True:
+            base = cum[start]
+            # The next event: the output entry (1-based) that completes a
+            # read-ahead-sized append, the file, or a CPU batch.  The batch
+            # counts unshadowed entries, dropped tombstones included, but only
+            # an output entry can close it.
+            stop = min(
+                bisect_left(cum, base + appended + chunk),
+                bisect_left(cum, base + target_bytes),
+                bisect_left(counted, charged + _MERGE_BATCH) + 1,
+            )
+            if stop > entries_out:
+                break
+            size = cum[stop] - base
+            if size - appended >= chunk:
+                # Stream output in chunk-sized appends (paced by the limiter).
+                grow = size - appended
+                appended = size
                 if db.rate_limiter is not None:
                     pace = db.rate_limiter.request(grow)
                     if pace:
@@ -309,37 +364,30 @@ class CompactionJob:
                 bp = out_file.append(grow)
                 if bp is not None:
                     pending_events.append(bp)
-
-            if builder.estimated_bytes >= target_bytes:
-                yield from finish_output_steps()
-
+            if size >= target_bytes:
+                yield from finish_output(stop)
+            batch = counted[stop - 1] - charged
             if batch >= _MERGE_BATCH:
-                cpu_pending += db.costs.compaction_entries(batch)
-                batch = 0
-                if cpu_pending:
-                    yield cpu_pending
-                    cpu_pending = 0
-                yield from self._issue_reads(read_requests, pending_events)
-                if pending_events:
-                    if len(pending_events) == 1:
-                        yield pending_events[0]
-                    else:
-                        yield db.engine.all_of(pending_events)
-                    pending_events.clear()
+                cpu = db.costs.compaction_entries(batch)
+                charged += batch
+                if cpu:
+                    yield cpu
+                queued = bisect_right(read_at, stop - 1)
+                yield from self._read_and_wait(reads[reads_done:queued], pending_events)
+                reads_done = queued
+            if out_file is None and stop < entries_out:
+                start_output()
 
-        # Tail: remaining CPU, reads, and the final output file.
-        if batch:
-            cpu_pending += db.costs.compaction_entries(batch)
-        if cpu_pending:
-            yield cpu_pending
-        yield from self._issue_reads(read_requests, pending_events)
-        if pending_events:
-            if len(pending_events) == 1:
-                yield pending_events[0]
-            else:
-                yield db.engine.all_of(pending_events)
-            pending_events.clear()
-        yield from finish_output_steps()
+        # Tail: remaining CPU (trailing dropped tombstones count), reads, and
+        # the final output file — or none, if nothing survived the merge.
+        cpu = db.costs.compaction_entries(unshadowed - charged)
+        if cpu:
+            yield cpu
+        yield from self._read_and_wait(reads[reads_done:], pending_events)
+        if start < entries_out:
+            yield from finish_output(entries_out)
+        elif out_file is not None:
+            db.fs.delete(out_file.path)
 
         # Install the result.
         edit = VersionEdit()
@@ -352,18 +400,17 @@ class CompactionJob:
         yield from db.versions.log_edit(edit)
         c.mark(False)
 
+        bytes_out = sum(f.file_bytes for f in new_files)
         db.stats.inc("compaction.count")
         db.stats.inc("compaction.bytes_read", c.input_bytes)
-        db.stats.inc(
-            "compaction.bytes_written", sum(f.file_bytes for f in new_files)
-        )
+        db.stats.inc("compaction.bytes_written", bytes_out)
         db.stats.inc("compaction.entries_in", entries_in)
         db.stats.inc("compaction.entries_out", entries_out)
         tracer.span_end(
             self.track,
             {
                 "bytes_in": c.input_bytes,
-                "bytes_out": sum(f.file_bytes for f in new_files),
+                "bytes_out": bytes_out,
                 "entries_in": entries_in,
                 "entries_out": entries_out,
             },

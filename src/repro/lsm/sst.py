@@ -14,12 +14,46 @@ modelled so block reads hit the right device ranges.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, islice
+from operator import ge, itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, DBError
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.format import Entry, entry_checksum, entry_file_bytes
+
+
+def cumulative_sizes(keys: Sequence[bytes], entries: Sequence[Entry]) -> array:
+    """``cum[i]`` = data-block bytes of the first ``i`` entries (``cum[0] == 0``)."""
+    return array("q", accumulate(map(entry_file_bytes, keys, entries), initial=0))
+
+
+def cut_blocks(cum: Sequence[int], lo: int, hi: int, block_size: int) -> Tuple[array, array]:
+    """Data-block layout of entries ``lo .. hi-1`` of a run sized by ``cum``.
+
+    ``cum[i]`` is the bytes of the run's first ``i`` entries: an array, or a
+    ``range`` when every entry has one size.  A block closes before the entry
+    that would take it past ``block_size`` (blocks are usually slightly
+    smaller, since entries do not split); an oversize entry gets a block of
+    its own.  Returns each block's first entry and byte offset, both relative
+    to ``lo``, as ``array('q')``.
+    """
+    if isinstance(cum, range):  # one size: every block holds the same count
+        per_block = max(1, block_size // cum.step)
+        return (
+            array("q", range(0, hi - lo, per_block)),
+            array("q", range(0, (hi - lo) * cum.step, per_block * cum.step)),
+        )
+    first, offset = array("q"), array("q")
+    base = cum[lo]
+    start = lo
+    while start < hi:
+        first.append(start - lo)
+        offset.append(cum[start] - base)
+        start = max(start + 1, bisect_right(cum, cum[start] + block_size, start, hi + 1) - 1)
+    return first, offset
 
 
 class SSTable:
@@ -30,8 +64,8 @@ class SSTable:
         number: int,
         keys: List[bytes],
         entries: Sequence[Entry],
-        block_first: List[int],
-        block_offset: List[int],
+        block_first: Sequence[int],
+        block_offset: Sequence[int],
         data_bytes: int,
         largest_seq: int,
         bloom_bits_per_key: int = 0,
@@ -46,16 +80,15 @@ class SSTable:
         self.smallest = keys[0]
         self.largest = keys[-1]
         self.largest_seq = largest_seq  # FileMetaData::largest_seqno
-        # Block layout, cut by whoever sized the entries (SSTBuilder):
-        # _block_first[i] is the index of block i's first entry;
-        # _block_offset[i] is its byte offset in the file.
+        # Block layout (see cut_blocks): _block_first[i] is the index of
+        # block i's first entry; _block_offset[i] is its byte offset in the file.
         self._block_first = block_first
         self._block_offset = block_offset
-        # Per-block CRC32 of the logical content, computed lazily (the build
-        # path stays checksum-free; verification is a recovery/read-time
-        # concern).  ``_block_crc_tamper`` models on-media damage to the
-        # block metadata itself (fault injection XORs into it).
-        self._block_crcs: List[Optional[int]] = [None] * len(block_first)
+        # Per-block CRC32 of the logical content, filled in when first asked
+        # for (the build path stays checksum-free; verification is a
+        # recovery/read-time concern).  ``_block_crc_tamper`` models on-media
+        # damage to the block metadata itself (fault injection XORs into it).
+        self._block_crcs: Dict[int, int] = {}
         self._block_crc_tamper: Optional[dict] = None
         self.data_bytes = data_bytes
         # Index/footer overhead: one handle per block plus per-key restarts.
@@ -65,6 +98,31 @@ class SSTable:
             self.bloom = BloomFilter(keys, bloom_bits_per_key)
         self.file_bytes = self.data_bytes + self.index_bytes + (
             self.bloom.approximate_bytes if self.bloom else 0
+        )
+
+    @classmethod
+    def build(
+        cls,
+        number: int,
+        keys: List[bytes],
+        entries: Sequence[Entry],
+        cum: Sequence[int],
+        lo: int,
+        block_size: int,
+        bloom_bits_per_key: int = 0,
+        largest_seq: Optional[int] = None,
+    ) -> "SSTable":
+        """Bulk constructor: the table of ``keys``/``entries``, which are entries
+        ``lo .. lo+len(keys)-1`` of a run with cumulative sizes ``cum`` (see
+        :func:`cut_blocks`).  ``largest_seq`` is computed unless the caller knows it."""
+        if any(map(ge, keys, islice(keys, 1, None))):
+            raise DBError(f"SST #{number}: keys must be strictly increasing")
+        hi = lo + len(keys)
+        first, offset = cut_blocks(cum, lo, hi, block_size)
+        if largest_seq is None:
+            largest_seq = max(map(itemgetter(0), entries), default=0)
+        return cls(
+            number, keys, entries, first, offset, cum[hi] - cum[lo], largest_seq, bloom_bits_per_key
         )
 
     # -- metadata -----------------------------------------------------------
@@ -126,7 +184,7 @@ class SSTable:
         """Stored CRC32 of one data block's logical content (lazy)."""
         if not 0 <= block_idx < len(self._block_first):
             raise DBError(f"block index out of range: {block_idx}")
-        crc = self._block_crcs[block_idx]
+        crc = self._block_crcs.get(block_idx)
         if crc is None:
             lo, hi = self._block_entry_range(block_idx)
             crc = 0
@@ -193,18 +251,12 @@ class SSTable:
 class SSTBuilder:
     """Accumulates sorted (key, entry) pairs and produces an :class:`SSTable`.
 
-    The builder sizes every entry once, so it is also what cuts the data
-    blocks: a new block starts whenever ``block_size`` logical bytes have
-    accumulated (blocks are usually slightly smaller than ``block_size``
-    since entries do not split).
+    The per-entry front of :meth:`SSTable.build`: it sizes every entry as it
+    arrives (``estimated_bytes``) and :meth:`finish` cuts the data blocks from
+    those sizes.
     """
 
-    def __init__(
-        self,
-        number: int,
-        block_size: int,
-        bloom_bits_per_key: int = 0,
-    ) -> None:
+    def __init__(self, number: int, block_size: int, bloom_bits_per_key: int = 0) -> None:
         if block_size <= 0:
             raise DBError(f"block_size must be positive: {block_size}")
         self.number = number
@@ -212,36 +264,23 @@ class SSTBuilder:
         self.bloom_bits_per_key = bloom_bits_per_key
         self._keys: List[bytes] = []
         self._entries: List[Entry] = []
-        self._largest_seq = 0
-        self._block_first: List[int] = [0]
-        self._block_offset: List[int] = [0]
-        self.estimated_bytes = 0  # data bytes of everything added so far
+        self._cum = array("q", [0])  # see cumulative_sizes
 
     def add(self, key: bytes, entry: Entry) -> None:
-        self.add_sized(key, entry_file_bytes(key, entry))
-        self._entries.append(entry)
-        if entry[0] > self._largest_seq:
-            self._largest_seq = entry[0]
-
-    def add_sized(self, key: bytes, nbytes: int) -> None:
-        """Add a key whose entry occupies ``nbytes`` of a data block.
-
-        For callers that know an entry's size without building it; they hand
-        the entries those sizes describe to :meth:`finish`.
-        """
         keys = self._keys
         if keys and key <= keys[-1]:
             raise DBError(
                 f"keys must be added in strictly increasing order: "
                 f"{key!r} after {keys[-1]!r}"
             )
-        total = self.estimated_bytes
-        block_bytes = total - self._block_offset[-1]  # in the block being filled
-        if block_bytes + nbytes > self.block_size and block_bytes > 0:
-            self._block_first.append(len(keys))
-            self._block_offset.append(total)
         keys.append(key)
-        self.estimated_bytes = total + nbytes
+        self._entries.append(entry)
+        self._cum.append(self._cum[-1] + entry_file_bytes(key, entry))
+
+    @property
+    def estimated_bytes(self) -> int:
+        """Data bytes of everything added so far."""
+        return self._cum[-1]
 
     @property
     def entry_count(self) -> int:
@@ -250,22 +289,10 @@ class SSTBuilder:
     def empty(self) -> bool:
         return not self._keys
 
-    def finish(
-        self, entries: Optional[Sequence[Entry]] = None, largest_seq: int = 0
-    ) -> SSTable:
-        """The finished table, over the added entries or — after
-        :meth:`add_sized` — over ``entries``, whose newest is ``largest_seq``."""
+    def finish(self) -> SSTable:
         if not self._keys:
             raise DBError("cannot finish an empty SSTable")
-        if entries is None:
-            entries, largest_seq = self._entries, self._largest_seq
-        return SSTable(
-            self.number,
-            self._keys,
-            entries,
-            self._block_first,
-            self._block_offset,
-            self.estimated_bytes,
-            largest_seq,
-            self.bloom_bits_per_key,
+        return SSTable.build(
+            self.number, self._keys, self._entries, self._cum, 0,
+            self.block_size, self.bloom_bits_per_key,
         )

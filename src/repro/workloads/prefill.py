@@ -17,16 +17,16 @@ the table regenerates it when read (:class:`_RegeneratedEntries`).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, count, islice, repeat
 from operator import ge
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
 from repro.lsm.format import KIND_PUT, Entry
-from repro.lsm.sst import SSTBuilder
+from repro.lsm.sst import SSTable
 from repro.lsm.version import FileMetadata, VersionEdit
 from repro.workloads.generators import (
     KEY_WIDTH,
@@ -121,34 +121,35 @@ class _RegeneratedEntries:
 
     def __iter__(self) -> Iterator[Entry]:
         sizes = self._value_sizes
-        for seq, position in enumerate(self._positions, self._first_seq):
-            size = self._value_size if sizes is None else sizes[position]
-            yield (seq, KIND_PUT, benchmark_value(position, size))
+        sizes = repeat(self._value_size) if sizes is None else map(sizes.__getitem__, self._positions)
+        values = map(benchmark_value, self._positions, sizes)
+        return zip(count(self._first_seq), repeat(KIND_PUT), values)
 
 
 def _install(
     db: DB,
     n: int,
     key_at: Callable[[int], bytes],
-    key_bytes: int,
+    entry_sizes: Union[int, Sequence[int]],
     value_size: int,
     value_sizes: Optional[Sequence[int]],
 ) -> Dict[int, int]:
-    """Install ``n`` ascending keys (``key_bytes`` in all) as the steady-state
-    shape; returns files-per-level.
+    """Install ``n`` ascending keys as the steady-state shape; returns
+    files-per-level.  ``entry_sizes`` is the data-block footprint of every
+    entry (an ``int``) or of each position's entry (a sequence).
 
     Each key's *position* hashes to a level with probability proportional to
     the level's byte budget, so every level's files span the whole key range.
-    Files and blocks are cut from entry sizes; no entry is built.  Keys are
-    fetched table by table (``key_at``), so a table's key objects sit together
-    in memory: ``bisect`` over them is the read path's hot loop.
+    Files and blocks are cut from cumulative entry sizes; no entry is built.
+    Keys are fetched table by table (``key_at``), so a table's key objects sit
+    together in memory: ``bisect`` over them is the read path's hot loop.
     """
     if db.versions.current.num_files() != 0:
         raise WorkloadError("prefill requires an empty database")
     if (value_size if value_sizes is None else min(value_sizes)) <= 0:
         raise WorkloadError("value size must be positive")
-    value_bytes = value_size * n if value_sizes is None else sum(value_sizes)
-    budgets = _level_budgets(db, key_bytes + value_bytes + 8 * n)
+    uniform = isinstance(entry_sizes, int)
+    budgets = _level_budgets(db, entry_sizes * n if uniform else sum(entry_sizes))
     if not budgets:
         raise WorkloadError("no level budget computed")
     levels = sorted(budgets)
@@ -170,23 +171,22 @@ def _install(
     seq = db.versions.last_sequence
     for level, positions in zip(levels, per_level):
         target = opts.target_file_size(level)
+        # cum[i]: bytes of the level's first i entries — a range when uniform.
+        if uniform:
+            cum = range(0, (len(positions) + 1) * entry_sizes, entry_sizes)
+        else:
+            cum = array("q", accumulate(map(entry_sizes.__getitem__, positions), initial=0))
         start = 0
         while start < len(positions):
-            builder = SSTBuilder(
-                db.versions.new_file_number(), opts.block_size, opts.bloom_bits_per_key
-            )
-            add = builder.add_sized
-            for end in range(start, len(positions)):
-                position = positions[end]
-                key = key_at(position)
-                size = value_size if value_sizes is None else value_sizes[position]
-                add(key, len(key) + size + 8)  # == entry_file_bytes(key, entry)
-                if builder.estimated_bytes >= target:
-                    break
-            end += 1  # one past the last key added
-            entries = _RegeneratedEntries(positions[start:end], seq + 1, value_size, value_sizes)
+            # A file closes with the entry that takes it to the target size.
+            end = min(len(positions), bisect_left(cum, cum[start] + target))
+            chosen = positions[start:end]
+            entries = _RegeneratedEntries(chosen, seq + 1, value_size, value_sizes)
             seq += end - start
-            sst = builder.finish(entries, largest_seq=seq)
+            sst = SSTable.build(
+                db.versions.new_file_number(), list(map(key_at, chosen)), entries, cum, start,
+                opts.block_size, opts.bloom_bits_per_key, largest_seq=seq,
+            )
             f = db.fs.install_synced(f"sst/{sst.number:06d}.sst", sst.file_bytes)
             f.payload = sst
             edit.add_file(level, FileMetadata(sst.number, sst, f, level))
@@ -208,8 +208,7 @@ def prefill(db: DB, spec: PrefillSpec) -> Dict[int, int]:
     whole key space (the real read-amplification shape: a GET walks through
     every level above the key's home level before finding it).
     """
-    n = spec.key_count
-    return _install(db, n, encode_key, KEY_WIDTH * n, spec.value_size, None)
+    return _install(db, spec.key_count, encode_key, spec.entry_bytes, spec.value_size, None)
 
 
 def prefill_keys(
@@ -234,4 +233,6 @@ def prefill_keys(
         raise WorkloadError("value_sizes must align with keys")
     if any(map(ge, keys, islice(keys, 1, None))):
         raise WorkloadError("prefill_keys requires strictly ascending keys")
-    return _install(db, len(keys), keys.__getitem__, sum(map(len, keys)), value_size, value_sizes)
+    sizes = repeat(value_size) if value_sizes is None else value_sizes
+    entry_sizes = array("q", map(sum, zip(map(len, keys), sizes, repeat(8))))
+    return _install(db, len(keys), keys.__getitem__, entry_sizes, value_size, value_sizes)

@@ -65,7 +65,7 @@ def test_invalidate_file_drops_only_that_file():
     cache = PageCache(64 * PAGE_SIZE)
     cache.fill(1, 0, 4 * PAGE_SIZE)
     cache.fill(2, 0, 4 * PAGE_SIZE)
-    cache.invalidate_file(1)
+    cache.invalidate_file(1, 4 * PAGE_SIZE)
     assert not cache.contains(1, 0, PAGE_SIZE)
     assert cache.contains(2, 0, PAGE_SIZE)
     assert len(cache) == 4
@@ -143,3 +143,48 @@ def test_matches_reference_lru_model(ops):
     assert len(cache) == len(reference)
     for file_id, page in reference:
         assert cache.contains(file_id, page * PAGE_SIZE, PAGE_SIZE)
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["access", "fill", "read_through"]),
+            st.integers(min_value=1, max_value=2),  # two interleaved files
+            st.integers(min_value=0, max_value=40),  # first page
+            st.integers(min_value=1, max_value=3 * PAGE_SIZE),  # bytes
+        ),
+        max_size=60,
+    ),
+    victim=st.integers(min_value=1, max_value=2),
+    slack=st.integers(min_value=0, max_value=PAGE_SIZE),
+)
+def test_invalidate_by_span_equals_full_scan(ops, victim, slack):
+    """Dropping a file's pages by probing its span leaves what a scan of the
+    whole cache leaves: the same surviving pages in the same LRU order and
+    the same ticker."""
+    cache = PageCache(24 * PAGE_SIZE)
+    span = 0  # bytes of the victim file ever touched
+    for kind, file_id, page, nbytes in ops:
+        getattr(cache, kind)(file_id, page * PAGE_SIZE, nbytes)
+        if file_id == victim:
+            span = max(span, page * PAGE_SIZE + nbytes)
+    before = list(cache._pages)
+    survivors = [key for key in before if key[0] != victim]
+    cache.invalidate_file(victim, span + slack)
+    assert list(cache._pages) == survivors
+    assert cache.stats.get("pages_invalidated") == len(before) - len(survivors)
+
+
+def test_power_fail_leaves_no_page_of_any_file(null_fs):
+    files = [null_fs.create(f"f{i}") for i in range(3)]
+    for i, f in enumerate(files):
+        f.append((i + 1) * 300_000)  # the last one spans two extents
+    files[0].read(0, 100_000)
+    assert len(null_fs.page_cache) > 0
+    null_fs.power_fail()
+    assert len(null_fs.page_cache) == 0
+    f = null_fs.create("later")
+    f.append(5 * PAGE_SIZE)
+    null_fs.delete("later")
+    assert len(null_fs.page_cache) == 0
+    assert null_fs.page_cache.stats.get("pages_invalidated") > 5

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DBError
+from repro.harness.presets import TINY
 from repro.lsm.compaction import Compaction, CompactionJob, CompactionPicker
 from repro.lsm.db import DB
 from repro.lsm.flush import FlushJob
@@ -193,6 +194,27 @@ class TestCompactionJob:
             install_file(db, 0, i * 5, 10, seq_base=100 * i)
         c, _ = self.run_l0_compaction(engine, db)
         assert all(not f.being_compacted for f in db.versions.current.all_files())
+
+    def test_compaction_that_writes_nothing_leaves_no_file(self, engine):
+        """Regression: the first output file is created before anything is
+        merged; when every entry is dropped it used to stay behind — a
+        zero-byte SST in no version, never removed."""
+        db = make_db(engine, options=TINY.options())
+
+        def ops():
+            for i in range(50):
+                yield from db.put(key(i), b"v")
+            yield from db.flush_all()
+            for i in range(50):
+                yield from db.delete(key(i))
+            yield from db.flush_all()
+            yield from db.compact_range()
+
+        run_op(engine, ops())
+        assert db.versions.current.num_files() == 0
+        assert db.fs.list("sst/") == []
+        assert db.versions.next_file_number == 6  # the empty output still took number 5
+        assert db.stats.get("compaction.entries_out") == 0
 
     def test_compaction_does_io_on_real_device(self):
         engine = Engine()

@@ -1,6 +1,8 @@
 """Tests for SSTables: build, block layout, lookup, iteration."""
 
 import random
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -8,8 +10,26 @@ from hypothesis import strategies as st
 
 from repro.errors import DBError
 from repro.lsm.format import KIND_DELETE, KIND_PUT, entry_file_bytes
-from repro.lsm.sst import SSTBuilder, SSTable
+from repro.lsm.sst import SSTBuilder, SSTable, cumulative_sizes, cut_blocks
 from repro.lsm.value import ValueRef
+
+
+def one_shot_cut(sizes, block_size):
+    """Reference cut: walk the sizes once, closing a block before the entry
+    that would overflow it.  Returns (first entries, byte offsets, total)."""
+    first, offset, acc, total = [0], [0], 0, 0
+    for idx, nbytes in enumerate(sizes):
+        if acc + nbytes > block_size and acc > 0:
+            first.append(idx)
+            offset.append(total)
+            acc = 0
+        acc += nbytes
+        total += nbytes
+    return first, offset, total
+
+
+def layout(sst):
+    return list(sst._block_first), [sst.block_span(i) for i in range(sst.block_count)]
 
 
 def build(n=100, value_size=100, block_size=1024, bloom=0, start=0, stride=1):
@@ -49,8 +69,9 @@ class TestBuilder:
             SSTBuilder(1, 0, 0)
 
     def test_block_layout_equals_one_shot_cut(self):
-        """The builder cuts blocks as it goes; the reference walks the
-        finished table once (entry 40 alone overflows a block)."""
+        """The builder cuts blocks from cumulative sizes when it finishes; the
+        reference walks the finished table once (entry 40 alone overflows a
+        block)."""
         rng = random.Random(7)
         block_size = 1024
         sizes = [rng.randrange(1, 400) for _ in range(300)]
@@ -60,34 +81,39 @@ class TestBuilder:
             b.add(b"%08d" % i, (i + 1, KIND_PUT, ValueRef(i, size)))
         sst = b.finish()
 
-        first, offset, acc, total = [0], [0], 0, 0
-        for idx, (key, entry) in enumerate(sst.items()):
-            nbytes = entry_file_bytes(key, entry)
-            if acc + nbytes > block_size and acc > 0:
-                first.append(idx)
-                offset.append(total)
-                acc = 0
-            acc += nbytes
-            total += nbytes
+        first, offset, total = one_shot_cut(
+            [entry_file_bytes(key, entry) for key, entry in sst.items()], block_size
+        )
         ends = offset[1:] + [total]
-        assert sst._block_first == first
+        assert list(sst._block_first) == first
         assert [sst.block_span(i) for i in range(sst.block_count)] == [
             (lo, hi - lo) for lo, hi in zip(offset, ends)
         ]
         assert sst.data_bytes == b.estimated_bytes == total
 
-    def test_sized_keys_take_the_entries_given_to_finish(self):
+    def test_builder_and_bulk_constructor_give_equal_tables(self):
+        keys = [b"%08d" % i for i in range(30)]
         entries = [(i + 5, KIND_PUT, ValueRef(i, 100)) for i in range(30)]
-        eager, sized = SSTBuilder(1, 512, 0), SSTBuilder(1, 512, 0)
-        for i, entry in enumerate(entries):
-            eager.add(b"%08d" % i, entry)
-            sized.add_sized(b"%08d" % i, entry_file_bytes(b"%08d" % i, entry))
-        a, b = eager.finish(), sized.finish(tuple(entries), largest_seq=34)
+        eager = SSTBuilder(1, 512, 10)
+        for key, entry in zip(keys, entries):
+            eager.add(key, entry)
+        a = eager.finish()
+        cum = cumulative_sizes(keys, entries)
+        b = SSTable.build(1, keys, tuple(entries), cum, 0, 512, 10)
         assert a.largest_seq == b.largest_seq == 34
         assert list(a.items()) == list(b.items())
-        assert a._block_first == b._block_first and a.file_bytes == b.file_bytes
+        assert layout(a) == layout(b) and a.file_bytes == b.file_bytes
+        assert SSTable.build(1, keys, entries, cum, 0, 512, largest_seq=99).largest_seq == 99
+        # A slice of a longer run: offsets are relative to the slice.
+        tail = SSTable.build(2, keys[10:], entries[10:], cum, 10, 512)
+        assert tail.data_bytes == cum[30] - cum[10] and tail.block_span(0)[0] == 0
+        assert layout(tail) == layout(
+            SSTable.build(2, keys[10:], entries[10:], cumulative_sizes(keys[10:], entries[10:]), 0, 512)
+        )
         with pytest.raises(DBError):
-            sized.finish()  # no entries were added alongside the sized keys
+            SSTable.build(1, keys[::-1], entries, cum, 0, 512)
+        with pytest.raises(DBError):
+            SSTable.build(1, [], [], cum, 0, 512)
 
     def test_largest_seq_is_a_running_max(self):
         b = SSTBuilder(1, 1024, 0)
@@ -203,6 +229,27 @@ class TestTable:
     def test_empty_table_rejected(self):
         with pytest.raises(DBError):
             SSTable(1, [], [], [0], [0], 0, 0)
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=120),
+    block_size=st.sampled_from([1, 64, 256, 1024]),
+    lo=st.integers(min_value=0, max_value=119),
+    uniform=st.booleans(),
+)
+def test_cutter_equals_one_shot_cut(sizes, block_size, lo, uniform):
+    """Property: cut_blocks over any slice of a run — sized by an array or,
+    when every entry has one size, by a range — equals the one-shot cut."""
+    if uniform:
+        sizes = [sizes[0]] * len(sizes)
+        cum = range(0, (len(sizes) + 1) * sizes[0], sizes[0])
+    else:
+        cum = array("q", accumulate(sizes, initial=0))
+    lo = min(lo, len(sizes) - 1)
+    want_first, want_offset, _total = one_shot_cut(sizes[lo:], block_size)
+    first, offset = cut_blocks(cum, lo, len(sizes), block_size)
+    assert (list(first), list(offset)) == (want_first, want_offset)
+    assert first.typecode == offset.typecode == "q"
 
 
 @given(

@@ -139,3 +139,28 @@ def test_cli_errors_exit_2_with_one_line(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_cli_reader_closing_the_pipe_is_not_an_error():
+    """``python -m repro.harness ... | head``: no ``error: [Errno 32] Broken
+    pipe``, no traceback from the exit flush — quiet, with SIGPIPE's status."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    program = (
+        "from repro.errors import run_cli\n"
+        "def main():\n"
+        "    for i in range(200_000):\n"
+        "        print('line', i)\n"
+        "run_cli(main)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", program],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"line 0\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
