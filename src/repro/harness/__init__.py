@@ -1,10 +1,14 @@
-"""Experiment harness: machines, scale presets, per-figure experiments."""
+"""Experiment harness: machines, scale presets, the experiment registry."""
 
 from repro.harness.experiments import (
     DEVICES,
-    EXPERIMENTS,
+    FIGURES,
+    Entry,
     RunArtifacts,
+    WorkloadPoint,
     clear_memo,
+    run_experiment,
+    run_points,
     run_workload,
 )
 from repro.harness.machine import Machine
@@ -13,8 +17,9 @@ from repro.harness.report import ExperimentResult, format_table, render_sparklin
 
 __all__ = [
     "DEVICES",
-    "EXPERIMENTS",
+    "Entry",
     "ExperimentResult",
+    "FIGURES",
     "Machine",
     "PAPER",
     "PRESETS",
@@ -22,10 +27,13 @@ __all__ = [
     "SMALL",
     "ScalePreset",
     "TINY",
+    "WorkloadPoint",
     "bench_preset",
     "clear_memo",
     "format_table",
     "preset_by_name",
     "render_sparkline",
+    "run_experiment",
+    "run_points",
     "run_workload",
 ]

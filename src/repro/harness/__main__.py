@@ -1,9 +1,10 @@
-"""CLI: regenerate paper figures from the command line.
+"""CLI: regenerate paper figures and ablations from the command line.
 
 Usage::
 
     python -m repro.harness fig03            # one experiment
-    python -m repro.harness all              # every experiment
+    python -m repro.harness all              # every registered experiment
+    python -m repro.harness ablation-bloom   # a Section VI ablation
     python -m repro.harness fig18 --preset tiny --seed 7
     python -m repro.harness fig05 --preset tiny --trace trace.json
 
@@ -19,11 +20,11 @@ import argparse
 import time
 
 from repro.errors import run_cli
-from repro.harness.experiments import EXPERIMENTS, set_jobs
+from repro.harness.experiments import FIGURES, run_experiment
 from repro.harness.presets import preset_by_name, trace_path
-from repro.harness.report import render_trace_summary
 from repro.jobs import default_jobs
 from repro.obs import Tracer, set_active_tracer
+from repro.obs.summary import summarize
 
 
 def main(argv=None) -> int:
@@ -33,11 +34,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="experiment id (paper figure) or 'all'",
+        choices=sorted(FIGURES) + ["all"],
+        help="experiment id (paper figure or ablation) or 'all'",
     )
     parser.add_argument("--preset", default="small", help="tiny | small | paper")
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="simulation seed (default: the entry's own — 11 for figures, "
+        "17 for ablations)",
+    )
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -61,10 +68,9 @@ def main(argv=None) -> int:
         # them — tracing forces the serial path.
         print("[--trace forces --jobs 1: trace events are per-process]")
         args.jobs = 1
-    set_jobs(args.jobs)
 
     preset = preset_by_name(args.preset)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = list(FIGURES) if args.experiment == "all" else [args.experiment]
     tracer = None
     if args.trace:
         try:
@@ -76,7 +82,7 @@ def main(argv=None) -> int:
     try:
         for name in names:
             started = time.time()
-            result = EXPERIMENTS[name](preset, seed=args.seed)
+            result = run_experiment(FIGURES[name], preset, args.seed, args.jobs)
             print(result.render())
             print(f"[{name} regenerated in {time.time() - started:.1f}s]\n")
     finally:
@@ -84,7 +90,7 @@ def main(argv=None) -> int:
             set_active_tracer(None)
     if tracer is not None:
         written = tracer.export(args.trace)
-        print(render_trace_summary(tracer))
+        print(summarize(tracer))
         print(f"[trace: {written} events -> {args.trace}]")
     return 0
 

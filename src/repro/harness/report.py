@@ -79,18 +79,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def render_trace_summary(tracer, top_n: int = 5) -> str:
-    """Textual digest of a traced run: longest stalls, busiest intervals.
-
-    ``tracer`` is a :class:`repro.obs.Tracer` that recorded the run(s);
-    the digest complements the exported Chrome-trace JSON with the
-    headlines a reader checks first.
-    """
-    from repro.obs.summary import summarize
-
-    return summarize(tracer, top_n=top_n)
-
-
 _SPARK = " .:-=+*#%@"
 
 

@@ -1,66 +1,44 @@
 """Declarative experiment matrix over devices, workloads and faults.
 
 The registry (:mod:`repro.matrix.registry`) declares device × workload
-× fault-scenario grids as data; the runner executes each cell in its
-own simulated universe (bit-identical for any ``--jobs``); the renderer
-regenerates the markdown tables embedded in ``EXPERIMENTS.md`` between
-``<!-- matrix:begin ID -->`` markers.  ``python -m repro.matrix``
-checks the committed tables against a fresh run (CI), ``--write``
-refreshes them.
+× scenario tables as experiment-registry entries; the runner executes
+each cell in its own simulated universe (bit-identical for any
+``--jobs``); the renderer regenerates the markdown tables embedded in
+``EXPERIMENTS.md`` between ``<!-- matrix:begin ID -->`` markers.
+``python -m repro.matrix`` checks the committed tables against a fresh
+run (CI), ``--write`` refreshes them.
 """
 
-from repro.matrix.registry import (
-    DEVICES,
-    MATRIX_PRESET,
-    MATRIX_SEED,
-    SCENARIOS,
-    SERVING_SCENARIOS,
-    TABLES,
-    CellSpec,
-    FaultScenario,
-    ServingCellSpec,
-    ServingScenario,
-    ServingTableSpec,
-    TableSpec,
-    table_by_id,
-)
+from repro.matrix.registry import DEVICES, TABLES, table_by_id
 from repro.matrix.render import (
     begin_marker,
     end_marker,
     extract_block,
     inject_block,
-    render_table,
+    render_block,
 )
 from repro.matrix.runner import (
-    CELL_METRICS,
-    SERVING_CELL_METRICS,
-    run_cell,
-    run_cells,
-    run_serving_cell,
+    MATRIX_PRESET,
+    MATRIX_SEED,
+    SCENARIOS,
+    SERVING,
+    Cell,
+    Scenario,
 )
 
 __all__ = [
-    "CELL_METRICS",
-    "CellSpec",
+    "Cell",
     "DEVICES",
-    "FaultScenario",
     "MATRIX_PRESET",
     "MATRIX_SEED",
     "SCENARIOS",
-    "SERVING_CELL_METRICS",
-    "SERVING_SCENARIOS",
-    "ServingCellSpec",
-    "ServingScenario",
-    "ServingTableSpec",
+    "SERVING",
+    "Scenario",
     "TABLES",
-    "TableSpec",
     "begin_marker",
     "end_marker",
     "extract_block",
     "inject_block",
-    "render_table",
-    "run_cell",
-    "run_cells",
-    "run_serving_cell",
+    "render_block",
     "table_by_id",
 ]

@@ -4,7 +4,8 @@ Default mode **checks**: every registered table is re-run and compared
 byte-for-byte against the block committed in ``EXPERIMENTS.md`` — exit
 1 on any drift, which is what the ``matrix-smoke`` CI job runs.
 ``--write`` splices the freshly rendered blocks into the file instead;
-``--print`` just shows them.  Results are bit-identical for any
+``--print`` just shows them.  Every selected table's cells run in one
+sweep, a cell two tables share once; results are bit-identical for any
 ``--jobs`` value (each cell builds its own universe).
 """
 
@@ -16,10 +17,11 @@ import time
 from typing import List, Optional
 
 from repro.errors import run_cli
+from repro.harness.experiments import run_experiment, run_points
 from repro.jobs import default_jobs
 from repro.matrix.registry import TABLES, table_by_id
-from repro.matrix.render import extract_block, inject_block, render_table
-from repro.matrix.runner import run_cells
+from repro.matrix.render import extract_block, inject_block, render_block
+from repro.matrix.runner import MATRIX_PRESET, MATRIX_SEED
 
 DEFAULT_DOC = "EXPERIMENTS.md"
 
@@ -67,26 +69,27 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list:
         for table in TABLES.values():
-            print(
-                f"{table.table_id}: {table.title} "
-                f"({len(table.cells())} cells)"
-            )
+            cells = table.points(MATRIX_PRESET, MATRIX_SEED)
+            print(f"{table.exp_id}: {table.title} ({len(cells)} cells)")
         return 0
 
-    table_ids = args.only or list(TABLES)
-    tables = [table_by_id(t) for t in table_ids]
-
-    blocks = {}
-    for table in tables:
-        cells = table.cells()
-        began = time.time()
-        results = run_cells(cells, jobs=args.jobs)
-        blocks[table.table_id] = render_table(table, cells, results)
-        print(
-            f"matrix: {table.table_id}: {len(cells)} cells in "
-            f"{time.time() - began:.1f}s (jobs={args.jobs})",
-            file=sys.stderr,
-        )
+    tables = [table_by_id(t) for t in args.only or TABLES]
+    cells = [
+        cell
+        for table in tables
+        for cell in table.points(MATRIX_PRESET, MATRIX_SEED).values()
+    ]
+    began = time.time()
+    run_points(cells, args.jobs)
+    print(
+        f"matrix: {len(set(cells))} distinct of {len(cells)} cells in "
+        f"{time.time() - began:.1f}s (jobs={args.jobs})",
+        file=sys.stderr,
+    )
+    blocks = {
+        table.exp_id: render_block(run_experiment(table, MATRIX_PRESET, MATRIX_SEED))
+        for table in tables
+    }
 
     if args.print_only:
         for block in blocks.values():

@@ -1,13 +1,15 @@
-"""The declarative experiment matrix: what to run, in tables.
+"""The experiment matrix's tables, as experiment-registry entries.
 
-A :class:`TableSpec` declares one device × workload × fault grid as
-data; :mod:`repro.matrix.runner` turns each cell into a simulated run
-and :mod:`repro.matrix.render` turns the results into the markdown
-tables embedded in ``EXPERIMENTS.md`` between ``<!-- matrix:begin ID
--->`` / ``<!-- matrix:end ID -->`` markers.  Because every cell builds
-its own engine/RNG universe from one fixed seed, regenerating a table
-is byte-identical for any ``--jobs`` value — which is what lets CI
-*check* the committed tables instead of trusting them.
+A table is an :class:`~repro.harness.experiments.Entry` like any paper
+figure: its points are :class:`~repro.matrix.runner.Cell` values (one
+device × workload × scenario grid, always at the matrix preset and seed),
+and its reducer pivots their metrics into rows with one column group per
+device, which :mod:`repro.matrix.render` turns into the markdown tables
+embedded in ``EXPERIMENTS.md`` between ``<!-- matrix:begin ID -->`` /
+``<!-- matrix:end ID -->`` markers.  Because every cell builds its own
+engine/RNG universe from one fixed seed, regenerating a table is
+byte-identical for any ``--jobs`` value — which is what lets CI *check*
+the committed tables instead of trusting them.
 
 Tables registered here:
 
@@ -18,317 +20,103 @@ Tables registered here:
   path degrades: clean, a latency-spike storm, and a stall window.
 * ``serving-failover`` — the replicated serving tier's tenant SLOs on
   each device while a shard group's leader crashes or is partitioned
-  away mid-traffic (cells run through the
-  :class:`~repro.dst.ServingDstRun` harness, so every cell also enforces
-  the no-loss / read-your-writes / no-hang invariants).
+  away mid-traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.faults import (
-    CRASH,
-    LATENCY_SPIKE,
-    PARTITION,
-    STALL,
-    FaultSchedule,
-    FaultSpec,
-)
-from repro.harness.presets import TINY, ScalePreset
-from repro.sim.units import ms, seconds, us
+from repro.harness.experiments import Entry
+from repro.matrix.runner import SCENARIOS, SERVING, Cell
 from repro.workloads.ycsb import MATRIX_WORKLOADS
-
-#: One fixed seed for every cell: the matrix is a regression surface,
-#: not a sweep, so one deterministic universe per cell is the point.
-MATRIX_SEED = 1
 
 #: The paper's three device classes, in the paper's slow-to-fast order.
 DEVICES: Tuple[str, ...] = ("sata-flash", "pcie-flash", "xpoint")
 
-#: The matrix runs at a reduced copy of the ``tiny`` preset: same data
-#: shape and cache ratios, shorter horizon (cells are grid points, not
-#: timelines — a few flush/compaction cycles suffice).
-MATRIX_PRESET: ScalePreset = ScalePreset(
-    name="matrix",
-    key_count=TINY.key_count,
-    value_size=TINY.value_size,
-    duration_ns=seconds(0.4),
-    processes=TINY.processes,
-    write_buffer_size=TINY.write_buffer_size,
-    max_bytes_for_level_base=TINY.max_bytes_for_level_base,
-    target_file_size_base=TINY.target_file_size_base,
-    page_cache_bytes=TINY.page_cache_bytes,
-    block_cache_bytes=TINY.block_cache_bytes,
-)
+#: One column group entry: its header and how a cell's metrics render.
+Metric = Tuple[str, Callable[[Dict[str, float]], str]]
 
 
-@dataclass(frozen=True)
-class FaultScenario:
-    """One named degradation of the device path, sized by run fractions.
-
-    ``window`` is a fraction pair of the cell's duration; ``kind`` is a
-    non-error device fault (``latency_spike``/``stall``) or ``""`` for
-    the clean baseline.  Only non-error kinds are allowed: the YCSB
-    clients model the paper's measurement path, which never sees I/O
-    *errors* — error storms belong to the DST/fuzz harnesses.
-    """
-
-    name: str
-    label: str
-    kind: str = ""
-    window: Tuple[float, float] = (0.0, 0.0)
-    extra_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("", LATENCY_SPIKE, STALL):
-            raise WorkloadError(
-                f"scenario {self.name!r}: kind must be clean/latency_spike/stall, "
-                f"got {self.kind!r}"
-            )
-        lo, hi = self.window
-        if self.kind and not 0.0 <= lo < hi <= 1.0:
-            raise WorkloadError(
-                f"scenario {self.name!r}: window {self.window} is not a "
-                "fraction interval"
-            )
-        if self.kind and self.extra_ns <= 0:
-            raise WorkloadError(f"scenario {self.name!r} needs extra_ns > 0")
-
-    def schedule(self, duration_ns: int) -> FaultSchedule:
-        """The concrete schedule for one cell of ``duration_ns``."""
-        schedule = FaultSchedule()
-        if self.kind:
-            lo, hi = self.window
-            schedule.add(
-                FaultSpec(
-                    self.kind,
-                    at_time=int(duration_ns * lo),
-                    until_time=int(duration_ns * hi),
-                    count=10**9,  # every matching op inside the window
-                    extra_ns=self.extra_ns,
-                )
-            )
-        return schedule
+def _fmt(value: float) -> str:
+    """Metric formatting: integral counts bare, everything else 1-dp."""
+    if value == int(value):
+        return str(int(value))
+    return f"{value:.1f}"
 
 
-CLEAN = FaultScenario("clean", "clean")
-IO_SPIKES = FaultScenario(
-    "io-spikes",
-    "latency spikes (+400 µs, 30–70 %)",
-    kind=LATENCY_SPIKE,
-    window=(0.30, 0.70),
-    extra_ns=us(400),
-)
-STALLS = FaultScenario(
-    "stalls",
-    "I/O stalls (+4 ms, 30–70 %)",
-    kind=STALL,
-    window=(0.30, 0.70),
-    extra_ns=ms(4),
-)
-
-SCENARIOS: Dict[str, FaultScenario] = {
-    s.name: s for s in (CLEAN, IO_SPIKES, STALLS)
-}
+def _metric(header: str, key: str) -> Metric:
+    return header, lambda r: _fmt(r[key])
 
 
-@dataclass(frozen=True)
-class ServingScenario:
-    """One failover scenario for the resilient serving tier.
+def _table(
+    table_id: str,
+    title: str,
+    row_header: str,
+    rows: Sequence[Tuple[str, str, str]],
+    metrics: Sequence[Metric],
+) -> Entry:
+    """A table entry: one row per ``(label, workload, scenario)``, one
+    column per device × metric."""
+    columns = (row_header,) + tuple(
+        f"{device} {header}" for device in DEVICES for header, _ in metrics
+    )
 
-    ``kind`` names what happens to shard group 0's initial leader
-    (global node 0): nothing (``steady``), a crash (``leader-crash``) or
-    a partition isolating it (``leader-partition``).  ``window`` is a
-    fraction pair of the cell's duration — a crash fires at the window
-    start (the harness draws the deterministic restart), a partition
-    spans the window.
-    """
+    def points(preset, seed):
+        return {
+            (label, device): Cell(device, workload, scenario)
+            for label, workload, scenario in rows
+            for device in DEVICES
+        }
 
-    name: str
-    label: str
-    kind: str = "steady"
-    window: Tuple[float, float] = (0.0, 0.0)
+    def reduce(res, runs):
+        for label, _, _ in rows:
+            row = {row_header: label}
+            for device in DEVICES:
+                for header, render in metrics:
+                    row[f"{device} {header}"] = render(runs[(label, device)])
+            res.add_row(**row)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("steady", "leader-crash", "leader-partition"):
-            raise WorkloadError(
-                f"serving scenario {self.name!r}: kind must be "
-                f"steady/leader-crash/leader-partition, got {self.kind!r}"
-            )
-        lo, hi = self.window
-        if self.kind != "steady" and not 0.0 <= lo < hi <= 1.0:
-            raise WorkloadError(
-                f"serving scenario {self.name!r}: window {self.window} is "
-                "not a fraction interval"
-            )
-
-    def schedule(self, duration_ns: int) -> Optional[FaultSchedule]:
-        """The explicit chaos schedule for one cell, ``None`` for steady."""
-        if self.kind == "steady":
-            return None
-        lo, hi = self.window
-        if self.kind == "leader-crash":
-            return FaultSchedule(
-                [FaultSpec(CRASH, at_time=int(duration_ns * lo), node=0)]
-            )
-        return FaultSchedule(
-            [
-                FaultSpec(
-                    PARTITION,
-                    at_time=int(duration_ns * lo),
-                    until_time=int(duration_ns * hi),
-                    nodes=(0,),
-                )
-            ]
-        )
+    return Entry(table_id, title, columns, points, reduce)
 
 
-SERVING_STEADY = ServingScenario("steady", "steady state")
-SERVING_LEADER_CRASH = ServingScenario(
-    "leader-crash",
-    "leader crash (at 40 %)",
-    kind="leader-crash",
-    window=(0.40, 1.0),
-)
-SERVING_LEADER_PARTITION = ServingScenario(
-    "leader-partition",
-    "leader partitioned (30–60 %)",
-    kind="leader-partition",
-    window=(0.30, 0.60),
-)
+KOPS = _metric("kops", "kops")
 
-SERVING_SCENARIOS: Dict[str, ServingScenario] = {
-    s.name: s
-    for s in (SERVING_STEADY, SERVING_LEADER_CRASH, SERVING_LEADER_PARTITION)
-}
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One grid point, resolvable by workers from the registry alone."""
-
-    table_id: str
-    device: str
-    workload: str
-    scenario: str
-
-    def __post_init__(self) -> None:
-        if self.workload not in MATRIX_WORKLOADS:
-            raise WorkloadError(
-                f"unknown matrix workload {self.workload!r} "
-                f"(choose from {sorted(MATRIX_WORKLOADS)})"
-            )
-        if self.scenario not in SCENARIOS:
-            raise WorkloadError(
-                f"unknown fault scenario {self.scenario!r} "
-                f"(choose from {sorted(SCENARIOS)})"
-            )
+TABLES: Dict[str, Entry] = {t.exp_id: t for t in (
+    _table(
+        "ycsb-devices",
+        "YCSB core + extended mixes across the paper's device classes",
+        "Workload",
+        [(workload, workload, "clean") for workload in MATRIX_WORKLOADS],
+        (KOPS, _metric("p99 µs", "p99_us")),
+    ),
+    _table(
+        "fault-grid",
+        "Workload A under device-path degradation",
+        "Scenario",
+        [(SCENARIOS[s].label, "A", s) for s in ("clean", "io-spikes", "stalls")],
+        (KOPS, _metric("p99 µs", "p99_us"), _metric("faults", "faults")),
+    ),
+    _table(
+        "serving-failover",
+        "Resilient serving tier: tenant SLOs across failover scenarios",
+        "Scenario",
+        [
+            (SCENARIOS[s].label, SERVING, s)
+            for s in ("steady", "leader-crash", "leader-partition")
+        ],
+        (
+            KOPS,
+            _metric("worst p99 µs", "p99_us"),
+            ("SLO", lambda r: f"{int(r['slo_met'])}/{int(r['tenants'])}"),
+            _metric("shed", "shed"),
+        ),
+    ),
+)}
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    """One registered table: a grid plus how to pivot it into markdown."""
-
-    table_id: str
-    title: str
-    devices: Tuple[str, ...]
-    workloads: Tuple[str, ...]
-    scenarios: Tuple[str, ...] = ("clean",)
-    #: ``workload`` rows × device columns, or ``scenario`` rows.
-    rows: str = "workload"
-
-    def __post_init__(self) -> None:
-        if self.rows not in ("workload", "scenario"):
-            raise WorkloadError(f"rows must be workload|scenario, not {self.rows!r}")
-
-    def cells(self) -> Tuple[CellSpec, ...]:
-        """Row-major cell order — also the execution and merge order."""
-        out = []
-        if self.rows == "workload":
-            for workload in self.workloads:
-                for device in self.devices:
-                    for scenario in self.scenarios:
-                        out.append(
-                            CellSpec(self.table_id, device, workload, scenario)
-                        )
-        else:
-            for scenario in self.scenarios:
-                for device in self.devices:
-                    for workload in self.workloads:
-                        out.append(
-                            CellSpec(self.table_id, device, workload, scenario)
-                        )
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class ServingCellSpec:
-    """One serving-tier grid point: a device under one failover scenario."""
-
-    table_id: str
-    device: str
-    scenario: str
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SERVING_SCENARIOS:
-            raise WorkloadError(
-                f"unknown serving scenario {self.scenario!r} "
-                f"(choose from {sorted(SERVING_SCENARIOS)})"
-            )
-
-
-@dataclass(frozen=True)
-class ServingTableSpec:
-    """A serving-tier table: failover-scenario rows × device columns."""
-
-    table_id: str
-    title: str
-    devices: Tuple[str, ...]
-    scenarios: Tuple[str, ...]
-
-    def cells(self) -> Tuple[ServingCellSpec, ...]:
-        """Row-major cell order — also the execution and merge order."""
-        return tuple(
-            ServingCellSpec(self.table_id, device, scenario)
-            for scenario in self.scenarios
-            for device in self.devices
-        )
-
-
-YCSB_DEVICES = TableSpec(
-    table_id="ycsb-devices",
-    title="YCSB core + extended mixes across the paper's device classes",
-    devices=DEVICES,
-    workloads=tuple(MATRIX_WORKLOADS),
-    scenarios=("clean",),
-    rows="workload",
-)
-
-FAULT_GRID = TableSpec(
-    table_id="fault-grid",
-    title="Workload A under device-path degradation",
-    devices=DEVICES,
-    workloads=("A",),
-    scenarios=("clean", "io-spikes", "stalls"),
-    rows="scenario",
-)
-
-SERVING_FAILOVER = ServingTableSpec(
-    table_id="serving-failover",
-    title="Resilient serving tier: tenant SLOs across failover scenarios",
-    devices=DEVICES,
-    scenarios=("steady", "leader-crash", "leader-partition"),
-)
-
-TABLES: Dict[str, TableSpec] = {
-    t.table_id: t for t in (YCSB_DEVICES, FAULT_GRID, SERVING_FAILOVER)
-}
-
-
-def table_by_id(table_id: str) -> TableSpec:
+def table_by_id(table_id: str) -> Entry:
     try:
         return TABLES[table_id]
     except KeyError:

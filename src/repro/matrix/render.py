@@ -1,26 +1,19 @@
 """Markdown rendering and ``EXPERIMENTS.md`` block injection.
 
-Each registered table renders to a deterministic markdown block wrapped
-in ``<!-- matrix:begin ID -->`` / ``<!-- matrix:end ID -->`` markers.
-``inject_block`` splices a rendered block into a document, replacing
-whatever sits between its markers; ``extract_block`` reads the current
-contents back out, which is how check mode compares the committed table
-against a fresh run byte-for-byte.
+A table's :class:`~repro.harness.report.ExperimentResult` renders to a
+deterministic markdown block wrapped in ``<!-- matrix:begin ID -->`` /
+``<!-- matrix:end ID -->`` markers.  ``inject_block`` splices a rendered
+block into a document, replacing whatever sits between its markers;
+``extract_block`` reads the current contents back out, which is how check
+mode compares the committed table against a fresh run byte-for-byte.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Iterable, Tuple
 
 from repro.errors import WorkloadError
-from repro.matrix.registry import (
-    SCENARIOS,
-    SERVING_SCENARIOS,
-    CellSpec,
-    ServingCellSpec,
-    ServingTableSpec,
-    TableSpec,
-)
+from repro.harness.report import ExperimentResult
 
 
 def begin_marker(table_id: str) -> str:
@@ -31,115 +24,43 @@ def end_marker(table_id: str) -> str:
     return f"<!-- matrix:end {table_id} -->"
 
 
-def _fmt(value: float) -> str:
-    """Metric formatting: integral counts bare, everything else 1-dp."""
-    if value == int(value):
-        return str(int(value))
-    return f"{value:.1f}"
+def render_block(res: ExperimentResult) -> str:
+    """One table's markdown block over its rows, markers included (no
+    trailing newline)."""
+
+    def line(cells: Iterable[str]) -> str:
+        return "| " + " | ".join(cells) + " |"
+
+    return "\n".join([
+        begin_marker(res.exp_id),
+        f"**{res.title}** (`{res.exp_id}`)",
+        "",
+        line(res.columns),
+        "|" + "---|" * len(res.columns),
+        *(line(str(row[c]) for c in res.columns) for row in res.rows),
+        end_marker(res.exp_id),
+    ])
 
 
-def _render_serving_table(
-    table: ServingTableSpec,
-    cells: Sequence[ServingCellSpec],
-    results: Sequence[Dict[str, float]],
-) -> str:
-    by_cell = {c: r for c, r in zip(cells, results)}
-    lines: List[str] = [begin_marker(table.table_id)]
-    lines.append(f"**{table.title}** (`{table.table_id}`)")
-    lines.append("")
-    head = ["Scenario"]
-    for device in table.devices:
-        head += [
-            f"{device} kops",
-            f"{device} worst p99 µs",
-            f"{device} SLO",
-            f"{device} shed",
-        ]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    for scenario in table.scenarios:
-        row = [SERVING_SCENARIOS[scenario].label]
-        for device in table.devices:
-            r = by_cell[ServingCellSpec(table.table_id, device, scenario)]
-            row += [
-                _fmt(r["kops"]),
-                _fmt(r["p99_us"]),
-                f"{int(r['slo_met'])}/{int(r['tenants'])}",
-                _fmt(r["shed"]),
-            ]
-        lines.append("| " + " | ".join(row) + " |")
-    lines.append(end_marker(table.table_id))
-    return "\n".join(lines)
-
-
-def render_table(
-    table: TableSpec,
-    cells: Sequence[CellSpec],
-    results: Sequence[Dict[str, float]],
-) -> str:
-    """One table's markdown block, markers included (no trailing newline)."""
-    if len(cells) != len(results):
-        raise WorkloadError(
-            f"{table.table_id}: {len(cells)} cells but {len(results)} results"
-        )
-    if isinstance(table, ServingTableSpec):
-        return _render_serving_table(table, cells, results)
-    by_cell = {c: r for c, r in zip(cells, results)}
-
-    lines: List[str] = [begin_marker(table.table_id)]
-    lines.append(f"**{table.title}** (`{table.table_id}`)")
-    lines.append("")
-    if table.rows == "workload":
-        head = ["Workload"]
-        for device in table.devices:
-            head += [f"{device} kops", f"{device} p99 µs"]
-        lines.append("| " + " | ".join(head) + " |")
-        lines.append("|" + "---|" * len(head))
-        scenario = table.scenarios[0]
-        for workload in table.workloads:
-            row = [workload]
-            for device in table.devices:
-                r = by_cell[CellSpec(table.table_id, device, workload, scenario)]
-                row += [_fmt(r["kops"]), _fmt(r["p99_us"])]
-            lines.append("| " + " | ".join(row) + " |")
-    else:
-        head = ["Scenario"]
-        for device in table.devices:
-            head += [f"{device} kops", f"{device} p99 µs", f"{device} faults"]
-        lines.append("| " + " | ".join(head) + " |")
-        lines.append("|" + "---|" * len(head))
-        workload = table.workloads[0]
-        for scenario in table.scenarios:
-            row = [SCENARIOS[scenario].label]
-            for device in table.devices:
-                r = by_cell[CellSpec(table.table_id, device, workload, scenario)]
-                row += [_fmt(r["kops"]), _fmt(r["p99_us"]), _fmt(r["faults"])]
-            lines.append("| " + " | ".join(row) + " |")
-    lines.append(end_marker(table.table_id))
-    return "\n".join(lines)
-
-
-def extract_block(text: str, table_id: str) -> str:
-    """The current block for ``table_id`` in ``text`` (markers included)."""
+def _span(text: str, table_id: str) -> Tuple[int, int]:
+    """Where ``table_id``'s block sits in ``text``, markers included."""
     begin, end = begin_marker(table_id), end_marker(table_id)
     try:
         start = text.index(begin)
-        stop = text.index(end, start) + len(end)
+        return start, text.index(end, start) + len(end)
     except ValueError:
         raise WorkloadError(
             f"no matrix markers for {table_id!r} in the document"
         ) from None
+
+
+def extract_block(text: str, table_id: str) -> str:
+    """The current block for ``table_id`` in ``text`` (markers included)."""
+    start, stop = _span(text, table_id)
     return text[start:stop]
 
 
 def inject_block(text: str, table_id: str, block: str) -> str:
     """Replace the block between ``table_id``'s markers with ``block``."""
-    begin, end = begin_marker(table_id), end_marker(table_id)
-    try:
-        start = text.index(begin)
-        stop = text.index(end, start) + len(end)
-    except ValueError:
-        raise WorkloadError(
-            f"no matrix markers for {table_id!r} in the document"
-        ) from None
+    start, stop = _span(text, table_id)
     return text[:start] + block + text[stop:]

@@ -70,35 +70,34 @@ class ValueSpec:
         return benchmark_value(key_index, self.size, version)
 
 
+@dataclass(frozen=True)
 class BurstSchedule:
     """Time-varying write fraction (case study A's periodic write bursts).
 
     The paper's Figure 18 workload: a 1:1 baseline with a write burst
-    (R/W 1:9) lasting ``burst_ns`` out of every ``period_ns``.
+    (R/W 1:9) lasting ``burst_ns`` out of every ``period_ns``.  A value:
+    schedules with equal fields are equal.
     """
 
-    def __init__(
-        self,
-        base_write_fraction: float,
-        burst_write_fraction: float,
-        period_ns: int,
-        burst_ns: int,
-    ) -> None:
-        if period_ns <= 0 or not 0 < burst_ns <= period_ns:
+    base_write_fraction: float
+    burst_write_fraction: float
+    period_ns: int
+    burst_ns: int
+
+    def __post_init__(self) -> None:
+        if self.period_ns <= 0 or not 0 < self.burst_ns <= self.period_ns:
             raise WorkloadError(
-                f"invalid burst schedule: period={period_ns}, burst={burst_ns}"
+                f"invalid burst schedule: period={self.period_ns}, burst={self.burst_ns}"
             )
-        for frac in (base_write_fraction, burst_write_fraction):
+        for frac in (self.base_write_fraction, self.burst_write_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise WorkloadError(f"write fraction out of [0,1]: {frac}")
-        self.base = base_write_fraction
-        self.burst = burst_write_fraction
-        self.period_ns = period_ns
-        self.burst_ns = burst_ns
 
     def write_fraction_at(self, now: int) -> float:
         phase = now % self.period_ns
-        return self.burst if phase < self.burst_ns else self.base
+        if phase < self.burst_ns:
+            return self.burst_write_fraction
+        return self.base_write_fraction
 
     def in_burst(self, now: int) -> bool:
         return (now % self.period_ns) < self.burst_ns

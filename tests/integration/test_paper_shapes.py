@@ -9,8 +9,7 @@ themselves.
 import pytest
 
 from repro.core.bottlenecks import near_stop_fraction
-from repro.core.two_stage_throttle import TwoStageWriteController
-from repro.harness.experiments import run_workload
+from repro.harness.experiments import WorkloadPoint, run_points, run_workload
 from repro.harness.presets import TINY
 from repro.sim.units import seconds
 from repro.workloads.generators import BurstSchedule
@@ -20,8 +19,10 @@ DUR = seconds(0.8)
 
 
 def run(device, wf, **kwargs):
+    """One run through the registry's memo: equal points run once."""
     kwargs.setdefault("duration_ns", DUR)
-    return run_workload(device, TINY, write_fraction=wf, seed=SEED, **kwargs)
+    (done,) = run_points([WorkloadPoint(device, TINY, wf, seed=SEED, **kwargs)])
+    return done
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +81,16 @@ class TestThrottling:
         duration = seconds(3.0)
         schedule = BurstSchedule(0.5, 1.0, period_ns=seconds(1.0), burst_ns=seconds(0.5))
 
-        def burst_run(factory):
-            art = run_workload(
-                "xpoint", TINY, write_fraction=0.5, seed=SEED,
-                duration_ns=duration, schedule=schedule,
-                controller_factory=factory, warmup_fraction=0.05,
-            )
+        def burst_run(controller):
+            art = run_workload(WorkloadPoint(
+                "xpoint", TINY, 0.5, seed=SEED, duration_ns=duration,
+                schedule=schedule, controller=controller, warmup_fraction=0.05,
+            ))
             series = art.result.timeline.series(0, duration)
             return art, series
 
-        original, orig_series = burst_run(None)
-        twostage, ts_series = burst_run(
-            lambda engine, opts: TwoStageWriteController(engine, opts)
-        )
+        original, orig_series = burst_run("")
+        twostage, ts_series = burst_run("two-stage")
         orig_frac = near_stop_fraction(orig_series, threshold_ops=10_000)
         ts_frac = near_stop_fraction(ts_series, threshold_ops=10_000)
         assert ts_frac <= orig_frac

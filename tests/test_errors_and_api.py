@@ -107,22 +107,30 @@ class TestCli:
             main(["model1", "--preset", "huge"])
 
 
+CLI_ERRORS = [
+    ({}, ["repro.serving", "--cache-mb", "0"]),
+    ({}, ["repro.serving", "--users", "0"]),
+    ({}, ["repro.serving", "--resilient", "--replicas", "1"]),
+    ({}, ["repro.harness", "fig03", "--preset", "nope"]),
+    ({}, ["repro.matrix", "--only", "nope"]),
+    ({}, ["repro.dst", "--replay", "/nonexistent.json"]),
+    ({}, ["repro.fuzz", "--replay", "/nonexistent.json"]),
+    ({}, ["repro.dst", "--replay", "TRUNCATED"]),
+    ({}, ["repro.fuzz", "--replay", "TRUNCATED"]),
+] + [
+    ({"REPRO_BENCH_SECONDS": value}, ["repro.harness", "fig07", "--preset", "tiny"])
+    for value in ("abc", "nan", "inf", "0")
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "env, argv",
     [
-        ["repro.serving", "--cache-mb", "0"],
-        ["repro.serving", "--users", "0"],
-        ["repro.serving", "--resilient", "--replicas", "1"],
-        ["repro.harness", "fig03", "--preset", "nope"],
-        ["repro.matrix", "--only", "nope"],
-        ["repro.dst", "--replay", "/nonexistent.json"],
-        ["repro.fuzz", "--replay", "/nonexistent.json"],
-        ["repro.dst", "--replay", "TRUNCATED"],
-        ["repro.fuzz", "--replay", "TRUNCATED"],
+        pytest.param(env, argv, id=" ".join([f"{k}={v}" for k, v in env.items()] + argv))
+        for env, argv in CLI_ERRORS
     ],
-    ids=lambda argv: " ".join(argv),
 )
-def test_cli_errors_exit_2_with_one_line(argv, tmp_path):
+def test_cli_errors_exit_2_with_one_line(env, argv, tmp_path):
     """The :func:`repro.errors.run_cli` contract, through every entry point."""
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"trunc')
@@ -130,7 +138,7 @@ def test_cli_errors_exit_2_with_one_line(argv, tmp_path):
     src = os.path.dirname(os.path.dirname(repro.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", *argv],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **env},
         capture_output=True,
         text=True,
         timeout=120,

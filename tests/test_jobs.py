@@ -110,14 +110,10 @@ def test_harness_run_points_parallel_matches_serial():
         )
         for device in ("sata-flash", "xpoint")
     ]
-    old = ex.get_jobs()
-    try:
-        ex.set_jobs(1)
-        serial = ex.run_points(points)
-        ex.set_jobs(2)
-        parallel = ex.run_points(points)
-    finally:
-        ex.set_jobs(old)
+    ex.clear_memo()  # both sweeps must run, not recall each other
+    serial = ex.run_points(points, jobs=1)
+    ex.clear_memo()
+    parallel = ex.run_points(points, jobs=2)
     assert len(serial) == len(parallel) == 2
     for s, p in zip(serial, parallel):
         assert p.result.ops == s.result.ops
@@ -137,4 +133,4 @@ def test_unknown_controller_name_fails_fast():
         controller="definitely-not-registered",
     )
     with pytest.raises((KeyError, SimulationError)):
-        ex.run_point(point)
+        point.run()
