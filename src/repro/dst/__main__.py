@@ -82,8 +82,9 @@ def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
     One table serves every mode: ``make_config`` applies a flag where
     the mode's config has its field (``--nodes`` means nothing to a
-    storm).  ``--ops`` / ``--keys`` left at the parser default are
-    dropped, so each mode keeps its own default size.
+    storm).  ``--ops`` / ``--keys`` / ``--max-faults`` left at the parser
+    default are dropped, so each mode keeps its own default, and
+    ``--seed N`` runs what the mode's ``Run(N)`` runs.
     """
     flags = {
         "num_ops": args.ops,
@@ -100,6 +101,8 @@ def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         del flags["num_ops"]
     if args.keys == parser.get_default("keys"):
         del flags["num_keys"], flags["key_count"]
+    if args.max_faults == parser.get_default("max_faults"):
+        del flags["max_faults"]
     if args.replay:
         flags["schedule"] = FaultSchedule.from_file(args.replay)
     return flags
@@ -216,7 +219,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str)
     return 1 if failures else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dst",
         description="Deterministic crash-consistency testing of the simulated LSM stack.",
@@ -231,7 +234,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-faults", action="store_true", help="clean run: no faults, power cut at end"
     )
     parser.add_argument(
-        "--max-faults", type=int, default=5, help="max random fault specs per run"
+        "--max-faults",
+        type=int,
+        default=5,
+        help="max random fault specs per run (default: the mode's own, 4 for --cluster, else 5)",
     )
     parser.add_argument(
         "--replay", metavar="FILE", help="run a saved fault schedule (JSON) instead of a random one"
@@ -289,6 +295,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="worker processes for seed sweeps (default: $REPRO_JOBS or 1); "
         "output is byte-identical for any value",
     )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     chosen = [m for m in ("storm", "cluster", "serving") if getattr(args, m)]

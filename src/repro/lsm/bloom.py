@@ -36,11 +36,14 @@ class BloomFilter:
         self.k = max(1, min(30, int(bits_per_key * 0.69)))
         nbits = max(64, len(keys) * bits_per_key)
         self.nbits = nbits
-        bits = 0
+        # Bit p is bit (p & 7) of byte p >> 3: setting or testing one touches
+        # one byte, where shifts of one big int copy the whole filter.
+        bits = bytearray((nbits + 7) >> 3)
         for key in keys:
             h1, h2 = _hash_pair(key)
             for i in range(self.k):
-                bits |= 1 << ((h1 + i * h2) % nbits)
+                p = (h1 + i * h2) % nbits
+                bits[p >> 3] |= 1 << (p & 7)
         self._bits = bits
         self.key_count = len(keys)
 
@@ -50,7 +53,8 @@ class BloomFilter:
         bits = self._bits
         nbits = self.nbits
         for i in range(self.k):
-            if not (bits >> ((h1 + i * h2) % nbits)) & 1:
+            p = (h1 + i * h2) % nbits
+            if not bits[p >> 3] >> (p & 7) & 1:
                 return False
         return True
 

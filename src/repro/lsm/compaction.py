@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter, ne, not_
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import DBError
-from repro.lsm.format import KIND_DELETE, Entry
+from repro.lsm.format import KIND_DELETE, KIND_PUT
 from repro.lsm.io_retry import retry_call, retry_gen
-from repro.lsm.sst import SSTable, cumulative_sizes
+from repro.lsm.sst import EntryColumns, SSTable, gather
 from repro.lsm.version import FileMetadata, Version, VersionEdit, VersionSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -147,19 +147,20 @@ class CompactionPicker:
 def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int):
     """Merge the input tables as whole runs, at C speed.
 
-    Returns ``(keys, entries, counted, unshadowed, read_at, reads)``.  The
-    output ``keys``/``entries`` are what a k-way merge (by key, newest
-    sequence first within one key) leaves after dropping shadowed entries
-    and, with ``drop_tombstones``, tombstones.  Output entry ``o`` is the
-    ``counted[o]``-th of the ``unshadowed`` entries, and read-ahead request
-    ``reads[r]`` is queued by the time the merge reaches output entry
-    ``read_at[r]`` (see :func:`_read_schedule`).
+    Returns ``(keys, columns, counted, unshadowed, read_at, reads)``.  The
+    output ``keys`` and :class:`~repro.lsm.sst.EntryColumns` are what a k-way
+    merge (by key, newest sequence first within one key) leaves after dropping
+    shadowed entries and, with ``drop_tombstones``, tombstones; every column
+    is gathered from the inputs' (no entry is built, no size recomputed).
+    Output entry ``o`` is the ``counted[o]``-th of the ``unshadowed``
+    entries, and read-ahead request ``reads[r]`` is queued by the time the
+    merge reaches output entry ``read_at[r]`` (see :func:`_read_schedule`).
     """
     keys: List[bytes] = []
-    entries: List[Entry] = []
     for meta in inputs:
         keys += meta.sst.keys
-        entries += meta.sst.entries
+    columns = EntryColumns.concat([meta.sst.entries for meta in inputs])
+    seqs = columns.seqs
     n = len(keys)
     # Timsort finds the presorted input runs and merges them; it is stable,
     # so entries of one key come out in input order, to be put right below.
@@ -171,18 +172,21 @@ def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int)
     for pos in compress(range(n), map(not_, fresh)):  # a shadowed entry...
         if pos >= stop:  # ...in a new group [pos - 1, stop) of equal keys
             stop = fresh.index(True, pos)
-            order[pos - 1 : stop] = sorted(order[pos - 1 : stop], key=lambda i: -entries[i][0])
+            group = order[pos - 1 : stop]
+            order[pos - 1 : stop] = sorted(group, key=seqs.__getitem__, reverse=True)
     steps = array("q", compress(range(n), fresh))
     out_keys = list(compress(merged_keys, fresh))
-    out_entries = list(map(entries.__getitem__, compress(order, fresh)))
+    picked = array("q", compress(order, fresh))  # input position of each output entry
     unshadowed = len(out_keys)
     counted = range(1, unshadowed + 1)
-    if drop_tombstones:
-        live = list(map(KIND_DELETE.__ne__, map(itemgetter(1), out_entries)))
-        out_keys, out_entries = list(compress(out_keys, live)), list(compress(out_entries, live))
+    kinds = columns.kinds
+    if drop_tombstones and kinds != KIND_PUT:  # per-entry kinds, or every one a tombstone
+        each = repeat(kinds, unshadowed) if kinds.__class__ is int else gather(kinds, picked)
+        live = list(map(KIND_DELETE.__ne__, each))
+        out_keys, picked = list(compress(out_keys, live)), array("q", compress(picked, live))
         steps, counted = array("q", compress(steps, live)), array("q", compress(counted, live))
     read_at, reads = _read_schedule(inputs, chunk, keys, order, merged_keys, steps)
-    return out_keys, out_entries, counted, unshadowed, read_at, reads
+    return out_keys, columns.take(picked), counted, unshadowed, read_at, reads
 
 
 def _read_schedule(inputs: List[FileMetadata], chunk: int, keys, order, merged_keys, steps):
@@ -299,7 +303,7 @@ class CompactionJob:
         out_keys, out_entries, counted, unshadowed, read_at, reads = _merge_inputs(
             c.all_inputs, self._is_bottommost(), chunk
         )
-        cum = cumulative_sizes(out_keys, out_entries)
+        cum = out_entries.cumulative()
         entries_in = sum(f.sst.entry_count for f in c.all_inputs)
         entries_out = len(out_keys)
 
@@ -324,7 +328,7 @@ class CompactionJob:
             current output, which holds output entries ``start .. stop-1``."""
             nonlocal out_file, start
             sst = SSTable.build(
-                number, out_keys[start:stop], out_entries[start:stop], cum, start,
+                number, out_keys[start:stop], out_entries[start:stop],
                 opts.block_size, opts.bloom_bits_per_key,
             )
             out_file.payload = sst

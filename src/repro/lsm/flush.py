@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import DBError
 from repro.lsm.io_retry import retry_gen
-from repro.lsm.sst import SSTable, cumulative_sizes
+from repro.lsm.sst import EntryColumns, SSTable
 from repro.lsm.version import FileMetadata, VersionEdit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,10 +81,9 @@ class FlushJob:
         # Two passes, so that no (key, entry) pair outlives its step: 2k live
         # tuples per flush are 2k allocations the cyclic collector counts.
         keys = list(map(itemgetter(0), mt.sorted_items()))
-        entries = list(map(itemgetter(1), mt.sorted_items()))
+        columns = EntryColumns.of(keys, list(map(itemgetter(1), mt.sorted_items())))
         sst = SSTable.build(
-            number, keys, entries, cumulative_sizes(keys, entries), 0,
-            db.options.block_size, db.options.bloom_bits_per_key,
+            number, keys, columns, db.options.block_size, db.options.bloom_bits_per_key
         )
 
         path = f"sst/{number:06d}.sst"

@@ -51,9 +51,12 @@ class KeySpace:
         return encode_key(0), encode_key(self.count - 1)
 
 
+VERSION_BITS = 20  # a benchmark value's seed is (key index << VERSION_BITS) | version
+
+
 def benchmark_value(key_index: int, size: int, version: int = 0) -> ValueRef:
     """The benchmark value of one key: ``seed >> 20`` is the key's index."""
-    return ValueRef((key_index << 20) | (version & 0xFFFFF), size)
+    return ValueRef((key_index << VERSION_BITS) | (version & 0xFFFFF), size)
 
 
 @dataclass(frozen=True)

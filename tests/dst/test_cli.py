@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dst import MODES, DstRun
-from repro.dst.__main__ import _seed_worker, main
+from repro.dst.__main__ import _config_flags, _parser, _seed_worker, main
+from repro.dst.core import make_config
 from repro.jobs import imap_points
 from repro.sim.units import ms
 
@@ -16,6 +17,16 @@ SMALL = {
     "cluster": {"num_ops": 60},
     "serving": {"duration_ns": ms(40)},
 }
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_flags_at_their_defaults_are_the_modes_own_config(mode):
+    """``--seed N`` on the CLI runs what ``Run(N)`` runs in Python: a flag
+    left at the parser default leaves the mode's own config default."""
+    parser = _parser()
+    args = parser.parse_args([] if mode == "dst" else [f"--{mode}"])
+    config_cls = MODES[mode][1]
+    assert make_config(config_cls, **_config_flags(parser, args)) == config_cls()
 
 
 class TestSweepWorker:

@@ -7,7 +7,7 @@ Runs are memoized by point value for the whole test run, so tests that need
 an equal run share it.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -148,7 +148,16 @@ def test_fig20_three_configs():
 
 
 def test_fig04_series_and_stats():
-    res = run("fig04")
+    """fig04's points and reduce, on 1-s timelines: the registry's own are at
+    least 4 s long, which the structure checked here does not need."""
+    entry = exp.FIGURES["fig04"]
+    assert all(p.duration_ns >= seconds(4.0) for p in entry.points(TINY, 3).values())
+
+    def short(preset, seed):
+        points = entry.points(preset, seed).items()
+        return {device: replace(point, duration_ns=seconds(1.0)) for device, point in points}
+
+    res = exp.run_experiment(replace(entry, points=short), TINY, seed=3)
     assert set(res.series) == {"sata-flash", "pcie-flash", "xpoint"}
     for row in res.rows:
         assert row["max_kops"] >= row["mean_kops"] >= 0

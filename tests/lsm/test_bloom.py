@@ -71,3 +71,40 @@ def test_deterministic():
     a = BloomFilter(keys, 10)
     b = BloomFilter(keys, 10)
     assert a._bits == b._bits
+
+
+class _BigIntBloom:
+    """The filter as it was first written — every bit in one Python int —
+    kept as the reference the byte-array filter must answer exactly like."""
+
+    def __init__(self, keys, bits_per_key):
+        from repro.lsm.bloom import _hash_pair
+
+        self._hash_pair = _hash_pair
+        self.k = max(1, min(30, int(bits_per_key * 0.69)))
+        self.nbits = max(64, len(keys) * bits_per_key)
+        self.bits = 0
+        for key in keys:
+            h1, h2 = _hash_pair(key)
+            for i in range(self.k):
+                self.bits |= 1 << ((h1 + i * h2) % self.nbits)
+
+    def may_contain(self, key):
+        h1, h2 = self._hash_pair(key)
+        return all((self.bits >> ((h1 + i * h2) % self.nbits)) & 1 for i in range(self.k))
+
+
+@given(
+    keys=st.lists(st.binary(min_size=0, max_size=12), max_size=200, unique=True),
+    probes=st.lists(st.binary(min_size=0, max_size=12), max_size=60),
+    bits_per_key=st.integers(min_value=1, max_value=24),
+)
+def test_byte_array_filter_answers_like_the_big_int_filter(keys, probes, bits_per_key):
+    bloom = BloomFilter(keys, bits_per_key)
+    reference = _BigIntBloom(keys, bits_per_key)
+    assert (bloom.k, bloom.nbits, bloom.approximate_bytes) == (
+        reference.k, reference.nbits, reference.nbits // 8
+    )
+    assert int.from_bytes(bloom._bits, "little") == reference.bits
+    for key in keys + probes:
+        assert bloom.may_contain(key) == reference.may_contain(key)

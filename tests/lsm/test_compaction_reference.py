@@ -24,14 +24,17 @@ from hypothesis import strategies as st
 from repro.errors import IOFaultError
 from repro.fs.filesystem import SimFile, SimFileSystem
 from repro.lsm import compaction as compaction_module
+from repro.lsm import format as format_module
+from repro.lsm import sst as sst_module
 from repro.lsm.compaction import Compaction, CompactionJob
 from repro.lsm.format import KIND_DELETE, KIND_PUT
 from repro.lsm.io_retry import retry_call, retry_gen
-from repro.lsm.sst import SSTBuilder
+from repro.lsm.sst import EntryColumns, SSTBuilder
 from repro.lsm.value import ValueRef
 from repro.lsm.version import FileMetadata, VersionEdit
 from repro.sim.engine import Engine
 from repro.storage.profiles import xpoint_ssd
+from repro.workloads.prefill import prefill_keys
 from tests.conftest import make_db, run_op, tiny_options
 
 
@@ -279,8 +282,11 @@ def run_job(job_class, scenario, fail_append_at=None):
     """Build the scenario's world, run one compaction, return all that is observable."""
     engine = Engine()
     db = make_db(engine, profile=xpoint_ssd(), options=tiny_options(**scenario["options"]))
+    prefilled = scenario.get("prefilled")
+    if prefilled:  # level 1 is prefilled: its tables are entry columns from the start
+        prefill_keys(db, [key(i) for i, _ in prefilled], value_sizes=[size for _, size in prefilled])
     upper = [install(db, 0, rows) for rows in scenario["upper"]]
-    lower = [install(db, 1, rows) for rows in scenario["lower"]]
+    lower = list(db.versions.current.levels[1]) + [install(db, 1, rows) for rows in scenario["lower"]]
     if scenario["deeper"]:
         install(db, 2, scenario["deeper"])  # overlaps: the compaction is not bottommost
     compaction = Compaction(0, 1, upper, lower)
@@ -302,6 +308,7 @@ def run_job(job_class, scenario, fail_append_at=None):
             "spans": [meta.sst.block_span(b) for b in range(meta.sst.block_count)],
             "bytes": (meta.sst.data_bytes, meta.sst.file_bytes, meta.file.size, meta.file.synced_size),
             "largest_seq": meta.sst.largest_seq,
+            "one_size": meta.sst.entries.sizes.__class__ is int,
         }
         for meta in new_files
     ]
@@ -320,13 +327,13 @@ def run_job(job_class, scenario, fail_append_at=None):
     }
 
 
-def rows_strategy(seq_base: int, lo: int = 0, hi: int = 60):
+SIZES = [-1, 0, 0, 10, 100, 700]  # value sizes; -1 = tombstone
+
+
+def rows_strategy(seq_base: int, lo: int = 0, hi: int = 60, sizes=SIZES):
     """One input table: distinct key indices in [lo, hi), each a put or a tombstone."""
     return st.lists(
-        st.tuples(
-            st.integers(min_value=lo, max_value=hi - 1),
-            st.sampled_from([-1, 0, 0, 10, 100, 700]),  # value size; -1 = tombstone
-        ),
+        st.tuples(st.integers(min_value=lo, max_value=hi - 1), st.sampled_from(sizes)),
         min_size=1,
         max_size=40,
         unique_by=lambda row: row[0],
@@ -335,15 +342,32 @@ def rows_strategy(seq_base: int, lo: int = 0, hi: int = 60):
 
 @st.composite
 def scenarios(draw):
-    upper = [draw(rows_strategy(1000 * (n + 1))) for n in range(draw(st.integers(1, 4)))]
-    # Level 1 is sorted and disjoint: two key ranges, older than every L0 table.
-    lower = [
-        draw(rows_strategy(100 * (n + 1), lo, hi))
-        for n, (lo, hi) in enumerate([(0, 30), (30, 60)][: draw(st.integers(0, 2))])
-    ]
+    # One size: every input entry is 6 + 100 + 8 bytes, so the output's sizes
+    # stay one int and its blocks are cut in closed form.
+    one_size = draw(st.booleans())
+    sizes = [100] if one_size else SIZES
+    upper = [draw(rows_strategy(1000 * (n + 1), sizes=sizes)) for n in range(draw(st.integers(1, 4)))]
+    # Level 1 is sorted and disjoint, older than every L0 table: two key
+    # ranges of flushed-style tables, or the prefilled tables of one key set.
+    lower, prefilled = [], []
+    if draw(st.booleans()):
+        prefilled = draw(
+            st.lists(
+                st.tuples(st.integers(0, 59), st.sampled_from([size for size in sizes if size > 0])),
+                min_size=1, max_size=40, unique_by=lambda row: row[0],
+            ).map(sorted)
+        )
+    else:
+        lower = [
+            draw(rows_strategy(100 * (n + 1), lo, hi, sizes))
+            for n, (lo, hi) in enumerate([(0, 30), (30, 60)][: draw(st.integers(0, 2))])
+        ]
     if draw(st.booleans()):  # an input that is shadowed entirely by a newer one
-        upper.append([(i, 9000 + n, 50) for n, (i, _seq, _size) in enumerate(upper[0])])
+        size = 100 if one_size else 50
+        upper.append([(i, 9000 + n, size) for n, (i, _seq, _size) in enumerate(upper[0])])
     return {
+        "one_size": one_size,
+        "prefilled": prefilled,
         "upper": upper,
         "lower": lower,
         "deeper": [(0, 1, 10), (59, 2, 10)] if draw(st.booleans()) else [],
@@ -362,7 +386,10 @@ def scenarios(draw):
 @settings(max_examples=120, deadline=None)
 @given(scenario=scenarios())
 def test_job_equals_per_entry_merge(scenario):
-    assert run_job(CompactionJob, scenario) == run_job(ReferenceCompactionJob, scenario)
+    new = run_job(CompactionJob, scenario)
+    assert new == run_job(ReferenceCompactionJob, scenario)
+    if scenario["one_size"]:
+        assert all(table["one_size"] for table in new["tables"])
 
 
 def big_scenario(**options):
@@ -418,3 +445,49 @@ def test_fault_at_kth_output_append_leaves_the_same_disk(k):
     assert new == ref
     assert new["error"] is not None and new["marked"] == [False] * 6
     assert new["shape"][0] == 4  # nothing was installed
+
+
+def test_one_size_compaction_builds_no_entry(monkeypatch):
+    """Host-independent: a compaction over one-size prefilled and flushed
+    tables gathers their columns.  It constructs no ``ValueRef`` and no entry
+    tuple, and sizes no entry (``entry_file_bytes`` is never called)."""
+    engine = Engine()
+    db = make_db(engine, options=tiny_options(
+        level0_file_num_compaction_trigger=10, max_bytes_for_level_base=1 << 20
+    ))
+    prefill_keys(db, [key(i) for i in range(0, 3000, 2)], value_size=100)
+
+    def flushes():
+        for batch in range(3):
+            for i in range(batch, 3000, 7):
+                yield from db.put(key(i), ValueRef(i, 100))
+            yield from db.flush_all()
+
+    run_op(engine, flushes())
+    assert db.level_shape()[0] >= 3 and db.level_shape()[1] > 1  # flushed and prefilled
+    counts = {"ValueRef": 0, "entry tuple": 0, "entry_file_bytes": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def getitem(self, j, real=EntryColumns.__getitem__):
+        counts["entry tuple"] += j.__class__ is not slice
+        return real(self, j)
+
+    def each(self, real=EntryColumns.__iter__):
+        for entry in real(self):
+            counts["entry tuple"] += 1
+            yield entry
+
+    monkeypatch.setattr(ValueRef, "__init__", counted("ValueRef", ValueRef.__init__))
+    monkeypatch.setattr(EntryColumns, "__getitem__", getitem)
+    monkeypatch.setattr(EntryColumns, "__iter__", each)
+    for module in (format_module, sst_module):
+        monkeypatch.setattr(module, "entry_file_bytes", counted("entry_file_bytes", module.entry_file_bytes))
+    run_op(engine, db.compact_range())
+    assert counts == {"ValueRef": 0, "entry tuple": 0, "entry_file_bytes": 0}
+    assert db.stats.get("compaction.count") >= 1 and db.stats.get("compaction.entries_out") > 1500
+    assert all(meta.sst.entries.sizes == 6 + 100 + 8 for meta in db.versions.current.all_files())
