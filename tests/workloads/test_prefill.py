@@ -114,3 +114,32 @@ def test_deterministic_layout(engine):
         return files, db.level_shape()
 
     assert shape() == shape()
+
+
+def test_same_tables_without_numpy():
+    """The vectorized level assignment builds exactly the pure-Python tables."""
+    import importlib
+    from unittest import mock
+
+    from repro.sim.engine import Engine
+
+    prefill_module = importlib.import_module("repro.workloads.prefill")  # not the function
+
+    def tables():
+        db, _, _ = build(Engine(), keys=5000)
+        return [
+            (level, meta.sst.keys, list(meta.sst.entries), meta.sst.largest_seq, meta.file_bytes)
+            for level, metas in enumerate(db.versions.current.levels)
+            for meta in metas
+        ]
+
+    fast = tables()
+    with mock.patch.object(prefill_module, "_np", None):
+        assert tables() == fast
+    assert len({level for level, *_ in fast}) >= 2
+    # A position whose hash equals a threshold goes to the level above it.
+    tie = [(7 * prefill_module._HASH) & 0xFFFFFFFF]
+    fast = prefill_module._levels(50, tie)
+    with mock.patch.object(prefill_module, "_np", None):
+        assert prefill_module._levels(50, tie) == fast
+    assert 7 in fast[1]
