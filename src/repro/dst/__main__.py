@@ -18,12 +18,13 @@ sweep epilogue.
 from __future__ import annotations
 
 import argparse
+import json
 from typing import List, Optional
 
 from repro.dst import MODES
 from repro.dst.core import RunResult, guarded, make_config
 from repro.dst.storm import STORM_AUTO, STORM_KINDS
-from repro.errors import run_cli
+from repro.errors import FaultConfigError, run_cli
 from repro.faults import FaultSchedule
 from repro.jobs import default_jobs, imap_points
 
@@ -104,8 +105,23 @@ def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if args.max_faults == parser.get_default("max_faults"):
         del flags["max_faults"]
     if args.replay:
-        flags["schedule"] = FaultSchedule.from_file(args.replay)
+        flags["schedule"] = _replay_schedule(args.replay)
     return flags
+
+
+def _replay_schedule(path: str) -> FaultSchedule:
+    """``--replay``'s schedule.  A bare empty list is refused: it would run
+    the seed with every fault dropped and still print PASS.  A run that drew
+    no faults saves the explicit empty form (``core.NO_FAULTS_JSON``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    schedule = FaultSchedule.from_json(text)
+    if not schedule.specs and json.loads(text) == []:
+        raise FaultConfigError(
+            f"{path}: the schedule is an empty list, which runs with no faults; "
+            "use --no-faults for a fault-free run"
+        )
+    return schedule
 
 
 # -- what each mode supplies: its summary line and its sweep epilogue ----------

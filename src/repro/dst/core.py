@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, DBError
 from repro.faults import (
     CRASH,
+    SCHEMA_VERSION,
     FaultInjector,
     FaultSchedule,
     FaultSpec,
@@ -136,6 +138,12 @@ def find_cut(writes: Sequence[Op], observed: Dict[bytes, object], min_cut: int) 
 
 # -- results and guarded construction -----------------------------------------
 
+#: The saved schedule of a run that drew no faults (a space storm,
+#: ``--no-faults``): the explicit v2 form of an empty schedule, so that
+#: ``--replay`` can refuse a bare ``[]``, which would silently run a seed
+#: with every fault dropped.
+NO_FAULTS_JSON = json.dumps({"version": SCHEMA_VERSION, "specs": []}, indent=2)
+
 
 @dataclass(kw_only=True)
 class RunResult:
@@ -226,7 +234,7 @@ class Scenario:
             seed=self.seed,
             ok=reason is None,
             reason=reason or "",
-            schedule_json=self.schedule.to_json(),
+            schedule_json=self.schedule.to_json() if self.schedule.specs else NO_FAULTS_JSON,
             events=self.events,
             **fields,
         )

@@ -190,9 +190,13 @@ class SimFile:
                 transient=False,
             )
         if self.pending_io_error is not None:
-            exc, self.pending_io_error = self.pending_io_error, None
             self.fs.stats.inc("fsync_errors")
-            raise exc
+            # Raised straight from the attribute: a local naming it would
+            # make the traceback, this frame and the error a cycle.
+            try:
+                raise self.pending_io_error
+            finally:
+                self.pending_io_error = None
         if self.size > self.synced_size:
             self.synced_size = self.size
         self.fs.stats.inc("fsyncs")

@@ -175,7 +175,7 @@ def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int)
             group = order[pos - 1 : stop]
             order[pos - 1 : stop] = sorted(group, key=seqs.__getitem__, reverse=True)
     steps = array("q", compress(range(n), fresh))
-    out_keys = list(compress(merged_keys, fresh))
+    out_keys = tuple(compress(merged_keys, fresh))
     picked = array("q", compress(order, fresh))  # input position of each output entry
     unshadowed = len(out_keys)
     counted = range(1, unshadowed + 1)
@@ -183,7 +183,7 @@ def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int)
     if drop_tombstones and kinds != KIND_PUT:  # per-entry kinds, or every one a tombstone
         each = repeat(kinds, unshadowed) if kinds.__class__ is int else gather(kinds, picked)
         live = list(map(KIND_DELETE.__ne__, each))
-        out_keys, picked = list(compress(out_keys, live)), array("q", compress(picked, live))
+        out_keys, picked = tuple(compress(out_keys, live)), array("q", compress(picked, live))
         steps, counted = array("q", compress(steps, live)), array("q", compress(counted, live))
     read_at, reads = _read_schedule(inputs, chunk, keys, order, merged_keys, steps)
     return out_keys, columns.take(picked), counted, unshadowed, read_at, reads

@@ -362,7 +362,6 @@ class DB:
             if len(queues) == 1
             else queues[zlib.crc32(ops[0][1]) % len(queues)]
         )
-        writer.queue = queue
         if queue.join(writer):
             role = ROLE_LEADER
         else:
@@ -430,6 +429,7 @@ class DB:
                 queue.fail_group(group, exc)
                 if isinstance(exc, (IOFaultError, OutOfSpaceError)):
                     self.error_handler.on_background_error("wal", exc)
+                wal_event = None  # failed with exc: it would tie exc to this frame
                 raise
 
             queue.wal_phase_done(group)
@@ -451,7 +451,7 @@ class DB:
             mt.add(key, entry)
         if cpu:
             yield cpu
-        queue.member_done(writer.group)
+        queue.member_done(writer)
         if trace_start >= 0:
             engine.tracer.write_group(trace_start, engine._now, trace_len)
 

@@ -80,7 +80,7 @@ class FlushJob:
         number = db.versions.new_file_number()
         # Two passes, so that no (key, entry) pair outlives its step: 2k live
         # tuples per flush are 2k allocations the cyclic collector counts.
-        keys = list(map(itemgetter(0), mt.sorted_items()))
+        keys = tuple(map(itemgetter(0), mt.sorted_items()))
         columns = EntryColumns.of(keys, list(map(itemgetter(1), mt.sorted_items())))
         sst = SSTable.build(
             number, keys, columns, db.options.block_size, db.options.bloom_bits_per_key

@@ -29,7 +29,7 @@ ROLE_MEMBER = "member"
 class Writer:
     """One queued write (a batch plus its wakeup event)."""
 
-    __slots__ = ("records", "nbytes", "event", "group", "wal_number", "queue")
+    __slots__ = ("records", "nbytes", "event", "group", "wal_number")
 
     def __init__(
         self,
@@ -43,12 +43,13 @@ class Writer:
         # at join time (the common case at low queue depth) never parks on an
         # event, and event construction is observable to nothing else.
         self.event = event
+        # Set by WriteQueue.form_group() and cleared by member_done() or
+        # fail_group(): the group lists its writers, so a link left behind
+        # would make every write a reference cycle only the collector frees.
         self.group: Optional["WriteGroup"] = None
         # WAL file number this writer's records were logged in (set by the
         # group leader; used to keep WAL lifetimes crash-safe).
         self.wal_number = 0
-        # The (possibly sharded) queue this writer joined.
-        self.queue: Optional["WriteQueue"] = None
 
 
 class WriteGroup:
@@ -177,14 +178,21 @@ class WriteQueue:
         for member in group.writers[1:]:
             if not member.event.triggered:
                 member.event.fail(exc)
+            # The member raises ``exc`` with ``writer`` in its frame: a link
+            # to the failed event would close a cycle through the traceback.
+            member.event = None
+        for member in group.writers:
+            member.group = None
         group.pending = 0
         self._promote_next()
 
-    def member_done(self, group: WriteGroup) -> None:
-        """A member finished its memtable insert."""
+    def member_done(self, writer: Writer) -> None:
+        """``writer`` finished its memtable insert: it leaves its group."""
+        group = writer.group
+        if group is None:
+            raise DBError("writer finished outside a write group")
+        writer.group = None
         group.pending -= 1
-        if group.pending < 0:
-            raise DBError("write group finished more members than it has")
         if group.pending == 0 and not self.pipelined:
             self._promote_next()
 

@@ -7,7 +7,7 @@ once the table is open; only **data blocks** cost I/O — which is precisely
 the read path the paper's Level-0 experiments measure (index binary search is
 CPU, then one data-block read to confirm or reject the key).
 
-Content is kept as a key list and aligned entry columns (``keys`` /
+Content is kept as a key tuple and aligned entry columns (``keys`` /
 ``entries``, an :class:`EntryColumns`) attached to the simulated file as its
 payload; byte offsets are modelled so block reads hit the right device ranges.
 """
@@ -184,7 +184,7 @@ class SSTable:
     def __init__(
         self,
         number: int,
-        keys: List[bytes],
+        keys: Tuple[bytes, ...],
         entries: EntryColumns,
         block_first: Sequence[int],
         block_offset: Sequence[int],
@@ -192,12 +192,16 @@ class SSTable:
         largest_seq: int,
         bloom_bits_per_key: int = 0,
     ) -> None:
+        if keys.__class__ is not tuple:
+            raise DBError(f"SST keys must be a tuple, got {type(keys).__name__}")
         if len(keys) != len(entries):
             raise DBError("keys/entries length mismatch")
         if not keys:
             raise DBError("SSTable cannot be empty")
         self.number = number
-        self.keys = keys  # a real list: C bisect over it *is* the index
+        # A tuple: C bisect over it *is* the index, and a tuple of bytes is
+        # untracked at its first collection, so the collector stops walking it.
+        self.keys = keys
         self.entries = entries  # aligned with keys
         self.smallest = keys[0]
         self.largest = keys[-1]
@@ -226,7 +230,7 @@ class SSTable:
     def build(
         cls,
         number: int,
-        keys: List[bytes],
+        keys: Tuple[bytes, ...],
         entries: EntryColumns,
         block_size: int,
         bloom_bits_per_key: int = 0,
@@ -406,6 +410,6 @@ class SSTBuilder:
         if not self._keys:
             raise DBError("cannot finish an empty SSTable")
         return SSTable.build(
-            self.number, self._keys, EntryColumns.of(self._keys, self._entries),
+            self.number, tuple(self._keys), EntryColumns.of(self._keys, self._entries),
             self.block_size, self.bloom_bits_per_key,
         )

@@ -16,6 +16,7 @@ Level invariants (checked by :meth:`Version.check_invariants`):
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DBError, IOFaultError, OutOfSpaceError
@@ -82,6 +83,10 @@ class Version:
         self.levels: List[List[FileMetadata]] = [[] for _ in range(num_levels)]
         # Parallel bisect keys for levels >= 1 (smallest key per file).
         self._level_keys: List[List[bytes]] = [[] for _ in range(num_levels)]
+        # Byte totals, computed once by _finalize() (a Version is immutable
+        # after it): per level, and over L0's i newest files at [i].
+        self._level_bytes: List[int] = [0] * num_levels
+        self._l0_newest_bytes: List[int] = [0]
         self.refs = 0
 
     # -- construction ------------------------------------------------------------
@@ -91,6 +96,8 @@ class Version:
             files = self.levels[level]
             files.sort(key=lambda f: f.smallest)
             self._level_keys[level] = [f.smallest for f in files]
+        self._level_bytes = [sum(f.file_bytes for f in files) for files in self.levels]
+        self._l0_newest_bytes = [0, *accumulate(f.file_bytes for f in self.levels[0])]
 
     def check_invariants(self) -> None:
         """Raise DBError if the level structure is malformed."""
@@ -139,7 +146,7 @@ class Version:
         return out
 
     def level_bytes(self, level: int) -> int:
-        return sum(f.file_bytes for f in self.levels[level])
+        return self._level_bytes[level]
 
     def num_files(self, level: Optional[int] = None) -> int:
         if level is None:
@@ -424,5 +431,5 @@ class VersionSet:
         trigger = self.options.level0_file_num_compaction_trigger
         extra_l0 = len(v.levels[0]) - trigger
         if extra_l0 > 0:
-            debt += sum(f.file_bytes for f in v.levels[0][:extra_l0])
+            debt += v._l0_newest_bytes[extra_l0]
         return debt

@@ -237,6 +237,7 @@ class WalManager:
             yield from retry_gen(f.sync)
         except IOFaultError as exc:
             ev.fail(exc)
+            ev = None  # exc's traceback holds this frame: no link back to exc
             return
         ev.succeed()
 

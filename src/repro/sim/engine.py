@@ -492,6 +492,9 @@ class Engine:
                     ) from crashed._exc
         finally:
             self._running = False
+            # A traceback through this frame keeps its locals alive: drop the
+            # last exception and the last process, or they form a cycle with it.
+            pending_exc = exc = target = None
         return self._now
 
     def peek(self) -> Optional[int]:

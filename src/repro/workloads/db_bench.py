@@ -10,6 +10,7 @@ paper's figures plot.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -114,10 +115,11 @@ class DbBench:
         keyspace = KeySpace(cfg.key_count)
         values = ValueSpec(cfg.value_size)
 
-        buffers: List[Tuple[List[int], List[int], List[int]]] = []
+        # array('q') buffers: 8 B per sample, and nothing for the collector to walk.
+        buffers: List[Tuple[array, array, array]] = []
         for pid in range(cfg.processes):
             rng = RandomStream(cfg.seed, f"db_bench/client{pid}")
-            buf: Tuple[List[int], List[int], List[int]] = ([], [], [])
+            buf = (array("q"), array("q"), array("q"))
             buffers.append(buf)
             engine.process(
                 self._client(
@@ -156,7 +158,7 @@ class DbBench:
         end: int,
         measure_from: int,
         result: BenchResult,
-        buf: Tuple[List[int], List[int], List[int]],
+        buf: Tuple[array, array, array],
     ):
         """One closed-loop client: per op, the read/write draw, then the key.
 

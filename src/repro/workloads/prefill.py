@@ -9,7 +9,7 @@ and installed by one version edit.  The page cache starts cold, as after a
 reboot.  The edit is applied in memory and never logged to MANIFEST: a
 prefilled database does not survive a reopen (ROADMAP item 1).
 
-A prefilled table holds its keys — C ``bisect`` over the key list *is* the
+A prefilled table holds its keys — C ``bisect`` over the key tuple *is* the
 index — and entry columns (:class:`~repro.lsm.sst.EntryColumns`) that are
 mostly constants: its sequence numbers are a ``range``, every kind is a PUT,
 and a value is ``benchmark_value(position, size)``, so the one per-key column
@@ -165,7 +165,7 @@ def _install(
         while start < len(positions):
             # A file closes with the entry that takes it to the target size.
             end = min(len(positions), bisect_left(cum, cum[start] + target))
-            keys = list(map(key_at, positions[start:end]))
+            keys = tuple(map(key_at, positions[start:end]))
             _to_seeds(positions, start, end)
             sst = SSTable.build(
                 db.versions.new_file_number(), keys, run[start:end],

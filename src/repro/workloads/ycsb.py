@@ -16,6 +16,7 @@ Zipfian request distribution:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -229,7 +230,7 @@ class YcsbRunner:
         buffers = []
         for cid in range(self.clients):
             rng = RandomStream(self.seed, f"ycsb/{self.spec.name}/{cid}")
-            buf = ([], [], [])
+            buf = (array("q"), array("q"), array("q"))  # 8 B per sample, untracked
             buffers.append(buf)
             engine.process(
                 self._client(engine, db, rng, chooser, end, result, buf),

@@ -5,6 +5,7 @@ import pytest
 from repro.dst import MODES, DstRun
 from repro.dst.__main__ import _config_flags, _parser, _seed_worker, main
 from repro.dst.core import make_config
+from repro.errors import run_cli
 from repro.jobs import imap_points
 from repro.sim.units import ms
 
@@ -105,3 +106,23 @@ class TestSaveReplay:
             main(flag + ["--seed", "1", "--replay", path])
             replayed = capsys.readouterr().out.splitlines()[0]
             assert replayed.split()[:2] == saved.split()[:2]  # seed=1 PASS
+
+    def test_a_bare_empty_schedule_is_refused(self, tmp_path, capsys):
+        """``--replay`` of ``[]`` would run the seed with every fault dropped
+        and print PASS: it is an ``error:`` line and exit 2.  A run that drew
+        no faults saves the explicit empty form, which still replays."""
+        bare = tmp_path / "bare.json"
+        bare.write_text("[]\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(lambda: main(["--replay", str(bare)]))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "empty list" in captured.err and "Traceback" not in captured.err
+
+        saved = str(tmp_path / "none.json")
+        common = ["--seed", "3", "--ops", "60", "--no-faults"]
+        assert main(common + ["--save", saved]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert main(common + ["--replay", saved]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first

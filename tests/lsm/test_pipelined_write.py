@@ -96,7 +96,7 @@ def test_non_pipelined_promotes_after_members_finish(engine):
     q.join(late)
     q.wal_phase_done(group)
     assert not late.event.triggered  # still waiting for memtable phase
-    q.member_done(group)
+    q.member_done(leader)
     assert late.event.triggered
     assert late.event.value == ROLE_LEADER
 
@@ -116,10 +116,27 @@ def test_member_done_underflow_rejected(engine):
     q = make_queue(engine)
     leader = make_writer(engine)
     q.join(leader)
-    group = q.form_group(leader)
-    q.member_done(group)
+    q.form_group(leader)
+    q.member_done(leader)
+    assert leader.group is None
     with pytest.raises(DBError):
-        q.member_done(group)
+        q.member_done(leader)
+
+
+def test_fail_group_fails_members_and_unlinks_every_writer(engine):
+    """No writer keeps its group (or a member its failed event): either
+    link would make the failed write a reference cycle."""
+    q = make_queue(engine)
+    leader = make_writer(engine)
+    q.join(leader)
+    member = make_writer(engine)
+    q.join(member)
+    event = member.event
+    group = q.form_group(leader)
+    q.fail_group(group, DBError("wal append failed"))
+    assert event.triggered and isinstance(event.exception, DBError)
+    assert leader.group is None and member.group is None and member.event is None
+    assert q.join(make_writer(engine)) is True  # leadership moved on
 
 
 def test_group_accounting(engine):

@@ -94,7 +94,7 @@ class TestBuilder:
         assert sst.data_bytes == b.estimated_bytes == total
 
     def test_builder_and_bulk_constructor_give_equal_tables(self):
-        keys = [b"%08d" % i for i in range(30)]
+        keys = tuple(b"%08d" % i for i in range(30))
         entries = [(i + 5, KIND_PUT, ValueRef(i, 100)) for i in range(30)]
         eager = SSTBuilder(1, 512, 10)
         for key, entry in zip(keys, entries):
@@ -118,7 +118,9 @@ class TestBuilder:
         with pytest.raises(DBError):
             SSTable.build(1, keys[:5], columns, 512)
         with pytest.raises(DBError):
-            SSTable.build(1, [], EntryColumns.of([], []), 512)
+            SSTable.build(1, (), EntryColumns.of([], []), 512)
+        with pytest.raises(DBError):  # one representation: the index is a tuple
+            SSTable.build(1, list(keys), columns, 512)
 
     def test_largest_seq_is_a_running_max(self):
         b = SSTBuilder(1, 1024, 0)
@@ -231,15 +233,15 @@ class TestTable:
         entries = [(1, KIND_PUT, ValueRef(1 << 70, 10)), (2, KIND_PUT, ValueRef(3, 10))]
         columns = EntryColumns.of([b"a", b"b"], entries)
         assert columns.values == [entry[2] for entry in entries] and columns.seeds is None
-        assert SSTable.build(1, [b"a", b"b"], columns, 64).find(b"a") == entries[0]
+        assert SSTable.build(1, (b"a", b"b"), columns, 64).find(b"a") == entries[0]
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(DBError):
-            SSTable(1, [b"a"], EntryColumns.of([], []), [0], [0], 0, 0)
+            SSTable(1, (b"a",), EntryColumns.of([], []), [0], [0], 0, 0)
 
     def test_empty_table_rejected(self):
         with pytest.raises(DBError):
-            SSTable(1, [], EntryColumns.of([], []), [0], [0], 0, 0)
+            SSTable(1, (), EntryColumns.of([], []), [0], [0], 0, 0)
 
 
 @given(
@@ -321,12 +323,12 @@ def test_column_backed_table_equals_tuple_backed_table(run, block_size, bloom):
     kind, keys, entries = run
     first, offset, total = one_shot_cut(list(map(entry_file_bytes, keys, entries)), block_size)
     columns = EntryColumns.of(keys, entries)
-    table = SSTable.build(1, keys, columns, block_size, bloom)
-    reference = SSTable(1, keys, columns, first, offset, total, 0, bloom)  # the one-shot layout
+    table = SSTable.build(1, tuple(keys), columns, block_size, bloom)
+    reference = SSTable(1, tuple(keys), columns, first, offset, total, 0, bloom)  # the one-shot layout
     assert (columns.values is None) == (kind in ("refs", "one-size refs"))  # seeds, not a list
     if kind == "one-size refs":  # one size: the blocks are cut in closed form
         assert columns.sizes.__class__ is int and columns.cumulative().__class__ is range
-    assert table.keys == keys and list(table.items()) == list(zip(keys, entries))
+    assert table.keys == tuple(keys) and list(table.items()) == list(zip(keys, entries))
     ends = offset[1:] + [total]
     assert [table.block_span(b) for b in range(table.block_count)] == [
         (lo, max(1, hi - lo)) for lo, hi in zip(offset, ends)

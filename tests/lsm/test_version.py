@@ -145,9 +145,15 @@ class TestScoresAndRecovery:
     def test_pending_compaction_bytes(self, engine):
         vs, fs = make_vs(engine)
         assert vs.pending_compaction_bytes() == 0
-        for i in range(6):  # 2 above the trigger of 4
-            install(vs, fs, 0, make_sst(vs.new_file_number(), i * 100, 10))
-        assert vs.pending_compaction_bytes() > 0
+        ssts = [make_sst(vs.new_file_number(), i * 100, 10 + i) for i in range(6)]
+        for sst in ssts:  # 2 above the trigger of 4
+            install(vs, fs, 0, sst)
+        # L0 debt is the newest files above the trigger (L0 is newest-first).
+        assert vs.pending_compaction_bytes() == ssts[4].file_bytes + ssts[5].file_bytes
+        assert vs.current.level_bytes(0) == sum(sst.file_bytes for sst in ssts)
+        vs.apply(VersionEdit().delete_file(0, ssts[5].number))
+        assert vs.pending_compaction_bytes() == ssts[4].file_bytes
+        assert vs.current.level_bytes(0) == sum(sst.file_bytes for sst in ssts[:5])
 
     def test_recover_replays_manifest(self, engine):
         vs, fs = make_vs(engine)

@@ -1,5 +1,7 @@
 """Tests for latency histograms, time series, and gauges."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -237,6 +239,24 @@ class TestRecordMany:
             ref.record(t, counts[i] if counts else 1)
         assert dict(ts._buckets) == dict(ref._buckets)
         assert ts.count == ref.count
+
+    @given(
+        samples=st.lists(st.integers(min_value=0, max_value=10 * SEC), max_size=200),
+    )
+    def test_array_input_equals_record_loop(self, samples):
+        """The workloads buffer samples in ``array('q')``: both record_many
+        paths (numpy reads the buffer; REPRO_NO_NUMPY iterates it) leave the
+        state of a ``record`` loop."""
+        hist, ref = LatencyHistogram(), LatencyHistogram()
+        hist.record_many(array("q", samples))
+        for v in samples:
+            ref.record(v)
+        assert _hist_state(hist) == _hist_state(ref)
+        ts, ref_ts = TimeSeries(bucket_ns=SEC // 4), TimeSeries(bucket_ns=SEC // 4)
+        ts.record_many(array("q", samples))
+        for t in samples:
+            ref_ts.record(t)
+        assert dict(ts._buckets) == dict(ref_ts._buckets) and ts.count == ref_ts.count
 
     def test_no_numpy_fallback_identical(self, monkeypatch):
         """REPRO_NO_NUMPY's code path (module-level ``_np = None``) must
