@@ -25,6 +25,7 @@ from operator import itemgetter, ne, not_
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import DBError
+from repro.lsm.flush import BackgroundJob
 from repro.lsm.format import KIND_DELETE, KIND_PUT
 from repro.lsm.io_retry import retry_call, retry_gen
 from repro.lsm.sst import EntryColumns, SSTable, gather
@@ -95,6 +96,13 @@ class CompactionPicker:
                 out.append((score, level))
         out.sort(reverse=True)
         return out
+
+    def needs_compaction(self, versions: VersionSet) -> bool:
+        """True when some level scores >= 1: :meth:`pick` has work to try."""
+        for level in range(self.options.num_levels - 1):
+            if versions.compaction_score(level) >= 1.0:
+                return True
+        return False
 
     def pick(self, versions: VersionSet) -> Optional[Compaction]:
         """Pick the highest-score eligible compaction, or None."""
@@ -219,17 +227,15 @@ def _read_schedule(inputs: List[FileMetadata], chunk: int, keys, order, merged_k
     return read_at, [request for _, request in schedule]
 
 
-class CompactionJob:
-    """Executes one picked compaction inside a background process.
-
-    ``track`` names the trace thread the compaction span is recorded on
-    (the DB passes its worker's track so concurrent jobs don't overlap).
-    """
+class CompactionJob(BackgroundJob):
+    """Executes one picked compaction inside a background process."""
 
     def __init__(self, db: "DB", compaction: Compaction, track: str = "compact") -> None:
-        self.db = db
+        super().__init__(db, track)
         self.compaction = compaction
-        self.track = track
+
+    def _failed(self) -> None:
+        self.compaction.mark(False)  # the picker may retry these inputs
 
     def _read_and_wait(self, requests: List, pending_events: List):
         """Generator: submit input reads (retrying transient faults), then
@@ -262,34 +268,7 @@ class CompactionJob:
                 return False
         return True
 
-    def run(self):
-        """Generator: merge inputs, write outputs, install the edit.
-
-        On failure, partial (uninstalled) output files are deleted and the
-        inputs are un-marked so the picker can retry later.  A failure
-        tagged ``bg_source == "manifest"`` happened *after* the edit was
-        applied: the outputs are live files then and must stay on disk.
-        """
-        c = self.compaction
-        self._created_paths: List[str] = []
-        try:
-            result = yield from self._merge_and_install()
-            return result
-        except GeneratorExit:
-            # The job was abandoned (simulation teardown), not failed: no
-            # cleanup, no trace events — the world is being discarded.
-            raise
-        except BaseException as exc:
-            db = self.db
-            if getattr(exc, "bg_source", "") != "manifest":
-                for path in self._created_paths:
-                    if db.fs.exists(path):
-                        db.fs.delete(path)
-            c.mark(False)
-            db.engine.tracer.span_end(self.track, {"error": type(exc).__name__})
-            raise
-
-    def _merge_and_install(self):
+    def _steps(self):
         """Generator: the merge is computed per run (:func:`_merge_inputs`) and
         its simulated effects are replayed per event (DESIGN.md section 4)."""
         db = self.db

@@ -22,10 +22,6 @@ from dataclasses import dataclass
 from repro.sim.units import us
 
 
-def _log2(n: int) -> float:
-    return max(1, n).bit_length() - 1.0
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Per-operation virtual CPU costs (all in nanoseconds)."""
@@ -85,7 +81,7 @@ class CostModel:
 
     def memtable_insert(self, entry_count: int) -> int:
         """Skiplist insert: O(log N)."""
-        level = (entry_count + 1).bit_length()  # == _log2(entry_count + 1) + 1
+        level = (entry_count + 1).bit_length()  # == floor(log2(entry_count + 1)) + 1
         memo = self._memo_insert
         cost = memo.get(level)
         if cost is None:
@@ -96,7 +92,7 @@ class CostModel:
         return cost
 
     def memtable_lookup(self, entry_count: int) -> int:
-        level = (entry_count + 1).bit_length()  # == _log2(entry_count + 1) + 1
+        level = (entry_count + 1).bit_length()  # == floor(log2(entry_count + 1)) + 1
         memo = self._memo_lookup
         cost = memo.get(level)
         if cost is None:
@@ -108,7 +104,7 @@ class CostModel:
 
     def sst_search(self, entry_count: int) -> int:
         """Level-0 in-file key search (SkipList-organized file)."""
-        level = (entry_count + 1).bit_length()  # == _log2(entry_count + 1) + 1
+        level = (entry_count + 1).bit_length()  # == floor(log2(entry_count + 1)) + 1
         memo = self._memo_search
         cost = memo.get(level)
         if cost is None:
@@ -120,7 +116,7 @@ class CostModel:
 
     def sst_index_search(self, entry_count: int) -> int:
         """Level >= 1 key search: index binary search + block restart scan."""
-        level = (entry_count + 1).bit_length()  # == _log2(entry_count + 1) + 1
+        level = (entry_count + 1).bit_length()  # == floor(log2(entry_count + 1)) + 1
         memo = self._memo_index
         cost = memo.get(level)
         if cost is None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
+from functools import partial
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import (
@@ -40,15 +41,16 @@ from repro.errors import (
 )
 from repro.fs.filesystem import SimFileSystem
 from repro.lsm.block_cache import BlockCache
-from repro.lsm.compaction import CompactionJob, CompactionPicker
+from repro.lsm.compaction import Compaction, CompactionJob, CompactionPicker
 from repro.lsm.costs import DEFAULT_COSTS, CostModel
 from repro.lsm.error_handler import SEV_SOFT, ErrorHandler
 from repro.lsm.flush import FlushJob
 from repro.lsm.format import KIND_DELETE, KIND_PUT, Entry
-from repro.lsm.io_retry import IO_RETRIES, IO_RETRY_BACKOFF_NS
+from repro.lsm.io_retry import retry_call
 from repro.lsm.memtable import MemTable, MemTableList
 from repro.lsm.options import Options
 from repro.lsm.pipelined_write import ROLE_LEADER, WriteQueue, Writer
+from repro.lsm.rate_limiter import RateLimiter
 from repro.lsm.sst_file_manager import SstFileManager
 from repro.lsm.value import Value, materialize, value_size
 from repro.lsm.version import FileMetadata, VersionSet
@@ -67,13 +69,8 @@ from repro.sim.rng import RandomStream
 from repro.sim.stats import StatsSet
 
 _CLOSE = object()
-
-
-def _manual_compaction(level, inputs, lower):
-    """Build a Compaction object for :meth:`DB.compact_range`."""
-    from repro.lsm.compaction import Compaction
-
-    return Compaction(level, level + 1, list(inputs), list(lower))
+# The hit ticker per level; every level below L2 counts as deep.
+_HIT_TICKERS = ("get.l0_hit", "get.l1_hit", "get.l2_hit")
 
 
 class DB:
@@ -141,7 +138,8 @@ class DB:
             engine, self._wal_fs, self.options, self.costs, dirname="wal"
         )
         self.memtables = MemTableList(self._new_memtable)
-        self.memtables.mutable.min_log_number = self.wal.current_number
+        # Sealed memtables allowed to wait for flush before writes stop.
+        self._max_immutables = max(1, self.options.max_write_buffer_number - 1)
         if recovering:
             self._replay_wal(pre_crash_logs)
 
@@ -160,22 +158,13 @@ class DB:
         # One writer queue by default (RocksDB); optionally sharded per the
         # paper's Section VI implication on write-queue parallelism.
         self.write_queues = [
-            WriteQueue(
-                engine,
-                self.options.max_write_batch_group_size,
-                self.options.enable_pipelined_write,
-            )
+            WriteQueue(engine, self.options.max_write_batch_group_size)
             for _ in range(self.options.write_queue_shards)
         ]
         self.write_queue = self.write_queues[0]
         self.picker = CompactionPicker(self.options)
-        self.rate_limiter = None
-        if self.options.rate_limit_bytes_per_sec > 0:
-            from repro.lsm.rate_limiter import RateLimiter
-
-            self.rate_limiter = RateLimiter(
-                engine, self.options.rate_limit_bytes_per_sec
-            )
+        rate = self.options.rate_limit_bytes_per_sec
+        self.rate_limiter = RateLimiter(engine, rate) if rate > 0 else None
 
         self._flush_store: Store = Store(engine)
         self._compaction_store: Store = Store(engine)
@@ -202,7 +191,7 @@ class DB:
             entry_overhead=self.options.memtable_entry_overhead,
             rng=self.rng.fork(f"memtable/{self._memtable_seq}"),
         )
-        mt.min_log_number = self.wal.current_number if hasattr(self, "wal") else 0
+        mt.min_log_number = self.wal.current_number
         return mt
 
     def _on_file_dead(self, meta: FileMetadata) -> None:
@@ -342,7 +331,10 @@ class DB:
             if self.error_handler.severity:
                 self.error_handler.check_writable()
         if controller.state == DELAYED:
-            controller.on_delayed_write(self._backlog_bytes())
+            versions = self.versions
+            controller.on_delayed_write(
+                versions.current.level_bytes(0) + versions.pending_compaction_bytes()
+            )
             delay = controller.get_delay(data_bytes)
             if delay > 0:
                 stats.inc("stall.delays_hit")
@@ -478,8 +470,7 @@ class DB:
 
     def _switch_memtable(self):
         """Seal the mutable memtable; stall if too many immutables pend."""
-        limit = max(1, self.options.max_write_buffer_number - 1)
-        while len(self.memtables.immutables) >= limit:
+        while len(self.memtables.immutables) >= self._max_immutables:
             self._update_stall_state()
             if self.controller.state != STOPPED:
                 break  # a flush finished in between
@@ -525,11 +516,8 @@ class DB:
                 yield wal_cpu
             if wal_event is not None:
                 yield wal_event
-        except GeneratorExit:
-            raise
-        except BaseException as exc:
-            if isinstance(exc, (IOFaultError, OutOfSpaceError)):
-                self.error_handler.on_background_error("wal", exc)
+        except (IOFaultError, OutOfSpaceError) as exc:
+            self.error_handler.on_background_error("wal", exc)
             raise
         mt = self.memtables.mutable
         if self.wal.enabled and wal_number:
@@ -562,15 +550,12 @@ class DB:
         costs = self.costs
         start = engine._now
         stats.inc("gets")
-        cpu = 0
-        result: Optional[Value] = None
-        found = False
 
         # 1. memtables, newest first (iterated in place: building the
         # newest-first list allocates once per lookup at benchmark scale).
         mts = self.memtables
         table = mts.mutable
-        cpu += costs.memtable_lookup(table.entry_count)
+        cpu = costs.memtable_lookup(table.entry_count)
         entry = table.get(key)
         if entry is None and mts.immutables:
             for table in reversed(mts.immutables):
@@ -579,12 +564,11 @@ class DB:
                 if entry is not None:
                     break
         if entry is not None:
-            found = True
-            result = entry[2] if entry[1] == KIND_PUT else None
             stats.inc("get.memtable_hit")
-
-        if not found:
+        else:
             version = self.versions.ref_current()
+            l0_search = costs.sst_search
+            index_search = costs.sst_index_search
             range_check = costs.sst_range_check_ns
             bloom_probe = costs.bloom_probe_ns
             cache_lookup = costs.block_cache_lookup_ns
@@ -592,22 +576,36 @@ class DB:
             block_cache = self.block_cache
             cache_ns = self._cache_ns
             paranoid = self.options.paranoid_checks
-            entry = None
             try:
-                # Level 0: every file whose range covers the key must be
-                # searched, newest first — the paper's L0 query overhead.
-                for meta in version.level0_files():
+                # One slot per L0 file — every file whose range covers the
+                # key is searched, newest first: the paper's L0 query
+                # overhead — then one per deeper level, which has at most
+                # one candidate file.
+                level0 = version.levels[0]  # newest first
+                n0 = len(level0)
+                level = 0
+                for slot in range(n0 + self.options.num_levels - 1):
                     cpu += range_check
-                    sst = meta.sst
-                    if not sst.key_in_range(key):
-                        continue
-                    stats.inc("get.l0_probes")
+                    if slot < n0:
+                        meta = level0[slot]
+                        sst = meta.sst
+                        if not sst.key_in_range(key):
+                            continue
+                        stats.inc("get.l0_probes")
+                        search = l0_search
+                    else:
+                        level += 1
+                        meta = version.file_for_key(level, key)
+                        if meta is None:
+                            continue
+                        sst = meta.sst
+                        search = index_search
                     if sst.bloom is not None:
                         cpu += bloom_probe
                         if not sst.may_contain(key):
                             stats.inc("bloom.useful")
                             continue
-                    cpu += costs.sst_search(sst.entry_count)
+                    cpu += search(sst.entry_count)
                     block_idx = sst.block_for_key(key)
                     cpu += cache_lookup
                     cache_key = (cache_ns, sst.number, block_idx)
@@ -619,8 +617,9 @@ class DB:
                         try:
                             io_event = meta.file.read(offset, nbytes)
                         except IOFaultError as exc:
-                            io_event = yield from self._retry_block_read(
-                                meta, offset, nbytes, exc
+                            io_event = yield from retry_call(
+                                partial(meta.file.read, offset, nbytes),
+                                stats, "get.io_retries", exc,
                             )
                         if io_event is not None:
                             yield io_event
@@ -631,51 +630,8 @@ class DB:
                         block_cache.insert(cache_key, nbytes)
                     entry = sst.find(key)
                     if entry is not None:
-                        stats.inc("get.l0_hit")
+                        stats.inc(_HIT_TICKERS[level] if level < 3 else "get.deep_hit")
                         break
-                if entry is None:
-                    # Deeper levels: at most one candidate file per level.
-                    for level in range(1, self.options.num_levels):
-                        meta = version.file_for_key(level, key)
-                        cpu += range_check
-                        if meta is None:
-                            continue
-                        sst = meta.sst
-                        if sst.bloom is not None:
-                            cpu += bloom_probe
-                            if not sst.may_contain(key):
-                                stats.inc("bloom.useful")
-                                continue
-                        cpu += costs.sst_index_search(sst.entry_count)
-                        block_idx = sst.block_for_key(key)
-                        cpu += cache_lookup
-                        cache_key = (cache_ns, sst.number, block_idx)
-                        if not block_cache.lookup(cache_key):
-                            if cpu:
-                                yield cpu
-                            cpu = 0
-                            offset, nbytes = sst.block_span(block_idx)
-                            try:
-                                io_event = meta.file.read(offset, nbytes)
-                            except IOFaultError as exc:
-                                io_event = yield from self._retry_block_read(
-                                    meta, offset, nbytes, exc
-                                )
-                            if io_event is not None:
-                                yield io_event
-                                stats.inc("get.block_device_reads")
-                            if meta.file.corrupt_ranges or paranoid:
-                                sst.verify_block(block_idx, meta.file)
-                            cpu += block_decode
-                            block_cache.insert(cache_key, nbytes)
-                        entry = sst.find(key)
-                        if entry is not None:
-                            stats.inc(
-                                f"get.l{level}_hit"
-                                if level <= 2
-                                else "get.deep_hit"
-                            )
-                            break
                 # Pending search CPU is charged before the version ref is
                 # released (matching the delegated-search order): a sleep
                 # after unref could let a concurrent compaction purge files
@@ -683,41 +639,16 @@ class DB:
                 if cpu:
                     yield cpu
                 cpu = 0
-                if entry is not None:
-                    found = True
-                    result = entry[2] if entry[1] == KIND_PUT else None
             finally:
                 self.versions.unref(version)
 
         if cpu:
             yield cpu
-        if not found or result is None:
-            stats.inc("get.miss" if not found else "get.tombstone")
+        result = entry[2] if entry is not None and entry[1] == KIND_PUT else None
+        if result is None:
+            stats.inc("get.miss" if entry is None else "get.tombstone")
         self._read_latency.record(engine._now - start)
         return result
-
-    def _retry_block_read(self, meta: FileMetadata, offset: int, nbytes: int, exc):
-        """Generator: retry a faulted SST block read with backoff.
-
-        Transient injected device faults are retried (RocksDB's retryable
-        background errors); permanent ones propagate as IOFaultError.  Only
-        materialized after a fault, keeping the fault-free read path
-        allocation-free.  Retry accounting matches retry_call exactly.
-        """
-        attempt = 0
-        while True:
-            if not exc.transient:
-                raise exc
-            if attempt >= IO_RETRIES:
-                self.stats.inc("get.io_retries_exhausted")
-                raise exc
-            self.stats.inc("get.io_retries")
-            yield IO_RETRY_BACKOFF_NS << attempt
-            attempt += 1
-            try:
-                return meta.file.read(offset, nbytes)
-            except IOFaultError as next_exc:
-                exc = next_exc
 
     def multi_get(self, keys: List[bytes]):
         """Generator: point-lookup several keys; returns a list of values."""
@@ -743,12 +674,11 @@ class DB:
             )
         version = self.versions.ref_current()
         try:
-            consulted: List[FileMetadata] = []
-            for meta in version.level0_files():
-                if meta.sst.overlaps(start, end):
-                    consulted.append(meta)
-            for level in range(1, self.options.num_levels):
-                consulted.extend(version.overlapping_files(level, start, end))
+            consulted = [
+                meta
+                for level in range(self.options.num_levels)
+                for meta in version.overlapping_files(level, start, end)
+            ]
             io_events = []
             for meta in consulted:
                 sources.append(meta.sst.items_from(start))
@@ -807,24 +737,14 @@ class DB:
                 # which retries with backoff instead of hammering a
                 # failing device.
                 continue
-            self._active_flushes += 1
-            job = FlushJob(self, item, track=track)
-            try:
-                yield from job.run()
-            except (IOFaultError, OutOfSpaceError, CorruptionError) as exc:
-                self._active_flushes -= 1
-                self.error_handler.note_flush_failure(item, exc)
-                self._update_stall_state()
-                continue
-            if item in self.memtables.immutables:
-                self.memtables.immutables.remove(item)
-            self._active_flushes -= 1
-            self._release_obsolete_wals()
+            flushed = yield from self._run_flush(item, track)
             self._update_stall_state()
-            self._maybe_schedule_compaction()
+            if flushed:
+                self._maybe_schedule_compaction()
 
     def _compaction_worker(self, worker: int = 0):
         track = f"compact-{worker}"
+        report = self.error_handler.on_background_error
         while True:
             token = yield self._compaction_store.get()
             self._compaction_tokens -= 1
@@ -842,7 +762,7 @@ class DB:
                     # Not enough free space for the outputs: fail soft now
                     # rather than hard ENOSPC halfway through the merge.
                     compaction.mark(False)
-                    self.error_handler.on_background_error(
+                    report(
                         "compaction",
                         OutOfSpaceError(
                             "no room for compaction outputs",
@@ -851,32 +771,60 @@ class DB:
                         ),
                     )
                     break
-                self._active_compactions += 1
-                self._update_stall_state()
-                job = CompactionJob(self, compaction, track=track)
-                try:
-                    yield from job.run()
-                except (IOFaultError, OutOfSpaceError, CorruptionError) as exc:
-                    self.error_handler.on_background_error(
-                        getattr(exc, "bg_source", "compaction"), exc
-                    )
-                finally:
-                    self.sst_file_manager.release_compaction(
-                        compaction.input_bytes
-                    )
-                    self._active_compactions -= 1
-                self._update_stall_state()
+                self._update_stall_state()  # the reservation may floor writes
+                yield from self._run_compaction(compaction, track, report)
                 # Another worker may be able to run a non-conflicting pick.
                 self._maybe_schedule_compaction()
+
+    def _run_flush(self, memtable: MemTable, track: str):
+        """Generator: flush one sealed memtable; True once it is in L0.
+
+        A failure is reported to the error handler and leaves the memtable
+        queued for a retry.  On success the memtable leaves the immutables
+        and the WALs it pinned are released.
+        """
+        self._active_flushes += 1
+        try:
+            yield from FlushJob(self, memtable, track=track).run()
+        except (IOFaultError, OutOfSpaceError, CorruptionError) as exc:
+            self.error_handler.note_flush_failure(memtable, exc)
+            return False
+        finally:
+            self._active_flushes -= 1
+        if memtable in self.memtables.immutables:
+            self.memtables.immutables.remove(memtable)
+        self._release_obsolete_wals()
+        return True
+
+    def _run_compaction(self, compaction: Compaction, track: str, report):
+        """Generator: run a picked compaction whose output space the caller
+        reserved; True on success.
+
+        A failure goes to ``report(source, exc)`` while the space is still
+        reserved.  Either way the reservation is released and the stall
+        state re-evaluated when the job ends.
+        """
+        self._active_compactions += 1
+        try:
+            yield from CompactionJob(self, compaction, track=track).run()
+            return True
+        except (IOFaultError, OutOfSpaceError, CorruptionError) as exc:
+            report(getattr(exc, "bg_source", "compaction"), exc)
+            return False
+        finally:
+            self.sst_file_manager.release_compaction(compaction.input_bytes)
+            self._active_compactions -= 1
+            self._update_stall_state()
 
     def _maybe_schedule_compaction(self) -> None:
         if self._closed:
             return
-        scores = self.picker.scores(self.versions)
-        if scores and scores[0][0] >= 1.0:
-            if self._compaction_tokens < self.options.max_background_compactions:
-                self._compaction_tokens += 1
-                self._compaction_store.put("go")
+        if (
+            self._compaction_tokens < self.options.max_background_compactions
+            and self.picker.needs_compaction(self.versions)
+        ):
+            self._compaction_tokens += 1
+            self._compaction_store.put("go")
 
     def _release_obsolete_wals(self) -> None:
         if not self.wal.enabled:
@@ -886,22 +834,10 @@ class DB:
             # durable yet: a crash now would recover from the old manifest
             # and still need them for replay.  Retried after resync.
             return
-        live = [
-            getattr(t, "min_log_number", 0)
-            for t in self.memtables.tables_newest_first()
-        ]
-        min_needed = min(live) if live else self.wal.current_number
+        min_needed = min([t.min_log_number for t in self.memtables.tables_newest_first()])
         self.wal.release_up_to(min_needed - 1)
 
     # ----------------------------------------------------------------- stalling
-
-    def _stall_metrics(self) -> StallMetrics:
-        return StallMetrics(
-            l0_files=self.versions.current.num_files(0),
-            immutable_memtables=len(self.memtables.immutables),
-            max_immutable_memtables=max(1, self.options.max_write_buffer_number - 1),
-            pending_compaction_bytes=self.versions.pending_compaction_bytes(),
-        )
 
     def _update_stall_state(self) -> None:
         # Degraded conditions outside Algorithm 1's metrics floor the
@@ -918,7 +854,14 @@ class DB:
             if floor == DELAYED:
                 self.stats.inc("stall.floor_raised")
         before = self.controller.state
-        self.controller.update(self._stall_metrics())
+        self.controller.update(
+            StallMetrics(
+                l0_files=self.versions.current.num_files(0),
+                immutable_memtables=len(self.memtables.immutables),
+                max_immutable_memtables=self._max_immutables,
+                pending_compaction_bytes=self.versions.pending_compaction_bytes(),
+            )
+        )
         after = self.controller.state
         if before != after:
             self.stats.inc(f"stall.to_{after}")
@@ -926,10 +869,6 @@ class DB:
                 self.controller.reset_rate()
         if after != NORMAL:
             self._maybe_schedule_compaction()
-
-    def _backlog_bytes(self) -> int:
-        v = self.versions.current
-        return v.level_bytes(0) + self.versions.pending_compaction_bytes()
 
     # ---------------------------------------------------------------- utilities
 
@@ -955,7 +894,6 @@ class DB:
         while self.memtables.immutables:
             self._check_background_errors()
             yield 100_000  # poll: background flush is draining
-        return None
 
     def wait_idle(self, poll_ns: int = 1_000_000, timeout_ns: Optional[int] = None):
         """Generator: wait until flushes and compactions quiesce.
@@ -971,8 +909,7 @@ class DB:
                 self.memtables.immutables
                 or self._active_flushes
                 or self._active_compactions
-                or (self.picker.scores(self.versions) and
-                    self.picker.scores(self.versions)[0][0] >= 1.0)
+                or self.picker.needs_compaction(self.versions)
             )
             if not busy:
                 return None
@@ -1038,12 +975,9 @@ class DB:
                 for f in version.overlapping_files(level + 1, smallest, largest)
                 if not f.being_compacted
             ]
-            compaction = CompactionJob(
-                self,
-                _manual_compaction(level, inputs, lower),
-            )
-            compaction.compaction.mark(True)
-            yield from compaction.run()
+            compaction = Compaction(level, level + 1, inputs, lower)
+            compaction.mark(True)
+            yield from CompactionJob(self, compaction).run()
         self.stats.inc("manual_compactions")
 
     def describe(self) -> str:

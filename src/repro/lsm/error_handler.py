@@ -272,9 +272,6 @@ class ErrorHandler:
         episode started there.  Any probe failing keeps the DB degraded
         (possibly escalated) and the loop backs off.
         """
-        from repro.lsm.compaction import CompactionJob
-        from repro.lsm.flush import FlushJob
-
         db = self.db
         err = self.error
 
@@ -307,41 +304,19 @@ class ErrorHandler:
                 continue
             if mt not in db.memtables.immutables:
                 continue
-            db._active_flushes += 1
-            job = FlushJob(db, mt, track="resume")
-            try:
-                yield from job.run()
-            except (IOFaultError, OutOfSpaceError, CorruptionError) as exc:
-                self.note_flush_failure(mt, exc)
+            if not (yield from db._run_flush(mt, "resume")):
                 return False
-            finally:
-                db._active_flushes -= 1
-            if mt in db.memtables.immutables:
-                db.memtables.immutables.remove(mt)
-            db._release_obsolete_wals()
             db._update_stall_state()
 
         # Compaction probe: if the episode started in a compaction, run
-        # one to prove the path works before re-admitting writes.
+        # one to prove the path works before re-admitting writes.  No room
+        # for its outputs fails the probe without a report.
         if err is not None and err.source == SOURCE_COMPACTION:
             compaction = db.picker.pick(db.versions)
             if compaction is not None:
-                if not db.sst_file_manager.try_reserve_compaction(
-                    compaction.input_bytes
-                ):
+                if not db.sst_file_manager.try_reserve_compaction(compaction.input_bytes):
                     compaction.mark(False)
                     return False
-                db._active_compactions += 1
-                job = CompactionJob(db, compaction, track="resume")
-                try:
-                    yield from job.run()
-                except (IOFaultError, OutOfSpaceError, CorruptionError) as exc:
-                    self._note_failure(
-                        getattr(exc, "bg_source", SOURCE_COMPACTION), exc
-                    )
+                if not (yield from db._run_compaction(compaction, "resume", self._note_failure)):
                     return False
-                finally:
-                    db.sst_file_manager.release_compaction(compaction.input_bytes)
-                    db._active_compactions -= 1
-                    db._update_stall_state()
         return True

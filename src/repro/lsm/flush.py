@@ -11,7 +11,7 @@ measures.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 from repro.errors import DBError
 from repro.lsm.io_retry import retry_gen
@@ -25,57 +25,67 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _IO_CHUNK = 1 * 1024 * 1024
 
 
-class FlushJob:
-    """One memtable -> one Level-0 file.
+class BackgroundJob:
+    """What a flush and a compaction share: :meth:`run` drives the job's
+    body, ``_steps()``, and cleans up after a failure, where ``_failed()``
+    releases what the job claimed in memory.
 
-    ``track`` names the trace thread the flush span is recorded on (the
-    DB passes its worker's track so concurrent flushes don't overlap).
+    ``track`` names the trace thread the job's span is recorded on (the
+    DB passes its worker's track so concurrent jobs don't overlap).
     """
 
-    def __init__(self, db: "DB", memtable: "MemTable", track: str = "flush") -> None:
+    def __init__(self, db: "DB", track: str) -> None:
         self.db = db
-        self.memtable = memtable
         self.track = track
-        self._path: "str | None" = None  # output path once created
+        self._created_paths: List[str] = []  # output files, in creation order
 
     def run(self):
-        """Generator: perform the flush; returns the new FileMetadata.
+        """Generator: run the job; returns what :meth:`_steps` returns.
 
-        On failure the partial output file is deleted (the error handler
-        retries with a fresh file number) — unless the failure is tagged
-        ``bg_source == "manifest"``, which happens *after* the SST is
-        installed: then the file is live and must stay.
+        On failure the output files are deleted (a retry writes fresh ones)
+        — unless the failure is tagged ``bg_source == "manifest"``, which
+        happens *after* the edit installed them: then they are live files
+        and must stay — :meth:`_failed` runs and the span is closed.
         """
-        db = self.db
-        mt = self.memtable
-        if not mt.immutable:
-            raise DBError("flushing a mutable memtable")
-        if mt.is_empty():
-            return None
-        mt.flush_in_progress = True
         try:
-            meta = yield from self._run_steps()
-            return meta
+            return (yield from self._steps())
         except GeneratorExit:
             # The job was abandoned (simulation teardown), not failed: no
             # cleanup, no trace events — the world is being discarded.
             raise
         except BaseException as exc:
-            path = self._path
-            if getattr(exc, "bg_source", "") != "manifest" and path is not None:
-                if db.fs.exists(path):
-                    db.fs.delete(path)
-            db.engine.tracer.span_end(self.track, {"error": type(exc).__name__})
+            fs = self.db.fs
+            if getattr(exc, "bg_source", "") != "manifest":
+                for path in self._created_paths:
+                    if fs.exists(path):
+                        fs.delete(path)
+            self._failed()
+            self.db.engine.tracer.span_end(self.track, {"error": type(exc).__name__})
             raise
-        finally:
-            mt.flush_in_progress = False
 
-    def _run_steps(self):
+
+class FlushJob(BackgroundJob):
+    """One memtable -> one Level-0 file."""
+
+    def __init__(self, db: "DB", memtable: "MemTable", track: str = "flush") -> None:
+        if not memtable.immutable:
+            raise DBError("flushing a mutable memtable")
+        super().__init__(db, track)
+        self.memtable = memtable
+
+    def _failed(self) -> None:
+        self.memtable.flush_in_progress = False
+
+    def _steps(self):
+        """Generator: write the memtable out; returns the new FileMetadata,
+        or None for an empty memtable."""
         db = self.db
         mt = self.memtable
+        if mt.is_empty():
+            return None
+        mt.flush_in_progress = True
         tracer = db.engine.tracer
         tracer.span_begin(self.track, "flush")
-        self._path = None
 
         number = db.versions.new_file_number()
         # Two passes, so that no (key, entry) pair outlives its step: 2k live
@@ -88,7 +98,7 @@ class FlushJob:
 
         path = f"sst/{number:06d}.sst"
         f = db.fs.create(path)
-        self._path = path
+        self._created_paths.append(path)
         f.payload = sst
 
         total = sst.file_bytes
@@ -122,4 +132,5 @@ class FlushJob:
         db.stats.inc("flush.bytes", total)
         db.stats.inc("flush.entries", entries)
         tracer.span_end(self.track, {"bytes": total, "entries": entries})
+        mt.flush_in_progress = False
         return meta

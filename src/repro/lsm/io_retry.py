@@ -2,10 +2,10 @@
 
 The fault-injection layer (:mod:`repro.faults`) surfaces device errors as
 :class:`~repro.errors.IOFaultError` with a ``transient`` flag.  RocksDB
-treats such background-I/O errors as retryable; these helpers give every
-store path (reads, flush fsyncs, compaction output syncs, manifest syncs)
-the same policy: exponential backoff in *simulated* time, a bounded number
-of attempts, and immediate propagation of permanent faults.
+treats such background-I/O errors as retryable; every store path (reads,
+flush fsyncs, compaction output syncs, manifest syncs) gets the same
+policy, :func:`retry_backoff`: exponential backoff in *simulated* time, a
+bounded number of attempts, and immediate propagation of permanent faults.
 
 Both helpers are generators meant to be driven with ``yield from`` inside a
 simulated process.  On the fault-free path they yield nothing, so they add
@@ -24,32 +24,53 @@ IO_RETRIES = 3
 IO_RETRY_BACKOFF_NS = 200_000  # first backoff; doubles per attempt
 
 
+def retry_backoff(
+    exc: IOFaultError, attempt: int, stats: Optional[StatsSet], counter: str
+) -> Optional[int]:
+    """The backoff (ns) before retry ``attempt`` (0-based) after ``exc``.
+
+    None when ``exc`` must propagate instead: a permanent fault is never
+    retried and never counted; the fault after the last retry ticks
+    ``counter + "_exhausted"``.  Each granted retry ticks ``counter``.
+    Callers re-raise from their ``except`` clause, so no frame keeps the
+    fault (and through its traceback, itself) alive.
+    """
+    if not exc.transient:
+        return None
+    if attempt >= IO_RETRIES:
+        if stats is not None:
+            stats.inc(counter + "_exhausted")
+        return None
+    if stats is not None:
+        stats.inc(counter)
+    return IO_RETRY_BACKOFF_NS << attempt
+
+
 def retry_call(
     fn: Callable,
     stats: Optional[StatsSet] = None,
     counter: str = "io.retries",
-    attempts: int = IO_RETRIES,
-    backoff_ns: int = IO_RETRY_BACKOFF_NS,
+    fault: Optional[IOFaultError] = None,
 ):
     """Generator: call ``fn()``, retrying transient :class:`IOFaultError`.
 
     Returns ``fn()``'s result.  Used for plain calls that may raise at
-    submit time (e.g. ``SimFile.read``).
+    submit time (e.g. ``SimFile.read``).  A caller that made the first
+    call itself passes the fault it caught as ``fault``: retrying starts
+    there, so its fault-free path builds no generator.
     """
     attempt = 0
     while True:
         try:
+            if fault is not None:
+                raise fault  # the caller's first call failed: handle it below
             return fn()
         except IOFaultError as exc:
-            if not exc.transient:
-                raise  # permanent: never retried, never counted
-            if attempt >= attempts:
-                if stats is not None:
-                    stats.inc(counter + "_exhausted")
+            fault = None
+            delay = retry_backoff(exc, attempt, stats, counter)
+            if delay is None:
                 raise
-            if stats is not None:
-                stats.inc(counter)
-            yield backoff_ns << attempt
+            yield delay
             attempt += 1
 
 
@@ -57,8 +78,6 @@ def retry_gen(
     factory: Callable,
     stats: Optional[StatsSet] = None,
     counter: str = "io.retries",
-    attempts: int = IO_RETRIES,
-    backoff_ns: int = IO_RETRY_BACKOFF_NS,
 ):
     """Generator: drive ``factory()`` (a generator factory, e.g. ``f.sync``),
     re-invoking it after transient :class:`IOFaultError` failures.
@@ -66,16 +85,10 @@ def retry_gen(
     attempt = 0
     while True:
         try:
-            result = yield from factory()
-            return result
+            return (yield from factory())
         except IOFaultError as exc:
-            if not exc.transient:
-                raise  # permanent: never retried, never counted
-            if attempt >= attempts:
-                if stats is not None:
-                    stats.inc(counter + "_exhausted")
+            delay = retry_backoff(exc, attempt, stats, counter)
+            if delay is None:
                 raise
-            if stats is not None:
-                stats.inc(counter)
-            yield backoff_ns << attempt
+            yield delay
             attempt += 1

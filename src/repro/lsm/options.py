@@ -59,7 +59,6 @@ class Options:
     paranoid_checks: bool = False
 
     # --- write path --------------------------------------------------------
-    enable_pipelined_write: bool = True
     max_write_batch_group_size: int = 1 * MB
     # Section VI implication: "multiple short write thread queues rather
     # than one single long queue".  1 = RocksDB's single queue.

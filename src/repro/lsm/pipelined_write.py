@@ -4,9 +4,10 @@ RocksDB keeps one queue of writer threads.  The thread at the head becomes
 the *leader* of a write batch group: it drains waiting writers into its
 group (bounded by ``max_write_batch_group_size``), appends one combined WAL
 record, and then every group member applies its own batch to the memtable.
-With pipelined writes (the default here, matching the paper's analysis) the
-next leader is promoted as soon as the previous group finishes its WAL
-phase, so WAL writing of group N+1 overlaps memtable insertion of group N.
+Writes are pipelined (RocksDB's ``enable_pipelined_write``, the mode the
+paper analyses): the next leader is promoted as soon as the previous group
+finishes its WAL phase, so WAL writing of group N+1 overlaps memtable
+insertion of group N.
 
 The queue also measures the paper's Figure 16 metric: the time-averaged
 number of writers waiting in the queue.
@@ -55,22 +56,15 @@ class Writer:
 class WriteGroup:
     """The set of writers committed together by one leader."""
 
-    __slots__ = ("writers", "total_bytes", "pending")
+    __slots__ = ("writers", "total_bytes")
 
     def __init__(self, leader: Writer) -> None:
         self.writers: List[Writer] = [leader]
         self.total_bytes = leader.nbytes
-        self.pending = 0  # memtable inserts still running
 
     def add(self, writer: Writer) -> None:
         self.writers.append(writer)
         self.total_bytes += writer.nbytes
-
-    def all_records(self) -> List[Tuple[bytes, Entry]]:
-        out: List[Tuple[bytes, Entry]] = []
-        for w in self.writers:
-            out.extend(w.records)
-        return out
 
     def __len__(self) -> int:
         return len(self.writers)
@@ -79,12 +73,11 @@ class WriteGroup:
 class WriteQueue:
     """Single writer queue with leader election and group formation."""
 
-    def __init__(self, engine: Engine, max_group_bytes: int, pipelined: bool) -> None:
+    def __init__(self, engine: Engine, max_group_bytes: int) -> None:
         if max_group_bytes <= 0:
             raise DBError(f"max_group_bytes must be positive: {max_group_bytes}")
         self.engine = engine
         self.max_group_bytes = max_group_bytes
-        self.pipelined = pipelined
         self._waiting: Deque[Writer] = deque()
         self._has_leader = False
         self.waiting_gauge = TimeWeightedGauge("write-queue")
@@ -149,21 +142,16 @@ class WriteQueue:
         # No drain leaves the queue length unchanged, and a gauge touch at
         # an unchanged value adds exactly the area the next real update
         # accrues anyway — skipping it is exact, not an approximation.
-        group.pending = len(group)
         self.groups_formed += 1
         self.writers_grouped += len(group)
         return group
 
     def wal_phase_done(self, group: WriteGroup) -> None:
-        """Wake group members for the memtable phase; maybe promote a leader.
-
-        In pipelined mode leadership transfers now (the next group's WAL
-        write overlaps this group's memtable inserts).
-        """
+        """Wake group members for the memtable phase and promote the next
+        leader: its WAL write overlaps this group's memtable inserts."""
         for member in group.writers[1:]:
             member.event.succeed(ROLE_MEMBER)
-        if self.pipelined:
-            self._promote_next()
+        self._promote_next()
 
     def fail_group(self, group: WriteGroup, exc: BaseException) -> None:
         """The leader's write failed before the memtable phase: propagate.
@@ -183,18 +171,13 @@ class WriteQueue:
             member.event = None
         for member in group.writers:
             member.group = None
-        group.pending = 0
         self._promote_next()
 
     def member_done(self, writer: Writer) -> None:
         """``writer`` finished its memtable insert: it leaves its group."""
-        group = writer.group
-        if group is None:
+        if writer.group is None:
             raise DBError("writer finished outside a write group")
         writer.group = None
-        group.pending -= 1
-        if group.pending == 0 and not self.pipelined:
-            self._promote_next()
 
     def _promote_next(self) -> None:
         if self._waiting:

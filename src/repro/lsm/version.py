@@ -80,6 +80,8 @@ class Version:
     """Immutable snapshot of the LSM level structure."""
 
     def __init__(self, num_levels: int) -> None:
+        # Files per level: L0 newest first (the lookup order), deeper levels
+        # by smallest key.
         self.levels: List[List[FileMetadata]] = [[] for _ in range(num_levels)]
         # Parallel bisect keys for levels >= 1 (smallest key per file).
         self._level_keys: List[List[bytes]] = [[] for _ in range(num_levels)]
@@ -111,10 +113,6 @@ class Version:
                     )
 
     # -- queries -------------------------------------------------------------------
-
-    def level0_files(self) -> List[FileMetadata]:
-        """L0 files newest-first (the lookup order)."""
-        return self.levels[0]
 
     def file_for_key(self, level: int, key: bytes) -> Optional[FileMetadata]:
         """The single file in level >= 1 whose range may contain ``key``."""

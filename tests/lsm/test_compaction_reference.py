@@ -69,7 +69,7 @@ class ReferenceCompactionJob(CompactionJob):
                 pending_events.append(ev)
         read_requests.clear()
 
-    def _merge_and_install(self):
+    def _steps(self):
         db = self.db
         c = self.compaction
         opts = db.options

@@ -38,7 +38,7 @@ class TestFlushJob:
         mt = sealed_memtable(100)
         meta = run_op(engine, FlushJob(db, mt).run())
         assert meta is not None
-        assert db.versions.current.level0_files()[0] is meta
+        assert db.versions.current.levels[0][0] is meta
         assert meta.sst.entry_count == 100
         assert db.fs.exists(meta.file.path)
         assert meta.file.synced_size == meta.file.size

@@ -20,7 +20,6 @@ def test_defaults_match_rocksdb_517():
     assert opts.refill_interval_ns == 1_024_000  # 1024 us
     assert opts.delayed_write_rate_dec == 0.8
     assert opts.delayed_write_rate_inc == 1.25
-    assert opts.enable_pipelined_write
 
 
 def test_level_targets_multiply():

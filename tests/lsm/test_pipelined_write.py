@@ -6,7 +6,6 @@ from repro.errors import DBError
 from repro.lsm.pipelined_write import (
     ROLE_LEADER,
     ROLE_MEMBER,
-    WriteGroup,
     WriteQueue,
     Writer,
 )
@@ -17,8 +16,8 @@ def make_writer(engine, nbytes=1024):
     return Writer([(b"k", (1, 1, b"v"))], nbytes, engine.event())
 
 
-def make_queue(engine, max_group=1 * MB, pipelined=True):
-    return WriteQueue(engine, max_group, pipelined)
+def make_queue(engine, max_group=1 * MB):
+    return WriteQueue(engine, max_group)
 
 
 def test_first_joiner_is_leader(engine):
@@ -76,27 +75,13 @@ def test_wal_phase_wakes_members(engine):
 
 
 def test_pipelined_promotes_next_leader_at_wal_done(engine):
-    q = make_queue(engine, pipelined=True)
+    q = make_queue(engine)
     leader = make_writer(engine)
     q.join(leader)
     group = q.form_group(leader)  # group of one
     late = make_writer(engine)
     q.join(late)
     q.wal_phase_done(group)
-    assert late.event.triggered
-    assert late.event.value == ROLE_LEADER
-
-
-def test_non_pipelined_promotes_after_members_finish(engine):
-    q = make_queue(engine, pipelined=False)
-    leader = make_writer(engine)
-    q.join(leader)
-    group = q.form_group(leader)
-    late = make_writer(engine)
-    q.join(late)
-    q.wal_phase_done(group)
-    assert not late.event.triggered  # still waiting for memtable phase
-    q.member_done(leader)
     assert late.event.triggered
     assert late.event.value == ROLE_LEADER
 
@@ -149,13 +134,6 @@ def test_group_accounting(engine):
     assert q.writers_grouped == 2
 
 
-def test_all_records_concatenates_in_queue_order(engine):
-    leader = Writer([(b"a", (1, 1, b"x"))], 10, engine.event())
-    group = WriteGroup(leader)
-    group.add(Writer([(b"b", (2, 1, b"y"))], 10, engine.event()))
-    assert [k for k, _ in group.all_records()] == [b"a", b"b"]
-
-
 def test_waiting_gauge_tracks_queue_length(engine):
     q = make_queue(engine)
     leader = make_writer(engine)
@@ -176,4 +154,4 @@ def test_waiting_gauge_tracks_queue_length(engine):
 
 def test_invalid_group_bytes(engine):
     with pytest.raises(DBError):
-        WriteQueue(engine, 0, True)
+        WriteQueue(engine, 0)

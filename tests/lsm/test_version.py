@@ -37,7 +37,7 @@ class TestVersionQueries:
         vs, fs = make_vs(engine)
         first = install(vs, fs, 0, make_sst(vs.new_file_number(), 0, 10))
         second = install(vs, fs, 0, make_sst(vs.new_file_number(), 5, 10))
-        l0 = vs.current.level0_files()
+        l0 = vs.current.levels[0]
         assert [m.number for m in l0] == [second.number, first.number]
 
     def test_file_for_key_binary_search(self, engine):
