@@ -57,15 +57,6 @@ class LatencyHistogram:
         self._sorted: Optional[List[int]] = None
 
     @staticmethod
-    def _index(value: int) -> int:
-        if value < _SUBBUCKETS:
-            return value
-        shift = value.bit_length() - 6  # lands value >> shift in [32, 64)
-        if shift < 0:
-            shift = 0
-        return (shift + 1) * _SUBBUCKETS + ((value >> shift) - _SUBBUCKETS)
-
-    @staticmethod
     def _bucket_bounds(index: int) -> Tuple[int, int]:
         """Inclusive low / exclusive high value range of a bucket."""
         if index < _SUBBUCKETS:
@@ -79,7 +70,8 @@ class LatencyHistogram:
         """Record ``n`` occurrences of ``value`` (nanoseconds, typically)."""
         if value < 0:
             raise SimulationError(f"negative sample: {value}")
-        # _index() inlined: one call per sample adds up at millions of ops.
+        # The bucket index, computed inline: a call per sample adds up at
+        # millions of ops.
         if value < _SUBBUCKETS:
             idx = value
         else:
@@ -388,6 +380,12 @@ class StatsSet:
 
     def get(self, name: str) -> int:
         return self._tickers.get(name, 0)
+
+    def counters(self) -> Dict[str, int]:
+        """The ticker dict itself, not a copy, for a hot path that counts
+        without a call: ``try: d[name] += n`` / ``except KeyError: d[name] =
+        n`` is :meth:`inc` inline."""
+        return self._tickers
 
     def histogram(self, name: str) -> LatencyHistogram:
         hist = self._histograms.get(name)

@@ -10,10 +10,9 @@ from repro.fs.page_cache import PAGE_SIZE, PageCache
 
 def test_miss_then_hit():
     cache = PageCache(64 * PAGE_SIZE)
-    holes = cache.access(1, 0, PAGE_SIZE)
+    holes = cache.read_through(1, 0, PAGE_SIZE)
     assert holes == [(0, PAGE_SIZE)]
-    cache.fill(1, 0, PAGE_SIZE)
-    assert cache.access(1, 0, PAGE_SIZE) == []
+    assert cache.read_through(1, 0, PAGE_SIZE) == []
     assert cache.stats.get("page_hits") == 1
     assert cache.stats.get("page_misses") == 1
 
@@ -21,33 +20,33 @@ def test_miss_then_hit():
 def test_partial_miss_coalesced():
     cache = PageCache(64 * PAGE_SIZE)
     cache.fill(1, PAGE_SIZE, PAGE_SIZE)  # page 1 resident
-    holes = cache.access(1, 0, 3 * PAGE_SIZE)  # pages 0,1,2
+    holes = cache.read_through(1, 0, 3 * PAGE_SIZE)  # pages 0,1,2
     assert holes == [(0, PAGE_SIZE), (2 * PAGE_SIZE, PAGE_SIZE)]
 
 
 def test_adjacent_misses_merge_into_one_hole():
     cache = PageCache(64 * PAGE_SIZE)
-    holes = cache.access(1, 0, 4 * PAGE_SIZE)
+    holes = cache.read_through(1, 0, 4 * PAGE_SIZE)
     assert holes == [(0, 4 * PAGE_SIZE)]
 
 
 def test_unaligned_range_covers_both_pages():
     cache = PageCache(64 * PAGE_SIZE)
-    holes = cache.access(1, PAGE_SIZE - 10, 20)  # straddles pages 0 and 1
+    holes = cache.read_through(1, PAGE_SIZE - 10, 20)  # straddles pages 0 and 1
     assert holes == [(0, 2 * PAGE_SIZE)]
 
 
 def test_files_do_not_collide():
     cache = PageCache(64 * PAGE_SIZE)
     cache.fill(1, 0, PAGE_SIZE)
-    assert cache.access(2, 0, PAGE_SIZE) != []
+    assert cache.read_through(2, 0, PAGE_SIZE) != []
 
 
 def test_lru_eviction_order():
     cache = PageCache(2 * PAGE_SIZE)
     cache.fill(1, 0, PAGE_SIZE)  # page A
     cache.fill(1, PAGE_SIZE, PAGE_SIZE)  # page B
-    cache.access(1, 0, PAGE_SIZE)  # touch A: B is now LRU
+    cache.read_through(1, 0, PAGE_SIZE)  # touch A: B is now LRU
     cache.fill(1, 2 * PAGE_SIZE, PAGE_SIZE)  # page C evicts B
     assert cache.contains(1, 0, PAGE_SIZE)  # A stays
     assert not cache.contains(1, PAGE_SIZE, PAGE_SIZE)  # B evicted
@@ -74,7 +73,9 @@ def test_invalidate_file_drops_only_that_file():
 def test_zero_and_negative_access_rejected():
     cache = PageCache(4 * PAGE_SIZE)
     with pytest.raises(FileSystemError):
-        cache.access(1, 0, 0)
+        cache.read_through(1, 0, 0)
+    with pytest.raises(FileSystemError):
+        cache.read_through(1, 0, -PAGE_SIZE)
 
 
 def test_fill_zero_is_noop():
@@ -85,22 +86,21 @@ def test_fill_zero_is_noop():
 
 def test_hit_rate():
     cache = PageCache(64 * PAGE_SIZE)
-    cache.access(1, 0, PAGE_SIZE)
-    cache.fill(1, 0, PAGE_SIZE)
-    cache.access(1, 0, PAGE_SIZE)
+    cache.read_through(1, 0, PAGE_SIZE)
+    cache.read_through(1, 0, PAGE_SIZE)
     assert cache.hit_rate() == pytest.approx(0.5)
 
 
 def test_custom_page_size():
     cache = PageCache(4 * 16384, page_size=16384)
-    holes = cache.access(1, 0, 16384)
+    holes = cache.read_through(1, 0, 16384)
     assert holes == [(0, 16384)]
 
 
 @given(
     ops=st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=1),  # 0=access, 1=fill
+            st.integers(min_value=0, max_value=1),  # 0=read_through, 1=fill
             st.integers(min_value=0, max_value=3),  # file id
             st.integers(min_value=0, max_value=63),  # page index
         ),
@@ -132,10 +132,9 @@ def test_matches_reference_lru_model(ops):
         offset = page * PAGE_SIZE
         if kind == 0:
             expected_hit = ref_touch(key)
-            holes = cache.access(file_id, offset, PAGE_SIZE)
+            holes = cache.read_through(file_id, offset, PAGE_SIZE)
             assert (holes == []) == expected_hit
             if not expected_hit:
-                cache.fill(file_id, offset, PAGE_SIZE)
                 ref_fill(key)
         else:
             cache.fill(file_id, offset, PAGE_SIZE)
@@ -148,7 +147,7 @@ def test_matches_reference_lru_model(ops):
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["access", "fill", "read_through"]),
+            st.sampled_from(["fill", "read_through"]),
             st.integers(min_value=1, max_value=2),  # two interleaved files
             st.integers(min_value=0, max_value=40),  # first page
             st.integers(min_value=1, max_value=3 * PAGE_SIZE),  # bytes
@@ -168,10 +167,10 @@ def test_invalidate_by_span_equals_full_scan(ops, victim, slack):
         getattr(cache, kind)(file_id, page * PAGE_SIZE, nbytes)
         if file_id == victim:
             span = max(span, page * PAGE_SIZE + nbytes)
-    before = list(cache._pages)
+    before = cache.resident()
     survivors = [key for key in before if key[0] != victim]
     cache.invalidate_file(victim, span + slack)
-    assert list(cache._pages) == survivors
+    assert cache.resident() == survivors
     assert cache.stats.get("pages_invalidated") == len(before) - len(survivors)
 
 

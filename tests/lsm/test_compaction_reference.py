@@ -317,7 +317,7 @@ def run_job(job_class, scenario, fail_append_at=None):
         "log": log,
         "error": error,
         "tickers": (db.stats.tickers(), db.fs.stats.tickers(), db.fs.page_cache.stats.tickers()),
-        "pages": list(db.fs.page_cache._pages),
+        "pages": db.fs.page_cache.resident(),
         "files": db.fs.list(),
         "shape": db.level_shape(),
         "next_file_number": db.versions.next_file_number,

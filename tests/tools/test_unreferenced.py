@@ -1,6 +1,7 @@
-"""Dead-code check for the LSM engine: every module-level function, class
-and method defined in ``src/repro/lsm`` is referenced somewhere outside its
-own definition, in ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``.
+"""Dead-code check for the storage stack: every module-level function, class
+and method defined in ``src/repro/{lsm,fs,sim,storage}`` is referenced
+somewhere outside its own definition, in ``src/``, ``tests/``,
+``benchmarks/`` or ``examples/``.
 
 A reference is an identifier as code uses it — a name, an attribute, an
 imported name — or a string constant equal to it (``getattr`` by name).
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
-CHECKED = ROOT / "src" / "repro" / "lsm"
+CHECKED = tuple(ROOT / "src" / "repro" / pkg for pkg in ("lsm", "fs", "sim", "storage"))
 SEARCHED = ("src", "tests", "benchmarks", "examples")
 
 Definition = Tuple[str, Path, int, int]  # (qualified name, file, first line, last line)
@@ -63,7 +64,7 @@ def unreferenced() -> List[str]:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             refs[path] = references(tree)
-            if CHECKED in path.parents:
+            if any(pkg in path.parents for pkg in CHECKED):
                 defs.extend(definitions(path, tree))
     orphans = []
     for qualname, path, first, last in defs:
@@ -78,7 +79,7 @@ def unreferenced() -> List[str]:
     return orphans
 
 
-def test_every_lsm_definition_is_referenced():
+def test_every_definition_is_referenced():
     assert unreferenced() == []
 
 
