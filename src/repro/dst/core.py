@@ -250,13 +250,10 @@ class Scenario:
 
     def drive(self, gen, name: str):
         """Drive one generator to completion; raise what it raised."""
-        engine = self.engine
         proc = self.spawn(gen, name)
-        while not proc.done:
-            nxt = engine.peek()
-            if nxt is None:
-                raise DBError(f"{self.stream}: {name} deadlocked")
-            engine.run(until=nxt)
+        self.engine.run(stop=[proc])
+        if not proc.done:
+            raise DBError(f"{self.stream}: {name} deadlocked")
         if proc.exception is not None:
             raise proc.exception
         return proc.value
@@ -265,31 +262,36 @@ class Scenario:
         """Drive the engine until every proc is done (raising what one
         raised) and every control has fired: ``fire(action, node)`` at its
         exact virtual time, after the engine events of that instant, and
-        through dead air when the machine is idle."""
+        through dead air when the machine is idle.
+
+        Each run halts at the end of the instant in which a proc finishes,
+        so a failure raises before anything later runs.  A control's own
+        instant runs whole before it fires, and a proc that finished in that
+        instant is checked after the fire."""
         engine = self.engine
         n_controls = len(controls)
         i = 0
         while True:
-            done = True
+            pending = []
             for p in procs:
                 if not p.done:
-                    done = False
+                    pending.append(p)
                 elif p.exception is not None:
                     raise p.exception
-            due = controls[i][0] if i < n_controls else None
-            if done and due is None:
-                return
-            nxt = engine.peek()
-            if due is not None and (nxt is None or due <= nxt):
+            if i < n_controls:
+                due, action, node = controls[i]
                 if engine.now < due:
-                    engine.run(until=due)
-                _t, action, node = controls[i]
+                    engine.run(until=due, stop=pending)
+                    if engine.now < due:
+                        continue  # a proc finished first
                 i += 1
                 fire(action, node)
                 continue
-            if nxt is None:
+            if not pending:
+                return
+            if engine.peek() is None:
                 raise DBError(f"{self.stream} deadlocked (hung op?)")
-            engine.run(until=nxt)
+            engine.run(stop=pending)
 
     def read_keys(self, get, name: str, extra: Iterable[bytes] = ()) -> Dict[bytes, object]:
         """Observed state: the whole key space (plus ``extra``) read through

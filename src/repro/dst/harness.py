@@ -1,8 +1,9 @@
 """The DST harness: seeded workload + seeded faults -> crash -> verify.
 
-The harness owns the scheduler loop: it steps the engine one occurrence
-batch at a time (``engine.run(until=engine.peek())``) and checks the fault
-injector's crash flag between steps, so a crash point lands at an exact,
+The harness owns the scheduler loop: it runs the engine up to the next
+time-only crash point, stopping at the end of the instant in which the fault
+injector requests a crash or the client finishes
+(``engine.run(until=due, stop=...)``), so a crash point lands at an exact,
 reproducible virtual time — including times where the machine is idle
 (``run(until=...)`` advances the clock through dead air).
 
@@ -145,9 +146,10 @@ class DstRun(Scenario):
     def _step_until_crash(self, proc) -> bool:
         """Drive the engine; True if a crash point fired.
 
-        Steps one occurrence batch at a time, clamped to the next time-only
-        crash point so the crash lands at its exact virtual time even while
-        the machine is idle.
+        Each run ends at the next time-only crash point, so the crash lands
+        at its exact virtual time even while the machine is idle, or at the
+        end of the instant in which a crash is requested or the client
+        finishes.
         """
         engine = self.engine
         injector = self.injector
@@ -159,15 +161,15 @@ class DstRun(Scenario):
                     raise proc.exception
                 proc = None
             due = injector.due_crash_time()
-            nxt = engine.peek()
-            if nxt is None:
+            if engine.peek() is None:
                 if proc is not None:
                     raise DBError("dst: workload deadlocked")
                 if due is None:
                     return False  # idle, nothing pending: clean end
-                engine.run(until=due)
-                continue
-            engine.run(until=nxt if due is None else min(nxt, due))
+            stop = [injector.crash_requested]
+            if proc is not None:
+                stop.append(proc)
+            engine.run(until=due, stop=stop)
 
     # -- verification ------------------------------------------------------
 

@@ -8,12 +8,14 @@ operation counters, and the schedule's spec order.  Every injected fault
 is recorded in :attr:`log` as a virtual-time-stamped line, so two runs of
 the same seed can be compared line-by-line.
 
-Crash points are *requested*, not executed: a ``CRASH`` spec firing sets
-:attr:`crash_pending` (and records the reason).  The driving harness
-checks the flag between scheduler steps and performs the actual
-``machine.crash()`` — the injector cannot safely tear the world down from
-inside a device call.  Time-based crash points with no intervening I/O
-are handled by the harness polling :meth:`due_crash_time`.
+Crash points are *requested*, not executed: a ``CRASH`` spec firing records
+the reason and succeeds the :attr:`crash_requested` event (with the reason as
+its value; :attr:`crash_pending` reads it).  The driving harness passes that
+event as an ``Engine.run`` stop, so the run returns at the end of the
+requesting instant, and performs the actual ``machine.crash()`` — the
+injector cannot safely tear the world down from inside a device call.
+Time-based crash points with no intervening I/O are handled by the harness
+running to :meth:`due_crash_time` and then calling :meth:`poll`.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class FaultInjector:
         self.engine = engine
         self.stats = StatsSet()
         self.log: List[str] = []
-        self.crash_pending = False
-        self.crash_reason: Optional[str] = None
+        #: Succeeds, with the reason as its value, at the first crash request.
+        self.crash_requested = engine.event()
         self._device_states: List[_Armed] = []
         self._fs_states: List[_Armed] = []
         #: Net-level specs are carried inertly: the injector's device/fs
@@ -109,12 +111,19 @@ class FaultInjector:
         for state in self._fs_states:
             state.retired = True
 
+    @property
+    def crash_pending(self) -> bool:
+        return self.crash_requested.triggered
+
+    @property
+    def crash_reason(self) -> Optional[str]:
+        return self.crash_requested.value if self.crash_pending else None
+
     def request_crash(self, reason: str) -> None:
         if not self.crash_pending:
-            self.crash_pending = True
-            self.crash_reason = reason
             self.stats.inc("faults.crash_requests")
             self._record(f"crash requested: {reason}")
+            self.crash_requested.succeed(reason)
 
     def due_crash_time(self) -> Optional[int]:
         """Earliest pending time-only crash point, for harness polling."""

@@ -262,12 +262,10 @@ class DB:
         running during (and possibly after) it.
         """
         proc = self.engine.process(operation, name="run_sync")
-        # Join the process so failures re-raise here, not from Engine.run().
-        proc.callbacks.append(lambda _ev: None)
-        while not proc.done:
-            if self.engine.peek() is None:
-                raise DBError("operation cannot make progress (engine idle)")
-            self.engine.run(until=self.engine.peek())
+        # ``stop`` joins the process: a failure re-raises here, not from run().
+        self.engine.run(stop=[proc])
+        if not proc.done:
+            raise DBError("operation cannot make progress (engine idle)")
         if proc.exception is not None:
             raise proc.exception
         return proc.value

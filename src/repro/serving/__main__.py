@@ -55,22 +55,19 @@ def _run_resilient(args) -> int:
     )
     workloads = stack.build_fleet(tenants)
     prefill = stack.engine.process(stack.prefill(workloads), name="prefill")
-    prefill.callbacks.append(lambda _ev: None)
-    while not prefill.done:
-        nxt = stack.engine.peek()
-        if nxt is None:
-            raise RuntimeError("prefill deadlocked")
-        stack.engine.run(until=nxt)
+    stack.engine.run(stop=[prefill])
+    if not prefill.done:
+        raise RuntimeError("prefill deadlocked")
     if prefill.exception is not None:
         raise prefill.exception
     duration_ns = int(args.duration * 1e9)
     end = stack.engine.now + duration_ns
     procs = stack.spawn_fleet(workloads, end)
-    while not all(p.done for p in procs):
-        nxt = stack.engine.peek()
-        if nxt is None:
+    for proc in procs:
+        # Ends where the last client finishes: a finished one returns at once.
+        stack.engine.run(stop=[proc])
+        if not proc.done:
             raise RuntimeError("fleet deadlocked")
-        stack.engine.run(until=nxt)
     for proc in procs:
         if proc.exception is not None:
             raise proc.exception

@@ -43,8 +43,19 @@ kernel sets the clock to the wake-up and resumes the same generator inline.
 Dispatch order is provably identical to pushing the entry: the guard fails
 in precisely the cases where another occurrence would be popped first, and a
 warped sleep only removes a (push, pop) pair no other process could observe.
-A caller stepping with ``run(until=peek())`` never sees a warp, because any
-positive sleep from the deadline wakes beyond it.
+
+Driving to a condition
+----------------------
+``run(until, stop)`` returns at the end of the first instant in which any
+event in ``stop`` triggers: the now-queue is drained and every heap entry at
+that time has been popped, exactly where a ``run(until=peek())`` stepper
+returns after that instant.  A caller that checks a condition between
+instants (a process finished, a crash was requested) therefore passes the
+events that can change it as ``stop`` and makes one call, not one per
+instant; the dispatch is the stepper's, except that sleeps no other
+occurrence can precede warp (above), which no stepper check could observe
+either.  A halted run never warps past, nor sets the clock beyond, its
+halting instant.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from types import GeneratorType as _GeneratorType
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.tracer import active_tracer
@@ -83,6 +94,25 @@ _PROC = True
 _EVENT = False
 
 _INF = float("inf")
+
+
+class _Halt:
+    """What a ``run(stop=...)`` event's trigger leaves behind.
+
+    On ``Engine._crashed`` it tells the loop, which tests that list after
+    every dispatched item anyway, to end with this instant.  As a now-queue
+    entry it is a no-op (an event that has already fired) whose one effect
+    is to fail the lonely-sleep guard (``not nowq``), so the rest of the
+    step that triggered the stop cannot warp past the halting instant.
+    Neither costs the loop a check per item.
+    """
+
+    __slots__ = ()
+    triggered = True
+
+
+_HALT = _Halt()
+_HALT_ENTRY = (_EVENT, _HALT, None, None)
 
 
 class Event:
@@ -353,12 +383,18 @@ class Engine:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def run(self, until: Optional[int] = None) -> int:
-        """Run until the heap drains or the clock reaches ``until``.
+    def run(self, until: Optional[int] = None, stop: Sequence[Event] = ()) -> int:
+        """Run until the heap drains, the clock reaches ``until``, or an
+        event in ``stop`` triggers.
 
-        Returns the clock value at exit.  Unhandled exceptions in processes
-        that nothing joined are re-raised here (errors never pass silently).
-        An ``until`` in the past is an error: the clock never runs backwards.
+        Returns the clock value at exit.  A ``stop`` event ends the run at
+        the end of the instant in which it triggers (module docstring); one
+        that has already triggered returns at once, dispatching nothing.  A
+        process in ``stop`` counts as joined while the run lasts: its failure
+        halts the run for the caller to inspect.  Unhandled exceptions in
+        processes that nothing joined are re-raised here (errors never pass
+        silently), also in a halting instant.  An ``until`` in the past is an
+        error: the clock never runs backwards.
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
@@ -366,6 +402,16 @@ class Engine:
             raise SimulationError(
                 f"run(until={until}) lies before the clock ({self._now})"
             )
+        halt = None
+        if stop:
+            for ev in stop:
+                if ev.triggered:
+                    return self._now
+            # A bound method, not a closure: a closure would turn the loop's
+            # hot locals into cell variables.
+            halt = self._halt
+            for ev in stop:
+                ev.callbacks.append(halt)
         self._running = True
         heap = self._heap
         nowq = self._nowq
@@ -389,13 +435,13 @@ class Engine:
                 elif heap:
                     when = heap[0][0]
                     if when > limit:
-                        self._now = until
+                        self._now = limit
                         break
                     when, _, is_proc, target, value, exc = heappop(heap)
                     self._now = now = when
                 else:
-                    if until is not None and self._now < until:
-                        self._now = until
+                    if until is not None and self._now < limit:
+                        self._now = limit
                     break
                 if is_proc:
                     # Process stepping inlined: advancing a generator is the
@@ -416,9 +462,9 @@ class Engine:
                                 yielded = gen.throw(pending_exc)
                             else:
                                 yielded = send(value)
-                        except StopIteration as stop:
+                        except StopIteration as ret:
                             target.triggered = True
-                            target._value = stop.value
+                            target._value = ret.value
                             if target._waiters is not None or target.callbacks:
                                 target._fire()
                             if trace:
@@ -486,12 +532,29 @@ class Engine:
                     else:
                         target.succeed(value)
                 if crashed_box:
-                    crashed = crashed_box[0]
-                    raise SimulationError(
-                        f"process {crashed.name!r} crashed"
-                    ) from crashed._exc
+                    for crashed in crashed_box:
+                        if crashed is not _HALT:
+                            raise SimulationError(
+                                f"process {crashed.name!r} crashed"
+                            ) from crashed._exc
+                    # Only halt marks: a stop event triggered.  Drain this
+                    # instant, then leave through an exit that writes
+                    # ``limit`` (no warp can pass it either).
+                    crashed_box.clear()
+                    limit = now
         finally:
             self._running = False
+            if halt is not None:
+                # Detach, so this run's halt cannot cut a later run short.
+                for ev in stop:
+                    if not ev.triggered:
+                        ev.callbacks.remove(halt)
+                if crashed_box:
+                    # A crash cut the halting instant short: drop its marks.
+                    crashed_box[:] = [p for p in crashed_box if p is not _HALT]
+                    kept = [entry for entry in nowq if entry is not _HALT_ENTRY]
+                    nowq.clear()
+                    nowq.extend(kept)
             # A traceback through this frame keeps its locals alive: drop the
             # last exception and the last process, or they form a cycle with it.
             pending_exc = exc = target = None
@@ -518,6 +581,11 @@ class Engine:
         return dropped
 
     # -- kernel internals ---------------------------------------------------
+
+    def _halt(self, _ev: Event) -> None:
+        """Trigger callback of a ``run(stop=...)`` event (see :class:`_Halt`)."""
+        self._crashed.append(_HALT)
+        self._nowq.append(_HALT_ENTRY)
 
     def _schedule_event(self, event: Event, value: Any, delay: int) -> None:
         if delay:

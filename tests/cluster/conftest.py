@@ -12,6 +12,7 @@ from repro.sim.rng import RandomStream
 from repro.sim.units import kb, mb
 from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
+from tests.conftest import run_op
 
 
 def cluster_options() -> Options:
@@ -46,18 +47,6 @@ def make_cluster(n=3, seed=1234, config=None, fs_factory=None):
     return engine, cluster
 
 
-def run_gen(engine, gen, name="test-op"):
-    proc = engine.process(gen, name=name)
-    proc.callbacks.append(lambda _ev: None)
-    while not proc.done:
-        nxt = engine.peek()
-        assert nxt is not None, f"{name} deadlocked at t={engine.now}"
-        engine.run(until=nxt)
-    if proc.exception is not None:
-        raise proc.exception
-    return proc.value
-
-
 def put_n(engine, cluster, lo, hi, keyspace=8):
     """Issue puts [lo, hi) sequentially; returns [(i, acked, seq)]."""
     results = []
@@ -69,7 +58,7 @@ def put_n(engine, cluster, lo, hi, keyspace=8):
             )
             results.append((i, acked, seq))
 
-    run_gen(engine, writer(), "writer")
+    run_op(engine, writer(), "writer")
     return results
 
 
@@ -89,4 +78,4 @@ def settle(engine, cluster, total_ns, tick_ns=1_000_000):
             yield tick_ns
         return False
 
-    return run_gen(engine, waiter(), "settle")
+    return run_op(engine, waiter(), "settle")

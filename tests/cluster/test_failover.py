@@ -2,7 +2,8 @@
 
 from repro.sim.units import ms
 
-from tests.cluster.conftest import make_cluster, put_n, run_gen, settle
+from tests.cluster.conftest import make_cluster, put_n, settle
+from tests.conftest import run_op
 
 
 def read_key(engine, db, key):
@@ -10,7 +11,7 @@ def read_key(engine, db, key):
         value = yield from db.get(key)
         return value
 
-    return run_gen(engine, reader(), "read")
+    return run_op(engine, reader(), "read")
 
 
 class TestFailover:

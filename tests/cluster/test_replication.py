@@ -2,7 +2,8 @@
 
 from repro.sim.units import ms
 
-from tests.cluster.conftest import make_cluster, put_n, run_gen, settle
+from tests.cluster.conftest import make_cluster, put_n, settle
+from tests.conftest import run_op
 
 
 class TestHappyPath:
@@ -33,7 +34,7 @@ class TestHappyPath:
                     value = yield from db.get(key)
                     state[key] = value
 
-            run_gen(engine, reader(), "reader")
+            run_op(engine, reader(), "reader")
             return state
 
         states = [read_all(node.db) for node in cluster.nodes]
@@ -98,7 +99,7 @@ class TestFollowerCrash:
                 acked, _seq = yield from cluster.put(b"k%d" % (i % 4), b"v%d" % i)
                 assert acked
 
-        run_gen(engine, workload(), "workload")
+        run_op(engine, workload(), "workload")
         assert cluster.leader_node.db.stats.get("fsync_errors") == 0
         assert not cluster.violations
 

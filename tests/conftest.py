@@ -60,14 +60,16 @@ def make_db(engine: Engine, profile=None, options: Options | None = None, **fs_k
     return DB(engine, fs, options or tiny_options())
 
 
-def run_op(engine: Engine, gen):
-    """Drive one DB operation to completion on an idle-ish engine."""
-    proc = engine.process(gen, name="test-op")
-    proc.callbacks.append(lambda _ev: None)  # mark as joined: errors re-raise below
-    while not proc.done:
-        nxt = engine.peek()
-        assert nxt is not None, "operation deadlocked"
-        engine.run(until=nxt)
+def run_op(engine: Engine, gen, name: str = "test-op"):
+    """Drive one generator to completion; return its value or raise its error.
+
+    The run ends at the end of the instant in which the operation finishes
+    (``stop`` joins it, so its error re-raises here, not from the engine);
+    background work keeps running up to then.
+    """
+    proc = engine.process(gen, name=name)
+    engine.run(stop=[proc])
+    assert proc.done, f"{name} deadlocked at t={engine.now}"
     if proc.exception is not None:
         raise proc.exception
     return proc.value

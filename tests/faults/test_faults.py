@@ -25,6 +25,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import mb, us
 from repro.storage.profiles import xpoint_ssd
+from tests.conftest import run_op
 
 
 def make_faulty(engine, schedule):
@@ -32,18 +33,6 @@ def make_faulty(engine, schedule):
     device = FaultyDevice(engine, xpoint_ssd(), injector)
     fs = FaultyFileSystem(engine, device, PageCache(mb(4)), injector)
     return injector, device, fs
-
-
-def run_gen(engine, gen):
-    proc = engine.process(gen, name="op")
-    proc.callbacks.append(lambda _ev: None)
-    while not proc.done:
-        nxt = engine.peek()
-        assert nxt is not None
-        engine.run(until=nxt)
-    if proc.exception is not None:
-        raise proc.exception
-    return proc.value
 
 
 class TestFaultSpec:
@@ -148,7 +137,7 @@ class TestDeviceFaults:
             yield from f.sync()  # spec retired: retry succeeds
             return f.synced_size
 
-        assert run_gen(engine, op()) == 8192
+        assert run_op(engine, op()) == 8192
         assert fs.stats.get("fsync_errors") == 1
         assert injector.log  # the injected fault is on the record
 

@@ -15,15 +15,7 @@ from repro.sim.rng import RandomStream
 from repro.sim.units import KB, MB, mb
 from repro.storage.device import StorageDevice
 from repro.storage.profiles import null_device, xpoint_ssd
-from tests.conftest import make_fs
-
-
-def run_gen(engine, gen):
-    p = engine.process(gen)
-    engine.run()
-    if p.exception:
-        raise p.exception
-    return p.value
+from tests.conftest import make_fs, run_op
 
 
 class TestNamespace:
@@ -100,7 +92,7 @@ class TestAppendReadSync:
         def proc():
             yield ev
 
-        run_gen(engine, proc())
+        run_op(engine, proc())
         assert fs.stats.get("device_reads") == 1
 
     def test_sync_marks_durable(self, engine):
@@ -112,7 +104,7 @@ class TestAppendReadSync:
         def proc():
             yield from f.sync()
 
-        run_gen(engine, proc())
+        run_op(engine, proc())
         assert f.synced_size == 64 * KB
 
     def test_writeback_threshold_triggers_device_writes(self, engine):
@@ -237,7 +229,7 @@ class TestCrash:
         def proc():
             yield from f.sync()
 
-        run_gen(engine, proc())
+        run_op(engine, proc())
         f.append(16 * KB, record="r2")  # never synced
         fs.crash()
         assert f.size == 16 * KB

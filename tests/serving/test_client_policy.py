@@ -23,18 +23,7 @@ from repro.serving.client import (
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import ms, us
-
-
-def run_gen(engine, gen, name="test-op"):
-    proc = engine.process(gen, name=name)
-    proc.callbacks.append(lambda _ev: None)
-    while not proc.done:
-        nxt = engine.peek()
-        assert nxt is not None, f"{name} deadlocked at t={engine.now}"
-        engine.run(until=nxt)
-    if proc.exception is not None:
-        raise proc.exception
-    return proc.value
+from tests.conftest import run_op
 
 
 def sleep_until(engine, when):
@@ -42,7 +31,7 @@ def sleep_until(engine, when):
         if when > engine.now:
             yield when - engine.now
 
-    run_gen(engine, sleeper(), "sleep")
+    run_op(engine, sleeper(), "sleep")
 
 
 class FakeGroup:
@@ -110,7 +99,7 @@ class TestDeadlines:
         client = make_client(engine, group, op_deadline_ns=ms(5))
         session = ClientSession("t0")
         with pytest.raises(DeadlineExceededError) as exc_info:
-            run_gen(engine, client.read(session, b"k"))
+            run_op(engine, client.read(session, b"k"))
         assert exc_info.value.op == "get"
         assert exc_info.value.elapsed_ns <= ms(5)
         assert engine.now == ms(5)  # resolved exactly at the deadline
@@ -121,7 +110,7 @@ class TestDeadlines:
         group.write_latency = ms(500)
         client = make_client(engine, group, op_deadline_ns=ms(4))
         with pytest.raises(DeadlineExceededError) as exc_info:
-            run_gen(engine, client.write(ClientSession("t0"), b"k", b"v"))
+            run_op(engine, client.write(ClientSession("t0"), b"k", b"v"))
         assert exc_info.value.op == "put"
         assert exc_info.value.elapsed_ns <= ms(4)
         assert client.stats.get("indeterminate") == 1
@@ -141,7 +130,7 @@ class TestDeadlines:
             hedge_reads=False,
         )
         with pytest.raises(DeadlineExceededError):
-            run_gen(engine, client.read(ClientSession("t0"), b"k"))
+            run_op(engine, client.read(ClientSession("t0"), b"k"))
         assert engine.now <= ms(1)
 
 
@@ -184,7 +173,7 @@ class TestHedging:
         engine = Engine()
         group = FakeGroup(engine)
         client = make_client(engine, group)
-        outcome = run_gen(engine, client.read(ClientSession("t0"), b"k"))
+        outcome = run_op(engine, client.read(ClientSession("t0"), b"k"))
         assert outcome.node_id == 0 and not outcome.hedged
         assert client.stats.get("hedges_launched", 0) == 0
         assert len(group.reads) == 1
@@ -199,7 +188,7 @@ class TestHedging:
         group.read_latency[2] = us(100)
         group.set_applied(2, 5)  # node 2 most caught up
         client = make_client(engine, group, hedge_delay_ns=ms(2))
-        outcome = run_gen(engine, client.read(ClientSession("t0"), b"k"))
+        outcome = run_op(engine, client.read(ClientSession("t0"), b"k"))
         assert outcome.hedged and outcome.node_id == 2
         assert outcome.value == b"value-from-2"
         assert client.stats.get("hedges_launched") == 1
@@ -216,7 +205,7 @@ class TestHedging:
         group.read_latency[1] = ms(30)  # hedge arm much slower
         group.read_latency[2] = ms(30)
         client = make_client(engine, group, hedge_delay_ns=ms(2))
-        outcome = run_gen(engine, client.read(ClientSession("t0"), b"k"))
+        outcome = run_op(engine, client.read(ClientSession("t0"), b"k"))
         assert not outcome.hedged and outcome.node_id == 0
         assert client.stats.get("hedges_launched") == 1
         assert client.stats.get("hedges_won", 0) == 0
@@ -231,7 +220,7 @@ class TestHedging:
         session = ClientSession("t0")
         session.observe_write(0, 7)  # floor = 7; followers applied = 0
         client = make_client(engine, group, hedge_delay_ns=ms(2), op_deadline_ns=ms(25))
-        outcome = run_gen(engine, client.read(session, b"k"))
+        outcome = run_op(engine, client.read(session, b"k"))
         assert client.stats.get("hedges_launched", 0) == 0
         assert outcome.node_id == 0  # waited the primary out instead
         assert session.ryw_violations  # and the stale leader read is flagged
@@ -240,7 +229,7 @@ class TestHedging:
         engine = Engine()
         group = FakeGroup(engine, leader=0)
         group.leader_id = None
-        outcome = run_gen(
+        outcome = run_op(
             engine, make_client(engine, group).read(ClientSession("t0"), b"k")
         )
         assert outcome.node_id in (0, 1, 2)
@@ -263,15 +252,15 @@ class TestBreaker:
         )
         session = ClientSession("t0")
         with pytest.raises(ShardUnavailableError):
-            run_gen(engine, client.read(session, b"k"))  # 5 failed attempts
+            run_op(engine, client.read(session, b"k"))  # 5 failed attempts
         with pytest.raises(ShedError) as exc_info:
-            run_gen(engine, client.read(session, b"k"))  # trips at 8
+            run_op(engine, client.read(session, b"k"))  # trips at 8
         assert exc_info.value.reason == "breaker"
         attempts_before = len(group.reads)
         assert attempts_before == 8
         for _ in range(10):
             with pytest.raises(ShedError):
-                run_gen(engine, client.read(session, b"k"))
+                run_op(engine, client.read(session, b"k"))
         assert len(group.reads) == attempts_before  # zero new load sent
         assert client.breaker.open and client.breaker.trips == 1
         assert client.stats.get("breaker_fastfail", 0) >= 10
@@ -290,11 +279,11 @@ class TestBreaker:
         )
         session = ClientSession("t0")
         with pytest.raises((ShardUnavailableError, ShedError)):
-            run_gen(engine, client.read(session, b"k"))
+            run_op(engine, client.read(session, b"k"))
         assert client.breaker.open
         group.read_fail.clear()  # shard comes back
         sleep_until(engine, engine.now + ms(11))  # past the cooloff
-        outcome = run_gen(engine, client.read(session, b"k"))  # the probe
+        outcome = run_op(engine, client.read(session, b"k"))  # the probe
         assert outcome.value == b"value-from-0"
         assert not client.breaker.open
 
@@ -321,7 +310,7 @@ class TestWrites:
         group = FakeGroup(engine)
         client = make_client(engine, group)
         session = ClientSession("t0")
-        seq = run_gen(engine, client.write(session, b"k", b"v"))
+        seq = run_op(engine, client.write(session, b"k", b"v"))
         assert seq == 1
         assert session.seq_floor(0) == 1
 
@@ -331,7 +320,7 @@ class TestWrites:
         group.leader_id = None
         group.leader_after_rediscover = 1
         client = make_client(engine, group)
-        seq = run_gen(engine, client.write(ClientSession("t0"), b"k", b"v"))
+        seq = run_op(engine, client.write(ClientSession("t0"), b"k", b"v"))
         assert seq == 1
         assert group.rediscover_calls == 1
         assert client.stats.get("rediscoveries") == 1
@@ -344,6 +333,6 @@ class TestWrites:
             engine, group, max_attempts=3, breaker_failure_threshold=99
         )
         with pytest.raises(ShardUnavailableError) as exc_info:
-            run_gen(engine, client.write(ClientSession("t0"), b"k", b"v"))
+            run_op(engine, client.write(ClientSession("t0"), b"k", b"v"))
         assert exc_info.value.attempts == 3
         assert client.stats.get("write_retries") == 2

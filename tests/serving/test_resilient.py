@@ -12,18 +12,7 @@ from repro.serving.resilient import (
     ResilientServingStack,
 )
 from repro.sim.units import ms, us
-
-
-def run_gen(engine, gen, name="test-op"):
-    proc = engine.process(gen, name=name)
-    proc.callbacks.append(lambda _ev: None)
-    while not proc.done:
-        nxt = engine.peek()
-        assert nxt is not None, f"{name} deadlocked at t={engine.now}"
-        engine.run(until=nxt)
-    if proc.exception is not None:
-        raise proc.exception
-    return proc.value
+from tests.conftest import run_op
 
 
 def make_stack(shards=2, replicas=3, chaos=None, seed=1):
@@ -50,11 +39,11 @@ class TestDataPath:
     def test_put_get_round_trip_through_replication(self):
         stack = make_stack()
         session = stack.session("t", 0)
-        seq = run_gen(stack.engine, stack.put(session, b"user42"))
+        seq = run_op(stack.engine, stack.put(session, b"user42"))
         assert seq >= 1
-        value = run_gen(stack.engine, stack.get(session, b"user42"))
+        value = run_op(stack.engine, stack.get(session, b"user42"))
         assert value is not None and value.endswith(b"user42")
-        assert run_gen(stack.engine, stack.verify_writes(), "audit") == []
+        assert run_op(stack.engine, stack.verify_writes(), "audit") == []
         assert stack.ryw_violations() == []
         assert stack.ops_started == stack.ops_resolved == 2
         stack.shutdown()
@@ -66,10 +55,10 @@ class TestDataPath:
         shards_hit = {stack.shard_of(k) for k in keys}
         assert shards_hit == {0, 1}  # the scan genuinely scatter-gathers
         for key in keys:
-            run_gen(stack.engine, stack.put(session, key))
-        rows = run_gen(stack.engine, stack.scan(session, b"k", b"l"), "scan")
+            run_op(stack.engine, stack.put(session, key))
+        rows = run_op(stack.engine, stack.scan(session, b"k", b"l"), "scan")
         assert [k for k, _v in rows] == keys
-        limited = run_gen(
+        limited = run_op(
             stack.engine, stack.scan(session, b"k", b"l", limit=5), "scan"
         )
         assert [k for k, _v in limited] == keys[:5]
@@ -80,10 +69,10 @@ class TestDataPath:
         reached replication is reported."""
         stack = make_stack(shards=1)
         session = stack.session("t", 0)
-        run_gen(stack.engine, stack.put(session, b"key"))
+        run_op(stack.engine, stack.put(session, b"key"))
         stack._issued[b"key"].add(b"phantom")
         stack._acked[b"key"].append((999, b"phantom"))
-        violations = run_gen(stack.engine, stack.verify_writes(), "audit")
+        violations = run_op(stack.engine, stack.verify_writes(), "audit")
         assert len(violations) == 1 and b"key" in violations[0].encode() or "key" in violations[0]
         stack.shutdown()
 
@@ -180,15 +169,14 @@ class TestFleetReporting:
         stack = make_stack()
         tenants = default_tenants(2, users_per_tenant=20_000, key_count=8, clients=1)
         workloads = stack.build_fleet(tenants)
-        run_gen(stack.engine, stack.prefill(workloads), "prefill")
+        run_op(stack.engine, stack.prefill(workloads), "prefill")
         end = stack.engine.now + ms(30)
         procs = stack.spawn_fleet(workloads, end)
-        while not all(p.done for p in procs):
-            nxt = stack.engine.peek()
-            assert nxt is not None, "fleet deadlocked"
-            stack.engine.run(until=nxt)
+        for proc in procs:
+            stack.engine.run(stop=[proc])
+            assert proc.done, "fleet deadlocked"
         assert stack.ops_started == stack.ops_resolved
-        assert run_gen(stack.engine, stack.verify_writes(), "audit") == []
+        assert run_op(stack.engine, stack.verify_writes(), "audit") == []
         assert stack.ryw_violations() == []
         result = stack.collect(workloads, ms(30))
         text = result.render()

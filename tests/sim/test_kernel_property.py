@@ -9,7 +9,8 @@ same-timestamp ties — are executed both on :class:`repro.sim.engine.Engine`
 and on a deliberately naive reference kernel that implements the documented
 contract the slow way (every occurrence goes through one heap with a
 monotonic sequence number).  The observable logs and final clocks must match
-exactly.
+exactly.  ``run(until, stop)`` is checked the same way against the
+per-instant stepping loop it replaces (:func:`step_to`).
 
 Also here: cache-correctness properties for the measurement primitives the
 optimization pass touched (:class:`LatencyHistogram`'s sorted-bucket cache,
@@ -20,7 +21,10 @@ import heapq
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.obs import Tracer
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyHistogram, TimeSeries
@@ -366,6 +370,184 @@ def test_tracing_does_not_change_semantics(seed):
     untraced = run_on_engine(scenario)
     traced = run_on_engine(scenario, tracer=Tracer())
     assert traced == untraced
+
+
+# ---------------------------------------------------------------------------
+# run(until, stop): one call against the per-instant stepping loop it replaces.
+# ---------------------------------------------------------------------------
+
+
+def step_to(engine, until, stop):
+    """The spec of ``engine.run(until, stop)``: one instant per
+    ``run(until=peek())`` call, the stop condition checked between
+    instants."""
+    while not any(ev.triggered for ev in stop):
+        nxt = engine.peek()
+        if nxt is None or (until is not None and nxt > until):
+            if until is not None and engine.now < until:
+                engine.run(until=until)
+            break
+        engine.run(until=nxt)
+    return engine.now
+
+
+_STOP_EVENTS = 4
+
+_leaf_ops = st.one_of(
+    st.tuples(st.just("sleep"), st.integers(0, 3)),
+    st.tuples(st.just("mark"), st.integers(0, 9)),
+    st.tuples(st.just("wait"), st.integers(0, _STOP_EVENTS - 1)),
+    st.tuples(st.just("succeed"), st.integers(0, _STOP_EVENTS - 1), st.integers(0, 9)),
+    st.tuples(st.just("fail"), st.integers(0, _STOP_EVENTS - 1), st.just("boom")),
+    st.tuples(st.just("spawn_fail"), st.just("crash")),
+)
+_ops = st.one_of(
+    _leaf_ops,
+    st.tuples(st.just("spawn"), st.lists(_leaf_ops, max_size=4)),
+    st.tuples(st.just("join")),
+)
+
+
+def _well_formed(script, fired):
+    """Each event fires at most once (later fires become marks) and every
+    ``spawn_fail`` is joined at once, as ``_random_script`` guarantees."""
+    out = []
+    for cmd in script:
+        if cmd[0] in ("succeed", "fail"):
+            if cmd[1] in fired:
+                cmd = ("mark", cmd[1])
+            fired.add(cmd[1])
+        elif cmd[0] == "spawn":
+            cmd = ("spawn", _well_formed(cmd[1], fired))
+        out.append(cmd)
+        if cmd[0] == "spawn_fail":
+            out.append(("join",))
+    return out
+
+
+@st.composite
+def stop_plans(draw):
+    """Top-level processes — each joined (a stop candidate, as the harnesses
+    join what they stop on) or not, each ending in a ``raise`` or not — and a
+    sequence of ``(until offset or None, stop picks)`` calls.  A pick below
+    ``_STOP_EVENTS`` is that event, above it a joined process."""
+    fired = set()
+    procs = []
+    for _ in range(draw(st.integers(1, 4))):
+        script = _well_formed(draw(st.lists(_ops, min_size=1, max_size=8)), fired)
+        if draw(st.booleans()):
+            script.append(("raise", "fell"))
+        procs.append((script, draw(st.booleans())))
+    n_joined = sum(joined for _script, joined in procs)
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.none() | st.integers(0, 8),
+                st.lists(st.integers(0, _STOP_EVENTS + n_joined - 1), max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return procs, calls
+
+
+def _drive_plan(plan, one_call):
+    """Apply ``plan``'s calls (then a final drain) on a fresh engine, with
+    ``run(until, stop)`` when ``one_call`` and with :func:`step_to`
+    otherwise.  Returns what each call observed: the return clock,
+    ``peek()`` and the dispatch log so far, or the error the call raised."""
+    procs, calls = plan
+    engine = Engine()
+    events = [engine.event() for _ in range(_STOP_EVENTS)]
+    log = []
+    stoppable = list(events)
+    for i, (script, joined) in enumerate(procs):
+        proc = engine.process(_engine_driver(engine, events, f"p{i}", script, log), name=f"p{i}")
+        if joined:
+            proc.callbacks.append(lambda _ev: None)
+            stoppable.append(proc)
+    seen = []
+    for offset, picks in calls + [(None, [])]:
+        until = None if offset is None else engine.now + offset
+        stop = [stoppable[k] for k in picks]
+        try:
+            clock = engine.run(until, stop) if one_call else step_to(engine, until, stop)
+        except SimulationError as err:
+            seen.append(("raised", str(err), engine.peek(), list(log)))
+            break
+        seen.append((clock, engine.now, engine.peek(), list(log)))
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # a tie at the halting instant: both wake at t=2, p0 stops the run
+    plan=([([("sleep", 2), ("succeed", 0, 1)], False), ([("sleep", 2), ("mark", 5)], False)],
+          [(None, [0])]),
+)
+@example(  # p0 fires the stop at t=1, then sleeps alone: until=8, yet
+    # neither a warp nor the clock may pass t=1
+    plan=([([("sleep", 1), ("succeed", 0, 1), ("sleep", 4), ("mark", 1)], False)],
+          [(8, [0])]),
+)
+@given(plan=stop_plans())
+def test_run_with_stop_matches_stepping_loop(plan):
+    assert _drive_plan(plan, one_call=True) == _drive_plan(plan, one_call=False)
+
+
+def _stop_engine(*scripts):
+    engine = Engine()
+    events = [engine.event() for _ in range(2)]
+    log = []
+    procs = [
+        engine.process(_engine_driver(engine, events, f"p{i}", script, log), name=f"p{i}")
+        for i, script in enumerate(scripts)
+    ]
+    return engine, events, procs, log
+
+
+def test_stop_already_triggered_returns_at_once():
+    engine, events, _procs, log = _stop_engine([("sleep", 3), ("mark", 1)])
+    events[0].succeed(None)
+    assert engine.run(until=10, stop=[events[0]]) == 0
+    assert log == [] and engine.peek() == 0
+    assert engine.run(stop=[events[1]]) == 3  # events[1] never fires: drains
+
+
+def test_until_first_then_a_later_trigger_does_not_halt_the_next_run():
+    engine, events, _procs, log = _stop_engine(
+        [("sleep", 6), ("succeed", 0, 1), ("sleep", 4), ("mark", 1)]
+    )
+    assert engine.run(until=5, stop=[events[0]]) == 5
+    assert not events[0].triggered and events[0].callbacks == []
+    assert engine.run(until=20) == 20  # the trigger at t=6 cuts nothing short
+    assert log == [(6, "p0", "fired", 0), (10, "p0", "mark", 1)]
+
+
+def test_stop_and_heap_drain_in_one_instant_keep_the_clock():
+    engine, events, _procs, _log = _stop_engine([("sleep", 5), ("succeed", 0, 1)])
+    assert engine.run(until=100, stop=[events[0]]) == 5
+    assert engine.now == 5 and engine.peek() is None
+
+
+def test_unjoined_crash_in_the_halting_instant_still_raises():
+    for scripts in (
+        ([("sleep", 3), ("succeed", 0, 1)], [("sleep", 3), ("raise", "late")]),
+        ([("sleep", 3), ("raise", "early")], [("sleep", 3), ("succeed", 0, 1)]),
+    ):
+        engine, events, _procs, _log = _stop_engine(*scripts)
+        with pytest.raises(SimulationError, match="crashed"):
+            engine.run(stop=[events[0]])
+
+
+def test_failing_process_as_the_stop_event():
+    engine, _events, procs, log = _stop_engine(
+        [("sleep", 4), ("raise", "down")], [("sleep", 4), ("mark", 1), ("sleep", 3), ("mark", 2)]
+    )
+    assert engine.run(stop=[procs[0]]) == 4  # joined by stop: halts, no raise
+    assert isinstance(procs[0].exception, RuntimeError)
+    assert log == [(4, "p1", "mark", 1)]  # the tie at t=4 ran; t=7 did not
+    assert engine.peek() == 7
 
 
 # ---------------------------------------------------------------------------

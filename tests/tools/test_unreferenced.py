@@ -1,7 +1,8 @@
-"""Dead-code check for the storage stack: every module-level function, class
-and method defined in ``src/repro/{lsm,fs,sim,storage}`` is referenced
-somewhere outside its own definition, in ``src/``, ``tests/``,
-``benchmarks/`` or ``examples/``.
+"""Dead-code check for the whole package: every module-level function, class
+and method defined anywhere under ``src/repro`` — each subpackage and the
+top-level modules (``errors.py``, ``jobs.py``) — is referenced somewhere
+outside its own definition, in ``src/``, ``tests/``, ``benchmarks/`` or
+``examples/``.
 
 A reference is an identifier as code uses it — a name, an attribute, an
 imported name — or a string constant equal to it (``getattr`` by name).
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
-CHECKED = tuple(ROOT / "src" / "repro" / pkg for pkg in ("lsm", "fs", "sim", "storage"))
+CHECKED = ROOT / "src" / "repro"
 SEARCHED = ("src", "tests", "benchmarks", "examples")
 
 Definition = Tuple[str, Path, int, int]  # (qualified name, file, first line, last line)
@@ -64,7 +65,7 @@ def unreferenced() -> List[str]:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             refs[path] = references(tree)
-            if any(pkg in path.parents for pkg in CHECKED):
+            if CHECKED in path.parents:
                 defs.extend(definitions(path, tree))
     orphans = []
     for qualname, path, first, last in defs:
