@@ -211,7 +211,8 @@ class SimFile:
         an event firing when the device read(s) complete.  The pages are
         inserted into the cache.
         """
-        self._check_alive()
+        if self.deleted or self.closed:
+            self._check_alive()
         if offset < 0 or offset + nbytes > self.size:
             raise FileSystemError(
                 f"read [{offset}, {offset + nbytes}) beyond EOF {self.size} in {self.path}"
@@ -220,10 +221,17 @@ class SimFile:
         # read_through = access + fill of the misses in one page walk; the
         # missing pages are already resident when it returns.
         holes = fs.page_cache.read_through(self.file_id, offset, nbytes)
+        tickers = fs._tickers
         if not holes:
-            fs.stats.inc("cached_reads")
+            try:
+                tickers["cached_reads"] += 1
+            except KeyError:
+                tickers["cached_reads"] = 1
             return None
-        fs.stats.inc("device_reads")
+        try:
+            tickers["device_reads"] += 1
+        except KeyError:
+            tickers["device_reads"] = 1
         if len(holes) == 1:
             # Single hole within one extent (the common small-block read):
             # map it inline instead of spinning up the _physical_runs
@@ -304,6 +312,7 @@ class SimFileSystem:
         self.writeback_bytes = writeback_bytes
         self.dirty_limit_bytes = dirty_limit_bytes
         self.stats = StatsSet()
+        self._tickers = self.stats.counters()  # counted inline by SimFile.read
         # Incremented on every power failure.  In-flight writeback
         # completions and suspended fsyncs capture the epoch they started
         # under and refuse to act once it changes — required for node-local

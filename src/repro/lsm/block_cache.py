@@ -14,16 +14,18 @@ from typing import Tuple
 from repro.errors import DBError
 from repro.sim.stats import StatsSet
 
-BlockKey = Tuple[int, ...]  # (sst number, block index) or (ns, sst, block)
+BlockKey = Tuple[int, int, int]  # (namespace, sst number, block index)
 
 
 class BlockCache:
-    """Byte-budgeted LRU over (sst, block) keys.
+    """Byte-budgeted LRU over ``(namespace, sst, block)`` keys.
 
     A cache can be shared by several DB instances (shards / column
     families): each sharer prefixes its keys with a distinct integer
-    namespace — ``(namespace, sst, block)`` — so per-DB SST numbering
-    never collides while all sharers draw on one joint byte budget.
+    namespace (a DB's ``cache_namespace``, 0 by default), so per-DB SST
+    numbering never collides while all sharers draw on one joint byte
+    budget.  ``lookup`` and ``insert`` run once per probed block: they
+    count into the ticker dict directly, without a call.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -33,6 +35,7 @@ class BlockCache:
         self._entries: "OrderedDict[BlockKey, int]" = OrderedDict()
         self._used = 0
         self.stats = StatsSet()
+        self._tickers = self.stats.counters()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,9 +48,15 @@ class BlockCache:
         """True on hit (promotes to MRU)."""
         if key in self._entries:
             self._entries.move_to_end(key)
-            self.stats.inc("hits")
+            try:
+                self._tickers["hits"] += 1
+            except KeyError:
+                self._tickers["hits"] = 1
             return True
-        self.stats.inc("misses")
+        try:
+            self._tickers["misses"] += 1
+        except KeyError:
+            self._tickers["misses"] = 1
         return False
 
     def insert(self, key: BlockKey, charge: int) -> None:
@@ -64,27 +73,24 @@ class BlockCache:
                 # it instead of letting the entry vanish silently.
                 self.stats.inc("refresh_drops")
             return
-        self._entries[key] = charge
+        entries = self._entries
+        entries[key] = charge
         self._used += charge
-        while self._used > self.capacity_bytes:
-            _oldest, old_charge = self._entries.popitem(last=False)
-            self._used -= old_charge
-            self.stats.inc("evictions")
+        if self._used > self.capacity_bytes:
+            evicted = 0
+            while self._used > self.capacity_bytes:
+                self._used -= entries.popitem(last=False)[1]
+                evicted += 1
+            try:
+                self._tickers["evictions"] += evicted
+            except KeyError:
+                self._tickers["evictions"] = evicted
 
-    def erase_file(self, sst_number: int, namespace: int | None = None) -> None:
-        """Drop all blocks of a deleted SST.
-
-        With ``namespace`` set, only that sharer's ``(namespace, sst, block)``
-        keys are matched; without it, legacy ``(sst, block)`` keys.
-        """
-        if namespace is None:
-            stale = [k for k in self._entries if k[0] == sst_number]
-        else:
-            stale = [
-                k
-                for k in self._entries
-                if k[0] == namespace and k[1] == sst_number
-            ]
+    def erase_file(self, sst_number: int, namespace: int) -> None:
+        """Drop all of one sharer's blocks of a deleted SST."""
+        stale = [
+            k for k in self._entries if k[0] == namespace and k[1] == sst_number
+        ]
         for k in stale:
             self._used -= self._entries.pop(k)
         if stale:

@@ -604,7 +604,7 @@ class DB:
                             stats.inc("bloom.useful")
                             continue
                     cpu += search(sst.entry_count)
-                    block_idx = sst.block_for_key(key)
+                    entry_idx, block_idx = sst.locate(key)
                     cpu += cache_lookup
                     cache_key = (cache_ns, sst.number, block_idx)
                     if not block_cache.lookup(cache_key):
@@ -626,8 +626,8 @@ class DB:
                             sst.verify_block(block_idx, meta.file)
                         cpu += block_decode
                         block_cache.insert(cache_key, nbytes)
-                    entry = sst.find(key)
-                    if entry is not None:
+                    if sst.keys[entry_idx] == key:
+                        entry = sst.entries[entry_idx]
                         stats.inc(_HIT_TICKERS[level] if level < 3 else "get.deep_hit")
                         break
                 # Pending search CPU is charged before the version ref is
@@ -680,8 +680,8 @@ class DB:
             io_events = []
             for meta in consulted:
                 sources.append(meta.sst.items_from(start))
-                first = meta.sst.block_for_key(start)
-                last = meta.sst.block_for_key(end)
+                first = meta.sst.locate(start)[1]
+                last = meta.sst.locate(end)[1]
                 for block in range(first, last + 1):
                     offset, nbytes = meta.sst.block_span(block)
                     ev = meta.file.read(offset, nbytes, sequential=True)

@@ -275,13 +275,20 @@ class SSTable:
         """How many of the table's keys sort before ``key``."""
         return bisect_left(self.keys, key)
 
-    def block_for_key(self, key: bytes) -> int:
-        """Index binary search: which data block could hold ``key``."""
-        entry_idx = bisect_left(self.keys, key)
-        if entry_idx >= len(self.keys):
-            entry_idx = len(self.keys) - 1
-        block = bisect_right(self._block_first, entry_idx) - 1
-        return max(0, block)
+    def locate(self, key: bytes) -> Tuple[int, int]:
+        """Index binary search: ``(entry_idx, block_idx)``.
+
+        ``entry_idx`` is the first entry not below ``key``, clamped to the
+        last entry, so ``keys[entry_idx] == key`` is the exact-match test;
+        ``block_idx`` is the data block holding that entry (block 0 starts
+        at entry 0).  One ``bisect_left`` over the keys per probe serves the
+        block read and the match that follows it.
+        """
+        keys = self.keys
+        entry_idx = bisect_left(keys, key)
+        if entry_idx == len(keys):
+            entry_idx -= 1
+        return entry_idx, bisect_right(self._block_first, entry_idx) - 1
 
     def block_span(self, block_idx: int) -> Tuple[int, int]:
         """(file_offset, nbytes) of one data block."""
@@ -342,11 +349,9 @@ class SSTable:
             )
 
     def find(self, key: bytes) -> Optional[Entry]:
-        """Exact-match lookup in the in-memory arrays (after block 'read')."""
-        idx = bisect_left(self.keys, key)
-        if idx < len(self.keys) and self.keys[idx] == key:
-            return self.entries[idx]
-        return None
+        """Exact-match lookup: :meth:`locate`, then the match test."""
+        idx = self.locate(key)[0]
+        return self.entries[idx] if self.keys[idx] == key else None
 
     # -- iteration ---------------------------------------------------------------
 

@@ -44,6 +44,18 @@ Dispatch order is provably identical to pushing the entry: the guard fails
 in precisely the cases where another occurrence would be popped first, and a
 warped sleep only removes a (push, pop) pair no other process could observe.
 
+The same argument covers a *wait*.  When a process yields an untriggered
+event whose own occurrence is the heap head (an event entry, not a process's
+sleep: the entry's type tag tells them apart), that nothing else watches (no
+waiters, no callbacks), while the now-queue is empty, the occurrence does not
+cross ``until`` and neither heap child ties it, the kernel pops the entry,
+sets the clock, marks the event triggered with the entry's value and resumes
+the generator inline: one lonely process waiting on its device read
+(:meth:`Engine.timeout`) skips the fire and the now-queue round trip.  The
+guard runs only when a process yields an untriggered event.  Traced runs
+keep the heap round trip, because the device hangs its queue-depth callback
+on the event; their dispatch order is the same by the same argument.
+
 Driving to a condition
 ----------------------
 ``run(until, stop)`` returns at the end of the first instant in which any
@@ -52,10 +64,10 @@ that time has been popped, exactly where a ``run(until=peek())`` stepper
 returns after that instant.  A caller that checks a condition between
 instants (a process finished, a crash was requested) therefore passes the
 events that can change it as ``stop`` and makes one call, not one per
-instant; the dispatch is the stepper's, except that sleeps no other
-occurrence can precede warp (above), which no stepper check could observe
-either.  A halted run never warps past, nor sets the clock beyond, its
-halting instant.
+instant; the dispatch is the stepper's, except that sleeps and waits no
+other occurrence can precede warp (above), which no stepper check could
+observe either.  A halted run never warps past, nor sets the clock beyond,
+its halting instant.
 """
 
 from __future__ import annotations
@@ -92,6 +104,8 @@ _heappop = heapq.heappop
 # append instead of a heappush + heappop.
 _PROC = True
 _EVENT = False
+
+_new_timeout = object.__new__
 
 _INF = float("inf")
 
@@ -206,18 +220,16 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after a delay.
 
-    Prefer ``yield <int>`` inside processes (it avoids allocating an event);
-    ``Timeout`` exists for composing with :class:`AnyOf` (e.g. waits with a
-    deadline).
+    Built only by :meth:`Engine.timeout`.  Prefer ``yield <int>`` inside
+    processes (it avoids allocating an event); a ``Timeout`` is what an API
+    returns to be waited on (a device request's completion) or composed with
+    :class:`AnyOf` (a wait with a deadline).
     """
 
     __slots__ = ()
 
-    def __init__(self, engine: "Engine", delay: int, value: Any = None) -> None:
-        super().__init__(engine)
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        engine._schedule_event(self, value, int(delay))
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
+        raise SimulationError("a Timeout is made by Engine.timeout(delay, value)")
 
 
 class AllOf(Event):
@@ -374,8 +386,26 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` nanoseconds from now."""
-        return Timeout(self, delay, value)
+        """Create an event that fires ``delay`` nanoseconds from now.
+
+        One call per timeout (every device request makes one): the event's
+        slots are set and its occurrence is queued right here.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout: {delay}")
+        ev = _new_timeout(Timeout)
+        ev.engine = self
+        ev._value = _PENDING
+        ev._exc = None
+        ev.triggered = False
+        ev._waiters = None
+        ev.callbacks = []
+        if delay:
+            self._seq = seq = self._seq + 1
+            _heappush(self._heap, (self._now + int(delay), seq, _EVENT, ev, value, None))
+        else:
+            self._nowq.append((_EVENT, ev, value, None))
+        return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -517,6 +547,26 @@ class Engine:
                                 continue
                             waiters = yielded._waiters
                             if waiters is None:
+                                if heap and not nowq:
+                                    # Lonely wait (module docstring): the
+                                    # head entry fires this event, nothing
+                                    # else watches it and nothing else can
+                                    # run first: take the entry, resume.
+                                    head = heap[0]
+                                    wake = head[0]
+                                    if (
+                                        head[3] is yielded
+                                        and not head[2]
+                                        and not yielded.callbacks
+                                        and wake <= limit
+                                        and (len(heap) < 2 or heap[1][0] > wake)
+                                        and (len(heap) < 3 or heap[2][0] > wake)
+                                    ):
+                                        heappop(heap)
+                                        self._now = now = wake
+                                        yielded.triggered = True
+                                        value = yielded._value = head[4]
+                                        continue
                                 yielded._waiters = [target]
                             else:
                                 waiters.append(target)
@@ -526,7 +576,7 @@ class Engine:
                             f"value {yielded!r}"
                         )
                 elif not target.triggered:
-                    # a plain Event scheduled via _schedule_event
+                    # an event occurrence queued by Engine.timeout
                     if exc is not None:
                         target.fail(exc)
                     else:
@@ -586,10 +636,3 @@ class Engine:
         """Trigger callback of a ``run(stop=...)`` event (see :class:`_Halt`)."""
         self._crashed.append(_HALT)
         self._nowq.append(_HALT_ENTRY)
-
-    def _schedule_event(self, event: Event, value: Any, delay: int) -> None:
-        if delay:
-            self._seq += 1
-            _heappush(self._heap, (self._now + delay, self._seq, _EVENT, event, value, None))
-        else:
-            self._nowq.append((_EVENT, event, value, None))

@@ -37,7 +37,8 @@ class StorageDevice:
     """A simulated block device driven by a :class:`DeviceProfile`.
 
     ``__slots__`` and the cached ``_trace_enabled`` flag keep the per-request
-    bookkeeping cheap: ``_submit`` runs once per simulated I/O, which at
+    bookkeeping cheap: :meth:`read` (random reads, one pass) or ``_submit``
+    (sequential reads and writes) runs once per simulated I/O, which at
     sweep scale means millions of host-level calls per experiment.
     (Subclasses like FaultyDevice may add attributes freely — they carry
     their own ``__dict__``.)
@@ -124,8 +125,80 @@ class StorageDevice:
     # -- public API ----------------------------------------------------------
 
     def read(self, offset: int, nbytes: int, sequential: bool = False) -> Event:
-        """Submit a read; the returned event fires at completion."""
-        return self._submit(READ, offset, nbytes, sequential)
+        """Submit a read; the returned event fires at completion.
+
+        A sequential read is background I/O, queued like a write
+        (:meth:`_submit`).  A random read is foreground I/O and is served
+        here in one pass, one stripe at a time: NCQ read priority lets it
+        jump queued background I/O (compaction/flush streams) at both the
+        channel and the host link.  It waits only for earlier foreground
+        reads plus the residual of whatever request is in service —
+        approximated as uniform over that request's duration — and pushes
+        the queued background work back by its own occupancy (capacity
+        conserved).
+        """
+        if sequential:
+            return self._submit(READ, offset, nbytes, True)
+        prof = self.profile
+        if nbytes <= 0 or offset < 0 or offset + nbytes > prof.capacity_bytes:
+            self._check_range(offset, nbytes)
+        now = self.engine._now
+        rng = self.rng
+        read_free = self._channel_read_free
+        channel_free = self._channel_free
+        sigma = prof.jitter_sigma
+        start, finish = -1, now  # the first stripe's start, the last finish
+        remaining = nbytes
+        while remaining > 0:
+            chunk = remaining if remaining < prof.stripe_bytes else prof.stripe_bytes
+            remaining -= chunk
+            # Firmware load balancing: the first least-loaded channel.
+            channel = read_free.index(min(read_free))
+            channel_ready = read_free[channel]
+            backlog = channel_free[channel] - now
+            if backlog > 0:
+                residual = round(rng.uniform(0.0, self._channel_last_bg_service[channel]))
+                channel_ready = max(channel_ready, now + min(backlog, residual))
+            if prof.full_duplex:
+                iface_free = self._iface_read_free
+            else:
+                iface_free = max(self._iface_read_free, self._iface_write_free)
+            iface_ready = self._iface_fg_free
+            iface_backlog = iface_free - now
+            if iface_backlog > 0:
+                residual = round(rng.uniform(0.0, self._iface_last_bg_transfer))
+                iface_ready = max(iface_ready, now + min(iface_backlog, residual))
+            stripe_start = max(now, channel_ready, iface_ready)
+            transfer_ns = chunk * SEC // prof.interface_read_bw
+            self._iface_fg_free = stripe_start + transfer_ns
+            # Queued background transfers and channel work are pushed back
+            # by this stripe's occupancy.
+            if prof.full_duplex:
+                self._iface_read_free = max(self._iface_read_free, stripe_start) + transfer_ns
+            else:
+                pushed = max(self._iface_read_free, self._iface_write_free, stripe_start)
+                self._iface_read_free = self._iface_write_free = pushed + transfer_ns
+            service = prof.read_base_ns + chunk * SEC // prof.channel_read_bw
+            if sigma > 0.0:
+                service = round(service * rng.lognormal(-sigma * sigma / 2, sigma))
+            stripe_finish = read_free[channel] = stripe_start + service
+            channel_free[channel] = max(channel_free[channel], stripe_start) + service
+            self._busy_ns += service
+            if start < 0 or stripe_start < start:
+                start = stripe_start
+            if stripe_finish > finish:
+                finish = stripe_finish
+
+        latency = finish - now
+        self._reads += 1
+        self._bytes_read += nbytes
+        self.read_latency.record(latency)
+        if self._trace_enabled:
+            self._tracer.device_request(self._track, READ, now, start, finish, nbytes, False)
+        done = self.engine.timeout(latency)
+        if self._observe:
+            self._observe_request(now, done)
+        return done
 
     def write(self, offset: int, nbytes: int, sequential: bool = False) -> Event:
         """Submit a write; the returned event fires when durable."""
@@ -198,13 +271,14 @@ class StorageDevice:
             )
 
     def _submit(self, op: str, offset: int, nbytes: int, sequential: bool) -> Event:
+        """Queue background I/O: a sequential read, or any write."""
         self._check_range(offset, nbytes)
         now = self.engine.now
         prof = self.profile
 
         if nbytes <= prof.stripe_bytes:
-            # Single-stripe request (most block reads): skip the loop's
-            # min/max bookkeeping.  finish >= start >= now always holds.
+            # Single-stripe request: skip the loop's min/max bookkeeping.
+            # finish >= start >= now always holds.
             start, finish = self._submit_stripe(op, nbytes, sequential, now)
         else:
             start = finish = now
@@ -238,14 +312,17 @@ class StorageDevice:
             )
         done = self.engine.timeout(latency)
         if self._observe:
-            # Instantaneous in-flight requests, for queue-depth reporting
-            # and queue-depth counter events in traces.
-            self._inflight += 1
-            self.queue_depth.update(now, self._inflight)
-            if self._trace_enabled:
-                self._tracer.counter(self._track, "inflight", self._inflight)
-            done.callbacks.append(self._on_complete)
+            self._observe_request(now, done)
         return done
+
+    def _observe_request(self, now: int, done: Event) -> None:
+        """Count a request in flight until ``done`` fires: queue-depth
+        reporting and queue-depth counter events in traces."""
+        self._inflight += 1
+        self.queue_depth.update(now, self._inflight)
+        if self._trace_enabled:
+            self._tracer.counter(self._track, "inflight", self._inflight)
+        done.callbacks.append(self._on_complete)
 
     def _on_complete(self, _ev: Event) -> None:
         self._inflight -= 1
@@ -256,27 +333,29 @@ class StorageDevice:
     def _submit_stripe(
         self, op: str, nbytes: int, sequential: bool, now: int
     ) -> Tuple[int, int]:
-        """Queue one stripe; returns its (service_start, finish) timestamps."""
+        """Queue one background stripe; returns its (service_start, finish).
+
+        Background requests queue FIFO behind all committed work on their
+        channel and on the host link (random reads take the foreground path
+        in :meth:`read`).
+        """
         prof = self.profile
 
         # Dispatch: sequential stripes rotate round-robin (striping); random
-        # requests go to the least-loaded channel (firmware load balancing).
+        # writes go to the least-loaded channel (firmware load balancing).
         if sequential:
             channel = self._stripe_cursor
             self._stripe_cursor = (self._stripe_cursor + 1) % prof.channels
-        elif op is READ:
+        else:
             # min()+index() run at C speed and pick the same channel as
             # min(range(...), key=...): the first least-loaded one.
-            cursors = self._channel_read_free
-            channel = cursors.index(min(cursors))
-        else:
             cursors = self._channel_free
             channel = cursors.index(min(cursors))
 
         # Shared host interface: commands serialize on the link (or on the
         # per-direction lane for full-duplex interfaces).
         if op is READ:
-            base = prof.seq_read_base_ns if sequential else prof.read_base_ns
+            base = prof.seq_read_base_ns
             bw = prof.channel_read_bw
             iface_bw = prof.interface_read_bw
         else:
@@ -289,46 +368,14 @@ class StorageDevice:
         else:
             iface_free = max(self._iface_read_free, self._iface_write_free)
         transfer_ns = nbytes * SEC // iface_bw
-        foreground = op is READ and not sequential
-        if foreground:
-            # NCQ read priority: a small random read jumps queued background
-            # I/O (compaction/flush streams) at both the channel and the
-            # host link, waiting only for earlier foreground reads plus the
-            # residual of whatever request is in service — approximated as
-            # uniform over that request's duration.
-            channel_ready = self._channel_read_free[channel]
-            backlog = self._channel_free[channel] - now
-            if backlog > 0:
-                residual = round(
-                    self.rng.uniform(0.0, self._channel_last_bg_service[channel])
-                )
-                channel_ready = max(channel_ready, now + min(backlog, residual))
-
-            iface_ready = self._iface_fg_free
-            iface_backlog = iface_free - now
-            if iface_backlog > 0:
-                residual = round(self.rng.uniform(0.0, self._iface_last_bg_transfer))
-                iface_ready = max(iface_ready, now + min(iface_backlog, residual))
-            start = max(now, channel_ready, iface_ready)
-            self._iface_fg_free = start + transfer_ns
-            # Push queued background transfers back (link capacity conserved).
-            if prof.full_duplex:
-                self._iface_read_free = (
-                    max(self._iface_read_free, start) + transfer_ns
-                )
-            else:
-                pushed = max(self._iface_read_free, self._iface_write_free, start)
-                self._iface_read_free = self._iface_write_free = pushed + transfer_ns
+        start = max(now, self._channel_free[channel], iface_free)
+        if op is READ:
+            self._iface_read_free = start + transfer_ns
         else:
-            channel_ready = self._channel_free[channel]
-            start = max(now, channel_ready, iface_free)
-            if op is READ:
-                self._iface_read_free = start + transfer_ns
-            else:
-                self._iface_write_free = start + transfer_ns
-            if not prof.full_duplex:
-                self._iface_read_free = self._iface_write_free = start + transfer_ns
-            self._iface_last_bg_transfer = transfer_ns
+            self._iface_write_free = start + transfer_ns
+        if not prof.full_duplex:
+            self._iface_read_free = self._iface_write_free = start + transfer_ns
+        self._iface_last_bg_transfer = transfer_ns
 
         service = base + nbytes * SEC // bw
         if prof.jitter_sigma > 0.0:
@@ -350,15 +397,7 @@ class StorageDevice:
                     self._tracer.gc_pause(self._track, start, prof.gc_pause_ns)
 
         finish = start + service
-        if foreground:
-            # Foreground reads occupy the channel now; queued background
-            # work is pushed back by the same amount (capacity conserved).
-            self._channel_read_free[channel] = finish
-            self._channel_free[channel] = (
-                max(self._channel_free[channel], start) + service
-            )
-        else:
-            self._channel_free[channel] = finish
-            self._channel_last_bg_service[channel] = service
+        self._channel_free[channel] = finish
+        self._channel_last_bg_service[channel] = service
         self._busy_ns += service
         return start, finish

@@ -24,6 +24,16 @@ def test_byte_budget_eviction():
     assert not cache.lookup((1, 0))
     assert cache.lookup((1, 3))
     assert cache.used_bytes <= 300
+    assert cache.stats.get("evictions") == 1
+
+
+def test_one_insert_counts_every_block_it_evicts():
+    cache = BlockCache(300)
+    for block in range(3):
+        cache.insert((0, 1, block), 100)
+    cache.insert((0, 2, 0), 250)  # evicts all three
+    assert len(cache) == 1 and cache.used_bytes == 250
+    assert cache.stats.get("evictions") == 3
 
 
 def test_lookup_promotes():
@@ -53,13 +63,15 @@ def test_oversized_block_rejected_silently():
 
 def test_erase_file():
     cache = BlockCache(1000)
-    cache.insert((1, 0), 100)
-    cache.insert((1, 1), 100)
-    cache.insert((2, 0), 100)
-    cache.erase_file(1)
-    assert not cache.lookup((1, 0))
-    assert cache.lookup((2, 0))
+    cache.insert((0, 1, 0), 100)
+    cache.insert((0, 1, 1), 100)
+    cache.insert((0, 2, 0), 100)
+    cache.erase_file(1, namespace=0)
+    assert not cache.lookup((0, 1, 0))
+    assert not cache.lookup((0, 1, 1))
+    assert cache.lookup((0, 2, 0))
     assert cache.used_bytes == 100
+    assert cache.stats.get("files_erased") == 1
 
 
 def test_oversized_refresh_drops_old_entry_with_accounting():

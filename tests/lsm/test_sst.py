@@ -176,18 +176,26 @@ class TestTable:
         with pytest.raises(DBError):
             sst.block_span(sst.block_count)
 
-    def test_block_for_key_finds_containing_block(self):
+    def test_locate_finds_entry_and_containing_block(self):
         sst = build(100)
         for i in (0, 17, 50, 99):
             key = b"%08d" % i
-            block = sst.block_for_key(key)
+            entry_idx, block = sst.locate(key)
+            assert sst.keys[entry_idx] == key
             first = sst._block_first[block]
             last = (
                 sst._block_first[block + 1] - 1
                 if block + 1 < sst.block_count
                 else sst.entry_count - 1
             )
+            assert first <= entry_idx <= last
             assert sst.keys[first] <= key <= sst.keys[last]
+
+    def test_locate_clamps_to_the_last_entry(self):
+        sst = build(10, stride=10)
+        assert sst.locate(b"")[0] == 0
+        assert sst.locate(b"%08d" % 45)[0] == 5  # a gap: the next key's entry
+        assert sst.locate(b"~") == (9, sst.block_count - 1)  # past the end
 
     def test_blocks_respect_block_size(self):
         sst = build(100, value_size=100, block_size=1024)
@@ -283,7 +291,10 @@ def test_lookup_agrees_with_dict(indices, block_size):
         assert sst.find(key) == model.get(key)
     # Block mapping must locate the correct block for every present key.
     for key in model:
-        block = sst.block_for_key(key)
+        entry_idx, block = sst.locate(key)
+        assert sst.keys[entry_idx] == key
+        assert sst._block_first[block] <= entry_idx
+        assert block + 1 == sst.block_count or entry_idx < sst._block_first[block + 1]
         offset, nbytes = sst.block_span(block)
         assert 0 <= offset < sst.data_bytes
         assert nbytes > 0

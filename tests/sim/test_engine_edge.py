@@ -89,7 +89,7 @@ def test_any_of_failure_propagates(engine):
 
 def test_timeout_with_value(engine):
     def parent():
-        value = yield Timeout(engine, 42, value="payload")
+        value = yield engine.timeout(42, value="payload")
         return (engine.now, value)
 
     p = engine.process(parent())
@@ -100,6 +100,12 @@ def test_timeout_with_value(engine):
 def test_negative_timeout_rejected(engine):
     with pytest.raises(SimulationError):
         engine.timeout(-1)
+
+
+def test_timeout_is_made_only_by_the_engine(engine):
+    assert isinstance(engine.timeout(5), Timeout)
+    with pytest.raises(SimulationError, match="Engine.timeout"):
+        Timeout(engine, 42, value="payload")
 
 
 def test_event_callbacks_fire_once_in_order(engine):

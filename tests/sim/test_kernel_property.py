@@ -2,9 +2,9 @@
 
 The engine's run loop is heavily optimized (now-queue for delay-zero
 occurrences, inlined process stepping, zero-allocation sleeps, the
-lonely-sleep warp).  These tests
-check the *semantics* never drifted: randomized scenarios — integer sleeps
-including zero, cross-process event fires, failures, spawns, joins and
+lonely-sleep and lonely-wait warps).  These tests check the *semantics*
+never drifted: randomized scenarios — integer sleeps including zero,
+timeouts, cross-process event fires, failures, spawns, joins and
 same-timestamp ties — are executed both on :class:`repro.sim.engine.Engine`
 and on a deliberately naive reference kernel that implements the documented
 contract the slow way (every occurrence goes through one heap with a
@@ -35,13 +35,16 @@ from repro.sim.stats import LatencyHistogram, TimeSeries
 
 
 class RefWaitable:
-    """Event/process result holder for the reference kernel."""
+    """Event/process result holder for the reference kernel (a process has
+    a ``gen``; a timeout has none and is fired by its own heap entry)."""
 
     def __init__(self):
+        self.gen = None
         self.triggered = False
         self.value = None
         self.exc = None
         self.waiters = []
+        self.callbacks = []
 
 
 class RefKernel:
@@ -67,6 +70,31 @@ class RefKernel:
         self.schedule(0, proc)
         return proc
 
+    def timeout(self, delay, value):
+        """A waitable fired by a heap entry ``delay`` from now; like any
+        fire, it schedules its waiters at delay 0."""
+        timer = RefWaitable()
+        self.schedule(delay, timer, value)
+        return timer
+
+    def any_of(self, children):
+        """Fires with ``(child, value)`` (or the failure) of the first child
+        to fire: waiters are scheduled before callbacks run, as ever."""
+        anyof = RefWaitable()
+
+        def on_child(child):
+            if not anyof.triggered:
+                self.fire(anyof, (child, child.value), child.exc)
+
+        for child in children:
+            if child.triggered:
+                on_child(child)
+                break
+        else:
+            for child in children:
+                child.callbacks.append(on_child)
+        return anyof
+
     def fire(self, waitable, value=None, exc=None):
         waitable.triggered = True
         waitable.value = value
@@ -74,12 +102,18 @@ class RefKernel:
         for waiter in waitable.waiters:
             self.schedule(0, waiter, value, exc)
         waitable.waiters = []
+        callbacks, waitable.callbacks = waitable.callbacks, []
+        for callback in callbacks:
+            callback(waitable)
 
     def run(self):
         while self._heap:
             when, _seq, proc, value, exc = heapq.heappop(self._heap)
             self.now = when
-            self._step(proc, value, exc)
+            if proc.gen is None:
+                self.fire(proc, value)
+            else:
+                self._step(proc, value, exc)
         return self.now
 
     def _step(self, proc, value, exc):
@@ -129,9 +163,16 @@ class RefKernel:
 #                        followed by ("join",) so the failure is observed
 #   ("join",)            join the most recent un-joined child, log result
 #   ("ret", v)           return v from the script's process
+#   ("timeout", d)       wait on a fresh timeout of d ns, log its value
+#   ("arm", j, d)        start shared timeout j (d ns), without waiting
+#   ("wait_timer", j)    wait on shared timeout j, log its value (a mark
+#                        when j is not armed yet)
+#   ("any", j, i)        wait on the first of shared timeout j and event i
+#                        (hangs a callback on each; a mark when j is not
+#                        armed yet)
 
 
-def _engine_driver(engine, events, pid, script, log):
+def _engine_driver(engine, events, pid, script, log, timers):
     children = []
     ret = None
     for cmd in script:
@@ -154,12 +195,14 @@ def _engine_driver(engine, events, pid, script, log):
             log.append((engine.now, pid, "failed", cmd[1]))
         elif op == "spawn":
             cid = f"{pid}.{len(children)}"
-            gen = _engine_driver(engine, events, cid, cmd[1], log)
+            gen = _engine_driver(engine, events, cid, cmd[1], log, timers)
             children.append(engine.process(gen, name=cid))
             log.append((engine.now, pid, "spawn", cid))
         elif op == "spawn_fail":
             cid = f"{pid}.{len(children)}"
-            gen = _engine_driver(engine, events, cid, [("sleep", 1), ("raise", cmd[1])], log)
+            gen = _engine_driver(
+                engine, events, cid, [("sleep", 1), ("raise", cmd[1])], log, timers
+            )
             children.append(engine.process(gen, name=cid))
             log.append((engine.now, pid, "spawn", cid))
         elif op == "join":
@@ -170,6 +213,28 @@ def _engine_driver(engine, events, pid, script, log):
                     log.append((engine.now, pid, "joined", got))
                 except RuntimeError as err:
                     log.append((engine.now, pid, "joined-err", str(err)))
+        elif op == "timeout":
+            got = yield engine.timeout(cmd[1], value=(pid, cmd[1]))
+            log.append((engine.now, pid, "timed", got))
+        elif op == "arm":
+            timers[cmd[1]] = engine.timeout(cmd[2], value=cmd[1])
+            log.append((engine.now, pid, "armed", cmd[1]))
+        elif op == "wait_timer":
+            if cmd[1] in timers:
+                got = yield timers[cmd[1]]
+                log.append((engine.now, pid, "rang", got))
+            else:
+                log.append((engine.now, pid, "unarmed", cmd[1]))
+        elif op == "any":
+            if cmd[1] in timers:
+                timer = timers[cmd[1]]
+                try:
+                    first, got = yield engine.any_of([timer, events[cmd[2]]])
+                    log.append((engine.now, pid, "any", first is timer, got))
+                except RuntimeError as err:
+                    log.append((engine.now, pid, "any-err", str(err)))
+            else:
+                log.append((engine.now, pid, "unarmed", cmd[1]))
         elif op == "raise":
             raise RuntimeError(cmd[1])
         elif op == "ret":
@@ -177,7 +242,7 @@ def _engine_driver(engine, events, pid, script, log):
     return ret
 
 
-def _ref_driver(kernel, events, pid, script, log):
+def _ref_driver(kernel, events, pid, script, log, timers):
     children = []
     ret = None
     for cmd in script:
@@ -200,12 +265,14 @@ def _ref_driver(kernel, events, pid, script, log):
             log.append((kernel.now, pid, "failed", cmd[1]))
         elif op == "spawn":
             cid = f"{pid}.{len(children)}"
-            gen = _ref_driver(kernel, events, cid, cmd[1], log)
+            gen = _ref_driver(kernel, events, cid, cmd[1], log, timers)
             children.append(kernel.spawn(gen))
             log.append((kernel.now, pid, "spawn", cid))
         elif op == "spawn_fail":
             cid = f"{pid}.{len(children)}"
-            gen = _ref_driver(kernel, events, cid, [("sleep", 1), ("raise", cmd[1])], log)
+            gen = _ref_driver(
+                kernel, events, cid, [("sleep", 1), ("raise", cmd[1])], log, timers
+            )
             children.append(kernel.spawn(gen))
             log.append((kernel.now, pid, "spawn", cid))
         elif op == "join":
@@ -216,6 +283,28 @@ def _ref_driver(kernel, events, pid, script, log):
                     log.append((kernel.now, pid, "joined", got))
                 except RuntimeError as err:
                     log.append((kernel.now, pid, "joined-err", str(err)))
+        elif op == "timeout":
+            got = yield kernel.timeout(cmd[1], (pid, cmd[1]))
+            log.append((kernel.now, pid, "timed", got))
+        elif op == "arm":
+            timers[cmd[1]] = kernel.timeout(cmd[2], cmd[1])
+            log.append((kernel.now, pid, "armed", cmd[1]))
+        elif op == "wait_timer":
+            if cmd[1] in timers:
+                got = yield timers[cmd[1]]
+                log.append((kernel.now, pid, "rang", got))
+            else:
+                log.append((kernel.now, pid, "unarmed", cmd[1]))
+        elif op == "any":
+            if cmd[1] in timers:
+                timer = timers[cmd[1]]
+                try:
+                    first, got = yield kernel.any_of([timer, events[cmd[2]]])
+                    log.append((kernel.now, pid, "any", first is timer, got))
+                except RuntimeError as err:
+                    log.append((kernel.now, pid, "any-err", str(err)))
+            else:
+                log.append((kernel.now, pid, "unarmed", cmd[1]))
         elif op == "raise":
             raise RuntimeError(cmd[1])
         elif op == "ret":
@@ -226,17 +315,21 @@ def _ref_driver(kernel, events, pid, script, log):
 def run_on_engine(scenario, tracer=None, chunks=None):
     """Run to idle: in one ``run()``, or — given a ``random.Random`` as
     ``chunks`` — in random-size ``run(until=...)`` steps (the final clock
-    then overshoots the last occurrence by at most one step, 3 ns)."""
+    then overshoots the last occurrence by at most one step, 3 ns).  Each
+    step must return exactly at its deadline: nothing may warp past it."""
     n_events, scripts = scenario
     engine = Engine(tracer=tracer)
     events = [engine.event() for _ in range(n_events)]
-    log = []
+    log, timers = [], {}
     for i, script in enumerate(scripts):
-        engine.process(_engine_driver(engine, events, f"p{i}", script, log), name=f"p{i}")
+        engine.process(
+            _engine_driver(engine, events, f"p{i}", script, log, timers), name=f"p{i}"
+        )
     if chunks is None:
         return log, engine.run()
     while engine.peek() is not None:
-        engine.run(until=engine.now + chunks.randint(0, 3))
+        until = engine.now + chunks.randint(0, 3)
+        assert engine.run(until=until) == until == engine.now
     return log, engine.now
 
 
@@ -244,9 +337,9 @@ def run_on_reference(scenario):
     n_events, scripts = scenario
     kernel = RefKernel()
     events = [RefWaitable() for _ in range(n_events)]
-    log = []
+    log, timers = [], {}
     for i, script in enumerate(scripts):
-        kernel.spawn(_ref_driver(kernel, events, f"p{i}", script, log))
+        kernel.spawn(_ref_driver(kernel, events, f"p{i}", script, log, timers))
     final = kernel.run()
     return log, final
 
@@ -400,6 +493,10 @@ _leaf_ops = st.one_of(
     st.tuples(st.just("succeed"), st.integers(0, _STOP_EVENTS - 1), st.integers(0, 9)),
     st.tuples(st.just("fail"), st.integers(0, _STOP_EVENTS - 1), st.just("boom")),
     st.tuples(st.just("spawn_fail"), st.just("crash")),
+    st.tuples(st.just("timeout"), st.integers(0, 4)),
+    st.tuples(st.just("arm"), st.integers(0, 2), st.integers(0, 6)),
+    st.tuples(st.just("wait_timer"), st.integers(0, 2)),
+    st.tuples(st.just("any"), st.integers(0, 2), st.integers(0, _STOP_EVENTS - 1)),
 )
 _ops = st.one_of(
     _leaf_ops,
@@ -409,14 +506,16 @@ _ops = st.one_of(
 
 
 def _well_formed(script, fired):
-    """Each event fires at most once (later fires become marks) and every
-    ``spawn_fail`` is joined at once, as ``_random_script`` guarantees."""
+    """Each event fires at most once and each shared timeout is armed at
+    most once (later ones become marks), and every ``spawn_fail`` is joined
+    at once, as ``_random_script`` guarantees."""
     out = []
     for cmd in script:
-        if cmd[0] in ("succeed", "fail"):
-            if cmd[1] in fired:
+        if cmd[0] in ("succeed", "fail", "arm"):
+            once = cmd[1] if cmd[0] != "arm" else ("arm", cmd[1])
+            if once in fired:
                 cmd = ("mark", cmd[1])
-            fired.add(cmd[1])
+            fired.add(once)
         elif cmd[0] == "spawn":
             cmd = ("spawn", _well_formed(cmd[1], fired))
         out.append(cmd)
@@ -460,10 +559,12 @@ def _drive_plan(plan, one_call):
     procs, calls = plan
     engine = Engine()
     events = [engine.event() for _ in range(_STOP_EVENTS)]
-    log = []
+    log, timers = [], {}
     stoppable = list(events)
     for i, (script, joined) in enumerate(procs):
-        proc = engine.process(_engine_driver(engine, events, f"p{i}", script, log), name=f"p{i}")
+        proc = engine.process(
+            _engine_driver(engine, events, f"p{i}", script, log, timers), name=f"p{i}"
+        )
         if joined:
             proc.callbacks.append(lambda _ev: None)
             stoppable.append(proc)
@@ -495,12 +596,80 @@ def test_run_with_stop_matches_stepping_loop(plan):
     assert _drive_plan(plan, one_call=True) == _drive_plan(plan, one_call=False)
 
 
+# ---------------------------------------------------------------------------
+# Timeouts: a lonely wait resumes inline; the reference takes the heap round
+# trip (the timeout's entry fires it, its waiters are scheduled at delay 0).
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def timeout_scenarios(draw):
+    """Up to five top-level scripts over the whole op language, timeouts
+    included: shared timeouts several processes wait on, joins of children
+    that are asleep, waits on events that may never fire."""
+    fired = set()
+    scripts = [
+        _well_formed(draw(st.lists(_ops, min_size=1, max_size=8)), fired)
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    return _STOP_EVENTS, scripts
+
+
+@settings(max_examples=400, deadline=None)
+@example(  # a join of a sleeping child: the heap head is the child's own
+    # sleep, which only the entry's type tag tells from an event firing
+    scenario=(0, [[("spawn", [("sleep", 3), ("mark", 1)]), ("sleep", 1), ("join",)]]),
+    chunk_seed=0,
+)
+@example(  # the timeout is the heap head, but p2's sleep ties it in the
+    # right child: p2 was pushed first and must run before p3 resumes
+    scenario=(0, [[("arm", 0, 5)], [("sleep", 7), ("mark", 1)],
+                  [("sleep", 5), ("mark", 2)], [("wait_timer", 0), ("mark", 3)]]),
+    chunk_seed=0,
+)
+@example(  # the same tie in the left child
+    scenario=(0, [[("arm", 0, 5)], [("sleep", 5), ("mark", 1)],
+                  [("wait_timer", 0), ("mark", 2)]]),
+    chunk_seed=0,
+)
+@example(  # two processes on one timeout; the first is lonely, the second
+    # finds it fired
+    scenario=(0, [[("sleep", 5), ("wait_timer", 0), ("mark", 0)],
+                  [("arm", 0, 3), ("wait_timer", 0), ("mark", 1)],
+                  [("wait_timer", 0), ("mark", 2)]]),
+    chunk_seed=1,
+)
+@example(  # p1's any_of hangs a callback on the timeout: p2's wait is not
+    # lonely, and the firing must wake p1 too
+    scenario=(1, [[("arm", 0, 5)], [("any", 0, 0), ("mark", 1)],
+                  [("wait_timer", 0), ("mark", 2)]]),
+    chunk_seed=0,
+)
+@example(  # a lonely wait beyond a chunk's deadline must not cross it
+    scenario=(0, [[("timeout", 4), ("mark", 1), ("timeout", 0), ("mark", 2)]]),
+    chunk_seed=2,
+)
+@given(scenario=timeout_scenarios(), chunk_seed=st.integers(0, 1 << 16))
+def test_timeouts_match_reference(scenario, chunk_seed):
+    """One ``run()``, chunked ``run(until)`` calls that cut between a
+    timeout's push and its firing, and a traced run (whose tracer hangs no
+    callback on a timeout, so it warps too) all dispatch as the reference."""
+    ref_log, ref_final = run_on_reference(scenario)
+    assert run_on_engine(scenario) == (ref_log, ref_final)
+    assert run_on_engine(scenario, tracer=Tracer()) == (ref_log, ref_final)
+    chunked_log, chunked_final = run_on_engine(scenario, chunks=random.Random(chunk_seed))
+    assert chunked_log == ref_log
+    assert ref_final <= chunked_final <= ref_final + 3
+
+
 def _stop_engine(*scripts):
     engine = Engine()
     events = [engine.event() for _ in range(2)]
-    log = []
+    log, timers = [], {}
     procs = [
-        engine.process(_engine_driver(engine, events, f"p{i}", script, log), name=f"p{i}")
+        engine.process(
+            _engine_driver(engine, events, f"p{i}", script, log, timers), name=f"p{i}"
+        )
         for i, script in enumerate(scripts)
     ]
     return engine, events, procs, log

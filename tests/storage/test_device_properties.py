@@ -1,14 +1,28 @@
-"""Property-based tests for the device queueing model's physical invariants."""
+"""Property-based tests for the device queueing model: its physical
+invariants, and the one-pass random read against the stripe submit it
+replaced."""
+
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import IOFaultError, StorageError
+from repro.faults.device import FaultyDevice
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import (
+    LATENCY_SPIKE,
+    READ_ERROR,
+    WRITE_ERROR,
+    FaultSchedule,
+    FaultSpec,
+)
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import GB, KB, MB, SEC
-from repro.storage.device import StorageDevice
-from repro.storage.profiles import DeviceProfile
+from repro.storage.device import READ, WRITE, StorageDevice
+from repro.storage.profiles import DeviceProfile, pcie_flash_ssd, sata_flash_ssd, xpoint_ssd
 
 
 def flat_profile(channels=2, jitter=0.0):
@@ -131,3 +145,260 @@ def test_latency_histograms_complete(reqs):
     assert dev.write_latency.count == dev.writes
     if dev.reads:
         assert dev.read_latency.min >= 0
+
+
+# ---------------------------------------------------------------------------
+# The one-pass random read against the two-layer submit it replaced.
+# ---------------------------------------------------------------------------
+
+
+class StripeSubmitDevice(StorageDevice):
+    """The specification of :meth:`StorageDevice.read`: every request —
+    random reads too — goes through one ``_submit`` that splits it into
+    stripes and queues each with ``_submit_stripe``, whose foreground branch
+    is the NCQ read-priority rule.  The device's own ``_submit_stripe`` now
+    queues background stripes only; these are the two methods as they were
+    before the random read took its own path."""
+
+    __slots__ = ()
+
+    def read(self, offset, nbytes, sequential=False):
+        return self._submit(READ, offset, nbytes, sequential)
+
+    def write(self, offset, nbytes, sequential=False):
+        return self._submit(WRITE, offset, nbytes, sequential)
+
+    def _submit(self, op, offset, nbytes, sequential):
+        self._check_range(offset, nbytes)
+        now = self.engine.now
+        prof = self.profile
+        start = finish = now
+        first = True
+        remaining = nbytes
+        while remaining > 0:
+            chunk = min(remaining, prof.stripe_bytes)
+            stripe_start, stripe_finish = self._submit_stripe(op, chunk, sequential, now)
+            if first or stripe_start < start:
+                start = stripe_start
+                first = False
+            if stripe_finish > finish:
+                finish = stripe_finish
+            remaining -= chunk
+        latency = finish - now
+        if op is READ:
+            self._reads += 1
+            self._bytes_read += nbytes
+            self.read_latency.record(latency)
+        else:
+            self._writes += 1
+            self._bytes_written += nbytes
+            self.write_latency.record(latency)
+        done = self.engine.timeout(latency)
+        if self._observe:
+            self._inflight += 1
+            self.queue_depth.update(now, self._inflight)
+            done.callbacks.append(self._on_complete)
+        return done
+
+    def _submit_stripe(self, op, nbytes, sequential, now):
+        prof = self.profile
+        if sequential:
+            channel = self._stripe_cursor
+            self._stripe_cursor = (self._stripe_cursor + 1) % prof.channels
+        elif op is READ:
+            cursors = self._channel_read_free
+            channel = cursors.index(min(cursors))
+        else:
+            cursors = self._channel_free
+            channel = cursors.index(min(cursors))
+        if op is READ:
+            base = prof.seq_read_base_ns if sequential else prof.read_base_ns
+            bw = prof.channel_read_bw
+            iface_bw = prof.interface_read_bw
+        else:
+            base = prof.seq_write_base_ns if sequential else prof.write_base_ns
+            bw = prof.channel_write_bw
+            iface_bw = prof.interface_write_bw
+        if prof.full_duplex:
+            iface_free = self._iface_read_free if op is READ else self._iface_write_free
+        else:
+            iface_free = max(self._iface_read_free, self._iface_write_free)
+        transfer_ns = nbytes * SEC // iface_bw
+        foreground = op is READ and not sequential
+        if foreground:
+            channel_ready = self._channel_read_free[channel]
+            backlog = self._channel_free[channel] - now
+            if backlog > 0:
+                residual = round(self.rng.uniform(0.0, self._channel_last_bg_service[channel]))
+                channel_ready = max(channel_ready, now + min(backlog, residual))
+            iface_ready = self._iface_fg_free
+            iface_backlog = iface_free - now
+            if iface_backlog > 0:
+                residual = round(self.rng.uniform(0.0, self._iface_last_bg_transfer))
+                iface_ready = max(iface_ready, now + min(iface_backlog, residual))
+            start = max(now, channel_ready, iface_ready)
+            self._iface_fg_free = start + transfer_ns
+            if prof.full_duplex:
+                self._iface_read_free = max(self._iface_read_free, start) + transfer_ns
+            else:
+                pushed = max(self._iface_read_free, self._iface_write_free, start)
+                self._iface_read_free = self._iface_write_free = pushed + transfer_ns
+        else:
+            start = max(now, self._channel_free[channel], iface_free)
+            if op is READ:
+                self._iface_read_free = start + transfer_ns
+            else:
+                self._iface_write_free = start + transfer_ns
+            if not prof.full_duplex:
+                self._iface_read_free = self._iface_write_free = start + transfer_ns
+            self._iface_last_bg_transfer = transfer_ns
+        service = base + nbytes * SEC // bw
+        if prof.jitter_sigma > 0.0:
+            sigma = prof.jitter_sigma
+            service = round(service * self.rng.lognormal(-sigma * sigma / 2, sigma))
+        if op is WRITE and prof.gc_interval_bytes:
+            self._gc_debt += nbytes * 4 if not sequential else nbytes
+            if self._gc_debt >= prof.gc_interval_bytes:
+                self._gc_debt -= prof.gc_interval_bytes
+                service += prof.gc_pause_ns
+                self._gc_pauses += 1
+        finish = start + service
+        if foreground:
+            self._channel_read_free[channel] = finish
+            self._channel_free[channel] = max(self._channel_free[channel], start) + service
+        else:
+            self._channel_free[channel] = finish
+            self._channel_last_bg_service[channel] = service
+        self._busy_ns += service
+        return start, finish
+
+
+class StripeSubmitFaultyDevice(FaultyDevice, StripeSubmitDevice):
+    """The same specification under the fault wrapper (MRO: the wrapper's
+    ``super().read`` lands on :class:`StripeSubmitDevice`)."""
+
+
+_PROFILES = {
+    "sata-flash": sata_flash_ssd(),  # half duplex, GC, jitter 0.25
+    "pcie-flash": pcie_flash_ssd(),
+    "xpoint": xpoint_ssd(),
+    "flat-half-duplex": replace(flat_profile(), full_duplex=False),  # jitter 0
+    "flat-full-duplex": flat_profile(),
+}
+_SIZES = [512, 4 * KB, 16 * KB, 64 * KB - 1, 64 * KB, 64 * KB + 4 * KB, 200 * KB]
+
+
+def _device_state(dev):
+    """Everything a request can move, the RNG included."""
+
+    def hist(h):
+        return (h.count, h.total, h.min, h.max, dict(h._buckets))
+
+    gauge = dev.queue_depth
+    return (
+        list(dev._channel_free),
+        list(dev._channel_read_free),
+        list(dev._channel_last_bg_service),
+        dev._iface_read_free,
+        dev._iface_write_free,
+        dev._iface_fg_free,
+        dev._iface_last_bg_transfer,
+        dev._stripe_cursor,
+        dev._gc_debt,
+        dev._busy_ns,
+        dev._inflight,
+        dev.snapshot(),
+        hist(dev.read_latency),
+        hist(dev.write_latency),
+        (gauge._value, gauge._last_t, gauge._area, gauge._start, gauge.max_value),
+        dev.rng.getstate(),
+    )
+
+
+@st.composite
+def device_plans(draw):
+    """A profile, a queue-depth flag, an optional fault schedule, and a
+    stream of ``(gap_ns, op, sequential, offset, nbytes)`` requests mixing
+    random reads below and above ``stripe_bytes``, sequential reads, and
+    random and sequential writes (an occasional one past the capacity)."""
+    profile = draw(st.sampled_from(sorted(_PROFILES)))
+    faults = None
+    if draw(st.booleans()):
+        faults = [
+            FaultSpec(LATENCY_SPIKE, at_op=draw(st.integers(1, 20)),
+                      count=draw(st.integers(1, 5)), extra_ns=draw(st.integers(1, 50_000))),
+            FaultSpec(draw(st.sampled_from([READ_ERROR, WRITE_ERROR])),
+                      at_op=draw(st.integers(1, 30))),
+        ]
+    reqs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 1_000, 20_000, 200_000]) | st.integers(0, 300_000),
+                st.sampled_from([READ, WRITE]),
+                st.booleans(),
+                st.integers(0, 1 << 20) | st.just(_PROFILES[profile].capacity_bytes - 4 * KB),
+                st.sampled_from(_SIZES),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    return profile, draw(st.booleans()), faults, reqs
+
+
+def _devices(engine, profile, track, faults):
+    prof = _PROFILES[profile]
+    if faults is None:
+        return (
+            StripeSubmitDevice(engine, prof, RandomStream(5), track),
+            StorageDevice(engine, prof, RandomStream(5), track),
+        )
+    return tuple(
+        cls(engine, prof, FaultInjector(engine, FaultSchedule(faults)), RandomStream(5), track)
+        for cls in (StripeSubmitFaultyDevice, FaultyDevice)
+    )
+
+
+def _submit(dev, op, sequential, offset, nbytes):
+    call = dev.read if op is READ else dev.write
+    try:
+        return call(offset, nbytes, sequential=sequential)
+    except (StorageError, IOFaultError) as err:
+        return type(err).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # a random read behind a sequential write: both residuals drawn
+    plan=("sata-flash", True, None, [(0, WRITE, True, 0, 64 * KB), (0, READ, False, 0, 4 * KB),
+                                     (500, READ, False, 0, 200 * KB)]),
+)
+@given(plan=device_plans())
+def test_one_pass_read_matches_the_stripe_submit(plan):
+    """Both devices take every request at the same instant on one engine:
+    after each one their cursors, counters, histograms and RNG state are
+    equal, and every request completes at the same time on both."""
+    profile, track, faults, reqs = plan
+    engine = Engine()
+    spec, dev = _devices(engine, profile, track, faults)
+    done_at = {}
+
+    def driver():
+        for i, (gap, op, sequential, offset, nbytes) in enumerate(reqs):
+            if gap:
+                yield gap
+            got = []
+            for side, device in enumerate((spec, dev)):
+                ev = _submit(device, op, sequential, offset, nbytes)
+                if isinstance(ev, str):
+                    got.append(ev)
+                else:
+                    got.append("event")
+                    ev.callbacks.append(lambda _ev, key=(side, i): done_at.__setitem__(key, engine.now))
+            assert got[0] == got[1], (i, got)
+            assert _device_state(dev) == _device_state(spec), i
+
+    engine.process(driver())
+    engine.run()
+    for i in range(len(reqs)):
+        assert done_at.get((1, i)) == done_at.get((0, i)), i
+    assert _device_state(dev) == _device_state(spec)
