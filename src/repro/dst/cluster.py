@@ -36,12 +36,10 @@ from repro.dst.core import DELETE, GET, PUT, Op, RunResult, Scenario
 from repro.dst.harness import _dst_options
 from repro.errors import DBError
 from repro.faults import NET_KINDS, FaultSchedule
-from repro.fs.filesystem import SimFileSystem
-from repro.fs.page_cache import PageCache
+from repro.harness.machine import Machine
 from repro.net import NetConfig, Network
 from repro.sim.engine import Engine
 from repro.sim.units import mb, ms, us
-from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
 
 
@@ -98,12 +96,12 @@ class ClusterDstRun(Scenario):
         self.schedule = schedule = self.resolve_schedule()
 
         n = self.config.n_nodes
-        fss = []
-        for i in range(n):
-            device = StorageDevice(
-                self.engine, xpoint_ssd(), rng=self.rng.fork(f"device/{i}")
-            )
-            fss.append(SimFileSystem(self.engine, device, PageCache(mb(4))))
+        fss = [
+            Machine.build(
+                self.engine, self.rng, xpoint_ssd(), mb(4), device_stream=f"device/{i}"
+            ).fs
+            for i in range(n)
+        ]
         self.network = Network(self.engine, n, self.rng.fork("net"), NetConfig())
         self.network.install_schedule(
             [s for s in schedule.specs if s.kind in NET_KINDS]

@@ -25,13 +25,10 @@ from repro.errors import CorruptionError, DBError
 from repro.faults import (
     CRASH,
     SCHEMA_VERSION,
-    FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
 )
-from repro.fs.page_cache import PageCache
+from repro.harness.machine import Machine
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import mb, ms
@@ -220,13 +217,10 @@ class Scenario:
     def build_machine(self) -> None:
         """One fault-injected node under ``self.schedule`` (XPoint profile,
         16 MB page cache): sets ``injector``, ``device`` and ``fs``."""
-        self.injector = FaultInjector(self.engine, self.schedule)
-        self.device = FaultyDevice(
-            self.engine, xpoint_ssd(), self.injector, self.rng.fork("device")
+        machine = Machine.build(
+            self.engine, self.rng, xpoint_ssd(), mb(16), schedule=self.schedule
         )
-        self.fs = FaultyFileSystem(
-            self.engine, self.device, PageCache(mb(16)), self.injector
-        )
+        self.injector, self.device, self.fs = machine.injector, machine.device, machine.fs
 
     def result(self, result_cls, reason: Optional[str], **fields):
         """This run's ``result_cls``; ``reason`` None is a PASS."""

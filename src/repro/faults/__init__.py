@@ -2,30 +2,29 @@
 
 The paper's findings hinge on how the write path behaves when the device
 misbehaves under load, yet a simulator that only models the happy path can
-never exercise those branches.  This package wraps the storage stack with a
+never exercise those branches.  This package gives the storage stack a
 schedule-driven injector, in the spirit of EagleTree's event-injection
-design space exploration:
+design space exploration, where injected events are a property of the one
+simulated system:
 
 * :class:`FaultSpec` / :class:`FaultSchedule` — declarative fault events
   (I/O errors, latency spikes, stuck-I/O stalls, torn appends, media
   corruption, crash points), triggered at a virtual time or an operation
   count, JSON round-trippable for replay;
 * :class:`FaultInjector` — interprets a schedule deterministically and
-  keeps a virtual-time event log of everything it injected;
-* :class:`FaultyDevice` — a :class:`~repro.storage.device.StorageDevice`
-  that raises typed :class:`~repro.errors.IOFaultError` and stretches
-  completion times per the schedule;
-* :class:`FaultyFileSystem` / :class:`FaultyFile` — a
-  :class:`~repro.fs.filesystem.SimFileSystem` whose appends can tear
-  (durable watermark lands mid-record) or land on mangled media.
+  keeps a virtual-time event log of everything it injected.
 
-With no schedule installed the wrappers add a single predicate call per
-operation and change no simulated timestamps: runs are bit-identical to the
-unwrapped stack.
+The injector is data on a host, not a class of host:
+:meth:`~repro.harness.machine.Machine.build` given a schedule wires one
+injector into the host's :class:`~repro.storage.device.StorageDevice`
+(every read and write consults it: typed
+:class:`~repro.errors.IOFaultError`, stretched completions) and its
+:class:`~repro.fs.filesystem.SimFileSystem` (every append is reported:
+torn tails, mangled media, broken SST checksums).  A host with no injector
+pays one attribute test per request and per append; an injector whose
+specs never fire changes no simulated timestamp.
 """
 
-from repro.faults.device import FaultyDevice
-from repro.faults.filesystem import FaultyFile, FaultyFileSystem
 from repro.faults.injector import FaultInjector
 from repro.faults.mutate import (
     CLUSTER_MUTATION_KINDS,
@@ -73,9 +72,6 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "FaultSpec",
-    "FaultyDevice",
-    "FaultyFile",
-    "FaultyFileSystem",
     "HEAL",
     "LATENCY_SPIKE",
     "MutationContext",

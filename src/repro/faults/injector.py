@@ -1,8 +1,11 @@
 """The fault injector: interprets a schedule against a running simulation.
 
-The injector is consulted from exactly two hook points — device request
-submission (:class:`~repro.faults.device.FaultyDevice`) and file append
-(:class:`~repro.faults.filesystem.FaultyFile`) — and is therefore fully
+The injector is consulted from exactly two hook points on the host
+:meth:`~repro.harness.machine.Machine.build` wires it into:
+:meth:`StorageDevice.read` / :meth:`StorageDevice.write` call
+:meth:`on_device_op` before the request is queued, and
+:meth:`SimFile.append` calls :meth:`on_append` last — after the append and
+any writeback it started, on every return path.  It is therefore fully
 deterministic: fault decisions depend only on the virtual clock, the
 operation counters, and the schedule's spec order.  Every injected fault
 is recorded in :attr:`log` as a virtual-time-stamped line, so two runs of

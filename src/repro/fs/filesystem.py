@@ -16,7 +16,7 @@ needs.  The filesystem models sizes, offsets and timing only.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     FileExistsInFS,
@@ -31,7 +31,15 @@ from repro.sim.stats import StatsSet
 from repro.sim.units import MB
 from repro.storage.device import StorageDevice
 
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+
 EXTENT_BYTES = 1 * MB
+#: OS writeback: a file's dirty span this large starts an asynchronous
+#: device write, and un-synced bytes past the dirty limit make ``write()``
+#: block on it.  ``SimFileSystem.create`` can override both per file.
+WRITEBACK_BYTES = 256 * 1024
+DIRTY_LIMIT_BYTES = 1 * MB
 
 
 class TornRecord:
@@ -68,10 +76,14 @@ class SimFile:
         self.fs = fs
         self.path = path
         self.file_id = file_id
-        # Per-file overrides of the OS writeback thresholds (the WAL uses
+        # OS writeback thresholds, overridable per file (the WAL uses
         # wal_bytes_per_sync here).
-        self.writeback_bytes = writeback_bytes
-        self.dirty_limit_bytes = dirty_limit_bytes
+        self.writeback_bytes = (
+            WRITEBACK_BYTES if writeback_bytes is None else writeback_bytes
+        )
+        self.dirty_limit_bytes = (
+            DIRTY_LIMIT_BYTES if dirty_limit_bytes is None else dirty_limit_bytes
+        )
         self.size = 0
         self.synced_size = 0  # durable watermark
         self._flushed_size = 0  # bytes handed to the device (maybe in flight)
@@ -101,6 +113,9 @@ class SimFile:
         started and — if the amount of un-written dirty data exceeds the
         dirty limit — the returned event models write() blocking on
         writeback backpressure; the caller must yield it.
+
+        The filesystem's fault injector, if any, sees every applied append
+        last, after any writeback it started, whichever way it returns.
         """
         self._check_alive()
         if nbytes <= 0:
@@ -116,18 +131,15 @@ class SimFile:
         fs.page_cache.fill(self.file_id, offset, nbytes)
         fs.stats.inc("bytes_appended", nbytes)
 
-        writeback_at = self.writeback_bytes
-        if writeback_at is None:
-            writeback_at = fs.writeback_bytes
-        if self.size - self._flushed_size >= writeback_at:
+        stall = None
+        if self.size - self._flushed_size >= self.writeback_bytes:
             ev = self._start_flush()
-            dirty_limit = self.dirty_limit_bytes
-            if dirty_limit is None:
-                dirty_limit = fs.dirty_limit_bytes
-            if self.size - self.synced_size >= dirty_limit:
+            if self.size - self.synced_size >= self.dirty_limit_bytes:
                 fs.stats.inc("writeback_stalls")
-                return ev
-        return None
+                stall = ev
+        if fs.injector is not None:
+            fs.injector.on_append(self, offset, nbytes)
+        return stall
 
     def _start_flush(self) -> Optional[Event]:
         """Kick off device writes for the dirty range; returns the last event.
@@ -298,9 +310,7 @@ class SimFileSystem:
         engine: Engine,
         device: StorageDevice,
         page_cache,
-        writeback_bytes: int = 256 * 1024,
-        dirty_limit_bytes: int = 1 * MB,
-        quota_bytes: Optional[int] = None,
+        injector: Optional["FaultInjector"] = None,
     ) -> None:
         from repro.fs.page_cache import PageCache  # local import to avoid cycle
 
@@ -309,8 +319,9 @@ class SimFileSystem:
         self.engine = engine
         self.device = device
         self.page_cache = page_cache
-        self.writeback_bytes = writeback_bytes
-        self.dirty_limit_bytes = dirty_limit_bytes
+        #: A :class:`~repro.faults.injector.FaultInjector` that sees every
+        #: append (torn tails, corrupt media, broken SST checksums), or None.
+        self.injector = injector
         self.stats = StatsSet()
         self._tickers = self.stats.counters()  # counted inline by SimFile.read
         # Incremented on every power failure.  In-flight writeback
@@ -326,9 +337,9 @@ class SimFileSystem:
         self._extent_count = device.profile.capacity_bytes // EXTENT_BYTES
         self._used_extents = 0
         # Optional byte quota (the mounted partition being smaller than the
-        # device).  ``None`` = unlimited; allocation then only hits the
-        # device capacity limit, exactly as before quotas existed.
-        self.quota_bytes = quota_bytes
+        # device), set by :meth:`set_quota`.  ``None`` = unlimited;
+        # allocation then only hits the device capacity limit.
+        self.quota_bytes: Optional[int] = None
 
     # -- capacity ---------------------------------------------------------------
 
@@ -360,10 +371,6 @@ class SimFileSystem:
 
     # -- namespace -------------------------------------------------------------
 
-    #: Class of files this filesystem hands out; the fault-injection layer
-    #: (:mod:`repro.faults`) overrides this with a fault-aware subclass.
-    file_class = SimFile
-
     def create(
         self,
         path: str,
@@ -384,7 +391,7 @@ class SimFileSystem:
                 f"({self.used_bytes()}/{self.capacity_bytes()} bytes used)",
                 path=path,
             )
-        f = self.file_class(
+        f = SimFile(
             self,
             path,
             self._next_file_id,

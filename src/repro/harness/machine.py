@@ -5,16 +5,22 @@ a two-socket Xeon (the CPU cost model), one storage device under test, an
 Ext4-like filesystem and a page cache sized to the configured RAM (the paper
 boots with 8 GB against a 100 GB dataset).  For case study C a second,
 NVM-backed filesystem can be attached to host the WAL.
+
+:meth:`Machine.build` is the one recipe for a simulated host: the figure
+harness, the experiment matrix, every DST harness and each replica of a
+serving cluster build theirs with it, several to an engine when a cluster
+shares one.  Fault injection is data on the host — a schedule gives it one
+:class:`~repro.faults.injector.FaultInjector` wired to its device and its
+filesystem — not a choice of classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
-from repro.lsm.costs import DEFAULT_COSTS, CostModel
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_controller import WriteController
@@ -22,6 +28,10 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.storage.device import StorageDevice
 from repro.storage.profiles import DeviceProfile, nvm_dimm
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
 
 
 @dataclass
@@ -34,23 +44,38 @@ class Machine:
     page_cache: PageCache
     rng: RandomStream
     nvm_fs: Optional[SimFileSystem] = None
-    costs: CostModel = DEFAULT_COSTS
+    injector: Optional["FaultInjector"] = None
 
     @classmethod
-    def create(
+    def build(
         cls,
+        engine: Engine,
+        rng: RandomStream,
         profile: DeviceProfile,
         page_cache_bytes: int,
-        seed: int = 1,
+        *,
+        schedule: Optional["FaultSchedule"] = None,
+        device_stream: str = "device",
         with_nvm: bool = False,
-        costs: Optional[CostModel] = None,
     ) -> "Machine":
-        """Stand up a machine around one storage device."""
-        engine = Engine()
-        rng = RandomStream(seed, f"machine/{profile.name}")
-        device = StorageDevice(engine, profile, rng.fork("device"))
+        """Stand up one host on ``engine`` around one storage device.
+
+        The device draws from ``rng.fork(device_stream)`` (cluster nodes
+        sharing one ``rng`` name theirs apart).  A ``schedule`` — even an
+        empty one — gets one injector, consulted by the device on every
+        request and by the filesystem on every append; with none,
+        ``injector`` is None and neither consults anything.
+        """
+        injector = None
+        if schedule is not None:
+            # Imported here so a host without faults (every figure run) does
+            # not load the fault package into its set-up time.
+            from repro.faults.injector import FaultInjector
+
+            injector = FaultInjector(engine, schedule)
+        device = StorageDevice(engine, profile, rng.fork(device_stream), injector)
         page_cache = PageCache(page_cache_bytes)
-        fs = SimFileSystem(engine, device, page_cache)
+        fs = SimFileSystem(engine, device, page_cache, injector)
         nvm_fs = None
         if with_nvm:
             nvm_device = StorageDevice(engine, nvm_dimm(), rng.fork("nvm"))
@@ -64,8 +89,20 @@ class Machine:
             page_cache=page_cache,
             rng=rng,
             nvm_fs=nvm_fs,
-            costs=costs or DEFAULT_COSTS,
+            injector=injector,
         )
+
+    @classmethod
+    def create(
+        cls,
+        profile: DeviceProfile,
+        page_cache_bytes: int,
+        seed: int = 1,
+        with_nvm: bool = False,
+    ) -> "Machine":
+        """Stand up a machine, on a fresh engine, around one storage device."""
+        rng = RandomStream(seed, f"machine/{profile.name}")
+        return cls.build(Engine(), rng, profile, page_cache_bytes, with_nvm=with_nvm)
 
     def open_db(
         self,
@@ -91,7 +128,6 @@ class Machine:
             self.engine,
             self.fs,
             options,
-            costs=self.costs,
             wal_fs=wal_fs,
             rng=self.rng.fork(name),
             controller=controller,

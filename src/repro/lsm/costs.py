@@ -49,7 +49,6 @@ class CostModel:
     wal_serialize_per_byte_ps: int = 1000  # picoseconds per byte (write() + memcpy)
     wal_compress_per_byte_ps: int = 800  # snappy-class compression CPU
     wal_append_base_ns: int = us(2.0)  # write() syscall into the page cache
-    write_group_join_ns: int = us(0.4)
     write_group_leader_ns: int = us(1.0)
     write_group_per_writer_ns: int = us(0.3)
 

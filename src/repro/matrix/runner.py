@@ -2,10 +2,10 @@
 
 A :class:`Cell` is one grid point — a device, a workload and a named
 :class:`Scenario` — and builds a complete universe from scratch when it
-runs.  A YCSB cell stands up an engine, a
-:class:`~repro.faults.device.FaultyDevice` (even when the schedule is
-empty, so clean and degraded cells run the *same* code path), page cache,
-filesystem and prefilled DB, then drives its mix for the matrix preset's
+runs.  A YCSB cell builds one
+:class:`~repro.harness.machine.Machine` with a fault injector (even when
+the schedule is empty, so clean and degraded cells run the *same* code
+path) and a prefilled DB, then drives its mix for the matrix preset's
 duration.  A ``serving`` cell runs the replicated serving tier through the
 :class:`~repro.dst.ServingDstRun` chaos harness, so it also enforces the
 no-loss / read-your-writes / no-hang invariants.  Nothing is shared
@@ -29,12 +29,8 @@ from repro.faults import (
     FaultSchedule,
     FaultSpec,
 )
-from repro.faults.device import FaultyDevice
-from repro.faults.injector import FaultInjector
-from repro.fs.filesystem import SimFileSystem
-from repro.fs.page_cache import PageCache
+from repro.harness.machine import Machine
 from repro.harness.presets import TINY, ScalePreset
-from repro.lsm.db import DB
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import ms, seconds, us
@@ -177,16 +173,14 @@ class Cell:
         preset = MATRIX_PRESET
         schedule = scenario.schedule(preset.duration_ns)
 
-        engine = Engine()
         rng = RandomStream(
             MATRIX_SEED, f"matrix/{self.device}/{self.workload}/{self.scenario}"
         )
-        injector = FaultInjector(engine, schedule)
-        device = FaultyDevice(
-            engine, profile_by_name(self.device), injector, rng.fork("device")
+        machine = Machine.build(
+            Engine(), rng, profile_by_name(self.device), preset.page_cache_bytes,
+            schedule=schedule,
         )
-        fs = SimFileSystem(engine, device, PageCache(preset.page_cache_bytes))
-        db = DB(engine, fs, preset.options(), rng=rng.fork("db"))
+        db = machine.open_db(preset.options())
         prefill(db, preset.prefill_spec())
 
         runner = YcsbRunner(
@@ -202,7 +196,7 @@ class Cell:
             "kops": round(result.kops, 1),
             "p50_us": round(result.latency.percentile(50) / 1e3, 1),
             "p99_us": round(result.latency.percentile(99) / 1e3, 1),
-            "faults": float(len(injector.log)),
+            "faults": float(len(machine.injector.log)),
         }
 
 

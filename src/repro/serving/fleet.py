@@ -123,7 +123,6 @@ class TenantStats:
     write_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     slo_violations: int = 0
     throttled_ops: int = 0
-    throttle_ns: int = 0
     duration_ns: int = 0
     # Resilient-serving accounting (all zero on the zero-fault path).
     shed_ops: int = 0
@@ -256,7 +255,6 @@ class TenantWorkload:
             delay = stack.admission.admit(spec.name, engine.now)
             if delay:
                 self.stats.throttled_ops += 1
-                self.stats.throttle_ns += delay
                 yield delay
             op = spec.mix.pick_op(rng)
             began = engine.now
@@ -316,7 +314,6 @@ class TenantWorkload:
             delay = stack.admission.admit(spec.name, engine.now)
             if delay:
                 self.stats.throttled_ops += 1
-                self.stats.throttle_ns += delay
                 yield delay
             op = spec.mix.pick_op(rng)
             began = engine.now

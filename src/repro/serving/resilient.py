@@ -56,10 +56,8 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
 )
-from repro.fs.page_cache import PageCache
+from repro.harness.machine import Machine
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
 from repro.net import NetConfig, Network
 from repro.obs import tenant_slo_digest
@@ -236,27 +234,19 @@ class ResilientServingStack:
         self.groups: List[ShardGroup] = []
         for g in range(config.shards):
             base = g * config.replicas
-            injectors: List[FaultInjector] = []
-            fss = []
-            for r in range(config.replicas):
-                injector = FaultInjector(
-                    self.engine, FaultSchedule(node_specs[base + r])
-                )
-                injectors.append(injector)
-                device = FaultyDevice(
+            machines = [
+                Machine.build(
                     self.engine,
+                    self.rng,
                     self._profile(),
-                    injector,
-                    self.rng.fork(f"device/{base + r}"),
+                    PAGE_CACHE_BYTES,
+                    schedule=FaultSchedule(node_specs[base + r]),
+                    device_stream=f"device/{base + r}",
                 )
-                fss.append(
-                    FaultyFileSystem(
-                        self.engine,
-                        device,
-                        PageCache(PAGE_CACHE_BYTES),
-                        injector,
-                    )
-                )
+                for r in range(config.replicas)
+            ]
+            injectors = [m.injector for m in machines]
+            fss = [m.fs for m in machines]
             network = Network(
                 self.engine,
                 config.replicas,

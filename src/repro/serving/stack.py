@@ -141,7 +141,6 @@ class ServingStack:
                 self.engine,
                 fs_view,
                 opts,
-                costs=self.machine.costs,
                 rng=self.machine.rng.fork(f"shard/{shard}"),
                 block_cache=self.block_cache,
                 write_buffer_manager=self.write_buffer_manager,

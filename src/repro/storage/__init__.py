@@ -6,7 +6,6 @@ See :mod:`repro.storage.profiles` for the calibrated device profiles and
 
 from repro.storage.device import StorageDevice
 from repro.storage.iotoolkit import RawBenchmark, RawResult, RawWorkloadConfig
-from repro.storage.nvm import NvmLog
 from repro.storage.profiles import (
     PROFILES,
     DeviceProfile,
@@ -21,7 +20,6 @@ from repro.storage.profiles import (
 __all__ = [
     "PROFILES",
     "DeviceProfile",
-    "NvmLog",
     "RawBenchmark",
     "RawResult",
     "RawWorkloadConfig",

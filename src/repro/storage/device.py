@@ -20,14 +20,17 @@ characteristic of NAND devices.  3D XPoint profiles disable GC entirely.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.sim.engine import Engine, Event
 from repro.sim.rng import RandomStream
-from repro.sim.stats import LatencyHistogram, StatsSet, TimeWeightedGauge
+from repro.sim.stats import LatencyHistogram, StatsSet
 from repro.sim.units import SEC
 from repro.storage.profiles import DeviceProfile
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
 
 READ = "read"
 WRITE = "write"
@@ -40,18 +43,26 @@ class StorageDevice:
     bookkeeping cheap: :meth:`read` (random reads, one pass) or ``_submit``
     (sequential reads and writes) runs once per simulated I/O, which at
     sweep scale means millions of host-level calls per experiment.
-    (Subclasses like FaultyDevice may add attributes freely — they carry
-    their own ``__dict__``.)
+
+    ``injector`` is a :class:`~repro.faults.injector.FaultInjector` or
+    ``None``.  When set, every :meth:`read` and :meth:`write` consults it
+    first: an error spec raises :class:`~repro.errors.IOFaultError` *before*
+    the request is queued — the command fails at the interface, so channel
+    clocks, counters and histograms never see it (a retry is a fresh
+    submission).  A latency or stall spec lets the request run normally and
+    stretches its completion by chaining a timeout after it
+    (:meth:`_stretch`), leaving the channel clocks untouched: the delay
+    models a hiccup on the host path, not extra channel occupancy.  With
+    ``None`` the cost is one attribute test per request.
     """
 
     __slots__ = (
         "engine",
         "profile",
         "rng",
-        "track_queue_depth",
+        "injector",
         "_tracer",
         "_track",
-        "_observe",
         "_trace_enabled",
         "_channel_free",
         "_channel_read_free",
@@ -66,7 +77,6 @@ class StorageDevice:
         "stats",
         "read_latency",
         "write_latency",
-        "queue_depth",
         "_inflight",
         "_reads",
         "_writes",
@@ -80,19 +90,17 @@ class StorageDevice:
         engine: Engine,
         profile: DeviceProfile,
         rng: Optional[RandomStream] = None,
-        track_queue_depth: bool = False,
+        injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.engine = engine
         self.profile = profile
         self.rng = (rng or RandomStream(0)).fork(f"device/{profile.name}")
-        self.track_queue_depth = track_queue_depth
-        # Tracing: request spans are emitted through the engine's tracer (a
-        # shared no-op when tracing is off).  In-flight accounting is needed
-        # for either queue-depth reporting or counter events.
+        self.injector = injector
+        # Tracing: request spans and the in-flight counter are emitted
+        # through the engine's tracer (a shared no-op when tracing is off).
         self._tracer = engine.tracer
         self._track = f"device/{profile.name}"
         self._trace_enabled = bool(self._tracer.enabled)
-        self._observe = track_queue_depth or self._trace_enabled
         # Per-channel cursors.  `_channel_free` is when all committed work
         # (reads + writes) drains; `_channel_read_free` is when the channel
         # could start a *read*: firmware gives reads priority over queued
@@ -114,7 +122,6 @@ class StorageDevice:
         self.stats = StatsSet()
         self.read_latency = LatencyHistogram(f"{profile.name}/read")
         self.write_latency = LatencyHistogram(f"{profile.name}/write")
-        self.queue_depth = TimeWeightedGauge(f"{profile.name}/qd")
         self._inflight = 0
         self._reads = 0
         self._writes = 0
@@ -137,8 +144,10 @@ class StorageDevice:
         the queued background work back by its own occupancy (capacity
         conserved).
         """
+        extra = 0 if self.injector is None else self.injector.on_device_op(READ)
         if sequential:
-            return self._submit(READ, offset, nbytes, True)
+            done = self._submit(READ, offset, nbytes, True)
+            return self._stretch(done, extra) if extra else done
         prof = self.profile
         if nbytes <= 0 or offset < 0 or offset + nbytes > prof.capacity_bytes:
             self._check_range(offset, nbytes)
@@ -193,16 +202,17 @@ class StorageDevice:
         self._reads += 1
         self._bytes_read += nbytes
         self.read_latency.record(latency)
+        done = self.engine.timeout(latency)
         if self._trace_enabled:
             self._tracer.device_request(self._track, READ, now, start, finish, nbytes, False)
-        done = self.engine.timeout(latency)
-        if self._observe:
-            self._observe_request(now, done)
-        return done
+            self._observe_request(done)
+        return self._stretch(done, extra) if extra else done
 
     def write(self, offset: int, nbytes: int, sequential: bool = False) -> Event:
         """Submit a write; the returned event fires when durable."""
-        return self._submit(WRITE, offset, nbytes, sequential)
+        extra = 0 if self.injector is None else self.injector.on_device_op(WRITE)
+        done = self._submit(WRITE, offset, nbytes, sequential)
+        return self._stretch(done, extra) if extra else done
 
     def flush(self) -> Event:
         """Barrier: fires once every previously submitted request finished."""
@@ -306,29 +316,36 @@ class StorageDevice:
             self._bytes_written += nbytes
             self.write_latency.record(latency)
 
+        done = self.engine.timeout(latency)
         if self._trace_enabled:
             self._tracer.device_request(
                 self._track, op, now, start, finish, nbytes, sequential
             )
-        done = self.engine.timeout(latency)
-        if self._observe:
-            self._observe_request(now, done)
+            self._observe_request(done)
         return done
 
-    def _observe_request(self, now: int, done: Event) -> None:
-        """Count a request in flight until ``done`` fires: queue-depth
-        reporting and queue-depth counter events in traces."""
+    def _stretch(self, ev: Event, extra_ns: int) -> Event:
+        """Chain ``extra_ns`` of injected delay after ``ev`` fires."""
+        engine = self.engine
+        out = engine.event()
+
+        def _after(_ev: Event) -> None:
+            timeout = engine.timeout(extra_ns)
+            timeout.callbacks.append(lambda _t: out.succeed())
+
+        ev.callbacks.append(_after)
+        return out
+
+    def _observe_request(self, done: Event) -> None:
+        """Count a request in flight until ``done`` fires, as the trace's
+        ``inflight`` counter."""
         self._inflight += 1
-        self.queue_depth.update(now, self._inflight)
-        if self._trace_enabled:
-            self._tracer.counter(self._track, "inflight", self._inflight)
+        self._tracer.counter(self._track, "inflight", self._inflight)
         done.callbacks.append(self._on_complete)
 
     def _on_complete(self, _ev: Event) -> None:
         self._inflight -= 1
-        self.queue_depth.update(self.engine.now, self._inflight)
-        if self._trace_enabled:
-            self._tracer.counter(self._track, "inflight", self._inflight)
+        self._tracer.counter(self._track, "inflight", self._inflight)
 
     def _submit_stripe(
         self, op: str, nbytes: int, sequential: bool, now: int

@@ -64,9 +64,6 @@ class DeviceProfile:
     gc_interval_bytes: int = 0
     gc_pause_ns: int = 0
 
-    # Descriptive notes surfaced in reports.
-    description: str = ""
-
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive: {self.capacity_bytes}")
@@ -99,7 +96,6 @@ def sata_flash_ssd(capacity_bytes: int = 240 * GB) -> DeviceProfile:
         jitter_sigma=0.25,
         gc_interval_bytes=48 * MB,
         gc_pause_ns=us(2500),
-        description="Intel 530-class SATA NAND flash SSD",
     )
 
 
@@ -122,7 +118,6 @@ def pcie_flash_ssd(capacity_bytes: int = 400 * GB) -> DeviceProfile:
         jitter_sigma=0.22,
         gc_interval_bytes=96 * MB,
         gc_pause_ns=us(1500),
-        description="Intel 750-class PCIe NVMe NAND flash SSD",
     )
 
 
@@ -145,7 +140,6 @@ def xpoint_ssd(capacity_bytes: int = 280 * GB) -> DeviceProfile:
         jitter_sigma=0.08,
         gc_interval_bytes=0,  # no erase, no GC
         gc_pause_ns=0,
-        description="Intel Optane 900P-class 3D XPoint SSD",
     )
 
 
@@ -166,7 +160,6 @@ def nvm_dimm(capacity_bytes: int = 16 * GB) -> DeviceProfile:
         interface_write_bw=9000 * MB,
         full_duplex=True,
         jitter_sigma=0.02,
-        description="byte-addressable NVM emulated in DRAM (tmpfs analog)",
     )
 
 
@@ -187,7 +180,6 @@ def null_device(capacity_bytes: int = gb(1)) -> DeviceProfile:
         interface_write_bw=10**18,
         full_duplex=True,
         jitter_sigma=0.0,
-        description="instantaneous device for tests",
     )
 
 

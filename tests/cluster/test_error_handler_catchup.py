@@ -14,8 +14,6 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
 )
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
@@ -38,8 +36,8 @@ def faulty_fs_factory(engine, i, rng):
         [FaultSpec(WRITE_ERROR, at_time=us(400), count=8)]
     )
     injector = FaultInjector(engine, schedule)
-    device = FaultyDevice(engine, xpoint_ssd(), injector, rng.fork(f"dev/{i}"))
-    return FaultyFileSystem(engine, device, PageCache(mb(4)), injector)
+    device = StorageDevice(engine, xpoint_ssd(), rng.fork(f"dev/{i}"), injector)
+    return SimFileSystem(engine, device, PageCache(mb(4)), injector)
 
 
 class TestAutoResumeCatchup:
@@ -69,8 +67,8 @@ class TestAutoResumeCatchup:
         # plain-filesystem cluster: the injector layers are pass-through.
         def inert_factory(engine, i, rng):
             injector = FaultInjector(engine, FaultSchedule())
-            device = FaultyDevice(engine, xpoint_ssd(), injector, rng.fork(f"dev/{i}"))
-            return FaultyFileSystem(engine, device, PageCache(mb(4)), injector)
+            device = StorageDevice(engine, xpoint_ssd(), rng.fork(f"dev/{i}"), injector)
+            return SimFileSystem(engine, device, PageCache(mb(4)), injector)
 
         engine_a, cluster_a = make_cluster(fs_factory=inert_factory)
         engine_b, cluster_b = make_cluster()

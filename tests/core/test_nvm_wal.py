@@ -5,7 +5,7 @@ import pytest
 from repro.core.nvm_wal import LoggingConfig, logging_configurations
 from repro.harness.machine import Machine
 from repro.lsm.options import WAL_BUFFERED, WAL_OFF
-from repro.sim.units import mb
+from repro.sim.units import KB, mb, us
 from repro.storage.profiles import xpoint_ssd
 from tests.conftest import run_op, tiny_options
 
@@ -35,6 +35,17 @@ def test_wal_on_nvm_writes_to_nvm_device(engine):
     run_op(machine.engine, drain())
     assert machine.nvm_fs.stats.get("bytes_appended") > 0
     assert machine.fs.stats.get("bytes_appended") == 0  # data device untouched by WAL
+
+
+def test_nvm_append_is_durable_under_5us():
+    """The NVM filesystem is the tmpfs stand-in: a small synced append is
+    durable in about a microsecond, not at SSD latencies."""
+    machine = Machine.create(xpoint_ssd(), page_cache_bytes=mb(8), with_nvm=True)
+    f = machine.nvm_fs.create("wal/000001.log")
+    f.append(KB, record="r1")
+    run_op(machine.engine, f.sync())
+    assert f.synced_size == KB
+    assert 0 < machine.engine.now < us(5)
 
 
 def test_wal_on_nvm_requires_nvm_machine():

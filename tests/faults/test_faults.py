@@ -15,23 +15,23 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
 )
+from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.sst import SSTBuilder
 from repro.lsm.wal import scan_log
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
-from repro.sim.units import mb, us
+from repro.sim.units import KB, mb, us
+from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
 from tests.conftest import run_op
 
 
 def make_faulty(engine, schedule):
     injector = FaultInjector(engine, schedule)
-    device = FaultyDevice(engine, xpoint_ssd(), injector)
-    fs = FaultyFileSystem(engine, device, PageCache(mb(4)), injector)
+    device = StorageDevice(engine, xpoint_ssd(), injector=injector)
+    fs = SimFileSystem(engine, device, PageCache(mb(4)), injector)
     return injector, device, fs
 
 
@@ -185,6 +185,21 @@ class TestFilesystemFaults:
         assert fs.stats.get("injected_torn_appends") == 1
         fs.crash()
         assert fs.stats.get("torn_records") == 1
+
+    def test_torn_append_on_a_writeback_stall(self):
+        """The filesystem hook sees an append last, on the writeback-stall
+        return too: the whole record is handed to writeback first, then the
+        tear moves the durable watermark into it."""
+        engine = Engine()
+        injector, device, fs = make_faulty(
+            engine, FaultSchedule([FaultSpec(TORN_APPEND, path="wal/")])
+        )
+        f = fs.create("wal/000001.log", writeback_bytes=4 * KB, dirty_limit_bytes=8 * KB)
+        stall = f.append(16 * KB, record="r1")
+        assert stall is not None  # write() blocks on writeback
+        assert device.bytes_written == 16 * KB
+        assert f.synced_size == 8 * KB
+        assert injector.log == [f"t=0 torn_append wal/000001.log @0+{16 * KB} torn_to={8 * KB}"]
 
     def test_path_filter_restricts_torn_appends(self):
         engine = Engine()

@@ -21,9 +21,8 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
 )
+from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.db import DB
 from repro.lsm.error_handler import (
@@ -40,6 +39,7 @@ from repro.lsm.error_handler import (
 from repro.lsm.options import WAL_BUFFERED, WAL_SYNC
 from repro.sim.rng import RandomStream
 from repro.sim.units import kb, mb, ms, us
+from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
 from tests.conftest import run_op, tiny_options
 
@@ -66,8 +66,8 @@ def wait_until(engine, pred, budget_ns, step_ns=us(50)):
 
 def faulty_fs(engine, schedule):
     injector = FaultInjector(engine, schedule)
-    device = FaultyDevice(engine, xpoint_ssd(), injector, RandomStream(7))
-    return FaultyFileSystem(engine, device, PageCache(mb(16)), injector)
+    device = StorageDevice(engine, xpoint_ssd(), RandomStream(7), injector)
+    return SimFileSystem(engine, device, PageCache(mb(16)), injector)
 
 
 def storm_options(**overrides):

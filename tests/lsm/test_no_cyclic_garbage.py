@@ -22,9 +22,8 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultyDevice,
-    FaultyFileSystem,
 )
+from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.db import DB
 from repro.lsm.format import KIND_PUT
@@ -34,6 +33,7 @@ from repro.lsm.write_batch import WriteBatch
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram, TimeSeries
 from repro.sim.units import mb, ms, seconds, us
+from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
 from repro.workloads.db_bench import DbBench, DbBenchConfig
 from repro.workloads.prefill import PrefillSpec, prefill, prefill_keys
@@ -155,8 +155,8 @@ def test_group_failed_by_a_wal_fault(engine, monkeypatch):
     and unlinks every writer from the group."""
     schedule = FaultSchedule([FaultSpec(WRITE_ERROR, at_time=0, until_time=ms(5), count=10**6)])
     injector = FaultInjector(engine, schedule)
-    device = FaultyDevice(engine, xpoint_ssd(), injector, RandomStream(7))
-    fs = FaultyFileSystem(engine, device, PageCache(mb(16)), injector)
+    device = StorageDevice(engine, xpoint_ssd(), RandomStream(7), injector)
+    fs = SimFileSystem(engine, device, PageCache(mb(16)), injector)
     options = tiny_options(
         wal_mode=WAL_SYNC,
         bg_error_resume_interval_ns=us(50),

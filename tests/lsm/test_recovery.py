@@ -14,14 +14,15 @@ ad-hoc per-scenario expectations:
 
 import pytest
 
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec, FaultyDevice
-from repro.faults import FaultyFileSystem, TORN_APPEND
+from repro.faults import TORN_APPEND, FaultInjector, FaultSchedule, FaultSpec
+from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.db import DB
 from repro.lsm.options import WAL_BUFFERED, WAL_OFF, WAL_SYNC
 from repro.lsm.value import ValueRef
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.units import kb, mb
+from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
 from tests.conftest import make_fs, run_op, tiny_options
 
@@ -199,8 +200,8 @@ class TestCrashSpecialCases:
 class TestTornWalTail:
     def _faulty_fs(self, engine, schedule):
         injector = FaultInjector(engine, schedule)
-        device = FaultyDevice(engine, xpoint_ssd(), injector)
-        return FaultyFileSystem(engine, device, PageCache(mb(16)), injector)
+        device = StorageDevice(engine, xpoint_ssd(), injector=injector)
+        return SimFileSystem(engine, device, PageCache(mb(16)), injector)
 
     def test_injected_torn_tail_is_detected_and_truncated(self, engine):
         """A torn WAL record fails its checksum scan; recovery truncates

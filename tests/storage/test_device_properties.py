@@ -1,6 +1,7 @@
 """Property-based tests for the device queueing model: its physical
-invariants, and the one-pass random read against the stripe submit it
-replaced."""
+invariants, the one-pass random read against the stripe submit it
+replaced, and the injector hooks folded into the device against the
+fault-wrapper subclass they replaced."""
 
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IOFaultError, StorageError
-from repro.faults.device import FaultyDevice
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import (
     LATENCY_SPIKE,
@@ -18,6 +18,7 @@ from repro.faults.schedule import (
     FaultSchedule,
     FaultSpec,
 )
+from repro.obs import Tracer
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import GB, KB, MB, SEC
@@ -194,10 +195,8 @@ class StripeSubmitDevice(StorageDevice):
             self._bytes_written += nbytes
             self.write_latency.record(latency)
         done = self.engine.timeout(latency)
-        if self._observe:
-            self._inflight += 1
-            self.queue_depth.update(now, self._inflight)
-            done.callbacks.append(self._on_complete)
+        if self._trace_enabled:
+            self._observe_request(done)
         return done
 
     def _submit_stripe(self, op, nbytes, sequential, now):
@@ -273,9 +272,39 @@ class StripeSubmitDevice(StorageDevice):
         return start, finish
 
 
-class StripeSubmitFaultyDevice(FaultyDevice, StripeSubmitDevice):
-    """The same specification under the fault wrapper (MRO: the wrapper's
-    ``super().read`` lands on :class:`StripeSubmitDevice`)."""
+class FaultyStripeSubmitDevice(StripeSubmitDevice):
+    """The specification of the device's injector hooks: the ``read``,
+    ``write`` and ``_stretch`` of the ``FaultyDevice`` subclass they were
+    folded from, over the stripe submit above.  The injector is consulted
+    before the request (an error spec raises before anything is queued),
+    and a latency spec chains a timeout after the plain completion."""
+
+    __slots__ = ()
+
+    def read(self, offset, nbytes, sequential=False):
+        extra = self.injector.on_device_op(READ)  # may raise IOFaultError
+        ev = super().read(offset, nbytes, sequential)
+        if extra:
+            ev = self._stretch(ev, extra)
+        return ev
+
+    def write(self, offset, nbytes, sequential=False):
+        extra = self.injector.on_device_op(WRITE)  # may raise IOFaultError
+        ev = super().write(offset, nbytes, sequential)
+        if extra:
+            ev = self._stretch(ev, extra)
+        return ev
+
+    def _stretch(self, ev, extra_ns):
+        engine = self.engine
+        out = engine.event()
+
+        def _after(_ev):
+            timeout = engine.timeout(extra_ns)
+            timeout.callbacks.append(lambda _t: out.succeed())
+
+        ev.callbacks.append(_after)
+        return out
 
 
 _PROFILES = {
@@ -294,7 +323,6 @@ def _device_state(dev):
     def hist(h):
         return (h.count, h.total, h.min, h.max, dict(h._buckets))
 
-    gauge = dev.queue_depth
     return (
         list(dev._channel_free),
         list(dev._channel_read_free),
@@ -310,20 +338,21 @@ def _device_state(dev):
         dev.snapshot(),
         hist(dev.read_latency),
         hist(dev.write_latency),
-        (gauge._value, gauge._last_t, gauge._area, gauge._start, gauge.max_value),
         dev.rng.getstate(),
+        None if dev.injector is None else (dev.injector.log, dev.injector.crash_pending),
     )
 
 
 @st.composite
 def device_plans(draw):
-    """A profile, a queue-depth flag, an optional fault schedule, and a
-    stream of ``(gap_ns, op, sequential, offset, nbytes)`` requests mixing
-    random reads below and above ``stripe_bytes``, sequential reads, and
-    random and sequential writes (an occasional one past the capacity)."""
+    """A profile, a traced-engine flag, a fault schedule (no injector, an
+    injector with no specs, or active specs), and a stream of
+    ``(gap_ns, op, sequential, offset, nbytes)`` requests mixing random
+    reads below and above ``stripe_bytes``, sequential reads, and random and
+    sequential writes (an occasional one past the capacity)."""
     profile = draw(st.sampled_from(sorted(_PROFILES)))
-    faults = None
-    if draw(st.booleans()):
+    faults = draw(st.sampled_from([None, [], "active"]))
+    if faults == "active":
         faults = [
             FaultSpec(LATENCY_SPIKE, at_op=draw(st.integers(1, 20)),
                       count=draw(st.integers(1, 5)), extra_ns=draw(st.integers(1, 50_000))),
@@ -346,16 +375,17 @@ def device_plans(draw):
     return profile, draw(st.booleans()), faults, reqs
 
 
-def _devices(engine, profile, track, faults):
+def _devices(engine, profile, faults):
+    """(specification, device under test), each with its own injector."""
     prof = _PROFILES[profile]
     if faults is None:
         return (
-            StripeSubmitDevice(engine, prof, RandomStream(5), track),
-            StorageDevice(engine, prof, RandomStream(5), track),
+            StripeSubmitDevice(engine, prof, RandomStream(5)),
+            StorageDevice(engine, prof, RandomStream(5)),
         )
     return tuple(
-        cls(engine, prof, FaultInjector(engine, FaultSchedule(faults)), RandomStream(5), track)
-        for cls in (StripeSubmitFaultyDevice, FaultyDevice)
+        cls(engine, prof, RandomStream(5), FaultInjector(engine, FaultSchedule(faults)))
+        for cls in (FaultyStripeSubmitDevice, StorageDevice)
     )
 
 
@@ -375,11 +405,12 @@ def _submit(dev, op, sequential, offset, nbytes):
 @given(plan=device_plans())
 def test_one_pass_read_matches_the_stripe_submit(plan):
     """Both devices take every request at the same instant on one engine:
-    after each one their cursors, counters, histograms and RNG state are
-    equal, and every request completes at the same time on both."""
-    profile, track, faults, reqs = plan
-    engine = Engine()
-    spec, dev = _devices(engine, profile, track, faults)
+    after each one their cursors, counters, histograms, RNG and injector
+    state are equal, both raise the same error or neither does, and every
+    request completes at the same time on both."""
+    profile, traced, faults, reqs = plan
+    engine = Engine(tracer=Tracer()) if traced else Engine()
+    spec, dev = _devices(engine, profile, faults)
     done_at = {}
 
     def driver():
