@@ -117,19 +117,21 @@ class SimFile:
         The filesystem's fault injector, if any, sees every applied append
         last, after any writeback it started, whichever way it returns.
         """
-        self._check_alive()
+        if self.deleted or self.closed:
+            self._check_alive()
         if nbytes <= 0:
             raise FileSystemError(f"append size must be positive: {nbytes}")
         fs = self.fs
         offset = self.size
         # Allocate extents (and hit any quota) *before* mutating the file,
         # so a failed append (ENOSPC) leaves size/records untouched.
-        fs._ensure_extents(self, offset + nbytes)
+        if offset + nbytes > len(self.extents) * EXTENT_BYTES:
+            fs._ensure_extents(self, offset + nbytes)
         self.size = offset + nbytes
         if record is not None:
             self.records.append((nbytes, record))
         fs.page_cache.fill(self.file_id, offset, nbytes)
-        fs.stats.inc("bytes_appended", nbytes)
+        fs._tickers["bytes_appended"] += nbytes
 
         stall = None
         if self.size - self._flushed_size >= self.writeback_bytes:
@@ -235,15 +237,9 @@ class SimFile:
         holes = fs.page_cache.read_through(self.file_id, offset, nbytes)
         tickers = fs._tickers
         if not holes:
-            try:
-                tickers["cached_reads"] += 1
-            except KeyError:
-                tickers["cached_reads"] = 1
+            tickers["cached_reads"] += 1
             return None
-        try:
-            tickers["device_reads"] += 1
-        except KeyError:
-            tickers["device_reads"] = 1
+        tickers["device_reads"] += 1
         if len(holes) == 1:
             # Single hole within one extent (the common small-block read):
             # map it inline instead of spinning up the _physical_runs
@@ -323,7 +319,7 @@ class SimFileSystem:
         #: append (torn tails, corrupt media, broken SST checksums), or None.
         self.injector = injector
         self.stats = StatsSet()
-        self._tickers = self.stats.counters()  # counted inline by SimFile.read
+        self._tickers = self.stats.counters()  # counted inline by SimFile
         # Incremented on every power failure.  In-flight writeback
         # completions and suspended fsyncs capture the epoch they started
         # under and refuse to act once it changes — required for node-local

@@ -108,15 +108,9 @@ class PageCache:
                 count, missing = 2, (not hit) + (not arr[last])
             tickers = self._tickers
             if missing < count:
-                try:
-                    tickers["page_hits"] += count - missing
-                except KeyError:
-                    tickers["page_hits"] = count - missing
+                tickers["page_hits"] += count - missing
             if missing:
-                try:
-                    tickers["page_misses"] += missing
-                except KeyError:
-                    tickers["page_misses"] = missing
+                tickers["page_misses"] += missing
             if hit == mark - 2:  # the first page is already the MRU page
                 if count == 1:
                     return []
@@ -295,10 +289,7 @@ class PageCache:
         and otherwise :meth:`_evict_run` clears the run's live pages."""
         excess = self._resident - self.capacity_pages
         self._resident = self.capacity_pages
-        try:
-            self._tickers["pages_evicted"] += excess
-        except KeyError:
-            self._tickers["pages_evicted"] = excess
+        self._tickers["pages_evicted"] += excess
         keys, lens, get = self._log_key, self._log_len, self._marks.get
         head, stamp = self._head, self._head_stamp
         while excess:

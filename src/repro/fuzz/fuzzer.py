@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Tuple
 
 import hashlib
 
+from repro.errors import FaultConfigError
 from repro.fuzz.corpus import (
     DEFAULT_CORPUS_DIR,
     CorpusEntry,
@@ -46,6 +47,12 @@ class FuzzConfig:
     corpus_dir: Optional[str] = DEFAULT_CORPUS_DIR
     minimize_crashers: bool = True
     max_minimize_executions: int = 48
+
+    def __post_init__(self) -> None:
+        if self.batch < 1:
+            raise FaultConfigError(f"batch must be >= 1: {self.batch}")
+        if self.iters < 0:
+            raise FaultConfigError(f"iters must be >= 0: {self.iters}")
 
 
 @dataclass

@@ -114,7 +114,7 @@ class WorkloadPoint:
         art = run_workload(self)
         return PointResult(
             result=art.result,
-            max_waiting=art.db.write_queue.waiting_gauge.max_value,
+            max_waiting=art.db.write_queue.max_waiting,
             wal_bytes=art.db.wal.bytes_written,
         )
 

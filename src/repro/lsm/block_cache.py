@@ -48,15 +48,9 @@ class BlockCache:
         """True on hit (promotes to MRU)."""
         if key in self._entries:
             self._entries.move_to_end(key)
-            try:
-                self._tickers["hits"] += 1
-            except KeyError:
-                self._tickers["hits"] = 1
+            self._tickers["hits"] += 1
             return True
-        try:
-            self._tickers["misses"] += 1
-        except KeyError:
-            self._tickers["misses"] = 1
+        self._tickers["misses"] += 1
         return False
 
     def insert(self, key: BlockKey, charge: int) -> None:
@@ -81,10 +75,7 @@ class BlockCache:
             while self._used > self.capacity_bytes:
                 self._used -= entries.popitem(last=False)[1]
                 evicted += 1
-            try:
-                self._tickers["evictions"] += evicted
-            except KeyError:
-                self._tickers["evictions"] = evicted
+            self._tickers["evictions"] += evicted
 
     def erase_file(self, sst_number: int, namespace: int) -> None:
         """Drop all of one sharer's blocks of a deleted SST."""

@@ -96,6 +96,7 @@ class DB:
         self.costs = costs or DEFAULT_COSTS
         self.rng = rng or RandomStream(0, "db")
         self.stats = StatsSet()
+        self._tickers = self.stats.counters()  # the op path counts inline
         # Hot-path histogram handles: stats.reset() clears histograms in
         # place, so these references stay registered across resets.
         self._write_latency = self.stats.histogram("write.latency")
@@ -316,7 +317,7 @@ class DB:
         if not ops:
             return 0
         engine = self.engine
-        stats = self.stats
+        tickers = self._tickers
         controller = self.controller
         if self.error_handler.severity:
             self.error_handler.check_writable()  # hard/fatal -> read-only
@@ -324,7 +325,7 @@ class DB:
 
         # --- Algorithm 1: the write control process -------------------------
         while controller.state == STOPPED:
-            stats.inc("stall.stops_hit")
+            tickers["stall.stops_hit"] += 1
             yield controller.stop_wait_event()
             if self.error_handler.severity:
                 self.error_handler.check_writable()
@@ -335,23 +336,21 @@ class DB:
             )
             delay = controller.get_delay(data_bytes)
             if delay > 0:
-                stats.inc("stall.delays_hit")
-                stats.inc("stall.delay_ns", delay)
+                tickers["stall.delays_hit"] += 1
+                tickers["stall.delay_ns"] += delay
                 yield delay
             while controller.state == STOPPED:
-                stats.inc("stall.stops_hit")
+                tickers["stall.stops_hit"] += 1
                 yield controller.stop_wait_event()
                 if self.error_handler.severity:
                     self.error_handler.check_writable()
 
         # --- Algorithm 2: the pipelined write process -------------------------
         writer = Writer(ops, data_bytes)
-        queues = self.write_queues
-        queue = (
-            queues[0]
-            if len(queues) == 1
-            else queues[zlib.crc32(ops[0][1]) % len(queues)]
-        )
+        queue = self.write_queue
+        shards = self.options.write_queue_shards
+        if shards > 1:
+            queue = self.write_queues[zlib.crc32(ops[0][1]) % shards]
         if queue.join(writer):
             role = ROLE_LEADER
         else:
@@ -367,7 +366,7 @@ class DB:
             try:
                 cpu = (
                     costs.write_group_leader_ns
-                    + costs.write_group_per_writer_ns * len(group.writers)
+                    + costs.write_group_per_writer_ns * len(group)
                 )
 
                 # Switch the memtable between groups, never inside one (keeps
@@ -388,7 +387,7 @@ class DB:
                 # Assign sequence numbers in queue order.
                 seq = self.versions.last_sequence
                 wal_records: List[Tuple[bytes, Entry]] = []
-                for member in group.writers:
+                for member in group:
                     entries: List[Tuple[bytes, Entry]] = []
                     for kind, key, value in member.records:
                         seq += 1
@@ -400,7 +399,7 @@ class DB:
                 self.versions.last_sequence = seq
 
                 wal_number = self.wal.current_number
-                for member in group.writers:
+                for member in group:
                     member.wal_number = wal_number
                 wal_cpu, wal_event = self.wal.add_group(wal_records)
                 total_cpu = cpu + wal_cpu
@@ -425,7 +424,7 @@ class DB:
             queue.wal_phase_done(group)
             if engine._trace:
                 trace_start = group_start
-                trace_len = len(group.writers)
+                trace_len = len(group)
 
         # ---- memtable phase: one group member applies its batch ----
         cpu = 0
@@ -445,7 +444,7 @@ class DB:
         if trace_start >= 0:
             engine.tracer.write_group(trace_start, engine._now, trace_len)
 
-        stats.inc("puts", len(ops))
+        tickers["puts"] += len(ops)
         latency = engine._now - start
         self._write_latency.record(latency)
         return latency
@@ -542,12 +541,13 @@ class DB:
         ``yield from`` nesting adds a frame hop to each resume (plus a
         generator allocation per probed file).  Effect order is unchanged.
         """
-        self._check_open()
+        if self._closed:
+            raise DBClosedError("operation on a closed DB")
         engine = self.engine
-        stats = self.stats
+        tickers = self._tickers
         costs = self.costs
         start = engine._now
-        stats.inc("gets")
+        tickers["gets"] += 1
 
         # 1. memtables, newest first (iterated in place: building the
         # newest-first list allocates once per lookup at benchmark scale).
@@ -562,7 +562,7 @@ class DB:
                 if entry is not None:
                     break
         if entry is not None:
-            stats.inc("get.memtable_hit")
+            tickers["get.memtable_hit"] += 1
         else:
             version = self.versions.ref_current()
             l0_search = costs.sst_search
@@ -586,10 +586,10 @@ class DB:
                     cpu += range_check
                     if slot < n0:
                         meta = level0[slot]
-                        sst = meta.sst
-                        if not sst.key_in_range(key):
+                        if key < meta.smallest or meta.largest < key:
                             continue
-                        stats.inc("get.l0_probes")
+                        sst = meta.sst
+                        tickers["get.l0_probes"] += 1
                         search = l0_search
                     else:
                         level += 1
@@ -601,7 +601,7 @@ class DB:
                     if sst.bloom is not None:
                         cpu += bloom_probe
                         if not sst.may_contain(key):
-                            stats.inc("bloom.useful")
+                            tickers["bloom.useful"] += 1
                             continue
                     cpu += search(sst.entry_count)
                     entry_idx, block_idx = sst.locate(key)
@@ -617,18 +617,18 @@ class DB:
                         except IOFaultError as exc:
                             io_event = yield from retry_call(
                                 partial(meta.file.read, offset, nbytes),
-                                stats, "get.io_retries", exc,
+                                self.stats, "get.io_retries", exc,
                             )
                         if io_event is not None:
                             yield io_event
-                            stats.inc("get.block_device_reads")
+                            tickers["get.block_device_reads"] += 1
                         if meta.file.corrupt_ranges or paranoid:
                             sst.verify_block(block_idx, meta.file)
                         cpu += block_decode
                         block_cache.insert(cache_key, nbytes)
                     if sst.keys[entry_idx] == key:
                         entry = sst.entries[entry_idx]
-                        stats.inc(_HIT_TICKERS[level] if level < 3 else "get.deep_hit")
+                        tickers[_HIT_TICKERS[level] if level < 3 else "get.deep_hit"] += 1
                         break
                 # Pending search CPU is charged before the version ref is
                 # released (matching the delegated-search order): a sleep
@@ -644,7 +644,7 @@ class DB:
             yield cpu
         result = entry[2] if entry is not None and entry[1] == KIND_PUT else None
         if result is None:
-            stats.inc("get.miss" if entry is None else "get.tombstone")
+            tickers["get.miss" if entry is None else "get.tombstone"] += 1
         self._read_latency.record(engine._now - start)
         return result
 

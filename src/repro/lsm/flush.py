@@ -10,7 +10,6 @@ measures.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING, List
 
 from repro.errors import DBError
@@ -88,10 +87,8 @@ class FlushJob(BackgroundJob):
         tracer.span_begin(self.track, "flush")
 
         number = db.versions.new_file_number()
-        # Two passes, so that no (key, entry) pair outlives its step: 2k live
-        # tuples per flush are 2k allocations the cyclic collector counts.
-        keys = tuple(map(itemgetter(0), mt.sorted_items()))
-        columns = EntryColumns.of(keys, list(map(itemgetter(1), mt.sorted_items())))
+        keys, entries = mt.sorted_columns()
+        columns = EntryColumns.of(keys, entries)
         sst = SSTable.build(
             number, keys, columns, db.options.block_size, db.options.bloom_bits_per_key
         )

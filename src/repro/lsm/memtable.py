@@ -15,12 +15,14 @@ measurement; only host-Python speed differs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import DBError
-from repro.lsm.format import KIND_DELETE, Entry, entry_charge
+from repro.lsm.format import Entry, entry_charge
 from repro.lsm.options import HASH_REP, SKIPLIST_REP
 from repro.lsm.skiplist import SkipList
+from repro.lsm.value import ValueRef
 from repro.sim.rng import RandomStream
 
 
@@ -37,6 +39,13 @@ class MemTableRep:
 
     def sorted_items(self) -> Iterator[Tuple[bytes, Entry]]:
         raise NotImplementedError
+
+    def sorted_columns(self) -> Tuple[Tuple[bytes, ...], List[Entry]]:
+        """The keys (a tuple) and their entries, in key order."""
+        return (
+            tuple(map(itemgetter(0), self.sorted_items())),
+            list(map(itemgetter(1), self.sorted_items())),
+        )
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -76,8 +85,12 @@ class HashRep(MemTableRep):
         return self._map.get(key)
 
     def sorted_items(self) -> Iterator[Tuple[bytes, Entry]]:
-        for key in sorted(self._map):
-            yield key, self._map[key]
+        keys = sorted(self._map)
+        return zip(keys, map(self._map.__getitem__, keys))
+
+    def sorted_columns(self) -> Tuple[Tuple[bytes, ...], List[Entry]]:
+        keys = sorted(self._map)  # one sort, in C, and no tuple per entry
+        return tuple(keys), list(map(self._map.__getitem__, keys))
 
     def __len__(self) -> int:
         return len(self._map)
@@ -98,6 +111,7 @@ class MemTable:
         "id",
         "_rep",
         "_entry_overhead",
+        "entry_count",
         "charged_bytes",
         "immutable",
         "first_seq",
@@ -118,6 +132,7 @@ class MemTable:
         self.id = MemTable._ids
         self._rep = make_rep(rep, rng)
         self._entry_overhead = entry_overhead
+        self.entry_count = 0  # distinct keys, counted by add()
         self.charged_bytes = 0
         self.immutable = False
         self.first_seq: Optional[int] = None
@@ -129,21 +144,22 @@ class MemTable:
         self.min_log_number = 0
 
     def __len__(self) -> int:
-        return len(self._rep)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._rep)
+        return self.entry_count
 
     def add(self, key: bytes, entry: Entry) -> None:
         """Insert an entry; latest (seq, kind, value) per key wins."""
         if self.immutable:
             raise DBError("insert into an immutable memtable")
-        if not isinstance(key, bytes):
+        if key.__class__ is not bytes and not isinstance(key, bytes):
             raise DBError(f"keys must be bytes, got {type(key).__name__}")
         seq = entry[0]
         if self._rep.insert(key, entry):
-            self.charged_bytes += entry_charge(key, entry, self._entry_overhead)
+            self.entry_count += 1
+            value = entry[2]
+            if value.__class__ is ValueRef:  # entry_charge() inline
+                self.charged_bytes += len(key) + value.size + self._entry_overhead
+            else:
+                self.charged_bytes += entry_charge(key, entry, self._entry_overhead)
         # Overwrites charge nothing: the slot is reused in place.
         if self.first_seq is None:
             self.first_seq = seq
@@ -157,17 +173,16 @@ class MemTable:
         self.immutable = True
 
     def is_empty(self) -> bool:
-        return len(self._rep) == 0
+        return self.entry_count == 0
 
     def sorted_items(self) -> Iterator[Tuple[bytes, Entry]]:
-        """All (key, entry) pairs in key order (used by flush and scans)."""
+        """All (key, entry) pairs in key order (used by scans)."""
         return self._rep.sorted_items()
 
-    def live_entry_estimate(self) -> int:
-        return len(self._rep)
-
-    def tombstone_count(self) -> int:
-        return sum(1 for _, e in self._rep.sorted_items() if e[1] == KIND_DELETE)
+    def sorted_columns(self) -> Tuple[Tuple[bytes, ...], List[Entry]]:
+        """The keys (a tuple) and their entries, in key order: a flush's
+        input, built without a (key, entry) pair per entry."""
+        return self._rep.sorted_columns()
 
 
 class MemTableList:

@@ -10,7 +10,10 @@ finishes its WAL phase, so WAL writing of group N+1 overlaps memtable
 insertion of group N.
 
 The queue also measures the paper's Figure 16 metric: the time-averaged
-number of writers waiting in the queue.
+number of writers waiting in the queue.  That average is the sum of every
+writer's wait (enqueue to drain or hand-off) over the time since the first
+writer waited, so the queue keeps one integer sum and one enqueue stamp per
+writer instead of a gauge it would touch at every transition.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Deque, List, Optional, Tuple
 from repro.errors import DBError
 from repro.lsm.format import Entry
 from repro.sim.engine import Engine, Event
-from repro.sim.stats import TimeWeightedGauge
 
 ROLE_LEADER = "leader"
 ROLE_MEMBER = "member"
@@ -30,7 +32,7 @@ ROLE_MEMBER = "member"
 class Writer:
     """One queued write (a batch plus its wakeup event)."""
 
-    __slots__ = ("records", "nbytes", "event", "group", "wal_number")
+    __slots__ = ("records", "nbytes", "event", "group", "wal_number", "enqueued")
 
     def __init__(
         self,
@@ -44,30 +46,16 @@ class Writer:
         # at join time (the common case at low queue depth) never parks on an
         # event, and event construction is observable to nothing else.
         self.event = event
-        # Set by WriteQueue.form_group() and cleared by member_done() or
-        # fail_group(): the group lists its writers, so a link left behind
+        # The writers committed together, leader first: set by
+        # WriteQueue.form_group() and cleared by member_done() or
+        # fail_group().  The group lists its writers, so a link left behind
         # would make every write a reference cycle only the collector frees.
-        self.group: Optional["WriteGroup"] = None
+        self.group: Optional[List["Writer"]] = None
         # WAL file number this writer's records were logged in (set by the
         # group leader; used to keep WAL lifetimes crash-safe).
         self.wal_number = 0
-
-
-class WriteGroup:
-    """The set of writers committed together by one leader."""
-
-    __slots__ = ("writers", "total_bytes")
-
-    def __init__(self, leader: Writer) -> None:
-        self.writers: List[Writer] = [leader]
-        self.total_bytes = leader.nbytes
-
-    def add(self, writer: Writer) -> None:
-        self.writers.append(writer)
-        self.total_bytes += writer.nbytes
-
-    def __len__(self) -> int:
-        return len(self.writers)
+        # When the writer joined the queue to wait (set by join()).
+        self.enqueued = 0
 
 
 class WriteQueue:
@@ -80,37 +68,14 @@ class WriteQueue:
         self.max_group_bytes = max_group_bytes
         self._waiting: Deque[Writer] = deque()
         self._has_leader = False
-        self.waiting_gauge = TimeWeightedGauge("write-queue")
         self.groups_formed = 0
         self.writers_grouped = 0
-
-    @property
-    def waiting_count(self) -> int:
-        return len(self._waiting)
-
-    def _touch_gauge(self) -> None:
-        gauge = self.waiting_gauge
-        n = len(self._waiting)
-        now = self.engine._now
-        last_t = gauge._last_t
-        if last_t is None:
-            gauge.update(now, n)
-            return
-        value = gauge._value
-        # Zero-to-zero touches (the solo-leader steady state) contribute
-        # exactly +0.0 area; skipping the full update keeps the gauge state
-        # bit-identical while halving its cost on write-heavy benchmarks.
-        if n == 0 and value == 0.0:
-            gauge._last_t = now
-            return
-        # TimeWeightedGauge.update() inlined — the queue touches the gauge on
-        # every writer transition, and the engine clock is monotonic so the
-        # update's past-timestamp guard cannot fire from here.
-        gauge._area += value * (now - last_t)
-        gauge._last_t = now
-        gauge._value = n
-        if n > gauge.max_value:
-            gauge.max_value = n
+        # Figure 16: the peak queue length, kept at enqueue (0.0 until a
+        # writer waits), and the waits of the writers that left the queue,
+        # summed in ns since the first writer waited.
+        self.max_waiting = 0.0
+        self._first_wait: Optional[int] = None
+        self._waited = 0
 
     # -- join / leave -----------------------------------------------------------
 
@@ -121,39 +86,54 @@ class WriteQueue:
             return True
         if writer.event is None:
             writer.event = self.engine.event()
-        self._waiting.append(writer)
-        self._touch_gauge()
+        now = writer.enqueued = self.engine._now
+        waiting = self._waiting
+        waiting.append(writer)
+        if self._first_wait is None:
+            self._first_wait = now
+        n = len(waiting)
+        if n > self.max_waiting:
+            self.max_waiting = n
         return False
 
-    def form_group(self, leader: Writer) -> WriteGroup:
-        """Leader drains waiting writers into its group (size-capped)."""
-        group = WriteGroup(leader)
+    def form_group(self, leader: Writer) -> List[Writer]:
+        """Leader drains waiting writers into its group (size-capped); the
+        group lists its writers, leader first."""
+        group = [leader]
         leader.group = group
+        self.groups_formed += 1
+        total_bytes = leader.nbytes
+        waiting = self._waiting
         # Like RocksDB, the size cap is checked before adding, so one group
         # may exceed it by at most one batch.
-        drained = False
-        while self._waiting and group.total_bytes < self.max_group_bytes:
-            writer = self._waiting.popleft()
-            writer.group = group
-            group.add(writer)
-            drained = True
-        if drained:
-            self._touch_gauge()
-        # No drain leaves the queue length unchanged, and a gauge touch at
-        # an unchanged value adds exactly the area the next real update
-        # accrues anyway — skipping it is exact, not an approximation.
-        self.groups_formed += 1
-        self.writers_grouped += len(group)
+        if waiting and total_bytes < self.max_group_bytes:
+            now = self.engine._now
+            waited = self._waited
+            while waiting and total_bytes < self.max_group_bytes:
+                writer = waiting.popleft()
+                waited += now - writer.enqueued
+                writer.group = group
+                group.append(writer)
+                total_bytes += writer.nbytes
+            self._waited = waited
+            self.writers_grouped += len(group)
+        else:
+            self.writers_grouped += 1
         return group
 
-    def wal_phase_done(self, group: WriteGroup) -> None:
+    def wal_phase_done(self, group: List[Writer]) -> None:
         """Wake group members for the memtable phase and promote the next
         leader: its WAL write overlaps this group's memtable inserts."""
-        for member in group.writers[1:]:
+        for member in group[1:]:
             member.event.succeed(ROLE_MEMBER)
-        self._promote_next()
+        if self._waiting:
+            nxt = self._waiting.popleft()
+            self._waited += self.engine._now - nxt.enqueued
+            nxt.event.succeed(ROLE_LEADER)
+        else:
+            self._has_leader = False
 
-    def fail_group(self, group: WriteGroup, exc: BaseException) -> None:
+    def fail_group(self, group: List[Writer], exc: BaseException) -> None:
         """The leader's write failed before the memtable phase: propagate.
 
         Members are parked on their role events; without this they would
@@ -163,15 +143,21 @@ class WriteQueue:
         Never called after :meth:`wal_phase_done` for the same group, so
         leadership is handed off exactly once either way.
         """
-        for member in group.writers[1:]:
+        for member in group[1:]:
             if not member.event.triggered:
                 member.event.fail(exc)
             # The member raises ``exc`` with ``writer`` in its frame: a link
             # to the failed event would close a cycle through the traceback.
             member.event = None
-        for member in group.writers:
+        for member in group:
             member.group = None
-        self._promote_next()
+        # Leadership moves on as in wal_phase_done.
+        if self._waiting:
+            nxt = self._waiting.popleft()
+            self._waited += self.engine._now - nxt.enqueued
+            nxt.event.succeed(ROLE_LEADER)
+        else:
+            self._has_leader = False
 
     def member_done(self, writer: Writer) -> None:
         """``writer`` finished its memtable insert: it leaves its group."""
@@ -179,14 +165,14 @@ class WriteQueue:
             raise DBError("writer finished outside a write group")
         writer.group = None
 
-    def _promote_next(self) -> None:
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            self._touch_gauge()
-            nxt.event.succeed(ROLE_LEADER)
-        else:
-            self._has_leader = False
-
     def mean_waiting(self) -> float:
-        """Time-averaged queue length (Figure 16's metric)."""
-        return self.waiting_gauge.mean(self.engine.now)
+        """Time-averaged queue length (Figure 16's metric): the summed waits,
+        open ones included, over the time since the first writer waited."""
+        start = self._first_wait
+        if start is None:
+            return 0.0
+        now = self.engine._now
+        waited = self._waited
+        for writer in self._waiting:
+            waited += now - writer.enqueued
+        return waited / (now - start) if now > start else len(self._waiting)

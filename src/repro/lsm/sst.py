@@ -203,6 +203,7 @@ class SSTable:
         # untracked at its first collection, so the collector stops walking it.
         self.keys = keys
         self.entries = entries  # aligned with keys
+        self.entry_count = len(keys)
         self.smallest = keys[0]
         self.largest = keys[-1]
         self.largest_seq = largest_seq  # FileMetaData::largest_seqno
@@ -210,6 +211,7 @@ class SSTable:
         # block i's first entry; _block_offset[i] is its byte offset in the file.
         self._block_first = block_first
         self._block_offset = block_offset
+        self.block_count = len(block_first)
         # Per-block CRC32 of the logical content, filled in when first asked
         # for (the build path stays checksum-free; verification is a
         # recovery/read-time concern).  ``_block_crc_tamper`` models on-media
@@ -249,17 +251,6 @@ class SSTable:
 
     # -- metadata -----------------------------------------------------------
 
-    @property
-    def entry_count(self) -> int:
-        return len(self.keys)
-
-    @property
-    def block_count(self) -> int:
-        return len(self._block_first)
-
-    def key_in_range(self, key: bytes) -> bool:
-        return self.smallest <= key <= self.largest
-
     def overlaps(self, smallest: bytes, largest: bytes) -> bool:
         return not (self.largest < smallest or largest < self.smallest)
 
@@ -284,22 +275,22 @@ class SSTable:
         at entry 0).  One ``bisect_left`` over the keys per probe serves the
         block read and the match that follows it.
         """
-        keys = self.keys
-        entry_idx = bisect_left(keys, key)
-        if entry_idx == len(keys):
+        entry_idx = bisect_left(self.keys, key)
+        if entry_idx == self.entry_count:
             entry_idx -= 1
         return entry_idx, bisect_right(self._block_first, entry_idx) - 1
 
     def block_span(self, block_idx: int) -> Tuple[int, int]:
         """(file_offset, nbytes) of one data block."""
-        if not 0 <= block_idx < len(self._block_first):
+        last = self.block_count - 1
+        if not 0 <= block_idx <= last:
             raise DBError(f"block index out of range: {block_idx}")
         offset = self._block_offset[block_idx]
-        if block_idx == len(self._block_first) - 1:
+        if block_idx == last:
             nbytes = self.data_bytes - offset
         else:
             nbytes = self._block_offset[block_idx + 1] - offset
-        return offset, max(1, nbytes)
+        return offset, nbytes if nbytes > 1 else 1
 
     # -- integrity ---------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DBError, IOFaultError, OutOfSpaceError
@@ -27,26 +28,25 @@ from repro.lsm.sst import SSTable
 from repro.sim.stats import StatsSet
 
 
+_smallest = attrgetter("smallest")
+
+
 class FileMetadata:
     """A live SST file: table content + its simulated file + refcount."""
 
-    __slots__ = ("number", "sst", "file", "level", "being_compacted", "refs")
+    __slots__ = (
+        "number", "sst", "smallest", "largest", "file", "level", "being_compacted", "refs"
+    )
 
     def __init__(self, number: int, sst: SSTable, file: SimFile, level: int) -> None:
         self.number = number
         self.sst = sst
+        self.smallest = sst.smallest
+        self.largest = sst.largest
         self.file = file
         self.level = level
         self.being_compacted = False
         self.refs = 0
-
-    @property
-    def smallest(self) -> bytes:
-        return self.sst.smallest
-
-    @property
-    def largest(self) -> bytes:
-        return self.sst.largest
 
     @property
     def file_bytes(self) -> int:
@@ -96,8 +96,8 @@ class Version:
     def _finalize(self) -> None:
         for level in range(1, len(self.levels)):
             files = self.levels[level]
-            files.sort(key=lambda f: f.smallest)
-            self._level_keys[level] = [f.smallest for f in files]
+            files.sort(key=_smallest)
+            self._level_keys[level] = list(map(_smallest, files))
         self._level_bytes = [sum(f.file_bytes for f in files) for files in self.levels]
         self._l0_newest_bytes = [0, *accumulate(f.file_bytes for f in self.levels[0])]
 

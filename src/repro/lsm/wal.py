@@ -28,9 +28,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import DBError, IOFaultError
 from repro.fs.filesystem import SimFile, SimFileSystem, TornRecord
 from repro.lsm.costs import CostModel
-from repro.lsm.format import Entry, entry_value_size, records_checksum
+from repro.lsm.format import Entry, records_checksum, wal_record_bytes
 from repro.lsm.io_retry import retry_gen
 from repro.lsm.options import WAL_OFF, WAL_SYNC, Options
+from repro.lsm.value import ValueRef
 from repro.sim.engine import Engine, Event
 
 
@@ -133,7 +134,8 @@ class WalManager:
         # cluster layer uses this on the leader to ship WAL records; None
         # (the default) costs nothing on the single-node path.
         self.on_group = None
-        if options.wal_mode != WAL_OFF:
+        self.enabled = options.wal_mode != WAL_OFF
+        if self.enabled:
             # Adopt pre-existing (pre-crash) logs: they stay live until the
             # memtable holding their replayed records is flushed.
             existing = sorted(
@@ -146,10 +148,6 @@ class WalManager:
             if first_number is None:
                 first_number = self.current_number + 1
             self.roll(first_number)
-
-    @property
-    def enabled(self) -> bool:
-        return self.options.wal_mode != WAL_OFF
 
     def _path(self, number: int) -> str:
         return f"{self.dirname}/{number:06d}.log"
@@ -182,23 +180,19 @@ class WalManager:
             return 0, None
         if self.current is None:
             raise DBError("WAL enabled but no live log file")
-        # wal_record_bytes() unrolled: one call per record per group shows
-        # up in write-heavy profiles.  Same arithmetic, same result.
+        # wal_record_bytes() unrolled for a ValueRef, the benchmarks' value:
+        # one call per record per group shows up in write-heavy profiles.
+        # Same arithmetic, same result.
         options = self.options
         costs = self.costs
         overhead = options.wal_record_overhead
         nbytes = 0
         for key, entry in records:
             value = entry[2]
-            if value is None:
-                vsize = 0
-            elif value.__class__ is bytes:
-                vsize = len(value)
+            if value.__class__ is ValueRef:
+                nbytes += len(key) + value.size + overhead
             else:
-                vsize = getattr(value, "size", None)
-                if vsize is None:
-                    vsize = entry_value_size(entry)
-            nbytes += len(key) + vsize + overhead
+                nbytes += wal_record_bytes(key, entry, overhead)
         # wal_serialize() inlined, same arithmetic.
         cpu = (
             costs.wal_append_base_ns
@@ -256,10 +250,11 @@ class WalManager:
                 kept.append((num, f))
         self._live = kept
 
-    # -- recovery ----------------------------------------------------------------
-
     def live_logs(self) -> List[Tuple[int, SimFile]]:
+        """``(number, file)`` of every log not yet released, oldest first."""
         return list(self._live)
+
+    # -- recovery ----------------------------------------------------------------
 
     @staticmethod
     def recover_logs(

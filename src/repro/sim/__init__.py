@@ -8,14 +8,14 @@ Public surface:
   :class:`~repro.sim.engine.AnyOf` — process/event model.
 - :mod:`~repro.sim.resources` — FIFO ``Lock``/``Semaphore``/``Condition``/``Store``.
 - :mod:`~repro.sim.rng` — named deterministic random streams.
-- :mod:`~repro.sim.stats` — latency histograms, timelines, gauges.
+- :mod:`~repro.sim.stats` — latency histograms, timelines, counters.
 - :mod:`~repro.sim.units` — ns/us/ms/s and KB/MB/GB helpers.
 """
 
 from repro.sim.engine import AllOf, AnyOf, Engine, Event, Process, Timeout
 from repro.sim.resources import Condition, Lock, Semaphore, Store
 from repro.sim.rng import RandomStream
-from repro.sim.stats import LatencyHistogram, StatsSet, TimeSeries, TimeWeightedGauge
+from repro.sim.stats import LatencyHistogram, StatsSet, TimeSeries
 from repro.sim.units import (
     GB,
     KB,
@@ -57,7 +57,6 @@ __all__ = [
     "StatsSet",
     "Store",
     "TimeSeries",
-    "TimeWeightedGauge",
     "Timeout",
     "US",
     "fmt_bytes",

@@ -1,14 +1,16 @@
-"""Measurement utilities: latency histograms, throughput time series, gauges.
+"""Measurement utilities: latency histograms, throughput time series, counters.
 
-The paper reports median / 90th-percentile tail latencies, per-second
-throughput timelines (Figs. 4, 5, 18) and the time-averaged number of waiting
-writer threads (Fig. 16).  The classes here collect exactly those statistics
-with bounded memory, no matter how many operations a run executes.
+The paper reports median / 90th-percentile tail latencies and per-second
+throughput timelines (Figs. 4, 5, 18).  The classes here collect exactly
+those statistics with bounded memory, no matter how many operations a run
+executes.  (Fig. 16's time-averaged number of waiting writers is the write
+queue's own: :meth:`repro.lsm.pipelined_write.WriteQueue.mean_waiting`.)
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -34,6 +36,9 @@ _FLOAT_EXACT = 1 << 53
 
 _SUBBUCKETS = 32  # per power of two; worst-case relative error ~3%
 
+# Samples a histogram buffers before it folds them into its buckets.
+_FOLD_AT = 4096
+
 
 class LatencyHistogram:
     """HDR-style logarithmic histogram of non-negative integer samples.
@@ -41,20 +46,32 @@ class LatencyHistogram:
     Buckets grow exponentially with :data:`_SUBBUCKETS` linear sub-buckets
     per octave, giving a bounded relative error at any magnitude while using
     O(log(max)) memory.  Percentile queries interpolate inside the bucket.
+
+    :meth:`record` only checks a sample and appends it to a buffer; the
+    buffer is folded into the buckets by :meth:`record_many` every
+    :data:`_FOLD_AT` samples and whenever a reader looks (``count``,
+    ``total``, ``min``, ``max``, :meth:`percentile`, :meth:`merge`,
+    :meth:`summary`).  Bucket state is a sum of exact integers, so when the
+    fold happens changes nothing a reader can see.
     """
 
-    __slots__ = ("name", "_buckets", "count", "total", "min", "max", "_sorted")
+    __slots__ = (
+        "name", "_buckets", "_count", "_total", "_min", "_max", "_sorted",
+        "_pending", "_room",
+    )
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._buckets: Dict[int, int] = {}
-        self.count = 0
-        self.total = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+        self._count = 0
+        self._total = 0
+        self._min: Optional[int] = None
+        self._max: Optional[int] = None
         # Sorted bucket-index cache for percentile(); invalidated whenever a
-        # *new* bucket appears (record into an existing bucket keeps it).
+        # *new* bucket appears (a sample into an existing bucket keeps it).
         self._sorted: Optional[List[int]] = None
+        self._pending = array("q")  # recorded, not yet folded
+        self._room = _FOLD_AT  # appends left before the buffer folds
 
     @staticmethod
     def _bucket_bounds(index: int) -> Tuple[int, int]:
@@ -70,8 +87,24 @@ class LatencyHistogram:
         """Record ``n`` occurrences of ``value`` (nanoseconds, typically)."""
         if value < 0:
             raise SimulationError(f"negative sample: {value}")
-        # The bucket index, computed inline: a call per sample adds up at
-        # millions of ops.
+        if n != 1:
+            self._add(value, n)
+            return
+        self._pending.append(value)
+        self._room -= 1
+        if not self._room:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the buffered samples into the buckets."""
+        pending = self._pending
+        if pending:
+            self._pending = array("q")
+            self._room = _FOLD_AT
+            self.record_many(pending)
+
+    def _add(self, value: int, n: int) -> None:
+        """The scalar bucket update: ``n`` samples of a checked ``value``."""
         if value < _SUBBUCKETS:
             idx = value
         else:
@@ -85,12 +118,12 @@ class LatencyHistogram:
         else:
             buckets[idx] = n
             self._sorted = None
-        self.count += n
-        self.total += value * n
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        self._count += n
+        self._total += value * n
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
 
     def record_many(self, values: Sequence[int]) -> None:
         """Record a batch of samples, bit-identical to a ``record`` loop.
@@ -101,7 +134,7 @@ class LatencyHistogram:
         batch.  Batches containing negatives (which must raise exactly like
         the scalar path, prefix included) or samples at/above 2**53 (where
         float exponents stop being trustworthy) fall back to the scalar
-        loop, as does any batch when numpy is unavailable.
+        bucket update, as does any batch when numpy is unavailable.
         """
         n = len(values)
         if n == 0:
@@ -127,37 +160,63 @@ class LatencyHistogram:
                         dirty = True
                 if dirty:
                     self._sorted = None
-                self.count += n
-                self.total += int(arr.sum())
-                if self.min is None or lo < self.min:
-                    self.min = lo
-                if self.max is None or hi > self.max:
-                    self.max = hi
+                self._count += n
+                self._total += int(arr.sum())
+                if self._min is None or lo < self._min:
+                    self._min = lo
+                if self._max is None or hi > self._max:
+                    self._max = hi
                 return
-        record = self.record
+        add = self._add
         for value in values:
-            record(value)
+            if value < 0:
+                raise SimulationError(f"negative sample: {value}")
+            add(value, 1)
 
     def reset(self) -> None:
         """Discard all samples in place; held references stay valid."""
         self._buckets.clear()
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
+        self._count = 0
+        self._total = 0
+        self._min = None
+        self._max = None
         self._sorted = None
+        self._pending = array("q")
+        self._room = _FOLD_AT
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> int:
+        self._fold()
+        return self._total
+
+    @property
+    def min(self) -> Optional[int]:
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> Optional[int]:
+        self._fold()
+        return self._max
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self._total / count if count else 0.0
 
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` in [0, 100] (linear interpolation)."""
         if not 0.0 <= p <= 100.0:
             raise SimulationError(f"percentile out of range: {p}")
-        if self.count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        target = p / 100.0 * self.count
+        target = p / 100.0 * count
         seen = 0
         sorted_idx = self._sorted
         if sorted_idx is None:
@@ -169,16 +228,18 @@ class LatencyHistogram:
                 frac = (target - seen) / n
                 value = low + frac * (high - low)
                 # Clamp to the observed extremes for tighter tails.
-                if self.max is not None:
-                    value = min(value, float(self.max))
-                if self.min is not None:
-                    value = max(value, float(self.min))
+                if self._max is not None:
+                    value = min(value, float(self._max))
+                if self._min is not None:
+                    value = max(value, float(self._min))
                 return value
             seen += n
-        return float(self.max if self.max is not None else 0)
+        return float(self._max if self._max is not None else 0)
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram's samples into this one."""
+        self._fold()
+        other._fold()
         buckets = self._buckets
         for idx, n in other._buckets.items():
             if idx in buckets:
@@ -186,12 +247,12 @@ class LatencyHistogram:
             else:
                 buckets[idx] = n
                 self._sorted = None
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
+        self._count += other._count
+        self._total += other._total
+        if other._min is not None and (self._min is None or other._min < self._min):
+            self._min = other._min
+        if other._max is not None and (self._max is None or other._max > self._max):
+            self._max = other._max
 
     def summary(self) -> Dict[str, float]:
         """Count/mean/median/p90/p99/max in one dict (times in ns)."""
@@ -201,7 +262,7 @@ class LatencyHistogram:
             "p50": self.percentile(50.0),
             "p90": self.percentile(90.0),
             "p99": self.percentile(99.0),
-            "max": float(self.max or 0),
+            "max": float(self._max or 0),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -320,46 +381,14 @@ class TimeSeries:
         return total * SEC / (end - start)
 
 
-class TimeWeightedGauge:
-    """Time-weighted average of a stepwise value (e.g. queue length)."""
+class _Counts(dict):
+    """Ticker dict: a missing name reads as 0 (and is not inserted by the
+    read), so ``d[name] += n`` counts a name the first time too."""
 
-    __slots__ = ("name", "_value", "_last_t", "_area", "_start", "max_value")
+    __slots__ = ()
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._value = 0.0
-        self._last_t: Optional[int] = None
-        self._area = 0.0
-        self._start: Optional[int] = None
-        self.max_value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def update(self, now: int, value: float) -> None:
-        """Record that the gauge changed to ``value`` at time ``now``."""
-        if self._last_t is None:
-            self._start = now
-        else:
-            if now < self._last_t:
-                raise SimulationError("gauge updated with a past timestamp")
-            self._area += self._value * (now - self._last_t)
-        self._last_t = now
-        self._value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def mean(self, now: Optional[int] = None) -> float:
-        """Time-weighted mean from first update to ``now`` (or last update)."""
-        if self._last_t is None or self._start is None:
-            return 0.0
-        end = self._last_t if now is None else max(now, self._last_t)
-        elapsed = end - self._start
-        if elapsed <= 0:
-            return self._value
-        area = self._area + self._value * (end - self._last_t)
-        return area / elapsed
+    def __missing__(self, name: str) -> int:
+        return 0
 
 
 class StatsSet:
@@ -368,23 +397,18 @@ class StatsSet:
     __slots__ = ("_tickers", "_histograms")
 
     def __init__(self) -> None:
-        self._tickers: Dict[str, int] = {}
+        self._tickers: Dict[str, int] = _Counts()
         self._histograms: Dict[str, LatencyHistogram] = {}
 
     def inc(self, name: str, n: int = 1) -> None:
-        tickers = self._tickers
-        if name in tickers:
-            tickers[name] += n
-        else:
-            tickers[name] = n
+        self._tickers[name] += n
 
     def get(self, name: str) -> int:
         return self._tickers.get(name, 0)
 
     def counters(self) -> Dict[str, int]:
         """The ticker dict itself, not a copy, for a hot path that counts
-        without a call: ``try: d[name] += n`` / ``except KeyError: d[name] =
-        n`` is :meth:`inc` inline."""
+        without a call: ``d[name] += n`` is :meth:`inc` inline."""
         return self._tickers
 
     def histogram(self, name: str) -> LatencyHistogram:

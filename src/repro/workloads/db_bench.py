@@ -21,7 +21,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram, TimeSeries
 from repro.sim.units import SEC, seconds
-from repro.workloads.generators import BurstSchedule, KeySpace, ValueSpec
+from repro.workloads.generators import BurstSchedule, KeySpace, ValueSpec, benchmark_value
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class DbBench:
             def randbelow(n):
                 return randint(0, n - 1)
         key_at = keyspace.key_at
-        value_for = values.value_for
+        value_size = values.size
         write_ops = db._write_ops
         get = db.get
         version_counter = 1
@@ -196,7 +196,7 @@ class DbBench:
             began = engine._now
             if write:
                 version_counter += 1
-                value = value_for(key_index, version_counter)
+                value = benchmark_value(key_index, value_size, version_counter)
                 # db.put() minus its wrapper: the op tuple and the data-bytes
                 # arithmetic are built inline (values are always ValueRefs
                 # here).

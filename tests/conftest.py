@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro.errors import SimulationError
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.db import DB
@@ -78,3 +79,43 @@ def run_op(engine: Engine, gen, name: str = "test-op"):
 @pytest.fixture
 def xpoint_db(engine: Engine) -> DB:
     return make_db(engine, profile=xpoint_ssd(), options=tiny_options())
+
+
+class TimeWeightedGauge:
+    """Time-weighted average of a stepwise value: the Fig. 16 spec.
+
+    The write queue used to keep one of these and update it with the queue
+    length at every transition; it now sums each writer's wait instead.
+    ``tests/lsm/test_pipelined_write.py`` holds the queue to this rule.
+    """
+
+    def __init__(self) -> None:
+        self._value = 0.0
+        self._last_t: int | None = None
+        self._area = 0.0
+        self._start: int | None = None
+        self.max_value = 0.0
+
+    def update(self, now: int, value: float) -> None:
+        """Record that the gauge changed to ``value`` at time ``now``."""
+        if self._last_t is None:
+            self._start = now
+        else:
+            if now < self._last_t:
+                raise SimulationError("gauge updated with a past timestamp")
+            self._area += self._value * (now - self._last_t)
+        self._last_t = now
+        self._value = value
+        if value > self.max_value:
+            self.max_value = value
+
+    def mean(self, now: int | None = None) -> float:
+        """Time-weighted mean from first update to ``now`` (or last update)."""
+        if self._last_t is None or self._start is None:
+            return 0.0
+        end = self._last_t if now is None else max(now, self._last_t)
+        elapsed = end - self._start
+        if elapsed <= 0:
+            return self._value
+        area = self._area + self._value * (end - self._last_t)
+        return area / elapsed

@@ -144,6 +144,14 @@ def test_l0_file_skipped_by_range(world):
     }
 
 
+@pytest.mark.parametrize("i, probed", [(99, False), (100, True), (119, True), (120, False)])
+def test_l0_range_check_is_inclusive(world, i, probed):
+    """A (100..119) is probed for its first and last keys, not one beyond."""
+    _value, _ns, moved = world.get(key(i))
+    assert ("get.l0_probes" in moved) == probed
+    assert ("get.l0_hit" in moved) == probed
+
+
 def test_l1_hit(world):
     value, ns, moved = world.get(key(10))
     assert value == b"v10"

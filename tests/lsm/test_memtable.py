@@ -38,7 +38,7 @@ class TestMemTableReps:
         mt.add(b"k", put(1))
         mt.add(b"k", tomb(2))
         assert mt.get(b"k")[1] == KIND_DELETE
-        assert mt.tombstone_count() == 1
+        assert [e[1] for _, e in mt.sorted_items()] == [KIND_DELETE]
 
     def test_sorted_items(self, rep):
         mt = MemTable(rep=rep)

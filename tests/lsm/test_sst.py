@@ -144,13 +144,6 @@ class TestTable:
         assert sst.find(b"%08d" % 5) is None  # gap between keys
         assert sst.find(b"%08d" % 998) is None
 
-    def test_key_in_range(self):
-        sst = build(10, start=100)
-        assert sst.key_in_range(b"%08d" % 100)
-        assert sst.key_in_range(b"%08d" % 105)
-        assert not sst.key_in_range(b"%08d" % 99)
-        assert not sst.key_in_range(b"%08d" % 110)
-
     def test_overlaps(self):
         sst = build(10, start=100)
         lo, hi = sst.smallest, sst.largest

@@ -1,5 +1,6 @@
-"""Tests for latency histograms, time series, and gauges."""
+"""Tests for latency histograms, time series, counters and the Fig. 16 gauge spec."""
 
+import pickle
 from array import array
 
 import numpy as np
@@ -8,13 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.stats import (
-    LatencyHistogram,
-    StatsSet,
-    TimeSeries,
-    TimeWeightedGauge,
-)
+from repro.sim.stats import _FOLD_AT, LatencyHistogram, StatsSet, TimeSeries
 from repro.sim.units import SEC
+from tests.conftest import TimeWeightedGauge
 
 
 class TestLatencyHistogram:
@@ -119,6 +116,89 @@ class TestLatencyHistogram:
         assert hist.summary()["p50"] == pytest.approx(7.0)
 
 
+class TestRecordByAppend:
+    """``record`` checks and buffers; readers see the folded state."""
+
+    def test_negative_raises_at_the_call_and_buffers_nothing(self):
+        hist = LatencyHistogram()
+        hist.record(5)
+        with pytest.raises(SimulationError):
+            hist.record(-1)
+        assert list(hist._pending) == [5]
+        assert _hist_state(hist) == ({5: 1}, 1, 5, 5, 5)
+
+    def test_weighted_record_beside_buffered_samples(self):
+        hist, ref = LatencyHistogram(), LatencyHistogram()
+        hist.record(40)
+        hist.record(100, n=3)
+        hist.record(7)
+        ref.record_many([40, 100, 100, 100, 7])
+        assert _hist_state(hist) == _hist_state(ref)
+        assert hist.mean == ref.mean
+
+    @given(
+        program=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=10**12),
+                st.sampled_from(["count", "total", "min", "max", "p50", "merge", "summary"]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_readers_interleaved_with_appends(self, program):
+        """Every reader folds first, so each answers as if each sample had
+        gone straight into the buckets (``_add`` is that scalar update)."""
+        hist, ref = LatencyHistogram(), LatencyHistogram()
+        for step in program:
+            if isinstance(step, int):
+                hist.record(step)
+                ref._add(step, 1)
+            elif step == "p50":
+                assert hist.percentile(50.0) == ref.percentile(50.0)
+            elif step == "merge":
+                other = LatencyHistogram()
+                other.record(3)
+                hist.merge(other)
+                ref._add(3, 1)
+            elif step == "summary":
+                assert hist.summary() == ref.summary()
+            else:
+                assert getattr(hist, step) == getattr(ref, step)
+        assert _hist_state(hist) == _hist_state(ref)
+
+    def test_buffer_folds_at_fixed_size(self):
+        hist = LatencyHistogram()
+        for v in range(_FOLD_AT - 1):
+            hist.record(v)
+        assert len(hist._pending) == _FOLD_AT - 1 and not hist._buckets
+        hist.record(1)
+        assert len(hist._pending) == 0 and hist._count == _FOLD_AT
+
+    def test_no_numpy_fold_uses_the_scalar_update(self, monkeypatch):
+        import repro.sim.stats as stats_mod
+
+        monkeypatch.setattr(stats_mod, "_np", None)
+        hist = LatencyHistogram()
+        for v in range(100):
+            hist.record(v)
+        # A fold that went back through record() would now fail.
+        monkeypatch.setattr(LatencyHistogram, "record", None)
+        assert _hist_state(hist)[1:] == (100, sum(range(100)), 0, 99)
+
+    def test_pickled_with_buffered_samples(self):
+        """``--jobs`` workers send histograms back pickled, maybe mid-buffer."""
+        hist = LatencyHistogram("lat")
+        hist.record_many(range(100))
+        for v in (5, 50, 500):
+            hist.record(v)
+        assert len(hist._pending) == 3
+        copy = pickle.loads(pickle.dumps(hist))
+        assert _hist_state(copy) == _hist_state(hist)
+        assert copy.percentile(99.0) == hist.percentile(99.0)
+        copy.record(9)
+        assert copy.count == hist.count + 1
+
+
 class TestPercentileAccuracy:
     """p50/p90/p99 track exact percentiles within ~3% from 1 ns to 10 s.
 
@@ -149,13 +229,8 @@ class TestPercentileAccuracy:
 
 
 def _hist_state(hist):
-    return (
-        dict(hist._buckets),
-        hist.count,
-        hist.total,
-        hist.min,
-        hist.max,
-    )
+    count = hist.count  # folds the buffered samples into _buckets
+    return (dict(hist._buckets), count, hist.total, hist.min, hist.max)
 
 
 class TestRecordMany:
@@ -337,6 +412,8 @@ class TestTimeSeries:
 
 
 class TestTimeWeightedGauge:
+    """The spec gauge of Fig. 16 (``tests.conftest``) obeys its own rules."""
+
     def test_mean_of_step_function(self):
         g = TimeWeightedGauge()
         g.update(0, 10.0)

@@ -321,7 +321,8 @@ def _device_state(dev):
     """Everything a request can move, the RNG included."""
 
     def hist(h):
-        return (h.count, h.total, h.min, h.max, dict(h._buckets))
+        count = h.count  # folds the buffered samples into _buckets
+        return (count, h.total, h.min, h.max, dict(h._buckets))
 
     return (
         list(dev._channel_free),

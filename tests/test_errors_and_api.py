@@ -117,6 +117,9 @@ CLI_ERRORS = [
     ({}, ["repro.fuzz", "--replay", "/nonexistent.json"]),
     ({}, ["repro.dst", "--replay", "TRUNCATED"]),
     ({}, ["repro.fuzz", "--replay", "TRUNCATED"]),
+    ({}, ["repro.fuzz", "--batch", "0", "--iters", "4"]),
+    ({}, ["repro.fuzz", "--batch", "-1", "--iters", "4"]),
+    ({}, ["repro.fuzz", "--iters", "-1"]),
 ] + [
     ({"REPRO_BENCH_SECONDS": value}, ["repro.harness", "fig07", "--preset", "tiny"])
     for value in ("abc", "nan", "inf", "0")

@@ -37,10 +37,11 @@ def test_memtable_is_empty_and_estimate():
 
     mt = MemTable(rep="hash")
     assert mt.is_empty()
-    assert mt.live_entry_estimate() == 0
+    assert mt.entry_count == 0
     mt.add(b"k", (1, 1, b"v"))
+    mt.add(b"k", (2, 1, b"w"))  # an overwrite adds no entry
     assert not mt.is_empty()
-    assert mt.live_entry_estimate() == 1
+    assert mt.entry_count == len(mt) == 1
 
 
 def test_compaction_metadata_accessors(engine):

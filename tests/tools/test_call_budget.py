@@ -1,0 +1,81 @@
+"""Host-independent call budget of the foreground op path.
+
+Runs two short ``tiny``-preset db_bench runs on XPoint under
+``sys.setprofile`` — the paper's Fig. 5-7 mix (90 % writes, 4 clients) and a
+pure-read run (1 client) — and counts the Python calls into frames under
+``src/repro`` per operation, generator resumes included.  The count is
+exact for a seed, so each budget is the count measured when it was set
+plus 5 %: a call that creeps back onto the op path fails here, on any host.
+The counts are numpy's: under ``REPRO_NO_NUMPY`` the end-of-run histogram
+fold is a Python loop per sample, so the test does not run there.
+
+Run it directly to print the counts::
+
+    PYTHONPATH=src python tests/tools/test_call_budget.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+import repro
+import repro.sim.stats
+from repro.harness.machine import Machine
+from repro.harness.presets import TINY
+from repro.sim.units import ms
+from repro.storage.profiles import xpoint_ssd
+from repro.workloads.db_bench import DbBench, DbBenchConfig
+from repro.workloads.prefill import prefill
+
+SRC = os.path.dirname(repro.__file__) + os.sep
+
+# Calls per op at the commit that set the budget; the budget is 5 % above.
+MEASURED = {"mixed90_4p": 29.67, "read": 43.90}
+RUNS = {
+    "mixed90_4p": dict(write_fraction=0.9, processes=4),
+    "read": dict(write_fraction=0.0, processes=1),
+}
+
+
+def calls_per_op(name: str) -> float:
+    machine = Machine.create(xpoint_ssd(), TINY.page_cache_bytes, seed=11)
+    db = machine.open_db(TINY.options())
+    prefill(db, TINY.prefill_spec())
+    cfg = DbBenchConfig(
+        duration_ns=ms(60),
+        value_size=TINY.value_size,
+        key_count=TINY.key_count,
+        seed=11,
+        **RUNS[name],
+    )
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+            calls += 1
+
+    bench = DbBench(cfg)
+    sys.setprofile(count)
+    try:
+        result = bench.run(db)
+    finally:
+        sys.setprofile(None)
+    return calls / result.ops
+
+
+@pytest.mark.skipif(repro.sim.stats._np is None, reason="budgets are counted with numpy")
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_calls_per_op_within_budget(name):
+    got = calls_per_op(name)
+    budget = MEASURED[name] * 1.05
+    print(f"{name}: {got:.2f} calls per op (budget {budget:.2f})")
+    assert got <= budget, f"{name}: {got:.2f} calls per op, budget {budget:.2f}"
+
+
+if __name__ == "__main__":
+    for run in sorted(RUNS):
+        print(f"{run}: {calls_per_op(run):.2f} calls per op")

@@ -79,6 +79,8 @@ def _reference_run(db, cfg: DbBenchConfig) -> BenchResult:
 
 
 def _digest(result: BenchResult) -> str:
+    for hist in (result.read_latency, result.write_latency):
+        hist.count  # folds the buffered samples into _buckets
     payload = {
         "summary": result.summary(),
         "ops": [result.ops, result.reads, result.writes],
