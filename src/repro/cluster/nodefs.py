@@ -114,10 +114,6 @@ class NodeFsView:
         self._check_dead("unlink")
         self._fs.delete(path)
 
-    def rename(self, old: str, new: str) -> None:
-        self._check_dead("rename")
-        self._fs.rename(old, new)
-
     def install_synced(self, path: str, nbytes: int) -> NodeFileView:
         self._check_dead("install")
         return self._wrap(self._fs.install_synced(path, nbytes))

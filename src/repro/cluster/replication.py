@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cluster.nodefs import NodeFsView
 from repro.errors import DBError, IOFaultError, OutOfSpaceError, SimulationError
 from repro.lsm.db import DB
+from repro.lsm.format import WAL_DIR
 from repro.lsm.wal import WalManager, truncate_log
 from repro.net.network import Network
 from repro.sim.engine import Engine, Event
@@ -488,14 +489,14 @@ class Cluster:
     def _wal_files(self, node: ClusterNode):
         """(file, [(nbytes, WalRecord)]) per WAL file, in log order."""
         out = []
-        for path in node.fs.list(prefix="wal/"):
+        for path in node.fs.list(prefix=WAL_DIR):
             f = node.fs.open(path)
             out.append((f, list(f.records)))
         return out
 
     def _recover_files(self, node: ClusterNode):
         """Checksum-salvage every WAL file, then list the survivors."""
-        WalManager.recover_logs(node.fs, "wal")
+        WalManager.recover_logs(node.fs)
         return self._wal_files(node)
 
     @staticmethod

@@ -12,9 +12,7 @@ from repro.core.bottlenecks import (
     near_stop_fraction,
     near_stop_periods,
     read_amplification,
-    stall_summary,
     throughput_variation,
-    write_amplification,
 )
 from repro.core.dynamic_l0 import DynamicL0Manager, dynamic_l0_options
 from repro.core.nvm_wal import LoggingConfig, logging_configurations
@@ -29,7 +27,6 @@ from repro.core.two_stage_throttle import (
     STAGE_NONE,
     STAGE_SLIGHT,
     TwoStageWriteController,
-    make_two_stage_controller,
 )
 
 __all__ = [
@@ -44,13 +41,10 @@ __all__ = [
     "application_kops",
     "dynamic_l0_options",
     "logging_configurations",
-    "make_two_stage_controller",
     "model_table",
     "near_stop_fraction",
     "near_stop_periods",
     "paper_scenarios",
     "read_amplification",
-    "stall_summary",
     "throughput_variation",
-    "write_amplification",
 ]

@@ -2,16 +2,14 @@
 
 These helpers turn raw run artifacts (timelines, DB tickers, device
 counters) into the quantities the paper reports: near-stop periods
-(Finding #1 / Figure 18), throughput variation (Figures 4–5), read
-amplification (Finding #2), and stall summaries (Algorithm 1's impact).
+(Finding #1 / Figure 18), throughput variation (Figures 4–5) and read
+amplification (Finding #2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-from repro.lsm.db import DB
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -79,30 +77,10 @@ def throughput_variation(series: Sequence[Tuple[float, float]]) -> Dict[str, flo
     }
 
 
-def read_amplification(db: DB) -> float:
-    """Device block reads per GET (Finding #2's read amplification)."""
-    gets = db.stats.get("gets")
+def read_amplification(tickers: Mapping[str, int]) -> float:
+    """Device block reads per GET (Finding #2's read amplification), from a
+    DB's tickers."""
+    gets = tickers.get("gets", 0)
     if gets == 0:
         return 0.0
-    return db.stats.get("get.block_device_reads") / gets
-
-
-def stall_summary(db: DB) -> Dict[str, float]:
-    """How hard Algorithm 1 bit during a run."""
-    tickers = db.stats.tickers()
-    return {
-        "delayed_writes": float(tickers.get("stall.delays_hit", 0)),
-        "delay_seconds": tickers.get("stall.delay_ns", 0) / 1e9,
-        "stop_waits": float(tickers.get("stall.stops_hit", 0)),
-        "slowdown_transitions": float(tickers.get("stall.to_delayed", 0)),
-        "stop_transitions": float(tickers.get("stall.to_stopped", 0)),
-    }
-
-
-def write_amplification(db: DB) -> float:
-    """Bytes written by flush+compaction per byte of user data flushed."""
-    flushed = db.stats.get("flush.bytes")
-    if flushed == 0:
-        return 0.0
-    compacted = db.stats.get("compaction.bytes_written")
-    return (flushed + compacted) / flushed
+    return tickers.get("get.block_device_reads", 0) / gets

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.lsm.write_controller import REFILL_INTERVAL_NS
 from repro.sim.units import us
 
 
@@ -28,21 +29,19 @@ class ThrottleScenario:
     name: str
     system_kops: float  # lambda_s: processing capacity during compaction
     median_write_latency_ns: int  # t
-    refill_interval_ns: int = us(1024)
 
     def __post_init__(self) -> None:
         if self.system_kops <= 0:
             raise ReproError(f"system throughput must be positive: {self.system_kops}")
         if self.median_write_latency_ns <= 0:
             raise ReproError("median write latency must be positive")
-        if self.refill_interval_ns <= 0:
-            raise ReproError("refill interval must be positive")
 
 
 def application_kops(scenario: ThrottleScenario) -> float:
-    """Equation 2: the application-level throughput under throttling."""
+    """Equation 2: the application-level throughput under throttling, with
+    Algorithm 1's refill interval (``REFILL_INTERVAL_NS``, 1024 us)."""
     t = scenario.median_write_latency_ns
-    return t / (scenario.refill_interval_ns + t) * scenario.system_kops
+    return t / (REFILL_INTERVAL_NS + t) * scenario.system_kops
 
 
 def paper_scenarios() -> list[ThrottleScenario]:

@@ -11,8 +11,9 @@ The paper's fix splits throttling into two stages:
 * **Stage 2 — aggressive throttling.**  Past the midpoint, the original
   Algorithm 1 (with Dec/Inc rate adaptation) takes over.
 
-Use :func:`make_two_stage_controller` and pass it to
-:meth:`repro.harness.machine.Machine.open_db` (or ``DB(controller=...)``).
+Build a :class:`TwoStageWriteController` from ``(engine, options)`` and
+pass it to :meth:`repro.harness.machine.Machine.open_db` (or
+``DB(controller=...)``).
 """
 
 from __future__ import annotations
@@ -66,8 +67,3 @@ class TwoStageWriteController(WriteController):
             return
         self.stats.inc("stage2_writes")
         super().on_delayed_write(backlog_bytes)
-
-
-def make_two_stage_controller(engine: Engine, options: Options) -> TwoStageWriteController:
-    """Factory matching the signature DB expects for controllers."""
-    return TwoStageWriteController(engine, options)

@@ -43,6 +43,14 @@ from repro.sim.units import mb, ms, us
 from repro.storage.profiles import xpoint_ssd
 
 
+#: Per-op horizon: a replicated synced write costs a leader fsync, a
+#: network round trip (~2x 50us) and a follower fsync, plus retries.
+HORIZON_PER_OP_NS = us(300)
+#: The client's attempts per op, and its sleep between them.
+MAX_RETRIES = 6
+RETRY_BACKOFF_NS = ms(1)
+
+
 @dataclass
 class ClusterDstConfig:
     """Knobs of one cluster DST run (the seed does the exploring)."""
@@ -52,18 +60,11 @@ class ClusterDstConfig:
     n_nodes: int = 3
     faults: bool = True
     max_faults: int = 4
-    #: Per-op horizon: a replicated synced write costs a leader fsync, a
-    #: network round trip (~2x 50us) and a follower fsync, plus retries.
-    horizon_per_op_ns: int = us(300)
-    #: Max wall (virtual) time granted for end-of-run convergence.
-    settle_ns: int = ms(200)
-    max_retries: int = 6
-    retry_backoff_ns: int = ms(1)
     schedule: Optional[FaultSchedule] = None  # overrides random generation
 
     @property
     def horizon_ns(self) -> int:
-        return self.num_ops * self.horizon_per_op_ns
+        return self.num_ops * HORIZON_PER_OP_NS
 
 
 @dataclass
@@ -143,7 +144,7 @@ class ClusterDstRun(Scenario):
                     + ("miss" if value is None else f"{len(value)}B")
                 )
                 continue
-            for attempt in range(self.config.max_retries):
+            for attempt in range(MAX_RETRIES):
                 write_index += 1
                 if op.kind == PUT:
                     value = core.stamped(write_index, op.key, op.value)
@@ -164,7 +165,7 @@ class ClusterDstRun(Scenario):
                     self.log(f"ack #{issued.index}")
                     break
                 self.log(f"unacked #{issued.index}")
-                yield self.config.retry_backoff_ns
+                yield RETRY_BACKOFF_NS
             else:
                 # Retries exhausted: stop issuing entirely.  A trailing run
                 # of same-key attempts is prefix-consistent; writes *after*

@@ -35,6 +35,8 @@ from repro.sim.units import mb, ms
 from repro.storage.profiles import xpoint_ssd
 
 CORRUPT = object()  # observed-value sentinel: read failed with CorruptionError
+#: Virtual time ``Scenario.settle`` grants a healed cluster to converge.
+SETTLE_NS = ms(200)
 
 PUT = "put"
 DELETE = "delete"
@@ -311,7 +313,7 @@ class Scenario:
 
     def settle(self, clusters: Sequence) -> bool:
         """Heal every net fault, restart every down node, re-elect, then
-        wait up to ``config.settle_ns`` for convergence (True if it came)."""
+        wait up to ``SETTLE_NS`` for convergence (True if it came)."""
         for cluster in clusters:
             cluster.network.heal()
             cluster.network.end_windows()
@@ -322,7 +324,7 @@ class Scenario:
             cluster.elect()
 
         def waiter():
-            deadline = self.engine.now + self.config.settle_ns
+            deadline = self.engine.now + SETTLE_NS
             while self.engine.now < deadline:
                 if converged(clusters):
                     return True

@@ -32,6 +32,12 @@ from repro.sim.engine import Engine
 from repro.sim.units import kb, us
 
 
+#: Virtual-time horizon per op that the schedule (and the crash point) is
+#: drawn in.  ~30 us per synced write on the XPoint profile puts the crash
+#: inside or shortly after the workload for the default op count.
+HORIZON_PER_OP_NS = us(30)
+
+
 @dataclass
 class DstConfig:
     """Knobs of one DST run (all defaulted; the seed does the exploring)."""
@@ -40,15 +46,11 @@ class DstConfig:
     num_keys: int = 40
     faults: bool = True
     max_faults: int = 5
-    # Virtual-time horizon the schedule (and the crash point) is drawn in.
-    # ~30 us per synced write on the XPoint profile puts the crash inside
-    # or shortly after the workload for the default op count.
-    horizon_per_op_ns: int = us(30)
     schedule: Optional[FaultSchedule] = None  # overrides random generation
 
     @property
     def horizon_ns(self) -> int:
-        return self.num_ops * self.horizon_per_op_ns
+        return self.num_ops * HORIZON_PER_OP_NS
 
 
 @dataclass

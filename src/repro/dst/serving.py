@@ -126,7 +126,6 @@ class ServingDstConfig:
     key_count: int = 16
     clients: int = 2
     duration_ns: int = ms(100)
-    settle_ns: int = ms(200)
     faults: bool = True
     schedule: Optional[FaultSchedule] = None  # overrides random generation
 

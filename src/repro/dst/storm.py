@@ -56,6 +56,19 @@ def _sleep(ns: int):
     yield ns
 
 
+PACE_NS = us(30)  # the longest think time between client ops
+#: Storm window as fractions of the workload horizon: opens early enough
+#: that background work is flowing, closes with time to spare.
+WINDOW_OPEN_FRAC = 0.25
+WINDOW_CLOSE_FRAC = 0.55
+#: Quota headroom left at the squeeze.  Extents are 1 MB, so zero slack
+#: means the very next file creation (flush output, WAL roll) hits ENOSPC —
+#: the squeeze bites immediately instead of depending on how many extents
+#: the window's workload happens to allocate.
+SQUEEZE_SLACK_BYTES = 0
+DRAIN_NS = ms(120)  # quiesce budget after the window closes
+
+
 @dataclass
 class StormConfig:
     """Knobs of one storm run (all defaulted; the seed does the exploring)."""
@@ -63,29 +76,18 @@ class StormConfig:
     kind: str = STORM_AUTO
     num_ops: int = 400
     num_keys: int = 48
-    pace_ns: int = us(30)  # mean think time between client ops
-    # Storm window as fractions of the workload horizon: opens early
-    # enough that background work is flowing, closes with time to spare.
-    window_open_frac: float = 0.25
-    window_close_frac: float = 0.55
-    # Quota headroom left at the squeeze.  Extents are 1 MB, so zero slack
-    # means the very next file creation (flush output, WAL roll) hits
-    # ENOSPC — the squeeze bites immediately instead of depending on how
-    # many extents the window's workload happens to allocate.
-    squeeze_slack_bytes: int = 0
-    drain_ns: int = ms(120)  # quiesce budget after the window closes
     # Explicit fault schedule (e.g. a fuzzer genome or a replayed corpus
     # entry).  None keeps the seed-derived storm schedule.
     schedule: Optional[FaultSchedule] = None
 
     @property
     def horizon_ns(self) -> int:
-        return self.num_ops * self.pace_ns
+        return self.num_ops * PACE_NS
 
     @property
     def window_ns(self) -> "tuple[int, int]":
         h = self.horizon_ns
-        return int(h * self.window_open_frac), int(h * self.window_close_frac)
+        return int(h * WINDOW_OPEN_FRAC), int(h * WINDOW_CLOSE_FRAC)
 
 
 @dataclass
@@ -176,7 +178,7 @@ class StormRun(Scenario):
         """Generator: paced ops; typed failures are counted, never fatal."""
         rng = self.rng.fork("pace")
         for op in ops:
-            think = rng.randint(self.config.pace_ns // 4, self.config.pace_ns)
+            think = rng.randint(PACE_NS // 4, PACE_NS)
             if think:
                 yield think
             try:
@@ -206,7 +208,7 @@ class StormRun(Scenario):
         """Generator: squeeze the quota over [w0, w1), then lift it."""
         if w0 > self.engine.now:
             yield w0 - self.engine.now
-        quota = self.fs.used_bytes() + self.config.squeeze_slack_bytes
+        quota = self.fs.used_bytes() + SQUEEZE_SLACK_BYTES
         self.fs.set_quota(quota)
         self.log(f"quota squeezed to {quota} bytes ({self.fs.free_bytes()} free)")
         yield w1 - self.engine.now
@@ -217,7 +219,7 @@ class StormRun(Scenario):
 
     def _drain(self, db: DB):
         """Generator: True once healthy *and* idle, False past the budget."""
-        deadline = self.engine.now + self.config.drain_ns
+        deadline = self.engine.now + DRAIN_NS
         while True:
             busy = (
                 db.error_handler.severity
@@ -269,7 +271,7 @@ class StormRun(Scenario):
                 self.log(f"quiesced in {quiesce_ns}ns after window close")
             else:
                 failure = (
-                    f"liveness: not idle {cfg.drain_ns}ns after the storm "
+                    f"liveness: not idle {DRAIN_NS}ns after the storm "
                     f"cleared (severity={db.error_handler.severity or 'none'}, "
                     f"immutables={len(db.memtables.immutables)})"
                 )

@@ -144,10 +144,6 @@ class CorruptionError(DBError):
     """Raised when an on-disk structure fails validation (e.g. WAL CRC)."""
 
 
-class WriteStallError(DBError):
-    """Raised when a non-blocking write would stall (``no_slowdown`` mode)."""
-
-
 class OptionsError(DBError):
     """Raised for invalid or inconsistent configuration options."""
 

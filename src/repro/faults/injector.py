@@ -118,10 +118,6 @@ class FaultInjector:
     def crash_pending(self) -> bool:
         return self.crash_requested.triggered
 
-    @property
-    def crash_reason(self) -> Optional[str]:
-        return self.crash_requested.value if self.crash_pending else None
-
     def request_crash(self, reason: str) -> None:
         if not self.crash_pending:
             self.stats.inc("faults.crash_requests")

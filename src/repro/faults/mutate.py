@@ -37,6 +37,7 @@ from repro.faults.schedule import (
     FaultSchedule,
     FaultSpec,
 )
+from repro.lsm.format import SST_DIR, WAL_DIR
 from repro.sim.rng import RandomStream
 from repro.sim.units import ms, us
 
@@ -65,6 +66,8 @@ SERVING_MUTATION_KINDS: Tuple[str, ...] = tuple(
     sorted(NET_KINDS | {CRASH, LATENCY_SPIKE, READ_ERROR, STALL, WRITE_ERROR})
 )
 
+#: Longest schedule a duplicate or add operator grows.
+MAX_SPECS = 12
 _MAX_COUNT = 1_000_000
 
 
@@ -85,9 +88,6 @@ class MutationContext:
     #: specs are folded to transient and the transient-flip operator is
     #: disabled.
     transient_only: bool = False
-    max_specs: int = 12
-    wal_prefix: str = "wal/"
-    sst_prefix: str = "sst/"
 
     def __post_init__(self) -> None:
         if self.horizon_ns <= 0:
@@ -194,7 +194,7 @@ def draw_spec(rng: RandomStream, ctx: MutationContext) -> Optional[FaultSpec]:
         node = rng.randint(0, ctx.n_nodes - 1) if ctx.n_nodes >= 2 else None
         return FaultSpec(kind, at_time=at_time, node=node)
     if kind in FS_KINDS:
-        path = ctx.wal_prefix if rng.chance(0.5) else ctx.sst_prefix
+        path = WAL_DIR if rng.chance(0.5) else SST_DIR
         return FaultSpec(kind, at_time=at_time, path=path)
     if kind == PARTITION:
         if ctx.n_nodes < 2:
@@ -246,7 +246,7 @@ def _op_drop(specs, rng, ctx):
 
 
 def _op_duplicate(specs, rng, ctx):
-    if not specs or len(specs) >= ctx.max_specs:
+    if not specs or len(specs) >= MAX_SPECS:
         return None
     out = list(specs)
     i = _pick(rng, out)
@@ -352,7 +352,7 @@ def _op_retarget_path(specs, rng, ctx):
     out = list(specs)
     i = idx[_pick(rng, idx)]
     spec = out[i]
-    path = ctx.sst_prefix if spec.path == ctx.wal_prefix else ctx.wal_prefix
+    path = SST_DIR if spec.path == WAL_DIR else WAL_DIR
     out[i] = replace(spec, path=path)
     return out
 
@@ -380,7 +380,7 @@ def _op_retarget_node(specs, rng, ctx):
 
 
 def _op_add(specs, rng, ctx):
-    if len(specs) >= ctx.max_specs:
+    if len(specs) >= MAX_SPECS:
         return None
     fresh = draw_spec(rng, ctx)
     if fresh is None:

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import FaultConfigError
+from repro.lsm.format import SST_DIR, WAL_DIR
 from repro.sim.rng import RandomStream
 from repro.sim.units import ms, us
 
@@ -234,8 +235,6 @@ class FaultSchedule:
         horizon_ns: int,
         max_faults: int = 5,
         kinds: Optional[Sequence[str]] = None,
-        wal_prefix: str = "wal/",
-        sst_prefix: str = "sst/",
     ) -> "FaultSchedule":
         """Draw a schedule from ``rng`` with triggers inside ``horizon_ns``.
 
@@ -276,9 +275,9 @@ class FaultSchedule:
                     FaultSpec(kind, at_time=at_time, extra_ns=rng.randint(ms(20), ms(200)))
                 )
             elif kind == TORN_APPEND:
-                specs.append(FaultSpec(kind, at_time=at_time, path=wal_prefix))
+                specs.append(FaultSpec(kind, at_time=at_time, path=WAL_DIR))
             else:  # CORRUPT_APPEND
-                path = wal_prefix if rng.chance(0.5) else sst_prefix
+                path = WAL_DIR if rng.chance(0.5) else SST_DIR
                 specs.append(FaultSpec(kind, at_time=at_time, path=path))
         return cls(specs)
 

@@ -77,7 +77,7 @@ class SimFile:
         self.path = path
         self.file_id = file_id
         # OS writeback thresholds, overridable per file (the WAL uses
-        # wal_bytes_per_sync here).
+        # WAL_BYTES_PER_SYNC here).
         self.writeback_bytes = (
             WRITEBACK_BYTES if writeback_bytes is None else writeback_bytes
         )

@@ -73,10 +73,6 @@ class PageCache:
     def __len__(self) -> int:
         return self._resident
 
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident * self.page_size
-
     # -- operations ----------------------------------------------------------
 
     def read_through(self, file_id: int, offset: int, nbytes: int) -> List[Tuple[int, int]]:

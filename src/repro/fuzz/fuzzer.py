@@ -36,6 +36,9 @@ from repro.obs.vocab import vocabulary_fingerprint
 from repro.sim.rng import RandomStream
 
 
+MAX_MINIMIZE_EXECUTIONS = 48  # executions one crasher's minimization may spend
+
+
 @dataclass
 class FuzzConfig:
     seed: int = 0
@@ -46,7 +49,6 @@ class FuzzConfig:
     #: Directory of extra seed scenarios (None/"" = bootstrap only).
     corpus_dir: Optional[str] = DEFAULT_CORPUS_DIR
     minimize_crashers: bool = True
-    max_minimize_executions: int = 48
 
     def __post_init__(self) -> None:
         if self.batch < 1:
@@ -155,7 +157,7 @@ def run_fuzz(
                     minimized, _spent = minimize(
                         genome,
                         outcome,
-                        max_executions=config.max_minimize_executions,
+                        max_executions=MAX_MINIMIZE_EXECUTIONS,
                     )
                 else:
                     minimized = genome

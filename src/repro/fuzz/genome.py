@@ -15,6 +15,9 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.dst.cluster import HORIZON_PER_OP_NS as CLUSTER_HORIZON_PER_OP_NS
+from repro.dst.harness import HORIZON_PER_OP_NS as DST_HORIZON_PER_OP_NS
+from repro.dst.storm import PACE_NS
 from repro.errors import FaultConfigError
 from repro.faults import FaultSchedule
 from repro.faults.mutate import (
@@ -32,16 +35,16 @@ MODE_CLUSTER = "cluster"
 MODE_SERVING = "serving"
 MODES: Tuple[str, ...] = (MODE_DST, MODE_STORM, MODE_CLUSTER, MODE_SERVING)
 
-#: Virtual time granted per op, per mode — mirrors each harness's default
-#: (``DstConfig.horizon_per_op_ns``, ``StormConfig.pace_ns``,
-#: ``ClusterDstConfig.horizon_per_op_ns``).  Serving mode has no op
-#: count of its own (the fleet is open-loop over a duration), so
-#: ``num_ops`` is an abstract size knob: duration = num_ops × 250us,
-#: making the 400-op genome exactly the harness's 100ms default.
+#: Virtual time granted per op, per mode — each harness's own constant
+#: (``HORIZON_PER_OP_NS`` of ``repro.dst.harness`` and ``repro.dst.cluster``,
+#: ``repro.dst.storm.PACE_NS``).  Serving mode has no op count of its own
+#: (the fleet is open-loop over a duration), so ``num_ops`` is an abstract
+#: size knob: duration = num_ops × 250us, making the 400-op genome exactly
+#: the harness's 100ms default.
 HORIZON_PER_OP_NS = {
-    MODE_DST: us(30),
-    MODE_STORM: us(30),
-    MODE_CLUSTER: us(300),
+    MODE_DST: DST_HORIZON_PER_OP_NS,
+    MODE_STORM: PACE_NS,
+    MODE_CLUSTER: CLUSTER_HORIZON_PER_OP_NS,
     MODE_SERVING: us(250),
 }
 

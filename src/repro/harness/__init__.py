@@ -6,7 +6,6 @@ from repro.harness.experiments import (
     Entry,
     RunArtifacts,
     WorkloadPoint,
-    clear_memo,
     run_experiment,
     run_points,
     run_workload,
@@ -29,7 +28,6 @@ __all__ = [
     "TINY",
     "WorkloadPoint",
     "bench_preset",
-    "clear_memo",
     "format_table",
     "preset_by_name",
     "render_sparkline",

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core.bottlenecks import (
     near_stop_fraction,
     near_stop_periods,
+    read_amplification,
     throughput_variation,
 )
 from repro.core.dynamic_l0 import DynamicL0Manager, dynamic_l0_options
@@ -201,11 +202,6 @@ def run_workload(point: WorkloadPoint) -> RunArtifacts:
 _memo: Dict[tuple, Any] = {}
 
 
-def clear_memo() -> None:
-    """Forget every memoized run."""
-    _memo.clear()
-
-
 def point_key(point) -> tuple:
     """The memo key: the point's type and field values, never its identity,
     so two points share a run exactly when they are equal."""
@@ -298,9 +294,7 @@ def _avg_l0(run: PointResult) -> float:
 
 
 def _reads_per_get(run: PointResult) -> float:
-    tickers = run.result.db_tickers
-    gets = tickers.get("gets", 0)
-    return round(tickers.get("get.block_device_reads", 0) / gets, 2) if gets else 0.0
+    return round(read_amplification(run.result.db_tickers), 2)
 
 
 def _per_run(row: Callable[[Any, Any], Dict[str, Any]], sort_by: Sequence[str] = ()):

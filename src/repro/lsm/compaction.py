@@ -26,8 +26,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import DBError
 from repro.lsm.flush import BackgroundJob
-from repro.lsm.format import KIND_DELETE, KIND_PUT
+from repro.lsm.format import KIND_DELETE, KIND_PUT, sst_path
 from repro.lsm.io_retry import retry_call, retry_gen
+from repro.lsm.options import NUM_LEVELS
 from repro.lsm.sst import EntryColumns, SSTable, gather
 from repro.lsm.version import FileMetadata, Version, VersionEdit, VersionSet
 
@@ -90,7 +91,7 @@ class CompactionPicker:
     def scores(self, versions: VersionSet) -> List[Tuple[float, int]]:
         """(score, level) pairs, highest first, for levels that can compact."""
         out = []
-        for level in range(self.options.num_levels - 1):
+        for level in range(NUM_LEVELS - 1):
             score = versions.compaction_score(level)
             if score > 0:
                 out.append((score, level))
@@ -99,7 +100,7 @@ class CompactionPicker:
 
     def needs_compaction(self, versions: VersionSet) -> bool:
         """True when some level scores >= 1: :meth:`pick` has work to try."""
-        for level in range(self.options.num_levels - 1):
+        for level in range(NUM_LEVELS - 1):
             if versions.compaction_score(level) >= 1.0:
                 return True
         return False
@@ -260,10 +261,10 @@ class CompactionJob(BackgroundJob):
         """True if no deeper level overlaps this compaction's key range."""
         c = self.compaction
         version = self.db.versions.current
-        if c.output_level >= self.db.options.num_levels - 1:
+        if c.output_level >= NUM_LEVELS - 1:
             return True
         smallest, largest = c.key_range()
-        for level in range(c.output_level + 1, self.db.options.num_levels):
+        for level in range(c.output_level + 1, NUM_LEVELS):
             if version.overlapping_files(level, smallest, largest):
                 return False
         return True
@@ -298,7 +299,7 @@ class CompactionJob(BackgroundJob):
         def start_output():
             nonlocal number, out_file, appended
             number = db.versions.new_file_number()
-            out_file = db.fs.create(f"sst/{number:06d}.sst")
+            out_file = db.fs.create(sst_path(number))
             self._created_paths.append(out_file.path)
             appended = 0
 

@@ -45,14 +45,14 @@ from repro.lsm.compaction import Compaction, CompactionJob, CompactionPicker
 from repro.lsm.costs import DEFAULT_COSTS, CostModel
 from repro.lsm.error_handler import SEV_SOFT, ErrorHandler
 from repro.lsm.flush import FlushJob
-from repro.lsm.format import KIND_DELETE, KIND_PUT, Entry
+from repro.lsm.format import KIND_DELETE, KIND_PUT, WAL_DIR, Entry
 from repro.lsm.io_retry import retry_call
 from repro.lsm.memtable import MemTable, MemTableList
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.pipelined_write import ROLE_LEADER, WriteQueue, Writer
 from repro.lsm.rate_limiter import RateLimiter
 from repro.lsm.sst_file_manager import SstFileManager
-from repro.lsm.value import Value, materialize, value_size
+from repro.lsm.value import Value, value_size
 from repro.lsm.version import FileMetadata, VersionSet
 from repro.lsm.wal import WalManager, scan_log, truncate_log
 from repro.lsm.write_batch import WriteBatch
@@ -67,8 +67,14 @@ from repro.sim.engine import Engine
 from repro.sim.resources import Store
 from repro.sim.rng import RandomStream
 from repro.sim.stats import StatsSet
+from repro.sim.units import MB
 
 _CLOSE = object()
+
+MAX_WRITE_BATCH_GROUP_SIZE = 1 * MB  # bytes one write group may take
+# Background threads: RocksDB's max_background_flushes / _compactions.
+MAX_BACKGROUND_FLUSHES = 1
+MAX_BACKGROUND_COMPACTIONS = 2
 # The hit ticker per level; every level below L2 counts as deep.
 _HIT_TICKERS = ("get.l0_hit", "get.l1_hit", "get.l2_hit")
 
@@ -133,10 +139,10 @@ class DB:
             )
         self._wal_fs = wal_fs or fs
         pre_crash_logs = [
-            p for p in self._wal_fs.list(prefix="wal/")
+            p for p in self._wal_fs.list(prefix=WAL_DIR)
         ] if recovering else []
         self.wal = WalManager(
-            engine, self._wal_fs, self.options, self.costs, dirname="wal"
+            engine, self._wal_fs, self.options, self.costs
         )
         self.memtables = MemTableList(self._new_memtable)
         # Sealed memtables allowed to wait for flush before writes stop.
@@ -159,7 +165,7 @@ class DB:
         # One writer queue by default (RocksDB); optionally sharded per the
         # paper's Section VI implication on write-queue parallelism.
         self.write_queues = [
-            WriteQueue(engine, self.options.max_write_batch_group_size)
+            WriteQueue(engine, MAX_WRITE_BATCH_GROUP_SIZE)
             for _ in range(self.options.write_queue_shards)
         ]
         self.write_queue = self.write_queues[0]
@@ -173,11 +179,11 @@ class DB:
         self._active_compactions = 0
         self._active_flushes = 0
         self._workers = []
-        for i in range(self.options.max_background_flushes):
+        for i in range(MAX_BACKGROUND_FLUSHES):
             self._workers.append(
                 engine.process(self._flush_worker(i), name=f"flush-{i}")
             )
-        for i in range(self.options.max_background_compactions):
+        for i in range(MAX_BACKGROUND_COMPACTIONS):
             self._workers.append(
                 engine.process(self._compaction_worker(i), name=f"compact-{i}")
             )
@@ -189,7 +195,6 @@ class DB:
         self._memtable_seq += 1
         mt = MemTable(
             rep=self.options.memtable_rep,
-            entry_overhead=self.options.memtable_entry_overhead,
             rng=self.rng.fork(f"memtable/{self._memtable_seq}"),
         )
         mt.min_log_number = self.wal.current_number
@@ -250,9 +255,9 @@ class DB:
         """Generator: stop background workers (pending work is abandoned)."""
         self._check_open()
         self._closed = True
-        for _ in range(self.options.max_background_flushes):
+        for _ in range(MAX_BACKGROUND_FLUSHES):
             self._flush_store.put(_CLOSE)
-        for _ in range(self.options.max_background_compactions):
+        for _ in range(MAX_BACKGROUND_COMPACTIONS):
             self._compaction_store.put(_CLOSE)
         yield 0
 
@@ -582,7 +587,7 @@ class DB:
                 level0 = version.levels[0]  # newest first
                 n0 = len(level0)
                 level = 0
-                for slot in range(n0 + self.options.num_levels - 1):
+                for slot in range(n0 + NUM_LEVELS - 1):
                     cpu += range_check
                     if slot < n0:
                         meta = level0[slot]
@@ -648,14 +653,6 @@ class DB:
         self._read_latency.record(engine._now - start)
         return result
 
-    def multi_get(self, keys: List[bytes]):
-        """Generator: point-lookup several keys; returns a list of values."""
-        out = []
-        for key in keys:
-            value = yield from self.get(key)
-            out.append(value)
-        return out
-
     def scan(self, start: bytes, end: bytes, limit: Optional[int] = None):
         """Generator: range scan [start, end); returns [(key, value)].
 
@@ -674,7 +671,7 @@ class DB:
         try:
             consulted = [
                 meta
-                for level in range(self.options.num_levels)
+                for level in range(NUM_LEVELS)
                 for meta in version.overlapping_files(level, start, end)
             ]
             io_events = []
@@ -714,11 +711,6 @@ class DB:
             return out
         finally:
             self.versions.unref(version)
-
-    def get_bytes(self, key: bytes):
-        """Generator: like :meth:`get` but materializes ValueRefs to bytes."""
-        value = yield from self.get(key)
-        return None if value is None else materialize(value)
 
     # --------------------------------------------------------------- background
 
@@ -818,7 +810,7 @@ class DB:
         if self._closed:
             return
         if (
-            self._compaction_tokens < self.options.max_background_compactions
+            self._compaction_tokens < MAX_BACKGROUND_COMPACTIONS
             and self.picker.needs_compaction(self.versions)
         ):
             self._compaction_tokens += 1
@@ -936,7 +928,7 @@ class DB:
             return 0
         total = 0
         version = self.versions.current
-        for level in range(self.options.num_levels):
+        for level in range(NUM_LEVELS):
             for meta in version.overlapping_files(level, start, end):
                 sst = meta.sst
                 lo = sst.key_index(start)
@@ -956,7 +948,7 @@ class DB:
         lo = start if start is not None else b"\x00"
         hi = end if end is not None else b"\xff" * 32
         yield from self.flush_all()
-        for level in range(self.options.num_levels - 1):
+        for level in range(NUM_LEVELS - 1):
             # Let background jobs drain so their inputs are free to pick.
             yield from self.wait_idle()
             version = self.versions.current
@@ -977,34 +969,6 @@ class DB:
             compaction.mark(True)
             yield from CompactionJob(self, compaction).run()
         self.stats.inc("manual_compactions")
-
-    def describe(self) -> str:
-        """Multi-line status report (RocksDB's 'rocksdb.stats' analog)."""
-        v = self.versions.current
-        lines = [
-            f"** DB status ({self.options.name}) at t={self.engine.now / 1e9:.3f}s **",
-            f"levels: {v.describe()}",
-            f"memtable: {self.memtables.mutable.charged_bytes >> 10} KB active, "
-            f"{len(self.memtables.immutables)} immutable",
-            f"stall state: {self.controller.state} "
-            f"(rate {self.controller.delayed_write_rate / 2**20:.1f} MB/s)",
-            f"flushes: {self.stats.get('flush.count')}  "
-            f"compactions: {self.stats.get('compaction.count')}  "
-            f"pending bytes: {self.versions.pending_compaction_bytes() >> 20} MB",
-            f"gets: {self.stats.get('gets')}  puts: {self.stats.get('puts')}  "
-            f"block cache hit rate: {self.block_cache.hit_rate():.1%}",
-            f"wal bytes: {self.wal.bytes_written >> 10} KB  "
-            f"delays hit: {self.stats.get('stall.delays_hit')}  "
-            f"stops hit: {self.stats.get('stall.stops_hit')}",
-        ]
-        if self.error_handler.severity:
-            err = self.error_handler.error
-            lines.append(
-                f"degraded: {self.error_handler.severity} "
-                f"(source {err.source if err else '?'}, "
-                f"resume attempts {self.error_handler.resume_attempts})"
-            )
-        return "\n".join(lines)
 
     def property_value(self, name: str) -> float:
         """A few RocksDB-style DB properties for reports."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.errors import DBError
+from repro.lsm.format import sst_path
 from repro.lsm.io_retry import retry_gen
 from repro.lsm.sst import EntryColumns, SSTable
 from repro.lsm.version import FileMetadata, VersionEdit
@@ -93,7 +94,7 @@ class FlushJob(BackgroundJob):
             number, keys, columns, db.options.block_size, db.options.bloom_bits_per_key
         )
 
-        path = f"sst/{number:06d}.sst"
+        path = sst_path(number)
         f = db.fs.create(path)
         self._created_paths.append(path)
         f.payload = sst

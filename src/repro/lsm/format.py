@@ -25,6 +25,16 @@ Entry = Tuple[int, int, Optional[Value]]  # (seq, kind, value)
 
 ENTRY_HEADER_BYTES = 8  # an SST entry's seq/kind varint-ish header
 
+#: A DB's on-disk layout: write-ahead logs and tables live under these
+#: path prefixes (beside the ``MANIFEST``).
+WAL_DIR = "wal/"
+SST_DIR = "sst/"
+
+
+def sst_path(number: int) -> str:
+    """The path of table file ``number``."""
+    return f"{SST_DIR}{number:06d}.sst"
+
 
 def entry_checksum(key: bytes, entry: Entry, crc: int = 0) -> int:
     """Fold one (key, entry) pair into a CRC32 accumulator.

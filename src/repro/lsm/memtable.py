@@ -104,13 +104,15 @@ def make_rep(name: str, rng: Optional[RandomStream] = None) -> MemTableRep:
     raise DBError(f"unknown memtable rep {name!r}")
 
 
+ENTRY_OVERHEAD = 64  # bytes charged per entry, like RocksDB's arena
+
+
 class MemTable:
     """One write buffer; becomes immutable when full, then flushes to L0."""
 
     __slots__ = (
         "id",
         "_rep",
-        "_entry_overhead",
         "entry_count",
         "charged_bytes",
         "immutable",
@@ -125,13 +127,11 @@ class MemTable:
     def __init__(
         self,
         rep: str = SKIPLIST_REP,
-        entry_overhead: int = 64,
         rng: Optional[RandomStream] = None,
     ) -> None:
         MemTable._ids += 1
         self.id = MemTable._ids
         self._rep = make_rep(rep, rng)
-        self._entry_overhead = entry_overhead
         self.entry_count = 0  # distinct keys, counted by add()
         self.charged_bytes = 0
         self.immutable = False
@@ -157,9 +157,9 @@ class MemTable:
             self.entry_count += 1
             value = entry[2]
             if value.__class__ is ValueRef:  # entry_charge() inline
-                self.charged_bytes += len(key) + value.size + self._entry_overhead
+                self.charged_bytes += len(key) + value.size + ENTRY_OVERHEAD
             else:
-                self.charged_bytes += entry_charge(key, entry, self._entry_overhead)
+                self.charged_bytes += entry_charge(key, entry, ENTRY_OVERHEAD)
         # Overwrites charge nothing: the slot is reused in place.
         if self.first_seq is None:
             self.first_seq = seq
@@ -206,11 +206,6 @@ class MemTableList:
         self.immutables.append(sealed)
         self.mutable = self._factory()
         return sealed
-
-    def pop_oldest_immutable(self) -> MemTable:
-        if not self.immutables:
-            raise DBError("no immutable memtable to flush")
-        return self.immutables.pop(0)
 
     def lookup(self, key: bytes) -> Optional[Entry]:
         """Check mutable first, then immutables newest-first."""

@@ -29,6 +29,9 @@ WAL_OFF = "off"
 WAL_BUFFERED = "buffered"  # write() into the page cache; OS flushes later
 WAL_SYNC = "sync"  # fsync every write group
 
+NUM_LEVELS = 7  # L0 .. L6
+LEVEL_MULTIPLIER = 10  # each level below L1 is this much larger
+
 
 @dataclass
 class Options:
@@ -40,14 +43,11 @@ class Options:
     memtable_rep: str = SKIPLIST_REP
 
     # --- level structure ---------------------------------------------------
-    num_levels: int = 7
     level0_file_num_compaction_trigger: int = 4
     level0_slowdown_writes_trigger: int = 20
     level0_stop_writes_trigger: int = 36
     max_bytes_for_level_base: int = 256 * MB
-    max_bytes_for_level_multiplier: float = 10.0
-    target_file_size_base: int = 64 * MB
-    target_file_size_multiplier: float = 1.0
+    target_file_size_base: int = 64 * MB  # every level's output file size
 
     # --- reads ----------------------------------------------------------
     block_size: int = 4 * KB
@@ -59,12 +59,10 @@ class Options:
     paranoid_checks: bool = False
 
     # --- write path --------------------------------------------------------
-    max_write_batch_group_size: int = 1 * MB
     # Section VI implication: "multiple short write thread queues rather
     # than one single long queue".  1 = RocksDB's single queue.
     write_queue_shards: int = 1
     wal_mode: str = WAL_BUFFERED
-    wal_bytes_per_sync: int = 512 * KB
     # Section VI implication: "compressing and condensing the data written
     # to the log could help reduce the I/O traffic".
     wal_compression: bool = False
@@ -72,16 +70,10 @@ class Options:
 
     # --- throttling (Algorithm 1) -----------------------------------------
     delayed_write_rate: int = 16 * MB  # bytes/second
-    refill_interval_ns: int = us(1024)
-    delayed_write_rate_dec: float = 0.8
-    delayed_write_rate_inc: float = 1.25
-    min_delayed_write_rate: int = 1 * MB
     # Also stall when compaction debt piles up (RocksDB soft limit).
     soft_pending_compaction_bytes_limit: int = 64 * 1024 * MB
 
     # --- background work -----------------------------------------------------
-    max_background_flushes: int = 1
-    max_background_compactions: int = 2
     compaction_readahead_bytes: int = 256 * KB
     # Token-bucket cap on background (flush+compaction) write bytes/second;
     # 0 disables (RocksDB's rate_limiter).
@@ -99,15 +91,6 @@ class Options:
     # escalates to hard (read-only).  Hard errors keep retrying forever;
     # only permanent faults and corruption are fatal.
     max_bg_error_resume_count: int = 6
-    # Low-space soft stall: when a filesystem quota is configured and free
-    # space (minus reserved compaction output) drops to this threshold,
-    # writes are delayed before ENOSPC ever fires.  0 = auto (two write
-    # buffers' worth).
-    low_space_stall_bytes: int = 0
-
-    # --- bookkeeping ---------------------------------------------------------
-    wal_record_overhead: int = 12  # per-record header bytes
-    memtable_entry_overhead: int = 64  # charged per entry, like RocksDB arena
 
     # Free-form label used in reports.
     name: str = "default"
@@ -120,8 +103,6 @@ class Options:
             raise OptionsError("max_write_buffer_number must be >= 1")
         if self.memtable_rep not in (SKIPLIST_REP, HASH_REP):
             raise OptionsError(f"unknown memtable_rep {self.memtable_rep!r}")
-        if self.num_levels < 2:
-            raise OptionsError("num_levels must be >= 2")
         if not (
             0
             < self.level0_file_num_compaction_trigger
@@ -134,8 +115,6 @@ class Options:
                 f"{self.level0_slowdown_writes_trigger} / "
                 f"{self.level0_stop_writes_trigger}"
             )
-        if self.max_bytes_for_level_multiplier <= 1.0:
-            raise OptionsError("level multiplier must exceed 1")
         if self.block_size <= 0:
             raise OptionsError("block_size must be positive")
         if self.bloom_bits_per_key < 0:
@@ -144,12 +123,6 @@ class Options:
             raise OptionsError(f"unknown wal_mode {self.wal_mode!r}")
         if self.delayed_write_rate <= 0:
             raise OptionsError("delayed_write_rate must be positive")
-        if not 0.0 < self.delayed_write_rate_dec < 1.0:
-            raise OptionsError("delayed_write_rate_dec must be in (0, 1)")
-        if self.delayed_write_rate_inc <= 1.0:
-            raise OptionsError("delayed_write_rate_inc must exceed 1")
-        if self.max_background_flushes < 1 or self.max_background_compactions < 1:
-            raise OptionsError("background job counts must be >= 1")
         if self.write_queue_shards < 1:
             raise OptionsError("write_queue_shards must be >= 1")
         if self.rate_limit_bytes_per_sec < 0:
@@ -166,8 +139,6 @@ class Options:
             )
         if self.max_bg_error_resume_count < 1:
             raise OptionsError("max_bg_error_resume_count must be >= 1")
-        if self.low_space_stall_bytes < 0:
-            raise OptionsError("low_space_stall_bytes must be >= 0")
 
     def copy(self, **overrides) -> "Options":
         """Return a copy with selected fields replaced (and re-validated)."""
@@ -176,23 +147,24 @@ class Options:
         return new
 
     def max_bytes_for_level(self, level: int) -> int:
-        """Target byte size of a level (L1 = base, multiplier afterwards)."""
+        """Target byte size of a level (L1 = base, ``LEVEL_MULTIPLIER``× per
+        level below)."""
         if level < 1:
             raise OptionsError(f"levels below 1 have no byte target: {level}")
         size = float(self.max_bytes_for_level_base)
         for _ in range(level - 1):
-            size *= self.max_bytes_for_level_multiplier
+            size *= LEVEL_MULTIPLIER
         return int(size)
 
     def low_space_threshold(self) -> int:
-        """Free-space level (bytes) below which writes soft-stall."""
-        if self.low_space_stall_bytes > 0:
-            return self.low_space_stall_bytes
+        """Free-space level (bytes) below which writes soft-stall.
+
+        With a filesystem quota configured, writes are delayed once free
+        space (minus reserved compaction output) drops to two write
+        buffers' worth, before ENOSPC ever fires."""
         return 2 * self.write_buffer_size
 
     def target_file_size(self, level: int) -> int:
-        """Target output file size for a compaction into ``level``."""
-        size = float(self.target_file_size_base)
-        for _ in range(max(0, level - 1)):
-            size *= self.target_file_size_multiplier
-        return max(1, int(size))
+        """Target output file size for a compaction into ``level``: the
+        same at every level (RocksDB's ``target_file_size_multiplier`` 1)."""
+        return max(1, self.target_file_size_base)

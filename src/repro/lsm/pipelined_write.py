@@ -2,7 +2,7 @@
 
 RocksDB keeps one queue of writer threads.  The thread at the head becomes
 the *leader* of a write batch group: it drains waiting writers into its
-group (bounded by ``max_write_batch_group_size``), appends one combined WAL
+group (bounded by ``MAX_WRITE_BATCH_GROUP_SIZE``), appends one combined WAL
 record, and then every group member applies its own batch to the memtable.
 Writes are pipelined (RocksDB's ``enable_pipelined_write``, the mode the
 paper analyses): the next leader is promoted as soon as the previous group

@@ -109,15 +109,3 @@ class SkipList:
             yield node[_KEY], node[_DATA]
             node = node[_NEXT0]
 
-    def first_key(self) -> Optional[bytes]:
-        node = self._head[_NEXT0]
-        return None if node is None else node[_KEY]
-
-    def last_key(self) -> Optional[bytes]:
-        node = self._head
-        for slot in range(self._height + 1, _NEXT0 - 1, -1):
-            nxt = node[slot]
-            while nxt is not None:
-                node = nxt
-                nxt = node[slot]
-        return None if node is self._head else node[_KEY]

@@ -399,9 +399,6 @@ class SSTBuilder:
     def entry_count(self) -> int:
         return len(self._keys)
 
-    def empty(self) -> bool:
-        return not self._keys
-
     def finish(self) -> SSTable:
         if not self._keys:
             raise DBError("cannot finish an empty SSTable")

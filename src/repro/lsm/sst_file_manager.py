@@ -24,7 +24,7 @@ trading throughput for time — a soft landing before hard ENOSPC.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.lsm.options import Options
 
@@ -67,10 +67,6 @@ class SstFileManager:
                 n += 1
         return n
 
-    @property
-    def pending_deletion_bytes(self) -> int:
-        return sum(self.pending_deletions.values())
-
     # -- space --------------------------------------------------------------
 
     def try_reserve_compaction(self, nbytes: int) -> bool:
@@ -100,11 +96,3 @@ class SstFileManager:
             return False
         free = self.fs.free_bytes() - self.reserved_bytes
         return free <= self.options.low_space_threshold()
-
-    def describe(self) -> Dict[str, Optional[int]]:
-        return {
-            "quota_bytes": self.fs.quota_bytes,
-            "reserved_bytes": self.reserved_bytes,
-            "pending_deletions": len(self.pending_deletions),
-            "pending_deletion_bytes": self.pending_deletion_bytes,
-        }

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import DBError, IOFaultError, OutOfSpaceError
 from repro.fs.filesystem import SimFile, SimFileSystem, TornRecord
 from repro.lsm.io_retry import retry_gen
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.sst import SSTable
 from repro.sim.stats import StatsSet
 
@@ -79,15 +79,15 @@ class VersionEdit:
 class Version:
     """Immutable snapshot of the LSM level structure."""
 
-    def __init__(self, num_levels: int) -> None:
+    def __init__(self) -> None:
         # Files per level: L0 newest first (the lookup order), deeper levels
         # by smallest key.
-        self.levels: List[List[FileMetadata]] = [[] for _ in range(num_levels)]
+        self.levels: List[List[FileMetadata]] = [[] for _ in range(NUM_LEVELS)]
         # Parallel bisect keys for levels >= 1 (smallest key per file).
-        self._level_keys: List[List[bytes]] = [[] for _ in range(num_levels)]
+        self._level_keys: List[List[bytes]] = [[] for _ in range(NUM_LEVELS)]
         # Byte totals, computed once by _finalize() (a Version is immutable
         # after it): per level, and over L0's i newest files at [i].
-        self._level_bytes: List[int] = [0] * num_levels
+        self._level_bytes: List[int] = [0] * NUM_LEVELS
         self._l0_newest_bytes: List[int] = [0]
         self.refs = 0
 
@@ -154,13 +154,6 @@ class Version:
     def all_files(self) -> List[FileMetadata]:
         return [f for files in self.levels for f in files]
 
-    def describe(self) -> str:
-        parts = []
-        for level, files in enumerate(self.levels):
-            if files:
-                parts.append(f"L{level}:{len(files)}({self.level_bytes(level) >> 20}MB)")
-        return " ".join(parts) if parts else "(empty)"
-
 
 class VersionSet:
     """Owns the current version, the manifest and file lifetimes."""
@@ -178,7 +171,7 @@ class VersionSet:
         self.next_file_number = 1
         self.last_sequence = 0
         self.manifest = fs.create("MANIFEST")
-        self.current = Version(options.num_levels)
+        self.current = Version()
         self.current.refs += 1
         self._files: Dict[int, FileMetadata] = {}
         self._init_durability_state()
@@ -206,7 +199,7 @@ class VersionSet:
         vs.next_file_number = 1
         vs.last_sequence = 0
         vs.manifest = fs.open("MANIFEST")
-        vs.current = Version(options.num_levels)
+        vs.current = Version()
         vs.current.refs += 1
         vs._files = {}
         vs._init_durability_state()
@@ -301,7 +294,7 @@ class VersionSet:
         manifest append I/O via :meth:`log_edit`.
         """
         old = self.current
-        new = Version(self.options.num_levels)
+        new = Version()
         deleted = set(edit.deleted)
         for level, files in enumerate(old.levels):
             for meta in files:
@@ -422,7 +415,7 @@ class VersionSet:
         """Bytes above target across levels (RocksDB's debt estimate)."""
         debt = 0
         v = self.current
-        for level in range(1, self.options.num_levels - 1):
+        for level in range(1, NUM_LEVELS - 1):
             excess = v.level_bytes(level) - self.options.max_bytes_for_level(level)
             if excess > 0:
                 debt += excess

@@ -5,7 +5,7 @@ Every write group appends one log record covering the whole batch group
 measures:
 
 * ``buffered`` (default, db_bench's setting): ``write()`` into the page
-  cache; the OS writes back asynchronously every ``wal_bytes_per_sync``
+  cache; the OS writes back asynchronously every ``WAL_BYTES_PER_SYNC``
   bytes, and appends block only when the device falls behind the dirty
   limit — this is how the WAL still costs 30+ us of p90 latency even though
   no fsync is issued (Finding #4);
@@ -28,11 +28,15 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import DBError, IOFaultError
 from repro.fs.filesystem import SimFile, SimFileSystem, TornRecord
 from repro.lsm.costs import CostModel
-from repro.lsm.format import Entry, records_checksum, wal_record_bytes
+from repro.lsm.format import WAL_DIR, Entry, records_checksum, wal_record_bytes
 from repro.lsm.io_retry import retry_gen
 from repro.lsm.options import WAL_OFF, WAL_SYNC, Options
 from repro.lsm.value import ValueRef
 from repro.sim.engine import Engine, Event
+from repro.sim.units import KB
+
+WAL_BYTES_PER_SYNC = 512 * KB  # the OS writeback threshold of a log file
+WAL_RECORD_OVERHEAD = 12  # header bytes per logged entry
 
 
 class WalRecord:
@@ -50,7 +54,7 @@ class WalRecord:
     __slots__ = ("entries", "_crc")
 
     def __init__(self, entries: List[Tuple[bytes, Entry]]) -> None:
-        self.entries = list(entries)
+        self.entries = entries
         self._crc: Optional[int] = None
 
     @property
@@ -114,14 +118,11 @@ class WalManager:
         fs: SimFileSystem,
         options: Options,
         costs: CostModel,
-        dirname: str = "wal",
-        first_number: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.fs = fs
         self.options = options
         self.costs = costs
-        self.dirname = dirname
         self.current: Optional[SimFile] = None
         self.current_number = 0
         self._live: List[Tuple[int, SimFile]] = []  # (number, file), oldest first
@@ -140,17 +141,15 @@ class WalManager:
             # memtable holding their replayed records is flushed.
             existing = sorted(
                 (int(p.rsplit("/", 1)[-1].split(".")[0]), p)
-                for p in fs.list(prefix=f"{dirname}/")
+                for p in fs.list(prefix=WAL_DIR)
             )
             for number, path in existing:
                 self._live.append((number, fs.open(path)))
                 self.current_number = number
-            if first_number is None:
-                first_number = self.current_number + 1
-            self.roll(first_number)
+            self.roll(self.current_number + 1)
 
     def _path(self, number: int) -> str:
-        return f"{self.dirname}/{number:06d}.log"
+        return f"{WAL_DIR}{number:06d}.log"
 
     def roll(self, number: int) -> None:
         """Start a new log file (called at every memtable switch)."""
@@ -159,8 +158,8 @@ class WalManager:
         number = max(number, self.current_number + 1)
         f = self.fs.create(
             self._path(number),
-            writeback_bytes=self.options.wal_bytes_per_sync,
-            dirty_limit_bytes=2 * self.options.wal_bytes_per_sync,
+            writeback_bytes=WAL_BYTES_PER_SYNC,
+            dirty_limit_bytes=2 * WAL_BYTES_PER_SYNC,
         )
         self.current = f
         self.current_number = number
@@ -185,7 +184,7 @@ class WalManager:
         # Same arithmetic, same result.
         options = self.options
         costs = self.costs
-        overhead = options.wal_record_overhead
+        overhead = WAL_RECORD_OVERHEAD
         nbytes = 0
         for key, entry in records:
             value = entry[2]
@@ -258,7 +257,7 @@ class WalManager:
 
     @staticmethod
     def recover_logs(
-        fs: SimFileSystem, dirname: str = "wal"
+        fs: SimFileSystem,
     ) -> Tuple[List[Tuple[int, str, List[WalRecord]]], Dict[str, int]]:
         """Verify and truncate every on-disk log; return the good groups.
 
@@ -273,7 +272,7 @@ class WalManager:
         logs: List[Tuple[int, str, List[WalRecord]]] = []
         stats = {"bad_records": 0, "truncated_logs": 0, "dropped_logs": 0}
         stop = False
-        for path in fs.list(prefix=f"{dirname}/"):
+        for path in fs.list(prefix=WAL_DIR):
             number = int(path.rsplit("/", 1)[-1].split(".")[0])
             f = fs.open(path)
             if stop:
@@ -290,14 +289,14 @@ class WalManager:
         return logs, stats
 
     @staticmethod
-    def replay(fs: SimFileSystem, dirname: str = "wal") -> Iterator[Tuple[bytes, Entry]]:
+    def replay(fs: SimFileSystem) -> Iterator[Tuple[bytes, Entry]]:
         """Yield every durable, *checksum-valid* (key, entry), in order.
 
         Used after :meth:`SimFileSystem.crash` — only records under each
         file's synced watermark remain, and validation truncates each log
         at its first torn or corrupted record.
         """
-        logs, _stats = WalManager.recover_logs(fs, dirname)
+        logs, _stats = WalManager.recover_logs(fs)
         for _number, _path, groups in logs:
             for group in groups:
                 for key, entry in group:

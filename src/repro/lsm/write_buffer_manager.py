@@ -59,10 +59,6 @@ class WriteBufferManager:
         if db in self._dbs:
             self._dbs.remove(db)
 
-    @property
-    def num_dbs(self) -> int:
-        return len(self._dbs)
-
     # -- accounting ----------------------------------------------------------
 
     def mutable_usage(self) -> int:
@@ -79,9 +75,6 @@ class WriteBufferManager:
         return total
 
     # -- policy --------------------------------------------------------------
-
-    def over_budget(self) -> bool:
-        return self.memory_usage() > self.buffer_size
 
     def should_flush(self, db) -> bool:
         """True when ``db`` should seal its mutable memtable early.
@@ -111,10 +104,3 @@ class WriteBufferManager:
                 return False
         self.stats.inc("flush_triggers")
         return True
-
-    def describe(self) -> str:
-        return (
-            f"write-buffer budget {self.buffer_size >> 20} MB: "
-            f"{self.memory_usage() >> 10} KB used across {len(self._dbs)} DBs "
-            f"({self.stats.get('flush_triggers')} early flushes)"
-        )

@@ -22,13 +22,20 @@ from repro.errors import DBError
 from repro.lsm.options import Options
 from repro.sim.engine import Engine, Event
 from repro.sim.stats import StatsSet
-from repro.sim.units import SEC
+from repro.sim.units import MB, SEC, us
 
 NORMAL = "normal"
 DELAYED = "delayed"
 STOPPED = "stopped"
 
 _STATE_RANK = {NORMAL: 0, DELAYED: 1, STOPPED: 2}
+
+# Algorithm 1's constants (RocksDB 5.17): the refill interval, the rate
+# adaptation factors Dec and Inc, and the floor the rate adapts down to.
+REFILL_INTERVAL_NS = us(1024)
+DELAYED_WRITE_RATE_DEC = 0.8
+DELAYED_WRITE_RATE_INC = 1.25
+MIN_DELAYED_WRITE_RATE = 1 * MB
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class WriteController:
         self.state = NORMAL
         self.delayed_write_rate = float(options.delayed_write_rate)
         self._max_rate = float(options.delayed_write_rate) * 4
-        self._min_rate = float(options.min_delayed_write_rate)
+        self._min_rate = float(MIN_DELAYED_WRITE_RATE)
         # Virtual refill clock: the timestamp up to which intake credit is
         # already spoken for.  Aggregate delayed intake = delayed_write_rate.
         self._next_refill_time = 0
@@ -124,9 +131,9 @@ class WriteController:
         if self._prev_backlog is not None:
             if self._prev_backlog <= backlog_bytes:
                 # Backlog not shrinking: compaction is behind, slow down.
-                self.delayed_write_rate *= self.options.delayed_write_rate_dec
+                self.delayed_write_rate *= DELAYED_WRITE_RATE_DEC
             else:
-                self.delayed_write_rate *= self.options.delayed_write_rate_inc
+                self.delayed_write_rate *= DELAYED_WRITE_RATE_INC
             self.delayed_write_rate = min(
                 self._max_rate, max(self._min_rate, self.delayed_write_rate)
             )
@@ -153,7 +160,7 @@ class WriteController:
             self._next_refill_time = 0
             return 0
         now = self.engine.now
-        refill = self.options.refill_interval_ns
+        refill = REFILL_INTERVAL_NS
         rate = self.delayed_write_rate  # bytes / second
 
         nrt = self._next_refill_time

@@ -28,7 +28,6 @@ from repro.serving.admission import (
     AdmissionController,
     BrownoutAdmission,
     ErrorBudget,
-    ErrorBudgetSpec,
     TenantBudget,
     TokenBucket,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ClientPolicy",
     "ClientSession",
     "ErrorBudget",
-    "ErrorBudgetSpec",
     "HashRing",
     "ReadOutcome",
     "ResilientServingConfig",

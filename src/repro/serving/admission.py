@@ -145,34 +145,26 @@ class AdmissionController:
         return delay
 
 
-@dataclass(frozen=True)
-class ErrorBudgetSpec:
-    """Per-tenant rolling error budget: at most ``max_errors`` typed
-    serving errors inside any ``window_ns`` window before the tenant is
-    backed off wholesale (every op shed until the window drains)."""
-
-    window_ns: int = ms(50)
-    max_errors: int = 24
-
-    def __post_init__(self) -> None:
-        if self.window_ns <= 0 or self.max_errors < 1:
-            raise WorkloadError("error budget window/count must be positive")
+#: Per-tenant rolling error budget: at most ``ERROR_BUDGET_MAX_ERRORS``
+#: typed serving errors inside any ``ERROR_BUDGET_WINDOW_NS`` window before
+#: the tenant is backed off wholesale (every op shed until the window drains).
+ERROR_BUDGET_WINDOW_NS = ms(50)
+ERROR_BUDGET_MAX_ERRORS = 24
 
 
 class ErrorBudget:
     """Rolling window of one tenant's typed-error timestamps."""
 
-    def __init__(self, spec: ErrorBudgetSpec) -> None:
-        self.spec = spec
+    def __init__(self) -> None:
         self._errors: List[int] = []
 
     def record(self, now: int) -> None:
         self._errors.append(now)
 
     def exhausted(self, now: int) -> bool:
-        cutoff = now - self.spec.window_ns
+        cutoff = now - ERROR_BUDGET_WINDOW_NS
         self._errors = [t for t in self._errors if t > cutoff]
-        return len(self._errors) >= self.spec.max_errors
+        return len(self._errors) >= ERROR_BUDGET_MAX_ERRORS
 
 
 class BrownoutAdmission(AdmissionController):
@@ -203,12 +195,10 @@ class BrownoutAdmission(AdmissionController):
         controller_source: Callable[[], Sequence[WriteController]],
         groups: Sequence[object],
         budgets: Optional[Dict[str, TenantBudget]] = None,
-        error_budget: Optional[ErrorBudgetSpec] = None,
     ) -> None:
         super().__init__([], budgets)
         self._controller_source = controller_source
         self.groups = list(groups)  # each exposes write_quorum_reachable()
-        self.error_budget_spec = error_budget or ErrorBudgetSpec()
         self._error_budgets: Dict[str, ErrorBudget] = {}
 
     def pressure(self) -> float:
@@ -219,9 +209,7 @@ class BrownoutAdmission(AdmissionController):
         """Charge one typed serving error against ``tenant``'s budget."""
         budget = self._error_budgets.get(tenant)
         if budget is None:
-            budget = self._error_budgets[tenant] = ErrorBudget(
-                self.error_budget_spec
-            )
+            budget = self._error_budgets[tenant] = ErrorBudget()
         budget.record(now)
         self.stats.inc(f"errors.{tenant}")
 

@@ -53,6 +53,10 @@ def _null(_ev) -> None:
     return None
 
 
+#: The circuit breaker's sliding failure window.
+BREAKER_WINDOW_NS = ms(20)
+
+
 @dataclass(frozen=True)
 class ClientPolicy:
     """Knobs of the per-op resilience policy (virtual-time ns)."""
@@ -66,9 +70,9 @@ class ClientPolicy:
     #: when ``hedge_reads`` is False.
     hedge_delay_ns: int = ms(2)
     hedge_reads: bool = True
-    # Circuit breaker: >= failure_threshold failures inside window_ns
-    # opens the breaker for cooloff_ns; then one half-open probe decides.
-    breaker_window_ns: int = ms(20)
+    # Circuit breaker: >= failure_threshold failures inside
+    # BREAKER_WINDOW_NS opens the breaker for cooloff_ns; then one
+    # half-open probe decides.
     breaker_failure_threshold: int = 8
     breaker_cooloff_ns: int = ms(10)
 
@@ -81,8 +85,8 @@ class ClientPolicy:
             raise WorkloadError("backoff jitter must be in [0, 1)")
         if self.hedge_delay_ns <= 0:
             raise WorkloadError("hedge delay must be positive")
-        if self.breaker_failure_threshold < 1 or self.breaker_window_ns <= 0:
-            raise WorkloadError("breaker threshold/window must be positive")
+        if self.breaker_failure_threshold < 1:
+            raise WorkloadError("breaker threshold must be positive")
         if self.breaker_cooloff_ns <= 0:
             raise WorkloadError("breaker cooloff must be positive")
 
@@ -90,8 +94,8 @@ class ClientPolicy:
 class ShardBreaker:
     """Sliding-window circuit breaker over virtual time.
 
-    Closed: ops flow, failures accumulate in a ``window_ns`` sliding
-    window.  Reaching ``failure_threshold`` opens the breaker: ops
+    Closed: ops flow, failures accumulate in a ``BREAKER_WINDOW_NS``
+    sliding window.  Reaching ``failure_threshold`` opens the breaker: ops
     fast-fail for ``cooloff_ns``.  After the cooloff one probe op is let
     through (half-open); its success closes the breaker, its failure
     re-opens it for another cooloff.  Entirely deterministic — state
@@ -131,7 +135,7 @@ class ShardBreaker:
             self._open_until = now + self.policy.breaker_cooloff_ns
             self._probe_inflight = False
             return
-        cutoff = now - self.policy.breaker_window_ns
+        cutoff = now - BREAKER_WINDOW_NS
         self._failures = [t for t in self._failures if t > cutoff]
         self._failures.append(now)
         if len(self._failures) >= self.policy.breaker_failure_threshold:

@@ -6,7 +6,7 @@ distribution, SLO target and provisioned admission rate.  The fleet scales
 by *users*, not by simulated processes: each tenant's closed-loop clients
 aggregate ``users / clients`` users apiece, with open-loop think times
 drawn so the tenant's aggregate arrival rate is ``users x
-ops_per_user_per_sec`` — a million-user tenant is as cheap to simulate as
+OPS_PER_USER_PER_SEC`` — a million-user tenant is as cheap to simulate as
 its op rate, not its population.
 
 Realism knobs the paper-scale workloads lack, all deterministic in
@@ -37,6 +37,7 @@ from repro.sim.stats import LatencyHistogram
 from repro.sim.units import SEC, ms, seconds
 from repro.workloads.generators import ValueSpec, encode_key
 from repro.workloads.ycsb import (
+    MAX_SCAN_LEN,
     OP_INSERT,
     OP_READ,
     OP_RMW,
@@ -56,6 +57,10 @@ def tenant_key(tenant_index: int, key_index: int) -> bytes:
     return (CF_PREFIX % tenant_index) + encode_key(key_index)
 
 
+OPS_PER_USER_PER_SEC = 0.05  # a tenant's arrival rate is users x this
+DIURNAL_PERIOD_NS = seconds(4.0)  # one virtual "day" of the diurnal curve
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant's workload contract."""
@@ -69,12 +74,10 @@ class TenantSpec:
         default_factory=lambda: YcsbSpec("A", read=0.5, update=0.5)
     )
     zipf_theta: float = 0.99
-    #: Aggregate arrival rate = users * ops_per_user_per_sec (ops/second).
-    ops_per_user_per_sec: float = 0.05
     #: SLO: overall p99 latency target, ns.
     slo_p99_ns: int = ms(50)
-    # Diurnal curve: rate multiplier 1 + amplitude * sin(2pi (t/period+phase)).
-    diurnal_period_ns: int = seconds(4.0)
+    # Diurnal curve: rate multiplier
+    # 1 + amplitude * sin(2pi (t / DIURNAL_PERIOD_NS + phase)).
     diurnal_amplitude: float = 0.0
     diurnal_phase: float = 0.0
     # Hot-key migration: every period, the rank->key mapping rotates by
@@ -87,8 +90,6 @@ class TenantSpec:
             raise WorkloadError(
                 f"tenant {self.name}: users/keys/clients must be positive"
             )
-        if self.ops_per_user_per_sec <= 0:
-            raise WorkloadError(f"tenant {self.name}: per-user rate must be > 0")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise WorkloadError(
                 f"tenant {self.name}: diurnal amplitude must be in [0, 1)"
@@ -99,14 +100,14 @@ class TenantSpec:
     @property
     def aggregate_rate(self) -> float:
         """Tenant-wide arrival rate at diurnal midpoint (ops/second)."""
-        return self.users * self.ops_per_user_per_sec
+        return self.users * OPS_PER_USER_PER_SEC
 
     def rate_multiplier(self, now: int) -> float:
         """Diurnal load multiplier at virtual time ``now``."""
         if self.diurnal_amplitude == 0.0:
             return 1.0
         angle = 2.0 * math.pi * (
-            now / self.diurnal_period_ns + self.diurnal_phase
+            now / DIURNAL_PERIOD_NS + self.diurnal_phase
         )
         return 1.0 + self.diurnal_amplitude * math.sin(angle)
 
@@ -273,7 +274,7 @@ class TenantWorkload:
                 )
             elif op == OP_SCAN:
                 start_idx = self.pick_index(rng, began)
-                length = rng.randint(1, spec.mix.max_scan_len)
+                length = rng.randint(1, MAX_SCAN_LEN)
                 yield from stack.scan(
                     tenant_key(self.index, start_idx),
                     tenant_key(
@@ -335,7 +336,7 @@ class TenantWorkload:
                 if op == OP_READ:
                     yield from stack.get(session, key)
                 elif op == OP_SCAN:
-                    length = rng.randint(1, spec.mix.max_scan_len)
+                    length = rng.randint(1, MAX_SCAN_LEN)
                     start_idx = self.pick_index(rng, began)
                     yield from stack.scan(
                         session,

@@ -61,7 +61,7 @@ from repro.harness.machine import Machine
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
 from repro.net import NetConfig, Network
 from repro.obs import tenant_slo_digest
-from repro.serving.admission import BrownoutAdmission, ErrorBudgetSpec
+from repro.serving.admission import BrownoutAdmission
 from repro.serving.client import ClientPolicy, ClientSession, ShardClient
 from repro.serving.fleet import TenantSpec, TenantWorkload
 from repro.serving.router import HashRing
@@ -102,7 +102,6 @@ class ResilientServingConfig:
     device: str = "xpoint"
     seed: int = 1
     policy: ClientPolicy = ClientPolicy()
-    error_budget: ErrorBudgetSpec = ErrorBudgetSpec()
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -274,11 +273,7 @@ class ResilientServingStack:
             )
             for g, group in enumerate(self.groups)
         ]
-        self.admission = BrownoutAdmission(
-            self._live_controllers,
-            self.groups,
-            error_budget=config.error_budget,
-        )
+        self.admission = BrownoutAdmission(self._live_controllers, self.groups)
         self.sessions: List[ClientSession] = []
         #: (start, end) virtual-ns windows during which faults were live;
         #: set by the harness so tenant tails split honestly.

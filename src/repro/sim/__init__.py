@@ -31,9 +31,6 @@ from repro.sim.units import (
     mb,
     ms,
     seconds,
-    to_ms,
-    to_seconds,
-    to_us,
     us,
 )
 
@@ -66,8 +63,5 @@ __all__ = [
     "mb",
     "ms",
     "seconds",
-    "to_ms",
-    "to_seconds",
-    "to_us",
     "us",
 ]

@@ -51,9 +51,6 @@ class RandomStream:
     def lognormal(self, mean: float, sigma: float) -> float:
         return self._rng.lognormvariate(mean, sigma)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
-
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)
 

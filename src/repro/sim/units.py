@@ -32,21 +32,6 @@ def seconds(value: float) -> int:
     return round(value * SEC)
 
 
-def to_us(ns: int) -> float:
-    """Convert integer nanoseconds to fractional microseconds."""
-    return ns / US
-
-
-def to_ms(ns: int) -> float:
-    """Convert integer nanoseconds to fractional milliseconds."""
-    return ns / MS
-
-
-def to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds to fractional seconds."""
-    return ns / SEC
-
-
 # --- sizes (bytes) ----------------------------------------------------------
 
 KB = 1024

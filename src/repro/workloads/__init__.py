@@ -6,7 +6,6 @@ from repro.workloads.generators import (
     BurstSchedule,
     KeySpace,
     ValueSpec,
-    decode_key,
     encode_key,
 )
 from repro.workloads.prefill import PrefillSpec, prefill
@@ -36,7 +35,6 @@ __all__ = [
     "KeySpace",
     "PrefillSpec",
     "ValueSpec",
-    "decode_key",
     "encode_key",
     "prefill",
 ]

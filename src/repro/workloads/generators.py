@@ -25,10 +25,6 @@ def encode_key(index: int) -> bytes:
     return b"%016d" % index
 
 
-def decode_key(key: bytes) -> int:
-    return int(key)
-
-
 @dataclass(frozen=True)
 class KeySpace:
     """A contiguous logical key space of ``count`` keys."""
@@ -101,6 +97,3 @@ class BurstSchedule:
         if phase < self.burst_ns:
             return self.burst_write_fraction
         return self.base_write_fraction
-
-    def in_burst(self, now: int) -> bool:
-        return (now % self.period_ns) < self.burst_ns

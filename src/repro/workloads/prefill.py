@@ -28,7 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
-from repro.lsm.format import KIND_PUT, entry_bytes
+from repro.lsm.format import KIND_PUT, entry_bytes, sst_path
+from repro.lsm.options import NUM_LEVELS
 from repro.lsm.sst import EntryColumns, SSTable, file_sizes, gather
 from repro.lsm.version import FileMetadata, VersionEdit
 from repro.sim.stats import _np  # optional accelerator: None forces pure Python
@@ -36,7 +37,6 @@ from repro.workloads.generators import (
     KEY_WIDTH,
     VERSION_BITS,
     KeySpace,
-    ValueSpec,
     encode_key,
 )
 
@@ -67,9 +67,6 @@ class PrefillSpec:
     def keyspace(self) -> KeySpace:
         return KeySpace(self.key_count)
 
-    def value_spec(self) -> ValueSpec:
-        return ValueSpec(self.value_size)
-
 
 _FILL_FACTOR = 0.9  # fill shallow levels to 90% of target: steady state,
 # not already past the compaction trigger
@@ -80,8 +77,8 @@ def _level_budgets(db: DB, total_bytes: int) -> Dict[int, int]:
     opts = db.options
     budgets: Dict[int, int] = {}
     remaining = total_bytes
-    for level in range(1, opts.num_levels):
-        if level == opts.num_levels - 1:
+    for level in range(1, NUM_LEVELS):
+        if level == NUM_LEVELS - 1:
             budgets[level] = remaining
             remaining = 0
             break
@@ -171,7 +168,7 @@ def _install(
                 db.versions.new_file_number(), keys, run[start:end],
                 opts.block_size, opts.bloom_bits_per_key, largest_seq=seq + end,
             )
-            f = db.fs.install_synced(f"sst/{sst.number:06d}.sst", sst.file_bytes)
+            f = db.fs.install_synced(sst_path(sst.number), sst.file_bytes)
             f.payload = sst
             edit.add_file(level, FileMetadata(sst.number, sst, f, level))
             files_per_level[level] = files_per_level.get(level, 0) + 1

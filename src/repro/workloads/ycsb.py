@@ -99,6 +99,9 @@ class LatestGenerator:
         return max(0, self.n - 1 - self._zipf.next(rng))
 
 
+MAX_SCAN_LEN = 100  # a scan's length is drawn from [1, MAX_SCAN_LEN]
+
+
 @dataclass(frozen=True)
 class YcsbSpec:
     """Operation mix of one YCSB core workload."""
@@ -110,7 +113,6 @@ class YcsbSpec:
     scan: float = 0.0
     rmw: float = 0.0
     distribution: str = "zipfian"  # zipfian | uniform | latest
-    max_scan_len: int = 100
 
     def __post_init__(self) -> None:
         total = self.read + self.update + self.insert + self.scan + self.rmw
@@ -278,7 +280,7 @@ class YcsbRunner:
                 yield from db.put(encode_key(index), values.value_for(index))
             elif op == OP_SCAN:
                 start = pick_key(rng, chooser)
-                length = rng.randint(1, spec.max_scan_len)
+                length = rng.randint(1, MAX_SCAN_LEN)
                 yield from db.scan(
                     encode_key(start),
                     encode_key(min(start + length, 10**15 - 1)),

@@ -7,9 +7,7 @@ from repro.core.bottlenecks import (
     near_stop_fraction,
     near_stop_periods,
     read_amplification,
-    stall_summary,
     throughput_variation,
-    write_amplification,
 )
 from tests.conftest import make_db, run_op
 
@@ -65,28 +63,10 @@ class TestVariation:
 class TestDbDerivedMetrics:
     def test_read_amplification_zero_without_gets(self, engine):
         db = make_db(engine)
-        assert read_amplification(db) == 0.0
+        assert read_amplification(db.stats.tickers()) == 0.0
 
     def test_read_amplification_counts_device_reads(self, engine):
         db = make_db(engine)
         db.stats.inc("gets", 10)
         db.stats.inc("get.block_device_reads", 15)
-        assert read_amplification(db) == pytest.approx(1.5)
-
-    def test_stall_summary_keys(self, engine):
-        db = make_db(engine)
-        summary = stall_summary(db)
-        assert set(summary) == {
-            "delayed_writes",
-            "delay_seconds",
-            "stop_waits",
-            "slowdown_transitions",
-            "stop_transitions",
-        }
-
-    def test_write_amplification(self, engine):
-        db = make_db(engine)
-        assert write_amplification(db) == 0.0
-        db.stats.inc("flush.bytes", 100)
-        db.stats.inc("compaction.bytes_written", 300)
-        assert write_amplification(db) == pytest.approx(4.0)
+        assert read_amplification(db.stats.tickers()) == pytest.approx(1.5)

@@ -39,8 +39,6 @@ def test_validation():
         ThrottleScenario("x", 0.0, us(15))
     with pytest.raises(ReproError):
         ThrottleScenario("x", 100.0, 0)
-    with pytest.raises(ReproError):
-        ThrottleScenario("x", 100.0, us(15), refill_interval_ns=0)
 
 
 @given(

@@ -7,9 +7,15 @@ from repro.core.two_stage_throttle import (
     STAGE_NONE,
     STAGE_SLIGHT,
     TwoStageWriteController,
-    make_two_stage_controller,
 )
-from repro.lsm.write_controller import DELAYED, NORMAL, STOPPED, StallMetrics
+from repro.lsm.write_controller import (
+    DELAYED,
+    MIN_DELAYED_WRITE_RATE,
+    NORMAL,
+    STOPPED,
+    StallMetrics,
+    WriteController,
+)
 from repro.sim.units import MB
 from tests.conftest import tiny_options
 
@@ -91,9 +97,11 @@ def test_stage1_gives_higher_floor_than_original_min(engine):
     wc.update(metrics(l0=22))
     for i in range(100):
         wc.on_delayed_write(backlog_bytes=i + 1)
-    assert wc.delayed_write_rate / wc.options.min_delayed_write_rate >= 16
+    assert wc.delayed_write_rate / MIN_DELAYED_WRITE_RATE >= 16
 
 
 def test_factory(engine):
-    wc = make_two_stage_controller(engine, tiny_options())
-    assert isinstance(wc, TwoStageWriteController)
+    """The class is its own factory: ``DB(controller=...)`` takes an
+    instance built from the same ``(engine, options)`` pair."""
+    wc = TwoStageWriteController(engine, tiny_options())
+    assert isinstance(wc, WriteController)

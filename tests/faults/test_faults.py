@@ -151,7 +151,7 @@ class TestDeviceFaults:
         assert not injector.crash_pending
         device.read(0, 512)
         assert injector.crash_pending
-        assert "crash" in injector.crash_reason
+        assert "crash" in injector.crash_requested.value
 
     def test_crash_at_time_fires_via_poll(self):
         engine = Engine()

@@ -22,6 +22,7 @@ from repro.faults import (
 from repro.faults.mutate import (
     CLUSTER_MUTATION_KINDS,
     DST_MUTATION_KINDS,
+    MAX_SPECS,
     STORM_MUTATION_KINDS,
     MutationContext,
     clamp_schedule,
@@ -53,7 +54,7 @@ CONTEXTS = {
 
 
 def _check_bounds(schedule: FaultSchedule, ctx: MutationContext) -> None:
-    assert len(schedule) <= ctx.max_specs + 1  # duplicate/add respect the cap
+    assert len(schedule) <= MAX_SPECS + 1  # duplicate/add respect the cap
     for spec in schedule.specs:
         if spec.at_time is not None:
             assert ctx.trigger_lo <= spec.at_time <= ctx.trigger_hi

@@ -107,7 +107,7 @@ class ReferenceCompactionJob(CompactionJob):
 
         def finish_output_steps():
             nonlocal builder, out_file, appended
-            if builder is None or builder.empty():
+            if builder is None or builder.entry_count == 0:
                 if out_file is not None:
                     db.fs.delete(out_file.path)  # the orphan-file fix: not in the original
                 builder, out_file = None, None

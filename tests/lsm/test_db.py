@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import DBClosedError, DBError
 from repro.lsm.db import DB
 from repro.lsm.options import WAL_OFF
-from repro.lsm.value import ValueRef
+from repro.lsm.value import ValueRef, materialize
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.engine import Engine
 from repro.sim.units import kb
@@ -47,7 +47,7 @@ class TestBasicOps:
         ref = ValueRef(9, 128)
         run_op(engine, db.put(key(2), ref))
         assert run_op(engine, db.get(key(2))) == ref
-        assert run_op(engine, db.get_bytes(key(2))) == ref.materialize()
+        assert materialize(run_op(engine, db.get(key(2)))) == ref.materialize()
 
     def test_write_batch_atomic_visibility(self, engine):
         db = make_db(engine)
@@ -59,13 +59,6 @@ class TestBasicOps:
     def test_empty_batch_is_noop(self, engine):
         db = make_db(engine)
         assert run_op(engine, db.write(WriteBatch())) == 0
-
-    def test_multi_get(self, engine):
-        db = make_db(engine)
-        run_op(engine, db.put(key(1), b"a"))
-        run_op(engine, db.put(key(3), b"c"))
-        values = run_op(engine, db.multi_get([key(1), key(2), key(3)]))
-        assert values == [b"a", None, b"c"]
 
     def test_run_sync_helper(self, engine):
         db = make_db(engine)

@@ -47,7 +47,7 @@ class TestMemTableReps:
         assert [k for k, _ in mt.sorted_items()] == [b"a", b"b", b"c"]
 
     def test_charged_bytes_grow(self, rep):
-        mt = MemTable(rep=rep, entry_overhead=64)
+        mt = MemTable(rep=rep)
         mt.add(b"0123456789", put(1, ValueRef(0, 1000)))
         assert mt.charged_bytes == 10 + 1000 + 64
 
@@ -146,10 +146,8 @@ class TestMemTableList:
         first = ml.switch()
         ml.mutable.add(b"b", put(2))
         second = ml.switch()
-        assert ml.pop_oldest_immutable() is first
-        assert ml.pop_oldest_immutable() is second
-        with pytest.raises(DBError):
-            ml.pop_oldest_immutable()
+        # Oldest first: the head is what the next flush takes.
+        assert ml.immutables == [first, second]
 
     def test_tables_newest_first(self):
         ml, _ = self.make()

@@ -16,8 +16,7 @@ def test_empty():
     assert len(sl) == 0
     assert sl.get(b"a") is None
     assert b"a" not in sl
-    assert sl.first_key() is None
-    assert sl.last_key() is None
+    assert list(sl) == []
 
 
 def test_insert_and_get():
@@ -41,8 +40,6 @@ def test_iteration_sorted():
     for k in (b"m", b"a", b"z", b"c"):
         sl.insert(k, k)
     assert [k for k, _ in sl] == [b"a", b"c", b"m", b"z"]
-    assert sl.first_key() == b"a"
-    assert sl.last_key() == b"z"
 
 
 def test_seek():

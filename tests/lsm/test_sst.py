@@ -61,10 +61,9 @@ class TestBuilder:
 
     def test_entry_count(self):
         b = SSTBuilder(1, 1024, 0)
-        assert b.empty()
+        assert b.entry_count == 0
         b.add(b"k", (1, KIND_PUT, b"v"))
         assert b.entry_count == 1
-        assert not b.empty()
 
     def test_non_positive_block_size_rejected(self):
         with pytest.raises(DBError):

@@ -46,7 +46,8 @@ class TestLowOnSpace:
 
     def test_threshold_counts_reservations(self, null_fs):
         null_fs.set_quota(4 * EXTENT_BYTES)
-        mgr = make_manager(null_fs, low_space_stall_bytes=kb(64))
+        # The threshold is two write buffers: 64 KB.
+        mgr = make_manager(null_fs, write_buffer_size=kb(32))
         assert not mgr.low_on_space()
         # Reserve all but the threshold: now we are low.
         mgr.try_reserve_compaction(4 * EXTENT_BYTES - kb(64))
@@ -70,12 +71,12 @@ class TestDeferredDeletion:
         mgr.delete_file("sst/000001.sst")
         # The file survives (crash now must recover the old version).
         assert null_fs.exists("sst/000001.sst")
-        assert mgr.pending_deletion_bytes == kb(4)
+        assert sum(mgr.pending_deletions.values()) == kb(4)
 
         mgr._versions.manifest_dirty = False
         assert mgr.flush_pending_deletions() == 1
         assert not null_fs.exists("sst/000001.sst")
-        assert mgr.pending_deletion_bytes == 0
+        assert not mgr.pending_deletions
 
     def test_missing_file_deletion_is_harmless(self, null_fs):
         mgr = make_manager(null_fs)
@@ -84,11 +85,3 @@ class TestDeferredDeletion:
         mgr.delete_file("sst/none2.sst")
         mgr._versions.manifest_dirty = False
         assert mgr.flush_pending_deletions() == 0
-
-    def test_describe_shape(self, null_fs):
-        null_fs.set_quota(EXTENT_BYTES)
-        mgr = make_manager(null_fs)
-        d = mgr.describe()
-        assert d["quota_bytes"] == EXTENT_BYTES
-        assert d["reserved_bytes"] == 0
-        assert d["pending_deletions"] == 0

@@ -71,7 +71,6 @@ class TestVersionQueries:
         assert v.level_bytes(2) == sst.file_bytes
         assert v.num_files(2) == 1
         assert v.num_files() == 1
-        assert "L2:1" in v.describe()
 
     def test_invariant_overlap_rejected(self, engine):
         vs, fs = make_vs(engine)

@@ -6,7 +6,9 @@ from repro.errors import DBError
 from repro.lsm.options import Options
 from repro.lsm.write_controller import (
     DELAYED,
+    MIN_DELAYED_WRITE_RATE,
     NORMAL,
+    REFILL_INTERVAL_NS,
     STOPPED,
     StallMetrics,
     WriteController,
@@ -151,7 +153,7 @@ class TestRefillClockReset:
         wc.update(metrics(l0=36))  # DELAYED -> STOPPED
         assert wc.get_delay(1024) == 0  # non-delayed probe resets the clock
         wc.update(metrics(l0=20))  # STOPPED -> DELAYED again
-        assert wc.get_delay(1024) <= wc.options.refill_interval_ns
+        assert wc.get_delay(1024) <= REFILL_INTERVAL_NS
 
 
 class TestRateAdaptation:
@@ -177,7 +179,7 @@ class TestRateAdaptation:
         wc.update(metrics(l0=20))
         for i in range(100):
             wc.on_delayed_write(backlog_bytes=i + 1)  # always growing
-        assert wc.delayed_write_rate >= wc.options.min_delayed_write_rate
+        assert wc.delayed_write_rate >= MIN_DELAYED_WRITE_RATE
 
     def test_rate_bounded_above(self, engine):
         wc = make_controller(engine)

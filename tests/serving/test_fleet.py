@@ -27,14 +27,12 @@ class TestTenantSpec:
         with pytest.raises(WorkloadError):
             make_spec(key_count=0)
         with pytest.raises(WorkloadError):
-            make_spec(ops_per_user_per_sec=0.0)
-        with pytest.raises(WorkloadError):
             make_spec(diurnal_amplitude=1.0)
         with pytest.raises(WorkloadError):
             make_spec(hot_migration_stride=-1)
 
     def test_aggregate_rate(self):
-        spec = make_spec(users=2000, ops_per_user_per_sec=0.1)
+        spec = make_spec(users=4000)  # 0.05 ops/s per user
         assert spec.aggregate_rate == pytest.approx(200.0)
 
     def test_rate_multiplier_flat_without_amplitude(self):
@@ -43,9 +41,7 @@ class TestTenantSpec:
         assert spec.rate_multiplier(10**9) == 1.0
 
     def test_rate_multiplier_oscillates(self):
-        spec = make_spec(
-            diurnal_amplitude=0.5, diurnal_period_ns=seconds(4.0)
-        )
+        spec = make_spec(diurnal_amplitude=0.5)  # a 4 s day
         peak = spec.rate_multiplier(seconds(1.0))  # sin at quarter period
         trough = spec.rate_multiplier(seconds(3.0))
         assert peak == pytest.approx(1.5)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ShedError, WorkloadError
 from repro.faults import CRASH, PARTITION, WRITE_ERROR, FaultSchedule, FaultSpec
+from repro.serving.admission import ERROR_BUDGET_MAX_ERRORS, ERROR_BUDGET_WINDOW_NS
 from repro.serving.fleet import default_tenants
 from repro.serving.resilient import (
     ResilientServingConfig,
@@ -96,16 +97,15 @@ class TestBrownout:
 
     def test_error_budget_backs_off_a_failing_tenant(self):
         stack = make_stack()
-        spec = stack.admission.error_budget_spec
         now = stack.engine.now
-        for _ in range(spec.max_errors):
+        for _ in range(ERROR_BUDGET_MAX_ERRORS):
             stack.admission.record_error("victim", now)
         with pytest.raises(ShedError) as exc_info:
             stack.admission.check("victim", 0, False, now)
         assert exc_info.value.reason == "error-budget"
         stack.admission.check("healthy", 0, False, now)  # others unaffected
         # The budget is a *rolling* window: it drains with time.
-        later = now + spec.window_ns + 1
+        later = now + ERROR_BUDGET_WINDOW_NS + 1
         stack.admission.check("victim", 0, False, later)
         stack.shutdown()
 

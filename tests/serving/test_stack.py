@@ -48,7 +48,7 @@ class TestServingStack:
         """Every shard DB hangs off the one cache, budget and device."""
         stack = ServingStack(tiny_config(shards=3))
         assert len(stack.dbs) == 3
-        assert stack.write_buffer_manager.num_dbs == 3
+        assert len(stack.write_buffer_manager._dbs) == 3
         for shard, db in enumerate(stack.dbs):
             assert db.block_cache is stack.block_cache
             assert db.write_buffer_manager is stack.write_buffer_manager

@@ -14,9 +14,6 @@ from repro.sim.units import (
     mb,
     ms,
     seconds,
-    to_ms,
-    to_seconds,
-    to_us,
     us,
 )
 
@@ -31,9 +28,9 @@ def test_conversions_roundtrip():
     assert us(15) == 15_000
     assert ms(1.5) == 1_500_000
     assert seconds(2) == 2 * SEC
-    assert to_us(us(8.5)) == 8.5
-    assert to_ms(ms(3)) == 3.0
-    assert to_seconds(seconds(0.25)) == 0.25
+    assert us(8.5) / US == 8.5
+    assert ms(3) / MS == 3.0
+    assert seconds(0.25) / SEC == 0.25
 
 
 def test_fractional_us_rounds():

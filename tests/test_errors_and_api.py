@@ -22,7 +22,6 @@ from repro.errors import (
     SimulationError,
     StorageError,
     WorkloadError,
-    WriteStallError,
 )
 
 
@@ -43,7 +42,7 @@ def test_fs_error_subtypes():
 
 
 def test_db_error_subtypes():
-    for exc in (DBClosedError, CorruptionError, WriteStallError, OptionsError):
+    for exc in (DBClosedError, CorruptionError, OptionsError):
         assert issubclass(exc, DBError)
 
 
@@ -70,19 +69,6 @@ def test_readme_quickstart_snippet():
     db = machine.open_db(Options(write_buffer_size=mb(1), memtable_rep="hash"))
     db.run_sync(db.put(b"key", b"value"))
     assert db.run_sync(db.get(b"key")) == b"value"
-
-
-def test_db_describe_report():
-    from repro.sim.engine import Engine
-    from tests.conftest import make_db
-
-    engine = Engine()
-    db = make_db(engine)
-    db.run_sync(db.put(b"k", b"v"))
-    text = db.describe()
-    assert "DB status" in text
-    assert "stall state: normal" in text
-    assert "puts: 1" in text
 
 
 class TestCli:

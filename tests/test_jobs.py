@@ -110,9 +110,9 @@ def test_harness_run_points_parallel_matches_serial():
         )
         for device in ("sata-flash", "xpoint")
     ]
-    ex.clear_memo()  # both sweeps must run, not recall each other
+    ex._memo.clear()  # both sweeps must run, not recall each other
     serial = ex.run_points(points, jobs=1)
-    ex.clear_memo()
+    ex._memo.clear()
     parallel = ex.run_points(points, jobs=2)
     assert len(serial) == len(parallel) == 2
     for s, p in zip(serial, parallel):

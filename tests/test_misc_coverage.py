@@ -12,7 +12,6 @@ def test_rng_distribution_helpers_deterministic():
     assert a.uniform(0, 10) == b.uniform(0, 10)
     assert a.expovariate(2.0) == b.expovariate(2.0)
     assert a.lognormal(0.0, 0.5) == b.lognormal(0.0, 0.5)
-    assert a.gauss(5.0, 1.0) == b.gauss(5.0, 1.0)
 
 
 def test_rng_distribution_helpers_sane_ranges():

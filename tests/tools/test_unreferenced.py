@@ -1,22 +1,34 @@
-"""Dead-code check for the whole package: every module-level function, class
-and method defined anywhere under ``src/repro`` — each subpackage and the
-top-level modules (``errors.py``, ``jobs.py``) — is referenced somewhere
-outside its own definition, in ``src/``, ``tests/``, ``benchmarks/`` or
-``examples/``.
+"""Nothing under ``src/repro`` lives without a non-test user, and tier-1 keeps
+it so.  Five checks share one parse of the tree (:func:`tree`):
+
+1. Every module-level function, class and method — in each subpackage and
+   the top-level modules (``errors.py``, ``jobs.py``) — is referenced
+   somewhere outside its own definition, in ``src/``, ``tests/``,
+   ``benchmarks/`` or ``examples/``.
+2. A definition referenced only from ``tests/`` is named in the "Kept for
+   tests" table of ``docs/API.md``, which says why it stays.
+3. Every ``Class.member`` that ``docs/API.md`` names in a code span exists:
+   a method, property, field, class attribute or ``self.`` attribute of
+   that class or of a base.
+4. Every field of a ``@dataclass`` is *read* in ``src/``, ``benchmarks/`` or
+   ``examples/``, or named in ``docs/`` as public API.  A read is a load of
+   a name or attribute, or a string constant equal to the field's name
+   (``getattr``, an ``asdict`` key); a test reading a field does not count.
+5. Every defaulted dataclass field is *set* by non-test code — a keyword
+   argument, a positional constructor argument, an attribute store or a
+   string key — or named in the "Kept for tests" table.  A default that
+   nothing overrides is a constant, not a knob.  Out of scope:
+   ``CostModel`` and ``DeviceProfile`` fields (what-if components: every
+   cost and device parameter is a knob by design), ``FaultSpec`` fields (an
+   input format loaded from JSON) and ``field(default_factory=...)``
+   accumulators.
 
 A reference is an identifier as code uses it — a name, an attribute, an
-imported name — or a string constant equal to it (``getattr`` by name).
-Dunder methods are called by the interpreter and are not checked.
+imported name — or a string constant equal to it (``getattr`` by name).  A
+re-export in a package ``__init__.py`` and an ``__all__`` entry are not
+uses.  Dunder methods are called by the interpreter and are not checked.
 
-Every field of a ``@dataclass`` under ``src/repro`` is *read* somewhere in
-``src/``, ``benchmarks/`` or ``examples/``, or named in ``docs/`` as public
-API.  A read is a load of a name or attribute, or a string constant equal
-to the field's name (``getattr``, an ``asdict`` key).  A keyword argument
-at a call site, an assignment and an augmented assignment are writes.  A
-test reading a field does not count: a field only tests read is state the
-program carries for nobody, unless ``docs/`` documents it.
-
-Run it directly to list the orphans::
+Run it directly to list the findings::
 
     PYTHONPATH=src python tests/tools/test_unreferenced.py
 """
@@ -24,52 +36,27 @@ Run it directly to list the orphans::
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
-CHECKED = ROOT / "src" / "repro"
 SEARCHED = ("src", "tests", "benchmarks", "examples")
 FIELD_READERS = ("src", "benchmarks", "examples")
-DOCS = ROOT / "docs"
+KEPT_HEADING = "## Kept for tests"
+FIELD_RULE_EXEMPT = {"CostModel", "DeviceProfile", "FaultSpec"}
 
 Definition = Tuple[str, Path, int, int]  # (qualified name, file, first line, last line)
+Uses = Dict[str, List[Tuple[Path, int]]]  # identifier -> (file, line) of each use
 
 
-def definitions(path: Path, tree: ast.Module) -> List[Definition]:
-    """Module-level functions and classes, and the methods of those classes."""
-    out = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append((node.name, path, node.lineno, node.end_lineno))
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = item.name
-                    if not (name.startswith("__") and name.endswith("__")):
-                        out.append((f"{node.name}.{name}", path, item.lineno, item.end_lineno))
-    return out
+def _code_spans(text: str) -> List[str]:
+    return re.findall(r"`([^`]+)`", text)
 
 
-def references(tree: ast.Module) -> Dict[str, List[int]]:
-    """Line numbers at which each identifier is used."""
-    out: Dict[str, List[int]] = defaultdict(list)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id].append(node.lineno)
-        elif isinstance(node, ast.Attribute):
-            out[node.attr].append(node.lineno)
-        elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]].append(node.lineno)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                out[node.value].append(node.lineno)
-    return out
-
-
-def is_dataclass(node: ast.ClassDef) -> bool:
+def _is_dataclass(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
         name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
@@ -78,95 +65,358 @@ def is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def dataclass_fields(path: Path, tree: ast.Module) -> List[Definition]:
-    """The annotated fields of every ``@dataclass`` class, as ``Class.field``."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and is_dataclass(node):
-            for item in node.body:
+def _name_of(node: ast.expr) -> str:
+    """The name a class is called or subclassed by: ``C`` or ``mod.C``."""
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _reexports(path: Path, module: ast.Module) -> Set[int]:
+    """``id()`` of the nodes that only re-export a name: the imported names
+    of a package ``__init__.py`` and everything inside ``__all__``."""
+    skip: Set[int] = set()
+    for node in ast.walk(module):
+        if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+            skip.update(id(alias) for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                skip.update(id(sub) for sub in ast.walk(node.value))
+    return skip
+
+
+class Tree:
+    """One parse of a checkout and the use indexes the five checks read."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.checked = root / "src" / "repro"
+        self.tests = root / "tests"
+        self.references: Uses = defaultdict(list)
+        self.reads: Uses = defaultdict(list)
+        self.sets: Uses = defaultdict(list)
+        self.definitions: List[Definition] = []
+        self.classes: Dict[str, List[ast.ClassDef]] = defaultdict(list)  # by name
+        self.class_files: List[Tuple[Path, ast.ClassDef]] = []
+        modules = {}
+        for top in SEARCHED:
+            if (root / top).is_dir():
+                for path in sorted((root / top).rglob("*.py")):
+                    modules[path] = ast.parse(path.read_text(), filename=str(path))
+        for path, module in modules.items():
+            if self.checked in path.parents:
+                self._define(path, module)
+        for path, module in modules.items():
+            self._index(path, module)
+        api = root / "docs" / "API.md"
+        self.api = api.read_text() if api.exists() else ""
+        self.documented = {
+            name
+            for doc in (root / "docs").rglob("*.md")
+            for span in _code_spans(doc.read_text())
+            for name in re.findall(r"[A-Za-z_]\w*", span)
+        }
+        kept = self.api.split(KEPT_HEADING, 1)[1].split("\n## ", 1)[0] if KEPT_HEADING in self.api else ""
+        self.kept = {
+            name for span in _code_spans(kept) for name in re.findall(r"[A-Za-z_]\w*(?:\.\w+)?", span)
+        }
+
+    def is_test(self, path: Path) -> bool:
+        return self.tests in path.parents
+
+    def where(self, path: Path) -> str:
+        return str(path.relative_to(self.root))
+
+    def _define(self, path: Path, module: ast.Module) -> None:
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                self.definitions.append((node.name, path, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = item.name
+                        if not (name.startswith("__") and name.endswith("__")):
+                            self.definitions.append(
+                                (f"{node.name}.{name}", path, item.lineno, item.end_lineno)
+                            )
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef):
+                self.classes[node.name].append(node)
+                self.class_files.append((path, node))
+
+    def _index(self, path: Path, module: ast.Module) -> None:
+        skip = _reexports(path, module)
+        readers = any(self.root / top in path.parents for top in FIELD_READERS)
+        for node in ast.walk(module):
+            if id(node) in skip:
+                continue
+            name, ctx = None, None
+            if isinstance(node, ast.Name):
+                name, ctx = node.id, node.ctx
+            elif isinstance(node, ast.Attribute):
+                name, ctx = node.attr, node.ctx
+                if isinstance(ctx, ast.Store):
+                    self.sets[name].append((path, node.lineno))
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    name, ctx = node.value, ast.Load()
+                    self.sets[name].append((path, node.lineno))
+            elif isinstance(node, ast.keyword) and node.arg:
+                self.sets[node.arg].append((path, node.value.lineno))
+            elif isinstance(node, ast.Call):
+                for field_name in self._positional_fields(node):
+                    self.sets[field_name].append((path, node.lineno))
+            if name is None:
+                continue
+            self.references[name].append((path, node.lineno))
+            if readers and isinstance(ctx, ast.Load):
+                self.reads[name].append((path, node.lineno))
+
+    def _positional_fields(self, call: ast.Call) -> Iterator[str]:
+        """The dataclass fields that a constructor call's positional
+        arguments set (a class is known by the name it is called by)."""
+        for cls in self.classes.get(_name_of(call.func), ()):
+            if _is_dataclass(cls):
+                fields = [f for f, _ in dataclass_fields(self, cls)]
+                for arg, field_name in zip(call.args, fields):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    yield field_name
+
+    def outside(self, uses: Uses, name: str, path: Path, first: int, last: int):
+        """The uses of ``name`` outside lines ``first..last`` of ``path``."""
+        return [(p, line) for p, line in uses.get(name, ()) if not (p == path and first <= line <= last)]
+
+
+def dataclass_fields(tree: Tree, cls: ast.ClassDef) -> List[Tuple[str, ast.AnnAssign]]:
+    """A dataclass's fields in ``__init__`` order, inherited ones first."""
+    out: List[Tuple[str, ast.AnnAssign]] = []
+    for base in cls.bases:
+        for parent in tree.classes.get(_name_of(base), ()):
+            if parent is not cls and _is_dataclass(parent):
+                out.extend(dataclass_fields(tree, parent))
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            if "ClassVar" not in ast.unparse(item.annotation):
+                out.append((item.target.id, item))
+    return out
+
+
+def _has_plain_default(item: ast.AnnAssign) -> bool:
+    value = item.value
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", getattr(value.func, "attr", "")) == "field":
+        return not any(k.arg == "default_factory" for k in value.keywords)
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def tree(root: Path = ROOT) -> Tree:
+    return Tree(root)
+
+
+def _own_fields(t: Tree) -> Iterator[Tuple[str, Path, ast.AnnAssign]]:
+    """``(Class.field, file, node)`` for every field declared under ``src/repro``."""
+    for path, cls in t.class_files:
+        if _is_dataclass(cls):
+            for item in cls.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    out.append((f"{node.name}.{item.target.id}", path, item.lineno, item.end_lineno))
+                    yield f"{cls.name}.{item.target.id}", path, item
+
+
+def unreferenced(root: Path = ROOT) -> List[str]:
+    """Check 1: ``file:line name`` of every definition nothing refers to."""
+    t = tree(root)
+    return [
+        f"{t.where(path)}:{first} {qualname}"
+        for qualname, path, first, last in t.definitions
+        if not t.outside(t.references, qualname.rsplit(".", 1)[-1], path, first, last)
+    ]
+
+
+def undocumented_test_only(root: Path = ROOT) -> List[str]:
+    """Check 2: definitions only tests use that the kept table does not name."""
+    t = tree(root)
+    out = []
+    for qualname, path, first, last in t.definitions:
+        uses = t.outside(t.references, qualname.rsplit(".", 1)[-1], path, first, last)
+        if uses and all(t.is_test(p) for p, _ in uses) and qualname not in t.kept:
+            out.append(f"{t.where(path)}:{first} {qualname}")
     return out
 
 
-def reads(tree: ast.Module) -> Dict[str, List[int]]:
-    """Line numbers at which each identifier's value is read."""
-    out: Dict[str, List[int]] = defaultdict(list)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id].append(node.lineno)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out[node.attr].append(node.lineno)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                out[node.value].append(node.lineno)
-    return out
-
-
-def documented() -> Set[str]:
-    """Every identifier inside a backtick code span in ``docs/``."""
+def _members(t: Tree, cls_name: str, seen: frozenset = frozenset()) -> Set[str]:
+    """What ``Class.member`` can name: the methods, class attributes and
+    fields of every class so named, the ``self.`` attributes its methods
+    store, and the same of its bases."""
     names: Set[str] = set()
-    for path in DOCS.rglob("*.md"):
-        for span in re.findall(r"`([^`]+)`", path.read_text()):
-            names.update(re.findall(r"[A-Za-z_]\w*", span))
+    if cls_name in seen:
+        return names
+    for cls in t.classes.get(cls_name, ()):
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names.update(target.id for target in targets if isinstance(target, ast.Name))
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if getattr(node.value, "id", None) == "self":
+                    names.add(node.attr)
+        for base in cls.bases:
+            names |= _members(t, _name_of(base), seen | {cls_name})
     return names
 
 
-def unread_fields() -> List[str]:
-    """``file:line Class.field`` of every dataclass field nothing reads."""
-    found: Dict[Path, Dict[str, List[int]]] = {}
-    defs: List[Definition] = []
-    for top in FIELD_READERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            found[path] = reads(tree)
-            if CHECKED in path.parents:
-                defs.extend(dataclass_fields(path, tree))
-    docs = documented()
-    orphans = []
-    for qualname, path, first, last in defs:
-        name = qualname.rsplit(".", 1)[-1]
-        used = name in docs or any(
-            not (where == path and first <= line <= last)
-            for where, names in found.items()
-            for line in names.get(name, ())
-        )
-        if not used:
-            orphans.append(f"{path.relative_to(ROOT)}:{first} {qualname}")
-    return orphans
+def stale_documented_members(root: Path = ROOT) -> List[str]:
+    """Check 3: ``Class.member`` names in ``docs/API.md`` that do not exist."""
+    t = tree(root)
+    out = []
+    for span in _code_spans(t.api):
+        for cls_name, member in re.findall(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)", span):
+            if cls_name not in t.classes and cls_name.isupper():
+                continue  # not a class name: ``EXPERIMENTS.md``
+            if member not in _members(t, cls_name):
+                out.append(f"docs/API.md {cls_name}.{member}")
+    return sorted(set(out))
 
 
-def unreferenced() -> List[str]:
-    """``file:line name`` of every checked definition nobody refers to."""
-    refs: Dict[Path, Dict[str, List[int]]] = {}
-    defs: List[Definition] = []
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            refs[path] = references(tree)
-            if CHECKED in path.parents:
-                defs.extend(definitions(path, tree))
-    orphans = []
-    for qualname, path, first, last in defs:
+def unread_fields(root: Path = ROOT) -> List[str]:
+    """Check 4: ``file:line Class.field`` of every dataclass field nothing reads."""
+    t = tree(root)
+    out = []
+    for qualname, path, item in _own_fields(t):
         name = qualname.rsplit(".", 1)[-1]
-        used = any(
-            not (where == path and first <= line <= last)
-            for where, names in refs.items()
-            for line in names.get(name, ())
-        )
-        if not used:
-            orphans.append(f"{path.relative_to(ROOT)}:{first} {qualname}")
-    return orphans
+        if name not in t.documented and not t.outside(t.reads, name, path, item.lineno, item.end_lineno):
+            out.append(f"{t.where(path)}:{item.lineno} {qualname}")
+    return out
+
+
+def unset_fields(root: Path = ROOT) -> List[str]:
+    """Check 5: defaulted fields no non-test code sets and the kept table
+    does not name."""
+    t = tree(root)
+    out = []
+    for qualname, path, item in _own_fields(t):
+        cls_name, name = qualname.split(".")
+        if cls_name in FIELD_RULE_EXEMPT or not _has_plain_default(item) or qualname in t.kept:
+            continue
+        sets = t.outside(t.sets, name, path, item.lineno, item.end_lineno)
+        if not any(not t.is_test(p) for p, _ in sets):
+            out.append(f"{t.where(path)}:{item.lineno} {qualname}")
+    return out
+
+
+CHECKS = (unreferenced, undocumented_test_only, stale_documented_members, unread_fields, unset_fields)
 
 
 def test_every_definition_is_referenced():
     assert unreferenced() == []
 
 
+def test_test_only_definitions_are_documented():
+    assert undocumented_test_only() == []
+
+
+def test_documented_members_exist():
+    assert stale_documented_members() == []
+
+
 def test_every_dataclass_field_is_read():
     assert unread_fields() == []
 
 
+def test_every_defaulted_field_is_set():
+    assert unset_fields() == []
+
+
+PLANTED = {
+    "src/repro/__init__.py": "",
+    "src/repro/pkg/__init__.py": (
+        "from repro.pkg.mod import Helper, Reexported\n"
+        '__all__ = ["Helper", "Reexported"]\n'
+    ),
+    "src/repro/pkg/mod.py": (
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "\n"
+        "class Helper:\n"
+        "    def real(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def only_tested(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "class Reexported:\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    size: int\n"
+        "    used: int = 1\n"
+        "    never_set: int = 3\n"
+        "    never_read: int = 0\n"
+        "    log: list = field(default_factory=list)\n"
+        "\n"
+        "\n"
+        "def main():\n"
+        "    config = Config(4, used=2, never_read=1)\n"
+        "    config.log.append(config.size)\n"
+        "    return Helper().real() + config.used + config.never_set\n"
+        "\n"
+        "\n"
+        "main()\n"
+    ),
+    "tests/test_mod.py": (
+        "from repro.pkg.mod import Config, Helper\n"
+        "\n"
+        "\n"
+        "def test_helper():\n"
+        "    assert Helper().only_tested() == 2\n"
+        "    assert Config(1, never_set=5).never_set == 5\n"
+        "    assert Config(1).never_read == 0  # a test's read is not a use\n"
+    ),
+    "docs/API.md": (
+        "| Name | What it is |\n"
+        "|---|---|\n"
+        "| `Helper.real`, `Config.size` | fine |\n"
+        "| `Helper.gone` | stale |\n"
+        "\n"
+        + KEPT_HEADING + "\n\n"
+        "| Name | Kept because |\n"
+        "|---|---|\n"
+    ),
+}
+
+
+def _plant(root: Path, kept_rows: str = "") -> Path:
+    for rel, text in PLANTED.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text + (kept_rows if rel == "docs/API.md" else ""))
+    return root
+
+
+def test_each_check_reports_its_plant(tmp_path):
+    """A synthetic checkout with one planted case per check: each check
+    reports its plant and nothing else, so none passes vacuously."""
+    root = _plant(tmp_path / "planted")
+    found = [[line.rsplit(" ", 1)[-1] for line in check(root)] for check in CHECKS]
+    assert found == [
+        ["Reexported"],  # used only through the package re-export and __all__
+        ["Helper.only_tested"],  # only a test calls it
+        ["Helper.gone"],  # named in docs/API.md, defined nowhere
+        ["Config.never_read"],  # set by main, read by nothing
+        ["Config.never_set"],  # only a test overrides its default
+    ]
+    # Naming them in the kept table is what clears checks 2 and 5.
+    kept = _plant(tmp_path / "kept", "| `Helper.only_tested`, `Config.never_set` | a test needs it |\n")
+    assert undocumented_test_only(kept) == [] and unset_fields(kept) == []
+
+
 if __name__ == "__main__":
-    print("\n".join(unreferenced()) or "no unreferenced definitions")
-    print("\n".join(unread_fields()) or "no unread dataclass fields")
+    for check in CHECKS:
+        print(f"{check.__name__}: " + ("\n  ".join([""] + check()) or "none"))

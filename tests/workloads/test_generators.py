@@ -11,7 +11,6 @@ from repro.workloads.generators import (
     BurstSchedule,
     KeySpace,
     ValueSpec,
-    decode_key,
     encode_key,
 )
 
@@ -24,7 +23,7 @@ class TestKeys:
 
     def test_roundtrip(self):
         for i in (0, 1, 99999, 10**15 - 1):
-            assert decode_key(encode_key(i)) == i
+            assert int(encode_key(i)) == i
 
     def test_negative_rejected(self):
         with pytest.raises(WorkloadError):
@@ -47,7 +46,7 @@ class TestKeySpace:
         ks = KeySpace(50)
         rng = RandomStream(1)
         for _ in range(100):
-            assert 0 <= decode_key(ks.random_key(rng)) < 50
+            assert 0 <= int(ks.random_key(rng)) < 50
 
     def test_span(self):
         lo, hi = KeySpace(10).span()
@@ -81,9 +80,9 @@ class TestBurstSchedule:
     def test_burst_phase(self):
         sched = self.paper_schedule()
         assert sched.write_fraction_at(seconds(10)) == 0.9
-        assert sched.in_burst(seconds(24))
+        assert sched.write_fraction_at(seconds(24)) == 0.9
         assert sched.write_fraction_at(seconds(30)) == 0.5
-        assert not sched.in_burst(seconds(59))
+        assert sched.write_fraction_at(seconds(59)) == 0.5
 
     def test_periodicity(self):
         sched = self.paper_schedule()

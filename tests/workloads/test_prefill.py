@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.lsm.options import NUM_LEVELS
 from repro.lsm.value import ValueRef
 from repro.sim.units import kb
-from repro.workloads.generators import encode_key
+from repro.workloads.generators import ValueSpec, encode_key
 from repro.workloads.prefill import PrefillSpec, prefill
 from tests.conftest import make_db, run_op, tiny_options
 
@@ -29,12 +30,11 @@ def test_spec_sizes():
     assert spec.entry_bytes == 16 + 1024 + 8
     assert spec.total_bytes == 100 * spec.entry_bytes
     assert spec.keyspace().count == 100
-    assert spec.value_spec().size == 1024
 
 
 def test_all_keys_readable(engine):
     db, spec, _ = build(engine, keys=1500)
-    values = spec.value_spec()
+    values = ValueSpec(spec.value_size)
 
     def checker():
         for i in range(0, 1500, 97):
@@ -53,7 +53,7 @@ def test_no_l0_files_initially(engine):
 def test_levels_under_compaction_triggers(engine):
     """Prefill must not start at/above level targets (no instant churn)."""
     db, _, _ = build(engine, keys=4000)
-    for level in range(1, db.options.num_levels - 1):
+    for level in range(1, NUM_LEVELS - 1):
         if db.versions.current.num_files(level):
             assert (
                 db.versions.current.level_bytes(level)
@@ -72,7 +72,7 @@ def test_deepest_level_holds_most_data(engine):
     db, _, _ = build(engine, keys=12000)
     populated = [
         level
-        for level in range(1, db.options.num_levels)
+        for level in range(1, NUM_LEVELS)
         if db.versions.current.num_files(level)
     ]
     deepest = populated[-1]
