@@ -47,17 +47,22 @@ class NodeFileView:
     # -- I/O entry points (dead-checked) -----------------------------------
 
     def append(self, nbytes: int, record: Any = None):
-        self._check_dead("append")
+        if self._fs_view.dead:
+            self._check_dead("append")
         return self._file.append(nbytes, record)
 
     def read(self, offset: int, nbytes: int, sequential: bool = False):
-        self._check_dead("read")
+        if self._fs_view.dead:
+            self._check_dead("read")
         return self._file.read(offset, nbytes, sequential=sequential)
 
     def sync(self):
-        self._check_dead("fsync")
+        view = self._fs_view
+        if view.dead:
+            self._check_dead("fsync")
         result = yield from self._file.sync()
-        self._check_dead("fsync")
+        if view.dead:
+            self._check_dead("fsync")
         return result
 
     # -- delegation --------------------------------------------------------

@@ -97,26 +97,21 @@ class ClusterConfig:
 class Group:
     """One replicated WAL group: the unit of shipping and of log identity."""
 
-    __slots__ = ("term", "start_seq", "last_seq", "records", "nbytes", "crc")
+    __slots__ = ("term", "last_seq", "records", "nbytes", "tag")
 
     def __init__(self, term: int, records, nbytes: int, crc: int) -> None:
         self.term = term
-        self.start_seq = records[0][1][0]
-        self.last_seq = records[-1][1][0]
+        self.last_seq = last_seq = records[-1][1][0]
         self.records = records
         self.nbytes = nbytes
-        self.crc = crc
-
-    @property
-    def tag(self) -> Tag:
-        return (self.last_seq, self.crc)
+        self.tag: Tag = (last_seq, crc)
 
     @property
     def identity(self) -> Identity:
-        return (self.term, self.last_seq, self.crc)
+        return (self.term, self.last_seq, self.tag[1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Group t{self.term} [{self.start_seq}..{self.last_seq}]>"
+        return f"<Group t{self.term} [{self.records[0][1][0]}..{self.last_seq}]>"
 
 
 class ClusterNode:
@@ -152,10 +147,6 @@ class ClusterNode:
     @property
     def alive(self) -> bool:
         return self.state != CRASHED
-
-    @property
-    def active(self) -> bool:
-        return self.state == ACTIVE
 
     @property
     def durable_seq(self) -> int:
@@ -218,8 +209,12 @@ class Cluster:
             ClusterNode(self, i, fs, options_factory, rng.fork(f"node/{i}"))
             for i, fs in enumerate(node_fss)
         ]
+        #: Majority size: the node set is fixed for a cluster's life.
+        self.quorum = len(self.nodes) // 2 + 1
         self.term = 0
+        #: The leader's id and node, set together (None while leaderless).
         self.leader_id: Optional[int] = None
+        self.leader_node: Optional[ClusterNode] = None
         self.commit_seq = 0
         self.running = True
         self.events: List[str] = []
@@ -237,17 +232,9 @@ class Cluster:
     # -- bookkeeping ---------------------------------------------------------
 
     @property
-    def quorum(self) -> int:
-        return len(self.nodes) // 2 + 1
-
-    @property
     def failovers(self) -> int:
         """Leader changes after the initial election."""
         return max(0, len(self.term_history) - 1)
-
-    @property
-    def leader_node(self) -> Optional[ClusterNode]:
-        return self.nodes[self.leader_id] if self.leader_id is not None else None
 
     def _log(self, line: str) -> None:
         self.events.append(f"t={self.engine.now} {line}")
@@ -306,6 +293,7 @@ class Cluster:
     def _become_leader(self, node: ClusterNode) -> None:
         self.term += 1
         self.leader_id = node.node_id
+        self.leader_node = node
         self.term_history.append((self.term, node.node_id))
         node.durable_len = len(node.log)
         self._match_len = {}
@@ -361,6 +349,7 @@ class Cluster:
         self._log(f"node {node_id} crashed{' (leader)' if was_leader else ''}")
         if was_leader:
             self.leader_id = None
+            self.leader_node = None
             self.elect()
 
     def restart_node(self, node_id: int) -> None:
@@ -527,15 +516,16 @@ class Cluster:
         ack_ev: Optional[Event] = None
         while (
             self.running
-            and leader.active
+            and leader.state == ACTIVE
             and leader.incarnation == inc
             and self.term == term
         ):
-            if next_idx >= len(leader.log):
+            log = leader.log
+            if next_idx >= len(log):
                 yield leader.log_grew
                 continue
-            group = leader.log[next_idx]
-            prev_tag = leader.log[next_idx - 1].tag if next_idx else None
+            group = log[next_idx]
+            prev_tag = log[next_idx - 1].tag if next_idx else None
             mid += 1
             ack_ev = Event(self.engine)
             self._ack_wait[follower_id] = (mid, ack_ev)
@@ -554,13 +544,14 @@ class Cluster:
                 continue
             ok, match_len = value
             rto = cfg.rto_ns
-            match_len = min(match_len, len(leader.log))
+            log_len = len(leader.log)
+            if match_len > log_len:
+                match_len = log_len
             if ok:
-                prev = self._match_len.get(follower_id, 0)
-                if match_len > prev:
+                if match_len > self._match_len.get(follower_id, 0):
                     self._match_len[follower_id] = match_len
                     self._advance_commit()
-                next_idx = max(next_idx + 1, match_len)
+                next_idx = match_len if match_len > next_idx else next_idx + 1
             else:
                 next_idx = match_len
         # Remove only our own wait entry: a successor term's shipper may
@@ -579,9 +570,9 @@ class Cluster:
 
     def _pump(self, node: ClusterNode, inc: int):
         """Generator: consume this node's inbox and run the protocol."""
-        while self.running and node.active and node.incarnation == inc:
+        while self.running and node.state == ACTIVE and node.incarnation == inc:
             msg = yield self.network.inboxes[node.node_id].get()
-            if not (self.running and node.active and node.incarnation == inc):
+            if not (self.running and node.state == ACTIVE and node.incarnation == inc):
                 break
             kind = msg[0]
             if kind == "append":
@@ -594,17 +585,18 @@ class Cluster:
         if term < self.term:
             return  # stale leader's message
         log = node.log
-        if index < len(log):
+        n = len(log)
+        if index < n:
             if log[index].tag != group.tag:
                 self._violate(
                     f"node {node.node_id} log[{index}] {log[index]!r} "
                     f"conflicts with shipped {group!r} (active divergence)"
                 )
-            ok, match = True, len(log)  # duplicate: already have it
-        elif index > len(log):
-            ok, match = False, len(log)  # gap: leader must rewind
-        elif index and (not log or log[-1].tag != prev_tag):
-            ok, match = False, max(0, len(log) - 1)  # chain break
+            ok, match = True, n  # duplicate: already have it
+        elif index > n:
+            ok, match = False, n  # gap: leader must rewind
+        elif index and log[-1].tag != prev_tag:
+            ok, match = False, n - 1  # chain break (here n == index > 0)
         else:
             if group.identity in self.truncated_identities:
                 self._violate(
@@ -615,11 +607,12 @@ class Cluster:
             except (IOFaultError, OutOfSpaceError, DBError) as exc:
                 self._log(f"node {node.node_id} apply failed: {exc}")
                 return  # no ack; leader retries
-            if not (node.active and node.db is not None):
+            if not (node.state == ACTIVE and node.db is not None):
                 return  # crashed during apply
             log.append(group)
-            node.durable_len = len(log)
-            ok, match = True, len(log)
+            n = len(log)
+            node.durable_len = n
+            ok, match = True, n
             if self.engine._trace:
                 self.engine.tracer.replication_apply(node.node_id, group.last_seq)
         self.network.send(
@@ -646,9 +639,10 @@ class Cluster:
         leader = self.leader_node
         if leader is None:
             return
-        seqs = [leader.durable_seq]
-        for match_len in self._match_len.values():
-            seqs.append(leader.log[match_len - 1].last_seq if match_len else 0)
+        log = leader.log
+        seqs = [log[m - 1].last_seq if m else 0 for m in self._match_len.values()]
+        d = leader.durable_len
+        seqs.append(log[d - 1].last_seq if d else 0)  # leader.durable_seq
         seqs.sort(reverse=True)
         candidate = seqs[self.quorum - 1] if len(seqs) >= self.quorum else 0
         if candidate > self.commit_seq:
@@ -679,7 +673,7 @@ class Cluster:
     def get(self, key: bytes):
         """Generator: read from the leader (None when no leader)."""
         node = self.leader_node
-        if node is None or not node.active:
+        if node is None or node.state != ACTIVE:
             return None
         value = yield from node.db.get(key)
         return value
@@ -703,18 +697,18 @@ class Cluster:
         it is a conservative lower bound on the state the value reflects.
         """
         node = self.nodes[node_id]
-        if not node.active or node.db is None:
+        if node.state != ACTIVE or node.db is None:
             return None
         seq = node.durable_seq
         value = yield from node.db.get(key)
-        if not node.active:
+        if node.state != ACTIVE:
             return None  # crashed mid-read: the view is dead
         return (value, seq)
 
     def scan(self, start: bytes, end: bytes, limit: Optional[int] = None):
         """Generator: leader-only range scan (None when no leader)."""
         node = self.leader_node
-        if node is None or not node.active or node.db is None:
+        if node is None or node.state != ACTIVE or node.db is None:
             return None
         result = yield from node.db.scan(start, end, limit=limit)
         return result
@@ -728,11 +722,11 @@ class Cluster:
         side-effect free — it reads clock-driven window state only.
         """
         leader = self.leader_node
-        if leader is None or not leader.active:
+        if leader is None or leader.state != ACTIVE:
             return False
         reachable = 1
         for node in self.nodes:
-            if node.node_id == leader.node_id or not node.active:
+            if node.node_id == leader.node_id or node.state != ACTIVE:
                 continue
             if self.network.down[node.node_id]:
                 continue
@@ -743,7 +737,7 @@ class Cluster:
 
     def _client_write(self, kind: str, key: bytes, value):
         node = self.leader_node
-        if node is None or not node.active or node.db is None:
+        if node is None or node.state != ACTIVE or node.db is None:
             return (False, 0)
         term = self.term
         deadline = self.engine.now + self.config.op_timeout_ns
@@ -756,7 +750,7 @@ class Cluster:
             )
         except Exception:
             return (False, 0)  # leader died / went read-only under us
-        if not proc.done or proc.exception is not None:
+        if not proc.triggered or proc.exception is not None:
             return (False, 0)
         if self.term != term or self.leader_id != node.node_id:
             return (False, 0)  # branch changed while writing: indeterminate

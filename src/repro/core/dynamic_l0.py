@@ -24,6 +24,14 @@ from repro.lsm.options import Options
 from repro.sim.engine import Process
 from repro.sim.units import ms
 
+#: The paper's file counts: few large L0 files when reads dominate, many
+#: small ones when writes exceed ``WRITE_INTENSIVE_THRESHOLD``.
+READ_INTENSIVE_FILES = 6
+WRITE_INTENSIVE_FILES = 24
+WRITE_INTENSIVE_THRESHOLD = 0.25
+#: How often the manager samples the DB's read/write counters.
+SAMPLE_INTERVAL_NS = ms(250)
+
 
 def dynamic_l0_options(base: Options) -> Options:
     """The paper's case-study initialization: slowdown at 24 L0 files."""
@@ -37,32 +45,11 @@ def dynamic_l0_options(base: Options) -> Options:
 class DynamicL0Manager:
     """Online R/W-ratio-driven Level-0 file-size adaptation."""
 
-    def __init__(
-        self,
-        db: DB,
-        l0_volume_bytes: int,
-        read_intensive_files: int = 6,
-        write_intensive_files: int = 24,
-        write_intensive_threshold: float = 0.25,
-        sample_interval_ns: int = ms(250),
-    ) -> None:
+    def __init__(self, db: DB, l0_volume_bytes: int) -> None:
         if l0_volume_bytes <= 0:
             raise DBError(f"L0 volume must be positive: {l0_volume_bytes}")
-        if not 1 <= read_intensive_files <= write_intensive_files:
-            raise DBError(
-                "need 1 <= read_intensive_files <= write_intensive_files, got "
-                f"{read_intensive_files} / {write_intensive_files}"
-            )
-        if not 0.0 < write_intensive_threshold < 1.0:
-            raise DBError(
-                f"threshold out of (0,1): {write_intensive_threshold}"
-            )
         self.db = db
         self.l0_volume_bytes = l0_volume_bytes
-        self.read_intensive_files = read_intensive_files
-        self.write_intensive_files = write_intensive_files
-        self.write_intensive_threshold = write_intensive_threshold
-        self.sample_interval_ns = sample_interval_ns
         self._last_gets = 0
         self._last_puts = 0
         self._proc: Optional[Process] = None
@@ -91,15 +78,15 @@ class DynamicL0Manager:
         return d_puts / total
 
     def _target_files(self, write_fraction: float) -> int:
-        if write_fraction > self.write_intensive_threshold:
-            return self.write_intensive_files
-        return self.read_intensive_files
+        if write_fraction > WRITE_INTENSIVE_THRESHOLD:
+            return WRITE_INTENSIVE_FILES
+        return READ_INTENSIVE_FILES
 
     def _apply_mode(self) -> None:
         files = (
-            self.write_intensive_files
+            WRITE_INTENSIVE_FILES
             if self.mode == "write-intensive"
-            else self.read_intensive_files
+            else READ_INTENSIVE_FILES
         )
         self.db.options.write_buffer_size = max(1, self.l0_volume_bytes // files)
 
@@ -109,7 +96,7 @@ class DynamicL0Manager:
             return
         new_mode = (
             "write-intensive"
-            if self._target_files(write_fraction) == self.write_intensive_files
+            if self._target_files(write_fraction) == WRITE_INTENSIVE_FILES
             else "read-intensive"
         )
         if new_mode != self.mode:
@@ -120,5 +107,5 @@ class DynamicL0Manager:
 
     def _run(self):
         while True:
-            yield self.sample_interval_ns
+            yield SAMPLE_INTERVAL_NS
             self.step(self.observed_write_fraction())

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.cluster.replication import ACTIVE
 from repro.errors import CorruptionError, DBError
 from repro.faults import (
     CRASH,
@@ -363,7 +364,7 @@ def converged(clusters: Sequence) -> bool:
             return False
         llen = len(leader.log)
         for node in cluster.nodes:
-            if not node.active or len(node.log) != llen:
+            if node.state != ACTIVE or len(node.log) != llen:
                 return False
     return True
 

@@ -186,25 +186,28 @@ class SimFile:
         writeback (clearing it, so a retry can succeed once the fault
         passes — callers own the retry policy).
         """
-        self._check_alive()
-        epoch = self.fs.epoch
+        if self.deleted or self.closed:
+            self._check_alive()
+        fs = self.fs
+        epoch = fs.epoch
         self._start_flush()
         pending = [ev for ev in self._pending_flushes if not ev.triggered]
         self._pending_flushes = pending
         if pending:
-            yield self.fs.engine.all_of(pending)
-        if self.fs.epoch != epoch:
+            # One pending write (the common fsync) is waited on directly.
+            yield pending[0] if len(pending) == 1 else fs.engine.all_of(pending)
+        if fs.epoch != epoch:
             # The filesystem power-failed while this fsync was in flight
             # (node-local crash with the engine still running): the dirty
             # bytes are gone and must not be marked durable.
-            self.fs.stats.inc("fsync_errors")
+            fs._tickers["fsync_errors"] += 1
             raise IOFaultError(
                 f"power failure during fsync of {self.path}",
                 op="fsync",
                 transient=False,
             )
         if self.pending_io_error is not None:
-            self.fs.stats.inc("fsync_errors")
+            fs._tickers["fsync_errors"] += 1
             # Raised straight from the attribute: a local naming it would
             # make the traceback, this frame and the error a cycle.
             try:
@@ -213,7 +216,7 @@ class SimFile:
                 self.pending_io_error = None
         if self.size > self.synced_size:
             self.synced_size = self.size
-        self.fs.stats.inc("fsyncs")
+        fs._tickers["fsyncs"] += 1
         return None
 
     # -- reads ----------------------------------------------------------------

@@ -130,12 +130,12 @@ class DB:
         recovering = fs.exists("MANIFEST")
         if recovering:
             self.versions = VersionSet.recover(
-                fs, self.options, on_file_dead=self._on_file_dead
+                fs, self.options, on_file_dead=self._on_file_dead, costs=self.costs
             )
             self.stats.inc("recovery.files", self.versions.current.num_files())
         else:
             self.versions = VersionSet(
-                fs, self.options, on_file_dead=self._on_file_dead
+                fs, self.options, on_file_dead=self._on_file_dead, costs=self.costs
             )
         self._wal_fs = wal_fs or fs
         pre_crash_logs = [
@@ -326,7 +326,7 @@ class DB:
         controller = self.controller
         if self.error_handler.severity:
             self.error_handler.check_writable()  # hard/fatal -> read-only
-        start = engine._now
+        start = engine.now
 
         # --- Algorithm 1: the write control process -------------------------
         while controller.state == STOPPED:
@@ -366,7 +366,7 @@ class DB:
         trace_len = 0
         if role == ROLE_LEADER:
             # ---- leader duties: group formation, memtable switch, WAL ----
-            group_start = engine._now
+            group_start = engine.now
             group = queue.form_group(writer)
             try:
                 cpu = (
@@ -447,10 +447,10 @@ class DB:
             yield cpu
         queue.member_done(writer)
         if trace_start >= 0:
-            engine.tracer.write_group(trace_start, engine._now, trace_len)
+            engine.tracer.write_group(trace_start, engine.now, trace_len)
 
         tickers["puts"] += len(ops)
-        latency = engine._now - start
+        latency = engine.now - start
         self._write_latency.record(latency)
         return latency
 
@@ -522,8 +522,8 @@ class DB:
             self.error_handler.on_background_error("wal", exc)
             raise
         mt = self.memtables.mutable
-        if self.wal.enabled and wal_number:
-            mt.min_log_number = min(mt.min_log_number, wal_number)
+        if self.wal.enabled and wal_number and wal_number < mt.min_log_number:
+            mt.min_log_number = wal_number
         cpu = 0
         for key, entry in records:
             cpu += self.costs.memtable_insert(mt.entry_count)
@@ -533,7 +533,7 @@ class DB:
         last = records[-1][1][0]
         if last > self.versions.last_sequence:
             self.versions.last_sequence = last
-        self.stats.inc("replicated_applies")
+        self._tickers["replicated_applies"] += 1
 
     # -------------------------------------------------------------------- reads
 
@@ -551,7 +551,7 @@ class DB:
         engine = self.engine
         tickers = self._tickers
         costs = self.costs
-        start = engine._now
+        start = engine.now
         tickers["gets"] += 1
 
         # 1. memtables, newest first (iterated in place: building the
@@ -570,8 +570,6 @@ class DB:
             tickers["get.memtable_hit"] += 1
         else:
             version = self.versions.ref_current()
-            l0_search = costs.sst_search
-            index_search = costs.sst_index_search
             range_check = costs.sst_range_check_ns
             bloom_probe = costs.bloom_probe_ns
             cache_lookup = costs.block_cache_lookup_ns
@@ -595,20 +593,18 @@ class DB:
                             continue
                         sst = meta.sst
                         tickers["get.l0_probes"] += 1
-                        search = l0_search
                     else:
                         level += 1
                         meta = version.file_for_key(level, key)
                         if meta is None:
                             continue
                         sst = meta.sst
-                        search = index_search
                     if sst.bloom is not None:
                         cpu += bloom_probe
                         if not sst.may_contain(key):
                             tickers["bloom.useful"] += 1
                             continue
-                    cpu += search(sst.entry_count)
+                    cpu += meta.search_ns
                     entry_idx, block_idx = sst.locate(key)
                     cpu += cache_lookup
                     cache_key = (cache_ns, sst.number, block_idx)
@@ -650,7 +646,7 @@ class DB:
         result = entry[2] if entry is not None and entry[1] == KIND_PUT else None
         if result is None:
             tickers["get.miss" if entry is None else "get.tombstone"] += 1
-        self._read_latency.record(engine._now - start)
+        self._read_latency.record(engine.now - start)
         return result
 
     def scan(self, start: bytes, end: bytes, limit: Optional[int] = None):

@@ -78,15 +78,22 @@ def retry_gen(
     factory: Callable,
     stats: Optional[StatsSet] = None,
     counter: str = "io.retries",
+    fault: Optional[IOFaultError] = None,
 ):
     """Generator: drive ``factory()`` (a generator factory, e.g. ``f.sync``),
     re-invoking it after transient :class:`IOFaultError` failures.
+
+    As in :func:`retry_call`, a caller that drove the first attempt itself
+    passes the fault it caught as ``fault``.
     """
     attempt = 0
     while True:
         try:
+            if fault is not None:
+                raise fault  # the caller's first attempt failed: handle it below
             return (yield from factory())
         except IOFaultError as exc:
+            fault = None
             delay = retry_backoff(exc, attempt, stats, counter)
             if delay is None:
                 raise

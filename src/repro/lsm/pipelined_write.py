@@ -86,7 +86,7 @@ class WriteQueue:
             return True
         if writer.event is None:
             writer.event = self.engine.event()
-        now = writer.enqueued = self.engine._now
+        now = writer.enqueued = self.engine.now
         waiting = self._waiting
         waiting.append(writer)
         if self._first_wait is None:
@@ -107,7 +107,7 @@ class WriteQueue:
         # Like RocksDB, the size cap is checked before adding, so one group
         # may exceed it by at most one batch.
         if waiting and total_bytes < self.max_group_bytes:
-            now = self.engine._now
+            now = self.engine.now
             waited = self._waited
             while waiting and total_bytes < self.max_group_bytes:
                 writer = waiting.popleft()
@@ -128,7 +128,7 @@ class WriteQueue:
             member.event.succeed(ROLE_MEMBER)
         if self._waiting:
             nxt = self._waiting.popleft()
-            self._waited += self.engine._now - nxt.enqueued
+            self._waited += self.engine.now - nxt.enqueued
             nxt.event.succeed(ROLE_LEADER)
         else:
             self._has_leader = False
@@ -154,7 +154,7 @@ class WriteQueue:
         # Leadership moves on as in wal_phase_done.
         if self._waiting:
             nxt = self._waiting.popleft()
-            self._waited += self.engine._now - nxt.enqueued
+            self._waited += self.engine.now - nxt.enqueued
             nxt.event.succeed(ROLE_LEADER)
         else:
             self._has_leader = False
@@ -171,7 +171,7 @@ class WriteQueue:
         start = self._first_wait
         if start is None:
             return 0.0
-        now = self.engine._now
+        now = self.engine.now
         waited = self._waited
         for writer in self._waiting:
             waited += now - writer.enqueued

@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DBError, IOFaultError, OutOfSpaceError
 from repro.fs.filesystem import SimFile, SimFileSystem, TornRecord
+from repro.lsm.costs import DEFAULT_COSTS, CostModel
 from repro.lsm.io_retry import retry_gen
 from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.sst import SSTable
@@ -35,7 +36,8 @@ class FileMetadata:
     """A live SST file: table content + its simulated file + refcount."""
 
     __slots__ = (
-        "number", "sst", "smallest", "largest", "file", "level", "being_compacted", "refs"
+        "number", "sst", "smallest", "largest", "file", "level", "being_compacted", "refs",
+        "search_ns",
     )
 
     def __init__(self, number: int, sst: SSTable, file: SimFile, level: int) -> None:
@@ -47,6 +49,9 @@ class FileMetadata:
         self.level = level
         self.being_compacted = False
         self.refs = 0
+        # ``search_ns``, the CPU cost of one key search in this table, is
+        # set by VersionSet.apply: it depends on the level and the DB's
+        # cost model, and is fixed once the file is installed.
 
     @property
     def file_bytes(self) -> int:
@@ -163,9 +168,11 @@ class VersionSet:
         fs: SimFileSystem,
         options: Options,
         on_file_dead: Optional[Callable[[FileMetadata], None]] = None,
+        costs: CostModel = DEFAULT_COSTS,
     ) -> None:
         self.fs = fs
         self.options = options
+        self.costs = costs
         self.stats = StatsSet()
         self._on_file_dead = on_file_dead
         self.next_file_number = 1
@@ -182,6 +189,7 @@ class VersionSet:
         fs: SimFileSystem,
         options: Options,
         on_file_dead: Optional[Callable[[FileMetadata], None]] = None,
+        costs: CostModel = DEFAULT_COSTS,
     ) -> "VersionSet":
         """Rebuild a version set by replaying durable manifest records.
 
@@ -194,6 +202,7 @@ class VersionSet:
         vs = cls.__new__(cls)
         vs.fs = fs
         vs.options = options
+        vs.costs = costs
         vs.stats = StatsSet()
         vs._on_file_dead = on_file_dead
         vs.next_file_number = 1
@@ -300,8 +309,13 @@ class VersionSet:
             for meta in files:
                 if (level, meta.number) not in deleted:
                     new.levels[level].append(meta)
+        costs = self.costs
         for level, meta in edit.added:
             meta.level = level
+            # L0 files are searched as skiplist-organized files, deeper ones
+            # through their index: the cost is computed once, here.
+            search = costs.sst_search if level == 0 else costs.sst_index_search
+            meta.search_ns = search(meta.sst.entry_count)
             if meta.number in self._files and self._files[meta.number] is not meta:
                 raise DBError(f"duplicate file number {meta.number}")
             self._files[meta.number] = meta

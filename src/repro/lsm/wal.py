@@ -32,7 +32,7 @@ from repro.lsm.format import WAL_DIR, Entry, records_checksum, wal_record_bytes
 from repro.lsm.io_retry import retry_gen
 from repro.lsm.options import WAL_OFF, WAL_SYNC, Options
 from repro.lsm.value import ValueRef
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine, Event, Process
 from repro.sim.units import KB
 
 WAL_BYTES_PER_SYNC = 512 * KB  # the OS writeback threshold of a log file
@@ -172,8 +172,9 @@ class WalManager:
 
         ``cpu_ns`` is the serialization cost the leader must charge.  The
         event — when not None — must be yielded before the write is
-        acknowledged: in ``sync`` mode it is durability, in ``buffered``
-        mode it only appears under writeback backpressure.
+        acknowledged: in ``sync`` mode it is the fsync process itself
+        (durability), in ``buffered`` mode it only appears under writeback
+        backpressure.
         """
         if not self.enabled:
             return 0, None
@@ -211,28 +212,38 @@ class WalManager:
         if self.on_group is not None:
             self.on_group(records, nbytes)
         if options.wal_mode == WAL_SYNC:
-            return cpu, self._sync_event()
+            return cpu, self._sync_process()
         return cpu, backpressure
 
-    def _sync_event(self) -> Event:
-        ev = self.engine.event()
-        done = self.engine.process(self._sync_proc(ev), name="wal-sync")
-        del done
-        return ev
+    def _sync_process(self) -> Process:
+        """The fsync of the current log: a process the leader waits on.
 
-    def _sync_proc(self, ev: Event):
-        # Transient device faults: retry the fsync with backoff (writeback
-        # re-issues the failed range).  Permanent faults — or exhausted
-        # retries — fail the waiting write group with the typed error
-        # instead of crashing the sync process.
+        Transient device faults retry with backoff (writeback re-issues the
+        failed range).  A permanent fault, or the last retry's, fails the
+        process's own event with the typed error, which the waiting write
+        group raises, and the process then finishes: a faulted fsync is the
+        fsync's outcome, not a crash of the process, whether or not the
+        leader is waiting yet.
+        """
         f = self.current
-        try:
-            yield from retry_gen(f.sync)
-        except IOFaultError as exc:
-            ev.fail(exc)
-            ev = None  # exc's traceback holds this frame: no link back to exc
-            return
-        ev.succeed()
+
+        def fsync():
+            nonlocal proc
+            try:
+                yield from f.sync()
+                return
+            except IOFaultError as exc:
+                retry = retry_gen(f.sync, fault=exc)
+            try:
+                yield from retry
+            except IOFaultError as exc:
+                # exc's traceback holds this frame: no link back to exc.
+                failed, proc = proc, None
+                failed.fail(exc)
+                del failed
+
+        proc = self.engine.process(fsync(), name="wal-sync")
+        return proc
 
     def sync(self):
         """Generator: explicit fsync of the current log."""

@@ -94,9 +94,6 @@ class _Window:
         self.extra_ns = spec.extra_ns
         self.drop_p = spec.drop_p
 
-    def active(self, now: int) -> bool:
-        return self.start <= now < self.end
-
 
 class Network:
     """N node inboxes joined by deterministic point-to-point links."""
@@ -117,9 +114,16 @@ class Network:
         self.inboxes: List[Store] = [Store(engine) for _ in range(n_nodes)]
         self.down: List[bool] = [False] * n_nodes
         self.stats = StatsSet()
+        self._tickers = self.stats.counters()  # the send path counts inline
         self.log: List[str] = []
         self._links: Dict[Tuple[int, int], Link] = {}
         self._windows: List[_Window] = []
+        # The windows not yet closed at the last refresh, in install order,
+        # and the earliest end among them.  Until the clock reaches that end
+        # every listed window is still open, so the data path tests only
+        # its start and never walks a window that has closed.
+        self._open: List[_Window] = []
+        self._open_until = 0
 
     # -- topology state ----------------------------------------------------
 
@@ -162,19 +166,22 @@ class Network:
                 continue
             if spec.kind in (PARTITION, NET_DELAY, NET_DROP):
                 self._windows.append(_Window(spec))
+        self._open_until = 0
 
     def partition(self, nodes) -> None:
         """Manually isolate ``nodes`` from the rest, starting now."""
         spec = FaultSpec(PARTITION, at_time=self.engine.now, nodes=tuple(nodes))
         self._windows.append(_Window(spec))
+        self._open_until = 0
         self._record(f"partition {sorted(spec.nodes)}")
 
     def heal(self) -> None:
         """Close every partition window still open now."""
         now = self.engine.now
         for w in self._windows:
-            if w.kind == PARTITION and w.active(now):
+            if w.kind == PARTITION and w.start <= now < w.end:
                 w.end = now
+        self._open_until = 0
         self._record("heal")
 
     def end_windows(self) -> None:
@@ -184,15 +191,27 @@ class Network:
         for w in self._windows:
             if w.end > now:
                 w.end = now
+        self._open_until = 0
+
+    def _open_windows(self, now: int) -> List[_Window]:
+        """The windows whose end lies beyond ``now`` (the clock), in order."""
+        if now >= self._open_until:
+            self._open = [w for w in self._windows if w.end > now]
+            self._open_until = min((w.end for w in self._open), default=_OPEN)
+        return self._open
 
     def partitioned(self, src: int, dst: int, now: Optional[int] = None) -> bool:
-        """True when a partition window separates src and dst right now."""
+        """True when a partition window separates src and dst right now
+        (or at ``now``, which must not lie before the clock)."""
+        clock = self.engine.now
         if now is None:
-            now = self.engine.now
-        for w in self._windows:
-            if w.kind != PARTITION or not w.active(now):
-                continue
-            if (src in w.group) != (dst in w.group):
+            now = clock
+        for w in self._open_windows(clock):
+            if (
+                w.kind == PARTITION
+                and w.start <= now < w.end
+                and (src in w.group) != (dst in w.group)
+            ):
                 return True
         return False
 
@@ -205,52 +224,57 @@ class Network:
         in the protocol above (the cluster layer's retry/timeout loop).
         """
         now = self.engine.now
-        self.stats.inc("net.sends")
+        tickers = self._tickers
+        tickers["net.sends"] += 1
         if self.down[src] or self.down[dst]:
-            self.stats.inc("net.dropped_down")
-            return
-        if self.partitioned(src, dst, now):
-            self.stats.inc("net.dropped_partition")
-            self._record(f"drop(partition) {src}->{dst}")
+            tickers["net.dropped_down"] += 1
             return
         cfg = self.config
-        lk = self.link(src, dst)
         drop_p = cfg.loss_p
         extra_ns = 0
-        for w in self._windows:
-            if not w.active(now):
+        windows = self._open if now < self._open_until else self._open_windows(now)
+        # One pass: every listed window is open until its start is reached.
+        for w in windows:
+            if w.start > now:
                 continue
-            if w.kind == NET_DROP:
+            kind = w.kind
+            if kind == PARTITION:
+                if (src in w.group) != (dst in w.group):
+                    tickers["net.dropped_partition"] += 1
+                    self._record(f"drop(partition) {src}->{dst}")
+                    return
+            elif kind == NET_DROP:
                 drop_p = min(1.0, drop_p + w.drop_p)
-            elif w.kind == NET_DELAY:
+            elif kind == NET_DELAY:
                 extra_ns += w.extra_ns
+        lk = self._links.get((src, dst)) or self.link(src, dst)
         if drop_p > 0.0 and lk.rng.chance(drop_p):
-            self.stats.inc("net.dropped_loss")
+            tickers["net.dropped_loss"] += 1
             self._record(f"drop(loss) {src}->{dst}")
             return
         serialize = (nbytes * SEC) // cfg.bandwidth_bytes_per_sec
-        depart = max(now, lk.busy_until) + serialize
-        lk.busy_until = depart
+        busy = lk.busy_until
+        lk.busy_until = depart = (busy if busy > now else now) + serialize
         latency = round(lk.rng.jittered(cfg.latency_ns + extra_ns, cfg.jitter))
         self._deliver(dst, msg, (depart - now) + latency)
         if cfg.dup_p > 0.0 and lk.rng.chance(cfg.dup_p):
             # The duplicate draws its own latency: it can arrive before or
             # after the original (reordering).
             dup_latency = round(lk.rng.jittered(cfg.latency_ns + extra_ns, cfg.jitter))
-            self.stats.inc("net.duplicated")
+            tickers["net.duplicated"] += 1
             self._deliver(dst, msg, (depart - now) + dup_latency)
 
     def _deliver(self, dst: int, msg: Any, delay: int) -> None:
-        ev = self.engine.timeout(max(0, delay))
+        ev = self.engine.timeout(delay if delay > 0 else 0, (dst, msg))
+        ev.callbacks.append(self._arrive)
 
-        def _arrive(_ev: Event, dst: int = dst, msg: Any = msg) -> None:
-            if self.down[dst]:
-                self.stats.inc("net.dropped_down")
-                return
-            self.stats.inc("net.delivered")
-            self.inboxes[dst].put(msg)
-
-        ev.callbacks.append(_arrive)
+    def _arrive(self, ev: Event) -> None:
+        dst, msg = ev._value
+        if self.down[dst]:
+            self._tickers["net.dropped_down"] += 1
+            return
+        self._tickers["net.delivered"] += 1
+        self.inboxes[dst].put(msg)
 
     # -- bookkeeping -------------------------------------------------------
 

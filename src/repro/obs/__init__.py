@@ -1,5 +1,9 @@
 """Observability: virtual-time tracing keyed to ``Engine.now``.
 
+``Engine.now`` is a plain attribute whose only writer is ``Engine.run()``
+(an AST check in tier-1 keeps it so), so a tracer reads the clock without
+a call and can never move it: recording does not perturb a run.
+
 The paper is a *measurement* study: its figures come from per-second
 throughput timelines, queue-depth probes and stall-state transitions.  This
 package records those same signals as an event trace over simulated time —

@@ -103,6 +103,7 @@ class AdmissionController:
             for tenant, budget in budgets.items():
                 self.set_budget(tenant, budget)
         self.stats = StatsSet()
+        self._tickers = self.stats.counters()  # every op counts inline
 
     def set_budget(self, tenant: str, budget: TenantBudget) -> None:
         self._buckets[tenant] = TokenBucket(budget.ops_per_sec, budget.burst)
@@ -138,10 +139,11 @@ class AdmissionController:
         if bucket is None:
             return 0
         delay = bucket.reserve(now, n, scale=self.pressure())
-        self.stats.inc(f"admitted.{tenant}", n)
+        tickers = self._tickers
+        tickers[f"admitted.{tenant}"] += n
         if delay > 0:
-            self.stats.inc(f"throttled.{tenant}", n)
-            self.stats.inc(f"throttle_ns.{tenant}", delay)
+            tickers[f"throttled.{tenant}"] += n
+            tickers[f"throttle_ns.{tenant}"] += delay
         return delay
 
 
@@ -211,20 +213,20 @@ class BrownoutAdmission(AdmissionController):
         if budget is None:
             budget = self._error_budgets[tenant] = ErrorBudget()
         budget.record(now)
-        self.stats.inc(f"errors.{tenant}")
+        self._tickers[f"errors.{tenant}"] += 1
 
     def check(self, tenant: str, shard: int, is_write: bool, now: int) -> None:
         """Shed gate, consulted before the bucket; raises ShedError."""
         budget = self._error_budgets.get(tenant)
         if budget is not None and budget.exhausted(now):
-            self.stats.inc(f"shed_budget.{tenant}")
+            self._tickers[f"shed_budget.{tenant}"] += 1
             raise ShedError(
                 f"tenant {tenant} over its error budget",
                 reason="error-budget",
                 shard=shard,
             )
         if is_write and not self.groups[shard].write_quorum_reachable():
-            self.stats.inc(f"shed_brownout.{tenant}")
+            self._tickers[f"shed_brownout.{tenant}"] += 1
             raise ShedError(
                 f"shard {shard} has no write quorum; write shed",
                 reason="brownout-write",

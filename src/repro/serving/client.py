@@ -46,6 +46,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.sim.rng import RandomStream
+from repro.sim.stats import StatsSet
 from repro.sim.units import ms, us
 
 
@@ -116,7 +117,7 @@ class ShardBreaker:
 
     def allow(self, now: int) -> bool:
         """May an op proceed at ``now``?  (Counts a fast-fail when not.)"""
-        if not self.open:
+        if self._open_until < 0:
             return True
         if now < self._open_until or self._probe_inflight:
             self.fast_fails += 1
@@ -125,7 +126,8 @@ class ShardBreaker:
         return True
 
     def on_success(self, now: int) -> None:
-        self._failures.clear()
+        if self._failures:
+            self._failures.clear()
         self._open_until = -1
         self._probe_inflight = False
 
@@ -214,10 +216,8 @@ class ShardClient:
         self.policy = policy or ClientPolicy()
         self.rng = (rng or RandomStream(0, "client")).fork("backoff")
         self.breaker = ShardBreaker(self.policy)
-        self.stats: Dict[str, int] = {}
-
-    def _inc(self, key: str, n: int = 1) -> None:
-        self.stats[key] = self.stats.get(key, 0) + n
+        #: Policy counters: a ticker dict, so a missing name reads as 0.
+        self.stats: Dict[str, int] = StatsSet().counters()
 
     # -- shared machinery --------------------------------------------------
 
@@ -238,16 +238,17 @@ class ShardClient:
         """Generator: until some proc settles (even by raising) or timeout."""
         engine = self.engine
         deadline = engine.now + max(0, timeout_ns)
-        while engine.now < deadline and not any(p.done for p in procs):
+        while engine.now < deadline:
+            for p in procs:
+                if p.triggered:
+                    return
             try:
-                yield engine.any_of(
-                    list(procs) + [engine.timeout(deadline - engine.now)]
-                )
+                yield engine.any_of(procs + [engine.timeout(deadline - engine.now)])
             except Exception:
-                pass  # a failed arm settles it; the loop re-checks .done
+                pass  # a failed arm settles it; the loop re-checks
 
     def _shed(self, op: str) -> ShedError:
-        self._inc("breaker_fastfail")
+        self.stats["breaker_fastfail"] += 1
         return ShedError(
             f"shard {self.shard_id} breaker open ({op})",
             reason="breaker",
@@ -255,7 +256,7 @@ class ShardClient:
         )
 
     def _deadline_error(self, op: str, start: int) -> DeadlineExceededError:
-        self._inc("deadline_exceeded")
+        self.stats["deadline_exceeded"] += 1
         return DeadlineExceededError(
             f"{op} on shard {self.shard_id} missed its deadline",
             op=op,
@@ -275,9 +276,12 @@ class ShardClient:
         return out
 
     def _arm_result(self, session: ClientSession, proc, node_id: int, hedged: bool):
-        if proc.exception is not None or proc.value is None:
+        if proc.exception is not None:
             return _FAILED
-        value, applied = proc.value
+        result = proc.value
+        if result is None:
+            return _FAILED
+        value, applied = result
         session.check_read(self.shard_id, applied, self.engine.now)
         return ReadOutcome(value, node_id, applied, hedged)
 
@@ -297,7 +301,7 @@ class ShardClient:
         )
         first_wait = min(self.policy.hedge_delay_ns, deadline - engine.now)
         yield from self._wait([pproc], first_wait)
-        if pproc.done:
+        if pproc.triggered:
             return self._arm_result(session, pproc, primary, hedged=False)
         hedge_id: Optional[int] = None
         if self.policy.hedge_reads:
@@ -307,26 +311,26 @@ class ShardClient:
                 hedge_id = max(peers, key=lambda n: (self.group.applied_seq(n), -n))
         if hedge_id is None:
             yield from self._wait([pproc], deadline - engine.now)
-            if pproc.done:
+            if pproc.triggered:
                 return self._arm_result(session, pproc, primary, hedged=False)
             return _FAILED
-        self._inc("hedges_launched")
+        self.stats["hedges_launched"] += 1
         hproc = self._spawn(
             self.group.read(hedge_id, key), f"hedge-s{self.shard_id}-n{hedge_id}"
         )
         yield from self._wait([pproc, hproc], deadline - engine.now)
-        if pproc.done:
+        if pproc.triggered:
             result = self._arm_result(session, pproc, primary, hedged=False)
             if result is not _FAILED:
-                if not hproc.done:
-                    self._inc("hedges_cancelled")  # loser abandoned mid-flight
+                if not hproc.triggered:
+                    self.stats["hedges_cancelled"] += 1  # loser abandoned mid-flight
                 return result
-        if hproc.done:
+        if hproc.triggered:
             result = self._arm_result(session, hproc, hedge_id, hedged=True)
             if result is not _FAILED:
-                self._inc("hedges_won")
-                if not pproc.done:
-                    self._inc("hedges_cancelled")
+                self.stats["hedges_won"] += 1
+                if not pproc.triggered:
+                    self.stats["hedges_cancelled"] += 1
                 return result
         return _FAILED
 
@@ -350,12 +354,12 @@ class ShardClient:
             if engine.now >= deadline:
                 raise self._deadline_error("get", start)
             if attempt + 1 < self.policy.max_attempts:
-                self._inc("read_retries")
+                self.stats["read_retries"] += 1
                 delay = self.backoff_ns(attempt)
                 if engine.now + delay >= deadline:
                     raise self._deadline_error("get", start)
                 yield delay
-        self._inc("unavailable")
+        self.stats["unavailable"] += 1
         raise ShardUnavailableError(
             f"get on shard {self.shard_id} exhausted "
             f"{self.policy.max_attempts} attempts",
@@ -383,7 +387,7 @@ class ShardClient:
             if not self.breaker.allow(now):
                 raise self._shed("put")
             if self.group.leader_id is None:
-                self._inc("rediscoveries")
+                self.stats["rediscoveries"] += 1
                 self.group.rediscover()
             acked = False
             seq = 0
@@ -392,12 +396,12 @@ class ShardClient:
                     self.group.write(key, value), f"write-s{self.shard_id}"
                 )
                 yield from self._wait([proc], deadline - engine.now)
-                if not proc.done:
+                if not proc.triggered:
                     # Still in flight at the deadline: indeterminate — the
                     # abandoned attempt may yet land, which retry-with-
                     # same-value keeps harmless.
                     self.breaker.on_failure(engine.now)
-                    self._inc("indeterminate")
+                    self.stats["indeterminate"] += 1
                     raise self._deadline_error("put", start)
                 if proc.exception is None and proc.value is not None:
                     acked, seq = proc.value
@@ -407,12 +411,12 @@ class ShardClient:
                 return seq
             self.breaker.on_failure(engine.now)
             if attempt + 1 < self.policy.max_attempts:
-                self._inc("write_retries")
+                self.stats["write_retries"] += 1
                 delay = self.backoff_ns(attempt)
                 if engine.now + delay >= deadline:
                     raise self._deadline_error("put", start)
                 yield delay
-        self._inc("unavailable")
+        self.stats["unavailable"] += 1
         raise ShardUnavailableError(
             f"put on shard {self.shard_id} exhausted "
             f"{self.policy.max_attempts} attempts",

@@ -324,17 +324,16 @@ class TenantWorkload:
             else:
                 key = self.pick_key(rng, began)
             is_write = op not in (OP_READ, OP_SCAN)
+            shard = stack.shard_of(key)
             try:
-                stack.admission.check(
-                    spec.name, stack.shard_of(key), is_write, began
-                )
+                stack.admission.check(spec.name, shard, is_write, began)
             except ShedError as exc:
                 self.stats.record_shed(exc.reason)
                 continue
             in_fault = stack.in_fault_window(began)
             try:
                 if op == OP_READ:
-                    yield from stack.get(session, key)
+                    yield from stack.get(session, key, shard)
                 elif op == OP_SCAN:
                     length = rng.randint(1, MAX_SCAN_LEN)
                     start_idx = self.pick_index(rng, began)
@@ -347,10 +346,10 @@ class TenantWorkload:
                         limit=length,
                     )
                 elif op == OP_RMW:
-                    yield from stack.get(session, key)
-                    yield from stack.put(session, key)
+                    yield from stack.get(session, key, shard)
+                    yield from stack.put(session, key, shard)
                 else:  # update / insert
-                    yield from stack.put(session, key)
+                    yield from stack.put(session, key, shard)
             except ShedError as exc:
                 # Breaker fast-fail inside the client layer.
                 self.stats.record_shed(exc.reason)

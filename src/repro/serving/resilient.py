@@ -49,6 +49,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.replication import ACTIVE
 from repro.faults import (
     CRASH,
     NET_KINDS,
@@ -224,6 +225,8 @@ class ResilientServingStack:
         self.engine = Engine()
         self.rng = RandomStream(config.seed, "resilient-serving")
         self.ring = HashRing(config.shards)
+        #: The shard owning a key (``HashRing.shard_for``, bound once).
+        self.shard_of = self.ring.shard_for
 
         specs = list(chaos.specs) if chaos is not None else []
         #: CRASH specs (global node space) for the harness to schedule.
@@ -358,7 +361,7 @@ class ResilientServingStack:
         out = []
         for group in self.groups:
             leader = group.cluster.leader_node
-            if leader is not None and leader.active and leader.db is not None:
+            if leader is not None and leader.state == ACTIVE and leader.db is not None:
                 out.append(leader.db.controller)
         return out
 
@@ -369,11 +372,11 @@ class ResilientServingStack:
         self.sessions.append(session)
         return session
 
-    def shard_of(self, key: bytes) -> int:
-        return self.ring.shard_for(key)
-
     def in_fault_window(self, now: int) -> bool:
-        return any(a <= now < b for a, b in self.fault_windows)
+        for a, b in self.fault_windows:
+            if a <= now < b:
+                return True
+        return False
 
     def next_value(self, key: bytes) -> bytes:
         """Globally unique, self-describing write value (audit currency)."""
@@ -386,21 +389,25 @@ class ResilientServingStack:
         if elapsed > self.max_elapsed_ns:
             self.max_elapsed_ns = elapsed
 
-    def get(self, session: ClientSession, key: bytes):
-        """Generator: resilient read; value bytes, None miss, or typed error."""
+    def get(self, session: ClientSession, key: bytes, shard: Optional[int] = None):
+        """Generator: resilient read; value bytes, None miss, or typed error.
+
+        ``shard`` is ``shard_of(key)`` when the caller has computed it.
+        """
+        if shard is None:
+            shard = self.shard_of(key)
         self.ops_started += 1
         began = self.engine.now
         try:
-            outcome = yield from self.clients[self.shard_of(key)].read(
-                session, key
-            )
+            outcome = yield from self.clients[shard].read(session, key)
             return outcome.value
         finally:
             self._note_resolved(began)
 
-    def put(self, session: ClientSession, key: bytes):
+    def put(self, session: ClientSession, key: bytes, shard: Optional[int] = None):
         """Generator: audited resilient write; returns the acked seq."""
-        shard = self.shard_of(key)
+        if shard is None:
+            shard = self.shard_of(key)
         value = self.next_value(key)
         self._issued.setdefault(key, set()).add(value)
         self.ops_started += 1

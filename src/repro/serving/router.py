@@ -9,13 +9,7 @@ matter here:
   and across hosts;
 * **stability** — growing the ring from N to N+1 shards remaps roughly
   ``1/(N+1)`` of the keys, so a scale-out experiment measures data
-  movement, not a full reshuffle (plain ``hash % N`` would remap ~all keys);
-* **remove/re-add symmetry** — a shard's vnode positions derive only from
-  its name (``shard-i#v``), never from membership or insertion order, so
-  :meth:`remove_node` followed by :meth:`add_node` restores the exact
-  key→shard mapping the ring had before the removal.  Failover handling
-  leans on this: routing away from a down shard group and back is an
-  involution, not a reshuffle.
+  movement, not a full reshuffle (plain ``hash % N`` would remap ~all keys).
 """
 
 from __future__ import annotations
@@ -27,6 +21,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import WorkloadError
 
 
+#: Ring points per shard.
+VNODES = 64
+
+
 def _hash(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
@@ -34,61 +32,24 @@ def _hash(data: bytes) -> int:
 class HashRing:
     """Consistent-hash ring mapping keys to shard indices [0, shards)."""
 
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise WorkloadError(f"need at least one shard: {shards}")
-        if vnodes < 1:
-            raise WorkloadError(f"need at least one vnode per shard: {vnodes}")
         self.shards = shards
-        self.vnodes = vnodes
-        self._members = set(range(shards))
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Recompute ring points from the current membership.
-
-        Point positions depend only on ``(shard, vnode)`` names, so the
-        same membership set always yields the same sorted point list no
-        matter what add/remove history produced it.
-        """
-        points: List[Tuple[int, int]] = []
-        for shard in sorted(self._members):
-            for v in range(self.vnodes):
-                points.append((_hash(b"shard-%d#%d" % (shard, v)), shard))
-        points.sort()
-        self._points = points
+        # A point's position depends only on its ``(shard, vnode)`` name.
+        points: List[Tuple[int, int]] = sorted(
+            (_hash(b"shard-%d#%d" % (shard, v)), shard)
+            for shard in range(shards)
+            for v in range(VNODES)
+        )
         self._hashes = [h for h, _ in points]
-
-    def members(self) -> List[int]:
-        """The shards currently on the ring, ascending."""
-        return sorted(self._members)
-
-    def remove_node(self, shard: int) -> None:
-        """Take ``shard`` off the ring; its keys spill to ring successors."""
-        if shard not in self._members:
-            raise WorkloadError(f"shard {shard} is not on the ring")
-        if len(self._members) == 1:
-            raise WorkloadError("cannot remove the last shard from the ring")
-        self._members.remove(shard)
-        self._rebuild()
-
-    def add_node(self, shard: int) -> None:
-        """(Re-)add ``shard``; restores its exact pre-removal vnode positions."""
-        if not 0 <= shard < self.shards:
-            raise WorkloadError(
-                f"shard {shard} outside the ring's shard space [0, {self.shards})"
-            )
-        if shard in self._members:
-            raise WorkloadError(f"shard {shard} is already on the ring")
-        self._members.add(shard)
-        self._rebuild()
+        # Owner of each point, plus the first point's owner once more: a
+        # hash past the last point wraps around to it.
+        self._owners = [shard for _, shard in points] + [points[0][1]]
 
     def shard_for(self, key: bytes) -> int:
         """The shard owning ``key`` (first ring point at/after its hash)."""
-        idx = bisect_right(self._hashes, _hash(key))
-        if idx == len(self._points):
-            idx = 0
-        return self._points[idx][1]
+        return self._owners[bisect_right(self._hashes, zlib.crc32(key) & 0xFFFFFFFF)]
 
     def partition(self, keys: Sequence[bytes]) -> List[List[bytes]]:
         """Split ``keys`` into per-shard lists (order preserved)."""

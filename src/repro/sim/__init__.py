@@ -6,14 +6,14 @@ Public surface:
 - :class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.Event`,
   :class:`~repro.sim.engine.Timeout`, :class:`~repro.sim.engine.AllOf`,
   :class:`~repro.sim.engine.AnyOf` — process/event model.
-- :mod:`~repro.sim.resources` — FIFO ``Lock``/``Semaphore``/``Condition``/``Store``.
+- :mod:`~repro.sim.resources` — FIFO ``Lock``/``Semaphore``/``Store``.
 - :mod:`~repro.sim.rng` — named deterministic random streams.
 - :mod:`~repro.sim.stats` — latency histograms, timelines, counters.
 - :mod:`~repro.sim.units` — ns/us/ms/s and KB/MB/GB helpers.
 """
 
 from repro.sim.engine import AllOf, AnyOf, Engine, Event, Process, Timeout
-from repro.sim.resources import Condition, Lock, Semaphore, Store
+from repro.sim.resources import Lock, Semaphore, Store
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram, StatsSet, TimeSeries
 from repro.sim.units import (
@@ -37,7 +37,6 @@ from repro.sim.units import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Condition",
     "Engine",
     "Event",
     "GB",

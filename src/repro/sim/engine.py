@@ -175,8 +175,15 @@ class Event:
             for proc in waiters:
                 nowq.append((_PROC, proc, value, None))
             self._waiters = None
-        if self.callbacks:
-            self._run_callbacks()
+        callbacks = self.callbacks
+        if callbacks:
+            # The first pass of _run_callbacks() inlined; a callback that
+            # registered another one leaves the rest to it.
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
+            if self.callbacks:
+                self._run_callbacks()
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -199,8 +206,13 @@ class Event:
             for proc in waiters:
                 nowq.append((_PROC, proc, value, exc))
             self._waiters = None
-        if self.callbacks:
-            self._run_callbacks()
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
+            if self.callbacks:
+                self._run_callbacks()
 
     def _run_callbacks(self) -> None:
         # Snapshot the callback list before iterating: a callback that
@@ -277,7 +289,13 @@ class AnyOf(Event):
     __slots__ = ("_children",)
 
     def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:
-        super().__init__(engine)
+        # Event.__init__ inlined: every wait with a deadline builds one.
+        self.engine = engine
+        self._value = _PENDING
+        self._exc = None
+        self.triggered = False
+        self._waiters = None
+        self.callbacks = []
         self._children = list(events)
         if not self._children:
             raise SimulationError("AnyOf needs at least one event")
@@ -336,6 +354,11 @@ class Process(Event):
         return f"<Process {self.name} {state}>"
 
 
+# The kernel's own event types: the dispatch loop recognises a yielded event
+# by one set lookup, calling ``isinstance`` only for other subclasses.
+_EVENT_CLASSES = frozenset((Event, Timeout, AllOf, AnyOf, Process))
+
+
 class Engine:
     """The simulation event loop and virtual clock.
 
@@ -345,7 +368,7 @@ class Engine:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_nowq",
         "_seq",
@@ -356,7 +379,10 @@ class Engine:
     )
 
     def __init__(self, tracer: Optional[Any] = None) -> None:
-        self._now = 0
+        # The virtual clock in nanoseconds: a plain attribute, read without
+        # a call.  ``run()`` is its only writer (a tier-1 AST check keeps
+        # every other module from assigning it).
+        self.now = 0
         self._heap: list[tuple[int, int, bool, Any, Any, Optional[BaseException]]] = []
         # Delay-zero occurrences due at the current clock value (FIFO).
         self._nowq: deque = deque()
@@ -367,13 +393,6 @@ class Engine:
         # Cached so hot paths skip even the no-op tracer calls when tracing
         # is off (NullTracer.enabled is False; EngineTracer.enabled True).
         self._trace = bool(self.tracer.enabled)
-
-    # -- clock ----------------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
 
     # -- public API -------------------------------------------------------
 
@@ -402,7 +421,7 @@ class Engine:
         ev.callbacks = []
         if delay:
             self._seq = seq = self._seq + 1
-            _heappush(self._heap, (self._now + int(delay), seq, _EVENT, ev, value, None))
+            _heappush(self._heap, (self.now + int(delay), seq, _EVENT, ev, value, None))
         else:
             self._nowq.append((_EVENT, ev, value, None))
         return ev
@@ -428,15 +447,15 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"run(until={until}) lies before the clock ({self._now})"
+                f"run(until={until}) lies before the clock ({self.now})"
             )
         halt = None
         if stop:
             for ev in stop:
                 if ev.triggered:
-                    return self._now
+                    return self.now
             # A bound method, not a closure: a closure would turn the loop's
             # hot locals into cell variables.
             halt = self._halt
@@ -451,7 +470,7 @@ class Engine:
         crashed_box = self._crashed
         trace = self._trace
         limit = _INF if until is None else until
-        now = self._now
+        now = self.now
         try:
             while True:
                 if nowq:
@@ -459,19 +478,19 @@ class Engine:
                     # every queued delay-zero entry; drain them first.
                     if heap and heap[0][0] <= now:
                         when, _, is_proc, target, value, exc = heappop(heap)
-                        self._now = now = when
+                        self.now = now = when
                     else:
                         is_proc, target, value, exc = popleft()
                 elif heap:
                     when = heap[0][0]
                     if when > limit:
-                        self._now = limit
+                        self.now = limit
                         break
                     when, _, is_proc, target, value, exc = heappop(heap)
-                    self._now = now = when
+                    self.now = now = when
                 else:
-                    if until is not None and self._now < limit:
-                        self._now = limit
+                    if until is not None and self.now < limit:
+                        self.now = limit
                     break
                 if is_proc:
                     # Process stepping inlined: advancing a generator is the
@@ -525,7 +544,7 @@ class Engine:
                                     and wake <= limit
                                 ):
                                     # Lonely sleep: warp, resume inline.
-                                    self._now = now = wake
+                                    self.now = now = wake
                                     value = None
                                     continue
                                 self._seq = seq = self._seq + 1
@@ -538,7 +557,7 @@ class Engine:
                                 continue
                             exc = SimulationError(f"negative sleep: {yielded}")
                             continue
-                        if cls is Event or isinstance(yielded, Event):
+                        if cls in _EVENT_CLASSES or isinstance(yielded, Event):
                             if yielded.triggered:
                                 if yielded._exc is not None:
                                     exc = yielded._exc
@@ -563,7 +582,7 @@ class Engine:
                                         and (len(heap) < 3 or heap[2][0] > wake)
                                     ):
                                         heappop(heap)
-                                        self._now = now = wake
+                                        self.now = now = wake
                                         yielded.triggered = True
                                         value = yielded._value = head[4]
                                         continue
@@ -608,12 +627,12 @@ class Engine:
             # A traceback through this frame keeps its locals alive: drop the
             # last exception and the last process, or they form a cycle with it.
             pending_exc = exc = target = None
-        return self._now
+        return self.now
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next scheduled occurrence, or None if idle."""
         if self._nowq:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else None
 
     def clear_pending(self) -> int:

@@ -19,7 +19,7 @@ process.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, List
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
@@ -81,43 +81,6 @@ class Lock(Semaphore):
     def __init__(self, engine: Engine) -> None:
         super().__init__(engine, 1)
 
-    @property
-    def locked(self) -> bool:
-        return self._available == 0
-
-
-class Condition:
-    """Condition variable bound to a :class:`Lock`.
-
-    ``wait()`` must be yielded while holding the lock; it atomically releases
-    the lock, suspends, and re-acquires before resuming.  ``notify()`` /
-    ``notify_all()`` must be called while holding the lock.
-    """
-
-    def __init__(self, engine: Engine, lock: Optional[Lock] = None) -> None:
-        self.engine = engine
-        self.lock = lock if lock is not None else Lock(engine)
-        self._waiters: Deque[Event] = deque()
-
-    def wait(self):
-        """Generator helper: ``yield from cond.wait()``."""
-        if not self.lock.locked:
-            raise SimulationError("Condition.wait() without holding the lock")
-        ev = Event(self.engine)
-        self._waiters.append(ev)
-        self.lock.release()
-        yield ev
-        yield self.lock.acquire()
-
-    def notify(self, n: int = 1) -> None:
-        if not self.lock.locked:
-            raise SimulationError("Condition.notify() without holding the lock")
-        for _ in range(min(n, len(self._waiters))):
-            self._waiters.popleft().succeed()
-
-    def notify_all(self) -> None:
-        self.notify(len(self._waiters))
-
 
 class Store:
     """Unbounded FIFO channel between processes (a work queue)."""
@@ -125,7 +88,10 @@ class Store:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        # Blocked getters, oldest first.  A list, not a deque: a store has
+        # one consumer process or a few, and an empty deque costs a 600-byte
+        # block per store (thousands of stores per cluster sweep).
+        self._getters: List[Event] = []
 
     def __len__(self) -> int:
         return len(self._items)
@@ -133,7 +99,7 @@ class Store:
     def put(self, item: Any) -> None:
         """Enqueue an item, waking one blocked getter if any."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
         else:
             self._items.append(item)
 

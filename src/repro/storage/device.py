@@ -151,7 +151,7 @@ class StorageDevice:
         prof = self.profile
         if nbytes <= 0 or offset < 0 or offset + nbytes > prof.capacity_bytes:
             self._check_range(offset, nbytes)
-        now = self.engine._now
+        now = self.engine.now
         rng = self.rng
         read_free = self._channel_read_free
         channel_free = self._channel_free

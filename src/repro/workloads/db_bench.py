@@ -185,15 +185,15 @@ class DbBench:
         get = db.get
         version_counter = 1
         w_lat, r_lat, fin = buf
-        while engine._now < end:
+        while engine.now < end:
             if overhead:
                 yield overhead
             if schedule is not None:
-                write_fraction = schedule.write_fraction_at(engine._now)
+                write_fraction = schedule.write_fraction_at(engine.now)
             write = chance(write_fraction)
             key_index = randbelow(count)
             key = key_at(key_index)
-            began = engine._now
+            began = engine.now
             if write:
                 version_counter += 1
                 value = benchmark_value(key_index, value_size, version_counter)
@@ -206,7 +206,7 @@ class DbBench:
             else:
                 yield from get(key)
             if began >= measure_from:
-                finished = engine._now
+                finished = engine.now
                 result.ops += 1
                 fin.append(finished)
                 if write:

@@ -260,18 +260,18 @@ class YcsbRunner:
         grows = isinstance(chooser, LatestGenerator)
         op_counts = result.op_counts
         lat_all, lat_read, lat_update = buf
-        while engine._now < end:
+        while engine.now < end:
             yield overhead
             op = spec.pick_op(rng)
-            began = engine._now
+            began = engine.now
             if op == OP_READ:
                 index = pick_key(rng, chooser)
                 yield from db.get(encode_key(index))
-                lat_read.append(engine._now - began)
+                lat_read.append(engine.now - began)
             elif op == OP_UPDATE:
                 index = pick_key(rng, chooser)
                 yield from db.put(encode_key(index), values.value_for(index, 1))
-                lat_update.append(engine._now - began)
+                lat_update.append(engine.now - began)
             elif op == OP_INSERT:
                 index = self._next_insert
                 self._next_insert += 1
@@ -292,4 +292,4 @@ class YcsbRunner:
                 yield from db.put(encode_key(index), values.value_for(index, 2))
             result.ops += 1
             op_counts[op] = op_counts.get(op, 0) + 1
-            lat_all.append(engine._now - began)
+            lat_all.append(engine.now - began)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.replication import ACTIVE
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
@@ -72,7 +73,7 @@ def settle(engine, cluster, total_ns, tick_ns=1_000_000):
             if leader is not None and all(
                 len(n.log) == len(leader.log)
                 for n in cluster.nodes
-                if n.active
+                if n.state == ACTIVE
             ):
                 return True
             yield tick_ns

@@ -2,15 +2,21 @@
 
 import pytest
 
-from repro.core.dynamic_l0 import DynamicL0Manager, dynamic_l0_options
+from repro.core.dynamic_l0 import (
+    READ_INTENSIVE_FILES,
+    SAMPLE_INTERVAL_NS,
+    WRITE_INTENSIVE_FILES,
+    DynamicL0Manager,
+    dynamic_l0_options,
+)
 from repro.errors import DBError
 from repro.sim.units import mb
 from tests.conftest import make_db, run_op, tiny_options
 
 
-def make_manager(engine, volume=mb(12), **kwargs):
+def make_manager(engine, volume=mb(12)):
     db = make_db(engine)
-    manager = DynamicL0Manager(db, l0_volume_bytes=volume, **kwargs)
+    manager = DynamicL0Manager(db, l0_volume_bytes=volume)
     return db, manager
 
 
@@ -77,7 +83,7 @@ def test_background_process_adapts(engine):
     def reader():
         for i in range(100):
             yield from db.get(b"%06d" % i)
-        yield manager.sample_interval_ns * 2
+        yield SAMPLE_INTERVAL_NS * 2
 
     run_op(engine, reader())
     assert manager.mode == "read-intensive"
@@ -97,10 +103,6 @@ def test_validation():
     db = make_db(engine)
     with pytest.raises(DBError):
         DynamicL0Manager(db, l0_volume_bytes=0)
-    with pytest.raises(DBError):
-        DynamicL0Manager(db, l0_volume_bytes=mb(1), read_intensive_files=30)
-    with pytest.raises(DBError):
-        DynamicL0Manager(db, l0_volume_bytes=mb(1), write_intensive_threshold=1.5)
 
 
 def test_paper_file_counts_default():
@@ -109,5 +111,5 @@ def test_paper_file_counts_default():
     engine = Engine()
     db = make_db(engine)
     manager = DynamicL0Manager(db, l0_volume_bytes=mb(24))
-    assert manager.read_intensive_files == 6
-    assert manager.write_intensive_files == 24
+    assert (READ_INTENSIVE_FILES, WRITE_INTENSIVE_FILES) == (6, 24)
+    assert db.options.write_buffer_size == mb(24) // 24

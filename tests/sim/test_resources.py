@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import Condition, Lock, Semaphore, Store
+from repro.sim.resources import Lock, Semaphore, Store
 
 
 def test_lock_fast_path_no_suspension(engine):
@@ -18,7 +18,7 @@ def test_lock_fast_path_no_suspension(engine):
     p = engine.process(proc())
     engine.run()
     assert p.value == 0
-    assert not lock.locked
+    assert lock.in_use == 0
 
 
 def test_lock_mutual_exclusion(engine):
@@ -123,62 +123,6 @@ def test_semaphore_queue_len(engine):
     assert sem.queue_len == 1
     engine.run()
     assert sem.queue_len == 0
-
-
-def test_condition_wait_notify(engine):
-    cond = Condition(engine)
-    log = []
-
-    def consumer():
-        yield cond.lock.acquire()
-        yield from cond.wait()
-        log.append(("woke", engine.now))
-        cond.lock.release()
-
-    def producer():
-        yield 500
-        yield cond.lock.acquire()
-        cond.notify()
-        cond.lock.release()
-
-    engine.process(consumer())
-    engine.process(producer())
-    engine.run()
-    assert log == [("woke", 500)]
-
-
-def test_condition_notify_all(engine):
-    cond = Condition(engine)
-    woke = []
-
-    def consumer(name):
-        yield cond.lock.acquire()
-        yield from cond.wait()
-        woke.append(name)
-        cond.lock.release()
-
-    def producer():
-        yield 100
-        yield cond.lock.acquire()
-        cond.notify_all()
-        cond.lock.release()
-
-    for name in "ab":
-        engine.process(consumer(name))
-    engine.process(producer())
-    engine.run()
-    assert sorted(woke) == ["a", "b"]
-
-
-def test_condition_wait_without_lock_raises(engine):
-    cond = Condition(engine)
-
-    def bad():
-        yield from cond.wait()
-
-    engine.process(bad())
-    with pytest.raises(SimulationError):
-        engine.run()
 
 
 def test_store_put_then_get(engine):

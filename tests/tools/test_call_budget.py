@@ -2,7 +2,10 @@
 
 Runs two short ``tiny``-preset db_bench runs on XPoint under
 ``sys.setprofile`` — the paper's Fig. 5-7 mix (90 % writes, 4 clients) and a
-pure-read run (1 client) — and counts the Python calls into frames under
+pure-read run (1 client) — and one seed-run each of the replicated-cluster
+and resilient-serving chaos harnesses at their default configs (the
+replicated write/read path: WAL ``sync`` fsyncs, shipping, quorum acks, the
+serving client), and counts the Python calls into frames under
 ``src/repro`` per operation, generator resumes included.  The count is
 exact for a seed, so each budget is the count measured when it was set
 plus 5 %: a call that creeps back onto the op path fails here, on any host.
@@ -18,11 +21,14 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import partial
 
 import pytest
 
 import repro
 import repro.sim.stats
+from repro.dst.cluster import ClusterDstRun
+from repro.dst.serving import ServingDstRun
 from repro.harness.machine import Machine
 from repro.harness.presets import TINY
 from repro.sim.units import ms
@@ -33,14 +39,44 @@ from repro.workloads.prefill import prefill
 SRC = os.path.dirname(repro.__file__) + os.sep
 
 # Calls per op at the commit that set the budget; the budget is 5 % above.
-MEASURED = {"mixed90_4p": 29.67, "read": 43.90}
+MEASURED = {
+    "mixed90_4p": 29.43,
+    "read": 42.11,
+    "cluster_dst": 241.99,
+    "serving_dst": 164.46,
+}
 RUNS = {
     "mixed90_4p": dict(write_fraction=0.9, processes=4),
     "read": dict(write_fraction=0.0, processes=1),
 }
+DST_SEED = 0
+
+
+def counted(fn):
+    """``fn()``'s result and the calls into ``src/repro`` frames it made."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 def calls_per_op(name: str) -> float:
+    if name == "cluster_dst":
+        run = ClusterDstRun(DST_SEED)
+        _result, calls = counted(run.run)
+        return calls / run.config.num_ops
+    if name == "serving_dst":
+        result, calls = counted(ServingDstRun(DST_SEED).run)
+        return calls / (result.ops + result.shed + result.errors + result.unresolved)
     machine = Machine.create(xpoint_ssd(), TINY.page_cache_bytes, seed=11)
     db = machine.open_db(TINY.options())
     prefill(db, TINY.prefill_spec())
@@ -51,24 +87,12 @@ def calls_per_op(name: str) -> float:
         seed=11,
         **RUNS[name],
     )
-    calls = 0
-
-    def count(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(SRC):
-            calls += 1
-
-    bench = DbBench(cfg)
-    sys.setprofile(count)
-    try:
-        result = bench.run(db)
-    finally:
-        sys.setprofile(None)
+    result, calls = counted(partial(DbBench(cfg).run, db))
     return calls / result.ops
 
 
 @pytest.mark.skipif(repro.sim.stats._np is None, reason="budgets are counted with numpy")
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(MEASURED))
 def test_calls_per_op_within_budget(name):
     got = calls_per_op(name)
     budget = MEASURED[name] * 1.05
@@ -77,5 +101,5 @@ def test_calls_per_op_within_budget(name):
 
 
 if __name__ == "__main__":
-    for run in sorted(RUNS):
+    for run in sorted(MEASURED):
         print(f"{run}: {calls_per_op(run):.2f} calls per op")
