@@ -64,34 +64,22 @@ def _null(_ev: Event) -> None:
 
 
 class ClusterConfig:
-    """Timeouts and sizes of the replication protocol (virtual time)."""
+    """Timeouts and sizes of the replication protocol (virtual time).
 
-    __slots__ = (
-        "ack_timeout_ns",
-        "rto_ns",
-        "rto_max_ns",
-        "op_timeout_ns",
-        "append_overhead_bytes",
-        "ack_bytes",
-    )
+    Fixed values: no run changes them.  A :class:`Cluster` reads them from
+    the instance it is given (``ClusterConfig()`` when none).
+    """
 
-    def __init__(
-        self,
-        ack_timeout_ns: int = ms(8),
-        rto_ns: int = us(300),
-        rto_max_ns: int = ms(4),
-        op_timeout_ns: Optional[int] = None,
-        append_overhead_bytes: int = 64,
-        ack_bytes: int = 48,
-    ) -> None:
-        self.ack_timeout_ns = ack_timeout_ns
-        self.rto_ns = rto_ns
-        self.rto_max_ns = rto_max_ns
-        self.op_timeout_ns = (
-            op_timeout_ns if op_timeout_ns is not None else ack_timeout_ns
-        )
-        self.append_overhead_bytes = append_overhead_bytes
-        self.ack_bytes = ack_bytes
+    __slots__ = ()
+
+    ack_timeout_ns = ms(8)
+    #: Shipper retry backoff: doubles from ``rto_ns`` up to ``rto_max_ns``.
+    rto_ns = us(300)
+    rto_max_ns = ms(4)
+    #: A client write's deadline: the ack timeout.
+    op_timeout_ns = ms(8)
+    append_overhead_bytes = 64  # per shipped append, on top of the group
+    ack_bytes = 48
 
 
 class Group:

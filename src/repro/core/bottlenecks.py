@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+#: The paper calls a system under 10 kop/s "near-stop" (Section V-A).
+NEAR_STOP_OPS = 10_000.0
+
 
 @dataclass(frozen=True)
 class NearStopPeriod:
@@ -24,12 +27,9 @@ class NearStopPeriod:
         return self.end_s - self.start_s
 
 
-def near_stop_periods(
-    series: Sequence[Tuple[float, float]], threshold_ops: float = 10_000.0
-) -> List[NearStopPeriod]:
-    """Find periods where throughput drops under ``threshold_ops`` op/s.
+def near_stop_periods(series: Sequence[Tuple[float, float]]) -> List[NearStopPeriod]:
+    """Find periods where throughput drops under ``NEAR_STOP_OPS`` op/s.
 
-    The paper calls a system under 10 kop/s "near-stop" (Section V-A).
     ``series`` is a list of (bucket_start_seconds, ops_per_second) as
     produced by :meth:`repro.sim.stats.TimeSeries.series`.
     """
@@ -37,7 +37,7 @@ def near_stop_periods(
     start = None
     prev_t = None
     for t, rate in series:
-        if rate < threshold_ops:
+        if rate < NEAR_STOP_OPS:
             if start is None:
                 start = t
         else:
@@ -50,13 +50,11 @@ def near_stop_periods(
     return periods
 
 
-def near_stop_fraction(
-    series: Sequence[Tuple[float, float]], threshold_ops: float = 10_000.0
-) -> float:
+def near_stop_fraction(series: Sequence[Tuple[float, float]]) -> float:
     """Fraction of buckets spent in near-stop state."""
     if not series:
         return 0.0
-    low = sum(1 for _, rate in series if rate < threshold_ops)
+    low = sum(1 for _, rate in series if rate < NEAR_STOP_OPS)
     return low / len(series)
 
 

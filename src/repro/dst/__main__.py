@@ -24,7 +24,7 @@ from typing import List, Optional
 from repro.dst import MODES
 from repro.dst.core import RunResult, guarded, make_config
 from repro.dst.storm import STORM_AUTO, STORM_KINDS
-from repro.errors import FaultConfigError, run_cli
+from repro.errors import FaultConfigError, WorkloadError, run_cli
 from repro.faults import FaultSchedule
 from repro.jobs import default_jobs, imap_points
 
@@ -76,6 +76,20 @@ def _seed_worker(item):
         return guarded(lambda: run_cls(seed, make_config(config_cls, **flags)))
 
     return once(), (once() if selfcheck else None)
+
+
+#: Each sizing flag's least valid value, in every mode (one a mode ignores
+#: included: an out-of-range value is a usage error, not a finding).
+_FLAG_FLOORS = {"ops": 1, "keys": 1, "max_faults": 0, "nodes": 2, "shards": 1, "replicas": 2}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse an out-of-range sizing flag before any seed runs."""
+    for dest, least in _FLAG_FLOORS.items():
+        value = getattr(args, dest)
+        if value < least:
+            flag = "--" + dest.replace("_", "-")
+            raise WorkloadError(f"{flag} must be >= {least}, got {value}")
 
 
 def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
@@ -194,6 +208,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str)
     """The one sweep loop; returns the process exit code."""
     seeds = _parse_seeds(args)
     line, epilogue = _CLI[mode]
+    _check_flags(args)
     flags = _config_flags(parser, args)
     items = [(mode, seed, flags, args.selfcheck) for seed in seeds]
     failures = 0

@@ -30,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster
 from repro.dst import core
 from repro.dst.core import DELETE, GET, PUT, Op, RunResult, Scenario
 from repro.dst.harness import _dst_options
 from repro.errors import DBError
 from repro.faults import NET_KINDS, FaultSchedule
 from repro.harness.machine import Machine
-from repro.net import NetConfig, Network
+from repro.net import Network
 from repro.sim.engine import Engine
 from repro.sim.units import mb, ms, us
 from repro.storage.profiles import xpoint_ssd
@@ -103,7 +103,7 @@ class ClusterDstRun(Scenario):
             ).fs
             for i in range(n)
         ]
-        self.network = Network(self.engine, n, self.rng.fork("net"), NetConfig())
+        self.network = Network(self.engine, n, self.rng.fork("net"))
         self.network.install_schedule(
             [s for s in schedule.specs if s.kind in NET_KINDS]
         )
@@ -113,7 +113,6 @@ class ClusterDstRun(Scenario):
             fss,
             _dst_options,
             self.rng.fork("cluster"),
-            ClusterConfig(),
         )
         # Node crashes become control events, each with a seed-derived
         # restart.

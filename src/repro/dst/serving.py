@@ -46,6 +46,10 @@ from repro.sim.units import ms, us
 
 #: Window charged to a point fault (crash, unwindowed spec) for tail splits.
 _POINT_FAULT_WINDOW_NS = ms(10)
+#: Net faults drawn on top of the guaranteed leader fault: at most this many.
+MAX_EXTRA_FAULTS = 3
+#: Users of each tenant: sets a tenant's arrival rate.
+USERS_PER_TENANT = 40_000
 
 
 def draw_serving_chaos(
@@ -53,7 +57,6 @@ def draw_serving_chaos(
     horizon_ns: int,
     shards: int,
     replicas: int,
-    max_extra: int = 3,
 ) -> FaultSchedule:
     """Draw a serving chaos schedule in global node space.
 
@@ -80,7 +83,7 @@ def draw_serving_chaos(
         rng.fork("extra"),
         horizon_ns,
         total,
-        max_faults=max_extra,
+        max_faults=MAX_EXTRA_FAULTS,
         crash_p=0.3,
     )
     specs.extend(extra.specs)
@@ -122,7 +125,6 @@ class ServingDstConfig:
     replicas: int = 3
     device: str = "xpoint"
     tenants: int = 3
-    users_per_tenant: int = 40_000
     key_count: int = 16
     clients: int = 2
     duration_ns: int = ms(100)
@@ -265,7 +267,7 @@ class ServingDstRun(Scenario):
         stack.start()
         tenants = default_tenants(
             cfg.tenants,
-            users_per_tenant=cfg.users_per_tenant,
+            users_per_tenant=USERS_PER_TENANT,
             key_count=cfg.key_count,
             clients=cfg.clients,
         )
@@ -313,7 +315,7 @@ class ServingDstRun(Scenario):
                 f"unresolved ops: {stack.ops_started - stack.ops_resolved} "
                 f"of {stack.ops_started} never resolved"
             )
-        policy = stack.config.policy
+        policy = stack.policy
         if reason is None and stack.max_elapsed_ns > policy.op_deadline_ns:
             reason = (
                 f"deadline breached: an op took {stack.max_elapsed_ns}ns "

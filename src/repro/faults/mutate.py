@@ -68,6 +68,8 @@ SERVING_MUTATION_KINDS: Tuple[str, ...] = tuple(
 
 #: Longest schedule a duplicate or add operator grows.
 MAX_SPECS = 12
+#: Operator draws one mutation tries before it gives up.
+MUTATE_ATTEMPTS = 12
 _MAX_COUNT = 1_000_000
 
 
@@ -409,15 +411,14 @@ def mutate_schedule(
     schedule: FaultSchedule,
     rng: RandomStream,
     ctx: MutationContext,
-    attempts: int = 12,
 ) -> FaultSchedule:
     """Apply one random applicable operator; result is clamped and valid.
 
     Operators that don't apply to this schedule (e.g. retarget-node on a
-    single-node run) are redrawn up to ``attempts`` times; if nothing
+    single-node run) are redrawn up to ``MUTATE_ATTEMPTS`` times; if nothing
     applies the schedule comes back as an (independent) copy.
     """
-    for _ in range(attempts):
+    for _ in range(MUTATE_ATTEMPTS):
         _name, op = OPERATORS[rng.randint(0, len(OPERATORS) - 1)]
         out = op(list(schedule.specs), rng, ctx)
         if out is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import FaultConfigError
 from repro.lsm.format import SST_DIR, WAL_DIR
@@ -234,7 +234,6 @@ class FaultSchedule:
         rng: RandomStream,
         horizon_ns: int,
         max_faults: int = 5,
-        kinds: Optional[Sequence[str]] = None,
     ) -> "FaultSchedule":
         """Draw a schedule from ``rng`` with triggers inside ``horizon_ns``.
 
@@ -244,15 +243,7 @@ class FaultSchedule:
         points are the caller's business (DST adds its own), so ``CRASH``
         is not drawn here.
         """
-        if kinds is None:
-            kinds = (
-                READ_ERROR,
-                WRITE_ERROR,
-                LATENCY_SPIKE,
-                STALL,
-                TORN_APPEND,
-                CORRUPT_APPEND,
-            )
+        kinds = (READ_ERROR, WRITE_ERROR, LATENCY_SPIKE, STALL, TORN_APPEND, CORRUPT_APPEND)
         specs: List[FaultSpec] = []
         for _ in range(rng.randint(1, max_faults)):
             kind = kinds[rng.randint(0, len(kinds) - 1)]

@@ -443,15 +443,6 @@ class SimFileSystem:
         f._flushed_size = nbytes
         return f
 
-    def rename(self, old: str, new: str) -> None:
-        if new in self._files:
-            raise FileExistsInFS(new)
-        f = self._files.pop(old, None)
-        if f is None:
-            raise FileNotFoundInFS(old)
-        f.path = new
-        self._files[new] = f
-
     # -- crash simulation --------------------------------------------------------
 
     def crash(self) -> None:

@@ -30,6 +30,9 @@ from repro.fuzz.genome import (
 from repro.obs import Tracer, set_active_tracer
 from repro.obs.vocab import log_vocabulary, normalize_log_line, trace_vocabulary
 
+#: Events one execution's tracer keeps (the rest are counted as dropped).
+MAX_TRACE_EVENTS = 200_000
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -98,9 +101,10 @@ def native_genome(mode: str, seed: int) -> Genome:
     )
 
 
-def execute(genome: Genome, max_trace_events: int = 200_000) -> Outcome:
-    """Run ``genome`` deterministically; never raises for harness failures."""
-    tracer = Tracer(max_events=max_trace_events)
+def execute(genome: Genome) -> Outcome:
+    """Run ``genome`` deterministically; never raises for harness failures.
+    Its trace keeps at most ``MAX_TRACE_EVENTS`` events."""
+    tracer = Tracer(max_events=MAX_TRACE_EVENTS)
     set_active_tracer(tracer)
     try:
         result = guarded(lambda: build_run(genome))

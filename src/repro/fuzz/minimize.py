@@ -10,7 +10,7 @@ the smallest scenario that tells the same story.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Tuple
+from typing import Tuple
 
 from repro.faults import FaultSchedule
 from repro.faults.mutate import clamp_schedule
@@ -19,10 +19,7 @@ from repro.fuzz.genome import OPS_BOUNDS, Genome
 
 
 def minimize(
-    genome: Genome,
-    outcome: Outcome,
-    executor: Callable[[Genome], Outcome] = execute,
-    max_executions: int = 64,
+    genome: Genome, outcome: Outcome, max_executions: int = 64
 ) -> Tuple[Genome, int]:
     """Shrink a failing genome; returns (minimized, executions spent).
 
@@ -41,7 +38,7 @@ def minimize(
         if spent >= max_executions:
             return False
         spent += 1
-        out = executor(candidate)
+        out = execute(candidate)
         return (not out.ok) and out.signature == target
 
     # Pass 1: drop specs one at a time, back to front, to a fixpoint.

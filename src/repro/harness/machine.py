@@ -109,18 +109,9 @@ class Machine:
         options: Options,
         wal_on_nvm: bool = False,
         controller: Optional[WriteController] = None,
-        block_cache=None,
-        write_buffer_manager=None,
-        cache_namespace: int = 0,
-        name: str = "db",
     ) -> DB:
-        """Open a DB on this machine (optionally logging to NVM).
-
-        ``block_cache`` / ``write_buffer_manager`` / ``cache_namespace``
-        let several DBs on one machine (serving shards, column families)
-        share one cache and one memtable byte budget; ``name`` keys the
-        DB's RNG substream so shards draw independently.
-        """
+        """Open a DB on this machine (optionally logging to NVM), drawing
+        from the machine's ``db`` RNG substream."""
         wal_fs = self.nvm_fs if wal_on_nvm else None
         if wal_on_nvm and wal_fs is None:
             raise ValueError("machine was created without NVM (with_nvm=True)")
@@ -129,9 +120,6 @@ class Machine:
             self.fs,
             options,
             wal_fs=wal_fs,
-            rng=self.rng.fork(name),
+            rng=self.rng.fork("db"),
             controller=controller,
-            block_cache=block_cache,
-            write_buffer_manager=write_buffer_manager,
-            cache_namespace=cache_namespace,
         )

@@ -881,8 +881,9 @@ class DB:
             self._check_background_errors()
             yield 100_000  # poll: background flush is draining
 
-    def wait_idle(self, poll_ns: int = 1_000_000, timeout_ns: Optional[int] = None):
-        """Generator: wait until flushes and compactions quiesce.
+    def wait_idle(self, timeout_ns: Optional[int] = None):
+        """Generator: wait until flushes and compactions quiesce, polling
+        every millisecond.
 
         With ``timeout_ns`` set, raises :class:`DBError` if background
         work has not drained after that much virtual time (bounded waits
@@ -907,31 +908,11 @@ class DB:
                     f"active_compactions={self._active_compactions}, "
                     f"severity={self.error_handler.severity or 'none'})"
                 )
-            yield poll_ns
+            yield 1_000_000
 
     def level_shape(self) -> List[int]:
         """File count per level (diagnostics)."""
         return [len(files) for files in self.versions.current.levels]
-
-    def approximate_size(self, start: bytes, end: bytes) -> int:
-        """Approximate on-disk bytes of the key range [start, end).
-
-        RocksDB's ``GetApproximateSizes``: sums each overlapping file's
-        footprint scaled by the fraction of its key span inside the range
-        (entry sizes are assumed uniform within a file).
-        """
-        if end <= start:
-            return 0
-        total = 0
-        version = self.versions.current
-        for level in range(NUM_LEVELS):
-            for meta in version.overlapping_files(level, start, end):
-                sst = meta.sst
-                lo = sst.key_index(start)
-                hi = sst.key_index(end)
-                if hi > lo:
-                    total += sst.file_bytes * (hi - lo) // sst.entry_count
-        return total
 
     def compact_range(self, start: Optional[bytes] = None, end: Optional[bytes] = None):
         """Generator: manually compact [start, end] down level by level.

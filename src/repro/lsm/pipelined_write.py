@@ -23,7 +23,7 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.errors import DBError
 from repro.lsm.format import Entry
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 
 ROLE_LEADER = "leader"
 ROLE_MEMBER = "member"
@@ -34,18 +34,13 @@ class Writer:
 
     __slots__ = ("records", "nbytes", "event", "group", "wal_number", "enqueued")
 
-    def __init__(
-        self,
-        records: List[Tuple[bytes, Entry]],
-        nbytes: int,
-        event: Optional[Event] = None,
-    ):
+    def __init__(self, records: List[Tuple[bytes, Entry]], nbytes: int):
         self.records = records
         self.nbytes = nbytes
         # Allocated lazily by WriteQueue.join(): a writer that becomes leader
         # at join time (the common case at low queue depth) never parks on an
         # event, and event construction is observable to nothing else.
-        self.event = event
+        self.event = None
         # The writers committed together, leader first: set by
         # WriteQueue.form_group() and cleared by member_done() or
         # fail_group().  The group lists its writers, so a link left behind

@@ -16,21 +16,18 @@ from repro.errors import DBError
 from repro.sim.engine import Engine
 from repro.sim.units import MS, SEC
 
+#: Idle credit a limiter banks: at most one burst window of bytes.
+BURST_NS = 100 * MS
+
 
 class RateLimiter:
     """Token-bucket pacing for background bytes."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        bytes_per_sec: int,
-        burst_ns: int = 100 * MS,
-    ) -> None:
+    def __init__(self, engine: Engine, bytes_per_sec: int) -> None:
         if bytes_per_sec <= 0:
             raise DBError(f"rate must be positive: {bytes_per_sec}")
         self.engine = engine
         self.bytes_per_sec = bytes_per_sec
-        self.burst_ns = burst_ns
         self._next_refill_time = 0
         self.total_bytes = 0
         self.total_delay_ns = 0
@@ -41,16 +38,10 @@ class RateLimiter:
             raise DBError(f"request must be positive: {nbytes}")
         now = self.engine.now
         nrt = self._next_refill_time
-        if nrt < now - self.burst_ns:
-            nrt = now - self.burst_ns  # cap idle credit at one burst window
+        if nrt < now - BURST_NS:
+            nrt = now - BURST_NS  # cap idle credit at one burst window
         delay = nrt - now if nrt > now else 0
         self._next_refill_time = max(nrt, now) + nbytes * SEC // self.bytes_per_sec
         self.total_bytes += nbytes
         self.total_delay_ns += delay
         return delay
-
-    def effective_rate(self, elapsed_ns: int) -> float:
-        """Observed bytes/second over ``elapsed_ns``."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.total_bytes * SEC / elapsed_ns

@@ -90,19 +90,6 @@ class SkipList:
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
 
-    def seek(self, key: bytes) -> Iterator[Tuple[bytes, Any]]:
-        """Iterate (key, data) pairs starting at the first key >= ``key``."""
-        node = self._head
-        for slot in range(self._height + 1, _NEXT0 - 1, -1):
-            nxt = node[slot]
-            while nxt is not None and nxt[_KEY] < key:
-                node = nxt
-                nxt = node[slot]
-        node = node[_NEXT0]
-        while node is not None:
-            yield node[_KEY], node[_DATA]
-            node = node[_NEXT0]
-
     def __iter__(self) -> Iterator[Tuple[bytes, Any]]:
         node = self._head[_NEXT0]
         while node is not None:

@@ -262,10 +262,6 @@ class SSTable:
 
     # -- lookup ---------------------------------------------------------------
 
-    def key_index(self, key: bytes) -> int:
-        """How many of the table's keys sort before ``key``."""
-        return bisect_left(self.keys, key)
-
     def locate(self, key: bytes) -> Tuple[int, int]:
         """Index binary search: ``(entry_idx, block_idx)``.
 

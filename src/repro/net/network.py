@@ -1,12 +1,13 @@
 """Simulated point-to-point links between cluster nodes.
 
 The model is intentionally message-level (no TCP): each ``send`` draws a
-one-way latency from the link's named RNG substream, serializes the payload
-through the link's bandwidth (back-to-back sends queue behind each other's
-serialization time), and schedules delivery into the destination inbox via a
-single engine timeout.  Loss, duplication, partitions, delay storms, and
-drop windows all decide at send time from the virtual clock, which keeps a
-run a pure function of (seed, schedule, workload).
+one-way latency (``LATENCY_NS`` scaled by a uniform factor within
+``JITTER``) from the link's named RNG substream, serializes the payload
+through ``BANDWIDTH_BYTES_PER_SEC`` (back-to-back sends queue behind each
+other's serialization time), and schedules delivery into the destination
+inbox via a single engine timeout.  Partitions, delay storms and drop
+windows all decide at send time from the virtual clock, which keeps a run a
+pure function of (seed, schedule, workload).
 
 Fault windows come from :class:`~repro.faults.schedule.FaultSpec`:
 
@@ -21,7 +22,7 @@ Fault windows come from :class:`~repro.faults.schedule.FaultSpec`:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import SimulationError
 from repro.faults.schedule import HEAL, NET_DELAY, NET_DROP, PARTITION, FaultSpec
@@ -34,41 +35,10 @@ from repro.sim.units import SEC, us
 #: Sentinel end for a partition that stays open until healed.
 _OPEN = (1 << 62)
 
-
-class NetConfig:
-    """Link parameters shared by every link of a :class:`Network`."""
-
-    __slots__ = (
-        "latency_ns",
-        "jitter",
-        "bandwidth_bytes_per_sec",
-        "loss_p",
-        "dup_p",
-    )
-
-    def __init__(
-        self,
-        latency_ns: int = us(50),
-        jitter: float = 0.1,
-        bandwidth_bytes_per_sec: int = 1_250_000_000,  # ~10 Gbit/s
-        loss_p: float = 0.0,
-        dup_p: float = 0.0,
-    ) -> None:
-        if latency_ns < 0:
-            raise SimulationError(f"latency_ns must be >= 0, got {latency_ns}")
-        if bandwidth_bytes_per_sec <= 0:
-            raise SimulationError(
-                f"bandwidth must be > 0 bytes/s, got {bandwidth_bytes_per_sec}"
-            )
-        if not 0.0 <= loss_p < 1.0:
-            raise SimulationError(f"loss_p must be in [0, 1), got {loss_p}")
-        if not 0.0 <= dup_p < 1.0:
-            raise SimulationError(f"dup_p must be in [0, 1), got {dup_p}")
-        self.latency_ns = latency_ns
-        self.jitter = jitter
-        self.bandwidth_bytes_per_sec = bandwidth_bytes_per_sec
-        self.loss_p = loss_p
-        self.dup_p = dup_p
+#: Every link's one-way latency, jitter fraction and bandwidth.
+LATENCY_NS = us(50)
+JITTER = 0.1
+BANDWIDTH_BYTES_PER_SEC = 1_250_000_000  # ~10 Gbit/s
 
 
 class Link:
@@ -98,18 +68,11 @@ class _Window:
 class Network:
     """N node inboxes joined by deterministic point-to-point links."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        n_nodes: int,
-        rng: RandomStream,
-        config: Optional[NetConfig] = None,
-    ) -> None:
+    def __init__(self, engine: Engine, n_nodes: int, rng: RandomStream) -> None:
         if n_nodes < 1:
             raise SimulationError(f"network needs >= 1 node, got {n_nodes}")
         self.engine = engine
         self.n_nodes = n_nodes
-        self.config = config if config is not None else NetConfig()
         self.rng = rng
         self.inboxes: List[Store] = [Store(engine) for _ in range(n_nodes)]
         self.down: List[bool] = [False] * n_nodes
@@ -200,13 +163,10 @@ class Network:
             self._open_until = min((w.end for w in self._open), default=_OPEN)
         return self._open
 
-    def partitioned(self, src: int, dst: int, now: Optional[int] = None) -> bool:
-        """True when a partition window separates src and dst right now
-        (or at ``now``, which must not lie before the clock)."""
-        clock = self.engine.now
-        if now is None:
-            now = clock
-        for w in self._open_windows(clock):
+    def partitioned(self, src: int, dst: int) -> bool:
+        """True when a partition window separates src and dst right now."""
+        now = self.engine.now
+        for w in self._open_windows(now):
             if (
                 w.kind == PARTITION
                 and w.start <= now < w.end
@@ -229,8 +189,7 @@ class Network:
         if self.down[src] or self.down[dst]:
             tickers["net.dropped_down"] += 1
             return
-        cfg = self.config
-        drop_p = cfg.loss_p
+        drop_p = 0.0
         extra_ns = 0
         windows = self._open if now < self._open_until else self._open_windows(now)
         # One pass: every listed window is open until its start is reached.
@@ -252,17 +211,11 @@ class Network:
             tickers["net.dropped_loss"] += 1
             self._record(f"drop(loss) {src}->{dst}")
             return
-        serialize = (nbytes * SEC) // cfg.bandwidth_bytes_per_sec
+        serialize = (nbytes * SEC) // BANDWIDTH_BYTES_PER_SEC
         busy = lk.busy_until
         lk.busy_until = depart = (busy if busy > now else now) + serialize
-        latency = round(lk.rng.jittered(cfg.latency_ns + extra_ns, cfg.jitter))
+        latency = round(lk.rng.jittered(LATENCY_NS + extra_ns, JITTER))
         self._deliver(dst, msg, (depart - now) + latency)
-        if cfg.dup_p > 0.0 and lk.rng.chance(cfg.dup_p):
-            # The duplicate draws its own latency: it can arrive before or
-            # after the original (reordering).
-            dup_latency = round(lk.rng.jittered(cfg.latency_ns + extra_ns, cfg.jitter))
-            tickers["net.duplicated"] += 1
-            self._deliver(dst, msg, (depart - now) + dup_latency)
 
     def _deliver(self, dst: int, msg: Any, delay: int) -> None:
         ev = self.engine.timeout(delay if delay > 0 else 0, (dst, msg))

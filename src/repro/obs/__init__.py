@@ -21,8 +21,6 @@ Usage::
     set_active_tracer(None)
     tracer.export("trace.json")  # open in ui.perfetto.dev
 
-or pass a tracer to one engine explicitly: ``Engine(tracer=tracer)``.
-
 When no tracer is active every instrumentation hook resolves to the shared
 :data:`NULL_TRACER`, whose methods are empty — instrumented hot paths carry
 no conditionals and no measurable cost.

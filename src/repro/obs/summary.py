@@ -71,15 +71,14 @@ def degraded_episodes(tracer) -> List[Tuple[str, int, Optional[int], List[str]]]
     return episodes
 
 
-def busiest_device_windows(
-    tracer, window_ns: Optional[int] = None
-) -> List[Tuple[str, int, int, float]]:
+def busiest_device_windows(tracer) -> List[Tuple[str, int, int, float]]:
     """Per-device time windows ranked by service time, busiest first.
 
     Returns ``(track, window_start_ns, busy_ns, busy_fraction)`` tuples.
-    A request's whole service span is attributed to the window containing
-    its start — exact enough for "where was the device hammered?" and O(1)
-    per span.  The busy fraction can exceed 1.0 on multi-channel devices.
+    The trace's span horizon is cut into 20 windows; a request's whole
+    service span is attributed to the window containing its start — exact
+    enough for "where was the device hammered?" and O(1) per span.  The
+    busy fraction can exceed 1.0 on multi-channel devices.
     """
     spans: List[Tuple[str, int, int]] = []
     horizon = 0
@@ -90,8 +89,7 @@ def busiest_device_windows(
         horizon = max(horizon, ts + dur)
     if not spans:
         return []
-    if window_ns is None:
-        window_ns = max(1, horizon // 20)
+    window_ns = max(1, horizon // 20)
     # Bulk-sum service time per (track, window) through TimeSeries — one
     # record_many per track instead of a dict update per span.  Output
     # order must not shift: ties in busy_ns keep the old dict-insertion
@@ -123,7 +121,7 @@ def busiest_device_windows(
     return out
 
 
-def tenant_slo_digest(rows, top_n: Optional[int] = None) -> str:
+def tenant_slo_digest(rows) -> str:
     """Per-tenant SLO digest for multi-tenant serving runs.
 
     ``rows`` are plain dicts (one per tenant, the shape produced by
@@ -147,8 +145,6 @@ def tenant_slo_digest(rows, top_n: Optional[int] = None) -> str:
         rows,
         key=lambda r: (-float(r["slo_violation_frac"]), str(r["tenant"])),
     )
-    if top_n is not None:
-        ranked = ranked[:top_n]
     active = [r for r in rows if int(r["ops"]) > 0]
     met = sum(
         1 for r in active if float(r["p99_us"]) <= float(r["slo_p99_us"])
@@ -185,7 +181,11 @@ def tenant_slo_digest(rows, top_n: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def summarize(tracer, top_n: int = 5) -> str:
+#: Lines each section of :func:`summarize` lists.
+TOP_N = 5
+
+
+def summarize(tracer) -> str:
     """Multi-line digest of a trace: stall and device-busyness highlights."""
     lines = [f"trace summary: {tracer.num_events} events"]
     if tracer.dropped:
@@ -199,7 +199,7 @@ def summarize(tracer, top_n: int = 5) -> str:
             reverse=True,
         )
         lines.append(f"write stalls: {len(episodes)} episode(s); longest:")
-        for track, start, end, states in ranked[:top_n]:
+        for track, start, end, states in ranked[:TOP_N]:
             dur = "unfinished" if end is None else fmt_time(end - start)
             path = "->".join(states)
             lines.append(
@@ -220,7 +220,7 @@ def summarize(tracer, top_n: int = 5) -> str:
             f"degraded mode: {len(degraded)} episode(s), "
             f"{fmt_time(total)} total degraded time:"
         )
-        for track, start, end, states in degraded[:top_n]:
+        for track, start, end, states in degraded[:TOP_N]:
             dur = "unfinished" if end is None else fmt_time(end - start)
             path = "->".join(states)
             lines.append(
@@ -230,7 +230,7 @@ def summarize(tracer, top_n: int = 5) -> str:
     windows = busiest_device_windows(tracer)
     if windows:
         lines.append("busiest device intervals:")
-        for track, start, busy_ns, frac in windows[:top_n]:
+        for track, start, busy_ns, frac in windows[:TOP_N]:
             lines.append(
                 f"  {track}: {fmt_time(busy_ns)} of service time from "
                 f"t={start / 1e9:.3f}s ({frac:.0%} of one channel)"

@@ -66,11 +66,12 @@ class Tracer:
 
     # -- binding ----------------------------------------------------------
 
-    def bind(self, engine, label: str = "") -> "EngineTracer":
-        """Register ``engine`` as a trace process; returns its tracer view."""
+    def bind(self, engine) -> "EngineTracer":
+        """Register ``engine`` as trace process ``engine-<pid>``; returns
+        its tracer view."""
         self._next_pid += 1
         pid = self._next_pid
-        self._pid_labels[pid] = label or f"engine-{pid}"
+        self._pid_labels[pid] = f"engine-{pid}"
         return EngineTracer(self, engine, pid)
 
     # -- collection (called by EngineTracer) ------------------------------
@@ -307,7 +308,7 @@ class NullTracer:
 
     __slots__ = ()
 
-    def bind(self, engine, label: str = "") -> "NullTracer":
+    def bind(self, engine) -> "NullTracer":
         return self
 
 

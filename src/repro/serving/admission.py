@@ -60,8 +60,8 @@ class TokenBucket:
         # admit free whenever they arrive).
         self._next_free: Optional[int] = None
 
-    def reserve(self, now: int, n: int = 1, scale: float = 1.0) -> int:
-        """Reserve ``n`` tokens at ``now``; returns the delay in ns.
+    def reserve(self, now: int, scale: float = 1.0) -> int:
+        """Reserve one token at ``now``; returns the delay in ns.
 
         ``scale`` < 1 tightens the effective rate for this reservation
         (stall pressure).  Idle time banks credit — capped at ``burst``
@@ -77,7 +77,7 @@ class TokenBucket:
         if nf is None or nf < now - credit_cap:
             nf = now - credit_cap
         delay = nf - now if nf > now else 0
-        self._next_free = nf + round(n * token_ns)
+        self._next_free = nf + round(token_ns)
         return delay
 
 
@@ -92,16 +92,9 @@ class TenantBudget:
 class AdmissionController:
     """The serving front door: per-tenant buckets + engine backpressure."""
 
-    def __init__(
-        self,
-        controllers: List[WriteController],
-        budgets: Optional[Dict[str, TenantBudget]] = None,
-    ) -> None:
+    def __init__(self, controllers: List[WriteController]) -> None:
         self.controllers = list(controllers)
         self._buckets: Dict[str, TokenBucket] = {}
-        if budgets:
-            for tenant, budget in budgets.items():
-                self.set_budget(tenant, budget)
         self.stats = StatsSet()
         self._tickers = self.stats.counters()  # every op counts inline
 
@@ -131,18 +124,18 @@ class AdmissionController:
                 scale = min(scale, controller.delayed_write_rate / configured)
         return scale
 
-    def admit(self, tenant: str, now: int, n: int = 1) -> int:
-        """Admission delay (ns) for ``n`` ops of ``tenant`` arriving at
+    def admit(self, tenant: str, now: int) -> int:
+        """Admission delay (ns) for one op of ``tenant`` arriving at
         ``now``; 0 = admitted immediately.  Unbudgeted tenants pass free.
         """
         bucket = self._buckets.get(tenant)
         if bucket is None:
             return 0
-        delay = bucket.reserve(now, n, scale=self.pressure())
+        delay = bucket.reserve(now, self.pressure())
         tickers = self._tickers
-        tickers[f"admitted.{tenant}"] += n
+        tickers[f"admitted.{tenant}"] += 1
         if delay > 0:
-            tickers[f"throttled.{tenant}"] += n
+            tickers[f"throttled.{tenant}"] += 1
             tickers[f"throttle_ns.{tenant}"] += delay
         return delay
 
@@ -196,9 +189,8 @@ class BrownoutAdmission(AdmissionController):
         self,
         controller_source: Callable[[], Sequence[WriteController]],
         groups: Sequence[object],
-        budgets: Optional[Dict[str, TenantBudget]] = None,
     ) -> None:
-        super().__init__([], budgets)
+        super().__init__([])
         self._controller_source = controller_source
         self.groups = list(groups)  # each exposes write_quorum_reachable()
         self._error_budgets: Dict[str, ErrorBudget] = {}

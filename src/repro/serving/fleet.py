@@ -43,6 +43,7 @@ from repro.workloads.ycsb import (
     OP_RMW,
     OP_SCAN,
     OP_UPDATE,
+    ZIPF_THETA,
     LatestGenerator,
     YcsbSpec,
     ZipfianGenerator,
@@ -58,6 +59,7 @@ def tenant_key(tenant_index: int, key_index: int) -> bytes:
 
 
 OPS_PER_USER_PER_SEC = 0.05  # a tenant's arrival rate is users x this
+TENANT_VALUE_SIZE = 256  # every tenant's value bytes
 DIURNAL_PERIOD_NS = seconds(4.0)  # one virtual "day" of the diurnal curve
 
 
@@ -68,12 +70,10 @@ class TenantSpec:
     name: str
     users: int = 10_000
     key_count: int = 2_000
-    value_size: int = 256
     clients: int = 2
     mix: YcsbSpec = field(
         default_factory=lambda: YcsbSpec("A", read=0.5, update=0.5)
     )
-    zipf_theta: float = 0.99
     #: SLO: overall p99 latency target, ns.
     slo_p99_ns: int = ms(50)
     # Diurnal curve: rate multiplier
@@ -199,11 +199,9 @@ class TenantWorkload:
         self.stats = TenantStats(spec)
         self._next_insert = spec.key_count
         if spec.mix.distribution == "latest":
-            self._chooser: Optional[object] = LatestGenerator(
-                spec.key_count, spec.zipf_theta
-            )
+            self._chooser: Optional[object] = LatestGenerator(spec.key_count, ZIPF_THETA)
         elif spec.mix.distribution == "zipfian":
-            self._chooser = ZipfianGenerator(spec.key_count, spec.zipf_theta)
+            self._chooser = ZipfianGenerator(spec.key_count, ZIPF_THETA)
         else:
             self._chooser = None  # uniform
 
@@ -245,7 +243,7 @@ class TenantWorkload:
         spec = self.spec
         rng = RandomStream(self.seed, f"fleet/{spec.name}/{cid}")
         per_client_rate = spec.aggregate_rate / spec.clients
-        values = ValueSpec(spec.value_size)
+        values = ValueSpec(TENANT_VALUE_SIZE)
         while engine.now < end:
             rate = per_client_rate * spec.rate_multiplier(engine.now)
             think = round(rng.expovariate(rate) * SEC)
@@ -366,7 +364,6 @@ def default_tenants(
     users_per_tenant: int = 250_000,
     key_count: int = 2_000,
     clients: int = 2,
-    seed_mixes: Optional[List[YcsbSpec]] = None,
 ) -> List[TenantSpec]:
     """A heterogeneous tenant population for CLI/CI runs.
 
@@ -374,7 +371,7 @@ def default_tenants(
     phase-shifted diurnal peaks, and the odd hot-key migrator — the point
     is contention diversity, not any one workload.
     """
-    mixes = seed_mixes or [
+    mixes = [
         YcsbSpec("B", read=0.95, update=0.05),
         YcsbSpec("A", read=0.5, update=0.5),
         YcsbSpec("mixed", read=0.65, update=0.25, insert=0.05, scan=0.05),

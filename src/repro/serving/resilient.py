@@ -48,7 +48,7 @@ from repro.errors import (
     ShardUnavailableError,
     WorkloadError,
 )
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster
 from repro.cluster.replication import ACTIVE
 from repro.faults import (
     CRASH,
@@ -60,7 +60,7 @@ from repro.faults import (
 )
 from repro.harness.machine import Machine
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
-from repro.net import NetConfig, Network
+from repro.net import Network
 from repro.obs import tenant_slo_digest
 from repro.serving.admission import BrownoutAdmission
 from repro.serving.client import ClientPolicy, ClientSession, ShardClient
@@ -102,7 +102,6 @@ class ResilientServingConfig:
     replicas: int = 3
     device: str = "xpoint"
     seed: int = 1
-    policy: ClientPolicy = ClientPolicy()
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -222,6 +221,7 @@ class ResilientServingStack:
         chaos: Optional[FaultSchedule] = None,
     ) -> None:
         self.config = config
+        self.policy = ClientPolicy()  # every shard client's retry contract
         self.engine = Engine()
         self.rng = RandomStream(config.seed, "resilient-serving")
         self.ring = HashRing(config.shards)
@@ -249,12 +249,7 @@ class ResilientServingStack:
             ]
             injectors = [m.injector for m in machines]
             fss = [m.fs for m in machines]
-            network = Network(
-                self.engine,
-                config.replicas,
-                self.rng.fork(f"net/{g}"),
-                NetConfig(),
-            )
+            network = Network(self.engine, config.replicas, self.rng.fork(f"net/{g}"))
             network.install_schedule(self._localize_net_specs(specs, g))
             cluster = Cluster(
                 self.engine,
@@ -262,7 +257,6 @@ class ResilientServingStack:
                 fss,
                 _node_options,
                 self.rng.fork(f"cluster/{g}"),
-                ClusterConfig(),
             )
             self.groups.append(ShardGroup(g, base, cluster, network, injectors))
 
@@ -271,7 +265,7 @@ class ResilientServingStack:
                 self.engine,
                 g,
                 group,
-                config.policy,
+                self.policy,
                 self.rng.fork(f"client/{g}"),
             )
             for g, group in enumerate(self.groups)
@@ -426,7 +420,7 @@ class ResilientServingStack:
         leaderless or faulting past the attempt budget raises a typed
         error instead of hanging the scan.
         """
-        policy = self.config.policy
+        policy = self.policy
         engine = self.engine
         self.ops_started += 1
         began = engine.now

@@ -31,7 +31,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_buffer_manager import WriteBufferManager
 from repro.serving.admission import AdmissionController
-from repro.serving.fleet import TenantSpec, TenantWorkload
+from repro.serving.fleet import TENANT_VALUE_SIZE, TenantSpec, TenantWorkload
 from repro.serving.router import HashRing
 from repro.serving.shardfs import ShardFsView
 from repro.sim.units import MB, SEC, mb, seconds
@@ -186,29 +186,17 @@ class ServingStack:
 
     def prefill_fleet(self, workloads: List[TenantWorkload]) -> None:
         """Install every tenant's initial keys into their owning shards."""
-        items: List[Tuple[bytes, int]] = []
-        for wl in workloads:
-            size = wl.spec.value_size
-            items.extend((key, size) for key in wl.all_keys())
-        items.sort(key=lambda kv: kv[0])
-        parts: List[List[Tuple[bytes, int]]] = [
-            [] for _ in range(self.config.shards)
-        ]
-        for key, size in items:
-            parts[self.ring.shard_for(key)].append((key, size))
+        parts: List[List[bytes]] = [[] for _ in range(self.config.shards)]
+        for key in sorted(key for wl in workloads for key in wl.all_keys()):
+            parts[self.ring.shard_for(key)].append(key)
         for db, part in zip(self.dbs, parts):
             if part:
-                prefill_keys(
-                    db,
-                    [k for k, _ in part],
-                    value_sizes=[s for _, s in part],
-                )
+                prefill_keys(db, part, value_sizes=[TENANT_VALUE_SIZE] * len(part))
 
     def run_fleet(
         self,
         tenants: List[TenantSpec],
         duration_ns: int = seconds(1.0),
-        prefill: bool = True,
     ) -> ServingResult:
         """Drive the whole tenant fleet for ``duration_ns`` of virtual time."""
         if not tenants:
@@ -217,8 +205,7 @@ class ServingStack:
             TenantWorkload(i, spec, self.config.seed)
             for i, spec in enumerate(tenants)
         ]
-        if prefill:
-            self.prefill_fleet(workloads)
+        self.prefill_fleet(workloads)
         for wl in workloads:
             self.admission.provision(wl.spec)
         end = self.engine.now + duration_ns

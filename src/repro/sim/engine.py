@@ -378,7 +378,7 @@ class Engine:
         "_trace",
     )
 
-    def __init__(self, tracer: Optional[Any] = None) -> None:
+    def __init__(self) -> None:
         # The virtual clock in nanoseconds: a plain attribute, read without
         # a call.  ``run()`` is its only writer (a tier-1 AST check keeps
         # every other module from assigning it).
@@ -389,7 +389,7 @@ class Engine:
         self._seq = 0
         self._running = False
         self._crashed: list[Process] = []
-        self.tracer = (tracer if tracer is not None else active_tracer()).bind(self)
+        self.tracer = active_tracer().bind(self)
         # Cached so hot paths skip even the no-op tracer calls when tracing
         # is off (NullTracer.enabled is False; EngineTracer.enabled True).
         self._trace = bool(self.tracer.enabled)

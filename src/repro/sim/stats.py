@@ -272,13 +272,12 @@ class LatencyHistogram:
 class TimeSeries:
     """Per-bucket event counter over virtual time (throughput timelines)."""
 
-    __slots__ = ("bucket_ns", "name", "_buckets", "count")
+    __slots__ = ("bucket_ns", "_buckets", "count")
 
-    def __init__(self, bucket_ns: int = SEC, name: str = "") -> None:
+    def __init__(self, bucket_ns: int = SEC) -> None:
         if bucket_ns <= 0:
             raise SimulationError(f"bucket width must be positive: {bucket_ns}")
         self.bucket_ns = bucket_ns
-        self.name = name
         self._buckets: Dict[int, int] = {}
         self.count = 0
 

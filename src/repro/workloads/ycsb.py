@@ -100,6 +100,7 @@ class LatestGenerator:
 
 
 MAX_SCAN_LEN = 100  # a scan's length is drawn from [1, MAX_SCAN_LEN]
+ZIPF_THETA = 0.99  # YCSB's request-distribution skew (zipfian and latest)
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,6 @@ class YcsbRunner:
         clients: int = 4,
         duration_ns: int = SEC,
         seed: int = 1,
-        zipf_theta: float = 0.99,
     ) -> None:
         if key_count <= 0:
             raise WorkloadError(f"key_count must be positive: {key_count}")
@@ -212,7 +212,6 @@ class YcsbRunner:
         self.clients = clients
         self.duration_ns = duration_ns
         self.seed = seed
-        self.zipf_theta = zipf_theta
         self._next_insert = key_count
 
     def run(self, db: DB) -> YcsbResult:
@@ -224,9 +223,9 @@ class YcsbRunner:
         result = YcsbResult(workload=self.spec.name)
         end = engine.now + self.duration_ns
         if self.spec.distribution == "latest":
-            chooser = LatestGenerator(self.key_count, self.zipf_theta)
+            chooser = LatestGenerator(self.key_count, ZIPF_THETA)
         elif self.spec.distribution == "zipfian":
-            chooser = ZipfianGenerator(self.key_count, self.zipf_theta)
+            chooser = ZipfianGenerator(self.key_count, ZIPF_THETA)
         else:
             chooser = None  # uniform
         buffers = []

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster
 from repro.cluster.replication import ACTIVE
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.options import HASH_REP, WAL_SYNC, Options
-from repro.net import NetConfig, Network
+from repro.net import Network
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import kb, mb
@@ -29,7 +29,7 @@ def cluster_options() -> Options:
     )
 
 
-def make_cluster(n=3, seed=1234, config=None, fs_factory=None):
+def make_cluster(n=3, seed=1234, fs_factory=None):
     """A started n-node cluster on fresh xpoint machines."""
     engine = Engine()
     rng = RandomStream(seed, "cluster-test")
@@ -40,10 +40,8 @@ def make_cluster(n=3, seed=1234, config=None, fs_factory=None):
         else:
             device = StorageDevice(engine, xpoint_ssd(), rng=rng.fork(f"dev/{i}"))
             fss.append(SimFileSystem(engine, device, PageCache(mb(4))))
-    net = Network(engine, n, rng.fork("net"), NetConfig())
-    cluster = Cluster(
-        engine, net, fss, cluster_options, rng.fork("cluster"), config or ClusterConfig()
-    )
+    net = Network(engine, n, rng.fork("net"))
+    cluster = Cluster(engine, net, fss, cluster_options, rng.fork("cluster"))
     cluster.start()
     return engine, cluster
 

@@ -10,6 +10,7 @@ from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.db import DB
 from repro.lsm.options import Options
+from repro.obs import active_tracer, set_active_tracer
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import kb, mb
@@ -28,6 +29,16 @@ def engine() -> Engine:
 @pytest.fixture
 def rng() -> RandomStream:
     return RandomStream(42, "tests")
+
+
+def traced_engine(tracer) -> Engine:
+    """An engine that records into ``tracer``: active while it is built."""
+    previous = active_tracer()
+    set_active_tracer(tracer)
+    try:
+        return Engine()
+    finally:
+        set_active_tracer(previous)
 
 
 def make_fs(engine: Engine, profile=None, cache_bytes: int = mb(16)) -> SimFileSystem:

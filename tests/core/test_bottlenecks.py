@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.bottlenecks import (
+    NEAR_STOP_OPS,
     NearStopPeriod,
     near_stop_fraction,
     near_stop_periods,
@@ -34,10 +35,10 @@ class TestNearStop:
     def test_no_valleys(self):
         assert near_stop_periods(series([50_000, 60_000])) == []
 
-    def test_custom_threshold(self):
-        s = series([15_000, 15_000])
-        assert near_stop_periods(s, threshold_ops=10_000) == []
-        assert len(near_stop_periods(s, threshold_ops=20_000)) == 1
+    def test_threshold_is_the_papers_10_kops(self):
+        assert NEAR_STOP_OPS == 10_000
+        assert near_stop_periods(series([15_000, 10_000])) == []
+        assert near_stop_periods(series([15_000, 9_999])) == [NearStopPeriod(1.0, 2.0)]
 
     def test_fraction(self):
         s = series([50_000, 5_000, 5_000, 50_000])

@@ -83,6 +83,34 @@ class TestRaisingHarness:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ops", "0"],
+        ["--keys", "0"],
+        ["--storm", "--keys", "0"],
+        ["--cluster", "--keys", "0"],
+        ["--serving", "--keys", "0"],
+        ["--max-faults", "-1"],
+        ["--storm", "--max-faults", "-2"],
+        ["--cluster", "--nodes", "1"],
+        ["--serving", "--shards", "0"],
+        ["--serving", "--replicas", "1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_flag_is_a_usage_error(capsys, flags):
+    """A bad sizing flag is an ``error:`` line and exit 2 before any seed
+    runs, not a per-seed ``EXCEPTION`` (or, for a flag the mode ignores, a
+    silent PASS)."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(lambda: main(["--seed", "1"] + flags))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flags[-2]} must be >= ")
+
+
 class TestSaveReplay:
     @pytest.mark.parametrize("kind", ["io", "space", "mixed"])
     def test_storm_schedule_round_trips(self, tmp_path, capsys, kind):

@@ -46,18 +46,6 @@ class TestNamespace:
         assert null_fs.list("wal/") == ["wal/1", "wal/2"]
         assert null_fs.list() == ["sst/9", "wal/1", "wal/2"]
 
-    def test_rename(self, null_fs):
-        f = null_fs.create("old")
-        null_fs.rename("old", "new")
-        assert null_fs.open("new") is f
-        assert not null_fs.exists("old")
-
-    def test_rename_collision(self, null_fs):
-        null_fs.create("a")
-        null_fs.create("b")
-        with pytest.raises(FileExistsInFS):
-            null_fs.rename("a", "b")
-
 
 class TestAppendReadSync:
     def test_append_grows_size(self, null_fs):

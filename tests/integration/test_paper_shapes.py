@@ -91,8 +91,8 @@ class TestThrottling:
 
         original, orig_series = burst_run("")
         twostage, ts_series = burst_run("two-stage")
-        orig_frac = near_stop_fraction(orig_series, threshold_ops=10_000)
-        ts_frac = near_stop_fraction(ts_series, threshold_ops=10_000)
+        orig_frac = near_stop_fraction(orig_series)
+        ts_frac = near_stop_fraction(ts_series)
         assert ts_frac <= orig_frac
         # The bursts must actually have stressed the write path (either the
         # delay stages or the memtable-stop backstop engaged).

@@ -1,6 +1,4 @@
-"""Tests for CompactRange and GetApproximateSizes analogs."""
-
-import pytest
+"""Tests for the CompactRange analog."""
 
 from repro.lsm.format import KIND_DELETE
 from repro.lsm.value import ValueRef
@@ -66,32 +64,3 @@ class TestCompactRange:
         db = filled_db(engine, n=50)
         run_op(engine, db.compact_range())
         assert db.stats.get("manual_compactions") == 1
-
-
-class TestApproximateSize:
-    def test_empty_range(self, engine):
-        db = filled_db(engine, n=100)
-        assert db.approximate_size(key(5), key(5)) == 0
-        assert db.approximate_size(key(9000), key(9999)) == 0
-
-    def test_full_range_close_to_total(self, engine):
-        db = filled_db(engine)
-        run_op(engine, db.compact_range())
-        total = int(db.property_value("total-sst-bytes"))
-        approx = db.approximate_size(key(0), key(10**9))
-        assert approx == pytest.approx(total, rel=0.05)
-
-    def test_half_range_roughly_half(self, engine):
-        db = filled_db(engine)
-        run_op(engine, db.compact_range())
-        full = db.approximate_size(key(0), key(10**9))
-        half = db.approximate_size(key(0), key(300))
-        assert half == pytest.approx(full / 2, rel=0.2)
-
-    def test_monotone_in_range(self, engine):
-        db = filled_db(engine, n=400)
-        run_op(engine, db.compact_range())
-        a = db.approximate_size(key(0), key(100))
-        b = db.approximate_size(key(0), key(200))
-        c = db.approximate_size(key(0), key(400))
-        assert a < b < c

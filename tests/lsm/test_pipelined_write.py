@@ -17,7 +17,9 @@ from tests.conftest import TimeWeightedGauge
 
 
 def make_writer(engine, nbytes=1024):
-    return Writer([(b"k", (1, 1, b"v"))], nbytes, engine.event())
+    writer = Writer([(b"k", (1, 1, b"v"))], nbytes)
+    writer.event = engine.event()
+    return writer
 
 
 def make_queue(engine, max_group=1 * MB):

@@ -42,15 +42,6 @@ def test_iteration_sorted():
     assert [k for k, _ in sl] == [b"a", b"c", b"m", b"z"]
 
 
-def test_seek():
-    sl = make_list()
-    for i in range(0, 100, 10):
-        sl.insert(b"%03d" % i, i)
-    assert [v for _, v in sl.seek(b"035")] == [40, 50, 60, 70, 80, 90]
-    assert [v for _, v in sl.seek(b"040")] == [40, 50, 60, 70, 80, 90]
-    assert list(sl.seek(b"999")) == []
-
-
 def test_get_absent_between_keys():
     sl = make_list()
     sl.insert(b"a", 1)

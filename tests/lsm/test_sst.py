@@ -201,13 +201,6 @@ class TestTable:
         assert len(items) == 10
         assert items[0][0] == sst.smallest
 
-    def test_key_index_counts_smaller_keys(self):
-        sst = build(10, stride=10)
-        assert sst.key_index(b"") == 0
-        assert sst.key_index(b"%08d" % 40) == 4
-        assert sst.key_index(b"%08d" % 45) == 5
-        assert sst.key_index(b"~") == 10
-
     def test_items_from(self):
         sst = build(10, stride=10)
         tail = list(sst.items_from(b"%08d" % 45))

@@ -18,7 +18,7 @@ from repro.obs import (
 )
 from repro.sim.engine import Engine
 from repro.storage.profiles import xpoint_ssd
-from tests.conftest import make_db, run_op, tiny_options
+from tests.conftest import make_db, run_op, tiny_options, traced_engine
 
 
 def spans(tracer):
@@ -32,7 +32,7 @@ def instants(tracer):
 class TestTracerCore:
     def test_span_records_start_duration_and_merged_args(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
 
         def proc():
             engine.tracer.span_begin("work", "step", {"a": 1})
@@ -45,7 +45,7 @@ class TestTracerCore:
 
     def test_nested_spans_pop_innermost_first(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
 
         def proc():
             engine.tracer.span_begin("t", "outer")
@@ -65,13 +65,13 @@ class TestTracerCore:
 
     def test_unmatched_span_end_is_dropped(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
         engine.tracer.span_end("t", {"ignored": True})
         assert spans(tracer) == []
 
     def test_instant_and_counter(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
         engine.tracer.instant("t", "tick")
         engine.tracer.counter("t", "depth", 3)
         events = list(tracer.iter_events())
@@ -95,7 +95,7 @@ class TestTracerCore:
 
     def test_engine_hooks_record_lifecycle(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
 
         def proc():
             yield 10
@@ -108,7 +108,7 @@ class TestTracerCore:
 
     def test_two_engines_get_distinct_prefixed_tracks(self):
         tracer = Tracer()
-        a, b = Engine(tracer=tracer), Engine(tracer=tracer)
+        a, b = traced_engine(tracer), traced_engine(tracer)
         a.tracer.instant("t", "from-a")
         b.tracer.instant("t", "from-b")
         tracks = {track for track, _, name, _, _, _ in instants(tracer)}
@@ -125,7 +125,7 @@ class TestTracerCore:
 
     def test_export_writes_valid_chrome_trace(self, tmp_path):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
 
         def proc():
             engine.tracer.span_begin("track", "job")
@@ -198,7 +198,7 @@ def _metrics(l0=0):
 class TestSummaries:
     def test_write_controller_transitions_become_episodes(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
         wc = WriteController(engine, tiny_options())
 
         def proc():
@@ -220,7 +220,7 @@ class TestSummaries:
 
     def test_open_episode_has_no_end(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
         wc = WriteController(engine, tiny_options())
         wc.update(_metrics(l0=20))
         (track, start, end, states) = stall_episodes(tracer)[0]
@@ -233,15 +233,17 @@ class TestSummaries:
         view.complete("device/x", "write", 0, 80)
         view.complete("device/x", "write.wait", 100, 900)  # excluded
         view.complete("device/x", "read", 150, 20)
-        windows = busiest_device_windows(tracer, window_ns=100)
+        view.complete("device/x", "read", 1990, 10)  # a 2000 ns horizon: 100 ns windows
+        windows = busiest_device_windows(tracer)
         assert windows == [
             ("device/x", 0, 80, 0.8),
             ("device/x", 100, 20, 0.2),
+            ("device/x", 1900, 10, 0.1),
         ]
 
     def test_summarize_renders_highlights(self):
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
         wc = WriteController(engine, tiny_options())
 
         def proc():
@@ -268,7 +270,7 @@ class TestTracedDBRun:
         """A traced end-to-end run covers device, flush, compaction, and
         write-group spans — what the acceptance trace must contain."""
         tracer = Tracer()
-        engine = Engine(tracer=tracer)
+        engine = traced_engine(tracer)
         db = make_db(engine, profile=xpoint_ssd(), options=tiny_options())
         assert isinstance(db, DB)
 

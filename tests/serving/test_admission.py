@@ -88,9 +88,8 @@ class TestAdmissionController:
         assert admission.stats.get("admitted.nobody") == 0
 
     def test_throttle_stats(self):
-        admission = AdmissionController(
-            [], budgets={"t0": TenantBudget(ops_per_sec=1000.0, burst=1)}
-        )
+        admission = AdmissionController([])
+        admission.set_budget("t0", TenantBudget(ops_per_sec=1000.0, burst=1))
         assert admission.admit("t0", now=0) == 0
         delay = admission.admit("t0", now=0)
         assert delay > 0
@@ -122,12 +121,10 @@ class TestAdmissionController:
         """The same arrival pattern throttles harder under a stalled shard."""
         stalled = make_controller()
         stalled.state = STOPPED
-        tight = AdmissionController(
-            [stalled], budgets={"t": TenantBudget(1000.0, burst=1)}
-        )
-        loose = AdmissionController(
-            [make_controller()], budgets={"t": TenantBudget(1000.0, burst=1)}
-        )
+        tight = AdmissionController([stalled])
+        loose = AdmissionController([make_controller()])
+        for admission in (tight, loose):
+            admission.set_budget("t", TenantBudget(1000.0, burst=1))
         tight.admit("t", 0)
         loose.admit("t", 0)
         assert tight.admit("t", 0) > loose.admit("t", 0)

@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.obs import Tracer
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyHistogram, TimeSeries
+from tests.conftest import traced_engine
 
 # ---------------------------------------------------------------------------
 # Reference kernel: the documented contract, implemented naively.
@@ -318,7 +319,7 @@ def run_on_engine(scenario, tracer=None, chunks=None):
     then overshoots the last occurrence by at most one step, 3 ns).  Each
     step must return exactly at its deadline: nothing may warp past it."""
     n_events, scripts = scenario
-    engine = Engine(tracer=tracer)
+    engine = traced_engine(tracer)
     events = [engine.event() for _ in range(n_events)]
     log, timers = [], {}
     for i, script in enumerate(scripts):
@@ -800,7 +801,7 @@ def test_rate_between_matches_full_scan(seed):
 
     rng = random.Random(300 + seed)
     bucket_ns = rng.choice((1_000, 7_919, SEC))
-    ts = TimeSeries(bucket_ns=bucket_ns, name="t")
+    ts = TimeSeries(bucket_ns=bucket_ns)
     horizon = bucket_ns * 50
     for _ in range(400):
         ts.record(rng.randint(0, horizon), n=rng.randint(1, 3))

@@ -24,6 +24,7 @@ from repro.sim.rng import RandomStream
 from repro.sim.units import GB, KB, MB, SEC
 from repro.storage.device import READ, WRITE, StorageDevice
 from repro.storage.profiles import DeviceProfile, pcie_flash_ssd, sata_flash_ssd, xpoint_ssd
+from tests.conftest import traced_engine
 
 
 def flat_profile(channels=2, jitter=0.0):
@@ -410,7 +411,7 @@ def test_one_pass_read_matches_the_stripe_submit(plan):
     state are equal, both raise the same error or neither does, and every
     request completes at the same time on both."""
     profile, traced, faults, reqs = plan
-    engine = Engine(tracer=Tracer()) if traced else Engine()
+    engine = traced_engine(Tracer()) if traced else Engine()
     spec, dev = _devices(engine, profile, faults)
     done_at = {}
 

@@ -1,5 +1,5 @@
 """Nothing under ``src/repro`` lives without a non-test user, and tier-1 keeps
-it so.  Five checks share one parse of the tree (:func:`tree`):
+it so.  Six checks share one parse of the tree (:func:`tree`):
 
 1. Every module-level function, class and method — in each subpackage and
    the top-level modules (``errors.py``, ``jobs.py``) — is referenced
@@ -14,19 +14,35 @@ it so.  Five checks share one parse of the tree (:func:`tree`):
    ``examples/``, or named in ``docs/`` as public API.  A read is a load of
    a name or attribute, or a string constant equal to the field's name
    (``getattr``, an ``asdict`` key); a test reading a field does not count.
-5. Every defaulted dataclass field is *set* by non-test code — a keyword
-   argument, a positional constructor argument, an attribute store or a
-   string key — or named in the "Kept for tests" table.  A default that
-   nothing overrides is a constant, not a knob.  Out of scope:
-   ``CostModel`` and ``DeviceProfile`` fields (what-if components: every
-   cost and device parameter is a knob by design), ``FaultSpec`` fields (an
-   input format loaded from JSON) and ``field(default_factory=...)``
-   accumulators.
+5. Every defaulted dataclass field is *set* by non-test code — a keyword or
+   positional constructor argument, an attribute store or a string key —
+   or named in the "Kept for tests" table.  A default that nothing
+   overrides is a constant, not a knob.  Out of scope: ``CostModel`` and
+   ``DeviceProfile`` fields (what-if components: every cost and device
+   parameter is a knob by design), ``FaultSpec`` fields (an input format
+   loaded from JSON) and ``field(default_factory=...)`` accumulators.
+6. Every defaulted parameter of a function, method or constructor is
+   *passed* by a non-test call — by keyword, by position or through a
+   ``**`` splat — or named ``Func(param=)`` in the kept table.  Out of
+   scope: ``main(argv=)`` and the ``storage/profiles.py`` device factories
+   (device parameters are what-if knobs, as in check 5).
+
+Checks 5 and 6 match a setter to its callee, not to a bare name.  A keyword
+``k=`` counts for field ``C.k`` or parameter ``f(k=)`` only when the call
+reaches that callee: it calls the name (``C``, ``f``, or ``obj.f`` for a
+method), or it is ``cls(...)`` inside ``C``, ``super().__init__(...)`` in a
+subclass of ``C`` or, for a field, ``dataclasses.replace``.  A keyword given
+to a ``**kwargs`` function that has no parameter ``k`` of its own counts for
+what that function's ``**`` splats call (``ScalePreset.options`` forwards
+to ``Options``).  A ``self.k = ...`` store counts for its own class only.  A
+call through a variable (``run_cls(seed, config)``) reaches nothing the
+checker can name, so the kept table names what it passes.
 
 A reference is an identifier as code uses it — a name, an attribute, an
 imported name — or a string constant equal to it (``getattr`` by name).  A
 re-export in a package ``__init__.py`` and an ``__all__`` entry are not
-uses.  Dunder methods are called by the interpreter and are not checked.
+uses.  Dunder methods are called by the interpreter and are not checked,
+except that check 6 reads ``__init__`` as its class's constructor.
 
 Run it directly to list the findings::
 
@@ -40,16 +56,36 @@ import functools
 import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 SEARCHED = ("src", "tests", "benchmarks", "examples")
 FIELD_READERS = ("src", "benchmarks", "examples")
 KEPT_HEADING = "## Kept for tests"
 FIELD_RULE_EXEMPT = {"CostModel", "DeviceProfile", "FaultSpec"}
+PARAM_RULE_EXEMPT_FILES = ("src/repro/storage/profiles.py",)  # the device factories
 
 Definition = Tuple[str, Path, int, int]  # (qualified name, file, first line, last line)
 Uses = Dict[str, List[Tuple[Path, int]]]  # identifier -> (file, line) of each use
+
+
+class Signature(NamedTuple):
+    """A function, method or constructor under ``src/repro``, as calls see it."""
+
+    qualname: str  # ``f``, ``C.m``, or ``C`` for ``C.__init__``
+    callee: str  # the name a call reaches it by: ``f``, ``m`` or ``C``
+    path: Path
+    node: ast.FunctionDef
+    positional: List[str]  # what positional arguments fill, ``self`` / ``cls`` dropped
+    params: Set[str]
+    forwards: bool  # takes ``**kwargs``
+
+
+class Call(NamedTuple):
+    callee: str  # the name called, or the class ``cls(...)`` / ``super().__init__`` reaches
+    node: ast.Call
+    path: Path
+    splat_own: Set[str]  # the enclosing function's own ``**kwargs`` name, if any
 
 
 def _code_spans(text: str) -> List[str]:
@@ -85,7 +121,7 @@ def _reexports(path: Path, module: ast.Module) -> Set[int]:
 
 
 class Tree:
-    """One parse of a checkout and the use indexes the five checks read."""
+    """One parse of a checkout and the use indexes the six checks read."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -93,8 +129,16 @@ class Tree:
         self.tests = root / "tests"
         self.references: Uses = defaultdict(list)
         self.reads: Uses = defaultdict(list)
-        self.sets: Uses = defaultdict(list)
+        self.sets: Uses = defaultdict(list)  # string keys and stores on other than ``self``
+        # attribute -> (class, file, line) of each ``self.attribute`` store in a method
+        self.self_sets: Dict[str, List[Tuple[str, Path, int]]] = defaultdict(list)
+        # keyword -> (callee, file, line) of each keyword that a ``**kwargs``
+        # function without that parameter passes on to ``callee``
+        self.forwarded: Dict[str, List[Tuple[str, Path, int]]] = defaultdict(list)
+        self.splat_callees: Dict[int, Set[str]] = defaultdict(set)  # by id() of a function
         self.definitions: List[Definition] = []
+        self.signatures: List[Signature] = []
+        self.calls: Dict[str, List[Call]] = defaultdict(list)  # by callee
         self.classes: Dict[str, List[ast.ClassDef]] = defaultdict(list)  # by name
         self.class_files: List[Tuple[Path, ast.ClassDef]] = []
         modules = {}
@@ -102,11 +146,25 @@ class Tree:
             if (root / top).is_dir():
                 for path in sorted((root / top).rglob("*.py")):
                     modules[path] = ast.parse(path.read_text(), filename=str(path))
+        self.test_files = {path for path in modules if self.tests in path.parents}
         for path, module in modules.items():
             if self.checked in path.parents:
                 self._define(path, module)
         for path, module in modules.items():
-            self._index(path, module)
+            readers = any(self.root / top in path.parents for top in FIELD_READERS)
+            self._index(path, module, _reexports(path, module), readers, None, None)
+        by_callee = defaultdict(list)
+        for sig in self.signatures:
+            by_callee[sig.callee].append(sig)
+        for callee, calls in self.calls.items():
+            sigs = by_callee.get(callee)
+            if sigs and all(sig.forwards for sig in sigs):
+                targets = set().union(*(self.splat_callees[id(sig.node)] for sig in sigs))
+                for call in calls:
+                    for kw in call.node.keywords:
+                        if kw.arg and not any(kw.arg in sig.params for sig in sigs):
+                            for target in targets:
+                                self.forwarded[kw.arg].append((target, call.path, kw.value.lineno))
         api = root / "docs" / "API.md"
         self.api = api.read_text() if api.exists() else ""
         self.documented = {
@@ -117,11 +175,20 @@ class Tree:
         }
         kept = self.api.split(KEPT_HEADING, 1)[1].split("\n## ", 1)[0] if KEPT_HEADING in self.api else ""
         self.kept = {
-            name for span in _code_spans(kept) for name in re.findall(r"[A-Za-z_]\w*(?:\.\w+)?", span)
+            name
+            for span in _code_spans(kept)
+            if "(" not in span
+            for name in re.findall(r"[A-Za-z_]\w*(?:\.\w+)?", span)
+        }
+        self.kept_params = {
+            f"{func}({param}=)"
+            for span in _code_spans(kept)
+            for func, params in re.findall(r"([A-Za-z_][\w.]*)\(([^)]*)\)", span)
+            for param in re.findall(r"(\w+)=", params)
         }
 
     def is_test(self, path: Path) -> bool:
-        return self.tests in path.parents
+        return path in self.test_files
 
     def where(self, path: Path) -> str:
         return str(path.relative_to(self.root))
@@ -130,63 +197,136 @@ class Tree:
         for node in module.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 self.definitions.append((node.name, path, node.lineno, node.end_lineno))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._sign(node.name, node.name, path, node, bound=False)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         name = item.name
-                        if not (name.startswith("__") and name.endswith("__")):
+                        bound = "staticmethod" not in {_name_of(d) for d in item.decorator_list}
+                        if name == "__init__":
+                            self._sign(node.name, node.name, path, item, bound)
+                        elif not (name.startswith("__") and name.endswith("__")):
                             self.definitions.append(
                                 (f"{node.name}.{name}", path, item.lineno, item.end_lineno)
                             )
+                            self._sign(f"{node.name}.{name}", name, path, item, bound)
         for node in ast.walk(module):
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name].append(node)
                 self.class_files.append((path, node))
 
-    def _index(self, path: Path, module: ast.Module) -> None:
-        skip = _reexports(path, module)
-        readers = any(self.root / top in path.parents for top in FIELD_READERS)
-        for node in ast.walk(module):
-            if id(node) in skip:
-                continue
-            name, ctx = None, None
-            if isinstance(node, ast.Name):
-                name, ctx = node.id, node.ctx
-            elif isinstance(node, ast.Attribute):
-                name, ctx = node.attr, node.ctx
-                if isinstance(ctx, ast.Store):
-                    self.sets[name].append((path, node.lineno))
-            elif isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    name, ctx = node.value, ast.Load()
-                    self.sets[name].append((path, node.lineno))
-            elif isinstance(node, ast.keyword) and node.arg:
-                self.sets[node.arg].append((path, node.value.lineno))
-            elif isinstance(node, ast.Call):
-                for field_name in self._positional_fields(node):
-                    self.sets[field_name].append((path, node.lineno))
-            if name is None:
-                continue
-            self.references[name].append((path, node.lineno))
-            if readers and isinstance(ctx, ast.Load):
-                self.reads[name].append((path, node.lineno))
+    def _sign(self, qualname: str, callee: str, path: Path, node: ast.FunctionDef, bound: bool) -> None:
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args][1 if bound else 0 :]
+        params = set(positional) | {a.arg for a in args.kwonlyargs}
+        self.signatures.append(
+            Signature(qualname, callee, path, node, positional, params, args.kwarg is not None)
+        )
 
-    def _positional_fields(self, call: ast.Call) -> Iterator[str]:
-        """The dataclass fields that a constructor call's positional
-        arguments set (a class is known by the name it is called by)."""
-        for cls in self.classes.get(_name_of(call.func), ()):
-            if _is_dataclass(cls):
-                fields = [f for f, _ in dataclass_fields(self, cls)]
-                for arg, field_name in zip(call.args, fields):
-                    if isinstance(arg, ast.Starred):
-                        break
-                    yield field_name
+    def _index(
+        self,
+        path: Path,
+        node: ast.AST,
+        skip: Set[int],
+        readers: bool,
+        cls: Optional[ast.ClassDef],
+        fn: Optional[ast.FunctionDef],
+    ) -> None:
+        """Index every node under ``node``: its references and reads, its
+        attribute stores (a ``self.`` one under its class), each call by
+        the name of what it calls, and what each function's ``**`` splats
+        call (where its ``**kwargs`` go).  ``skip`` holds the re-export
+        nodes; ``cls`` and ``fn`` are the enclosing class and function."""
+        for child in ast.iter_child_nodes(node):
+            if id(child) not in skip:
+                self._use(path, child, readers, cls)
+            if isinstance(child, ast.Call):
+                kwarg = fn.args.kwarg if fn is not None else None
+                call = _resolve(path, child, cls, {kwarg.arg} if kwarg else set())
+                self.calls[call.callee].append(call)
+                if fn is not None and any(kw.arg is None for kw in child.keywords):
+                    self.splat_callees[id(fn)].add(call.callee)
+            if isinstance(child, ast.ClassDef):
+                self._index(path, child, skip, readers, child, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._index(path, child, skip, readers, cls, child)
+            else:
+                self._index(path, child, skip, readers, cls, fn)
+
+    def _use(self, path: Path, node: ast.AST, readers: bool, cls: Optional[ast.ClassDef]) -> None:
+        name, ctx = None, None
+        if isinstance(node, ast.Name):
+            name, ctx = node.id, node.ctx
+        elif isinstance(node, ast.Attribute):
+            name, ctx = node.attr, node.ctx
+            if isinstance(ctx, ast.Store):
+                if cls is not None and getattr(node.value, "id", None) == "self":
+                    self.self_sets[name].append((cls.name, path, node.lineno))
+                else:
+                    self.sets[name].append((path, node.lineno))
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                name, ctx = node.value, ast.Load()
+                self.sets[name].append((path, node.lineno))
+        if name is None:
+            return
+        self.references[name].append((path, node.lineno))
+        if readers and isinstance(ctx, ast.Load):
+            self.reads[name].append((path, node.lineno))
+
+    def non_test_calls(self, callee: str, path: Path, first: int, last: int) -> List[Call]:
+        """The non-test calls of ``callee`` outside lines ``first..last`` of ``path``."""
+        return [
+            call
+            for call in self.calls.get(callee, ())
+            if not self.is_test(call.path) and not (call.path == path and first <= call.node.lineno <= last)
+        ]
+
+    def forwards_to(self, keyword: str, callees: Set[str], path: Path, first: int, last: int) -> bool:
+        """Whether non-test code outside lines ``first..last`` of ``path``
+        passes ``keyword`` to a ``**kwargs`` function that splats it into
+        one of ``callees``."""
+        return any(
+            target in callees and not self.is_test(p) and not (p == path and first <= line <= last)
+            for target, p, line in self.forwarded.get(keyword, ())
+        )
 
     def outside(self, uses: Uses, name: str, path: Path, first: int, last: int):
         """The uses of ``name`` outside lines ``first..last`` of ``path``."""
         return [(p, line) for p, line in uses.get(name, ()) if not (p == path and first <= line <= last)]
+
+
+def _resolve(path: Path, node: ast.Call, cls: Optional[ast.ClassDef], own: Set[str]) -> Call:
+    """A call with its callee named: ``cls(...)`` inside a class calls that
+    class, ``super().__init__(...)`` its first base."""
+    callee = _name_of(node.func)
+    if cls is not None and isinstance(node.func, ast.Name) and callee == "cls":
+        callee = cls.name
+    elif cls is not None and callee == "__init__" and cls.bases:
+        callee = _name_of(cls.bases[0])
+    return Call(callee, node, path, own)
+
+
+def _passes(call: Call, positional: List[str], param: str, splat: bool = True) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, by position (a
+    ``*args`` splat fills every later position) or, if ``splat``, through a
+    ``**`` splat (but a splat of the caller's own ``**kwargs`` forwards what
+    its callers passed, which :attr:`Tree.forwarded` counts)."""
+    for kw in call.node.keywords:
+        if kw.arg == param:
+            return True
+        if kw.arg is None and splat:
+            value = kw.value
+            if not (isinstance(value, ast.Name) and value.id in call.splat_own):
+                return True
+    if param in positional:
+        index = positional.index(param)
+        args = call.node.args[: index + 1]
+        return any(isinstance(arg, ast.Starred) or i == index for i, arg in enumerate(args))
+    return False
 
 
 def dataclass_fields(tree: Tree, cls: ast.ClassDef) -> List[Tuple[str, ast.AnnAssign]]:
@@ -303,13 +443,61 @@ def unset_fields(root: Path = ROOT) -> List[str]:
         cls_name, name = qualname.split(".")
         if cls_name in FIELD_RULE_EXEMPT or not _has_plain_default(item) or qualname in t.kept:
             continue
-        sets = t.outside(t.sets, name, path, item.lineno, item.end_lineno)
-        if not any(not t.is_test(p) for p, _ in sets):
+        first, last = item.lineno, item.end_lineno
+        fields = [f for f, _ in dataclass_fields(t, t.classes[cls_name][0])]
+        constructed = t.non_test_calls(cls_name, path, first, last)
+        replaced = t.non_test_calls("replace", path, first, last)
+        if not (
+            any(not t.is_test(p) for p, _ in t.outside(t.sets, name, path, first, last))
+            or any(owner == cls_name and not t.is_test(p) for owner, p, _ in t.self_sets.get(name, ()))
+            or any(_passes(call, fields, name, splat=False) for call in constructed)
+            or any(_passes(call, [], name, splat=False) for call in replaced)
+            or t.forwards_to(name, {cls_name, "replace"}, path, first, last)
+        ):
             out.append(f"{t.where(path)}:{item.lineno} {qualname}")
     return out
 
 
-CHECKS = (unreferenced, undocumented_test_only, stale_documented_members, unread_fields, unset_fields)
+def _defaulted(node: ast.FunctionDef) -> Iterator[Tuple[str, int]]:
+    """``(parameter, line)`` of every parameter of ``node`` with a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+    pairs += [(arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    for arg, _ in pairs:
+        yield arg.arg, arg.lineno
+
+
+def unpassed_params(root: Path = ROOT) -> List[str]:
+    """Check 6: ``file:line Func(param=)`` of every defaulted parameter no
+    non-test call passes and the kept table does not name."""
+    t = tree(root)
+    out = []
+    for sig in t.signatures:
+        if t.where(sig.path) in PARAM_RULE_EXEMPT_FILES:
+            continue
+        first, last = sig.node.lineno, sig.node.end_lineno
+        calls = t.non_test_calls(sig.callee, sig.path, first, last)
+        for param, line in _defaulted(sig.node):
+            finding = f"{sig.qualname}({param}=)"
+            if (sig.qualname, param) == ("main", "argv") or finding in t.kept_params:
+                continue
+            if any(_passes(call, sig.positional, param) for call in calls):
+                continue
+            if t.forwards_to(param, {sig.callee}, sig.path, first, last):
+                continue
+            out.append(f"{t.where(sig.path)}:{line} {finding}")
+    return out
+
+
+CHECKS = (
+    unreferenced,
+    undocumented_test_only,
+    stale_documented_members,
+    unread_fields,
+    unset_fields,
+    unpassed_params,
+)
 
 
 def test_every_definition_is_referenced():
@@ -332,6 +520,10 @@ def test_every_defaulted_field_is_set():
     assert unset_fields() == []
 
 
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_params() == []
+
+
 PLANTED = {
     "src/repro/__init__.py": "",
     "src/repro/pkg/__init__.py": (
@@ -344,7 +536,8 @@ PLANTED = {
         "\n"
         "class Helper:\n"
         "    def real(self):\n"
-        "        return 1\n"
+        "        self.never_set = 1  # Helper's attribute, not Config's field\n"
+        "        return self.never_set\n"
         "\n"
         "    def only_tested(self):\n"
         "        return 2\n"
@@ -360,23 +553,38 @@ PLANTED = {
         "    used: int = 1\n"
         "    never_set: int = 3\n"
         "    never_read: int = 0\n"
+        "    forwarded: int = 0\n"
         "    log: list = field(default_factory=list)\n"
+        "\n"
+        "\n"
+        "def build(**overrides):\n"
+        "    return Config(0, **overrides)\n"
+        "\n"
+        "\n"
+        "def scale(x, factor=2, tested=1, spare=0):\n"
+        "    return x * factor * tested + spare\n"
+        "\n"
+        "\n"
+        "def render(value, spare=0, never_set=0, width=8):\n"
+        "    return value + spare + never_set + width\n"
         "\n"
         "\n"
         "def main():\n"
         "    config = Config(4, used=2, never_read=1)\n"
         "    config.log.append(config.size)\n"
-        "    return Helper().real() + config.used + config.never_set\n"
+        "    out = Helper().real() + config.used + config.never_set + build(forwarded=1).forwarded\n"
+        "    return out + scale(1, 3) + render(0, spare=1, never_set=2)\n"
         "\n"
         "\n"
         "main()\n"
     ),
     "tests/test_mod.py": (
-        "from repro.pkg.mod import Config, Helper\n"
+        "from repro.pkg.mod import Config, Helper, scale\n"
         "\n"
         "\n"
         "def test_helper():\n"
         "    assert Helper().only_tested() == 2\n"
+        "    assert scale(2, tested=5) == 20\n"
         "    assert Config(1, never_set=5).never_set == 5\n"
         "    assert Config(1).never_read == 0  # a test's read is not a use\n"
     ),
@@ -410,11 +618,22 @@ def test_each_check_reports_its_plant(tmp_path):
         ["Helper.only_tested"],  # only a test calls it
         ["Helper.gone"],  # named in docs/API.md, defined nowhere
         ["Config.never_read"],  # set by main, read by nothing
-        ["Config.never_set"],  # only a test overrides its default
+        # only a test overrides its default; ``render(never_set=)`` and
+        # ``Helper``'s ``self.never_set`` set other names
+        ["Config.never_set"],
+        [
+            "scale(tested=)",  # only a test passes it
+            "scale(spare=)",  # the only ``spare=`` goes to render
+            "render(width=)",  # no call passes it
+        ],
     ]
-    # Naming them in the kept table is what clears checks 2 and 5.
-    kept = _plant(tmp_path / "kept", "| `Helper.only_tested`, `Config.never_set` | a test needs it |\n")
+    # Naming them in the kept table is what clears checks 2, 5 and 6.
+    kept = _plant(
+        tmp_path / "kept",
+        "| `Helper.only_tested`, `Config.never_set`, `scale(tested=, spare=)` | a test needs it |\n",
+    )
     assert undocumented_test_only(kept) == [] and unset_fields(kept) == []
+    assert [line.rsplit(" ", 1)[-1] for line in unpassed_params(kept)] == ["render(width=)"]
 
 
 if __name__ == "__main__":
