@@ -11,13 +11,14 @@ One seed worker and one sweep loop serve all four modes, so every flag
 above, ``--jobs`` and the handling of a harness that raises (printed as
 ``EXCEPTION(...)``, counted as a failure, sweep continues) are
 mode-independent.  A mode supplies its config class (a flag applies where
-that config has the field) and, in :data:`_CLI`, its summary line and
-sweep epilogue.
+that config has the field, and is a usage error where it has none) and, in
+:data:`_CLI`, its summary line and sweep epilogue.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from typing import List, Optional
 
@@ -82,42 +83,48 @@ def _seed_worker(item):
 #: included: an out-of-range value is a usage error, not a finding).
 _FLAG_FLOORS = {"ops": 1, "keys": 1, "max_faults": 0, "nodes": 2, "shards": 1, "replicas": 2}
 
+#: Each sizing flag and the config fields it sets (``--keys`` goes by two
+#: names); ``--no-faults`` sets ``faults``.
+_FLAG_FIELDS = {
+    "ops": ("num_ops",),
+    "keys": ("num_keys", "key_count"),
+    "max_faults": ("max_faults",),
+    "storm_kind": ("kind",),
+    "nodes": ("n_nodes",),
+    "shards": ("shards",),
+    "replicas": ("replicas",),
+    "no_faults": ("faults",),
+}
+
 
 def _check_flags(args: argparse.Namespace) -> None:
     """Refuse an out-of-range sizing flag before any seed runs."""
     for dest, least in _FLAG_FLOORS.items():
         value = getattr(args, dest)
-        if value < least:
+        if value is not None and value < least:
             flag = "--" + dest.replace("_", "-")
             raise WorkloadError(f"{flag} must be >= {least}, got {value}")
 
 
-def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """The parsed flags under the config-field names they go by.
+def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str) -> dict:
+    """The flags given, under the config-field names they go by.
 
-    One table serves every mode: ``make_config`` applies a flag where
-    the mode's config has its field (``--nodes`` means nothing to a
-    storm).  ``--ops`` / ``--keys`` / ``--max-faults`` left at the parser
-    default are dropped, so each mode keeps its own default, and
-    ``--seed N`` runs what the mode's ``Run(N)`` runs.
+    A flag left at its parser default sets nothing, so each mode keeps its
+    own default and ``--seed N`` runs what the mode's ``Run(N)`` runs.  A
+    flag given to a mode whose config has no field for it (``--nodes`` to a
+    storm) would be dropped without a word, so it is a usage error.
     """
-    flags = {
-        "num_ops": args.ops,
-        "num_keys": args.keys,
-        "key_count": args.keys,
-        "faults": not args.no_faults,
-        "max_faults": args.max_faults,
-        "kind": args.storm_kind,
-        "n_nodes": args.nodes,
-        "shards": args.shards,
-        "replicas": args.replicas,
-    }
-    if args.ops == parser.get_default("ops"):
-        del flags["num_ops"]
-    if args.keys == parser.get_default("keys"):
-        del flags["num_keys"], flags["key_count"]
-    if args.max_faults == parser.get_default("max_faults"):
-        del flags["max_faults"]
+    fields = {f.name for f in dataclasses.fields(MODES[mode][1])}
+    flags = {}
+    for dest, names in _FLAG_FIELDS.items():
+        value = getattr(args, dest)
+        if value == parser.get_default(dest):
+            continue
+        if fields.isdisjoint(names):
+            where = "the crash mode" if mode == "dst" else f"--{mode}"
+            raise WorkloadError(f"--{dest.replace('_', '-')} does not apply to {where}")
+        for name in names:
+            flags[name] = not value if dest == "no_faults" else value
     if args.replay:
         flags["schedule"] = _replay_schedule(args.replay)
     return flags
@@ -209,7 +216,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str)
     seeds = _parse_seeds(args)
     line, epilogue = _CLI[mode]
     _check_flags(args)
-    flags = _config_flags(parser, args)
+    flags = _config_flags(parser, args, mode)
     items = [(mode, seed, flags, args.selfcheck) for seed in seeds]
     failures = 0
     verdicts: List[RunResult] = []  # deterministic runs that returned a verdict
@@ -259,16 +266,18 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seeds", metavar="A:B", help="run seeds A..B-1 (overrides --seed)"
     )
-    parser.add_argument("--ops", type=int, default=300, help="workload operations")
-    parser.add_argument("--keys", type=int, default=40, help="key-space size")
+    parser.add_argument(
+        "--ops", type=int, help="workload operations (default: the mode's own; not --serving)"
+    )
+    parser.add_argument("--keys", type=int, help="key-space size (default: the mode's own)")
     parser.add_argument(
         "--no-faults", action="store_true", help="clean run: no faults, power cut at end"
     )
     parser.add_argument(
         "--max-faults",
         type=int,
-        default=5,
-        help="max random fault specs per run (default: the mode's own, 4 for --cluster, else 5)",
+        help="max random fault specs per run, for the crash mode (default 5) and "
+        "--cluster (default 4); --storm and --serving draw their own chaos",
     )
     parser.add_argument(
         "--replay", metavar="FILE", help="run a saved fault schedule (JSON) instead of a random one"
@@ -292,8 +301,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--storm-kind",
         choices=(STORM_AUTO,) + STORM_KINDS,
-        default=STORM_AUTO,
-        help="storm flavour: io faults, disk-full squeeze, both, or per-seed auto",
+        help="storm flavour for --storm: io faults, disk-full squeeze, both, "
+        "or per-seed auto (the default)",
     )
     parser.add_argument(
         "--cluster",
@@ -301,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
         help="replicated-cluster mode: WAL shipping, quorum acks, partition/failover",
     )
     parser.add_argument(
-        "--nodes", type=int, default=3, help="cluster size for --cluster (default 3)"
+        "--nodes", type=int, help="cluster size for --cluster (default 3)"
     )
     parser.add_argument(
         "--serving",
@@ -310,12 +319,11 @@ def _parser() -> argparse.ArgumentParser:
         "failover/partition/storms injected mid-traffic",
     )
     parser.add_argument(
-        "--shards", type=int, default=2, help="shard groups for --serving (default 2)"
+        "--shards", type=int, help="shard groups for --serving (default 2)"
     )
     parser.add_argument(
         "--replicas",
         type=int,
-        default=3,
         help="replicas per shard group for --serving (default 3)",
     )
     parser.add_argument(

@@ -125,9 +125,6 @@ class CostModel:
             )
         return cost
 
-    def wal_serialize(self, nbytes: int) -> int:
-        return self.wal_append_base_ns + (nbytes * self.wal_serialize_per_byte_ps) // 1000
-
     def flush_entries(self, n: int) -> int:
         return self.flush_entry_ns * n
 

@@ -29,8 +29,6 @@ class RateLimiter:
         self.engine = engine
         self.bytes_per_sec = bytes_per_sec
         self._next_refill_time = 0
-        self.total_bytes = 0
-        self.total_delay_ns = 0
 
     def request(self, nbytes: int) -> int:
         """Reserve ``nbytes`` of credit; returns the ns to sleep first."""
@@ -42,6 +40,4 @@ class RateLimiter:
             nrt = now - BURST_NS  # cap idle credit at one burst window
         delay = nrt - now if nrt > now else 0
         self._next_refill_time = max(nrt, now) + nbytes * SEC // self.bytes_per_sec
-        self.total_bytes += nbytes
-        self.total_delay_ns += delay
         return delay

@@ -165,9 +165,10 @@ def cut_blocks(cum: Sequence[int], block_size: int) -> Tuple[array, array]:
     n = len(cum) - 1
     if isinstance(cum, range):  # one size: every block holds the same count
         per_block = max(1, block_size // cum.step)
+        # From a list, an array is sized once: exact, and faster past a few blocks.
         return (
-            array("q", range(0, n, per_block)),
-            array("q", range(0, n * cum.step, per_block * cum.step)),
+            array("q", list(range(0, n, per_block))),
+            array("q", list(range(0, n * cum.step, per_block * cum.step))),
         )
     first, offset = array("q"), array("q")
     start = 0

@@ -193,7 +193,6 @@ class WalManager:
                 nbytes += len(key) + value.size + overhead
             else:
                 nbytes += wal_record_bytes(key, entry, overhead)
-        # wal_serialize() inlined, same arithmetic.
         cpu = (
             costs.wal_append_base_ns
             + (nbytes * costs.wal_serialize_per_byte_ps) // 1000

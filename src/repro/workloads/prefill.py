@@ -13,7 +13,9 @@ A prefilled table holds its keys — C ``bisect`` over the key tuple *is* the
 index — and entry columns (:class:`~repro.lsm.sst.EntryColumns`) that are
 mostly constants: its sequence numbers are a ``range``, every kind is a PUT,
 and a value is ``benchmark_value(position, size)``, so the one per-key column
-is the value seeds.
+is the value seeds.  A table's keys are made together, from its window of
+the level's positions: ``encode_key`` of each, in one numpy pass per table
+when numpy is importable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import ge
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
@@ -114,10 +116,58 @@ def _to_seeds(positions: array, start: int, end: int) -> None:
         positions[start:end] = array("q", whole.to_bytes((end - start) * 8, sys.byteorder))
 
 
+#: The keys of a table's window ``positions[start:end]`` of a level's positions.
+_TableKeys = Callable[[array, int, int], Tuple[bytes, ...]]
+
+
+def _key_encoder() -> _TableKeys:
+    """``encode_key`` over a table's ascending positions, as one numpy pass.
+
+    ``unravel_index`` splits each position into four groups of four decimal
+    digits, and a 10,000-entry table maps a group to its four ASCII bytes
+    (one ``uint32``), so ``tolist()`` of the ``S16`` rows makes the table's
+    ``bytes`` objects together.  The rows are reused and grow only to the
+    largest table.  A run with a position outside ``[0, 10**16)`` and pure
+    Python (no numpy) take ``encode_key`` per position: the same bytes, and
+    its 17-digit key or its error.
+    """
+
+    def per_key(positions: array, start: int, end: int) -> Tuple[bytes, ...]:
+        return tuple(map(encode_key, positions[start:end]))
+
+    if _np is None:
+        return per_key
+    digit = _np.frombuffer(b"0123456789", _np.uint8)
+    four_digits = _np.empty((10, 10, 10, 10, 4), _np.uint8)  # [a, b, c, d] -> b"abcd"
+    four_digits[..., 0] = digit[:, None, None, None]
+    four_digits[..., 1] = digit[:, None, None]
+    four_digits[..., 2] = digit[:, None]
+    four_digits[..., 3] = digit
+    lut = four_digits.view(_np.uint32).ravel()
+    rows = _np.empty((0, 4), _np.uint32)
+
+    def encode(positions: array, start: int, end: int) -> Tuple[bytes, ...]:
+        nonlocal rows
+        m = end - start
+        if not m:
+            return ()
+        run = _np.frombuffer(positions, "q")[start:end]
+        if run[0] < 0 or run[-1] >= 10**16:
+            return per_key(positions, start, end)
+        if len(rows) < m:
+            rows = _np.empty((m, 4), _np.uint32)
+        text = rows[:m]
+        # "clip" writes ``out`` directly (every group is below 10,000 anyway).
+        lut.take(_np.unravel_index(run, (10_000,) * 4), out=text.T, mode="clip")
+        return tuple(text.view("S16").ravel().tolist())
+
+    return encode
+
+
 def _install(
     db: DB,
     n: int,
-    key_at: Callable[[int], bytes],
+    table_keys: _TableKeys,
     entry_sizes: Union[int, array],
     value_sizes: Union[int, array],
 ) -> Dict[int, int]:
@@ -129,8 +179,9 @@ def _install(
     Each key's *position* hashes to a level with probability proportional to
     the level's byte budget, so every level's files span the whole key range.
     Files and blocks are cut from entry sizes; no entry is built.
-    Keys are fetched table by table (``key_at``), so a table's key objects sit
-    together in memory: ``bisect`` over them is the read path's hot loop.
+    Keys are made table by table (``table_keys`` of the table's window of a
+    level's positions), so a table's key objects sit together in memory:
+    ``bisect`` over them is the read path's hot loop.
     """
     if db.versions.current.num_files() != 0:
         raise WorkloadError("prefill requires an empty database")
@@ -149,7 +200,12 @@ def _install(
     edit = VersionEdit()
     files_per_level: Dict[int, int] = {}
     seq = db.versions.last_sequence
-    for level, positions in zip(levels, _levels(n, thresholds)):
+    per_level = _levels(n, thresholds)
+    for level in levels:
+        # Popped: a file's columns are windows copied out of the level's, so a
+        # finished level's positions are freed before the next level's keys
+        # are made.
+        positions = per_level.pop(0)
         target = opts.target_file_size(level)
         # The level is one run of columns, each file a window of it; the value
         # seeds are the positions, shifted in place once a file's keys are read.
@@ -162,7 +218,7 @@ def _install(
         while start < len(positions):
             # A file closes with the entry that takes it to the target size.
             end = min(len(positions), bisect_left(cum, cum[start] + target))
-            keys = tuple(map(key_at, positions[start:end]))
+            keys = table_keys(positions, start, end)
             _to_seeds(positions, start, end)
             sst = SSTable.build(
                 db.versions.new_file_number(), keys, run[start:end],
@@ -190,7 +246,7 @@ def prefill(db: DB, spec: PrefillSpec) -> Dict[int, int]:
     whole key space (the real read-amplification shape: a GET walks through
     every level above the key's home level before finding it).
     """
-    return _install(db, spec.key_count, encode_key, spec.entry_bytes, spec.value_size)
+    return _install(db, spec.key_count, _key_encoder(), spec.entry_bytes, spec.value_size)
 
 
 def prefill_keys(
@@ -216,4 +272,8 @@ def prefill_keys(
     if any(map(ge, keys, islice(keys, 1, None))):
         raise WorkloadError("prefill_keys requires strictly ascending keys")
     sizes = value_size if value_sizes is None else array("q", value_sizes)
-    return _install(db, len(keys), keys.__getitem__, file_sizes(keys, sizes), sizes)
+
+    def table_keys(positions: array, start: int, end: int) -> Tuple[bytes, ...]:
+        return tuple(map(keys.__getitem__, positions[start:end]))
+
+    return _install(db, len(keys), table_keys, file_sizes(keys, sizes), sizes)

@@ -27,7 +27,7 @@ def test_flags_at_their_defaults_are_the_modes_own_config(mode):
     parser = _parser()
     args = parser.parse_args([] if mode == "dst" else [f"--{mode}"])
     config_cls = MODES[mode][1]
-    assert make_config(config_cls, **_config_flags(parser, args)) == config_cls()
+    assert make_config(config_cls, **_config_flags(parser, args, mode)) == config_cls()
 
 
 class TestSweepWorker:
@@ -109,6 +109,69 @@ def test_out_of_range_flag_is_a_usage_error(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flags[-2]} must be >= ")
+
+
+#: Every (flag, mode) pair whose config has no field for the flag.
+NOT_APPLICABLE = [
+    (["--ops", "10"], "serving"),
+    (["--max-faults", "0"], "storm"),
+    (["--max-faults", "0"], "serving"),
+    (["--storm-kind", "io"], "dst"),
+    (["--storm-kind", "space"], "cluster"),
+    (["--storm-kind", "auto"], "serving"),
+    (["--nodes", "5"], "dst"),
+    (["--nodes", "5"], "storm"),
+    (["--nodes", "3"], "serving"),
+    (["--shards", "1"], "dst"),
+    (["--shards", "2"], "storm"),
+    (["--shards", "3"], "cluster"),
+    (["--replicas", "2"], "dst"),
+    (["--replicas", "3"], "storm"),
+    (["--replicas", "5"], "cluster"),
+    (["--no-faults"], "storm"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, mode", NOT_APPLICABLE, ids=[f"{f[0]}-{m}" for f, m in NOT_APPLICABLE]
+)
+def test_flag_a_mode_has_no_field_for_is_a_usage_error(capsys, flags, mode):
+    """A flag the mode's config cannot take would be dropped and the seed
+    would run (and PASS) as if it had not been given: it is an ``error:``
+    line and exit 2 before any seed runs, even at the value that is another
+    mode's default."""
+    mode_flag = [] if mode == "dst" else [f"--{mode}"]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(lambda: main(["--seed", "1"] + mode_flag + flags))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    where = "the crash mode" if mode == "dst" else f"--{mode}"
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} does not apply to {where}\n"
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_every_flag_is_refused_or_applied(mode):
+    """Each (flag, mode) pair is either in ``NOT_APPLICABLE`` or reaches
+    the mode's config, explicit default values included (``--max-faults 5``
+    to ``--cluster`` is 5, not the mode's own 4)."""
+    parser = _parser()
+    mode_flag = [] if mode == "dst" else [f"--{mode}"]
+    given = {
+        "--ops": ("num_ops", 300), "--keys": ("num_keys", 40), "--max-faults": ("max_faults", 5),
+        "--storm-kind": ("kind", "mixed"), "--nodes": ("n_nodes", 4), "--shards": ("shards", 3),
+        "--replicas": ("replicas", 4), "--no-faults": ("faults", False),
+    }
+    refused = {flags[0] for flags, m in NOT_APPLICABLE if m == mode}
+    for flag, (field, value) in given.items():
+        if flag in refused:
+            continue
+        argv = mode_flag + ([flag] if flag == "--no-faults" else [flag, str(value)])
+        args = parser.parse_args(argv)
+        config = make_config(MODES[mode][1], **_config_flags(parser, args, mode))
+        if flag == "--keys" and mode == "serving":
+            field = "key_count"
+        assert getattr(config, field) == value, (flag, mode)
 
 
 class TestSaveReplay:

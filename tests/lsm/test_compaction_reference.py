@@ -278,10 +278,26 @@ def logged(gen, log: List):
         return stop.value
 
 
+def paced(limiter, requests: List) -> None:
+    """Record each of ``limiter``'s requests as ``(bytes, delay returned)``."""
+    if limiter is None:
+        return
+    real = limiter.request
+
+    def request(nbytes):
+        delay = real(nbytes)
+        requests.append((nbytes, delay))
+        return delay
+
+    limiter.request = request
+
+
 def run_job(job_class, scenario, fail_append_at=None):
     """Build the scenario's world, run one compaction, return all that is observable."""
     engine = Engine()
     db = make_db(engine, profile=xpoint_ssd(), options=tiny_options(**scenario["options"]))
+    requests: List = []
+    paced(db.rate_limiter, requests)
     prefilled = scenario.get("prefilled")
     if prefilled:  # level 1 is prefilled: its tables are entry columns from the start
         prefill_keys(db, [key(i) for i, _ in prefilled], value_sizes=[size for _, size in prefilled])
@@ -323,7 +339,7 @@ def run_job(job_class, scenario, fail_append_at=None):
         "next_file_number": db.versions.next_file_number,
         "marked": [f.being_compacted for f in compaction.all_inputs],
         "now": engine.now,
-        "limiter": db.rate_limiter and (db.rate_limiter.total_bytes, db.rate_limiter.total_delay_ns),
+        "limiter": requests,
     }
 
 
@@ -416,6 +432,8 @@ def test_long_merge_equals_per_entry_merge(deeper, limit):
     assert new == ref
     assert len(new["tables"]) > 3 and new["tickers"][0]["compaction.entries_in"] > 4 * 256
     assert sum(1 for item in new["log"] if item[0] == "read") > 8
+    if limit:  # the paced case compares a request sequence that really delayed
+        assert len(new["limiter"]) > 3 and any(delay for _nbytes, delay in new["limiter"])
 
 
 def test_single_input_and_everything_dropped():

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.lsm.costs import DEFAULT_COSTS, CostModel
+from repro.lsm.format import KIND_PUT
+from repro.lsm.wal import WalManager
 from repro.sim.units import MB, us
+from tests.conftest import make_fs, tiny_options
 
 
 def entries_for(file_bytes, entry_bytes=1024 + 16 + 8):
@@ -47,10 +50,19 @@ class TestScaling:
         for n in (1000, 100_000):
             assert c.sst_index_search(n) < c.sst_search(n)
 
-    def test_wal_serialize_linear_in_bytes(self):
+    def test_wal_serialize_linear_in_bytes(self, engine):
+        """The CPU ``WalManager.add_group`` charges a group: a base plus a
+        per-byte serialization cost."""
         c = DEFAULT_COSTS
-        base = c.wal_serialize(0)
-        assert c.wal_serialize(2000) - base == 2 * (c.wal_serialize(1000) - base)
+        wal = WalManager(engine, make_fs(engine), tiny_options(), c)
+
+        def cpu(value_bytes):
+            cost, _event = wal.add_group([(b"k", (1, KIND_PUT, b"v" * value_bytes))])
+            return cost
+
+        base = cpu(0)
+        assert base > 0
+        assert cpu(2000) - base == 2 * (cpu(1000) - base) == 2 * c.wal_serialize_per_byte_ps
 
     def test_background_costs_linear(self):
         c = DEFAULT_COSTS

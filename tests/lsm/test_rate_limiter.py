@@ -69,12 +69,21 @@ class TestDbIntegration:
             engine = Engine()
             opts = tiny_options(rate_limit_bytes_per_sec=rate)
             db = make_db(engine, profile=xpoint_ssd(), options=opts)
-            self.fill(engine, db)
-            return engine.now, db
+            requests = []
+            real = db.rate_limiter.request
 
-        slow_time, slow_db = run(kb(256))
-        fast_time, fast_db = run(mb(64))
-        assert slow_db.rate_limiter.total_delay_ns > 0
+            def request(nbytes):
+                delay = real(nbytes)
+                requests.append((nbytes, delay))
+                return delay
+
+            db.rate_limiter.request = request
+            self.fill(engine, db)
+            return engine.now, requests
+
+        slow_time, slow = run(kb(256))
+        fast_time, _fast = run(mb(64))
+        assert any(delay for _nbytes, delay in slow)
         assert slow_time > fast_time  # pacing really slowed background work
 
     def test_limited_db_still_correct(self, engine):

@@ -1,6 +1,12 @@
 """Tests for database pre-population."""
 
+import importlib
+from array import array
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.lsm.options import NUM_LEVELS
@@ -117,10 +123,8 @@ def test_deterministic_layout(engine):
 
 
 def test_same_tables_without_numpy():
-    """The vectorized level assignment builds exactly the pure-Python tables."""
-    import importlib
-    from unittest import mock
-
+    """The vectorized level assignment and key encoding build exactly the
+    pure-Python tables."""
     from repro.sim.engine import Engine
 
     prefill_module = importlib.import_module("repro.workloads.prefill")  # not the function
@@ -135,11 +139,76 @@ def test_same_tables_without_numpy():
 
     fast = tables()
     with mock.patch.object(prefill_module, "_np", None):
-        assert tables() == fast
+        slow = tables()
+    assert slow == fast
     assert len({level for level, *_ in fast}) >= 2
+    # Exact ``bytes`` either way (numpy's own ``bytes_`` would compare equal).
+    for made in (fast, slow):
+        assert {type(key) for _level, keys, *_ in made for key in keys} == {bytes}
     # A position whose hash equals a threshold goes to the level above it.
     tie = [(7 * prefill_module._HASH) & 0xFFFFFFFF]
     fast = prefill_module._levels(50, tie)
     with mock.patch.object(prefill_module, "_np", None):
         assert prefill_module._levels(50, tie) == fast
     assert 7 in fast[1]
+
+
+KEY_BOUNDARIES = [0, 9, 10, 99_999, 999_999, 10**15, 10**16 - 1]
+
+
+def _encoder(numpy: bool):
+    """A fresh table-key encoder, vectorized or the pure-Python fallback."""
+    prefill_module = importlib.import_module("repro.workloads.prefill")
+    if numpy:
+        return prefill_module._key_encoder()
+    with mock.patch.object(prefill_module, "_np", None):
+        return prefill_module._key_encoder()
+
+
+def _assert_encodes_like_encode_key(encode, indices, start=0, end=None):
+    positions = array("q", indices)
+    end = len(positions) if end is None else end
+    keys = encode(positions, start, end)
+    assert keys == tuple(map(encode_key, indices[start:end]))
+    assert keys.__class__ is tuple and all(key.__class__ is bytes for key in keys)
+    assert positions == array("q", indices)  # read, never shifted
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+class TestTableKeys:
+    """A table's keys, made in bulk, are ``encode_key``'s byte for byte."""
+
+    def test_boundaries(self, numpy):
+        encode = _encoder(numpy)
+        _assert_encodes_like_encode_key(encode, KEY_BOUNDARIES)
+        for i in range(len(KEY_BOUNDARIES)):
+            _assert_encodes_like_encode_key(encode, KEY_BOUNDARIES, i, i + 1)
+        _assert_encodes_like_encode_key(encode, KEY_BOUNDARIES, 2, 5)  # a window
+
+    def test_empty_table(self, numpy):
+        encode = _encoder(numpy)
+        _assert_encodes_like_encode_key(encode, [])
+        _assert_encodes_like_encode_key(encode, [3, 4], 1, 1)
+
+    def test_out_of_range_behaves_as_encode_key(self, numpy):
+        encode = _encoder(numpy)
+        _assert_encodes_like_encode_key(encode, [10**16 - 1, 10**16, 10**17])  # 17+ digits
+        assert len(encode_key(10**16)) == 17
+        with pytest.raises(WorkloadError):
+            encode(array("q", [-1, 0, 5]), 0, 3)
+
+    def test_rows_grow_and_are_reused(self, numpy):
+        """Tables of several sizes through one encoder, largest in the middle."""
+        encode = _encoder(numpy)
+        for size in (3, 700, 50, 2000, 1):
+            _assert_encodes_like_encode_key(encode, list(range(10**15, 10**15 + 7 * size, 7)))
+
+    @given(
+        st.lists(st.integers(0, 10**16 - 1), max_size=60, unique=True).map(sorted),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ascending_draws(self, numpy, indices, data):
+        start = data.draw(st.integers(0, len(indices)))
+        end = data.draw(st.integers(start, len(indices)))
+        _assert_encodes_like_encode_key(_encoder(numpy), indices, start, end)
