@@ -153,19 +153,27 @@ class SimFile:
         """
         if self._flushed_size >= self.size:
             return self._pending_flushes[-1] if self._pending_flushes else None
+        fs = self.fs
+        offset, nbytes = self._flushed_size, self.size - self._flushed_size
+        extent_idx, within = divmod(offset, EXTENT_BYTES)
+        extents = self.extents
         ev = None
         try:
-            for phys, nbytes in self.fs._physical_runs(
-                self, self._flushed_size, self.size - self._flushed_size
-            ):
-                ev = self.fs.device.write(phys, nbytes, sequential=True)
+            if within + nbytes <= EXTENT_BYTES and extent_idx < len(extents):
+                # A dirty range inside one extent (the common writeback): map
+                # it inline, as read() maps a single hole.
+                ev = fs.device.write(extents[extent_idx] + within, nbytes, sequential=True)
                 self._pending_flushes.append(ev)
+            else:
+                for phys, run_len in fs._physical_runs(self, offset, nbytes):
+                    ev = fs.device.write(phys, run_len, sequential=True)
+                    self._pending_flushes.append(ev)
         except IOFaultError as exc:
             self.pending_io_error = exc
-            self.fs.stats.inc("writeback_errors")
+            fs.stats.inc("writeback_errors")
             return ev
         flushed_to = self.size
-        epoch = self.fs.epoch
+        epoch = fs.epoch
 
         def _mark(_ev: Event, size: int = flushed_to, f: "SimFile" = self) -> None:
             # A completion issued before a node-local power failure must not

@@ -31,11 +31,15 @@ from repro.lsm.io_retry import retry_call, retry_gen
 from repro.lsm.options import NUM_LEVELS
 from repro.lsm.sst import EntryColumns, SSTable, gather
 from repro.lsm.version import FileMetadata, Version, VersionEdit, VersionSet
+from repro.sim.stats import _np  # optional accelerator: None forces pure Python
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lsm.db import DB
 
 _MERGE_BATCH = 256
+# Merges of fewer entries stay on the pure path: below this, numpy's fixed
+# cost per call is more than the per-entry work it saves.
+_NP_MERGE_MIN = 512
 
 
 class Compaction:
@@ -164,11 +168,37 @@ def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int)
     Output entry ``o`` is the ``counted[o]``-th of the ``unshadowed``
     entries, and read-ahead request ``reads[r]`` is queued by the time the
     merge reaches output entry ``read_at[r]`` (see :func:`_read_schedule`).
+
+    A merge of at least ``_NP_MERGE_MIN`` keys of one (non-zero) width takes
+    :func:`_merge_columns`, numpy's whole-array form of :func:`_merge_order`;
+    the pure path is the spec, and every output is the same on both.
     """
     keys: List[bytes] = []
     for meta in inputs:
         keys += meta.sst.keys
     columns = EntryColumns.concat([meta.sst.entries for meta in inputs])
+    merge = _merge_order
+    if _np is not None and len(keys) >= _NP_MERGE_MIN and keys[0] and (
+        # One entry size and one value size are one key width (an entry's
+        # size is its key's, its value's and a header, format.entry_bytes):
+        # then the keys need not be measured.
+        (columns.sizes.__class__ is int and columns.vsizes.__class__ is int)
+        or len({*map(len, keys)}) == 1
+    ):
+        merge = _merge_columns
+    out_keys, picked, steps, counted, unshadowed, position = merge(keys, columns, drop_tombstones)
+    read_at, reads = _read_schedule(inputs, chunk, steps, position)
+    return out_keys, columns.take(picked), counted, unshadowed, read_at, reads
+
+
+def _merge_order(keys: List[bytes], columns: EntryColumns, drop_tombstones: bool):
+    """The merge of ``keys`` (the inputs' laid end to end) by C-speed Python.
+
+    Returns ``(out_keys, picked, steps, counted, unshadowed, position)``:
+    output entry ``o`` is input entry ``picked[o]``, taken at merge step
+    ``steps[o]``; ``position(i)`` is the merge step that takes input entry
+    ``i``, shadowed or not.
+    """
     seqs = columns.seqs
     n = len(keys)
     # Timsort finds the presorted input runs and merges them; it is stable,
@@ -194,11 +224,72 @@ def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int)
         live = list(map(KIND_DELETE.__ne__, each))
         out_keys, picked = tuple(compress(out_keys, live)), array("q", compress(picked, live))
         steps, counted = array("q", compress(steps, live)), array("q", compress(counted, live))
-    read_at, reads = _read_schedule(inputs, chunk, keys, order, merged_keys, steps)
-    return out_keys, columns.take(picked), counted, unshadowed, read_at, reads
+
+    def position(i: int) -> int:
+        return order.index(i, bisect_left(merged_keys, keys[i]))
+
+    return out_keys, picked, steps, counted, unshadowed, position
 
 
-def _read_schedule(inputs: List[FileMetadata], chunk: int, keys, order, merged_keys, steps):
+def _merge_columns(keys: List[bytes], columns: EntryColumns, drop_tombstones: bool):
+    """:func:`_merge_order` over numpy arrays, for keys of one width ``w > 0``.
+
+    Each key, zero-padded to whole 8-byte words, is read as big-endian
+    ``uint64`` words, so word order is byte order; one stable ``lexsort``
+    (first word primary) is the merge, and only the members of shadow groups
+    are re-sorted, newest sequence first.  Host lines run per call, never per
+    entry or per group; the keys' bytes and their sorted copy are freed as
+    soon as they are used.
+    """
+    n, width = len(keys), len(keys[0])
+    padded = -(-width // 8) * 8
+    text = _np.fromiter(keys, f"S{width}", n).view(_np.uint8)  # byte-exact, NULs included
+    if width == padded:
+        words = text.view(">u8").reshape(n, width // 8)
+    else:
+        words = _np.zeros((n, padded), _np.uint8)
+        words[:, :width] = text.reshape(n, width)
+        words = words.view(">u8")
+    words = words.T.astype(_np.uint64)  # word-major and native: row j is every key's word j
+    del text
+    order = _np.lexsort(words[::-1])  # stable: one key's entries stay in input order
+    merged = words.take(order, axis=1)
+    del words
+    # fresh[p]: merge step p's key differs from its predecessor's (+ sentinel).
+    fresh = _np.ones(n + 1, bool)
+    _np.any(merged[:, 1:] != merged[:, :-1], axis=0, out=fresh[1:n])
+    del merged
+    member = _np.flatnonzero(~(fresh[:-1] & fresh[1:]))  # in a group of equal keys
+    if len(member):
+        group = _np.cumsum(fresh[member])  # group ids, ascending along ``member``
+        inside = order[member]
+        newest = -_np.frombuffer(columns.seqs, "q")[inside]
+        order[member] = inside[_np.lexsort((newest, group))]  # stable, as sorted(reverse=True)
+    steps = _np.flatnonzero(fresh[:-1])
+    del fresh
+    picked = order[steps]
+    unshadowed = len(steps)
+    counted = range(1, unshadowed + 1)
+    kinds = columns.kinds
+    if drop_tombstones and kinds != KIND_PUT:
+        if kinds.__class__ is array:
+            each = _np.frombuffer(kinds, "B")[picked]
+        else:  # every entry a tombstone
+            each = _np.full(unshadowed, kinds)
+        live = _np.flatnonzero(each != KIND_DELETE)
+        picked, steps = picked[live], steps[live]
+        counted = array("q", (live + 1).tobytes())
+    inverse = _np.empty(n, _np.int64)  # inverse[i]: the merge step that takes input entry i
+    inverse[order] = _np.arange(n)
+    del order
+    objects = _np.empty(n, object)  # the input key objects themselves, never copies
+    objects[:] = keys
+    out_keys = tuple(objects[picked].tolist())
+    picked, steps = array("q", picked.tobytes()), array("q", steps.tobytes())
+    return out_keys, picked, steps, counted, unshadowed, inverse.item
+
+
+def _read_schedule(inputs: List[FileMetadata], chunk: int, steps, position):
     """The merge's read-ahead requests, in the order a k-way merge queues them.
 
     Each input is read in ``chunk``-sized requests, one per
@@ -207,20 +298,18 @@ def _read_schedule(inputs: List[FileMetadata], chunk: int, keys, order, merged_k
     A streaming merge pulls every input's first entry before step 0, in input
     order, and entry ``j + 1`` of an input when its consumer asks for the
     element after entry ``j``: request ``c > 0`` of an input is queued at the
-    step after the one that merged its entry ``c * entries_per_chunk - 1``.
+    step after the one that merged its entry ``c * entries_per_chunk - 1``
+    (``position`` of its index in the inputs laid end to end).
     Returns ``(read_at, requests)`` in queueing order: ``(meta, offset,
     nbytes)`` requests and the first output entry (by ``steps``) each precedes.
     """
     schedule = []
-    first = 0  # index in ``keys`` of this input's first entry
+    first = 0  # index in the inputs laid end to end of this input's first entry
     for meta in inputs:
         total, count = meta.sst.data_bytes, meta.sst.entry_count
         entries_per_chunk = max(1, int(chunk / max(1.0, total / count)))
         for c in range(min(-(-total // chunk), -(-count // entries_per_chunk))):
-            step = 0
-            if c:
-                i = first + c * entries_per_chunk - 1
-                step = order.index(i, bisect_left(merged_keys, keys[i])) + 1
+            step = position(first + c * entries_per_chunk - 1) + 1 if c else 0
             schedule.append((step, (meta, c * chunk, min(chunk, total - c * chunk))))
         first += count
     schedule.sort(key=itemgetter(0))  # stable: step-0 requests stay in input order

@@ -247,7 +247,11 @@ class SSTable:
         cum = entries.cumulative()
         first, offset = cut_blocks(cum, block_size)  # the constructor checks len(keys)
         if largest_seq is None:
-            largest_seq = max(entries.seqs, default=0)
+            seqs = entries.seqs
+            if _np is not None and seqs.__class__ is array and seqs:  # the same max, vectorized
+                largest_seq = int(_np.frombuffer(seqs, "q").max())
+            else:
+                largest_seq = max(seqs, default=0)
         return cls(number, keys, entries, first, offset, cum[-1], largest_seq, bloom_bits_per_key)
 
     # -- metadata -----------------------------------------------------------

@@ -30,14 +30,15 @@ from repro.sim.stats import StatsSet
 
 
 _smallest = attrgetter("smallest")
+_file_bytes = attrgetter("file_bytes")
 
 
 class FileMetadata:
     """A live SST file: table content + its simulated file + refcount."""
 
     __slots__ = (
-        "number", "sst", "smallest", "largest", "file", "level", "being_compacted", "refs",
-        "search_ns",
+        "number", "sst", "smallest", "largest", "file_bytes", "file", "level", "being_compacted",
+        "refs", "search_ns",
     )
 
     def __init__(self, number: int, sst: SSTable, file: SimFile, level: int) -> None:
@@ -45,6 +46,7 @@ class FileMetadata:
         self.sst = sst
         self.smallest = sst.smallest
         self.largest = sst.largest
+        self.file_bytes = sst.file_bytes
         self.file = file
         self.level = level
         self.being_compacted = False
@@ -52,10 +54,6 @@ class FileMetadata:
         # ``search_ns``, the CPU cost of one key search in this table, is
         # set by VersionSet.apply: it depends on the level and the DB's
         # cost model, and is fixed once the file is installed.
-
-    @property
-    def file_bytes(self) -> int:
-        return self.sst.file_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<File #{self.number} L{self.level} {self.file_bytes}B>"
@@ -90,25 +88,30 @@ class Version:
         self.levels: List[List[FileMetadata]] = [[] for _ in range(NUM_LEVELS)]
         # Parallel bisect keys for levels >= 1 (smallest key per file).
         self._level_keys: List[List[bytes]] = [[] for _ in range(NUM_LEVELS)]
-        # Byte totals, computed once by _finalize() (a Version is immutable
-        # after it): per level, and over L0's i newest files at [i].
+        # Byte totals, computed once by _finalize() for the levels an edit
+        # rebuilt (a Version is immutable after it; untouched levels keep the
+        # old version's): per level, and over L0's i newest files at [i].
         self._level_bytes: List[int] = [0] * NUM_LEVELS
         self._l0_newest_bytes: List[int] = [0]
         self.refs = 0
 
     # -- construction ------------------------------------------------------------
 
-    def _finalize(self) -> None:
-        for level in range(1, len(self.levels)):
+    def _finalize(self, levels) -> None:
+        """Order and total ``levels`` (the ones an edit rebuilt)."""
+        for level in levels:
             files = self.levels[level]
-            files.sort(key=_smallest)
-            self._level_keys[level] = list(map(_smallest, files))
-        self._level_bytes = [sum(f.file_bytes for f in files) for files in self.levels]
-        self._l0_newest_bytes = [0, *accumulate(f.file_bytes for f in self.levels[0])]
+            if level:
+                files.sort(key=_smallest)
+                self._level_keys[level] = list(map(_smallest, files))
+            else:
+                self._l0_newest_bytes = [0, *accumulate(map(_file_bytes, files))]
+            self._level_bytes[level] = sum(map(_file_bytes, files))
 
-    def check_invariants(self) -> None:
-        """Raise DBError if the level structure is malformed."""
-        for level, files in enumerate(self.levels):
+    def check_invariants(self, levels=range(1, NUM_LEVELS)) -> None:
+        """Raise DBError if the level structure is malformed (in ``levels``)."""
+        for level in levels:
+            files = self.levels[level]
             if level == 0:
                 continue
             for a, b in zip(files, files[1:]):
@@ -300,15 +303,21 @@ class VersionSet:
         """Install ``edit`` on top of the current version.
 
         Returns the new current version.  The caller separately charges the
-        manifest append I/O via :meth:`log_edit`.
+        manifest append I/O via :meth:`log_edit`.  Only the levels the edit
+        touches are rebuilt; every other level's files, bisect keys and byte
+        total are the old version's (a version is never mutated once current).
         """
         old = self.current
         new = Version()
         deleted = set(edit.deleted)
-        for level, files in enumerate(old.levels):
-            for meta in files:
-                if (level, meta.number) not in deleted:
-                    new.levels[level].append(meta)
+        touched = sorted({level for level, _ in edit.deleted + edit.added})
+        new.levels, new._level_keys = list(old.levels), list(old._level_keys)
+        new._level_bytes, new._l0_newest_bytes = list(old._level_bytes), old._l0_newest_bytes
+        removed: List[FileMetadata] = []  # in the old version's order
+        for level in touched:
+            kept = new.levels[level] = []
+            for meta in old.levels[level]:
+                (removed if (level, meta.number) in deleted else kept).append(meta)
         costs = self.costs
         for level, meta in edit.added:
             meta.level = level
@@ -324,22 +333,25 @@ class VersionSet:
                 new.levels[0].insert(0, meta)
             else:
                 new.levels[level].append(meta)
-        new._finalize()
-        new.check_invariants()
+        new._finalize(touched)
+        new.check_invariants(touched)
 
-        for meta in new.all_files():
+        # Each version holds one ref on each of its files.  When the old
+        # version dies here, a file in both keeps its count: only the edit's
+        # files change hands, added ones first (a file may move levels).
+        handed_over = old.refs == 1
+        for meta in [meta for _, meta in edit.added] if handed_over else new.all_files():
             meta.refs += 1
         new.refs += 1  # the VersionSet's own reference
         self.current = new
         old.refs -= 1
-        if old.refs == 0:
-            self._release_files_diff(old, new)
+        if handed_over:
+            for meta in removed:
+                meta.refs -= 1
+                if meta.refs == 0:
+                    self._reclaim(meta)
         self.stats.inc("edits_applied")
         return new
-
-    def _release_files_diff(self, old: Version, new: Version) -> None:
-        # Files in old keep one ref from new if still present; just unref all.
-        self._release_files(old)
 
     def log_edit(self, edit: VersionEdit):
         """Generator: append + fsync the manifest record for ``edit``.

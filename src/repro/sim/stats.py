@@ -355,30 +355,6 @@ class TimeSeries:
             for idx in range(start_idx, max(end_idx, start_idx))
         ]
 
-    def rate_between(self, start: int, end: int) -> float:
-        """Average events/second over the half-open interval [start, end).
-
-        Counts buckets whose start timestamp lies in [start, end).  Only
-        the ``[start, end)`` index range is visited (a full scan of every
-        bucket ever recorded made this O(total run length) per call); when
-        the histogram is sparser than the queried range, the smaller bucket
-        dict is walked instead — both paths count exactly the same buckets.
-        """
-        if end <= start:
-            return 0.0
-        bucket_ns = self.bucket_ns
-        buckets = self._buckets
-        start_idx = -(-start // bucket_ns)  # first idx with idx*bucket >= start
-        end_idx = -(-end // bucket_ns)  # first idx with idx*bucket >= end
-        if end_idx - start_idx <= len(buckets):
-            get = buckets.get
-            total = sum(get(idx, 0) for idx in range(start_idx, end_idx))
-        else:
-            total = sum(
-                n for idx, n in buckets.items() if start_idx <= idx < end_idx
-            )
-        return total * SEC / (end - start)
-
 
 class _Counts(dict):
     """Ticker dict: a missing name reads as 0 (and is not inserted by the

@@ -20,7 +20,7 @@ characteristic of NAND devices.  3D XPoint profiles disable GC entirely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import StorageError
 from repro.sim.engine import Engine, Event
@@ -281,30 +281,79 @@ class StorageDevice:
             )
 
     def _submit(self, op: str, offset: int, nbytes: int, sequential: bool) -> Event:
-        """Queue background I/O: a sequential read, or any write."""
+        """Queue background I/O (a sequential read, or any write), one stripe
+        at a time, in one call.
+
+        Background stripes queue FIFO behind all committed work on their
+        channel and on the host link (random reads take the foreground path
+        in :meth:`read`).  Sequential stripes rotate round-robin (striping);
+        random writes go to the first least-loaded channel (firmware load
+        balancing).
+        """
         self._check_range(offset, nbytes)
         now = self.engine.now
         prof = self.profile
-
-        if nbytes <= prof.stripe_bytes:
-            # Single-stripe request: skip the loop's min/max bookkeeping.
-            # finish >= start >= now always holds.
-            start, finish = self._submit_stripe(op, nbytes, sequential, now)
+        if op is READ:
+            base = prof.seq_read_base_ns
+            bw = prof.channel_read_bw
+            iface_bw = prof.interface_read_bw
         else:
-            start = finish = now
-            first = True
-            remaining = nbytes
-            while remaining > 0:
-                chunk = min(remaining, prof.stripe_bytes)
-                stripe_start, stripe_finish = self._submit_stripe(
-                    op, chunk, sequential, now
-                )
-                if first or stripe_start < start:
-                    start = stripe_start
-                    first = False
-                if stripe_finish > finish:
-                    finish = stripe_finish
-                remaining -= chunk
+            base = prof.seq_write_base_ns if sequential else prof.write_base_ns
+            bw = prof.channel_write_bw
+            iface_bw = prof.interface_write_bw
+        # Flash garbage collection: writes accrue debt (random ones fragment
+        # blocks, 4x); paying it stalls the serving channel for an erase cycle.
+        gc_interval = prof.gc_interval_bytes if op is WRITE else 0
+        sigma = prof.jitter_sigma
+        full_duplex = prof.full_duplex
+        channel_free = self._channel_free
+        # The host link's cursors: a full-duplex interface has one lane per
+        # direction, a half-duplex one shares a single cursor.
+        read_lane, write_lane = self._iface_read_free, self._iface_write_free
+        busy = 0
+        start, finish = -1, now  # the first stripe's start, the last finish
+        remaining = nbytes
+        while remaining > 0:
+            chunk = remaining if remaining < prof.stripe_bytes else prof.stripe_bytes
+            remaining -= chunk
+            if sequential:
+                channel = self._stripe_cursor
+                self._stripe_cursor = (channel + 1) % prof.channels
+            else:  # min()+index(): the first least-loaded channel, at C speed
+                channel = channel_free.index(min(channel_free))
+            if not full_duplex:
+                lane = read_lane if read_lane > write_lane else write_lane
+            else:
+                lane = read_lane if op is READ else write_lane
+            transfer_ns = chunk * SEC // iface_bw
+            stripe_start = max(now, channel_free[channel], lane)
+            if not full_duplex:
+                read_lane = write_lane = stripe_start + transfer_ns
+            elif op is READ:
+                read_lane = stripe_start + transfer_ns
+            else:
+                write_lane = stripe_start + transfer_ns
+            service = base + chunk * SEC // bw
+            if sigma > 0.0:
+                service = round(service * self.rng.lognormal(-sigma * sigma / 2, sigma))
+            if gc_interval:
+                self._gc_debt += chunk if sequential else chunk * 4
+                if self._gc_debt >= gc_interval:
+                    self._gc_debt -= gc_interval
+                    service += prof.gc_pause_ns
+                    self._gc_pauses += 1
+                    if self._trace_enabled:
+                        self._tracer.gc_pause(self._track, stripe_start, prof.gc_pause_ns)
+            stripe_finish = channel_free[channel] = stripe_start + service
+            self._channel_last_bg_service[channel] = service
+            busy += service
+            if start < 0 or stripe_start < start:
+                start = stripe_start
+            if stripe_finish > finish:
+                finish = stripe_finish
+        self._iface_read_free, self._iface_write_free = read_lane, write_lane
+        self._iface_last_bg_transfer = transfer_ns
+        self._busy_ns += busy
 
         latency = finish - now
         if op is READ:
@@ -346,75 +395,3 @@ class StorageDevice:
     def _on_complete(self, _ev: Event) -> None:
         self._inflight -= 1
         self._tracer.counter(self._track, "inflight", self._inflight)
-
-    def _submit_stripe(
-        self, op: str, nbytes: int, sequential: bool, now: int
-    ) -> Tuple[int, int]:
-        """Queue one background stripe; returns its (service_start, finish).
-
-        Background requests queue FIFO behind all committed work on their
-        channel and on the host link (random reads take the foreground path
-        in :meth:`read`).
-        """
-        prof = self.profile
-
-        # Dispatch: sequential stripes rotate round-robin (striping); random
-        # writes go to the least-loaded channel (firmware load balancing).
-        if sequential:
-            channel = self._stripe_cursor
-            self._stripe_cursor = (self._stripe_cursor + 1) % prof.channels
-        else:
-            # min()+index() run at C speed and pick the same channel as
-            # min(range(...), key=...): the first least-loaded one.
-            cursors = self._channel_free
-            channel = cursors.index(min(cursors))
-
-        # Shared host interface: commands serialize on the link (or on the
-        # per-direction lane for full-duplex interfaces).
-        if op is READ:
-            base = prof.seq_read_base_ns
-            bw = prof.channel_read_bw
-            iface_bw = prof.interface_read_bw
-        else:
-            base = prof.seq_write_base_ns if sequential else prof.write_base_ns
-            bw = prof.channel_write_bw
-            iface_bw = prof.interface_write_bw
-
-        if prof.full_duplex:
-            iface_free = self._iface_read_free if op is READ else self._iface_write_free
-        else:
-            iface_free = max(self._iface_read_free, self._iface_write_free)
-        transfer_ns = nbytes * SEC // iface_bw
-        start = max(now, self._channel_free[channel], iface_free)
-        if op is READ:
-            self._iface_read_free = start + transfer_ns
-        else:
-            self._iface_write_free = start + transfer_ns
-        if not prof.full_duplex:
-            self._iface_read_free = self._iface_write_free = start + transfer_ns
-        self._iface_last_bg_transfer = transfer_ns
-
-        service = base + nbytes * SEC // bw
-        if prof.jitter_sigma > 0.0:
-            sigma = prof.jitter_sigma
-            service = round(service * self.rng.lognormal(-sigma * sigma / 2, sigma))
-
-        # Flash garbage collection: random writes accrue debt; paying it
-        # stalls the serving channel for an erase cycle.
-        if op is WRITE and prof.gc_interval_bytes:
-            if not sequential:
-                self._gc_debt += nbytes * 4  # random writes fragment blocks
-            else:
-                self._gc_debt += nbytes
-            if self._gc_debt >= prof.gc_interval_bytes:
-                self._gc_debt -= prof.gc_interval_bytes
-                service += prof.gc_pause_ns
-                self._gc_pauses += 1
-                if self._trace_enabled:
-                    self._tracer.gc_pause(self._track, start, prof.gc_pause_ns)
-
-        finish = start + service
-        self._channel_free[channel] = finish
-        self._channel_last_bg_service[channel] = service
-        self._busy_ns += service
-        return start, finish

@@ -148,6 +148,34 @@ class TestExtents:
         assert runs[0][1] == 100
         assert runs[1][1] == 100
 
+    def test_writeback_is_one_device_write_per_extent_run(self, null_fs, monkeypatch):
+        """A dirty range inside one extent is one write at its physical
+        offset; a range across an extent end is one write per extent."""
+        writes = []
+        real = StorageDevice.write
+
+        def write(device, offset, nbytes, sequential=False):
+            writes.append((offset, nbytes))
+            return real(device, offset, nbytes, sequential)
+
+        monkeypatch.setattr(StorageDevice, "write", write)
+        f = null_fs.create("f")
+        f.append(EXTENT_BYTES - 100)
+        f._start_flush()
+        f.append(300)
+        f._start_flush()
+        first, second = f.extents
+        assert writes == [
+            (first, EXTENT_BYTES - 100), (first + EXTENT_BYTES - 100, 100), (second, 200),
+        ]
+
+    def test_writeback_of_an_unmapped_range_raises(self, null_fs):
+        f = null_fs.create("f")
+        f.append(100)
+        f.extents.clear()
+        with pytest.raises(FileSystemError, match="not allocated"):
+            f._start_flush()
+
     def test_quota_enforced_on_append(self, null_fs):
         null_fs.set_quota(2 * EXTENT_BYTES)
         f = null_fs.create("f")

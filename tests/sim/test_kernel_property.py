@@ -12,9 +12,8 @@ monotonic sequence number).  The observable logs and final clocks must match
 exactly.  ``run(until, stop)`` is checked the same way against the
 per-instant stepping loop it replaces (:func:`step_to`).
 
-Also here: cache-correctness properties for the measurement primitives the
-optimization pass touched (:class:`LatencyHistogram`'s sorted-bucket cache,
-:class:`TimeSeries.rate_between`'s windowed scan).
+Also here: cache-correctness properties for the measurement primitive the
+optimization pass touched (:class:`LatencyHistogram`'s sorted-bucket cache).
 """
 
 import heapq
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.obs import Tracer
 from repro.sim.engine import Engine
-from repro.sim.stats import LatencyHistogram, TimeSeries
+from repro.sim.stats import LatencyHistogram
 from tests.conftest import traced_engine
 
 # ---------------------------------------------------------------------------
@@ -792,32 +791,3 @@ def test_histogram_cache_survives_merge_and_reset():
     assert a.percentile(90.0) == 0.0
     a.record(17)
     assert a.percentile(100.0) == 17.0
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_rate_between_matches_full_scan(seed):
-    """The windowed bucket scan must count exactly what a full scan counts."""
-    from repro.sim.units import SEC
-
-    rng = random.Random(300 + seed)
-    bucket_ns = rng.choice((1_000, 7_919, SEC))
-    ts = TimeSeries(bucket_ns=bucket_ns)
-    horizon = bucket_ns * 50
-    for _ in range(400):
-        ts.record(rng.randint(0, horizon), n=rng.randint(1, 3))
-
-    for _ in range(30):
-        a = rng.randint(0, horizon)
-        b = rng.randint(0, horizon)
-        start, end = min(a, b), max(a, b)
-        got = ts.rate_between(start, end)
-        if end <= start:
-            assert got == 0.0
-            continue
-        # Reference: walk every bucket ever recorded.
-        total = sum(
-            n
-            for idx, n in ts._buckets.items()
-            if start <= idx * bucket_ns < end
-        )
-        assert got == pytest.approx(total * SEC / (end - start))

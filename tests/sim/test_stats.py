@@ -380,13 +380,6 @@ class TestTimeSeries:
         series = ts.series(0, SEC // 10)
         assert series[0][1] == 50.0  # 5 events in 100 ms = 50/s
 
-    def test_rate_between(self):
-        ts = TimeSeries(bucket_ns=SEC)
-        ts.record(0, n=10)
-        ts.record(SEC, n=20)
-        assert ts.rate_between(0, 2 * SEC) == pytest.approx(15.0)
-        assert ts.rate_between(SEC, SEC) == 0.0
-
     def test_invalid_bucket(self):
         with pytest.raises(SimulationError):
             TimeSeries(bucket_ns=0)

@@ -139,6 +139,24 @@ def test_more_channels_never_slower_behind_a_short_stripe():
     assert many <= few
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="read-priority residual is drawn over the last queued request, "
+    "not the one in service (ROADMAP item 10)",
+)
+def test_more_channels_never_slower_behind_two_short_reads():
+    """The counterexample ``test_more_channels_never_slower`` finds under
+    ``--hypothesis-seed=123``.  On one channel the first random read's
+    residual is drawn over the queued 4 KB read (14,765 ns of service) while
+    the 16 KB one is in service; two channels leave it behind the 16 KB read
+    (44,062 ns).  58,827 ns on one channel, 59,426 ns on two."""
+    reqs = [("read", True, 16 * KB), ("read", True, 4 * KB),
+            ("read", False, 4 * KB), ("read", False, 4 * KB)]
+    few, _ = completion_times(reqs, channels=1)
+    many, _ = completion_times(reqs, channels=2)
+    assert many <= few
+
+
 @settings(max_examples=30, deadline=None)
 @given(reqs=request_lists())
 def test_latency_histograms_complete(reqs):
@@ -158,9 +176,9 @@ class StripeSubmitDevice(StorageDevice):
     """The specification of :meth:`StorageDevice.read`: every request —
     random reads too — goes through one ``_submit`` that splits it into
     stripes and queues each with ``_submit_stripe``, whose foreground branch
-    is the NCQ read-priority rule.  The device's own ``_submit_stripe`` now
-    queues background stripes only; these are the two methods as they were
-    before the random read took its own path."""
+    is the NCQ read-priority rule.  The device's own ``_submit`` now queues
+    background requests only, every stripe in one loop; these are the two
+    methods as they were before the random read took its own path."""
 
     __slots__ = ()
 

@@ -1,8 +1,10 @@
 """Host-independent call budget of the foreground op path.
 
-Runs two short ``tiny``-preset db_bench runs on XPoint under
+Runs three ``tiny``-preset db_bench runs on XPoint under
 ``sys.setprofile`` — the paper's Fig. 5-7 mix (90 % writes, 4 clients) and a
-pure-read run (1 client) — and one seed-run each of the replicated-cluster
+pure-read run (1 client), 60 ms each, and a fill (100 % writes, 1 client)
+long enough for flushes and compactions, whose device requests, writebacks
+and version installs it counts — and one seed-run each of the replicated-cluster
 and resilient-serving chaos harnesses at their default configs (the
 replicated write/read path: WAL ``sync`` fsyncs, shipping, quorum acks, the
 serving client), and counts the Python calls into frames under
@@ -42,15 +44,18 @@ SRC = os.path.dirname(repro.__file__) + os.sep
 
 # Calls per op at the commit that set the budget; the budget is 5 % above.
 MEASURED = {
-    "mixed90_4p": 29.43,
-    "prefill": 0.00985,  # per prefilled key (60,000 keys in 17 tables)
+    "fill": 24.46,
+    "mixed90_4p": 29.42,
+    "prefill": 0.00937,  # per prefilled key (60,000 keys in 17 tables)
     "read": 42.11,
-    "cluster_dst": 241.99,
-    "serving_dst": 164.46,
+    "cluster_dst": 232.32,
+    "serving_dst": 160.44,
 }
 RUNS = {
-    "mixed90_4p": dict(write_fraction=0.9, processes=4),
-    "read": dict(write_fraction=0.0, processes=1),
+    # Long enough for background work: 14 flushes and 5 compactions at seed 11.
+    "fill": dict(write_fraction=1.0, processes=1, duration_ns=ms(800)),
+    "mixed90_4p": dict(write_fraction=0.9, processes=4, duration_ns=ms(60)),
+    "read": dict(write_fraction=0.0, processes=1, duration_ns=ms(60)),
 }
 DST_SEED = 0
 
@@ -88,7 +93,6 @@ def calls_per_op(name: str) -> float:
         return calls / spec.key_count
     prefill(db, spec)
     cfg = DbBenchConfig(
-        duration_ns=ms(60),
         value_size=TINY.value_size,
         key_count=TINY.key_count,
         seed=11,
