@@ -7,8 +7,7 @@ one corpus entry (or bare genome JSON) and checks its expected verdict;
 ``--save-crashers DIR`` persists every minimized crasher as a replayable
 corpus artifact.
 
-Exit codes: 0 clean, 1 crashers found (or replay mismatch), 2 coverage
-below ``--min-coverage``.
+Exit codes: 0 clean, 1 crashers found (or replay mismatch).
 """
 
 from __future__ import annotations
@@ -108,13 +107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-minimize", action="store_true", help="keep crashers as found"
     )
     parser.add_argument(
-        "--min-coverage",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fail (exit 2) when the final coverage count is below N",
-    )
-    parser.add_argument(
         "--replay", metavar="FILE", help="re-run one corpus entry / genome JSON"
     )
     parser.add_argument(
@@ -173,15 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"fingerprint={report.fingerprint} "
         f"crashers={len(report.crashers)}"
     )
-    if report.crashers:
-        return 1
-    if args.min_coverage and report.coverage_count < args.min_coverage:
-        print(
-            f"fuzz: coverage {report.coverage_count} below the "
-            f"--min-coverage floor {args.min_coverage}"
-        )
-        return 2
-    return 0
+    return 1 if report.crashers else 0
 
 
 if __name__ == "__main__":

@@ -914,16 +914,15 @@ class DB:
         """File count per level (diagnostics)."""
         return [len(files) for files in self.versions.current.levels]
 
-    def compact_range(self, start: Optional[bytes] = None, end: Optional[bytes] = None):
-        """Generator: manually compact [start, end] down level by level.
+    def compact_range(self):
+        """Generator: manually compact the whole key range down level by level.
 
         RocksDB's ``CompactRange``: flushes the memtable, then pushes every
-        overlapping file toward the bottommost populated level, dropping
-        shadowed entries and tombstones on the way.
+        file toward the bottommost populated level, dropping shadowed
+        entries and tombstones on the way.
         """
         self._check_open()
-        lo = start if start is not None else b"\x00"
-        hi = end if end is not None else b"\xff" * 32
+        lo, hi = b"\x00", b"\xff" * 32
         yield from self.flush_all()
         for level in range(NUM_LEVELS - 1):
             # Let background jobs drain so their inputs are free to pick.

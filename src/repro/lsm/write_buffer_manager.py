@@ -55,10 +55,6 @@ class WriteBufferManager:
         if db not in self._dbs:
             self._dbs.append(db)
 
-    def unregister(self, db) -> None:
-        if db in self._dbs:
-            self._dbs.remove(db)
-
     # -- accounting ----------------------------------------------------------
 
     def mutable_usage(self) -> int:

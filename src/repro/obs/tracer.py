@@ -177,26 +177,22 @@ class EngineTracer:
         self.tracer = tracer
         self.engine = engine
         self.pid = pid
-        # Open-span stacks, one per track: [(name, start_ns, args), ...].
+        # Open-span stacks, one per track: [(name, start_ns), ...].
         self._stacks: Dict[str, list] = {}
 
     # -- generic API -------------------------------------------------------
 
-    def span_begin(self, track: str, name: str, args: Optional[dict] = None) -> None:
+    def span_begin(self, track: str, name: str) -> None:
         """Open a span on ``track`` at ``engine.now`` (close with span_end)."""
-        self._stacks.setdefault(track, []).append((name, self.engine.now, args))
+        self._stacks.setdefault(track, []).append((name, self.engine.now))
 
     def span_end(self, track: str, args: Optional[dict] = None) -> None:
         """Close the innermost open span on ``track`` at ``engine.now``."""
         stack = self._stacks.get(track)
         if not stack:
             return  # unmatched end: drop rather than corrupt the trace
-        name, start, begin_args = stack.pop()
-        if begin_args and args:
-            merged: Optional[dict] = {**begin_args, **args}
-        else:
-            merged = args or begin_args
-        self.complete(track, name, start, self.engine.now - start, merged)
+        name, start = stack.pop()
+        self.complete(track, name, start, self.engine.now - start, args)
 
     def complete(
         self, track: str, name: str, start_ns: int, dur_ns: int,

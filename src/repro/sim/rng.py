@@ -70,9 +70,3 @@ class RandomStream:
         if jitter <= 0.0:
             return base
         return base * self._rng.uniform(1.0 - jitter, 1.0 + jitter)
-
-    def getstate(self):
-        return self._rng.getstate()
-
-    def setstate(self, state) -> None:
-        self._rng.setstate(state)

@@ -54,12 +54,6 @@ class TestCompactRange:
         assert run_op(engine, db.get(key(3))) is None
         assert run_op(engine, db.get(key(4))) == ValueRef(4, 64)
 
-    def test_partial_range(self, engine):
-        db = filled_db(engine)
-        run_op(engine, db.compact_range(key(0), key(100)))
-        for i in (0, 50, 599):
-            assert run_op(engine, db.get(key(i))) == ValueRef(i, 64)
-
     def test_counted_in_stats(self, engine):
         db = filled_db(engine, n=50)
         run_op(engine, db.compact_range())

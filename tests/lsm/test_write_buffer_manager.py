@@ -31,15 +31,12 @@ def test_validation():
         WriteBufferManager(-1)
 
 
-def test_register_unregister_idempotent():
+def test_register_idempotent():
     wbm = WriteBufferManager(1000)
     db = _StubDB()
     wbm.register(db)
     wbm.register(db)
     assert len(wbm._dbs) == 1
-    wbm.unregister(db)
-    wbm.unregister(db)
-    assert len(wbm._dbs) == 0
 
 
 def test_usage_accounting_spans_dbs():

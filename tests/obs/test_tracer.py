@@ -30,18 +30,18 @@ def instants(tracer):
 
 
 class TestTracerCore:
-    def test_span_records_start_duration_and_merged_args(self):
+    def test_span_records_start_duration_and_close_args(self):
         tracer = Tracer()
         engine = traced_engine(tracer)
 
         def proc():
-            engine.tracer.span_begin("work", "step", {"a": 1})
+            engine.tracer.span_begin("work", "step")
             yield 500
             engine.tracer.span_end("work", {"b": 2})
 
         engine.process(proc())
         engine.run()
-        assert spans(tracer) == [("work", "X", "step", 0, 500, {"a": 1, "b": 2})]
+        assert spans(tracer) == [("work", "X", "step", 0, 500, {"b": 2})]
 
     def test_nested_spans_pop_innermost_first(self):
         tracer = Tracer()
@@ -268,7 +268,8 @@ class TestSummaries:
 class TestTracedDBRun:
     def test_full_db_run_produces_expected_span_families(self):
         """A traced end-to-end run covers device, flush, compaction, and
-        write-group spans — what the acceptance trace must contain."""
+        write-group spans and write-stall transitions — what a traced
+        figure run's Chrome trace must contain."""
         tracer = Tracer()
         engine = traced_engine(tracer)
         db = make_db(engine, profile=xpoint_ssd(), options=tiny_options())
@@ -294,6 +295,7 @@ class TestTracedDBRun:
         i_names = {name for _, _, name, _, _, _ in instants(tracer)}
         assert any(name.startswith("spawn:") for name in i_names)
         assert "memtable.switch" in i_names
+        assert any("->" in name for name in i_names)  # write-controller transitions
 
     def test_tracing_off_records_nothing(self):
         engine = Engine()

@@ -77,14 +77,6 @@ def test_jittered_bounds(jitter):
         assert 1000.0 * (1 - jitter) <= v <= 1000.0 * (1 + jitter)
 
 
-def test_state_roundtrip():
-    rng = RandomStream(3)
-    state = rng.getstate()
-    first = rng.random()
-    rng.setstate(state)
-    assert rng.random() == first
-
-
 def test_shuffle_and_choice_deterministic():
     a = RandomStream(4, "s")
     b = RandomStream(4, "s")

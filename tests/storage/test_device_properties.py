@@ -358,7 +358,7 @@ def _device_state(dev):
         dev.snapshot(),
         hist(dev.read_latency),
         hist(dev.write_latency),
-        dev.rng.getstate(),
+        dev.rng._rng.getstate(),
         None if dev.injector is None else (dev.injector.log, dev.injector.crash_pending),
     )
 
