@@ -524,9 +524,7 @@ class Cluster:
                 nbytes=group.nbytes + cfg.append_overhead_bytes,
             )
             self._shipped_groups += 1
-            fired, value = yield self.engine.any_of(
-                [ack_ev, self.engine.timeout(rto)]
-            )
+            fired, value = yield self.engine.any_of([ack_ev], timeout=rto)
             if fired is not ack_ev:
                 rto = min(rto * 2, cfg.rto_max_ns)  # timeout: back off, reship
                 continue
@@ -733,9 +731,7 @@ class Cluster:
         proc = self.engine.process(gen, name=f"cluster-{kind}")
         proc.callbacks.append(_null)
         try:
-            yield self.engine.any_of(
-                [proc, self.engine.timeout(self.config.op_timeout_ns)]
-            )
+            yield self.engine.any_of([proc], timeout=self.config.op_timeout_ns)
         except Exception:
             return (False, 0)  # leader died / went read-only under us
         if not proc.triggered or proc.exception is not None:
@@ -756,7 +752,7 @@ class Cluster:
                 return False
             ev = Event(self.engine)
             self._commit_waiters.append((seq, ev))
-            yield self.engine.any_of([ev, self.engine.timeout(deadline - now)])
+            yield self.engine.any_of([ev], timeout=deadline - now)
             if not ev.triggered:
                 self._commit_waiters = [
                     (s, e) for s, e in self._commit_waiters if e is not ev

@@ -122,6 +122,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.replay:
         return _replay(args.replay)
 
+    if not args.no_corpus and not os.path.isdir(args.corpus_dir):
+        # The default is relative to the repository root: started elsewhere,
+        # fuzzing would silently begin without its corpus.
+        raise FaultConfigError(
+            f"corpus directory not found: {args.corpus_dir} "
+            "(use --no-corpus to bootstrap only)"
+        )
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for mode in modes:
         if mode not in MODES:

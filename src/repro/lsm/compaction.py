@@ -31,15 +31,12 @@ from repro.lsm.io_retry import retry_call, retry_gen
 from repro.lsm.options import NUM_LEVELS
 from repro.lsm.sst import EntryColumns, SSTable, gather
 from repro.lsm.version import FileMetadata, Version, VersionEdit, VersionSet
-from repro.sim.stats import _np  # optional accelerator: None forces pure Python
+from repro.sim.stats import bulk_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lsm.db import DB
 
 _MERGE_BATCH = 256
-# Merges of fewer entries stay on the pure path: below this, numpy's fixed
-# cost per call is more than the per-entry work it saves.
-_NP_MERGE_MIN = 512
 
 
 class Compaction:
@@ -169,16 +166,17 @@ def _merge_inputs(inputs: List[FileMetadata], drop_tombstones: bool, chunk: int)
     entries, and read-ahead request ``reads[r]`` is queued by the time the
     merge reaches output entry ``read_at[r]`` (see :func:`_read_schedule`).
 
-    A merge of at least ``_NP_MERGE_MIN`` keys of one (non-zero) width takes
-    :func:`_merge_columns`, numpy's whole-array form of :func:`_merge_order`;
-    the pure path is the spec, and every output is the same on both.
+    A merge of at least :data:`~repro.sim.stats.BULK_MIN` keys of one
+    (non-zero) width takes :func:`_merge_columns`, numpy's whole-array form
+    of :func:`_merge_order`; the pure path is the spec, and every output is
+    the same on both.
     """
     keys: List[bytes] = []
     for meta in inputs:
         keys += meta.sst.keys
     columns = EntryColumns.concat([meta.sst.entries for meta in inputs])
     merge = _merge_order
-    if _np is not None and len(keys) >= _NP_MERGE_MIN and keys[0] and (
+    if bulk_numpy(len(keys)) is not None and keys[0] and (
         # One entry size and one value size are one key width (an entry's
         # size is its key's, its value's and a header, format.entry_bytes):
         # then the keys need not be measured.
@@ -242,30 +240,31 @@ def _merge_columns(keys: List[bytes], columns: EntryColumns, drop_tombstones: bo
     soon as they are used.
     """
     n, width = len(keys), len(keys[0])
+    np = bulk_numpy(n)
     padded = -(-width // 8) * 8
-    text = _np.fromiter(keys, f"S{width}", n).view(_np.uint8)  # byte-exact, NULs included
+    text = np.fromiter(keys, f"S{width}", n).view(np.uint8)  # byte-exact, NULs included
     if width == padded:
         words = text.view(">u8").reshape(n, width // 8)
     else:
-        words = _np.zeros((n, padded), _np.uint8)
+        words = np.zeros((n, padded), np.uint8)
         words[:, :width] = text.reshape(n, width)
         words = words.view(">u8")
-    words = words.T.astype(_np.uint64)  # word-major and native: row j is every key's word j
+    words = words.T.astype(np.uint64)  # word-major and native: row j is every key's word j
     del text
-    order = _np.lexsort(words[::-1])  # stable: one key's entries stay in input order
+    order = np.lexsort(words[::-1])  # stable: one key's entries stay in input order
     merged = words.take(order, axis=1)
     del words
     # fresh[p]: merge step p's key differs from its predecessor's (+ sentinel).
-    fresh = _np.ones(n + 1, bool)
-    _np.any(merged[:, 1:] != merged[:, :-1], axis=0, out=fresh[1:n])
+    fresh = np.ones(n + 1, bool)
+    np.any(merged[:, 1:] != merged[:, :-1], axis=0, out=fresh[1:n])
     del merged
-    member = _np.flatnonzero(~(fresh[:-1] & fresh[1:]))  # in a group of equal keys
+    member = np.flatnonzero(~(fresh[:-1] & fresh[1:]))  # in a group of equal keys
     if len(member):
-        group = _np.cumsum(fresh[member])  # group ids, ascending along ``member``
+        group = np.cumsum(fresh[member])  # group ids, ascending along ``member``
         inside = order[member]
-        newest = -_np.frombuffer(columns.seqs, "q")[inside]
-        order[member] = inside[_np.lexsort((newest, group))]  # stable, as sorted(reverse=True)
-    steps = _np.flatnonzero(fresh[:-1])
+        newest = -np.frombuffer(columns.seqs, "q")[inside]
+        order[member] = inside[np.lexsort((newest, group))]  # stable, as sorted(reverse=True)
+    steps = np.flatnonzero(fresh[:-1])
     del fresh
     picked = order[steps]
     unshadowed = len(steps)
@@ -273,16 +272,16 @@ def _merge_columns(keys: List[bytes], columns: EntryColumns, drop_tombstones: bo
     kinds = columns.kinds
     if drop_tombstones and kinds != KIND_PUT:
         if kinds.__class__ is array:
-            each = _np.frombuffer(kinds, "B")[picked]
+            each = np.frombuffer(kinds, "B")[picked]
         else:  # every entry a tombstone
-            each = _np.full(unshadowed, kinds)
-        live = _np.flatnonzero(each != KIND_DELETE)
+            each = np.full(unshadowed, kinds)
+        live = np.flatnonzero(each != KIND_DELETE)
         picked, steps = picked[live], steps[live]
         counted = array("q", (live + 1).tobytes())
-    inverse = _np.empty(n, _np.int64)  # inverse[i]: the merge step that takes input entry i
-    inverse[order] = _np.arange(n)
+    inverse = np.empty(n, np.int64)  # inverse[i]: the merge step that takes input entry i
+    inverse[order] = np.arange(n)
     del order
-    objects = _np.empty(n, object)  # the input key objects themselves, never copies
+    objects = np.empty(n, object)  # the input key objects themselves, never copies
     objects[:] = keys
     out_keys = tuple(objects[picked].tolist())
     picked, steps = array("q", picked.tobytes()), array("q", steps.tobytes())

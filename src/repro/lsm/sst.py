@@ -24,7 +24,7 @@ from repro.errors import CorruptionError, DBError
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.format import Entry, entry_bytes, entry_checksum, entry_file_bytes, entry_value_size
 from repro.lsm.value import ValueRef
-from repro.sim.stats import _np  # optional accelerator: None forces pure Python
+from repro.sim.stats import bulk_numpy
 
 
 def file_sizes(keys: Sequence[bytes], value_sizes) -> "int | array":
@@ -66,8 +66,9 @@ def gather(column, idx: array):
         return column
     if column.__class__ is list:
         return list(map(column.__getitem__, idx))
-    if _np is not None and column.__class__ is array:  # the same gather, vectorized
-        got = _np.frombuffer(column, column.typecode)[_np.frombuffer(idx, "q")]
+    np = bulk_numpy(len(idx)) if column.__class__ is array else None
+    if np is not None:  # the same gather, vectorized
+        got = np.frombuffer(column, column.typecode)[np.frombuffer(idx, "q")]
         return array(column.typecode, got.tobytes())
     return array(getattr(column, "typecode", "q"), map(column.__getitem__, idx))  # or a range
 
@@ -120,7 +121,7 @@ class EntryColumns:
 
     def take(self, idx: array) -> "EntryColumns":
         """The entries at positions ``idx`` (an ``array('q')``), in that order."""
-        return EntryColumns(*(gather(getattr(self, name), idx) for name in self.__slots__))
+        return EntryColumns(*[gather(getattr(self, name), idx) for name in self.__slots__])
 
     def cumulative(self):
         """``cum[i]`` = data-block bytes of the first ``i`` entries: a
@@ -139,7 +140,7 @@ class EntryColumns:
     def __getitem__(self, j):
         if j.__class__ is slice:  # a window: the same columns, sliced
             columns = map(self.__getattribute__, self.__slots__)
-            return EntryColumns(*(c if c is None or c.__class__ is int else c[j] for c in columns))
+            return EntryColumns(*[c if c is None or c.__class__ is int else c[j] for c in columns])
         seq = self.seqs[j]  # IndexError past either end
         kinds, values, vsizes = self.kinds, self.values, self.vsizes
         kind = kinds if kinds.__class__ is int else kinds[j]
@@ -248,8 +249,9 @@ class SSTable:
         first, offset = cut_blocks(cum, block_size)  # the constructor checks len(keys)
         if largest_seq is None:
             seqs = entries.seqs
-            if _np is not None and seqs.__class__ is array and seqs:  # the same max, vectorized
-                largest_seq = int(_np.frombuffer(seqs, "q").max())
+            np = bulk_numpy(len(seqs)) if seqs.__class__ is array else None
+            if np is not None:  # the same max, vectorized
+                largest_seq = int(np.frombuffer(seqs, "q").max())
             else:
                 largest_seq = max(seqs, default=0)
         return cls(number, keys, entries, first, offset, cum[-1], largest_seq, bloom_bits_per_key)

@@ -243,7 +243,7 @@ class ShardClient:
                 if p.triggered:
                     return
             try:
-                yield engine.any_of(procs + [engine.timeout(deadline - engine.now)])
+                yield engine.any_of(procs, timeout=deadline - engine.now)
             except Exception:
                 pass  # a failed arm settles it; the loop re-checks
 

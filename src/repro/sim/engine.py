@@ -105,7 +105,7 @@ _heappop = heapq.heappop
 _PROC = True
 _EVENT = False
 
-_new_timeout = object.__new__
+_new = object.__new__
 
 _INF = float("inf")
 
@@ -234,8 +234,9 @@ class Timeout(Event):
 
     Built only by :meth:`Engine.timeout`.  Prefer ``yield <int>`` inside
     processes (it avoids allocating an event); a ``Timeout`` is what an API
-    returns to be waited on (a device request's completion) or composed with
-    :class:`AnyOf` (a wait with a deadline).
+    returns to be waited on (a device request's completion).  A wait with a
+    deadline is ``engine.any_of(events, timeout=ns)``, not an :class:`AnyOf`
+    over a ``Timeout``: its deadline is cancelled when the wait ends.
     """
 
     __slots__ = ()
@@ -283,12 +284,47 @@ class AllOf(Event):
             self.succeed([child._value for child in self._children])
 
 
+#: What an ``any_of(events, timeout=ns)`` wait evaluates to when its deadline
+#: comes first: no event fired, so no ``(event, value)`` pair.
+TIMED_OUT = (None, None)
+
+
+class _Deadline:
+    """The heap entry of an :class:`AnyOf`'s deadline (lazy deletion).
+
+    The entry is pushed where ``engine.timeout(ns)`` would push one, and it
+    stays in the heap when the wait ends first, but it no longer holds the
+    wait: ``triggered`` is set and ``wait`` dropped, so the run loop pops it
+    as a no-op (the clock advances, nothing runs) and the wait, its children
+    and the processes they name are freed at once.
+    """
+
+    __slots__ = ("triggered", "wait")
+
+    def succeed(self, value: Any) -> None:
+        """The deadline's pop while the wait is still open: it times out."""
+        wait = self.wait
+        wait._drop()
+        Event.succeed(wait, value)
+
+
 class AnyOf(Event):
-    """Fires as soon as any child event triggers; value is ``(event, value)``."""
+    """Fires as soon as any child event triggers; value is ``(event, value)``.
 
-    __slots__ = ("_children",)
+    With ``timeout`` (nanoseconds) the wait also ends when that much time has
+    passed, with the value :data:`TIMED_OUT`.  Whichever side wins, the wait
+    detaches from the losers: its callback leaves every untriggered child and
+    its deadline entry is cancelled (:class:`_Deadline`).  A child process
+    therefore counts as joined only while the wait is open: one that loses
+    and fails later is an unjoined crash unless something else joins it
+    (the cluster and serving callers hang a no-op callback on theirs).
+    """
 
-    def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:
+    __slots__ = ("_children", "_deadline")
+
+    def __init__(
+        self, engine: "Engine", events: Iterable[Event], timeout: Optional[int] = None
+    ) -> None:
         # Event.__init__ inlined: every wait with a deadline builds one.
         self.engine = engine
         self._value = _PENDING
@@ -296,26 +332,72 @@ class AnyOf(Event):
         self.triggered = False
         self._waiters = None
         self.callbacks = []
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf needs at least one event")
-        for ev in self._children:
+        children = list(events)
+        self._children = None
+        self._deadline = None
+        if timeout is not None:
+            if timeout < 0:
+                raise SimulationError(f"negative timeout: {timeout}")
+            # Queued exactly where engine.timeout(timeout) would queue it.
+            self._deadline = deadline = _new(_Deadline)
+            deadline.triggered = False
+            deadline.wait = self
+            if timeout:
+                engine._seq = seq = engine._seq + 1
+                _heappush(
+                    engine._heap,
+                    (engine.now + int(timeout), seq, _EVENT, deadline, TIMED_OUT, None),
+                )
+            else:
+                engine._nowq.append((_EVENT, deadline, TIMED_OUT, None))
+        elif not children:
+            raise SimulationError("AnyOf needs at least one event or a timeout")
+        for ev in children:
             if ev.triggered:
+                self._drop()
                 if ev._exc is not None:
-                    self.fail(ev._exc)
+                    Event.fail(self, ev._exc)
                 else:
-                    self.succeed((ev, ev._value))
+                    Event.succeed(self, (ev, ev._value))
                 return
-        for ev in self._children:
-            ev.callbacks.append(self._on_child)
+        self._children = children
+        on_child = self._on_child
+        for ev in children:
+            ev.callbacks.append(on_child)
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
-            return
+            return  # another child, firing in the same cascade, won first
+        self._drop()
         if ev._exc is not None:
-            self.fail(ev._exc)
+            Event.fail(self, ev._exc)
         else:
-            self.succeed((ev, ev._value))
+            Event.succeed(self, (ev, ev._value))
+
+    def succeed(self, value: Any = None) -> "AnyOf":
+        self._drop()
+        return Event.succeed(self, value)
+
+    def fail(self, exc: BaseException) -> "AnyOf":
+        self._drop()
+        return Event.fail(self, exc)
+
+    def _drop(self) -> None:
+        """Detach from every child and the deadline: the wait is over."""
+        children = self._children
+        if children is not None:
+            self._children = None
+            on_child = self._on_child
+            for ev in children:
+                # A triggered child (the winner) has already taken its
+                # callback list.
+                if not ev.triggered:
+                    ev.callbacks.remove(on_child)
+        deadline = self._deadline
+        if deadline is not None:
+            self._deadline = None
+            deadline.triggered = True
+            deadline.wait = None
 
 
 class Process(Event):
@@ -412,7 +494,7 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        ev = _new_timeout(Timeout)
+        ev = _new(Timeout)
         ev.engine = self
         ev._value = _PENDING
         ev._exc = None
@@ -429,8 +511,16 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+    def any_of(self, events: Iterable[Event], timeout: Optional[int] = None) -> AnyOf:
+        """Wait for the first of ``events``, or at most ``timeout`` ns.
+
+        The wait evaluates to ``(event, value)``, or to :data:`TIMED_OUT`
+        when the deadline comes first; a child's failure raises.  The
+        deadline is queued as ``engine.timeout(timeout)`` would queue it and
+        is cancelled as soon as the wait ends, so a wait that ends early
+        leaves nothing behind.
+        """
+        return AnyOf(self, events, timeout)
 
     def run(self, until: Optional[int] = None, stop: Sequence[Event] = ()) -> int:
         """Run until the heap drains, the clock reaches ``until``, or an

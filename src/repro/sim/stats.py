@@ -11,27 +11,54 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
+from collections import Counter
+from itertools import repeat
+from operator import add, rshift
+from types import ModuleType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.units import SEC
 
-# numpy is an optional accelerator (pyproject extra ``[perf]``): every bulk
-# path below has a pure-python fallback producing bit-identical state.  Set
-# REPRO_NO_NUMPY=1 to force the fallback (CI proves it passes the suite).
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - the image ships numpy
-        _np = None
+#: The smallest batch a bulk path hands to numpy.  Below it numpy's fixed
+#: cost per call is more than the per-element work it saves; measured with
+#: numpy loaded (``LatencyHistogram.record_many``, pure against numpy): 22
+#: against 61 us at 32 samples, 49 against 48 at 116, 101 against 50 at
+#: 256, 208 against 58 at 512.
+BULK_MIN = 512
 
-# Below this many samples the ndarray conversion costs more than it saves.
-_BULK_MIN = 32
+# numpy is an optional accelerator (pyproject extra ``[perf]``): every bulk
+# path has a pure-python fallback producing bit-identical state.  Set
+# REPRO_NO_NUMPY=1 to force the fallback (CI proves it passes the suite).
+_NO_NUMPY = bool(os.environ.get("REPRO_NO_NUMPY"))
+_numpy: Optional[ModuleType] = None
+
+
+def bulk_numpy(n: int) -> Optional[ModuleType]:
+    """numpy for a batch of ``n`` elements, or None: take the pure path.
+
+    None below :data:`BULK_MIN`, under ``REPRO_NO_NUMPY=1`` and without
+    numpy.  numpy is imported by the first batch that takes it, not at
+    module load: a run that never builds one (every DST seed) never pays
+    its import (about 0.06 s and 13 MB).  A bulk path binds the result once
+    per call (``np = bulk_numpy(len(batch))``) and uses that name.  This is
+    the one place ``repro`` imports numpy (a tier-1 AST check).
+    """
+    global _numpy, _NO_NUMPY
+    if n < BULK_MIN or _NO_NUMPY:
+        return None
+    if _numpy is None:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - the image ships numpy
+            _NO_NUMPY = True
+            return None
+        _numpy = numpy
+    return _numpy
 
 # np.frexp exponents equal int.bit_length() only while the float64 mantissa
-# is exact; route larger samples through the scalar path.
+# is exact; a batch with larger samples takes the pure path.
 _FLOAT_EXACT = 1 << 53
 
 _SUBBUCKETS = 32  # per power of two; worst-case relative error ~3%
@@ -128,50 +155,77 @@ class LatencyHistogram:
     def record_many(self, values: Sequence[int]) -> None:
         """Record a batch of samples, bit-identical to a ``record`` loop.
 
-        With numpy available the bucket indices are computed vectorized
-        (``frexp`` exponents equal ``int.bit_length()`` for exact float64
-        values) and the percentile cache is invalidated at most once per
-        batch.  Batches containing negatives (which must raise exactly like
-        the scalar path, prefix included) or samples at/above 2**53 (where
-        float exponents stop being trustworthy) fall back to the scalar
-        bucket update, as does any batch when numpy is unavailable.
+        The bucket indices are computed for the whole batch at once: by
+        numpy for a batch that takes it (:func:`bulk_numpy`: at least
+        :data:`BULK_MIN` samples; ``frexp`` exponents equal
+        ``int.bit_length()`` for exact float64 values), else from the sorted
+        batch one octave at a time (every sample of an octave shifts alike),
+        so neither path runs Python lines per sample.  Samples at/above
+        2**53 (where float exponents stop being trustworthy) take the sorted
+        path; a batch with a negative sample raises exactly as the
+        ``record`` loop would, prefix included.  The percentile cache is
+        invalidated at most once per batch.
         """
         n = len(values)
         if n == 0:
             return
-        if _np is not None and n >= _BULK_MIN:
-            arr = _np.asarray(values, dtype=_np.int64)
+        np = bulk_numpy(n)
+        if np is not None:
+            arr = np.asarray(values, dtype=np.int64)
             lo = int(arr.min())
             hi = int(arr.max())
-            if lo >= 0 and hi < _FLOAT_EXACT and hi * n < (1 << 62):
-                # bit_length via frexp: value in [2**(e-1), 2**e) => exp e.
-                exp = _np.frexp(arr)[1].astype(_np.int64)
-                shift = exp - 6
-                _np.clip(shift, 0, None, out=shift)
-                idx = (shift + 1) * _SUBBUCKETS + (arr >> shift) - _SUBBUCKETS
-                uniq, counts = _np.unique(idx, return_counts=True)
-                buckets = self._buckets
-                dirty = False
-                for i, c in zip(uniq.tolist(), counts.tolist()):
-                    if i in buckets:
-                        buckets[i] += c
-                    else:
-                        buckets[i] = c
-                        dirty = True
-                if dirty:
-                    self._sorted = None
-                self._count += n
-                self._total += int(arr.sum())
-                if self._min is None or lo < self._min:
-                    self._min = lo
-                if self._max is None or hi > self._max:
-                    self._max = hi
-                return
-        add = self._add
-        for value in values:
-            if value < 0:
-                raise SimulationError(f"negative sample: {value}")
-            add(value, 1)
+            if hi >= _FLOAT_EXACT or hi * n >= (1 << 62):
+                np = None
+        if np is None:
+            ordered = sorted(values)
+            lo = ordered[0]
+            hi = ordered[-1]
+        if lo < 0:  # the scalar update up to the first negative, which raises
+            scalar = self._add
+            for value in values:
+                if value < 0:
+                    raise SimulationError(f"negative sample: {value}")
+                scalar(value, 1)
+        if np is not None:
+            # bit_length via frexp: value in [2**(e-1), 2**e) => exp e.
+            shift = np.frexp(arr)[1].astype(np.int64) - 6
+            np.clip(shift, 0, None, out=shift)
+            uniq, counts = np.unique(shift * _SUBBUCKETS + (arr >> shift), return_counts=True)
+            per_bucket = zip(uniq.tolist(), counts.tolist())
+            total = int(arr.sum())
+        else:
+            # _add's index is shift * _SUBBUCKETS + (value >> shift), with
+            # shift = bit_length - 6 (at least 0): a sample below 64 is its
+            # own index, and one octave's samples share one shift.
+            start = bisect_left(ordered, 2 * _SUBBUCKETS)
+            counter = Counter(ordered[:start])
+            while start < n:
+                octave = ordered[start].bit_length()
+                end = bisect_left(ordered, 1 << octave, start)
+                shift = octave - 6
+                counter.update(map(
+                    add, repeat(shift * _SUBBUCKETS),
+                    map(rshift, ordered[start:end], repeat(shift)),
+                ))
+                start = end
+            per_bucket = counter.items()
+            total = sum(ordered)
+        buckets = self._buckets
+        dirty = False
+        for i, c in per_bucket:
+            if i in buckets:
+                buckets[i] += c
+            else:
+                buckets[i] = c
+                dirty = True
+        if dirty:
+            self._sorted = None
+        self._count += n
+        self._total += total
+        if self._min is None or lo < self._min:
+            self._min = lo
+        if self._max is None or hi > self._max:
+            self._max = hi
 
     def reset(self) -> None:
         """Discard all samples in place; held references stay valid."""
@@ -304,23 +358,24 @@ class TimeSeries:
         n = len(times)
         if n == 0:
             return
-        if _np is not None and n >= _BULK_MIN:
-            arr = _np.asarray(times, dtype=_np.int64)
+        np = bulk_numpy(n)
+        if np is not None:
+            arr = np.asarray(times, dtype=np.int64)
             idx = arr // self.bucket_ns
             buckets = self._buckets
             if counts is None:
-                uniq, cnt = _np.unique(idx, return_counts=True)
+                uniq, cnt = np.unique(idx, return_counts=True)
                 self.count += n
             else:
-                weights = _np.asarray(counts, dtype=_np.int64)
-                order = _np.argsort(idx, kind="stable")
+                weights = np.asarray(counts, dtype=np.int64)
+                order = np.argsort(idx, kind="stable")
                 sorted_idx = idx[order]
                 sorted_w = weights[order]
-                starts = _np.concatenate(
-                    ([0], _np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1)
+                starts = np.concatenate(
+                    ([0], np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1)
                 )
                 uniq = sorted_idx[starts]
-                cnt = _np.add.reduceat(sorted_w, starts)
+                cnt = np.add.reduceat(sorted_w, starts)
                 self.count += int(sorted_w.sum())
             for i, c in zip(uniq.tolist(), cnt.tolist()):
                 if i in buckets:

@@ -15,7 +15,7 @@ mostly constants: its sequence numbers are a ``range``, every kind is a PUT,
 and a value is ``benchmark_value(position, size)``, so the one per-key column
 is the value seeds.  A table's keys are made together, from its window of
 the level's positions: ``encode_key`` of each, in one numpy pass per table
-when numpy is importable.
+when the prefill is big enough to take numpy (:func:`~repro.sim.stats.bulk_numpy`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import ge
+from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import WorkloadError
@@ -34,7 +35,7 @@ from repro.lsm.format import KIND_PUT, entry_bytes, sst_path
 from repro.lsm.options import NUM_LEVELS
 from repro.lsm.sst import EntryColumns, SSTable, file_sizes, gather
 from repro.lsm.version import FileMetadata, VersionEdit
-from repro.sim.stats import _np  # optional accelerator: None forces pure Python
+from repro.sim.stats import bulk_numpy
 from repro.workloads.generators import (
     KEY_WIDTH,
     VERSION_BITS,
@@ -94,23 +95,24 @@ def _level_budgets(db: DB, total_bytes: int) -> Dict[int, int]:
     return {lvl: b for lvl, b in budgets.items() if b > 0}
 
 
-def _levels(n: int, thresholds: List[int]) -> List[array]:
+def _levels(np: Optional[ModuleType], n: int, thresholds: List[int]) -> List[array]:
     """Each level's positions, ascending: position ``p`` goes to level
-    ``bisect_right(thresholds, (p * _HASH) & 0xFFFFFFFF)``."""
-    if _np is not None:  # the same assignment, vectorized
-        hashes = _np.arange(n, dtype=_np.int64) * _HASH & 0xFFFFFFFF
-        level = _np.searchsorted(thresholds, hashes, "right")
-        return [array("q", _np.flatnonzero(level == i).tobytes()) for i in range(len(thresholds) + 1)]
+    ``bisect_right(thresholds, (p * _HASH) & 0xFFFFFFFF)``; ``np`` is numpy
+    or None (pure Python)."""
+    if np is not None:  # the same assignment, vectorized
+        hashes = np.arange(n, dtype=np.int64) * _HASH & 0xFFFFFFFF
+        level = np.searchsorted(thresholds, hashes, "right")
+        return [array("q", np.flatnonzero(level == i).tobytes()) for i in range(len(thresholds) + 1)]
     per_level = [array("q") for _ in range(len(thresholds) + 1)]
     for position in range(n):
         per_level[bisect_right(thresholds, (position * _HASH) & 0xFFFFFFFF)].append(position)
     return per_level
 
 
-def _to_seeds(positions: array, start: int, end: int) -> None:
+def _to_seeds(np: Optional[ModuleType], positions: array, start: int, end: int) -> None:
     """Shift ``positions[start:end]`` in place to ``benchmark_value(p, size).seed``."""
-    if _np is not None:  # through a view of the same memory
-        _np.frombuffer(positions, "q")[start:end] <<= VERSION_BITS
+    if np is not None:  # through a view of the same memory
+        np.frombuffer(positions, "q")[start:end] <<= VERSION_BITS
     else:  # as one integer: no element carries into the next while p < 2**(63 - VERSION_BITS)
         whole = int.from_bytes(positions[start:end], sys.byteorder) << VERSION_BITS
         positions[start:end] = array("q", whole.to_bytes((end - start) * 8, sys.byteorder))
@@ -120,7 +122,7 @@ def _to_seeds(positions: array, start: int, end: int) -> None:
 _TableKeys = Callable[[array, int, int], Tuple[bytes, ...]]
 
 
-def _key_encoder() -> _TableKeys:
+def _key_encoder(np: Optional[ModuleType]) -> _TableKeys:
     """``encode_key`` over a table's ascending positions, as one numpy pass.
 
     ``unravel_index`` splits each position into four groups of four decimal
@@ -128,37 +130,35 @@ def _key_encoder() -> _TableKeys:
     (one ``uint32``), so ``tolist()`` of the ``S16`` rows makes the table's
     ``bytes`` objects together.  The rows are reused and grow only to the
     largest table.  A run with a position outside ``[0, 10**16)`` and pure
-    Python (no numpy) take ``encode_key`` per position: the same bytes, and
-    its 17-digit key or its error.
+    Python (``np`` None) take ``encode_key`` per position: the same bytes,
+    and its 17-digit key or its error.
     """
 
     def per_key(positions: array, start: int, end: int) -> Tuple[bytes, ...]:
         return tuple(map(encode_key, positions[start:end]))
 
-    if _np is None:
+    if np is None:
         return per_key
-    digit = _np.frombuffer(b"0123456789", _np.uint8)
-    four_digits = _np.empty((10, 10, 10, 10, 4), _np.uint8)  # [a, b, c, d] -> b"abcd"
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    four_digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # [a, b, c, d] -> b"abcd"
     four_digits[..., 0] = digit[:, None, None, None]
     four_digits[..., 1] = digit[:, None, None]
     four_digits[..., 2] = digit[:, None]
     four_digits[..., 3] = digit
-    lut = four_digits.view(_np.uint32).ravel()
-    rows = _np.empty((0, 4), _np.uint32)
+    lut = four_digits.view(np.uint32).ravel()
+    rows = np.empty((0, 4), np.uint32)
 
     def encode(positions: array, start: int, end: int) -> Tuple[bytes, ...]:
         nonlocal rows
         m = end - start
-        if not m:
-            return ()
-        run = _np.frombuffer(positions, "q")[start:end]
-        if run[0] < 0 or run[-1] >= 10**16:
+        run = np.frombuffer(positions, "q")[start:end]
+        if not m or run[0] < 0 or run[-1] >= 10**16:
             return per_key(positions, start, end)
         if len(rows) < m:
-            rows = _np.empty((m, 4), _np.uint32)
+            rows = np.empty((m, 4), np.uint32)
         text = rows[:m]
         # "clip" writes ``out`` directly (every group is below 10,000 anyway).
-        lut.take(_np.unravel_index(run, (10_000,) * 4), out=text.T, mode="clip")
+        lut.take(np.unravel_index(run, (10_000,) * 4), out=text.T, mode="clip")
         return tuple(text.view("S16").ravel().tolist())
 
     return encode
@@ -167,7 +167,7 @@ def _key_encoder() -> _TableKeys:
 def _install(
     db: DB,
     n: int,
-    table_keys: _TableKeys,
+    table_keys: Optional[_TableKeys],
     entry_sizes: Union[int, array],
     value_sizes: Union[int, array],
 ) -> Dict[int, int]:
@@ -180,8 +180,9 @@ def _install(
     the level's byte budget, so every level's files span the whole key range.
     Files and blocks are cut from entry sizes; no entry is built.
     Keys are made table by table (``table_keys`` of the table's window of a
-    level's positions), so a table's key objects sit together in memory:
-    ``bisect`` over them is the read path's hot loop.
+    level's positions, or :func:`_key_encoder` of it when None), so a table's
+    key objects sit together in memory: ``bisect`` over them is the read
+    path's hot loop.  numpy (if it takes ``n`` keys) is bound once, here.
     """
     if db.versions.current.num_files() != 0:
         raise WorkloadError("prefill requires an empty database")
@@ -200,7 +201,10 @@ def _install(
     edit = VersionEdit()
     files_per_level: Dict[int, int] = {}
     seq = db.versions.last_sequence
-    per_level = _levels(n, thresholds)
+    np = bulk_numpy(n)
+    if table_keys is None:
+        table_keys = _key_encoder(np)
+    per_level = _levels(np, n, thresholds)
     for level in levels:
         # Popped: a file's columns are windows copied out of the level's, so a
         # finished level's positions are freed before the next level's keys
@@ -219,7 +223,7 @@ def _install(
             # A file closes with the entry that takes it to the target size.
             end = min(len(positions), bisect_left(cum, cum[start] + target))
             keys = table_keys(positions, start, end)
-            _to_seeds(positions, start, end)
+            _to_seeds(np, positions, start, end)
             sst = SSTable.build(
                 db.versions.new_file_number(), keys, run[start:end],
                 opts.block_size, opts.bloom_bits_per_key, largest_seq=seq + end,
@@ -246,7 +250,7 @@ def prefill(db: DB, spec: PrefillSpec) -> Dict[int, int]:
     whole key space (the real read-amplification shape: a GET walks through
     every level above the key's home level before finding it).
     """
-    return _install(db, spec.key_count, _key_encoder(), spec.entry_bytes, spec.value_size)
+    return _install(db, spec.key_count, None, spec.entry_bytes, spec.value_size)
 
 
 def prefill_keys(

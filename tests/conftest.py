@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import settings
 
@@ -12,6 +14,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.obs import active_tracer, set_active_tracer
 from repro.sim.engine import Engine
+from repro.sim import stats
 from repro.sim.rng import RandomStream
 from repro.sim.units import kb, mb
 from repro.storage.device import StorageDevice
@@ -19,6 +22,19 @@ from repro.storage.profiles import null_device, xpoint_ssd
 
 settings.register_profile("repro", max_examples=50, deadline=None)
 settings.load_profile("repro")
+
+
+def numpy_from(size: int):
+    """Context manager: batches of ``size`` elements or more take numpy
+    (the gate's :data:`~repro.sim.stats.BULK_MIN`, lowered so that small
+    test batches reach the vectorized paths)."""
+    return mock.patch.object(stats, "BULK_MIN", size)
+
+
+def without_numpy():
+    """Context manager: every bulk path takes pure Python, as under
+    ``REPRO_NO_NUMPY=1``."""
+    return mock.patch.object(stats, "_NO_NUMPY", True)
 
 
 @pytest.fixture

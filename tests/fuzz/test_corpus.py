@@ -56,3 +56,15 @@ class TestCorpusReplay:
         )
         if not entry.expect_ok:
             assert outcome.signature == entry.expect_signature
+
+
+def test_cli_refuses_a_missing_corpus_dir(tmp_path):
+    """A ``--corpus-dir`` that does not exist (the relative default, run
+    outside the repository root) is an error, not a fuzzing run without its
+    corpus; ``--no-corpus`` is the way to bootstrap only."""
+    from repro.errors import FaultConfigError
+    from repro.fuzz.__main__ import main
+
+    missing = tmp_path / "missing"
+    with pytest.raises(FaultConfigError, match="corpus directory not found: .*--no-corpus"):
+        main(["--corpus-dir", str(missing), "--iters", "1", "--quiet"])

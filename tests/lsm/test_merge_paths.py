@@ -3,7 +3,7 @@
 :func:`repro.lsm.compaction._merge_inputs` computes a whole merge at once:
 by C-speed Python (:func:`_merge_order`, the spec, and the only path without
 numpy), or through numpy arrays (:func:`_merge_columns`) when the merge holds
-at least ``_NP_MERGE_MIN`` keys of one width.  Both must return the same six
+at least ``BULK_MIN`` keys of one width (the numpy gate's threshold).  Both must return the same six
 outputs, and both must equal what a per-entry k-way merge observes: the
 model below is ``test_compaction_reference``'s ``heapq.merge`` over
 ``_tracked_items``, reduced to the merge.  The numpy cases skip without numpy.
@@ -28,11 +28,13 @@ from repro.lsm.format import KIND_DELETE, KIND_PUT
 from repro.lsm.sst import EntryColumns, SSTable, file_sizes
 from repro.lsm.value import ValueRef
 from repro.lsm.version import FileMetadata
-from repro.sim.stats import _np
+from repro.sim.stats import BULK_MIN, bulk_numpy
+from tests.conftest import numpy_from, without_numpy
 from tests.lsm.test_compaction_reference import _tracked_items
 
-THRESHOLD = compaction_module._NP_MERGE_MIN
-needs_numpy = pytest.mark.skipif(_np is None, reason="the numpy merge needs numpy")
+THRESHOLD = BULK_MIN
+HAVE_NUMPY = bulk_numpy(THRESHOLD) is not None
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the numpy merge needs numpy")
 
 
 def table(number: int, keys: List[bytes], seqs, kinds: List[int], value_size: int) -> FileMetadata:
@@ -129,10 +131,10 @@ def observed(result):
 
 def merged_by(path: str, inputs, drop_tombstones, chunk):
     if path == "pure":
-        with mock.patch.object(compaction_module, "_np", None):
+        with without_numpy():
             return _merge_inputs(inputs, drop_tombstones, chunk)
     if path == "numpy":  # any merge of one key width, however small
-        with mock.patch.object(compaction_module, "_NP_MERGE_MIN", 0):
+        with numpy_from(0):
             return _merge_inputs(inputs, drop_tombstones, chunk)
     return _merge_inputs(inputs, drop_tombstones, chunk)  # the threshold decides
 
@@ -157,13 +159,13 @@ def test_both_paths_equal_the_per_entry_model(case):
     spec, drop_tombstones, chunk = case
     inputs = make_merge(**spec)
     expected = model(inputs, drop_tombstones, chunk)
-    paths = ["pure", "threshold"] + (["numpy"] if _np is not None else [])
+    paths = ["pure", "threshold"] + (["numpy"] if HAVE_NUMPY else [])
     for path in paths:
         keys, stored, entries, counted, unshadowed, read_at, reads = observed(
             merged_by(path, inputs, drop_tombstones, chunk)
         )
         assert (keys, entries, counted, unshadowed, read_at, reads) == expected, path
-    if _np is not None:
+    if HAVE_NUMPY:
         assert observed(merged_by("numpy", inputs, drop_tombstones, chunk)) == observed(
             merged_by("pure", inputs, drop_tombstones, chunk)
         )
@@ -171,7 +173,7 @@ def test_both_paths_equal_the_per_entry_model(case):
 
 @needs_numpy
 def test_the_threshold_picks_the_path():
-    """One key width and at least ``_NP_MERGE_MIN`` keys take numpy; one key
+    """One key width and at least ``BULK_MIN`` keys take numpy; one key
     fewer, or a second width, stays pure."""
     calls = []
     real = compaction_module._merge_columns
@@ -234,7 +236,7 @@ def test_numpy_path_lines_do_not_grow_with_entries():
               for inputs in (small, large)]
     assert counts[0] == counts[1]
     # The pure path's lines grow with the shadow groups: the count would see it.
-    with mock.patch.object(compaction_module, "_np", None):
+    with without_numpy():
         pure = [lines_run(lambda inputs=inputs: _merge_inputs(inputs, False, chunk))
                 for inputs in (small, large)]
     assert pure[1] > pure[0]

@@ -16,7 +16,7 @@ from array import array
 
 import pytest
 
-from repro.errors import IOFaultError
+from repro.errors import DeadlineExceededError, IOFaultError
 from repro.faults import (
     WRITE_ERROR,
     FaultInjector,
@@ -30,6 +30,8 @@ from repro.lsm.format import KIND_PUT
 from repro.lsm.options import WAL_SYNC
 from repro.lsm.pipelined_write import WriteQueue
 from repro.lsm.write_batch import WriteBatch
+from repro.serving.client import ClientSession
+from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram, TimeSeries
 from repro.sim.units import mb, ms, seconds, us
@@ -38,7 +40,9 @@ from repro.storage.profiles import xpoint_ssd
 from repro.workloads.db_bench import DbBench, DbBenchConfig
 from repro.workloads.prefill import PrefillSpec, prefill, prefill_keys
 from repro.workloads.ycsb import WORKLOAD_A, YcsbRunner
+from tests.cluster.conftest import make_cluster, put_n
 from tests.conftest import make_db, run_op, tiny_options
+from tests.serving.test_client_policy import FakeGroup, make_client
 
 
 def key(i: int) -> bytes:
@@ -188,6 +192,51 @@ def test_group_failed_by_a_wal_fault(engine, monkeypatch):
     assert cyclic_garbage(burst) == 0
     assert max(failed_sizes) > 1  # a failed group had members
     assert raised.count(IOFaultError) > len(failed_sizes)  # and they raised too
+
+
+def test_replicated_writes_that_lose_quorum():
+    """A leader cut off from both followers: every write waits on its proc,
+    then on a commit that never comes, and every shipper on acks that never
+    come, each wait ending at its deadline.  A child that never fires kept
+    its wait in a cycle before waits detached (1,854 objects here)."""
+    engine, cluster = make_cluster()
+    put_n(engine, cluster, 0, 20)
+
+    def burst():
+        cluster.network.partition([0])
+        acked = [ok for _i, ok, _seq in put_n(engine, cluster, 20, 60)]
+        cluster.network.heal()
+        put_n(engine, cluster, 60, 80)
+        assert not any(acked)
+
+    assert cyclic_garbage(burst) == 0
+
+
+def test_client_ops_that_miss_their_deadline():
+    """Every read and write outlives its deadline: the client's wait ends at
+    the deadline and the abandoned attempts finish later."""
+    engine = Engine()
+    group = FakeGroup(engine)
+    group.read_latency = {i: ms(20) for i in range(3)}
+    group.write_latency = ms(20)
+    client = make_client(engine, group, op_deadline_ns=ms(5))
+    session = ClientSession("t0")
+
+    def burst():
+        def ops():
+            missed = 0
+            for _ in range(100):
+                for op in (client.read(session, b"k"), client.write(session, b"k", b"v")):
+                    try:
+                        yield from op
+                    except DeadlineExceededError:
+                        missed += 1
+            yield ms(100)  # the abandoned attempts finish
+            return missed
+
+        assert run_op(engine, ops()) == 200
+
+    assert cyclic_garbage(burst) == 0
 
 
 # -- bulk data the collector does not walk -------------------------------------------

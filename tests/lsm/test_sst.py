@@ -3,7 +3,6 @@
 import random
 from array import array
 from itertools import accumulate
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -11,9 +10,9 @@ from hypothesis import strategies as st
 
 from repro.errors import DBError
 from repro.lsm.format import KIND_DELETE, KIND_PUT, entry_file_bytes, records_checksum
-from repro.lsm import sst as sst_module
 from repro.lsm.sst import EntryColumns, SSTBuilder, SSTable, cut_blocks, gather
 from repro.lsm.value import ValueRef
+from tests.conftest import numpy_from, without_numpy
 
 
 def one_shot_cut(sizes, block_size):
@@ -352,8 +351,9 @@ def test_gather_is_the_same_without_numpy(column, typecode, data):
         column = [value & 0xFF for value in column]
     column = array(typecode, column)
     idx = array("q", data.draw(st.lists(st.integers(0, len(column) - 1), max_size=80)))
-    fast = gather(column, idx)
-    with mock.patch.object(sst_module, "_np", None):
+    with numpy_from(1):
+        fast = gather(column, idx)
+    with without_numpy():
         assert gather(column, idx) == fast == array(typecode, [column[i] for i in idx])
     assert gather(7, idx) == 7 and gather(list(column), idx) == list(fast)
     assert gather(range(3, 3 + len(column)), idx) == array("q", [3 + i for i in idx])

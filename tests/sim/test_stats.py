@@ -2,6 +2,7 @@
 
 import pickle
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim import stats as stats_mod
 from repro.sim.stats import _FOLD_AT, LatencyHistogram, StatsSet, TimeSeries
 from repro.sim.units import SEC
-from tests.conftest import TimeWeightedGauge
+from tests.conftest import TimeWeightedGauge, numpy_from, without_numpy
 
 
 class TestLatencyHistogram:
@@ -175,9 +177,7 @@ class TestRecordByAppend:
         assert len(hist._pending) == 0 and hist._count == _FOLD_AT
 
     def test_no_numpy_fold_uses_the_scalar_update(self, monkeypatch):
-        import repro.sim.stats as stats_mod
-
-        monkeypatch.setattr(stats_mod, "_np", None)
+        monkeypatch.setattr(stats_mod, "_NO_NUMPY", True)
         hist = LatencyHistogram()
         for v in range(100):
             hist.record(v)
@@ -233,14 +233,16 @@ def _hist_state(hist):
     return (dict(hist._buckets), count, hist.total, hist.min, hist.max)
 
 
+@mock.patch.object(stats_mod, "BULK_MIN", 1)
 class TestRecordMany:
     """Bulk recording is bit-identical to the scalar loop, in any order.
 
-    record_many has a vectorized numpy path above the bulk threshold and a
-    scalar fallback below it (and whenever numpy is unavailable); both must
-    leave exactly the state a plain ``record`` loop would, even when
+    record_many has a vectorized numpy path from the gate's ``BULK_MIN`` up
+    and a scalar fallback below it (and whenever numpy is unavailable); both
+    must leave exactly the state a plain ``record`` loop would, even when
     percentile queries — which build a sorted-bucket cache that bulk
-    inserts must invalidate — interleave with the batches.
+    inserts must invalidate — interleave with the batches.  ``BULK_MIN`` is
+    lowered to one here, so every batch takes the numpy path.
     """
 
     @given(
@@ -334,14 +336,12 @@ class TestRecordMany:
         assert dict(ts._buckets) == dict(ref_ts._buckets) and ts.count == ref_ts.count
 
     def test_no_numpy_fallback_identical(self, monkeypatch):
-        """REPRO_NO_NUMPY's code path (module-level ``_np = None``) must
-        produce byte-identical state to the vectorized path."""
-        import repro.sim.stats as stats_mod
-
+        """REPRO_NO_NUMPY's code path (the gate returns None) must produce
+        byte-identical state to the vectorized path."""
         samples = list(range(0, 5000, 7)) * 2
         vec = LatencyHistogram()
         vec.record_many(samples)
-        monkeypatch.setattr(stats_mod, "_np", None)
+        monkeypatch.setattr(stats_mod, "_NO_NUMPY", True)
         scalar = LatencyHistogram()
         scalar.record_many(samples)
         assert _hist_state(vec) == _hist_state(scalar)
@@ -355,6 +355,35 @@ class TestRecordMany:
         vec_ts.record_many(times, counts)
         assert dict(vec_ts._buckets) == dict(scalar_ts._buckets)
         assert vec_ts.count == scalar_ts.count
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.integers(0, 200), st.integers(0, 1 << 40), st.integers(0, (1 << 63) - 1)),
+        max_size=300,
+    )
+)
+def test_batch_folds_equal_the_scalar_update(values):
+    """Both ``record_many`` paths (numpy, and the sorted batch one octave at a
+    time) leave the state of the scalar bucket update, ``_add`` per sample;
+    huge samples included (the numpy path hands them to the sorted one)."""
+    spec = LatencyHistogram()
+    for value in values:
+        spec._add(value, 1)
+    pure, vec = LatencyHistogram(), LatencyHistogram()
+    with without_numpy():
+        pure.record_many(values)
+    with numpy_from(1):
+        vec.record_many(values)
+    assert _hist_state(pure) == _hist_state(spec) == _hist_state(vec)
+
+
+def test_a_negative_sample_raises_after_its_prefix():
+    for path in (without_numpy, lambda: numpy_from(1)):
+        hist = LatencyHistogram()
+        with path(), pytest.raises(SimulationError, match="negative sample: -3"):
+            hist.record_many([5, 70, -3, 9])
+        assert _hist_state(hist)[1:] == (2, 75, 5, 70)
 
 
 class TestTimeSeries:

@@ -106,6 +106,7 @@ CLI_ERRORS = [
     ({}, ["repro.fuzz", "--batch", "0", "--iters", "4"]),
     ({}, ["repro.fuzz", "--batch", "-1", "--iters", "4"]),
     ({}, ["repro.fuzz", "--iters", "-1"]),
+    ({}, ["repro.fuzz", "--corpus-dir", "/nonexistent-corpus", "--iters", "1"]),
 ] + [
     ({"REPRO_BENCH_SECONDS": value}, ["repro.harness", "fig07", "--preset", "tiny"])
     for value in ("abc", "nan", "inf", "0")

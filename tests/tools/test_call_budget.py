@@ -1,20 +1,24 @@
-"""Host-independent call budget of the foreground op path.
+"""Host-independent cost budget of the foreground op path: calls and lines.
 
-Runs three ``tiny``-preset db_bench runs on XPoint under
-``sys.setprofile`` — the paper's Fig. 5-7 mix (90 % writes, 4 clients) and a
+Runs three ``tiny``-preset db_bench runs on XPoint — the paper's Fig. 5-7 mix (90 % writes, 4 clients) and a
 pure-read run (1 client), 60 ms each, and a fill (100 % writes, 1 client)
 long enough for flushes and compactions, whose device requests, writebacks
 and version installs it counts — and one seed-run each of the replicated-cluster
 and resilient-serving chaos harnesses at their default configs (the
 replicated write/read path: WAL ``sync`` fsyncs, shipping, quorum acks, the
-serving client), and counts the Python calls into frames under
-``src/repro`` per operation, generator resumes included.  The ``tiny``
-prefill those runs start from is counted too, per prefilled key: a table's
-keys are made in one pass, not one ``encode_key`` call each.  The count is
-exact for a seed, so each budget is the count measured when it was set
-plus 5 %: a call that creeps back onto the op path fails here, on any host.
-The counts are numpy's: under ``REPRO_NO_NUMPY`` the end-of-run histogram
-fold is a Python loop per sample, so the test does not run there.
+serving client), and counts two columns per operation under
+``sys.settrace``: the Python calls into frames under ``src/repro``
+(generator resumes included), and the line events in those frames (line
+tracing is switched on only for them).  The line column sees work the call
+column misses: a per-entry loop that calls no ``src/repro`` function, or a
+fold that inlines a helper.  The ``tiny`` prefill those runs start from is
+counted too, per prefilled key: a table's keys are made in one pass, not
+one ``encode_key`` call each.  Both counts are exact for a seed (and
+repeat across ``PYTHONHASHSEED`` values), so each budget is the count
+measured when it was set plus 5 %: work that creeps back onto the op path
+fails here, on any host.  The counts are numpy's: under ``REPRO_NO_NUMPY``
+the end-of-run histogram fold is a Python loop per sample, so the test
+does not run there.
 
 Run it directly to print the counts::
 
@@ -42,14 +46,15 @@ from repro.workloads.prefill import prefill
 
 SRC = os.path.dirname(repro.__file__) + os.sep
 
-# Calls per op at the commit that set the budget; the budget is 5 % above.
+# (calls, line events) per op at the commit that set the budget; each budget
+# is 5 % above.
 MEASURED = {
-    "fill": 24.46,
-    "mixed90_4p": 29.42,
-    "prefill": 0.00937,  # per prefilled key (60,000 keys in 17 tables)
-    "read": 42.11,
-    "cluster_dst": 232.32,
-    "serving_dst": 160.44,
+    "fill": (24.46, 260.06),
+    "mixed90_4p": (29.41, 354.39),
+    "prefill": (0.00738, 0.05223),  # per prefilled key (60,000 keys in 17 tables)
+    "read": (42.11, 532.65),
+    "cluster_dst": (225.72, 2208.1),
+    "serving_dst": (155.96, 1363.4),
 }
 RUNS = {
     # Long enough for background work: 14 flushes and 5 compactions at seed 11.
@@ -61,36 +66,47 @@ DST_SEED = 0
 
 
 def counted(fn):
-    """``fn()``'s result and the calls into ``src/repro`` frames it made."""
-    calls = 0
+    """``fn()``'s result, the calls into ``src/repro`` frames it made and
+    the line events in those frames."""
+    calls = lines = 0
 
-    def count(frame, event, _arg):
+    def in_repro(_frame, event, _arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return in_repro
+
+    def on_call(frame, _event, _arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+        if frame.f_code.co_filename.startswith(SRC):
             calls += 1
+            return in_repro
+        return None  # no line events outside src/repro
 
-    sys.setprofile(count)
+    previous = sys.gettrace()  # coverage's tracer, in CI: put it back after
+    sys.settrace(on_call)
     try:
         result = fn()
     finally:
-        sys.setprofile(None)
-    return result, calls
+        sys.settrace(previous)
+    return result, (calls, lines)
 
 
-def calls_per_op(name: str) -> float:
+def cost_per_op(name: str) -> tuple:
+    """(calls, line events) per op of run ``name``."""
     if name == "cluster_dst":
         run = ClusterDstRun(DST_SEED)
-        _result, calls = counted(run.run)
-        return calls / run.config.num_ops
+        _result, counts = counted(run.run)
+        return per_op(counts, run.config.num_ops)
     if name == "serving_dst":
-        result, calls = counted(ServingDstRun(DST_SEED).run)
-        return calls / (result.ops + result.shed + result.errors + result.unresolved)
+        result, counts = counted(ServingDstRun(DST_SEED).run)
+        return per_op(counts, result.ops + result.shed + result.errors + result.unresolved)
     machine = Machine.create(xpoint_ssd(), TINY.page_cache_bytes, seed=11)
     db = machine.open_db(TINY.options())
     spec = TINY.prefill_spec()
     if name == "prefill":  # the set-up every run pays: its op is one prefilled key
-        _files, calls = counted(partial(prefill, db, spec))
-        return calls / spec.key_count
+        _files, counts = counted(partial(prefill, db, spec))
+        return per_op(counts, spec.key_count)
     prefill(db, spec)
     cfg = DbBenchConfig(
         value_size=TINY.value_size,
@@ -98,19 +114,28 @@ def calls_per_op(name: str) -> float:
         seed=11,
         **RUNS[name],
     )
-    result, calls = counted(partial(DbBench(cfg).run, db))
-    return calls / result.ops
+    result, counts = counted(partial(DbBench(cfg).run, db))
+    return per_op(counts, result.ops)
 
 
-@pytest.mark.skipif(repro.sim.stats._np is None, reason="budgets are counted with numpy")
+def per_op(counts: tuple, ops: int) -> tuple:
+    return tuple(count / ops for count in counts)
+
+
+@pytest.mark.skipif(
+    repro.sim.stats.bulk_numpy(repro.sim.stats.BULK_MIN) is None,
+    reason="budgets are counted with numpy",
+)
 @pytest.mark.parametrize("name", sorted(MEASURED))
 def test_calls_per_op_within_budget(name):
-    got = calls_per_op(name)
-    budget = MEASURED[name] * 1.05
-    print(f"{name}: {got:.2f} calls per op (budget {budget:.2f})")
-    assert got <= budget, f"{name}: {got:.2f} calls per op, budget {budget:.2f}"
+    got = cost_per_op(name)
+    for column, value, measured in zip(("calls", "lines"), got, MEASURED[name]):
+        budget = measured * 1.05
+        print(f"{name}: {value:.5g} {column} per op (budget {budget:.5g})")
+        assert value <= budget, f"{name}: {value:.5g} {column} per op, budget {budget:.5g}"
 
 
 if __name__ == "__main__":
     for run in sorted(MEASURED):
-        print(f"{run}: {calls_per_op(run):.2f} calls per op")
+        calls, lines = cost_per_op(run)
+        print(f"{run}: {calls:.5g} calls, {lines:.5g} lines per op")

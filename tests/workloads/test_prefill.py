@@ -2,7 +2,6 @@
 
 import importlib
 from array import array
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +10,14 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.lsm.options import NUM_LEVELS
 from repro.lsm.value import ValueRef
+from repro.sim.stats import BULK_MIN, bulk_numpy
 from repro.sim.units import kb
 from repro.workloads.generators import ValueSpec, encode_key
 from repro.workloads.prefill import PrefillSpec, prefill
-from tests.conftest import make_db, run_op, tiny_options
+from tests.conftest import make_db, run_op, tiny_options, without_numpy
+
+# numpy as a bulk path gets it (None under REPRO_NO_NUMPY=1).
+NUMPY = bulk_numpy(BULK_MIN)
 
 
 def build(engine, keys=2000, value_size=64, **opts):
@@ -138,7 +141,7 @@ def test_same_tables_without_numpy():
         ]
 
     fast = tables()
-    with mock.patch.object(prefill_module, "_np", None):
+    with without_numpy():
         slow = tables()
     assert slow == fast
     assert len({level for level, *_ in fast}) >= 2
@@ -147,22 +150,18 @@ def test_same_tables_without_numpy():
         assert {type(key) for _level, keys, *_ in made for key in keys} == {bytes}
     # A position whose hash equals a threshold goes to the level above it.
     tie = [(7 * prefill_module._HASH) & 0xFFFFFFFF]
-    fast = prefill_module._levels(50, tie)
-    with mock.patch.object(prefill_module, "_np", None):
-        assert prefill_module._levels(50, tie) == fast
+    fast = prefill_module._levels(NUMPY, 50, tie)
+    assert prefill_module._levels(None, 50, tie) == fast
     assert 7 in fast[1]
 
 
 KEY_BOUNDARIES = [0, 9, 10, 99_999, 999_999, 10**15, 10**16 - 1]
 
 
-def _encoder(numpy: bool):
+def _encoder(vectorized: bool):
     """A fresh table-key encoder, vectorized or the pure-Python fallback."""
     prefill_module = importlib.import_module("repro.workloads.prefill")
-    if numpy:
-        return prefill_module._key_encoder()
-    with mock.patch.object(prefill_module, "_np", None):
-        return prefill_module._key_encoder()
+    return prefill_module._key_encoder(NUMPY if vectorized else None)
 
 
 def _assert_encodes_like_encode_key(encode, indices, start=0, end=None):
@@ -174,32 +173,32 @@ def _assert_encodes_like_encode_key(encode, indices, start=0, end=None):
     assert positions == array("q", indices)  # read, never shifted
 
 
-@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+@pytest.mark.parametrize("vectorized", [True, False], ids=["numpy", "pure"])
 class TestTableKeys:
     """A table's keys, made in bulk, are ``encode_key``'s byte for byte."""
 
-    def test_boundaries(self, numpy):
-        encode = _encoder(numpy)
+    def test_boundaries(self, vectorized):
+        encode = _encoder(vectorized)
         _assert_encodes_like_encode_key(encode, KEY_BOUNDARIES)
         for i in range(len(KEY_BOUNDARIES)):
             _assert_encodes_like_encode_key(encode, KEY_BOUNDARIES, i, i + 1)
         _assert_encodes_like_encode_key(encode, KEY_BOUNDARIES, 2, 5)  # a window
 
-    def test_empty_table(self, numpy):
-        encode = _encoder(numpy)
+    def test_empty_table(self, vectorized):
+        encode = _encoder(vectorized)
         _assert_encodes_like_encode_key(encode, [])
         _assert_encodes_like_encode_key(encode, [3, 4], 1, 1)
 
-    def test_out_of_range_behaves_as_encode_key(self, numpy):
-        encode = _encoder(numpy)
+    def test_out_of_range_behaves_as_encode_key(self, vectorized):
+        encode = _encoder(vectorized)
         _assert_encodes_like_encode_key(encode, [10**16 - 1, 10**16, 10**17])  # 17+ digits
         assert len(encode_key(10**16)) == 17
         with pytest.raises(WorkloadError):
             encode(array("q", [-1, 0, 5]), 0, 3)
 
-    def test_rows_grow_and_are_reused(self, numpy):
+    def test_rows_grow_and_are_reused(self, vectorized):
         """Tables of several sizes through one encoder, largest in the middle."""
-        encode = _encoder(numpy)
+        encode = _encoder(vectorized)
         for size in (3, 700, 50, 2000, 1):
             _assert_encodes_like_encode_key(encode, list(range(10**15, 10**15 + 7 * size, 7)))
 
@@ -208,7 +207,7 @@ class TestTableKeys:
         st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_ascending_draws(self, numpy, indices, data):
+    def test_ascending_draws(self, vectorized, indices, data):
         start = data.draw(st.integers(0, len(indices)))
         end = data.draw(st.integers(start, len(indices)))
-        _assert_encodes_like_encode_key(_encoder(numpy), indices, start, end)
+        _assert_encodes_like_encode_key(_encoder(vectorized), indices, start, end)
