@@ -2,13 +2,15 @@
 
 ``pytest benchmarks/test_figures.py --benchmark-only`` regenerates each
 entry of the registry (:data:`repro.harness.experiments.FIGURES`) at
-``REPRO_PRESET`` (default ``small``) and its own seed, prints it next to
-the paper's expectation and asserts the shape the paper reports.
-``REPRO_BENCH_SECONDS`` bounds the simulated duration per run (default
-2.5 s — enough for several flush + compaction + stall cycles at the
-``small`` scale).  Runs go through the registry's memo, so figures the
+``REPRO_PRESET`` (default ``small``) and its own seed, in ``REPRO_JOBS``
+worker processes, prints it next to the paper's expectation and fails with
+the description of every shape predicate (``Entry.shapes``) that does not
+hold.  ``REPRO_BENCH_SECONDS`` bounds the simulated duration per run
+(default 2.5 s — enough for several flush + compaction + stall cycles at
+the ``small`` scale).  Runs go through the registry's memo, so figures the
 paper derives from one experiment (Figures 13–16 all use the parallelism
-sweep) share its runs.
+sweep) share its runs.  Tier-1 checks the entries whose shape holds at
+``tiny`` (``tests/integration/test_figure_shapes.py``).
 """
 
 import os
@@ -17,262 +19,23 @@ import pytest
 
 os.environ.setdefault("REPRO_BENCH_SECONDS", "2.5")
 
-from repro.harness.experiments import FIG3_RATIOS, FIGURES, run_experiment  # noqa: E402
-from repro.harness.presets import bench_preset  # noqa: E402
-
-DEVICES = ("sata-flash", "pcie-flash", "xpoint")
-
-
-def rows_by(res, device, key):
-    """``device``'s rows in ascending ``key`` order."""
-    return sorted((r for r in res.rows if r["device"] == device), key=lambda r: r[key])
-
-
-def fig01(res):
-    raw_sata = res.row_for(system="raw", device="sata-flash")["kops"]
-    raw_xp = res.row_for(system="raw", device="xpoint")["kops"]
-    kv_sata = res.row_for(system="rocksdb", device="sata-flash")["kops"]
-    kv_xp = res.row_for(system="rocksdb", device="xpoint")["kops"]
-    # Paper: raw 26 -> 408 kop/s. Calibrated to land near those numbers.
-    assert 15 < raw_sata < 40
-    assert 280 < raw_xp < 550
-    # The headline: raw speedup (15.7x) dwarfs the end-to-end speedup.
-    raw_speedup = raw_xp / raw_sata
-    kv_speedup = kv_xp / kv_sata
-    assert raw_speedup > 10
-    assert kv_speedup < raw_speedup / 2
-
-
-def fig03(res):
-    xp, pcie, sata = (
-        [res.row_for(device=device, write_fraction=wf)["kops"] for wf in FIG3_RATIOS]
-        for device in ("xpoint", "pcie-flash", "sata-flash")
-    )
-    # XPoint falls as the insertion ratio rises (paper: 115 -> 45 kop/s).
-    assert xp[0] > 1.5 * xp[-1]
-    # Flash ends higher than it starts (paper PCIe: 32 -> 41.3 kop/s).
-    assert pcie[-1] > pcie[0]
-    assert sata[-1] > sata[0]
-    # XPoint dominates at read-heavy mixes...
-    assert xp[0] > 2.5 * pcie[0] > 2.5 * 0.9 * sata[0]
-    # ...but converges toward PCIe flash at 100% writes (paper: 45 vs 41.3).
-    assert abs(xp[-1] - pcie[-1]) / pcie[-1] < 0.35
-
-
-def fig04(res):
-    for row in res.rows:
-        # Light writes: no near-stop valleys on any device.
-        assert row["near_stop_frac"] <= 0.05, row
-        assert row["mean_kops"] > 0
-
-
-def fig05(res):
-    xp = res.row_for(device="xpoint")
-    # Paper: XPoint oscillates between ~169 kop/s bursts and ~3 kop/s
-    # valleys.  Require a deep peak-to-valley swing.
-    assert xp["max_kops"] > 3 * max(xp["min_kops"], 1.0)
-    assert xp["cov"] > 0.25
-    # Throttling bites harder on XPoint than at 5% writes on any device.
-    assert xp["min_kops"] < xp["mean_kops"]
-
-
-def fig06(res):
-    xp, sata, pcie = (res.row_for(device=d) for d in ("xpoint", "sata-flash", "pcie-flash"))
-    # Paper: XPoint read p90 251 us vs SATA flash 839 us (~3x shorter).
-    assert xp["p90_us"] < pcie["p90_us"] < sata["p90_us"]
-    assert sata["p90_us"] > 2 * xp["p90_us"]
-    for row in res.rows:
-        assert row["p50_us"] <= row["p90_us"] <= row["p99_us"]
-
-
-def fig07(res):
-    xp = res.row_for(device="xpoint")["p90_us"]
-    sata = res.row_for(device="sata-flash")["p90_us"]
-    # Paper: write p90 close across devices (26 us XPoint vs 28 us SATA) —
-    # writes land in the memtable, so the device matters far less than for
-    # reads.  Accept a 3x band.
-    assert max(xp, sata) < 3 * min(xp, sata)
-
-
-def fig08(res):
-    # Larger Level-0 files -> fewer Level-0 files, on every device.
-    for device in DEVICES:
-        counts = [r["avg_l0_files"] for r in rows_by(res, device, "file_size_mb")]
-        assert counts[0] > counts[-1], (device, counts)
-
-
-def fig09(res):
-    xp = rows_by(res, "xpoint", "avg_l0_files")
-    pcie = rows_by(res, "pcie-flash", "avg_l0_files")
-    # More L0 files -> lower throughput on XPoint (paper: -19.9%).
-    assert xp[-1]["kops"] < xp[0]["kops"]
-    xp_drop = (xp[0]["kops"] - xp[-1]["kops"]) / xp[0]["kops"]
-    pcie_drop = (pcie[0]["kops"] - pcie[-1]["kops"]) / max(pcie[0]["kops"], 1e-9)
-    # The relative penalty is larger on the faster device (paper's point).
-    assert xp_drop > pcie_drop
-
-
-def fig10(res):
-    # Fewer Level-0 files -> shorter read tails on XPoint (paper: 101 us at
-    # 2 files vs 134 us at 8).
-    xp = rows_by(res, "xpoint", "avg_l0_files")
-    assert xp[0]["read_p90_us"] < xp[-1]["read_p90_us"]
-
-
-def fig12(res):
-    # O(log N) skiplist insertion: the median grows with memtable size on
-    # every device (paper SATA: 25 -> 31 us p90 from 64 to 256 MB).  Tails
-    # on the flash devices are dominated by device noise at this scale, so
-    # the p90 check applies where software dominates — XPoint, which is the
-    # paper's point about software costs surfacing on fast storage.
-    for device in DEVICES:
-        rows = rows_by(res, device, "file_size_mb")
-        assert rows[-1]["write_p50_us"] > rows[0]["write_p50_us"], device
-    xp = rows_by(res, "xpoint", "file_size_mb")
-    assert xp[-1]["write_p90_us"] > xp[0]["write_p90_us"]
-
-
-def fig13(res):
-    # Paper: throughput rises with threads on all devices (XPoint
-    # 35.4 -> 79.5 kop/s from 1 to 32).
-    for device in DEVICES:
-        one = res.row_for(device=device, processes=1)["kops"]
-        many = res.row_for(device=device, processes=32)["kops"]
-        assert many > 1.4 * one, device
-
-
-def fig14(res):
-    xp = res.row_for(device="xpoint")["p90_us"]
-    sata = res.row_for(device="sata-flash")["p90_us"]
-    # Paper: XPoint read p90 (335 us) ~76% below SATA flash (1.4 ms).
-    assert xp < 0.6 * sata
-
-
-def fig15(res):
-    # The paper reports XPoint write p90 (440 us) far above SATA flash
-    # (47 us).  Here the stalls concentrate in the extreme tail: XPoint keeps
-    # the fastest median while its p99 collapses into SATA's multi-ms class.
-    xp = res.row_for(device="xpoint")
-    sata = res.row_for(device="sata-flash")
-    # The fast device wins the median...
-    assert xp["p50_us"] < sata["p50_us"]
-    # ...but its write tail blows up by orders of magnitude over its own
-    # median (throttling + writer-queue stalls)...
-    assert xp["p99_us"] > 20 * xp["p50_us"]
-    # ...and does NOT improve with the ~16x faster device: write tails are
-    # software-bound (the paper's inversion, expressed at the p99).
-    assert xp["p99_us"] > 0.2 * sata["p99_us"]
-
-
-def fig16(res):
-    xp, sata, pcie = (
-        res.row_for(device=d)["mean_waiting"] for d in ("xpoint", "sata-flash", "pcie-flash")
-    )
-    # Paper: evidently more writers queue on XPoint than on the flash SSDs.
-    assert xp >= sata
-    assert xp >= pcie * 0.9
-
-
-def fig17(res):
-    # Paper: disabling the WAL cuts write p90 substantially on every device
-    # (XPoint: 54 -> 22 us).
-    for device in DEVICES:
-        on = res.row_for(device=device, wal="on")["write_p90_us"]
-        off = res.row_for(device=device, wal="off")["write_p90_us"]
-        assert off < on, device
-    xp_on = res.row_for(device="xpoint", wal="on")["write_p90_us"]
-    xp_off = res.row_for(device="xpoint", wal="off")["write_p90_us"]
-    assert xp_off < 0.85 * xp_on
-
-
-def fig18(res):
-    original = res.row_for(controller="original")
-    two_stage = res.row_for(controller="two-stage")
-    # Two-stage throttling lifts the throughput floor and spends no more
-    # time near-stopped than the original (paper: valleys disappear).
-    assert two_stage["near_stop_frac"] <= original["near_stop_frac"]
-    assert two_stage["min_kops"] >= original["min_kops"]
-    # Mean throughput must not regress materially.
-    assert two_stage["mean_kops"] > 0.85 * original["mean_kops"]
-
-
-def fig19(res):
-    # Read-heavy: dynamic L0 wins (paper: +13% at 90% reads).
-    best = res.row_for(read_ratio=0.9)
-    assert best["dynamic_kops"] > best["default_kops"]
-    # Write-heavy: both configurations coincide (paper: similar at 5% reads).
-    tie = res.row_for(read_ratio=0.05)
-    assert abs(tie["gain_pct"]) < 10
-
-
-def fig20(res):
-    ssd, nvm, off = (
-        res.row_for(config=c)["write_p90_us"] for c in ("wal-ssd", "wal-nvm", "wal-off")
-    )
-    # Paper: NVM logging cuts write p90 ~18.8% vs SSD logging, yet cannot
-    # reach the WAL-off floor.
-    assert nvm < ssd
-    assert off < nvm
-    gain = (ssd - nvm) / ssd
-    assert 0.05 < gain < 0.6
-
-
-def model1(res):
-    # Paper's computed values: 2.74 and 1.88 kop/s.
-    assert res.row_for(device="xpoint")["lambda_a_kops"] == pytest.approx(2.74, abs=0.01)
-    assert res.row_for(device="sata-flash")["lambda_a_kops"] == pytest.approx(1.88, abs=0.01)
-
-
-def ablation_bloom(res):
-    plain = res.row_for(bloom_bits=0)
-    bloom = res.row_for(bloom_bits=10)
-    # Fewer device reads per GET with filters.
-    assert bloom["dev_reads_per_get"] < plain["dev_reads_per_get"]
-    assert bloom["kops"] >= plain["kops"] * 0.95
-
-
-def ablation_walz(res):
-    on = res.row_for(compression="on")
-    off = res.row_for(compression="off")
-    # Log traffic per op must shrink by roughly the compression ratio.
-    assert on["wal_mb"] / max(on["kops"], 1e-9) < 0.8 * (
-        off["wal_mb"] / max(off["kops"], 1e-9)
-    )
-
-
-def ablation_wq(res):
-    one = res.row_for(queues=1)
-    four = res.row_for(queues=4)
-    # Sharding must not collapse throughput; queueing should not worsen.
-    assert four["kops"] > 0.8 * one["kops"]
-    assert four["mean_waiting"] <= one["mean_waiting"] * 1.1
-
-
-def ablation_ratelimit(res):
-    unlimited = res.row_for(limit_mb_s="off")
-    limited = res.row_for(limit_mb_s=8)
-    # The limited run must not be catastrophically slower overall, and its
-    # foreground read tail should not be longer.
-    assert limited["read_p90_us"] <= unlimited["read_p90_us"] * 1.1
-    assert limited["kops"] > 0.5 * unlimited["kops"]
-
-
-SHAPES = {
-    "fig01": fig01, "fig03": fig03, "fig04": fig04, "fig05": fig05, "fig06": fig06,
-    "fig07": fig07, "fig08": fig08, "fig09": fig09, "fig10": fig10, "fig12": fig12,
-    "fig13": fig13, "fig14": fig14, "fig15": fig15, "fig16": fig16, "fig17": fig17,
-    "fig18": fig18, "fig19": fig19, "fig20": fig20, "model1": model1,
-    "ablation-bloom": ablation_bloom, "ablation-walz": ablation_walz,
-    "ablation-wq": ablation_wq, "ablation-ratelimit": ablation_ratelimit,
-}
+from repro.harness.experiments import FIGURES, run_experiment  # noqa: E402
+from repro.harness.presets import PRESETS, bench_preset  # noqa: E402
+from repro.jobs import default_jobs  # noqa: E402
 
 
 @pytest.mark.parametrize("exp_id", list(FIGURES))
 def test_figure(benchmark, exp_id):
-    shape = SHAPES[exp_id]  # an entry without a shape check fails; it never skips
+    entry, preset = FIGURES[exp_id], bench_preset()
+    assert entry.shapes, f"{exp_id} has no shape check"  # it fails; it never skips
     res = benchmark.pedantic(
-        run_experiment, args=(FIGURES[exp_id], bench_preset()), rounds=1, iterations=1
+        run_experiment, args=(entry, preset), kwargs=dict(jobs=default_jobs()),
+        rounds=1, iterations=1,
     )
     print()
     print(res.render())
-    shape(res)
+    failed = [text for text, holds in entry.shapes if not holds(res)]
+    scales = list(PRESETS)
+    below = scales.index(preset.name) < scales.index(entry.holds_at)
+    hint = f" (its shape holds at {entry.holds_at})" if below else ""
+    assert not failed, f"{exp_id} at {preset.name}{hint}: " + "; ".join(failed)

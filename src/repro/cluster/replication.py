@@ -215,7 +215,6 @@ class Cluster:
         self._match_len: Dict[int, int] = {}
         self._ack_wait: Dict[int, Tuple[int, Event]] = {}
         self._commit_waiters: List[Tuple[int, Event]] = []
-        self._shipped_groups = 0
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -523,7 +522,6 @@ class Cluster:
                 ("append", term, leader.node_id, mid, next_idx, prev_tag, group),
                 nbytes=group.nbytes + cfg.append_overhead_bytes,
             )
-            self._shipped_groups += 1
             fired, value = yield self.engine.any_of([ack_ev], timeout=rto)
             if fired is not ack_ev:
                 rto = min(rto * 2, cfg.rto_max_ns)  # timeout: back off, reship

@@ -31,7 +31,6 @@ class BloomFilter:
         if bits_per_key <= 0:
             raise DBError(f"bits_per_key must be positive: {bits_per_key}")
         keys = list(keys)
-        self.bits_per_key = bits_per_key
         # Probe count: bits_per_key * ln(2), clamped like LevelDB.
         self.k = max(1, min(30, int(bits_per_key * 0.69)))
         nbits = max(64, len(keys) * bits_per_key)

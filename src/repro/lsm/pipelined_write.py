@@ -63,8 +63,6 @@ class WriteQueue:
         self.max_group_bytes = max_group_bytes
         self._waiting: Deque[Writer] = deque()
         self._has_leader = False
-        self.groups_formed = 0
-        self.writers_grouped = 0
         # Figure 16: the peak queue length, kept at enqueue (0.0 until a
         # writer waits), and the waits of the writers that left the queue,
         # summed in ns since the first writer waited.
@@ -96,7 +94,6 @@ class WriteQueue:
         group lists its writers, leader first."""
         group = [leader]
         leader.group = group
-        self.groups_formed += 1
         total_bytes = leader.nbytes
         waiting = self._waiting
         # Like RocksDB, the size cap is checked before adding, so one group
@@ -111,9 +108,6 @@ class WriteQueue:
                 group.append(writer)
                 total_bytes += writer.nbytes
             self._waited = waited
-            self.writers_grouped += len(group)
-        else:
-            self.writers_grouped += 1
         return group
 
     def wal_phase_done(self, group: List[Writer]) -> None:

@@ -109,18 +109,16 @@ class ShardBreaker:
         self._open_until = -1
         self._probe_inflight = False
         self.trips = 0
-        self.fast_fails = 0
 
     @property
     def open(self) -> bool:
         return self._open_until >= 0
 
     def allow(self, now: int) -> bool:
-        """May an op proceed at ``now``?  (Counts a fast-fail when not.)"""
+        """May an op proceed at ``now``?"""
         if self._open_until < 0:
             return True
         if now < self._open_until or self._probe_inflight:
-            self.fast_fails += 1
             return False
         self._probe_inflight = True  # half-open: exactly one probe
         return True

@@ -123,15 +123,8 @@ class ShardGroup:
     """
 
     def __init__(
-        self,
-        group_id: int,
-        base_node: int,
-        cluster: Cluster,
-        network: Network,
-        injectors: List[FaultInjector],
+        self, cluster: Cluster, network: Network, injectors: List[FaultInjector]
     ) -> None:
-        self.group_id = group_id
-        self.base_node = base_node  # global id of local node 0
         self.cluster = cluster
         self.network = network
         self.injectors = injectors
@@ -258,7 +251,7 @@ class ResilientServingStack:
                 _node_options,
                 self.rng.fork(f"cluster/{g}"),
             )
-            self.groups.append(ShardGroup(g, base, cluster, network, injectors))
+            self.groups.append(ShardGroup(cluster, network, injectors))
 
         self.clients = [
             ShardClient(

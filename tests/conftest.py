@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from unittest import mock
 
 import pytest
@@ -22,6 +23,10 @@ from repro.storage.profiles import null_device, xpoint_ssd
 
 settings.register_profile("repro", max_examples=50, deadline=None)
 settings.load_profile("repro")
+
+#: Worker processes for a test that runs registry entries (any count gives
+#: identical results; see ``repro.jobs``).
+JOBS = min(2, os.cpu_count() or 1)
 
 
 def numpy_from(size: int):
@@ -101,6 +106,23 @@ def run_op(engine: Engine, gen, name: str = "test-op"):
     if proc.exception is not None:
         raise proc.exception
     return proc.value
+
+
+def group_sizes(db: DB) -> list:
+    """One list per write-queue shard of ``db``, gaining the size of each
+    group that shard's leaders form from now on (a spy on ``form_group``)."""
+    sizes = []
+    for queue in db.write_queues:
+        formed: list = []
+
+        def spy(leader, form=queue.form_group, formed=formed):
+            group = form(leader)
+            formed.append(len(group))
+            return group
+
+        queue.form_group = spy
+        sizes.append(formed)
+    return sizes
 
 
 @pytest.fixture

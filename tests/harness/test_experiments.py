@@ -1,10 +1,11 @@
 """Tests for the experiment registry and its memo at tiny scale.
 
 These validate experiment structure and bookkeeping, not the paper shapes —
-shape assertions (which need more simulated time) live in
-``tests/integration/test_paper_shapes.py`` and in the benchmark suite.
-Runs are memoized by point value for the whole test run, so tests that need
-an equal run share it.
+those are each entry's ``shapes``, checked in
+``tests/integration/test_figure_shapes.py`` and in the benchmark suite.
+Entries run at their own seeds: runs are memoized by point value for the
+whole test run, so the shape tests reuse these runs and tests that need an
+equal run share it.
 """
 
 from dataclasses import fields, replace
@@ -15,6 +16,7 @@ from repro.harness import experiments as exp
 from repro.harness.presets import SMALL, TINY
 from repro.sim.units import ms, seconds
 from repro.workloads.generators import BurstSchedule
+from tests.conftest import JOBS
 
 
 @pytest.fixture(autouse=True)
@@ -23,7 +25,7 @@ def fast_runs(monkeypatch):
 
 
 def run(exp_id):
-    return exp.run_experiment(exp.FIGURES[exp_id], TINY, seed=3)
+    return exp.run_experiment(exp.FIGURES[exp_id], TINY, jobs=JOBS)
 
 
 def test_registry_covers_every_figure():
@@ -151,13 +153,13 @@ def test_fig04_series_and_stats():
     """fig04's points and reduce, on 1-s timelines: the registry's own are at
     least 4 s long, which the structure checked here does not need."""
     entry = exp.FIGURES["fig04"]
-    assert all(p.duration_ns >= seconds(4.0) for p in entry.points(TINY, 3).values())
+    assert all(p.duration_ns >= seconds(4.0) for p in entry.points(TINY, entry.seed).values())
 
     def short(preset, seed):
         points = entry.points(preset, seed).items()
         return {device: replace(point, duration_ns=seconds(1.0)) for device, point in points}
 
-    res = exp.run_experiment(replace(entry, points=short), TINY, seed=3)
+    res = exp.run_experiment(replace(entry, points=short), TINY, jobs=JOBS)
     assert set(res.series) == {"sata-flash", "pcie-flash", "xpoint"}
     for row in res.rows:
         assert row["max_kops"] >= row["mean_kops"] >= 0

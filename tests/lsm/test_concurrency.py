@@ -8,7 +8,7 @@ from repro.lsm.value import ValueRef
 from repro.sim.engine import Engine
 from repro.sim.units import kb
 from repro.storage.profiles import xpoint_ssd
-from tests.conftest import make_db, tiny_options
+from tests.conftest import group_sizes, make_db, tiny_options
 
 
 def key(i):
@@ -47,14 +47,15 @@ def test_disjoint_writers_all_visible(engine):
 
 def test_group_commit_batches_concurrent_writers(engine):
     db = make_db(engine, profile=xpoint_ssd(), options=tiny_options())
+    (sizes,) = group_sizes(db)  # one write queue
 
     def writer(base):
         for i in range(50):
             yield from db.put(key(base + i), b"v" * 64)
 
     run_all(engine, [writer(c * 1000) for c in range(16)])
-    total_writers = sum(q.writers_grouped for q in db.write_queues)
-    total_groups = sum(q.groups_formed for q in db.write_queues)
+    total_writers = sum(sizes)
+    total_groups = len(sizes)
     assert total_writers == 16 * 50
     # With 16 concurrent writers, group commit must actually batch.
     assert total_groups < total_writers

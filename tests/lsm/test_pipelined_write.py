@@ -134,10 +134,10 @@ def test_group_accounting(engine):
     q = make_queue(engine)
     leader = make_writer(engine)
     q.join(leader)
-    q.join(make_writer(engine))
-    q.form_group(leader)
-    assert q.groups_formed == 1
-    assert q.writers_grouped == 2
+    member = make_writer(engine)
+    q.join(member)
+    assert q.form_group(leader) == [leader, member]
+    assert leader.group is member.group
 
 
 def test_waiting_gauge_tracks_queue_length(engine):

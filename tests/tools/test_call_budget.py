@@ -15,10 +15,12 @@ fold that inlines a helper.  The ``tiny`` prefill those runs start from is
 counted too, per prefilled key: a table's keys are made in one pass, not
 one ``encode_key`` call each.  Both counts are exact for a seed (and
 repeat across ``PYTHONHASHSEED`` values), so each budget is the count
-measured when it was set plus 5 %: work that creeps back onto the op path
-fails here, on any host.  The counts are numpy's: under ``REPRO_NO_NUMPY``
-the end-of-run histogram fold is a Python loop per sample, so the test
-does not run there.
+measured when it was set plus a margin: work that creeps back onto the op
+path fails here, on any host.  The call budget is +5 %; the line budget is
++0.5 %, which a loop copying each flushed key (+0.7 % on ``fill``, no
+call more) exceeds.  The counts are numpy's: under ``REPRO_NO_NUMPY`` the
+end-of-run histogram fold is a Python loop per sample, so the test does
+not run there.
 
 Run it directly to print the counts::
 
@@ -46,16 +48,17 @@ from repro.workloads.prefill import prefill
 
 SRC = os.path.dirname(repro.__file__) + os.sep
 
-# (calls, line events) per op at the commit that set the budget; each budget
-# is 5 % above.
+# (calls, line events) per op at the commit that set the budget, and how far
+# above it each column's budget is.
 MEASURED = {
-    "fill": (24.46, 260.06),
-    "mixed90_4p": (29.41, 354.39),
-    "prefill": (0.00738, 0.05223),  # per prefilled key (60,000 keys in 17 tables)
-    "read": (42.11, 532.65),
-    "cluster_dst": (225.72, 2208.1),
-    "serving_dst": (155.96, 1363.4),
+    "fill": (24.4583, 258.057),
+    "mixed90_4p": (29.4163, 352.883),
+    "prefill": (0.00738333, 0.0522333),  # per prefilled key (60,000 keys in 17 tables)
+    "read": (42.1079, 532.653),
+    "cluster_dst": (225.719, 2204.66),
+    "serving_dst": (155.976, 1361.96),
 }
+MARGIN = {"calls": 1.05, "lines": 1.005}
 RUNS = {
     # Long enough for background work: 14 flushes and 5 compactions at seed 11.
     "fill": dict(write_fraction=1.0, processes=1, duration_ns=ms(800)),
@@ -130,7 +133,7 @@ def per_op(counts: tuple, ops: int) -> tuple:
 def test_calls_per_op_within_budget(name):
     got = cost_per_op(name)
     for column, value, measured in zip(("calls", "lines"), got, MEASURED[name]):
-        budget = measured * 1.05
+        budget = measured * MARGIN[column]
         print(f"{name}: {value:.5g} {column} per op (budget {budget:.5g})")
         assert value <= budget, f"{name}: {value:.5g} {column} per op, budget {budget:.5g}"
 

@@ -1,5 +1,5 @@
 """Nothing under ``src/repro`` lives without a non-test user, and tier-1 keeps
-it so.  Six checks share one parse of the tree (:func:`tree`):
+it so.  Seven checks share one parse of the tree (:func:`tree`):
 
 1. Every module-level function, class and method — in each subpackage and
    the top-level modules (``errors.py``, ``jobs.py``) — is referenced
@@ -26,6 +26,11 @@ it so.  Six checks share one parse of the tree (:func:`tree`):
    ``**`` splat — or named ``Func(param=)`` in the kept table.  Out of
    scope: ``main(argv=)`` and the ``storage/profiles.py`` device factories
    (device parameters are what-if knobs, as in check 5).
+7. Every attribute a method under ``src/repro`` stores on ``self`` is *read*
+   as an attribute (``obj.attr``, or ``getattr`` by a string constant) in
+   ``src/``, ``benchmarks/`` or ``examples/``, or named in the "Kept for
+   tests" table.  A counter that only ``+=`` touches and only tests read
+   is work the measured path pays for nothing.
 
 Checks 5 and 6 match a setter to its callee, not to a bare name.  A keyword
 ``k=`` counts for field ``C.k`` or parameter ``f(k=)`` only when the call
@@ -121,7 +126,7 @@ def _reexports(path: Path, module: ast.Module) -> Set[int]:
 
 
 class Tree:
-    """One parse of a checkout and the use indexes the six checks read."""
+    """One parse of a checkout and the use indexes the seven checks read."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -129,6 +134,7 @@ class Tree:
         self.tests = root / "tests"
         self.references: Uses = defaultdict(list)
         self.reads: Uses = defaultdict(list)
+        self.attr_reads: Uses = defaultdict(list)  # loads of ``obj.name`` and string constants
         self.sets: Uses = defaultdict(list)  # string keys and stores on other than ``self``
         # attribute -> (class, file, line) of each ``self.attribute`` store in a method
         self.self_sets: Dict[str, List[Tuple[str, Path, int]]] = defaultdict(list)
@@ -276,6 +282,8 @@ class Tree:
         self.references[name].append((path, node.lineno))
         if readers and isinstance(ctx, ast.Load):
             self.reads[name].append((path, node.lineno))
+            if not isinstance(node, ast.Name):
+                self.attr_reads[name].append((path, node.lineno))
 
     def non_test_calls(self, callee: str, path: Path, first: int, last: int) -> List[Call]:
         """The non-test calls of ``callee`` outside lines ``first..last`` of ``path``."""
@@ -490,6 +498,22 @@ def unpassed_params(root: Path = ROOT) -> List[str]:
     return out
 
 
+def unread_attributes(root: Path = ROOT) -> List[str]:
+    """Check 7: ``file:line Class.attr`` of every attribute stored on
+    ``self`` under ``src/repro`` that non-test code never reads and the
+    kept table does not name (one finding per class and attribute)."""
+    t = tree(root)
+    out = {}
+    for name, stores in t.self_sets.items():
+        if t.attr_reads.get(name):
+            continue
+        for cls_name, path, line in stores:
+            qualname = f"{cls_name}.{name}"
+            if t.checked in path.parents and qualname not in t.kept:
+                out.setdefault(qualname, f"{t.where(path)}:{line} {qualname}")
+    return sorted(out.values())
+
+
 CHECKS = (
     unreferenced,
     undocumented_test_only,
@@ -497,6 +521,7 @@ CHECKS = (
     unread_fields,
     unset_fields,
     unpassed_params,
+    unread_attributes,
 )
 
 
@@ -524,6 +549,10 @@ def test_every_defaulted_parameter_is_passed():
     assert unpassed_params() == []
 
 
+def test_every_stored_attribute_is_read():
+    assert unread_attributes() == []
+
+
 PLANTED = {
     "src/repro/__init__.py": "",
     "src/repro/pkg/__init__.py": (
@@ -537,6 +566,8 @@ PLANTED = {
         "class Helper:\n"
         "    def real(self):\n"
         "        self.never_set = 1  # Helper's attribute, not Config's field\n"
+        "        self.tally = 0\n"
+        "        self.tally += 1  # a store, not a read\n"
         "        return self.never_set\n"
         "\n"
         "    def only_tested(self):\n"
@@ -587,6 +618,7 @@ PLANTED = {
         "    assert scale(2, tested=5) == 20\n"
         "    assert Config(1, never_set=5).never_set == 5\n"
         "    assert Config(1).never_read == 0  # a test's read is not a use\n"
+        "    assert Helper().tally == 0\n"
     ),
     "docs/API.md": (
         "| Name | What it is |\n"
@@ -626,13 +658,16 @@ def test_each_check_reports_its_plant(tmp_path):
             "scale(spare=)",  # the only ``spare=`` goes to render
             "render(width=)",  # no call passes it
         ],
+        ["Helper.tally"],  # stored on ``self``, read only by a test
     ]
-    # Naming them in the kept table is what clears checks 2, 5 and 6.
+    # Naming them in the kept table is what clears checks 2, 5, 6 and 7.
     kept = _plant(
         tmp_path / "kept",
-        "| `Helper.only_tested`, `Config.never_set`, `scale(tested=, spare=)` | a test needs it |\n",
+        "| `Helper.only_tested`, `Config.never_set`, `scale(tested=, spare=)`, `Helper.tally` "
+        "| a test needs it |\n",
     )
     assert undocumented_test_only(kept) == [] and unset_fields(kept) == []
+    assert unread_attributes(kept) == []
     assert [line.rsplit(" ", 1)[-1] for line in unpassed_params(kept)] == ["render(width=)"]
 
 
