@@ -22,8 +22,8 @@ Log identity
     A group's ``tag`` is ``(last_seq, crc)`` where the crc is the same
     checksum the WAL record carries on disk.  Tags let rejoin compare a
     node's *durable* WAL records against the current leader's log and
-    physically truncate a divergent unacked tail with the existing
-    ``scan_log``/``truncate_log`` machinery.  For the no-resurrection
+    physically truncate a divergent unacked tail with the WAL's own
+    ``recover_logs``/``truncate_log``.  For the no-resurrection
     invariant a tag alone is ambiguous: a client that retries an unacked
     DELETE after a failover legitimately produces byte-identical WAL
     bytes at the same sequence number as the truncated group (a PUT
@@ -43,8 +43,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cluster.nodefs import NodeFsView
 from repro.errors import DBError, IOFaultError, OutOfSpaceError, SimulationError
 from repro.lsm.db import DB
-from repro.lsm.format import WAL_DIR
-from repro.lsm.wal import WalManager, truncate_log
+from repro.lsm.wal import RecoveredLog, WalManager, recover_logs, truncate_log
 from repro.net.network import Network
 from repro.sim.engine import Engine, Event
 from repro.sim.rng import RandomStream
@@ -358,7 +357,7 @@ class Cluster:
         """Reduce a restarted node's control log to its durable reality.
 
         ``recover_logs`` checksum-verifies every WAL file and physically
-        truncates torn/corrupt tails (the existing machinery).  The
+        truncates torn/corrupt tails, exactly as DB open does.  The
         surviving records are then tag-matched against the control-plane
         log.  Two kinds of disk-ahead-of-control residue are possible and
         both are unacked (the ack is sent only after the control-log
@@ -371,8 +370,8 @@ class Cluster:
           failed after the WAL append (transient fsync error) — kept, it
           is byte-identical to its predecessor and replays idempotently.
         """
-        files = self._recover_files(node)
-        flat = [rec for _f, frs in files for _nb, rec in frs]
+        logs = self._recover_wal(node)
+        flat = [rec for _number, _f, good in logs for rec in good]
         if not flat:
             # No WAL survives: only flushed data remains.  We cannot see
             # flush boundaries here, so keep the durable prefix.
@@ -380,7 +379,7 @@ class Cluster:
             node.durable_len = len(node.log)
             return
         keep, log_end, _base = self._match_walk(node, flat, len(node.log))
-        self._truncate_disk(files, keep)
+        self._truncate_disk(logs, keep)
         node.log = node.log[:log_end]
         node.durable_len = len(node.log)
 
@@ -436,8 +435,8 @@ class Cluster:
         for g in divergent:
             if g.tag not in leader_tags:
                 self.truncated_identities.add(g.identity)
-        files = self._wal_files(node)  # already recovered by _salvage
-        flat = [rec for _f, frs in files for _nb, rec in frs]
+        logs = self._recover_wal(node)  # cut by _salvage: only lists them
+        flat = [rec for _number, _f, good in logs for rec in good]
         base = None
         if flat:
             tags = {g.tag: i for i, g in enumerate(node.log)}
@@ -452,7 +451,7 @@ class Cluster:
             self._log(f"node {node.node_id} wiped (flushed divergence at {d})")
         else:
             keep, _log_end, _base = self._match_walk(node, flat, d)
-            self._truncate_disk(files, keep)
+            self._truncate_disk(logs, keep)
             node.log = node.log[:d]
             node.durable_len = len(node.log)
             self._log(
@@ -462,30 +461,21 @@ class Cluster:
         node.open_db()
         self._spawn_pump(node)
 
-    def _wal_files(self, node: ClusterNode):
-        """(file, [(nbytes, WalRecord)]) per WAL file, in log order."""
-        out = []
-        for path in node.fs.list(prefix=WAL_DIR):
-            f = node.fs.open(path)
-            out.append((f, list(f.records)))
-        return out
-
-    def _recover_files(self, node: ClusterNode):
-        """Checksum-salvage every WAL file, then list the survivors."""
-        WalManager.recover_logs(node.fs)
-        return self._wal_files(node)
+    @staticmethod
+    def _recover_wal(node: ClusterNode) -> List[RecoveredLog]:
+        """Point-in-time recovery of a node's WAL files (``recover_logs``)."""
+        logs, _stats = recover_logs(WalManager.existing_logs(node.fs))
+        return logs
 
     @staticmethod
-    def _truncate_disk(files, keep: int) -> None:
+    def _truncate_disk(logs: List[RecoveredLog], keep: int) -> None:
         """Physically truncate WAL files past the first ``keep`` records."""
         done = 0
-        for f, file_recs in files:
-            take = max(0, min(len(file_recs), keep - done))
-            if take < len(file_recs):
-                good = [rec for _nb, rec in file_recs[:take]]
-                good_bytes = sum(nb for nb, _rec in file_recs[:take])
-                truncate_log(f, good, good_bytes)
-            done += len(file_recs)
+        for _number, f, good in logs:
+            take = max(0, min(len(good), keep - done))
+            if take < len(good):
+                truncate_log(f, take)
+            done += len(good)
 
     @staticmethod
     def _rec_tag(rec) -> Tag:

@@ -45,7 +45,7 @@ from repro.lsm.compaction import Compaction, CompactionJob, CompactionPicker
 from repro.lsm.costs import DEFAULT_COSTS, CostModel
 from repro.lsm.error_handler import SEV_SOFT, ErrorHandler
 from repro.lsm.flush import FlushJob
-from repro.lsm.format import KIND_DELETE, KIND_PUT, WAL_DIR, Entry
+from repro.lsm.format import KIND_DELETE, KIND_PUT, Entry
 from repro.lsm.io_retry import retry_call
 from repro.lsm.memtable import MemTable, MemTableList
 from repro.lsm.options import NUM_LEVELS, Options
@@ -54,7 +54,7 @@ from repro.lsm.rate_limiter import RateLimiter
 from repro.lsm.sst_file_manager import SstFileManager
 from repro.lsm.value import Value, value_size
 from repro.lsm.version import FileMetadata, VersionSet
-from repro.lsm.wal import WalManager, scan_log, truncate_log
+from repro.lsm.wal import WalManager
 from repro.lsm.write_batch import WriteBatch
 from repro.lsm.write_controller import (
     DELAYED,
@@ -138,9 +138,6 @@ class DB:
                 fs, self.options, on_file_dead=self._on_file_dead, costs=self.costs
             )
         self._wal_fs = wal_fs or fs
-        pre_crash_logs = [
-            p for p in self._wal_fs.list(prefix=WAL_DIR)
-        ] if recovering else []
         self.wal = WalManager(
             engine, self._wal_fs, self.options, self.costs
         )
@@ -148,7 +145,27 @@ class DB:
         # Sealed memtables allowed to wait for flush before writes stop.
         self._max_immutables = max(1, self.options.max_write_buffer_number - 1)
         if recovering:
-            self._replay_wal(pre_crash_logs)
+            # Re-insert the durable, checksum-valid groups of the old logs.
+            # They stay live (adopted by the WalManager) until the memtable
+            # holding them reaches Level 0, so a second crash before that
+            # flush still recovers everything.
+            logs, damage = self.wal.recover()
+            mutable = self.memtables.mutable
+            count = 0
+            for _number, _f, groups in logs:
+                for group in groups:
+                    for key, entry in group:
+                        mutable.add(key, entry)
+                        self.versions.last_sequence = max(
+                            self.versions.last_sequence, entry[0]
+                        )
+                        count += 1
+            if count:
+                mutable.min_log_number = logs[0][0]
+            for name, n in damage.items():
+                if n:
+                    self.stats.inc(f"recovery.wal_{name}", n)
+            self.stats.inc("recovery.wal_records", count)
 
         self.controller = controller or WriteController(engine, self.options)
         # Background-error state machine + space tracking (repro.lsm.
@@ -202,48 +219,6 @@ class DB:
 
     def _on_file_dead(self, meta: FileMetadata) -> None:
         self.block_cache.erase_file(meta.number, namespace=self._cache_ns)
-
-    def _replay_wal(self, pre_crash_logs: List[str]) -> None:
-        """Re-insert durable, checksum-valid records of pre-crash logs.
-
-        Each log is verified record by record and physically truncated at
-        its first bad record — a torn tail left by a mid-record crash, a
-        device-corrupted range, or a checksum mismatch.  Replay then stops
-        entirely (point-in-time recovery): records in later logs are newer
-        than the corruption point, so replaying them would resurrect writes
-        newer than lost ones.
-
-        The old logs stay live (adopted by the WalManager) until the
-        memtable holding their replayed records reaches Level 0, so a second
-        crash before that flush still recovers everything.
-        """
-        count = 0
-        min_old = None
-        stop = False
-        for path in sorted(pre_crash_logs):
-            f = self._wal_fs.open(path)
-            number = int(path.rsplit("/", 1)[-1].split(".")[0])
-            min_old = number if min_old is None else min(min_old, number)
-            if stop:
-                truncate_log(f, [], 0)
-                self.stats.inc("recovery.wal_dropped_logs")
-                continue
-            good, good_bytes, bad = scan_log(f)
-            if bad:
-                truncate_log(f, good, good_bytes)
-                self.stats.inc("recovery.wal_bad_records", bad)
-                self.stats.inc("recovery.wal_truncated_logs")
-                stop = True
-            for group in good:
-                for key, entry in group:
-                    self.memtables.mutable.add(key, entry)
-                    self.versions.last_sequence = max(
-                        self.versions.last_sequence, entry[0]
-                    )
-                    count += 1
-        if count and min_old is not None:
-            self.memtables.mutable.min_log_number = min_old
-        self.stats.inc("recovery.wal_records", count)
 
     # --------------------------------------------------------------- lifecycle
 
@@ -818,7 +793,8 @@ class DB:
         if self.versions.manifest_dirty:
             # The manifest edit that made these logs obsolete is not
             # durable yet: a crash now would recover from the old manifest
-            # and still need them for replay.  Retried after resync.
+            # and still need them for replay.  A resync does not release
+            # them; the next successful flush does.
             return
         min_needed = min([t.min_log_number for t in self.memtables.tables_newest_first()])
         self.wal.release_up_to(min_needed - 1)

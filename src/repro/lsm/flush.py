@@ -1,11 +1,10 @@
 """Flush: turning an immutable memtable into a Level-0 SST.
 
-A flush streams the sorted memtable contents into a new SST file in
-``compaction_readahead_bytes``-sized appends (large sequential writes on the
-device), fsyncs it, and installs it at Level 0 via a version edit.  CPU cost
-is charged per entry; write I/O goes through the filesystem so flushes
-compete with user reads for device channels — the interference the paper
-measures.
+A flush streams the sorted memtable contents into a new SST file in 1 MB
+appends (``_IO_CHUNK``: large sequential writes on the device), fsyncs it,
+and installs it at Level 0 via a version edit.  CPU cost is charged per
+entry; write I/O goes through the filesystem so flushes compete with user
+reads for device channels — the interference the paper measures.
 """
 
 from __future__ import annotations

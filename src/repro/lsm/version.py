@@ -21,11 +21,12 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DBError, IOFaultError, OutOfSpaceError
-from repro.fs.filesystem import SimFile, SimFileSystem, TornRecord
+from repro.fs.filesystem import SimFile, SimFileSystem
 from repro.lsm.costs import DEFAULT_COSTS, CostModel
 from repro.lsm.io_retry import retry_gen
 from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.sst import SSTable
+from repro.lsm.wal import recover_log
 from repro.sim.stats import StatsSet
 
 
@@ -199,8 +200,9 @@ class VersionSet:
         Only records below the manifest's synced watermark survive a
         simulated crash, so the recovered state is exactly the durable one.
         A torn or device-corrupted tail record (fault injection) truncates
-        the manifest there: edits past the first bad record are dropped,
-        never half-applied.
+        the manifest there, by the rule WAL recovery follows
+        (:func:`~repro.lsm.wal.recover_log`): edits past the first bad
+        record are dropped, never half-applied.
         """
         vs = cls.__new__(cls)
         vs.fs = fs
@@ -215,26 +217,14 @@ class VersionSet:
         vs.current.refs += 1
         vs._files = {}
         vs._init_durability_state()
-        good = 0
-        offset = 0
-        for nbytes, edit in list(vs.manifest.records):
-            if isinstance(edit, TornRecord) or (
-                vs.manifest.corrupt_ranges
-                and vs.manifest.is_corrupt(offset, nbytes)
-            ):
-                vs.stats.inc("manifest_truncated_records",
-                             len(vs.manifest.records) - good)
-                vs.manifest.records = vs.manifest.records[:good]
-                vs.manifest.size = offset
-                vs.manifest.synced_size = min(vs.manifest.synced_size, offset)
-                vs.manifest._flushed_size = min(vs.manifest._flushed_size, offset)
-                break
-            offset += nbytes
-            good += 1
+        bad = recover_log(vs.manifest, lambda rec: isinstance(rec, VersionEdit))
+        for _nbytes, edit in vs.manifest.records:
             for _level, meta in edit.added:
                 meta.refs = 0
                 meta.being_compacted = False
             vs.apply(edit)
+        if bad:
+            vs.stats.inc("manifest_truncated_records", bad)
         for meta in vs.current.all_files():
             vs.next_file_number = max(vs.next_file_number, meta.number + 1)
             vs.last_sequence = max(vs.last_sequence, meta.sst.largest_seq)

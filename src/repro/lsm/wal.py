@@ -23,10 +23,10 @@ survive a simulated crash).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DBError, IOFaultError
-from repro.fs.filesystem import SimFile, SimFileSystem, TornRecord
+from repro.fs.filesystem import SimFile, SimFileSystem
 from repro.lsm.costs import CostModel
 from repro.lsm.format import WAL_DIR, Entry, records_checksum, wal_record_bytes
 from repro.lsm.io_retry import retry_gen
@@ -74,39 +74,74 @@ class WalRecord:
         return f"<WalRecord n={len(self.entries)} crc={self.crc:#010x}>"
 
 
-def scan_log(f: SimFile) -> Tuple[List[WalRecord], int, int]:
-    """Verify one log file; returns (good_records, good_bytes, bad_records).
+#: ``(number, file, good_records)``: one log as :func:`recover_logs` left it.
+RecoveredLog = Tuple[int, SimFile, List[WalRecord]]
+
+
+def truncate_log(f: SimFile, keep: int) -> None:
+    """Physically cut a log after its first ``keep`` records.
+
+    Both logs (WAL and MANIFEST) store ``(nbytes, record)`` pairs, so the
+    cut's byte size follows from the records kept.
+    """
+    records = f.records[:keep]
+    size = sum(nbytes for nbytes, _rec in records)
+    f.records = records
+    f.size = size
+    f.synced_size = min(f.synced_size, size)
+    f._flushed_size = min(f._flushed_size, size)
+
+
+def recover_log(f: SimFile, intact: Callable[[Any], bool]) -> int:
+    """Truncate one log at its first bad record; return how many went.
 
     Walks the durable records in order, accumulating byte offsets, and stops
-    at the first record that fails validation: a :class:`TornRecord` left by
-    a mid-record crash, a record overlapping a device-corrupted range, or a
-    checksum mismatch.  Everything from the first bad record on is dropped
-    (RocksDB's point-in-time / truncate-at-corruption recovery).
+    at the first record that overlaps a device-corrupted range or that
+    ``intact`` rejects: a :class:`TornRecord` left by a mid-record crash is
+    never intact, and a WAL record must also match its checksum.  Everything
+    from the first bad record on is dropped (RocksDB's point-in-time /
+    truncate-at-corruption recovery).
     """
-    good: List[WalRecord] = []
     offset = 0
-    bad = 0
-    total = len(f.records)
     for idx, (nbytes, rec) in enumerate(f.records):
-        if (
-            isinstance(rec, TornRecord)
-            or not isinstance(rec, WalRecord)
-            or (f.corrupt_ranges and f.is_corrupt(offset, nbytes))
-            or not rec.verify()
-        ):
-            bad = total - idx
-            break
-        good.append(rec)
+        if (f.corrupt_ranges and f.is_corrupt(offset, nbytes)) or not intact(rec):
+            bad = len(f.records) - idx
+            truncate_log(f, idx)
+            return bad
         offset += nbytes
-    return good, offset, bad
+    return 0
 
 
-def truncate_log(f: SimFile, good_records: List[WalRecord], good_bytes: int) -> None:
-    """Physically truncate a log at its last good record."""
-    f.records = f.records[: len(good_records)]
-    f.size = good_bytes
-    f.synced_size = min(f.synced_size, good_bytes)
-    f._flushed_size = min(f._flushed_size, good_bytes)
+def _wal_intact(rec: Any) -> bool:
+    return isinstance(rec, WalRecord) and rec.verify()
+
+
+def recover_logs(
+    logs: List[Tuple[int, SimFile]],
+) -> Tuple[List[RecoveredLog], Dict[str, int]]:
+    """Check and truncate a DB's logs, oldest first; return the good groups.
+
+    The one log-recovery routine: DB open and cluster salvage both run it.
+    Returns ``(logs, stats)`` where ``logs`` lists ``(number, file,
+    good_records)`` in log order and ``stats`` counts what the check
+    dropped.  Each log is cut at its first bad record (:func:`recover_log`)
+    and every *later* log is emptied: its records are newer than the
+    corruption point, so replaying them would resurrect writes newer than
+    lost ones.
+    """
+    good_logs: List[RecoveredLog] = []
+    stats = {"bad_records": 0, "truncated_logs": 0, "dropped_logs": 0}
+    for number, f in logs:
+        if stats["truncated_logs"]:
+            stats["dropped_logs"] += 1
+            truncate_log(f, 0)
+            continue
+        bad = recover_log(f, _wal_intact)
+        if bad:
+            stats["bad_records"] += bad
+            stats["truncated_logs"] += 1
+        good_logs.append((number, f, [rec for _nbytes, rec in f.records]))
+    return good_logs, stats
 
 
 class WalManager:
@@ -136,20 +171,28 @@ class WalManager:
         # (the default) costs nothing on the single-node path.
         self.on_group = None
         self.enabled = options.wal_mode != WAL_OFF
+        # Logs an earlier incarnation left on disk, checked and handed to
+        # the DB by recover().  With the WAL on they are also adopted: they
+        # stay live until the memtable holding their replayed records is
+        # flushed.
+        self._found = self.existing_logs(fs)
         if self.enabled:
-            # Adopt pre-existing (pre-crash) logs: they stay live until the
-            # memtable holding their replayed records is flushed.
-            existing = sorted(
-                (int(p.rsplit("/", 1)[-1].split(".")[0]), p)
-                for p in fs.list(prefix=WAL_DIR)
-            )
-            for number, path in existing:
-                self._live.append((number, fs.open(path)))
-                self.current_number = number
+            self._live.extend(self._found)
+            if self._found:
+                self.current_number = self._found[-1][0]
             self.roll(self.current_number + 1)
 
     def _path(self, number: int) -> str:
         return f"{WAL_DIR}{number:06d}.log"
+
+    @staticmethod
+    def existing_logs(fs: SimFileSystem) -> List[Tuple[int, SimFile]]:
+        """``(number, file)`` of every log on ``fs``, oldest first."""
+        numbered = sorted(
+            (int(path.rsplit("/", 1)[-1].split(".")[0]), path)
+            for path in fs.list(prefix=WAL_DIR)
+        )
+        return [(number, fs.open(path)) for number, path in numbered]
 
     def roll(self, number: int) -> None:
         """Start a new log file (called at every memtable switch)."""
@@ -265,49 +308,11 @@ class WalManager:
 
     # -- recovery ----------------------------------------------------------------
 
-    @staticmethod
-    def recover_logs(
-        fs: SimFileSystem,
-    ) -> Tuple[List[Tuple[int, str, List[WalRecord]]], Dict[str, int]]:
-        """Verify and truncate every on-disk log; return the good groups.
+    def recover(self) -> Tuple[List[RecoveredLog], Dict[str, int]]:
+        """:func:`recover_logs` over the logs found at open, once.
 
-        Returns ``(logs, stats)`` where ``logs`` is a list of
-        ``(log_number, path, good_records)`` in log order and ``stats``
-        counts what validation dropped.  Each log is physically truncated at
-        its first bad record, and — mirroring RocksDB's point-in-time
-        recovery — replay stops entirely at the first corrupted log: records
-        in *later* logs are newer than the corruption point, so replaying
-        them would resurrect writes newer than lost ones.
+        Taken before :meth:`roll` opened the new log; found under
+        ``WAL_OFF`` too, which replays old logs without adopting them.
         """
-        logs: List[Tuple[int, str, List[WalRecord]]] = []
-        stats = {"bad_records": 0, "truncated_logs": 0, "dropped_logs": 0}
-        stop = False
-        for path in fs.list(prefix=WAL_DIR):
-            number = int(path.rsplit("/", 1)[-1].split(".")[0])
-            f = fs.open(path)
-            if stop:
-                stats["dropped_logs"] += 1
-                truncate_log(f, [], 0)
-                continue
-            good, good_bytes, bad = scan_log(f)
-            if bad:
-                stats["bad_records"] += bad
-                stats["truncated_logs"] += 1
-                truncate_log(f, good, good_bytes)
-                stop = True
-            logs.append((number, path, good))
-        return logs, stats
-
-    @staticmethod
-    def replay(fs: SimFileSystem) -> Iterator[Tuple[bytes, Entry]]:
-        """Yield every durable, *checksum-valid* (key, entry), in order.
-
-        Used after :meth:`SimFileSystem.crash` — only records under each
-        file's synced watermark remain, and validation truncates each log
-        at its first torn or corrupted record.
-        """
-        logs, _stats = WalManager.recover_logs(fs)
-        for _number, _path, groups in logs:
-            for group in groups:
-                for key, entry in group:
-                    yield key, entry
+        found, self._found = self._found, []
+        return recover_logs(found)

@@ -15,9 +15,33 @@ from repro.sim.stats import TimeSeries
 from repro.sim.units import fmt_time
 
 _NORMAL = "normal"
+#: ``(track, start_ns, end_ns, states)``; ``end_ns`` None while still open.
+_Episode = Tuple[str, int, Optional[int], List[str]]
 
 
-def stall_episodes(tracer) -> List[Tuple[str, int, Optional[int], List[str]]]:
+def _episodes(tracer, suffix: str) -> List[_Episode]:
+    """One episode per contiguous non-normal period, parsed from the
+    ``old->new`` instants on every track ending in ``suffix``."""
+    episodes: List[_Episode] = []
+    open_eps: Dict[str, Tuple[int, List[str]]] = {}
+    for track, ph, name, ts, _dur, _args in tracer.iter_events():
+        if ph != "i" or not track.endswith(suffix) or "->" not in name:
+            continue
+        _old, _, new = name.partition("->")
+        if new == _NORMAL:
+            if track in open_eps:
+                start, states = open_eps.pop(track)
+                episodes.append((track, start, ts, states))
+        elif track in open_eps:
+            open_eps[track][1].append(new)
+        else:
+            open_eps[track] = (ts, [new])
+    for track, (start, states) in open_eps.items():
+        episodes.append((track, start, None, states))
+    return episodes
+
+
+def stall_episodes(tracer) -> List[_Episode]:
     """Non-normal write-controller episodes from stall-transition instants.
 
     Returns ``(track, start_ns, end_ns, states)`` tuples, one per contiguous
@@ -25,26 +49,10 @@ def stall_episodes(tracer) -> List[Tuple[str, int, Optional[int], List[str]]]:
     when the trace ended.  ``states`` lists the stall states visited
     (e.g. ``["delayed", "stopped", "delayed"]``).
     """
-    episodes: List[Tuple[str, int, Optional[int], List[str]]] = []
-    open_eps: Dict[str, Tuple[int, List[str]]] = {}
-    for track, ph, name, ts, _dur, _args in tracer.iter_events():
-        if ph != "i" or not track.endswith("write_controller") or "->" not in name:
-            continue
-        _old, _, new = name.partition("->")
-        if new == _NORMAL:
-            if track in open_eps:
-                start, states = open_eps.pop(track)
-                episodes.append((track, start, ts, states))
-        elif track in open_eps:
-            open_eps[track][1].append(new)
-        else:
-            open_eps[track] = (ts, [new])
-    for track, (start, states) in open_eps.items():
-        episodes.append((track, start, None, states))
-    return episodes
+    return _episodes(tracer, "write_controller")
 
 
-def degraded_episodes(tracer) -> List[Tuple[str, int, Optional[int], List[str]]]:
+def degraded_episodes(tracer) -> List[_Episode]:
     """Degraded-mode episodes from error-handler severity transitions.
 
     Same shape as :func:`stall_episodes`, but parsed from the
@@ -52,23 +60,7 @@ def degraded_episodes(tracer) -> List[Tuple[str, int, Optional[int], List[str]]]
     ``(track, start_ns, end_ns, severities)`` per contiguous degraded
     period, ``end_ns`` None when the DB never resumed before trace end.
     """
-    episodes: List[Tuple[str, int, Optional[int], List[str]]] = []
-    open_eps: Dict[str, Tuple[int, List[str]]] = {}
-    for track, ph, name, ts, _dur, _args in tracer.iter_events():
-        if ph != "i" or not track.endswith("error_handler") or "->" not in name:
-            continue
-        _old, _, new = name.partition("->")
-        if new == _NORMAL:
-            if track in open_eps:
-                start, states = open_eps.pop(track)
-                episodes.append((track, start, ts, states))
-        elif track in open_eps:
-            open_eps[track][1].append(new)
-        else:
-            open_eps[track] = (ts, [new])
-    for track, (start, states) in open_eps.items():
-        episodes.append((track, start, None, states))
-    return episodes
+    return _episodes(tracer, "error_handler")
 
 
 def busiest_device_windows(tracer) -> List[Tuple[str, int, int, float]]:

@@ -85,6 +85,36 @@ class TestFollowerCrash:
         assert len(cluster.nodes[victim].log) == 20
         assert not cluster.violations
 
+    def test_salvage_cuts_a_damaged_wal_and_drops_later_logs(self):
+        """Restart salvage runs the DB's own log recovery: media damage
+        under the third record of the follower's log 1 (adopted at its
+        first restart, never flushed) cuts log 1 there and empties the
+        newer log 2.  The follower keeps a 2-group durable log and catches
+        up from the leader's next shipment."""
+        engine, cluster = make_cluster()
+        put_n(engine, cluster, 0, 10)
+        assert settle(engine, cluster, ms(50))
+        victim = next(
+            n.node_id for n in cluster.nodes if n.node_id != cluster.leader_id
+        )
+        node = cluster.nodes[victim]
+        cluster.crash_node(victim)
+        cluster.restart_node(victim)  # the reopen adopts log 1, rolls log 2
+        put_n(engine, cluster, 10, 20)
+        assert settle(engine, cluster, ms(50))
+        cluster.crash_node(victim)
+        assert node.fs.list("wal/") == ["wal/000001.log", "wal/000002.log"]
+        log1 = node.fs.open("wal/000001.log")
+        log1.mark_corrupt(sum(nbytes for nbytes, _rec in log1.records[:2]), 1)
+
+        cluster.restart_node(victim)
+        assert len(log1.records) == 2 and node.fs.open("wal/000002.log").size == 0
+        assert len(node.log) == 2
+        put_n(engine, cluster, 20, 22)  # the next shipment finds the gap
+        assert settle(engine, cluster, ms(200))
+        assert [g.tag for g in node.log] == [g.tag for g in cluster.leader_node.log]
+        assert not cluster.violations
+
     def test_crash_is_node_local(self):
         # The victim's crash must not disturb the leader's in-flight work.
         engine, cluster = make_cluster()

@@ -19,7 +19,7 @@ from repro.faults import (
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.page_cache import PageCache
 from repro.lsm.sst import SSTBuilder
-from repro.lsm.wal import scan_log
+from repro.lsm.wal import recover_logs
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
 from repro.sim.units import KB, mb, us
@@ -222,8 +222,9 @@ class TestFilesystemFaults:
         f.append(100, record=WalRecord([(b"k2", (2, 1, b"v2"))]))
         f.append(100, record=WalRecord([(b"k3", (3, 1, b"v3"))]))
         assert f.is_corrupt(100, 100)
-        good, good_bytes, bad = scan_log(f)
-        assert len(good) == 1 and good_bytes == 100 and bad == 2
+        logs, stats = recover_logs([(1, f)])
+        assert [len(good) for _n, _f, good in logs] == [1]
+        assert f.size == 100 and stats["bad_records"] == 2
 
     def test_corrupt_sst_block_breaks_verification(self):
         engine = Engine()

@@ -228,6 +228,32 @@ class TestTornWalTail:
         for i in range(4, 8):
             assert run_op(engine, db2.get(key(i))) is None
 
+    def test_logs_after_a_damaged_log_are_dropped(self, engine):
+        """Point-in-time recovery across logs: media damage under the third
+        record of log 1, whose records a reopen adopted and never flushed,
+        cuts log 1 there and empties the newer log 2."""
+        fs = make_fs(engine, profile=xpoint_ssd())
+        db = DB(engine, fs, tiny_options(wal_mode=WAL_SYNC))
+        for i in range(5):
+            run_op(engine, db.put(key(i), val(i)))
+        fs.crash()
+        db2 = DB(engine, fs, tiny_options(wal_mode=WAL_SYNC))  # rolls log 2
+        for i in range(5, 10):
+            run_op(engine, db2.put(key(i), val(i)))
+        fs.crash()
+        assert fs.list("wal/") == ["wal/000001.log", "wal/000002.log"]
+        log1 = fs.open("wal/000001.log")
+        log1.mark_corrupt(sum(nbytes for nbytes, _rec in log1.records[:2]), 1)
+
+        db3 = DB(engine, fs, tiny_options(wal_mode=WAL_SYNC))
+        assert db3.stats.get("recovery.wal_records") == 2
+        assert db3.stats.get("recovery.wal_bad_records") == 3
+        assert db3.stats.get("recovery.wal_truncated_logs") == 1
+        assert db3.stats.get("recovery.wal_dropped_logs") == 1
+        assert len(log1.records) == 2 and fs.open("wal/000002.log").size == 0
+        for i in range(10):
+            assert run_op(engine, db3.get(key(i))) == (val(i) if i < 2 else None)
+
     def test_torn_tail_without_faults_is_impossible(self, engine):
         """Normal writeback never leaves a torn record at crash."""
         fs = make_fs(engine, profile=xpoint_ssd())

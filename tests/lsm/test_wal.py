@@ -5,7 +5,7 @@ import pytest
 from repro.lsm.format import KIND_PUT
 from repro.lsm.options import WAL_BUFFERED, WAL_OFF, WAL_SYNC
 from repro.lsm.costs import DEFAULT_COSTS
-from repro.lsm.wal import WalManager
+from repro.lsm.wal import WalManager, recover_logs
 from repro.storage.profiles import xpoint_ssd
 from tests.conftest import make_fs, tiny_options
 
@@ -91,8 +91,10 @@ def test_replay_yields_records_in_order(engine):
     wal, fs = make_wal(engine)
     wal.add_group([record(1), record(2)])
     wal.add_group([record(3)])
-    replayed = list(WalManager.replay(fs))
-    assert [k for k, _ in replayed] == [b"%06d" % i for i in (1, 2, 3)]
+    logs, stats = recover_logs(WalManager.existing_logs(fs))
+    replayed = [key for _n, _f, groups in logs for group in groups for key, _ in group]
+    assert replayed == [b"%06d" % i for i in (1, 2, 3)]
+    assert stats == {"bad_records": 0, "truncated_logs": 0, "dropped_logs": 0}
 
 
 def test_adopts_pre_existing_logs(engine):
