@@ -128,15 +128,11 @@ class DB:
         if write_buffer_manager is not None:
             write_buffer_manager.register(self)
         recovering = fs.exists("MANIFEST")
+        self.versions = VersionSet(
+            fs, self.options, on_file_dead=self._on_file_dead, costs=self.costs
+        )
         if recovering:
-            self.versions = VersionSet.recover(
-                fs, self.options, on_file_dead=self._on_file_dead, costs=self.costs
-            )
             self.stats.inc("recovery.files", self.versions.current.num_files())
-        else:
-            self.versions = VersionSet(
-                fs, self.options, on_file_dead=self._on_file_dead, costs=self.costs
-            )
         self._wal_fs = wal_fs or fs
         self.wal = WalManager(
             engine, self._wal_fs, self.options, self.costs
@@ -169,16 +165,9 @@ class DB:
 
         self.controller = controller or WriteController(engine, self.options)
         # Background-error state machine + space tracking (repro.lsm.
-        # error_handler).  The SstFileManager routes physical file deletion
-        # so obsolete files are only removed once the manifest edit that
-        # obsoleted them is durable.
+        # error_handler).
         self.error_handler = ErrorHandler(self)
         self.sst_file_manager = SstFileManager(fs, self.options)
-        self.sst_file_manager.bind(self.versions)
-        self.versions.file_deleter = self.sst_file_manager.delete_file
-        self.versions.on_manifest_clean = (
-            self.sst_file_manager.flush_pending_deletions
-        )
         # One writer queue by default (RocksDB); optionally sharded per the
         # paper's Section VI implication on write-queue parallelism.
         self.write_queues = [
@@ -793,8 +782,8 @@ class DB:
         if self.versions.manifest_dirty:
             # The manifest edit that made these logs obsolete is not
             # durable yet: a crash now would recover from the old manifest
-            # and still need them for replay.  A resync does not release
-            # them; the next successful flush does.
+            # and still need them for replay.  The resume's MANIFEST probe
+            # calls this again once its resync succeeds.
             return
         min_needed = min([t.min_log_number for t in self.memtables.tables_newest_first()])
         self.wal.release_up_to(min_needed - 1)

@@ -290,13 +290,15 @@ class ErrorHandler:
                 return False
 
         # MANIFEST probe: re-append queued edits and re-sync pending
-        # records; success also releases deferred file deletions.
+        # records.  On success the VersionSet unlinks the tables those
+        # edits dropped, and the WALs they made obsolete are released here.
         if db.versions.manifest_dirty:
             try:
                 yield from db.versions.sync_manifest()
             except (IOFaultError, OutOfSpaceError) as exc:
                 self._note_failure(SOURCE_MANIFEST, exc)
                 return False
+            db._release_obsolete_wals()
 
         # Re-flush memtables stranded by failed flush jobs.
         for mt in list(db.memtables.immutables):

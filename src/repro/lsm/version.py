@@ -3,9 +3,11 @@
 A :class:`Version` is an immutable snapshot of the level structure.  Reads
 reference the version they started on; compactions install new versions via
 :class:`VersionEdit`.  Files are reference-counted across versions and their
-simulated storage is reclaimed only when no live version references them —
-the same lifetime rules as RocksDB, which matter here because a GET may be
-suspended on a device read while a compaction deletes the file it is reading.
+simulated storage is reclaimed only when no live version references them
+and the MANIFEST record that dropped them is durable — the same lifetime
+rules as RocksDB, which matter here because a GET may be suspended on a
+device read while a compaction deletes the file it is reading, and a crash
+recovers the durable MANIFEST's tables.
 
 Level invariants (checked by :meth:`Version.check_invariants`):
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DBError, IOFaultError, OutOfSpaceError
 from repro.fs.filesystem import SimFile, SimFileSystem
@@ -165,7 +167,18 @@ class Version:
 
 
 class VersionSet:
-    """Owns the current version, the manifest and file lifetimes."""
+    """Owns the current version, the manifest and file lifetimes.
+
+    One rule decides when a table leaves the disk, RocksDB's: only once
+    the MANIFEST record that dropped it is durable.  A table dies
+    logically when its last version reference drops (it leaves
+    ``_files``, ``on_file_dead`` runs), but its unlink waits in
+    ``_unlink_queue`` while an edit that drops tables is applied and its
+    :meth:`log_edit` has not ended, or while the manifest is dirty.  The
+    queue drains where the MANIFEST becomes durable: the end of a
+    successful :meth:`log_edit` with no other dropping edit pending, and
+    :meth:`sync_manifest`.
+    """
 
     def __init__(
         self,
@@ -174,28 +187,7 @@ class VersionSet:
         on_file_dead: Optional[Callable[[FileMetadata], None]] = None,
         costs: CostModel = DEFAULT_COSTS,
     ) -> None:
-        self.fs = fs
-        self.options = options
-        self.costs = costs
-        self.stats = StatsSet()
-        self._on_file_dead = on_file_dead
-        self.next_file_number = 1
-        self.last_sequence = 0
-        self.manifest = fs.create("MANIFEST")
-        self.current = Version()
-        self.current.refs += 1
-        self._files: Dict[int, FileMetadata] = {}
-        self._init_durability_state()
-
-    @classmethod
-    def recover(
-        cls,
-        fs: SimFileSystem,
-        options: Options,
-        on_file_dead: Optional[Callable[[FileMetadata], None]] = None,
-        costs: CostModel = DEFAULT_COSTS,
-    ) -> "VersionSet":
-        """Rebuild a version set by replaying durable manifest records.
+        """Open and replay ``fs``'s MANIFEST, or create an empty one.
 
         Only records below the manifest's synced watermark survive a
         simulated crash, so the recovered state is exactly the durable one.
@@ -204,48 +196,44 @@ class VersionSet:
         (:func:`~repro.lsm.wal.recover_log`): edits past the first bad
         record are dropped, never half-applied.
         """
-        vs = cls.__new__(cls)
-        vs.fs = fs
-        vs.options = options
-        vs.costs = costs
-        vs.stats = StatsSet()
-        vs._on_file_dead = on_file_dead
-        vs.next_file_number = 1
-        vs.last_sequence = 0
-        vs.manifest = fs.open("MANIFEST")
-        vs.current = Version()
-        vs.current.refs += 1
-        vs._files = {}
-        vs._init_durability_state()
-        bad = recover_log(vs.manifest, lambda rec: isinstance(rec, VersionEdit))
-        for _nbytes, edit in vs.manifest.records:
-            for _level, meta in edit.added:
-                meta.refs = 0
-                meta.being_compacted = False
-            vs.apply(edit)
-        if bad:
-            vs.stats.inc("manifest_truncated_records", bad)
-        for meta in vs.current.all_files():
-            vs.next_file_number = max(vs.next_file_number, meta.number + 1)
-            vs.last_sequence = max(vs.last_sequence, meta.sst.largest_seq)
-        return vs
-
-    def _init_durability_state(self) -> None:
-        # Manifest-durability tracking (repro.lsm.error_handler).  The
-        # manifest is *dirty* when an applied edit's record is appended (or
-        # queued) but not yet durable; while dirty, WAL release and physical
-        # file deletion are held off so a crash recovers consistently.
+        self.fs = fs
+        self.options = options
+        self.costs = costs
+        self.stats = StatsSet()
+        self._on_file_dead = on_file_dead
+        self.next_file_number = 1
+        self.last_sequence = 0
+        self.current = Version()
+        self.current.refs += 1
+        self._files: Dict[int, FileMetadata] = {}
+        # The manifest is *dirty* when an applied edit's record is appended
+        # (or queued) but not yet durable; WAL release and unlinks wait.
         self.manifest_dirty = False
         # Edits applied in memory whose records could not even be appended
         # (manifest ENOSPC, or ordered behind such a record).  Re-appended
         # in order by sync_manifest().
         self._unlogged_edits: List[VersionEdit] = []
-        # Deletion hook (SstFileManager.delete_file defers while dirty);
-        # None = delete directly.
-        self.file_deleter: Optional[Callable[[str], None]] = None
-        # Called when the manifest becomes clean again (flush deferred
-        # deletions).
-        self.on_manifest_clean: Optional[Callable[[], Any]] = None
+        # Applied edits that drop tables and whose log_edit has not ended.
+        self._pending_drops = 0
+        # Paths of dead tables whose dropping edit may not be durable yet.
+        self._unlink_queue: List[str] = []
+        if not fs.exists("MANIFEST"):
+            self.manifest = fs.create("MANIFEST")
+            return
+        self.manifest = fs.open("MANIFEST")
+        bad = recover_log(self.manifest, lambda rec: isinstance(rec, VersionEdit))
+        for _nbytes, edit in self.manifest.records:
+            for _level, meta in edit.added:
+                meta.refs = 0
+                meta.being_compacted = False
+            self.apply(edit)
+        if bad:
+            self.stats.inc("manifest_truncated_records", bad)
+        for meta in self.current.all_files():
+            self.next_file_number = max(self.next_file_number, meta.number + 1)
+            self.last_sequence = max(self.last_sequence, meta.sst.largest_seq)
+        self._pending_drops = 0  # every replayed edit is durable
+        self._unlink_dead()
 
     # -- numbering ---------------------------------------------------------------
 
@@ -276,16 +264,24 @@ class VersionSet:
             meta.refs -= 1
             if meta.refs == 0:
                 self._reclaim(meta)
+        self._unlink_dead()
 
     def _reclaim(self, meta: FileMetadata) -> None:
         del self._files[meta.number]
-        if self.file_deleter is not None:
-            self.file_deleter(meta.file.path)
-        elif self.fs.exists(meta.file.path):
-            self.fs.delete(meta.file.path)
+        self._unlink_queue.append(meta.file.path)
         if self._on_file_dead is not None:
             self._on_file_dead(meta)
         self.stats.inc("files_reclaimed")
+
+    def _unlink_dead(self) -> None:
+        """Unlink the queued dead tables once every edit that dropped
+        tables is durable: none is pending and the manifest is clean."""
+        if self._pending_drops or self.manifest_dirty:
+            return
+        paths, self._unlink_queue = self._unlink_queue, []
+        for path in paths:
+            if self.fs.exists(path):
+                self.fs.delete(path)
 
     # -- edits -------------------------------------------------------------------------
 
@@ -293,9 +289,11 @@ class VersionSet:
         """Install ``edit`` on top of the current version.
 
         Returns the new current version.  The caller separately charges the
-        manifest append I/O via :meth:`log_edit`.  Only the levels the edit
-        touches are rebuilt; every other level's files, bisect keys and byte
-        total are the old version's (a version is never mutated once current).
+        manifest append I/O via :meth:`log_edit`; the tables the edit drops
+        are unlinked only once that record is durable.  Only the levels the
+        edit touches are rebuilt; every other level's files, bisect keys and
+        byte total are the old version's (a version is never mutated once
+        current).
         """
         old = self.current
         new = Version()
@@ -333,6 +331,8 @@ class VersionSet:
         for meta in [meta for _, meta in edit.added] if handed_over else new.all_files():
             meta.refs += 1
         new.refs += 1  # the VersionSet's own reference
+        if edit.deleted:
+            self._pending_drops += 1  # until log_edit(edit) ends
         self.current = new
         old.refs -= 1
         if handed_over:
@@ -351,51 +351,53 @@ class VersionSet:
         on the fsync are retried — losing a manifest sync would orphan the
         just-installed files.
         """
-        if self._unlogged_edits:
-            # An earlier edit is still waiting to reach the manifest;
-            # appending this record now would put the durable edit sequence
-            # out of order.  Queue it behind and surface the degraded state
-            # (sync_manifest re-appends in order).
-            self._unlogged_edits.append(edit)
-            self.manifest_dirty = True
-            exc = OutOfSpaceError(
-                "manifest has unlogged edits pending", path=self.manifest.path
-            )
-            exc.bg_source = "manifest"
-            raise exc
         try:
-            ev = self.manifest.append(edit.encoded_bytes(), record=edit)
-        except OutOfSpaceError as exc:
-            # The record never reached the manifest: queue the edit for
-            # ordered re-append.  Crash safety holds because the files this
-            # edit deletes are only *deferred*-deleted while dirty, so a
-            # recovery from the durable (pre-edit) manifest still finds
-            # every file it references.
-            self._unlogged_edits.append(edit)
-            self.manifest_dirty = True
-            exc.bg_source = "manifest"
-            raise
-        if ev is not None:
-            yield ev
-        try:
-            yield from retry_gen(
-                self.manifest.sync, self.stats, "manifest.io_retries"
-            )
-        except IOFaultError as exc:
-            # The record is appended (it sits in the page cache) but not
-            # durable: mark the manifest dirty so WAL release and physical
-            # file deletion hold off until a later sync covers it.
-            self.manifest_dirty = True
-            exc.bg_source = "manifest"
-            raise
-        if self.manifest_dirty:
-            self._manifest_clean()
+            if self._unlogged_edits:
+                # An earlier edit is still waiting to reach the manifest;
+                # appending this record now would put the durable edit
+                # sequence out of order.  Queue it behind and surface the
+                # degraded state (sync_manifest re-appends in order).
+                self._unlogged_edits.append(edit)
+                self.manifest_dirty = True
+                exc = OutOfSpaceError(
+                    "manifest has unlogged edits pending", path=self.manifest.path
+                )
+                exc.bg_source = "manifest"
+                raise exc
+            try:
+                ev = self.manifest.append(edit.encoded_bytes(), record=edit)
+            except OutOfSpaceError as exc:
+                # The record never reached the manifest: queue the edit for
+                # ordered re-append.  The tables it drops stay on disk while
+                # the manifest is dirty, so a recovery from the durable
+                # (pre-edit) manifest still finds every file it references.
+                self._unlogged_edits.append(edit)
+                self.manifest_dirty = True
+                exc.bg_source = "manifest"
+                raise
+            if ev is not None:
+                yield ev
+            try:
+                yield from retry_gen(
+                    self.manifest.sync, self.stats, "manifest.io_retries"
+                )
+            except IOFaultError as exc:
+                # The record is appended (it sits in the page cache) but
+                # not durable: mark the manifest dirty so WAL release and
+                # unlinks hold off until a later sync covers it.
+                self.manifest_dirty = True
+                exc.bg_source = "manifest"
+                raise
+        finally:
+            if edit.deleted:
+                self._pending_drops -= 1
+        self._manifest_durable(self.manifest_dirty and not self._unlogged_edits)
 
     def sync_manifest(self):
         """Generator: heal manifest durability (the auto-resume probe).
 
         Re-appends queued edits in order, then fsyncs the manifest;
-        success clears the dirty flag and releases deferred deletions.
+        success clears the dirty flag and unlinks the tables held back.
         Raises on the first failure — the caller backs off and retries.
         """
         while self._unlogged_edits:
@@ -410,13 +412,14 @@ class VersionSet:
         except IOFaultError as exc:
             exc.bg_source = "manifest"
             raise
-        self._manifest_clean()
+        self._manifest_durable(True)
 
-    def _manifest_clean(self) -> None:
-        self.manifest_dirty = False
-        self.stats.inc("manifest.resynced")
-        if self.on_manifest_clean is not None:
-            self.on_manifest_clean()
+    def _manifest_durable(self, resynced: bool) -> None:
+        """A manifest sync succeeded; ``resynced``: it cleared the dirty flag."""
+        if resynced:
+            self.manifest_dirty = False
+            self.stats.inc("manifest.resynced")
+        self._unlink_dead()
 
     # -- derived state -----------------------------------------------------------------
 

@@ -1,11 +1,14 @@
 """The manifest-failure path, driven through a real DB.
 
-When the MANIFEST record of an installed edit cannot be made durable —
-ENOSPC on its append, or an fsync that still fails after every retry —
-the edit stays applied in memory, the manifest is marked dirty, physical
-SST deletion and WAL release are held back, and the error handler's
-resume re-appends the queued edits in order and re-syncs
-(``VersionSet.sync_manifest``), after which the held deletions run.
+One rule: a table or WAL leaves the disk only once the MANIFEST record
+that dropped it is durable.  When the MANIFEST record of an installed edit
+cannot be made durable — ENOSPC on its append, or an fsync that still
+fails after every retry — the edit stays applied in memory, the manifest
+is marked dirty, and the ``VersionSet`` holds back the unlinks of the
+tables that died meanwhile while the DB holds back WAL release.  The error
+handler's resume re-appends the queued edits in order and re-syncs
+(``VersionSet.sync_manifest``); then the held tables are unlinked and the
+obsolete WALs released.
 
 Each scenario is deterministic, so a test re-runs it up to one step and
 crashes the machine there; recovery must then find every file the
@@ -20,6 +23,7 @@ from repro.fs.page_cache import PageCache
 from repro.lsm.db import DB
 from repro.lsm.io_retry import IO_RETRIES
 from repro.lsm.options import WAL_SYNC
+from repro.lsm.version import VersionEdit
 from repro.sim.engine import Engine
 from repro.sim.units import mb, ms
 from repro.storage.device import StorageDevice
@@ -107,9 +111,9 @@ class TestManifestEnospc:
         assert not versions.manifest_dirty and not versions._unlogged_edits
         assert versions.stats.get("manifest.requeued_edits") == 1
         assert versions.stats.get("manifest.resynced") == 1
-        # The resync makes the edit durable but releases no WAL: the log
-        # the failed flush pinned goes at the next successful flush.
-        assert fs.list("wal/") == ["wal/000001.log", "wal/000002.log"]
+        # The resync makes the flush's edit durable, so the log its
+        # memtable pinned is released with it.
+        assert fs.list("wal/") == ["wal/000002.log"]
         if stop == "resumed":
             return fs, db
         write(engine, db, N, N + 10)
@@ -176,14 +180,14 @@ class TestManifestSyncFault:
         if stop == "failed":
             return fs, db, inputs
         versions.unref(reader)
-        held = db.sst_file_manager.pending_deletions
+        held = versions._unlink_queue
         assert sorted(held) == inputs and all(fs.exists(p) for p in inputs)
         if stop == "held":
             return fs, db, inputs
         run_until(engine, lambda: db.error_handler.severity == "")
         assert not versions.manifest_dirty
         assert versions.stats.get("manifest.resynced") == 1
-        assert db.sst_file_manager.pending_deletions == {}
+        assert versions._unlink_queue == []
         assert not any(fs.exists(p) for p in inputs)
         return fs, db, inputs
 
@@ -195,14 +199,59 @@ class TestManifestSyncFault:
         live = sorted(m.file.path for m in db2.versions.current.all_files())
         assert live == ([] if step == "resumed" else inputs)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="VersionSet.apply deletes a compaction input nothing else pins "
-        "before log_edit has made the edit durable",
-    )
     def test_unpinned_input_survives_a_crash_before_the_edit_is_durable(self, engine):
         fs, _db, _inputs = self._run(engine, "failed", pin=False)
         crash_and_recover(engine, fs, {i: None for i in range(0, N, 7)})
+
+
+class TestEditQueuedBehindAnUnloggedOne:
+    """A compaction is running when a flush's MANIFEST record cannot be
+    appended (ENOSPC: the MANIFEST's extent is full and the quota has one
+    extent left, which the flush's table takes).  The compaction's edit
+    then queues behind the unlogged one, and the inputs it drops stay on
+    disk until the resync makes both edits durable."""
+
+    STEPS = ("queued", "resumed")
+
+    def _run(self, engine, stop):
+        fs = machine(engine)
+        db = DB(engine, fs, options())
+        versions = db.versions
+        write(engine, db, 0, N)
+        run_op(engine, db.flush_all())
+        write(engine, db, 0, N, delete=True)
+        run_op(engine, db.flush_all())
+        inputs = sorted(meta.file.path for meta in versions.current.all_files())
+        assert len(inputs) == 2 and db._active_compactions == 1
+        manifest = versions.manifest
+        manifest.append(EXTENT_BYTES - manifest.size, record=VersionEdit())
+        write(engine, db, N, N + 10)
+        fs.set_quota(fs.used_bytes() + EXTENT_BYTES)
+        run_op(engine, db.flush_all())
+        assert len(versions._unlogged_edits) == 1 and db._active_compactions == 1
+        run_until(engine, lambda: len(versions._unlogged_edits) == 2)
+        assert versions.current.num_files() == 1  # the flush's table only
+        assert sorted(versions._unlink_queue) == inputs
+        assert all(fs.exists(p) for p in inputs)
+        if stop == "queued":
+            return fs, inputs
+        fs.set_quota(None)
+        run_until(engine, lambda: db.error_handler.severity == "")
+        assert versions.stats.get("manifest.requeued_edits") == 2
+        assert versions._unlink_queue == [] and not any(fs.exists(p) for p in inputs)
+        return fs, inputs
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_crash_at_each_step_recovers_every_file_and_write(self, engine, step):
+        fs, inputs = self._run(engine, step)
+        expected = {i: None for i in range(0, N, 7)}
+        expected.update((i, val(i)) for i in range(N, N + 10))
+        db2 = crash_and_recover(engine, fs, expected)
+        live = sorted(m.file.path for m in db2.versions.current.all_files())
+        if step == "queued":
+            assert live == inputs  # neither queued edit is durable
+        else:
+            assert len(live) == 1 and live[0] not in inputs
 
 
 class TestCorruptManifestTail:

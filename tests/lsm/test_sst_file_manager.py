@@ -1,4 +1,4 @@
-"""SstFileManager: compaction-space reservation and deferred deletion."""
+"""SstFileManager: compaction-space reservation and the low-space signal."""
 
 from repro.fs.filesystem import EXTENT_BYTES
 from repro.lsm.sst_file_manager import SstFileManager
@@ -6,14 +6,8 @@ from repro.sim.units import kb
 from tests.conftest import tiny_options
 
 
-class _FakeVersions:
-    manifest_dirty = False
-
-
 def make_manager(null_fs, **opts):
-    mgr = SstFileManager(null_fs, tiny_options(**opts))
-    mgr.bind(_FakeVersions())
-    return mgr
+    return SstFileManager(null_fs, tiny_options(**opts))
 
 
 class TestReservation:
@@ -55,33 +49,3 @@ class TestLowOnSpace:
         mgr.release_compaction(4 * EXTENT_BYTES - kb(64))
         assert not mgr.low_on_space()
 
-
-class TestDeferredDeletion:
-    def test_immediate_delete_when_manifest_clean(self, null_fs):
-        mgr = make_manager(null_fs)
-        null_fs.create("sst/000001.sst").append(kb(4))
-        mgr.delete_file("sst/000001.sst")
-        assert not null_fs.exists("sst/000001.sst")
-        assert not mgr.pending_deletions
-
-    def test_deferred_while_manifest_dirty(self, null_fs):
-        mgr = make_manager(null_fs)
-        null_fs.create("sst/000001.sst").append(kb(4))
-        mgr._versions.manifest_dirty = True
-        mgr.delete_file("sst/000001.sst")
-        # The file survives (crash now must recover the old version).
-        assert null_fs.exists("sst/000001.sst")
-        assert sum(mgr.pending_deletions.values()) == kb(4)
-
-        mgr._versions.manifest_dirty = False
-        assert mgr.flush_pending_deletions() == 1
-        assert not null_fs.exists("sst/000001.sst")
-        assert not mgr.pending_deletions
-
-    def test_missing_file_deletion_is_harmless(self, null_fs):
-        mgr = make_manager(null_fs)
-        mgr.delete_file("sst/none.sst")
-        mgr._versions.manifest_dirty = True
-        mgr.delete_file("sst/none2.sst")
-        mgr._versions.manifest_dirty = False
-        assert mgr.flush_pending_deletions() == 0

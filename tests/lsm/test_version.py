@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import DBError
+from repro.errors import DBError, OutOfSpaceError
+from repro.fs.filesystem import EXTENT_BYTES
 from repro.lsm.format import KIND_PUT
 from repro.lsm.sst import SSTBuilder
 from repro.lsm.version import FileMetadata, Version, VersionEdit, VersionSet
 from repro.lsm.value import ValueRef
-from tests.conftest import make_fs, tiny_options
+from tests.conftest import make_fs, run_op, tiny_options
 
 
 def make_sst(number, start, count, stride=1):
@@ -30,6 +31,13 @@ def install(vs, fs, level, sst):
     meta = FileMetadata(sst.number, sst, f, level)
     vs.apply(VersionEdit().add_file(level, meta))
     return meta
+
+
+def drop(engine, vs, meta):
+    """Apply an edit that drops ``meta`` and make it durable."""
+    edit = VersionEdit().delete_file(meta.level, meta.number)
+    vs.apply(edit)
+    run_op(engine, vs.log_edit(edit))
 
 
 class TestVersionQueries:
@@ -87,16 +95,19 @@ class TestLifetimes:
         vs, fs = make_vs(engine)
         meta = install(vs, fs, 1, make_sst(vs.new_file_number(), 0, 10))
         path = meta.file.path
-        vs.apply(VersionEdit().delete_file(1, meta.number))
+        edit = VersionEdit().delete_file(1, meta.number)
+        vs.apply(edit)
+        assert vs.stats.get("files_reclaimed") == 1  # logically dead at once
+        assert fs.exists(path)  # but the edit that dropped it is not logged
+        run_op(engine, vs.log_edit(edit))
         assert not fs.exists(path)
-        assert vs.stats.get("files_reclaimed") == 1
 
     def test_reader_reference_defers_reclaim(self, engine):
         vs, fs = make_vs(engine)
         meta = install(vs, fs, 1, make_sst(vs.new_file_number(), 0, 10))
         path = meta.file.path
         read_version = vs.ref_current()
-        vs.apply(VersionEdit().delete_file(1, meta.number))
+        drop(engine, vs, meta)
         assert fs.exists(path)  # reader still holds the old version
         vs.unref(read_version)
         assert not fs.exists(path)
@@ -124,6 +135,92 @@ class TestLifetimes:
         f = fs.install_synced("sst/dup.sst", other.file_bytes)
         with pytest.raises(DBError, match="duplicate"):
             vs.apply(VersionEdit().add_file(2, FileMetadata(7, other, f, 2)))
+
+
+class TestUnlinkQueue:
+    """A dead table is unlinked only once the edit that dropped it is durable."""
+
+    def _two_drops(self, engine, pinned=False):
+        """Two edits each drop a table; only the first is logged.  A
+        ``pinned`` pair dies when a reader lets go after that log."""
+        vs, fs = make_vs(engine)
+        metas = [install(vs, fs, 1, make_sst(vs.new_file_number(), i * 100, 10)) for i in (0, 1)]
+        edits = [VersionEdit().delete_file(1, meta.number) for meta in metas]
+        reader = vs.ref_current() if pinned else None
+        for edit in edits:
+            vs.apply(edit)
+        run_op(engine, vs.log_edit(edits[0]))
+        if pinned:
+            vs.unref(reader)
+        return vs, fs, [meta.file.path for meta in metas], edits[1]
+
+    def _dies_while_dirty(self, engine):
+        """A reader's table dies after its dropping edit is durable, but
+        while a later record is not."""
+        vs, fs = make_vs(engine)
+        meta = install(vs, fs, 1, make_sst(vs.new_file_number(), 0, 10))
+        reader = vs.ref_current()
+        drop(engine, vs, meta)
+        vs.manifest_dirty = True  # as a later record's failed fsync leaves it
+        vs.unref(reader)
+        return vs, fs, meta.file.path
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+    def test_held_while_an_edit_is_in_flight_or_dirty(self, engine, pinned):
+        vs, fs, paths, _second = self._two_drops(engine, pinned)
+        # The first edit is durable, but the second one is still pending.
+        assert vs.stats.get("files_reclaimed") == 2
+        assert vs._unlink_queue == paths and all(fs.exists(p) for p in paths)
+        vs, fs, path = self._dies_while_dirty(engine)
+        assert vs.stats.get("files_reclaimed") == 1
+        assert vs._unlink_queue == [path] and fs.exists(path)
+
+    def test_drained_once_the_manifest_is_durable(self, engine):
+        vs, fs, paths, second = self._two_drops(engine)
+        run_op(engine, vs.log_edit(second))
+        assert vs._unlink_queue == [] and not any(fs.exists(p) for p in paths)
+
+        vs, fs, path = self._dies_while_dirty(engine)
+        run_op(engine, vs.sync_manifest())
+        assert not vs.manifest_dirty and vs.stats.get("manifest.resynced") == 1
+        assert vs._unlink_queue == [] and not fs.exists(path)
+
+    def test_a_sync_does_not_clean_past_an_unlogged_edit(self, engine):
+        """Two edits each drop a table; the MANIFEST's extent has room for
+        the first record only.  The first edit's fsync, in flight while
+        the second record fails to append, must leave the manifest dirty."""
+        vs, fs = make_vs(engine)
+        metas = [install(vs, fs, 1, make_sst(vs.new_file_number(), i * 100, 10)) for i in (0, 1)]
+        edits = [VersionEdit().delete_file(1, meta.number) for meta in metas]
+        room = edits[0].encoded_bytes()
+        vs.manifest.append(EXTENT_BYTES - room, record=VersionEdit())
+        fs.set_quota(fs.used_bytes())
+        for edit in edits:
+            vs.apply(edit)
+
+        def log_second():
+            with pytest.raises(OutOfSpaceError):
+                yield from vs.log_edit(edits[1])
+
+        first = engine.process(vs.log_edit(edits[0]))
+        engine.process(log_second())
+        engine.run()
+        assert first.ok
+        assert vs.manifest_dirty and vs._unlogged_edits == [edits[1]]
+        paths = [meta.file.path for meta in metas]
+        assert vs._unlink_queue == paths and all(fs.exists(p) for p in paths)
+        fs.set_quota(None)
+        run_op(engine, vs.sync_manifest())
+        assert not vs.manifest_dirty and not any(fs.exists(p) for p in paths)
+
+    def test_missing_path_is_harmless(self, engine):
+        vs, fs = make_vs(engine)
+        meta = install(vs, fs, 1, make_sst(vs.new_file_number(), 0, 10))
+        edit = VersionEdit().delete_file(1, meta.number)
+        vs.apply(edit)
+        fs.delete(meta.file.path)  # gone before the queue drains
+        run_op(engine, vs.log_edit(edit))
+        assert vs._unlink_queue == [] and vs.stats.get("files_reclaimed") == 1
 
 
 class TestScoresAndRecovery:
@@ -171,7 +268,7 @@ class TestScoresAndRecovery:
         engine.run()
         assert p.exception is None
 
-        recovered = VersionSet.recover(fs, tiny_options())
+        recovered = VersionSet(fs, tiny_options())  # replays the MANIFEST
         assert recovered.current.num_files(1) == 1
         assert recovered.current.num_files(2) == 0
         assert recovered.next_file_number > keep.number

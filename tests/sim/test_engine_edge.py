@@ -118,6 +118,33 @@ def test_event_callbacks_fire_once_in_order(engine):
     assert ev.callbacks == []  # consumed
 
 
+@pytest.mark.parametrize("fire", ["succeed", "fail"])
+def test_callback_registered_while_firing_runs_exactly_once(engine, fire):
+    """A callback may register another on the event that is firing; each
+    late one runs once, after the pass that registered it (a chain of
+    three takes the inline first pass and two rounds of the loop)."""
+    calls = []
+    ev = engine.event()
+
+    def registrar(name, then=None):
+        def cb(e):
+            calls.append((name, e.ok))
+            if then is not None:
+                e.callbacks.append(then)
+        return cb
+
+    third = registrar("third")
+    ev.callbacks.append(registrar("first", registrar("second", third)))
+    ev.callbacks.append(registrar("sibling"))
+    if fire == "succeed":
+        ev.succeed()
+    else:
+        ev.fail(ValueError("boom"))
+    ok = fire == "succeed"
+    assert calls == [("first", ok), ("sibling", ok), ("second", ok), ("third", ok)]
+    assert ev.callbacks == []
+
+
 def test_event_ok_and_exception_accessors(engine):
     ev = engine.event()
     assert not ev.ok
