@@ -7,8 +7,9 @@ leader's sequence numbers.  A client write is acknowledged only once its
 sequence is durable on a majority (leader fsync + follower acks).  On
 leader crash a deterministic failover elects the most-caught-up node among
 an alive quorum — the two majorities intersect, so every acked write is on
-the new leader — and restarted nodes truncate divergent unacked tails via
-the existing WAL checksum/truncate machinery before rejoining.
+the new leader.  A conflicting follower steps down and rejoins: like a
+restarted node, it truncates its divergent unacked tail via the existing
+WAL checksum/truncate machinery (or is wiped) before it rejoins.
 
 The control plane (election, membership, rejoin arbitration) is modeled as
 an omniscient external service: deterministic bookkeeping on the

@@ -14,26 +14,34 @@ Control plane
     Election and rejoin arbitration are deterministic bookkeeping on the
     :class:`Cluster` object (an omniscient external coordination service).
     Elections happen only when at least a quorum of nodes is up and pick
-    the node with the longest durable log (ties: lowest node id) — because
-    any acked write is durable on a majority and any electing quorum
-    intersects it, the winner always holds every acked write.
+    the most up-to-date log (ties: lowest node id) — because any acked
+    write is durable on a majority and any electing quorum intersects it,
+    the winner always holds every acked write.
+
+One divergence rule
+    A conflicting follower steps down and rejoins.  A follower whose log
+    disagrees with the current leader's (at the last index both hold, or
+    by a group past the leader's log end, which only an apply that
+    outlived its term leaves) retires its DB incarnation as a crash does,
+    minus the power failure and the network loss, goes to ``STAGED`` and
+    rejoins through the reconcile path a restarted node takes: it keeps
+    the longest prefix that matches the leader, physically truncates the
+    divergent unacked WAL tail, or is wiped when the divergence reaches
+    flushed data.  The rule runs when an append reaches a follower and
+    after an apply that outlived its term (Raft's conflict rule, Ongaro
+    and Ousterhout, USENIX ATC 2014).
 
 Log identity
     A group's ``tag`` is ``(last_seq, crc)`` where the crc is the same
-    checksum the WAL record carries on disk.  Tags let rejoin compare a
-    node's *durable* WAL records against the current leader's log and
-    physically truncate a divergent unacked tail with the WAL's own
-    ``recover_logs``/``truncate_log``.  For the no-resurrection
+    checksum the WAL record carries on disk, so rejoin can match a node's
+    durable WAL records against the leader's log.  For the no-resurrection
     invariant a tag alone is ambiguous: a client that retries an unacked
-    DELETE after a failover legitimately produces byte-identical WAL
-    bytes at the same sequence number as the truncated group (a PUT
-    retry embeds its fresh write index, a DELETE has no payload), so the
-    new leader's group collides with the truncated one on ``(seq, crc)``
-    while being a different proposal.  The invariant therefore tracks
-    the term-qualified ``identity`` — ``(term, last_seq, crc)`` — which
-    a re-proposal under the new leader's (strictly newer) term never
-    matches, while a genuinely resurrected group keeps its original term
-    and still trips the check.
+    DELETE after a failover produces byte-identical WAL bytes at the same
+    sequence number as the truncated group (a PUT retry embeds its fresh
+    write index, a DELETE has no payload).  The invariant therefore tracks
+    the term-qualified ``identity`` — ``(term, last_seq, crc)`` — which a
+    re-proposal under the new leader's newer term never matches, while a
+    genuinely resurrected group keeps its original term.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cluster.nodefs import NodeFsView
 from repro.errors import DBError, IOFaultError, OutOfSpaceError, SimulationError
 from repro.lsm.db import DB
-from repro.lsm.wal import RecoveredLog, WalManager, recover_logs, truncate_log
+from repro.lsm.wal import WalManager, recover_logs, truncate_log
 from repro.net.network import Network
 from repro.sim.engine import Engine, Event
 from repro.sim.rng import RandomStream
@@ -54,12 +62,16 @@ Identity = Tuple[int, int, int]  # (term, last_seq, crc) — resurrection identi
 
 #: Node lifecycle states.
 CRASHED = "crashed"  # powered off
-STAGED = "staged"  # restarted, WAL salvaged, waiting for a leader branch
+STAGED = "staged"  # restarted or stepped down, waiting to rejoin a leader
 ACTIVE = "active"  # DB open, replicating
 
 
 def _null(_ev: Event) -> None:
     return None
+
+
+def _rec_tag(rec) -> Tag:
+    return (rec.entries[-1][1][0], rec.crc)
 
 
 class ClusterConfig:
@@ -105,12 +117,7 @@ class ClusterNode:
     """One replica: its private storage stack plus replication state."""
 
     def __init__(
-        self,
-        cluster: "Cluster",
-        node_id: int,
-        fs,
-        options_factory,
-        rng: RandomStream,
+        self, cluster: "Cluster", node_id: int, fs, options_factory, rng: RandomStream
     ) -> None:
         self.cluster = cluster
         self.node_id = node_id
@@ -126,8 +133,11 @@ class ClusterNode:
         #: time); ``durable_len`` tracks the prefix known fsynced.
         self.log: List[Group] = []
         self.durable_len = 0
-        #: Event fired whenever the log grows (re-armed); parks idle shippers.
-        self.log_grew = Event(cluster.engine)
+        #: Shippers parked at this node's log end, by follower id: each
+        #: waits on its own event, fired when the log grows.
+        self.parked: Dict[int, Event] = {}
+        #: The group this node's apply is writing (None when idle).
+        self.applying: Optional[Group] = None
 
     # -- properties ---------------------------------------------------------
 
@@ -138,9 +148,6 @@ class ClusterNode:
     @property
     def durable_seq(self) -> int:
         return self.log[self.durable_len - 1].last_seq if self.durable_len else 0
-
-    def last_seq(self) -> int:
-        return self.log[-1].last_seq if self.log else 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -165,9 +172,10 @@ class ClusterNode:
         self.durable_len = d
 
     def fire_log_grew(self) -> None:
-        ev, self.log_grew = self.log_grew, Event(self.cluster.engine)
-        if not ev.triggered:
-            ev.succeed()
+        if self.parked:
+            parked, self.parked = self.parked, {}
+            for ev in parked.values():
+                ev.succeed()
 
 
 class Cluster:
@@ -234,46 +242,37 @@ class Cluster:
     def start(self) -> None:
         """Open every node's DB, elect node 0 as the first leader."""
         for node in self.nodes:
-            node.open_db()
-            self._spawn_pump(node)
+            self._activate(node)
         self._become_leader(self.nodes[0])
 
     # -- leader election -------------------------------------------------------
 
     def elect(self) -> bool:
-        """Deterministic failover; True when a leader was installed.
+        """Install a leader if there is none, then rejoin every staged node.
 
-        Requires a quorum of up (staged or active) nodes — an electing
-        quorum always intersects the ack quorum of every committed write,
-        and the most-caught-up rule then guarantees the winner holds all of
-        them.  Staged nodes reconcile their durable logs against the
-        winner's branch before activating.
+        True when a leader is installed.  An election needs a quorum of up
+        (staged or active) nodes: it intersects the ack quorum of every
+        committed write, so the most caught-up winner holds all of them.  A
+        winner whose DB cannot open blocks the election; a staged node whose
+        DB cannot open stays staged until the next call retries it.
         """
-        if self.leader_id is not None:
-            return True
-        up = [n for n in self.nodes if n.alive]
-        if len(up) < self.quorum:
-            self._log(f"election blocked: {len(up)}/{len(self.nodes)} up")
-            return False
-        # Raft's election restriction: compare (term of last log entry, log
-        # length).  Log length alone is unsafe — a crashed ex-leader's
-        # divergent unacked tail can be longer than a follower's log that
-        # holds a newer term's committed groups.
-        winner = sorted(
-            up,
-            key=lambda n: (
-                -(n.log[-1].term if n.log else 0),
-                -len(n.log),
-                n.node_id,
-            ),
-        )[0]
-        if winner.state == STAGED:
-            winner.open_db()
-            self._spawn_pump(winner)
-        self._become_leader(winner)
-        for node in up:
+        if self.leader_id is None:
+            up = [n for n in self.nodes if n.alive]
+            if len(up) < self.quorum:
+                self._log(f"election blocked: {len(up)}/{len(self.nodes)} up")
+                return False
+            # Raft's election restriction: compare (term of last log entry,
+            # log length).  Length alone is unsafe — a crashed ex-leader's
+            # divergent unacked tail can outgrow a newer term's log.
+            winner = min(
+                up, key=lambda n: (-(n.log[-1].term if n.log else 0), -len(n.log), n.node_id)
+            )
+            if winner.state == STAGED and not self._activate(winner):
+                return False
+            self._become_leader(winner)
+        for node in self.nodes:
             if node.state == STAGED:
-                self._finalize_rejoin(node)
+                self._rejoin(node)
         return True
 
     def _become_leader(self, node: ClusterNode) -> None:
@@ -297,6 +296,9 @@ class Cluster:
         term = self.term
 
         def on_group(records, nbytes, node=node, term=term):
+            pending = node.applying
+            if pending is not None and pending.records is records:
+                return  # an older term's group the node's own apply logs
             crc = node.db.wal.current.records[-1][1].crc
             group = Group(term, records, nbytes, crc)
             if group.identity in self.truncated_identities:
@@ -306,16 +308,13 @@ class Cluster:
 
         node.db.wal.on_group = on_group
 
-    # -- node crash / restart --------------------------------------------------
+    # -- node lifecycle: crash, step-down, restart, rejoin ---------------------
 
-    def crash_node(self, node_id: int) -> None:
-        """Power-fail one node while the rest of the cluster keeps running."""
-        node = self.nodes[node_id]
-        if not node.alive:
-            return
-        was_leader = self.leader_id == node_id
-        node.state = CRASHED
+    def _retire(self, node: ClusterNode) -> None:
+        """End a node's DB incarnation: its processes wind down on the
+        dead view's typed errors, its inbox empties, its shippers exit."""
         node.incarnation += 1
+        node.applying = None
         if node.db is not None:
             # Stale incarnation: background workers that die on dead-view
             # I/O after this point are expected, not a simulation bug.
@@ -326,17 +325,60 @@ class Cluster:
             node.db.wal.on_group = None
         if node.view is not None:
             node.view.kill()
-        node.fs.power_fail()
-        self.network.set_down(node_id)
-        inbox = self.network.inboxes[node_id]
+        inbox = self.network.inboxes[node.node_id]
         inbox._items.clear()
         inbox._getters.clear()
-        node.fire_log_grew()  # unpark this node's shippers so they exit
+        node.fire_log_grew()
+
+    def crash_node(self, node_id: int) -> None:
+        """Power-fail one node while the rest of the cluster keeps running."""
+        node = self.nodes[node_id]
+        if not node.alive:
+            return
+        was_leader = self.leader_id == node_id
+        node.state = CRASHED
+        self._retire(node)
+        node.fs.power_fail()
+        self.network.set_down(node_id)
         self._log(f"node {node_id} crashed{' (leader)' if was_leader else ''}")
         if was_leader:
             self.leader_id = None
             self.leader_node = None
             self.elect()
+
+    def _leader_log(self) -> List[Group]:
+        """The leader's log, plus the group its own apply is writing: a
+        leader elected mid-apply appends that older-term group when the
+        apply ends."""
+        leader = self.leader_node
+        pending = leader.applying
+        return leader.log if pending is None else leader.log + [pending]
+
+    def _step_down_on_conflict(self, node: ClusterNode) -> bool:
+        """The one divergence rule: an active follower whose log disagrees
+        with the current leader's steps down and rejoins, which truncates or
+        wipes the divergent tail.  True if it did.  It runs when an append
+        reaches a follower and when a follower's apply outlives its term.
+
+        Logs that agree at an index agree at every earlier one, so the last
+        index both logs hold decides, and covers all that an ack claims.  A
+        group past the leader's log end conflicts too: only an apply that
+        outlived its term leaves one, and no leader ever ships it.
+        """
+        leader = self.leader_node
+        if leader is None or leader is node:
+            return False
+        log, llog = node.log, self._leader_log()
+        n = min(len(log), len(llog))
+        agree = n == 0 or log[n - 1].tag == llog[n - 1].tag
+        if agree and n == len(log):
+            return False
+        i = n if agree else n - 1  # the first index found in conflict
+        self._retire(node)  # no power failure: the node's disk stays as is
+        node.state = STAGED
+        self._log(f"node {node.node_id} stepped down: log[{i}] {log[i]!r} conflicts")
+        self._rejoin(node)
+        return True
 
     def restart_node(self, node_id: int) -> None:
         """Power a crashed node back up and rejoin it to the cluster."""
@@ -348,138 +390,103 @@ class Cluster:
         self._salvage(node)
         node.state = STAGED
         self._log(f"node {node_id} restarted (durable log {len(node.log)})")
-        if self.leader_id is not None:
-            self._finalize_rejoin(node)
-        else:
-            self.elect()
+        self.elect()
 
     def _salvage(self, node: ClusterNode) -> None:
         """Reduce a restarted node's control log to its durable reality.
 
-        ``recover_logs`` checksum-verifies every WAL file and physically
-        truncates torn/corrupt tails, exactly as DB open does.  The
-        surviving records are then tag-matched against the control-plane
-        log.  Two kinds of disk-ahead-of-control residue are possible and
-        both are unacked (the ack is sent only after the control-log
-        append, which is atomic with the end of the apply):
-
-        * an *orphan* tail record from an apply interrupted mid-fsync by
-          the crash — physically truncated here so DB recovery cannot
-          replay it;
-        * a *duplicate* record from a re-shipped group whose first apply
-          failed after the WAL append (transient fsync error) — kept, it
-          is byte-identical to its predecessor and replays idempotently.
+        Disk-ahead-of-control residue is unacked: an *orphan* record of an
+        apply the crash cut mid-fsync is truncated; a *duplicate* of a
+        re-shipped group replays idempotently and is kept.  With no WAL
+        left, flush boundaries are not visible: the durable prefix stays.
         """
-        logs = self._recover_wal(node)
-        flat = [rec for _number, _f, good in logs for rec in good]
-        if not flat:
-            # No WAL survives: only flushed data remains.  We cannot see
-            # flush boundaries here, so keep the durable prefix.
-            node.log = node.log[: node.durable_len]
-            node.durable_len = len(node.log)
-            return
-        keep, log_end, _base = self._match_walk(node, flat, len(node.log))
-        self._truncate_disk(logs, keep)
-        node.log = node.log[:log_end]
+        cut = self._cut_wal(node, len(node.log))
+        node.log = node.log[: node.durable_len if cut is None else cut[0]]
         node.durable_len = len(node.log)
 
-    def _match_walk(self, node: ClusterNode, flat, limit: int):
-        """Match disk records against ``node.log[:limit]`` by tag.
-
-        Returns ``(flat_keep, log_end, base)``: the number of leading disk
-        records consistent with the control log (duplicate re-appends of
-        the previous group count as consistent), the control-log index just
-        past the last matched group, and the index the first disk record
-        mapped to.  The walk stops at the first record that neither extends
-        the log prefix nor duplicates its predecessor.
-        """
-        tags = {g.tag: i for i, g in enumerate(node.log)}
-        base = tags.get(self._rec_tag(flat[0]), 0)
-        j = base
-        keep = 0
-        for rec in flat:
-            t = self._rec_tag(rec)
-            if j < limit and j < len(node.log) and node.log[j].tag == t:
-                j += 1
-                keep += 1
-            elif j > base and node.log[j - 1].tag == t:
-                keep += 1  # duplicate re-append of the previous group
-            else:
-                break
-        return keep, j, base
-
-    def _finalize_rejoin(self, node: ClusterNode) -> None:
+    def _rejoin(self, node: ClusterNode) -> None:
         """Reconcile a staged node with the leader's branch and activate it.
 
-        The longest prefix of the node's durable log that matches the
-        leader's log survives; a divergent unacked tail is physically
-        truncated out of the WAL files (``truncate_log``) so recovery
-        cannot replay it.  If divergence reaches below the surviving WAL
-        window — i.e. into data already flushed to SSTs — the node is
-        wiped and resynced from the leader's retained log instead.
+        The longest prefix of the node's log that matches the leader's
+        survives; a divergent unacked tail is truncated out of the WAL
+        files so recovery cannot replay it, and a divergence that reaches
+        flushed data wipes the node for a resync.  A rejoined log shorter
+        than the leader's wakes its parked shipper from the log's end, so
+        an idle leader repairs it too.
         """
-        leader = self.leader_node
-        if leader is None or node.state != STAGED:
-            return
-        llog = leader.log
-        d = 0
-        while d < len(node.log) and d < len(llog) and node.log[d].tag == llog[d].tag:
-            d += 1
+        llog = self._leader_log()
+        d = min(len(node.log), len(llog))
+        d = next((i for i in range(d) if node.log[i].tag != llog[i].tag), d)
         divergent = node.log[d:]
-        if not divergent:
-            node.open_db()
-            self._spawn_pump(node)
-            self._log(f"node {node.node_id} rejoined clean (log {len(node.log)})")
-            return
-        leader_tags = {x.tag for x in llog}
-        for g in divergent:
-            if g.tag not in leader_tags:
-                self.truncated_identities.add(g.identity)
-        logs = self._recover_wal(node)  # cut by _salvage: only lists them
-        flat = [rec for _number, _f, good in logs for rec in good]
-        base = None
-        if flat:
-            tags = {g.tag: i for i, g in enumerate(node.log)}
-            base = tags.get(self._rec_tag(flat[0]))
-        if base is None or d < base:
-            # Divergence sits in flushed data: no WAL truncation can remove
-            # it.  Re-image the node and resync from the leader's log.
-            for path in node.fs.list():
-                node.fs.delete(path)
-            node.log = []
-            node.durable_len = 0
-            self._log(f"node {node.node_id} wiped (flushed divergence at {d})")
-        else:
-            keep, _log_end, _base = self._match_walk(node, flat, d)
-            self._truncate_disk(logs, keep)
-            node.log = node.log[:d]
+        if divergent:
+            tags = {x.tag for x in llog}
+            self.truncated_identities.update(g.identity for g in divergent if g.tag not in tags)
+            cut = self._cut_wal(node, d)
+            if cut is None or cut[1] is None or d < cut[1]:
+                # Divergence sits in flushed data: no WAL truncation can
+                # remove it.  Re-image the node and resync from the leader.
+                for path in node.fs.list():
+                    node.fs.delete(path)
+                node.log = []
+                self._log(f"node {node.node_id} wiped (flushed divergence at {d})")
+            else:
+                node.log = node.log[:d]
+                self._log(
+                    f"node {node.node_id} truncated {len(divergent)} divergent "
+                    f"group(s) at log index {d}"
+                )
             node.durable_len = len(node.log)
-            self._log(
-                f"node {node.node_id} truncated {len(divergent)} divergent "
-                f"group(s) at log index {d}"
-            )
-        node.open_db()
+        # An ack an earlier incarnation sent must not move the shipper.
+        self._ack_wait.pop(node.node_id, None)
+        if not self._activate(node):
+            return
+        if not divergent:
+            self._log(f"node {node.node_id} rejoined clean (log {len(node.log)})")
+        if len(node.log) < len(llog):
+            parked = self.leader_node.parked.pop(node.node_id, None)
+            if parked is not None:
+                parked.succeed(len(node.log))
+
+    def _activate(self, node: ClusterNode) -> bool:
+        """Open a staged node's DB and start its pump.  A full disk fails
+        the open, as ``DB::Open`` fails: the node stays staged."""
+        try:
+            node.open_db()
+        except OutOfSpaceError as exc:
+            self._log(f"node {node.node_id} open failed ({type(exc).__name__}: {exc})")
+            return False
         self._spawn_pump(node)
+        return True
 
     @staticmethod
-    def _recover_wal(node: ClusterNode) -> List[RecoveredLog]:
-        """Point-in-time recovery of a node's WAL files (``recover_logs``)."""
+    def _cut_wal(node: ClusterNode, limit: int) -> Optional[Tuple[int, Optional[int]]]:
+        """Recover a node's WAL files (as DB open does) and cut them at the
+        first record that does not match ``node.log[:limit]`` in order, from
+        the index the first record maps to; a duplicate re-append of the
+        previous group matches too.  Returns ``(log_end, base)`` — the index
+        past the last match, the first record's index (None when not in the
+        log) — or None when no WAL record survives."""
         logs, _stats = recover_logs(WalManager.existing_logs(node.fs))
-        return logs
-
-    @staticmethod
-    def _truncate_disk(logs: List[RecoveredLog], keep: int) -> None:
-        """Physically truncate WAL files past the first ``keep`` records."""
-        done = 0
+        flat = [rec for _number, _f, good in logs for rec in good]
+        if not flat:
+            return None
+        log = node.log
+        tags = {g.tag: i for i, g in enumerate(log)}
+        base = tags.get(_rec_tag(flat[0]))
+        j = start = base or 0
+        keep = 0
+        for rec in flat:
+            t = _rec_tag(rec)
+            if j < limit and j < len(log) and log[j].tag == t:
+                j += 1
+            elif not (j > start and log[j - 1].tag == t):
+                break
+            keep += 1
         for _number, f, good in logs:
-            take = max(0, min(len(good), keep - done))
-            if take < len(good):
-                truncate_log(f, take)
-            done += len(good)
-
-    @staticmethod
-    def _rec_tag(rec) -> Tag:
-        return (rec.entries[-1][1][0], rec.crc)
+            if keep < len(good):
+                truncate_log(f, keep)
+            keep = max(0, keep - len(good))
+        return j, base
 
     # -- data plane: shipping ---------------------------------------------------
 
@@ -491,15 +498,16 @@ class Cluster:
         mid = 0
         rto = cfg.rto_ns
         ack_ev: Optional[Event] = None
-        while (
-            self.running
-            and leader.state == ACTIVE
-            and leader.incarnation == inc
-            and self.term == term
-        ):
+        while self.running and self.term == term:
+            if leader.state != ACTIVE or leader.incarnation != inc:
+                break
             log = leader.log
             if next_idx >= len(log):
-                yield leader.log_grew
+                # Parked; a rejoin that cut the follower's log sends its end.
+                park = leader.parked[follower_id] = Event(self.engine)
+                rewind = yield park
+                if rewind is not None:
+                    next_idx = rewind
                 continue
             group = log[next_idx]
             prev_tag = log[next_idx - 1].tag if next_idx else None
@@ -518,9 +526,7 @@ class Cluster:
                 continue
             ok, match_len = value
             rto = cfg.rto_ns
-            log_len = len(leader.log)
-            if match_len > log_len:
-                match_len = log_len
+            match_len = min(match_len, len(leader.log))
             if ok:
                 if match_len > self._match_len.get(follower_id, 0):
                     self._match_len[follower_id] = match_len
@@ -561,11 +567,8 @@ class Cluster:
         log = node.log
         n = len(log)
         if index < n:
-            if log[index].tag != group.tag:
-                self._violate(
-                    f"node {node.node_id} log[{index}] {log[index]!r} "
-                    f"conflicts with shipped {group!r} (active divergence)"
-                )
+            if self._step_down_on_conflict(node):
+                return
             ok, match = True, n  # duplicate: already have it
         elif index > n:
             ok, match = False, n  # gap: leader must rewind
@@ -573,19 +576,25 @@ class Cluster:
             ok, match = False, n - 1  # chain break (here n == index > 0)
         else:
             if group.identity in self.truncated_identities:
-                self._violate(
-                    f"truncated group {group!r} resurrected on node {node.node_id}"
-                )
+                self._violate(f"truncated group {group!r} resurrected on node {node.node_id}")
+            node.applying, inc = group, node.incarnation
             try:
                 yield from node.db.apply_replicated(group.records)
             except (IOFaultError, OutOfSpaceError, DBError) as exc:
                 self._log(f"node {node.node_id} apply failed: {exc}")
                 return  # no ack; leader retries
-            if not (node.state == ACTIVE and node.db is not None):
-                return  # crashed during apply
+            finally:
+                if node.incarnation == inc:
+                    node.applying = None
+            if node.incarnation != inc:
+                return  # crashed or stepped down during the apply
             log.append(group)
             n = len(log)
             node.durable_len = n
+            # An apply that outlived its term may hold what the new leader's
+            # log holds differently.
+            if term != self.term and self._step_down_on_conflict(node):
+                return
             ok, match = True, n
             if self.engine._trace:
                 self.engine.tracer.replication_apply(node.node_id, group.last_seq)
@@ -636,31 +645,24 @@ class Cluster:
 
     def put(self, key: bytes, value) -> Tuple[bool, int]:
         """Generator: replicated write; returns (acked, seq)."""
-        result = yield from self._client_write("put", key, value)
-        return result
+        return (yield from self._client_write("put", key, value))
 
     def delete(self, key: bytes) -> Tuple[bool, int]:
         """Generator: replicated tombstone; returns (acked, seq)."""
-        result = yield from self._client_write("delete", key, None)
-        return result
+        return (yield from self._client_write("delete", key, None))
 
     def get(self, key: bytes):
         """Generator: read from the leader (None when no leader)."""
         node = self.leader_node
         if node is None or node.state != ACTIVE:
             return None
-        value = yield from node.db.get(key)
-        return value
+        return (yield from node.db.get(key))
 
     def applied_seq(self, node_id: int) -> int:
-        """The sequence through which ``node_id`` has durably applied.
-
-        For the leader this is its durability watermark (every acked
-        write is at or below it); for a follower it is the last shipped
-        group it fsynced.  Hedged readers compare this against a
-        session's last acked write to keep follower reads
-        read-your-writes safe.
-        """
+        """The sequence through which ``node_id`` has durably applied: the
+        leader's durability watermark, or the last shipped group a follower
+        fsynced.  Hedged readers compare it against a session's last acked
+        write to keep follower reads read-your-writes safe."""
         return self.nodes[node_id].durable_seq
 
     def get_from(self, node_id: int, key: bytes):
@@ -684,29 +686,23 @@ class Cluster:
         node = self.leader_node
         if node is None or node.state != ACTIVE or node.db is None:
             return None
-        result = yield from node.db.scan(start, end, limit=limit)
-        return result
+        return (yield from node.db.scan(start, end, limit=limit))
 
     def write_quorum_reachable(self) -> bool:
         """True when the leader can currently assemble an ack quorum.
 
-        The admission-controller brownout probe: counts the leader plus
-        every active follower the network would presently deliver to
-        (not down, not across an open partition).  Deterministic and
-        side-effect free — it reads clock-driven window state only.
+        The admission-controller brownout probe: the leader plus every
+        active follower the network would deliver to now.  Side-effect free.
         """
         leader = self.leader_node
         if leader is None or leader.state != ACTIVE:
             return False
+        net = self.network
         reachable = 1
         for node in self.nodes:
-            if node.node_id == leader.node_id or node.state != ACTIVE:
-                continue
-            if self.network.down[node.node_id]:
-                continue
-            if self.network.partitioned(leader.node_id, node.node_id):
-                continue
-            reachable += 1
+            i = node.node_id
+            if i != leader.node_id and node.state == ACTIVE and not net.down[i]:
+                reachable += not net.partitioned(leader.node_id, i)
         return reachable >= self.quorum
 
     def _client_write(self, kind: str, key: bytes, value):

@@ -12,7 +12,7 @@ I2  Prefix convergence: once the network heals and every node is back up,
     leader's log, and every node's KV state equals the leader's.
 I3  At most one leader per term (checked over the whole run).
 I4  No resurrection: a physically truncated divergent group never
-    reappears in any log (tracked by tag inside the cluster layer).
+    reappears in any log.  A conflicting follower steps down and rejoins.
 
 The client retries an unacked write as a *new* write index on the same
 key (values are self-describing, so the expected-state replay stays

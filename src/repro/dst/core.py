@@ -370,7 +370,7 @@ def converged(clusters: Sequence) -> bool:
 
 
 def recorded_violation(cluster) -> Optional[str]:
-    """What the cluster layer itself flagged (resurrection, active divergence)."""
+    """What the cluster layer itself flagged: a resurrected group."""
     return f"invariant: {cluster.violations[0]}" if cluster.violations else None
 
 

@@ -61,6 +61,24 @@ def put_n(engine, cluster, lo, hi, keyspace=8):
     return results
 
 
+def slow_applies(node, delay, count=None):
+    """Delay the next ``count`` applies (every one when None) of
+    ``node``'s current DB incarnation by ``delay`` each."""
+    db = node.db
+    if db is None:
+        return
+    apply = db.apply_replicated
+    left = [count]
+
+    def slowed(records):
+        if left[0] is None or left[0] > 0:
+            left[0] = None if left[0] is None else left[0] - 1
+            yield delay
+        return (yield from apply(records))
+
+    db.apply_replicated = slowed
+
+
 def settle(engine, cluster, total_ns, tick_ns=1_000_000):
     """Advance virtual time until logs converge (or total_ns elapses)."""
 

@@ -1,7 +1,7 @@
 """The dead-incarnation fence (``repro.cluster.nodefs``).
 
-A crashed node's stale DB keeps its file handles; every I/O it issues
-through them after the crash must fail with a non-transient
+A crashed or stepped-down node's stale DB keeps its file handles; every
+I/O it issues through them afterwards must fail with a non-transient
 ``IOFaultError`` and leave the disk alone, while the node's next
 incarnation opens the same files through a fresh view.
 """
@@ -62,3 +62,27 @@ def test_stale_incarnation_io_fails_and_the_next_one_works():
     results = put_n(engine, cluster, 10, 15)
     assert all(acked for _i, acked, _s in results)
     assert not cluster.violations
+
+
+def test_a_view_killed_mid_fsync_gets_the_fences_own_error():
+    """A step-down kills a view without power-failing the filesystem: the
+    fsync in flight lands on disk, and the stale incarnation gets the
+    fence's error after it (not the filesystem's power-failure error)."""
+    engine, cluster = make_cluster()
+    node = cluster.nodes[1]
+    view = node.view
+    scratch = view.create("scratch.tmp")
+
+    def killer():
+        yield 1  # the job's fsync is on the device by now
+        view.kill()
+
+    def job():
+        scratch.append(4096)
+        yield from scratch.sync()
+
+    engine.process(killer(), name="killer")
+    with pytest.raises(IOFaultError, match="node incarnation dead: fsync on scratch.tmp") as err:
+        run_op(engine, job())
+    assert not err.value.transient
+    assert node.fs.open("scratch.tmp").synced_size == 4096

@@ -111,6 +111,22 @@ def test_out_of_range_flag_is_a_usage_error(capsys, flags):
     assert captured.err.startswith(f"error: {flags[-2]} must be >= ")
 
 
+@pytest.mark.parametrize(
+    "mode, seed",
+    [("cluster", 1092), ("serving", 766), ("serving", 191), ("serving", 278)],
+    ids=lambda v: str(v),
+)
+def test_formerly_failing_seeds_pass(capsys, mode, seed):
+    """Seeds from ``benchmarks/ledger/chaos_known_failures.json`` that now
+    PASS through the CLI.  In cluster 1092 and serving 766 a follower's
+    apply outlived its term and left it holding a group the new leader
+    never holds (ROADMAP item 1(b)); it steps down and rejoins.  In serving
+    191 and 278 a rejoin's DB open hit a full disk (item 1(a)), 278 after
+    a truncation; the node stays staged until an election retries it."""
+    assert main(["--seed", str(seed), f"--{mode}"]) == 0
+    assert capsys.readouterr().out.startswith(f"seed={seed} PASS ")
+
+
 #: Every (flag, mode) pair whose config has no field for the flag.
 NOT_APPLICABLE = [
     (["--ops", "10"], "serving"),

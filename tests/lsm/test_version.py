@@ -113,10 +113,12 @@ class TestLifetimes:
         assert not fs.exists(path)
 
     def test_unref_below_zero_rejected(self, engine):
-        vs, _ = make_vs(engine)
+        vs, fs = make_vs(engine)
         v = vs.ref_current()
+        install(vs, fs, 1, make_sst(vs.new_file_number(), 0, 10))
+        assert vs.current is not v and v.refs == 1  # only the reader's ref
         vs.unref(v)
-        with pytest.raises(DBError):
+        with pytest.raises(DBError, match="below zero"):
             vs.unref(v)
 
     def test_on_file_dead_callback(self, engine):
