@@ -707,7 +707,9 @@ class Cluster:
 
     def _client_write(self, kind: str, key: bytes, value):
         node = self.leader_node
-        if node is None or node.state != ACTIVE or node.db is None:
+        # A leader elected mid-apply takes no write until the apply ends:
+        # only then does its DB's sequence move past the group.
+        if node is None or node.state != ACTIVE or node.db is None or node.applying:
             return (False, 0)
         term = self.term
         deadline = self.engine.now + self.config.op_timeout_ns

@@ -51,11 +51,6 @@ STORM_AUTO = "auto"
 STORM_KINDS = (STORM_IO, STORM_SPACE, STORM_MIXED)
 
 
-def _sleep(ns: int):
-    """Generator: advance virtual time by ``ns``."""
-    yield ns
-
-
 PACE_NS = us(30)  # the longest think time between client ops
 #: Storm window as fractions of the workload horizon: opens early enough
 #: that background work is flowing, closes with time to spare.
@@ -263,7 +258,7 @@ class StormRun(Scenario):
         quiesce_ns = -1
         if failure is None:
             if self.engine.now < w1:
-                self.drive(_sleep(w1 - self.engine.now), name="storm-wait")
+                self.engine.run(until=w1)
             drain_from = self.engine.now
             drained = self.drive(self._drain(db), name="storm-drain")
             if drained:

@@ -76,13 +76,10 @@ class FaultInjector:
         self.crash_requested = engine.event()
         self._device_states: List[_Armed] = []
         self._fs_states: List[_Armed] = []
-        #: Net-level specs are carried inertly: the injector's device/fs
-        #: hooks never fire them — they are interpreted by repro.net against
-        #: a cluster topology (see Network.install_schedule).
-        self.net_specs: List[FaultSpec] = []
         for spec in schedule or ():
             if spec.kind in NET_KINDS:
-                self.net_specs.append(spec)
+                # Interpreted by repro.net against a cluster topology
+                # (Network.install_schedule), never by the device/fs hooks.
                 continue
             state = _Armed(spec)
             if spec.kind in DEVICE_KINDS:

@@ -143,6 +143,16 @@ class SimFile:
             fs.injector.on_append(self, offset, nbytes)
         return stall
 
+    def append_synced(self, nbytes: int, record: Any = None) -> None:
+        """Append ``nbytes`` that are already durable (fixtures), with no
+        simulated I/O and no page-cache fill.  The file must hold no
+        unsynced data: the durable watermark moves to the new end."""
+        self.fs._ensure_extents(self, self.size + nbytes)
+        self.size += nbytes
+        if record is not None:
+            self.records.append((nbytes, record))
+        self.synced_size = self._flushed_size = self.size
+
     def _start_flush(self) -> Optional[Event]:
         """Kick off device writes for the dirty range; returns the last event.
 

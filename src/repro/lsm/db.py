@@ -267,7 +267,7 @@ class DB:
         """Apply a batch atomically; returns the write generator.
 
         The batch's ops are copied: the write path re-keys them in place
-        while the caller may reuse or clear the batch.
+        while the caller may reuse the batch.
         """
         return self._write_ops(list(batch.ops), batch.data_bytes)
 

@@ -39,6 +39,7 @@ fault-free runs are bit-identical to a build without this module.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import (
@@ -189,10 +190,13 @@ class ErrorHandler:
     def backoff_ns(self, attempt: int) -> int:
         """Resume delay before attempt ``attempt`` (0-based), capped."""
         opts = self.options
-        delay = opts.bg_error_resume_interval_ns * (
-            opts.bg_error_resume_backoff ** attempt
-        )
-        return min(int(delay), opts.bg_error_resume_max_interval_ns)
+        try:
+            delay = opts.bg_error_resume_interval_ns * (
+                opts.bg_error_resume_backoff ** attempt
+            )
+        except OverflowError:  # a thousand attempts past the cap
+            delay = math.inf
+        return int(min(delay, opts.bg_error_resume_max_interval_ns))
 
     def _ensure_resume_process(self) -> None:
         if self._resume_proc is None or self._resume_proc.done:
@@ -228,6 +232,11 @@ class ErrorHandler:
                 degraded_ns = self.engine.now - (self.degraded_since or self.engine.now)
                 self.engine.tracer.resume_success(attempt, degraded_ns)
                 self._set_severity(SEV_NONE)
+                # A memtable sealed while the probes ran met a degraded
+                # flush worker, which left it to this resume.
+                for mt in db.memtables.immutables:
+                    if not mt.flush_in_progress:
+                        db._flush_store.put(mt)
                 db._maybe_schedule_compaction()
                 return
             self.resume_attempts = attempt

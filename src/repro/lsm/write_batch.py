@@ -6,7 +6,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import DBError
 from repro.lsm.format import KIND_DELETE, KIND_PUT
-from repro.lsm.value import Value, ValueRef, value_size
+from repro.lsm.value import Value, value_size
 
 
 class WriteBatch:
@@ -24,14 +24,7 @@ class WriteBatch:
             raise DBError(f"keys must be bytes, got {type(key).__name__}")
         self.ops.append((KIND_PUT, key, value))
         self._key_bytes += len(key)
-        # value_size() dispatch unrolled: benchmarks fill one batch per put.
-        cls = value.__class__
-        if cls is ValueRef:
-            self._value_bytes += value.size
-        elif cls is bytes:
-            self._value_bytes += len(value)
-        else:
-            self._value_bytes += value_size(value)
+        self._value_bytes += value_size(value)
         return self
 
     def delete(self, key: bytes) -> "WriteBatch":
@@ -41,15 +34,7 @@ class WriteBatch:
         self._key_bytes += len(key)
         return self
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     @property
     def data_bytes(self) -> int:
         """Logical payload size (keys + values), used for throttling."""
         return self._key_bytes + self._value_bytes
-
-    def clear(self) -> None:
-        self.ops.clear()
-        self._key_bytes = 0
-        self._value_bytes = 0

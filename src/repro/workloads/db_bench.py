@@ -174,11 +174,7 @@ class DbBench:
         # call layers before landing in Random._randbelow(count); drawing
         # through _randbelow directly consumes the identical underlying
         # stream (randrange's width path) at a fraction of the call cost.
-        randbelow = getattr(rng._rng, "_randbelow", None)
-        if randbelow is None:  # non-CPython Random: keep the public API
-            randint = rng.randint
-            def randbelow(n):
-                return randint(0, n - 1)
+        randbelow = rng._rng._randbelow
         key_at = keyspace.key_at
         value_size = values.size
         write_ops = db._write_ops

@@ -237,6 +237,7 @@ def _install(
 
     db.versions.last_sequence = seq
     db.versions.apply(edit)
+    db.versions.manifest.append_synced(edit.encoded_bytes(), record=edit)
     db.versions.current.check_invariants()
     db.stats.inc("prefill.keys", n)
     return files_per_level

@@ -213,6 +213,24 @@ class TestDivergenceRule:
         assert all(acked for _i, acked, _s in put_n(engine, cluster, 5, 7))
         assert converges(engine, cluster)
 
+    def test_a_leader_elected_mid_apply_takes_no_write_until_the_apply_ends(self):
+        # Node 1 wins while its own apply of group 5 is in flight, and the
+        # apply advances the DB's sequence only when it ends.  A client
+        # write taken before then would get group 5's sequence number.
+        engine, cluster = make_cluster()
+        put_n(engine, cluster, 0, 5)
+        assert settle(engine, cluster, ms(50))
+        slow_applies(cluster.nodes[1], ms(1), count=1)
+        cluster.network.partition([2])
+        engine.process(cluster.put(b"k999", b"in flight"), name="in-flight")
+        engine.run(until=engine.now + us(200))
+        cluster.crash_node(0)
+        assert cluster.leader_id == 1 and cluster.leader_node.applying is not None
+        results = put_n(engine, cluster, 5, 8)
+        assert results[0][1:] == (False, 0)
+        last_seqs = [g.last_seq for g in cluster.leader_node.log]
+        assert last_seqs == sorted(set(last_seqs))
+
 
 class TestFailedOpen:
     """A DB open that hits a full disk leaves the node STAGED."""

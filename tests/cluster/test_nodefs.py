@@ -86,3 +86,14 @@ def test_a_view_killed_mid_fsync_gets_the_fences_own_error():
         run_op(engine, job())
     assert not err.value.transient
     assert node.fs.open("scratch.tmp").synced_size == 4096
+
+
+def test_a_store_through_a_view_lands_on_the_file():
+    # A flush sets its table's ``payload`` through the view: the real file,
+    # which the next incarnation opens, must hold it.
+    _engine, cluster = make_cluster()
+    node = cluster.nodes[0]
+    f = node.view.create("sst/999999.sst")
+    f.payload = "table"
+    real = node.fs.open("sst/999999.sst")
+    assert real.payload == "table" and "payload" not in vars(f)

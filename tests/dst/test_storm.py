@@ -9,6 +9,7 @@ from repro.dst.storm import (
     StormConfig,
     StormRun,
 )
+from repro.sim.units import ms
 
 pytestmark = pytest.mark.dst
 
@@ -62,6 +63,15 @@ class TestGracefulDegradation:
         assert result.ok, result.reason
         assert result.degraded_entries >= 1
         assert result.resume_successes >= 1
+
+    def test_a_workload_that_ends_inside_the_window_waits_for_it_to_close(self):
+        # The drain and the probe write run once the storm has cleared,
+        # however early the workload ends.
+        run = StormRun(0, _cfg(kind=STORM_IO))
+        run.window = (run.window[0], ms(500))
+        result = run.run()
+        assert result.ok, result.reason
+        assert run.engine.now >= ms(500)
 
     @pytest.mark.slow
     def test_sweep_finds_read_only_and_rejections(self):

@@ -17,6 +17,7 @@ from repro.errors import (
     OutOfSpaceError,
 )
 from repro.faults import (
+    READ_ERROR,
     WRITE_ERROR,
     FaultInjector,
     FaultSchedule,
@@ -41,7 +42,7 @@ from repro.sim.rng import RandomStream
 from repro.sim.units import kb, mb, ms, us
 from repro.storage.device import StorageDevice
 from repro.storage.profiles import xpoint_ssd
-from tests.conftest import run_op, tiny_options
+from tests.conftest import make_fs, run_op, tiny_options
 
 
 def key(i):
@@ -138,6 +139,9 @@ class TestBackoff:
         )
         eh = db.error_handler
         assert [eh.backoff_ns(a) for a in range(5)] == [100, 200, 400, 450, 450]
+        # Past float range, long after the cap: a DB degraded that long
+        # keeps retrying at the cap.
+        assert [eh.backoff_ns(a) for a in (1030, 5000)] == [450, 450]
 
 
 class TestSoftStorm:
@@ -265,3 +269,47 @@ class TestFatal:
         for i in (acked[0], acked[len(acked) // 2], acked[-1]):
             assert run_op(engine, db2.get(key(i))) == val(i)
         assert db2.error_handler.severity == SEV_NONE
+
+
+class TestCompactionProbe:
+    """An episode that began in a compaction resumes only once one
+    compaction has run."""
+
+    def test_read_faults_on_compaction_inputs_resume_through_one(self, engine):
+        # A 16 KB page cache sends a compaction's input reads to the
+        # device; nothing else reads.  Writes go on while the probe's
+        # compaction runs, and the memtable they seal meets a degraded
+        # flush worker: the resume must hand it back, or the writer stops.
+        schedule = FaultSchedule(
+            [FaultSpec(READ_ERROR, at_time=0, until_time=ms(10), count=10**6)]
+        )
+        injector = FaultInjector(engine, schedule)
+        device = StorageDevice(engine, xpoint_ssd(), RandomStream(7), injector)
+        fs = SimFileSystem(engine, device, PageCache(kb(16)), injector)
+        db = DB(engine, fs, storm_options(level0_file_num_compaction_trigger=2))
+        assert fill_until(engine, db, 300) == list(range(300))
+        run_op(engine, db.wait_idle(timeout_ns=ms(100)))
+        assert db.stats.get("bg_error.source.compaction") == 1
+        assert db.stats.get("compaction.io_retries_exhausted") == 1
+        assert db.stats.get("bg_error.resume_successes") == 1
+        assert db.stats.get("compaction.count") >= 1
+        for i in (0, 150, 299):
+            assert run_op(engine, db.get(key(i))) == val(i)
+
+    def test_no_room_for_its_outputs_fails_the_attempt_quietly(self, engine):
+        db = DB(engine, make_fs(engine), storm_options(level0_file_num_compaction_trigger=2))
+        manager = db.sst_file_manager
+        reserve, room = manager.try_reserve_compaction, [False]
+        manager.try_reserve_compaction = lambda nbytes: room[0] and reserve(nbytes)
+        fill_until(engine, db, 50)
+        run_op(engine, db.flush_all())
+        fill_until(engine, db, 50, start=50)
+        engine.process(db.flush_all())  # the second table: a compaction is due
+        eh = db.error_handler
+        wait_until(engine, lambda: db.stats.get("bg_error.resume_attempts") >= 3, ms(5))
+        assert eh.severity == SEV_SOFT and eh.error.source == SOURCE_COMPACTION
+        assert db.stats.get("bg_error.raised") == 1  # the worker's report only
+        room[0] = True
+        wait_until(engine, lambda: eh.severity == SEV_NONE, ms(5))
+        assert db.stats.get("compaction.count") == 1
+        assert db.versions.current.num_files(0) == 0

@@ -191,6 +191,19 @@ class TestManifestSyncFault:
         assert not any(fs.exists(p) for p in inputs)
         return fs, db, inputs
 
+    def test_a_failed_resync_keeps_the_db_read_only_until_one_lands(self, engine):
+        # One fault more than the edit's fsync and its retries take: the
+        # resume's first resync fails too, and its second lands.
+        at = self._manifest_sync_write(Engine())
+        fs = machine(engine, [FaultSpec(WRITE_ERROR, at_op=at, count=IO_RETRIES + 2)])
+        db = DB(engine, fs, options())
+        self._prefix(engine, db)
+        run_until(engine, lambda: db.versions.manifest_dirty)
+        run_until(engine, lambda: db.error_handler.severity == "")
+        assert db.stats.get("bg_error.source.manifest") == 2
+        assert db.stats.get("bg_error.resume_attempts") == 2
+        assert db.versions.stats.get("manifest.resynced") == 1
+
     @pytest.mark.parametrize("step", STEPS)
     def test_crash_at_each_step_recovers_every_file(self, engine, step):
         fs, _db, inputs = self._run(engine, step)

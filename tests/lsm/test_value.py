@@ -29,6 +29,10 @@ class TestValueRef:
     def test_zero_size(self):
         assert ValueRef(1, 0).materialize() == b""
 
+    def test_equal_refs_hash_equal(self):
+        # A frozen (seed, size) value: usable as a set member or a dict key.
+        assert {ValueRef(1, 8), ValueRef(1, 8), ValueRef(2, 8)} == {ValueRef(2, 8), ValueRef(1, 8)}
+
     def test_negative_size_rejected(self):
         with pytest.raises(DBError):
             ValueRef(1, -1)

@@ -65,6 +65,16 @@ class TestDataPath:
         assert [k for k, _v in limited] == keys[:5]
         stack.shutdown()
 
+    def test_rediscover_asks_the_control_plane_for_a_leader(self):
+        stack = make_stack(shards=1)
+        group = stack.groups[0]
+        for node_id in (0, 1):
+            group.cluster.crash_node(node_id)
+        assert group.leader_id is None and group.rediscover() is None  # no quorum
+        group.cluster.restart_node(0)
+        assert group.rediscover() == group.leader_id is not None
+        stack.shutdown()
+
     def test_audit_rejects_a_phantom_ack(self):
         """The no-loss oracle is not vacuous: an acked value that never
         reached replication is reported."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import FileNotFoundInFS
 from repro.serving.shardfs import ShardFsView
 from tests.conftest import make_fs
 
@@ -18,10 +19,13 @@ def test_paths_translate_and_namespaces_are_disjoint(engine):
     fs = make_fs(engine)
     view0 = ShardFsView(fs, "shard-0")
     view1 = ShardFsView(fs, "shard-1")
-    view0.create("MANIFEST")
+    created = view0.create("MANIFEST")
     assert view0.exists("MANIFEST")
     assert not view1.exists("MANIFEST")
     assert fs.exists("shard-0/MANIFEST")
+    assert view0.open("MANIFEST") is created  # a reopened DB finds its own
+    with pytest.raises(FileNotFoundInFS):
+        view1.open("MANIFEST")
 
 
 def test_list_strips_prefix(engine):

@@ -171,6 +171,15 @@ def test_a_manual_trigger_detaches_too(engine):
     assert wait.value == "by hand" and engine.now == 10
 
 
+def test_a_manual_failure_detaches_too(engine):
+    child = engine.event()
+    wait = engine.any_of([child], timeout=10)
+    wait.fail(RuntimeError("by hand"))
+    assert child.callbacks == [] and wait._deadline is None
+    engine.run()
+    assert isinstance(wait.exception, RuntimeError) and engine.now == 10
+
+
 def test_deadline_waits_leave_no_cyclic_garbage(engine):
     """1,000 waits the work wins and 1,000 the deadline wins, their losers
     dropped: nothing for the collector.  (Before waits detached, each

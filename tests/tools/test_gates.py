@@ -111,3 +111,13 @@ def test_figure_ignores_timing_and_what_follows_the_figure():
     figure = NORMALISERS["figure"]
     assert figure(traced) == figure(untraced) == table + "[fig03 regenerated in Xs]\n"
     assert NORMALISERS["mask-timing"](traced) != NORMALISERS["mask-timing"](untraced)
+
+
+def test_ledger_sim_keeps_only_what_the_simulation_decides():
+    sim = ("  sim_kops                40.0044 kops/s  [sim] identical in every repetition\n"
+           "  failed_frac                   0 frac    (0 of 99679 ops)\n"
+           "  sim_digest         3f0d797c\n")
+    run = ("== fill_solo: end to end  (tiny; 1 disturbed repetition(s) replaced)\n"
+           "  setup_s                  0.5312 s       [host] min 0.5312 max 0.5312 n=1\n"
+           + sim)
+    assert NORMALISERS["ledger-sim"](run) == sim

@@ -32,6 +32,9 @@ it so.  Seven checks share one parse of the tree (:func:`tree`):
    tests" table.  A counter that only ``+=`` touches and only tests read
    is work the measured path pays for nothing.
 
+One more test checks the "Never run, kept because" table of docs/API.md,
+which ``line_coverage.py`` gates on: every function a row names exists.
+
 Checks 5 and 6 match a setter to its callee, not to a bare name.  A keyword
 ``k=`` counts for field ``C.k`` or parameter ``f(k=)`` only when the call
 reaches that callee: it calls the name (``C``, ``f``, or ``obj.f`` for a
@@ -551,6 +554,19 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_every_stored_attribute_is_read():
     assert unread_attributes() == []
+
+
+def test_never_run_rows_name_existing_functions():
+    from tests.tools.line_coverage import function_lines, kept_rows
+
+    rows = kept_rows()
+    stale = []
+    for files, names, _why in rows:
+        paths = [ROOT / "src" / "repro" / rel for rel in files]
+        stale += [str(path) for path in paths if not path.is_file()]
+        defined = {key[2] for path in paths if path.is_file() for key in function_lines(path)}
+        stale += [f"{files} {name}" for name in names if name not in defined]
+    assert rows and stale == []
 
 
 PLANTED = {

@@ -222,7 +222,6 @@ def test_prefill_retains_under_100_bytes_per_key():
     assert (after - before) / TINY.key_count <= 100
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: prefill never logs its edit to MANIFEST")
 def test_prefilled_database_survives_reopen():
     from repro.harness.experiments import DEVICES
     from repro.harness.machine import Machine
