@@ -36,9 +36,9 @@ def _parse_seeds(args: argparse.Namespace) -> List[int]:
         try:
             lo_i, hi_i = int(lo), int(hi)
         except ValueError:
-            raise SystemExit(f"bad --seeds range {args.seeds!r} (want A:B)")
+            raise WorkloadError(f"bad --seeds range {args.seeds!r} (want A:B)")
         if hi_i <= lo_i:
-            raise SystemExit(f"empty --seeds range {args.seeds!r}")
+            raise WorkloadError(f"empty --seeds range {args.seeds!r}")
         return list(range(lo_i, hi_i))
     return [args.seed]
 
@@ -343,7 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     chosen = [m for m in ("storm", "cluster", "serving") if getattr(args, m)]
     if len(chosen) > 1:
-        raise SystemExit("--storm, --cluster and --serving are mutually exclusive")
+        raise WorkloadError("--storm, --cluster and --serving are mutually exclusive")
     return _sweep(parser, args, chosen[0] if chosen else "dst")
 
 

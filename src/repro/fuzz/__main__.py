@@ -132,7 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for mode in modes:
         if mode not in MODES:
-            raise SystemExit(f"unknown mode {mode!r} (choose from {','.join(MODES)})")
+            raise FaultConfigError(f"unknown mode {mode!r} (choose from {','.join(MODES)})")
     config = FuzzConfig(
         seed=args.seed,
         iters=args.iters,

@@ -56,10 +56,7 @@ def minimize(
     # Pass 2: halve the op count while the failure survives.
     lo = OPS_BOUNDS[current.mode][0]
     while current.num_ops > lo and spent < max_executions:
-        ops = max(lo, current.num_ops // 2)
-        if ops == current.num_ops:
-            break
-        candidate = replace(current, num_ops=ops)
+        candidate = replace(current, num_ops=max(lo, current.num_ops // 2))
         candidate = candidate.with_schedule(
             clamp_schedule(candidate.schedule, candidate.mutation_context())
         )

@@ -57,11 +57,11 @@ def gb(value: float) -> int:
 def fmt_bytes(n: int) -> str:
     """Render a byte count in a human-readable unit (e.g. ``'64.0 MB'``)."""
     value = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
+    for unit in ("B", "KB", "MB", "GB"):
+        if abs(value) < 1024.0:
             return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
         value /= 1024.0
-    raise AssertionError("unreachable")
+    return f"{value:.1f} TB"
 
 
 def fmt_time(ns: int) -> str:

@@ -112,6 +112,24 @@ def test_out_of_range_flag_is_a_usage_error(capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seeds", "3"], "bad --seeds range '3' (want A:B)"),
+        (["--seeds", "5:5"], "empty --seeds range '5:5'"),
+        (["--storm", "--cluster"], "--storm, --cluster and --serving are mutually exclusive"),
+    ],
+    ids=["bad-range", "empty-range", "two-modes"],
+)
+def test_a_bad_seed_range_or_two_modes_is_a_usage_error(capsys, argv, message):
+    """Like a bad sizing flag: an ``error:`` line and exit 2, not a bare
+    message and exit 1 (which means a seed failed)."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(lambda: main(argv))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "mode, seed",
     [("cluster", 1092), ("serving", 766), ("serving", 191), ("serving", 278)],
     ids=lambda v: str(v),

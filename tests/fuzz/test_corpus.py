@@ -68,3 +68,14 @@ def test_cli_refuses_a_missing_corpus_dir(tmp_path):
     missing = tmp_path / "missing"
     with pytest.raises(FaultConfigError, match="corpus directory not found: .*--no-corpus"):
         main(["--corpus-dir", str(missing), "--iters", "1", "--quiet"])
+
+
+def test_cli_refuses_an_unknown_mode(capsys):
+    """An unknown ``--modes`` entry is an ``error:`` line and exit 2."""
+    from repro.errors import run_cli
+    from repro.fuzz.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(lambda: main(["--modes", "dst,bogus", "--no-corpus", "--iters", "1", "--quiet"]))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: unknown mode 'bogus' (choose from ")

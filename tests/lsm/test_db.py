@@ -147,6 +147,9 @@ class TestFlushAndCompaction:
         assert db.property_value("num-files-at-level0") == 0
         assert db.property_value("num-immutable-mem-table") == 0
         assert db.property_value("pending-compaction-bytes") == 0
+        assert db.property_value("total-sst-bytes") == 0
+        assert db.property_value("is-read-only") == 0
+        assert db.property_value("background-errors") == 0
         with pytest.raises(DBError):
             db.property_value("nope")
 

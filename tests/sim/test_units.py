@@ -51,6 +51,8 @@ def test_fmt_bytes():
     assert fmt_bytes(512) == "512 B"
     assert fmt_bytes(64 * MB) == "64.0 MB"
     assert fmt_bytes(3 * GB) == "3.0 GB"
+    assert fmt_bytes(2048 * GB) == "2.0 TB"
+    assert fmt_bytes(2 ** 60) == "1048576.0 TB"
 
 
 def test_fmt_time():

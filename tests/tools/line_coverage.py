@@ -24,7 +24,7 @@ then the totals.
   files under ``src/repro`` and the functions it keeps there, by qualified
   name as this tool prints them (``<lambda>`` for a lambda).
 
-It takes about 25 minutes on 2 cores.  Run it from anywhere, with no
+It takes about 11 minutes on 2 cores.  Run it from anywhere, with no
 flags::
 
     python tests/tools/line_coverage.py

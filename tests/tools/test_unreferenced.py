@@ -30,7 +30,8 @@ it so.  Seven checks share one parse of the tree (:func:`tree`):
    as an attribute (``obj.attr``, or ``getattr`` by a string constant) in
    ``src/``, ``benchmarks/`` or ``examples/``, or named in the "Kept for
    tests" table.  A counter that only ``+=`` touches and only tests read
-   is work the measured path pays for nothing.
+   is work the measured path pays for nothing; so is a list that only
+   ``self.attr.append(...)`` statements touch.
 
 One more test checks the "Never run, kept because" table of docs/API.md,
 which ``line_coverage.py`` gates on: every function a row names exists.
@@ -72,6 +73,7 @@ FIELD_READERS = ("src", "benchmarks", "examples")
 KEPT_HEADING = "## Kept for tests"
 FIELD_RULE_EXEMPT = {"CostModel", "DeviceProfile", "FaultSpec"}
 PARAM_RULE_EXEMPT_FILES = ("src/repro/storage/profiles.py",)  # the device factories
+GROWERS = {"append", "extend", "add", "update"}
 
 Definition = Tuple[str, Path, int, int]  # (qualified name, file, first line, last line)
 Uses = Dict[str, List[Tuple[Path, int]]]  # identifier -> (file, line) of each use
@@ -114,6 +116,17 @@ def _name_of(node: ast.expr) -> str:
     return getattr(node, "id", None) or getattr(node, "attr", "")
 
 
+def _grows(node: ast.expr) -> bool:
+    """Whether ``node`` is ``obj.name.append(...)`` (or ``extend``, ``add``,
+    ``update``): a call that only grows a container, not a read of it."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in GROWERS
+        and isinstance(node.func.value, ast.Attribute)
+    )
+
+
 def _reexports(path: Path, module: ast.Module) -> Set[int]:
     """``id()`` of the nodes that only re-export a name: the imported names
     of a package ``__init__.py`` and everything inside ``__all__``."""
@@ -138,6 +151,7 @@ class Tree:
         self.references: Uses = defaultdict(list)
         self.reads: Uses = defaultdict(list)
         self.attr_reads: Uses = defaultdict(list)  # loads of ``obj.name`` and string constants
+        self.grown: Set[int] = set()  # id() of each ``obj.name`` in an ``obj.name.append(...)`` statement
         self.sets: Uses = defaultdict(list)  # string keys and stores on other than ``self``
         # attribute -> (class, file, line) of each ``self.attribute`` store in a method
         self.self_sets: Dict[str, List[Tuple[str, Path, int]]] = defaultdict(list)
@@ -248,6 +262,8 @@ class Tree:
         call (where its ``**kwargs`` go).  ``skip`` holds the re-export
         nodes; ``cls`` and ``fn`` are the enclosing class and function."""
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and _grows(child.value):
+                self.grown.add(id(child.value.func.value))
             if id(child) not in skip:
                 self._use(path, child, readers, cls)
             if isinstance(child, ast.Call):
@@ -285,7 +301,7 @@ class Tree:
         self.references[name].append((path, node.lineno))
         if readers and isinstance(ctx, ast.Load):
             self.reads[name].append((path, node.lineno))
-            if not isinstance(node, ast.Name):
+            if not isinstance(node, ast.Name) and id(node) not in self.grown:
                 self.attr_reads[name].append((path, node.lineno))
 
     def non_test_calls(self, callee: str, path: Path, first: int, last: int) -> List[Call]:
@@ -583,6 +599,8 @@ PLANTED = {
         "    def real(self):\n"
         "        self.never_set = 1  # Helper's attribute, not Config's field\n"
         "        self.tally = 0\n"
+        "        self.history = []\n"
+        "        self.history.append(1)  # grows it, not a read\n"
         "        self.tally += 1  # a store, not a read\n"
         "        return self.never_set\n"
         "\n"
@@ -674,12 +692,13 @@ def test_each_check_reports_its_plant(tmp_path):
             "scale(spare=)",  # the only ``spare=`` goes to render
             "render(width=)",  # no call passes it
         ],
-        ["Helper.tally"],  # stored on ``self``, read only by a test
+        ["Helper.tally", "Helper.history"],  # stored on ``self``, read only by a test
     ]
     # Naming them in the kept table is what clears checks 2, 5, 6 and 7.
     kept = _plant(
         tmp_path / "kept",
-        "| `Helper.only_tested`, `Config.never_set`, `scale(tested=, spare=)`, `Helper.tally` "
+        "| `Helper.only_tested`, `Config.never_set`, `scale(tested=, spare=)`, `Helper.tally`, "
+        "`Helper.history` "
         "| a test needs it |\n",
     )
     assert undocumented_test_only(kept) == [] and unset_fields(kept) == []
