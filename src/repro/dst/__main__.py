@@ -83,17 +83,17 @@ def _seed_worker(item):
 #: included: an out-of-range value is a usage error, not a finding).
 _FLAG_FLOORS = {"ops": 1, "keys": 1, "max_faults": 0, "nodes": 2, "shards": 1, "replicas": 2}
 
-#: Each sizing flag and the config fields it sets (``--keys`` goes by two
-#: names); ``--no-faults`` sets ``faults``.
+#: Each sizing flag and the config field it sets; ``--no-faults`` sets
+#: ``faults``.
 _FLAG_FIELDS = {
-    "ops": ("num_ops",),
-    "keys": ("num_keys", "key_count"),
-    "max_faults": ("max_faults",),
-    "storm_kind": ("kind",),
-    "nodes": ("n_nodes",),
-    "shards": ("shards",),
-    "replicas": ("replicas",),
-    "no_faults": ("faults",),
+    "ops": "num_ops",
+    "keys": "num_keys",
+    "max_faults": "max_faults",
+    "storm_kind": "kind",
+    "nodes": "n_nodes",
+    "shards": "shards",
+    "replicas": "replicas",
+    "no_faults": "faults",
 }
 
 
@@ -116,15 +116,14 @@ def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace, mod
     """
     fields = {f.name for f in dataclasses.fields(MODES[mode][1])}
     flags = {}
-    for dest, names in _FLAG_FIELDS.items():
+    for dest, name in _FLAG_FIELDS.items():
         value = getattr(args, dest)
         if value == parser.get_default(dest):
             continue
-        if fields.isdisjoint(names):
+        if name not in fields:
             where = "the crash mode" if mode == "dst" else f"--{mode}"
             raise WorkloadError(f"--{dest.replace('_', '-')} does not apply to {where}")
-        for name in names:
-            flags[name] = not value if dest == "no_faults" else value
+        flags[name] = not value if dest == "no_faults" else value
     if args.replay:
         flags["schedule"] = _replay_schedule(args.replay)
     return flags

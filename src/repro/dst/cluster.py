@@ -33,10 +33,10 @@ from typing import List, Optional
 from repro.cluster import Cluster
 from repro.dst import core
 from repro.dst.core import DELETE, GET, PUT, Op, RunResult, Scenario
-from repro.dst.harness import _dst_options
 from repro.errors import DBError
 from repro.faults import NET_KINDS, FaultSchedule
 from repro.harness.machine import Machine
+from repro.harness.presets import replica_options
 from repro.net import Network
 from repro.sim.engine import Engine
 from repro.sim.units import mb, ms, us
@@ -111,7 +111,7 @@ class ClusterDstRun(Scenario):
             self.engine,
             self.network,
             fss,
-            _dst_options,
+            replica_options,
             self.rng.fork("cluster"),
         )
         # Node crashes become control events, each with a seed-derived

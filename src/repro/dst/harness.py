@@ -26,10 +26,10 @@ from typing import List, Optional
 from repro.dst.core import GET, PUT, Op, RunResult, Scenario, find_cut, gen_ops
 from repro.errors import CorruptionError, DBError, DBReadOnlyError, IOFaultError
 from repro.faults import CRASH, FaultSchedule, FaultSpec
+from repro.harness.presets import replica_options
 from repro.lsm.db import DB
-from repro.lsm.options import HASH_REP, WAL_SYNC, Options
 from repro.sim.engine import Engine
-from repro.sim.units import kb, us
+from repro.sim.units import us
 
 
 #: Virtual-time horizon per op that the schedule (and the crash point) is
@@ -64,27 +64,6 @@ class DstResult(RunResult):
     faults_fired: int
 
 
-def _dst_options() -> Options:
-    """A small, crash-honest configuration.
-
-    WAL_SYNC makes every ack a durability promise (the property under
-    test); the hash memtable rep keeps in-process reruns bit-identical
-    (the skiplist rep forks its RNG off a process-global counter);
-    paranoid checks verify SST block checksums on every read so injected
-    corruption is detected, not returned.
-    """
-    return Options(
-        write_buffer_size=kb(16),
-        max_bytes_for_level_base=kb(64),
-        target_file_size_base=kb(32),
-        block_cache_bytes=kb(32),
-        memtable_rep=HASH_REP,
-        wal_mode=WAL_SYNC,
-        paranoid_checks=True,
-        name="dst",
-    )
-
-
 class DstRun(Scenario):
     """One seeded workload/fault/crash/recover/verify cycle."""
 
@@ -97,7 +76,7 @@ class DstRun(Scenario):
         self.engine = Engine()
         self.schedule = self.resolve_schedule()
         self.build_machine()
-        self.options = _dst_options()
+        self.options = replica_options()
 
     def draw_schedule(self) -> FaultSchedule:
         horizon = self.config.horizon_ns

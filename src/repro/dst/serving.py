@@ -125,7 +125,7 @@ class ServingDstConfig:
     replicas: int = 3
     device: str = "xpoint"
     tenants: int = 3
-    key_count: int = 16
+    num_keys: int = 16
     clients: int = 2
     duration_ns: int = ms(100)
     faults: bool = True
@@ -182,7 +182,7 @@ class ServingDstRun(Scenario):
             chaos=schedule,
         )
         self.engine = self.stack.engine
-        self.clusters = [group.cluster for group in self.stack.groups]
+        self.clusters = self.stack.clusters
 
         # Crash specs (global node space) become control events, each
         # with a seed-derived restart.
@@ -232,10 +232,8 @@ class ServingDstRun(Scenario):
     # -- plumbing ------------------------------------------------------------
 
     def _node_fs(self, node: int):
-        cfg = self.stack.config
-        return self.stack.groups[node // cfg.replicas].cluster.nodes[
-            node % cfg.replicas
-        ].fs
+        replicas = self.stack.config.replicas
+        return self.clusters[node // replicas].nodes[node % replicas].fs
 
     def _fire(self, action: str, node: int) -> None:
         detail = ""
@@ -268,7 +266,7 @@ class ServingDstRun(Scenario):
         tenants = default_tenants(
             cfg.tenants,
             users_per_tenant=USERS_PER_TENANT,
-            key_count=cfg.key_count,
+            key_count=cfg.num_keys,
             clients=cfg.clients,
         )
         workloads = stack.build_fleet(tenants)
@@ -289,15 +287,15 @@ class ServingDstRun(Scenario):
             self._node_fs(node).set_quota(None)
         clusters = self.clusters
         converged = self.settle(clusters)
-        for g, group in enumerate(stack.groups):
+        for g, cluster in enumerate(clusters):
             self.events.append(f"-- group {g} cluster --")
-            self.events.extend(group.cluster.events)
+            self.events.extend(cluster.events)
             self.events.append(f"-- group {g} net --")
-            self.events.extend(group.network.log)
-            for r, injector in enumerate(group.injectors):
-                if injector.log:
+            self.events.extend(cluster.network.log)
+            for r, node in enumerate(cluster.nodes):
+                if node.fs.injector.log:
                     self.events.append(f"-- group {g} node {r} faults --")
-                    self.events.extend(injector.log)
+                    self.events.extend(node.fs.injector.log)
 
         reason = None
         if self._own_schedule and leader_faults < 1:

@@ -39,8 +39,9 @@ from repro.errors import (
     OutOfSpaceError,
 )
 from repro.faults import READ_ERROR, WRITE_ERROR, FaultSchedule, FaultSpec
+from repro.harness.presets import replica_options
 from repro.lsm.db import DB
-from repro.lsm.options import HASH_REP, WAL_BUFFERED, WAL_SYNC, Options
+from repro.lsm.options import WAL_BUFFERED, WAL_SYNC
 from repro.sim.engine import Engine
 from repro.sim.units import kb, ms, us
 
@@ -100,23 +101,6 @@ class StormResult(RunResult):
     faults_fired: int
 
 
-def _storm_options() -> Options:
-    """Small and fast-resuming; WAL mode is set per kind by the run."""
-    return Options(
-        write_buffer_size=kb(8),
-        max_bytes_for_level_base=kb(64),
-        target_file_size_base=kb(32),
-        block_cache_bytes=kb(32),
-        memtable_rep=HASH_REP,
-        paranoid_checks=True,
-        bg_error_resume_interval_ns=us(200),
-        bg_error_resume_backoff=2.0,
-        bg_error_resume_max_interval_ns=ms(5),
-        max_bg_error_resume_count=3,
-        name="storm",
-    )
-
-
 class StormRun(Scenario):
     """One seeded storm/clear/resume/verify cycle (no crash)."""
 
@@ -139,17 +123,21 @@ class StormRun(Scenario):
         self.window = self.config.window_ns
         self.schedule = self.resolve_schedule()
         self.build_machine()
-        self.options = _storm_options()
         # io storms usually keep the WAL buffered so injected write faults
         # surface at background fsyncs (the error handler's job, soft
         # path); some seeds sync instead, so a WAL-sync fault classifies
         # hard and the read-only + typed-rejection path gets exercised
         # too.  Space storms always sync: every ack is a durability
         # promise made against a disk that is about to fill up.
-        if kind == STORM_SPACE or self.rng.fork("walmode").chance(0.4):
-            self.options.wal_mode = WAL_SYNC
-        else:
-            self.options.wal_mode = WAL_BUFFERED
+        synced = kind == STORM_SPACE or self.rng.fork("walmode").chance(0.4)
+        # Smaller memtables than the other harnesses, and a fast resume.
+        self.options = replica_options(
+            write_buffer_size=kb(8),
+            wal_mode=WAL_SYNC if synced else WAL_BUFFERED,
+            bg_error_resume_interval_ns=us(200),
+            bg_error_resume_max_interval_ns=ms(5),
+            max_bg_error_resume_count=3,
+        )
 
     def draw_schedule(self) -> FaultSchedule:
         """Transient write (and, half the time, read) faults over the window."""

@@ -130,6 +130,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "(use --no-corpus to bootstrap only)"
         )
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+    if not modes:
+        raise FaultConfigError(f"--modes names no mode (choose from {','.join(MODES)})")
     for mode in modes:
         if mode not in MODES:
             raise FaultConfigError(f"unknown mode {mode!r} (choose from {','.join(MODES)})")

@@ -66,7 +66,6 @@ def build_run(genome: Genome):
         num_ops=genome.num_ops,
         duration_ns=genome.horizon_ns,  # serving: open-loop over a duration
         num_keys=genome.num_keys,
-        key_count=genome.num_keys,
         n_nodes=genome.n_nodes,
         replicas=genome.n_nodes,
         shards=genome.shards,
@@ -82,7 +81,7 @@ _GENOME_FIELDS = {
     MODE_STORM: lambda run, cfg: dict(num_keys=cfg.num_keys, storm_kind=run.kind),
     MODE_CLUSTER: lambda run, cfg: dict(num_keys=cfg.num_keys, n_nodes=cfg.n_nodes),
     MODE_SERVING: lambda run, cfg: dict(
-        num_keys=cfg.key_count, n_nodes=cfg.replicas, shards=cfg.shards
+        num_keys=cfg.num_keys, n_nodes=cfg.replicas, shards=cfg.shards
     ),
 }
 

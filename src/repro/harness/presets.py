@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import WorkloadError
-from repro.lsm.options import Options
-from repro.sim.units import mb, gb, seconds
+from repro.lsm.options import HASH_REP, WAL_SYNC, Options
+from repro.sim.units import gb, kb, mb, seconds
 from repro.workloads.prefill import PrefillSpec
 
 
@@ -104,6 +104,30 @@ PAPER = ScalePreset(
 )
 
 PRESETS = {"tiny": TINY, "small": SMALL, "paper": PAPER}
+
+
+def replica_options(
+    write_buffer_size: int = kb(16), wal_mode: str = WAL_SYNC, **overrides
+) -> Options:
+    """The small, crash-honest DB of the DST harnesses and of every replica
+    in the resilient serving tier (``overrides`` set further fields).
+
+    WAL_SYNC makes every ack a durability promise (the property those runs
+    audit); paranoid checks verify SST block checksums on every read, so
+    injected corruption is detected, not returned; the hash memtable rep
+    is host-fast and costs the same simulated time.
+    """
+    return Options(
+        write_buffer_size=write_buffer_size,
+        max_bytes_for_level_base=kb(64),
+        target_file_size_base=kb(32),
+        block_cache_bytes=kb(32),
+        memtable_rep=HASH_REP,
+        wal_mode=wal_mode,
+        paranoid_checks=True,
+        name="replica",
+        **overrides,
+    )
 
 
 def preset_by_name(name: str) -> ScalePreset:

@@ -276,19 +276,14 @@ class ErrorHandler:
     def _try_resume(self):
         """Generator: retry the failed background work; True on success.
 
-        Probes in dependency order — space, WAL durability, MANIFEST
-        durability, stranded memtable flushes, then one compaction if the
-        episode started there.  Any probe failing keeps the DB degraded
-        (possibly escalated) and the loop backs off.
+        Probes in dependency order — WAL durability, MANIFEST durability,
+        stranded memtable flushes, then one compaction if the episode
+        started there.  Any probe failing keeps the DB degraded (possibly
+        escalated) and the loop backs off.  A full disk never gets here:
+        :meth:`_resume_loop` waits for free space first.
         """
         db = self.db
         err = self.error
-
-        # Out-of-space episodes: do not hammer a full disk — wait until
-        # free space reappears (quota raised or files deleted).
-        if err is not None and isinstance(err.exc, OutOfSpaceError):
-            if db.fs.free_bytes() <= 0:
-                return False
 
         # WAL probe: the failed group sync left the tail questionable.
         if err is not None and err.source == SOURCE_WAL and db.wal.enabled:

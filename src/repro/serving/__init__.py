@@ -49,7 +49,6 @@ from repro.serving.resilient import (
     ResilientServingConfig,
     ResilientServingResult,
     ResilientServingStack,
-    ShardGroup,
 )
 from repro.serving.router import HashRing
 from repro.serving.shardfs import ShardFsView
@@ -79,7 +78,6 @@ __all__ = [
     "ShardBreaker",
     "ShardClient",
     "ShardFsView",
-    "ShardGroup",
     "SweepReport",
     "TenantBudget",
     "TenantSpec",

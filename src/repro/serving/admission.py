@@ -188,11 +188,11 @@ class BrownoutAdmission(AdmissionController):
     def __init__(
         self,
         controller_source: Callable[[], Sequence[WriteController]],
-        groups: Sequence[object],
+        clusters: Sequence[object],
     ) -> None:
         super().__init__([])
         self._controller_source = controller_source
-        self.groups = list(groups)  # each exposes write_quorum_reachable()
+        self.clusters = list(clusters)  # each exposes write_quorum_reachable()
         self._error_budgets: Dict[str, ErrorBudget] = {}
 
     def pressure(self) -> float:
@@ -217,7 +217,7 @@ class BrownoutAdmission(AdmissionController):
                 reason="error-budget",
                 shard=shard,
             )
-        if is_write and not self.groups[shard].write_quorum_reachable():
+        if is_write and not self.clusters[shard].write_quorum_reachable():
             self._tickers[f"shed_brownout.{tenant}"] += 1
             raise ShedError(
                 f"shard {shard} has no write quorum; write shed",

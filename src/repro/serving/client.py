@@ -21,16 +21,18 @@ deterministic in virtual time:
   last acked write sequence per shard, and hedge targets are filtered to
   replicas whose applied sequence has caught up to that floor, so a
   follower read can never travel back before the session's own writes;
-* **leader re-discovery** — a write that finds no leader pokes the
-  group's control plane (``rediscover``) before counting the attempt as
-  failed, so clients ride through elections instead of erroring out;
+* **leader re-discovery** — a write that finds no leader asks the
+  cluster's control plane for an election (``Cluster.elect``) before
+  counting the attempt as failed, so clients ride through elections
+  instead of erroring out;
 * **retry-storm suppression** — a per-shard :class:`ShardBreaker`
   (sliding-window circuit breaker with a half-open probe) fast-fails
   ops against a hard-down shard with :class:`~repro.errors.ShedError`
   rather than piling retries onto it.
 
-The group is duck-typed (see :class:`ShardClient`), so the policy is
-testable in isolation against scripted fakes — which is exactly what
+The client needs only a small part of the cluster's surface (see
+:class:`ShardClient`), so the policy is testable in isolation against a
+scripted fake — which is exactly what
 ``tests/serving/test_client_policy.py`` does.
 """
 
@@ -184,16 +186,18 @@ _FAILED = object()  # attempt sentinel: this arm produced no result
 class ShardClient:
     """Deadline/retry/hedge policy against one replicated shard group.
 
-    ``group`` is duck-typed; the resilient stack passes the real
-    :class:`~repro.cluster.replication.Cluster` behind an adapter, tests
-    pass scripted fakes.  Required surface::
+    ``cluster`` is the shard's :class:`~repro.cluster.replication.Cluster`;
+    tests pass scripted fakes of the part of its surface the policy uses::
 
-        group.leader_id            -> Optional[int]
-        group.replica_ids()        -> Sequence[int]
-        group.applied_seq(node)    -> int            (non-blocking)
-        group.read(node, key)      -> generator -> Optional[(value, seq)]
-        group.write(key, value)    -> generator -> (acked: bool, seq: int)
-        group.rediscover()         -> Optional[int]  (ask for an election)
+        cluster.leader_id             -> Optional[int]
+        cluster.nodes                 -> Sequence  (one entry per replica)
+        cluster.applied_seq(node)     -> int            (non-blocking)
+        cluster.get_from(node, key)   -> generator -> Optional[(value, seq)]
+        cluster.put(key, value)       -> generator -> (acked: bool, seq: int)
+        cluster.elect()               -> ask the control plane for a leader
+
+    A read and a write run the same attempt loop (:meth:`_attempts`); they
+    differ only in their one-attempt generator and their retry counter.
 
     One ShardClient is shared by every session talking to the shard, so
     its breaker aggregates failures fleet-wide — the point of retry-storm
@@ -204,13 +208,13 @@ class ShardClient:
         self,
         engine,
         shard_id: int,
-        group,
+        cluster,
         policy: Optional[ClientPolicy] = None,
         rng: Optional[RandomStream] = None,
     ) -> None:
         self.engine = engine
         self.shard_id = shard_id
-        self.group = group
+        self.cluster = cluster
         self.policy = policy or ClientPolicy()
         self.rng = (rng or RandomStream(0, "client")).fork("backoff")
         self.breaker = ShardBreaker(self.policy)
@@ -233,32 +237,61 @@ class ShardClient:
         return proc
 
     def _wait(self, procs, timeout_ns: int):
-        """Generator: until some proc settles (even by raising) or timeout."""
-        engine = self.engine
-        deadline = engine.now + max(0, timeout_ns)
-        while engine.now < deadline:
-            for p in procs:
-                if p.triggered:
-                    return
+        """Generator: until some proc settles (even by raising) or
+        ``timeout_ns`` passes; with no time left it does not wait."""
+        if timeout_ns > 0:
             try:
-                yield engine.any_of(procs, timeout=deadline - engine.now)
+                yield self.engine.any_of(procs, timeout=timeout_ns)
             except Exception:
-                pass  # a failed arm settles it; the loop re-checks
+                pass  # a failed arm settles the wait too
 
-    def _shed(self, op: str) -> ShedError:
-        self.stats["breaker_fastfail"] += 1
-        return ShedError(
-            f"shard {self.shard_id} breaker open ({op})",
-            reason="breaker",
-            shard=self.shard_id,
-        )
+    def _attempts(self, op: str, retries: str, attempt, session, *args):
+        """Generator: ``attempt(session, *args, deadline)`` until one returns
+        a result, behind the breaker and with backoff between tries.
 
-    def _deadline_error(self, op: str, start: int) -> DeadlineExceededError:
+        A failed attempt at or after the deadline raises
+        :class:`~repro.errors.DeadlineExceededError` at once, and so does a
+        backoff that would reach the deadline: no op outlives it.
+        """
+        engine = self.engine
+        policy = self.policy
+        breaker = self.breaker
+        start = engine.now
+        deadline = start + policy.op_deadline_ns
+        for n in range(policy.max_attempts):
+            if not breaker.allow(engine.now):
+                self.stats["breaker_fastfail"] += 1
+                raise ShedError(
+                    f"shard {self.shard_id} breaker open ({op})",
+                    reason="breaker",
+                    shard=self.shard_id,
+                )
+            result = yield from attempt(session, *args, deadline)
+            if result is not _FAILED:
+                breaker.on_success(engine.now)
+                return result
+            breaker.on_failure(engine.now)
+            if engine.now >= deadline:
+                break
+            if n + 1 == policy.max_attempts:
+                self.stats["unavailable"] += 1
+                raise ShardUnavailableError(
+                    f"{op} on shard {self.shard_id} exhausted "
+                    f"{policy.max_attempts} attempts",
+                    shard=self.shard_id,
+                    attempts=policy.max_attempts,
+                )
+            self.stats[retries] += 1
+            delay = self.backoff_ns(n)
+            if engine.now + delay >= deadline:
+                break
+            yield delay
+        # Only a deadline ends the loop: the last attempt returns or raises.
         self.stats["deadline_exceeded"] += 1
-        return DeadlineExceededError(
+        raise DeadlineExceededError(
             f"{op} on shard {self.shard_id} missed its deadline",
             op=op,
-            elapsed_ns=self.engine.now - start,
+            elapsed_ns=engine.now - start,
         )
 
     # -- reads -------------------------------------------------------------
@@ -266,10 +299,10 @@ class ShardClient:
     def _caught_up(self, floor: int, exclude: Optional[int] = None) -> List[int]:
         """Replicas whose applied seq has reached the session floor."""
         out = []
-        for node_id in self.group.replica_ids():
+        for node_id in range(len(self.cluster.nodes)):
             if node_id == exclude:
                 continue
-            if self.group.applied_seq(node_id) >= floor:
+            if self.cluster.applied_seq(node_id) >= floor:
                 out.append(node_id)
         return out
 
@@ -286,8 +319,9 @@ class ShardClient:
     def _read_attempt(self, session: ClientSession, key: bytes, deadline: int):
         """Generator: one (possibly hedged) read attempt; ReadOutcome or _FAILED."""
         engine = self.engine
+        cluster = self.cluster
         floor = session.seq_floor(self.shard_id)
-        primary = self.group.leader_id
+        primary = cluster.leader_id
         if primary is None:
             # Mid-election: degrade the read to any caught-up replica.
             candidates = self._caught_up(floor)
@@ -295,7 +329,7 @@ class ShardClient:
                 return _FAILED
             primary = candidates[0]
         pproc = self._spawn(
-            self.group.read(primary, key), f"read-s{self.shard_id}-n{primary}"
+            cluster.get_from(primary, key), f"read-s{self.shard_id}-n{primary}"
         )
         first_wait = min(self.policy.hedge_delay_ns, deadline - engine.now)
         yield from self._wait([pproc], first_wait)
@@ -306,7 +340,7 @@ class ShardClient:
             peers = self._caught_up(floor, exclude=primary)
             if peers:
                 # Most-caught-up peer; ties go to the lowest node id.
-                hedge_id = max(peers, key=lambda n: (self.group.applied_seq(n), -n))
+                hedge_id = max(peers, key=lambda n: (cluster.applied_seq(n), -n))
         if hedge_id is None:
             yield from self._wait([pproc], deadline - engine.now)
             if pproc.triggered:
@@ -314,7 +348,7 @@ class ShardClient:
             return _FAILED
         self.stats["hedges_launched"] += 1
         hproc = self._spawn(
-            self.group.read(hedge_id, key), f"hedge-s{self.shard_id}-n{hedge_id}"
+            cluster.get_from(hedge_id, key), f"hedge-s{self.shard_id}-n{hedge_id}"
         )
         yield from self._wait([pproc, hproc], deadline - engine.now)
         if pproc.triggered:
@@ -334,38 +368,34 @@ class ShardClient:
 
     def read(self, session: ClientSession, key: bytes):
         """Generator: resilient read; :class:`ReadOutcome` or typed error."""
-        engine = self.engine
-        start = engine.now
-        deadline = start + self.policy.op_deadline_ns
-        for attempt in range(self.policy.max_attempts):
-            now = engine.now
-            if now >= deadline:
-                self.breaker.on_failure(now)
-                raise self._deadline_error("get", start)
-            if not self.breaker.allow(now):
-                raise self._shed("get")
-            result = yield from self._read_attempt(session, key, deadline)
-            if result is not _FAILED:
-                self.breaker.on_success(engine.now)
-                return result
-            self.breaker.on_failure(engine.now)
-            if engine.now >= deadline:
-                raise self._deadline_error("get", start)
-            if attempt + 1 < self.policy.max_attempts:
-                self.stats["read_retries"] += 1
-                delay = self.backoff_ns(attempt)
-                if engine.now + delay >= deadline:
-                    raise self._deadline_error("get", start)
-                yield delay
-        self.stats["unavailable"] += 1
-        raise ShardUnavailableError(
-            f"get on shard {self.shard_id} exhausted "
-            f"{self.policy.max_attempts} attempts",
-            shard=self.shard_id,
-            attempts=self.policy.max_attempts,
-        )
+        return self._attempts("get", "read_retries", self._read_attempt, session, key)
 
     # -- writes ------------------------------------------------------------
+
+    def _write_attempt(self, session: ClientSession, key: bytes, value, deadline: int):
+        """Generator: one write attempt; the acked seq or _FAILED.
+
+        A write that finds no leader first asks the control plane for one.
+        """
+        cluster = self.cluster
+        if cluster.leader_id is None:
+            self.stats["rediscoveries"] += 1
+            cluster.elect()
+            if cluster.leader_id is None:
+                return _FAILED
+        proc = self._spawn(cluster.put(key, value), f"write-s{self.shard_id}")
+        yield from self._wait([proc], deadline - self.engine.now)
+        if not proc.triggered:
+            # Still in flight at the deadline: indeterminate — the abandoned
+            # attempt may yet land, which retry-with-same-value keeps harmless.
+            self.stats["indeterminate"] += 1
+            return _FAILED
+        if proc.exception is None:
+            acked, seq = proc.value
+            if acked:
+                session.observe_write(self.shard_id, seq)
+                return seq
+        return _FAILED
 
     def write(self, session: ClientSession, key: bytes, value):
         """Generator: resilient write; returns the acked seq or raises.
@@ -374,52 +404,8 @@ class ShardClient:
         attempt that did land is idempotent (same key, same bytes) and
         the no-acked-write-loss audit stays value-based.
         """
-        engine = self.engine
-        start = engine.now
-        deadline = start + self.policy.op_deadline_ns
-        for attempt in range(self.policy.max_attempts):
-            now = engine.now
-            if now >= deadline:
-                self.breaker.on_failure(now)
-                raise self._deadline_error("put", start)
-            if not self.breaker.allow(now):
-                raise self._shed("put")
-            if self.group.leader_id is None:
-                self.stats["rediscoveries"] += 1
-                self.group.rediscover()
-            acked = False
-            seq = 0
-            if self.group.leader_id is not None:
-                proc = self._spawn(
-                    self.group.write(key, value), f"write-s{self.shard_id}"
-                )
-                yield from self._wait([proc], deadline - engine.now)
-                if not proc.triggered:
-                    # Still in flight at the deadline: indeterminate — the
-                    # abandoned attempt may yet land, which retry-with-
-                    # same-value keeps harmless.
-                    self.breaker.on_failure(engine.now)
-                    self.stats["indeterminate"] += 1
-                    raise self._deadline_error("put", start)
-                if proc.exception is None and proc.value is not None:
-                    acked, seq = proc.value
-            if acked:
-                self.breaker.on_success(engine.now)
-                session.observe_write(self.shard_id, seq)
-                return seq
-            self.breaker.on_failure(engine.now)
-            if attempt + 1 < self.policy.max_attempts:
-                self.stats["write_retries"] += 1
-                delay = self.backoff_ns(attempt)
-                if engine.now + delay >= deadline:
-                    raise self._deadline_error("put", start)
-                yield delay
-        self.stats["unavailable"] += 1
-        raise ShardUnavailableError(
-            f"put on shard {self.shard_id} exhausted "
-            f"{self.policy.max_attempts} attempts",
-            shard=self.shard_id,
-            attempts=self.policy.max_attempts,
+        return self._attempts(
+            "put", "write_retries", self._write_attempt, session, key, value
         )
 
 

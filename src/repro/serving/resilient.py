@@ -50,16 +50,9 @@ from repro.errors import (
 )
 from repro.cluster import Cluster
 from repro.cluster.replication import ACTIVE
-from repro.faults import (
-    CRASH,
-    NET_KINDS,
-    PARTITION,
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-)
+from repro.faults import CRASH, NET_KINDS, PARTITION, FaultSchedule, FaultSpec
 from repro.harness.machine import Machine
-from repro.lsm.options import HASH_REP, WAL_SYNC, Options
+from repro.harness.presets import replica_options
 from repro.net import Network
 from repro.obs import tenant_slo_digest
 from repro.serving.admission import BrownoutAdmission
@@ -68,30 +61,11 @@ from repro.serving.fleet import TenantSpec, TenantWorkload
 from repro.serving.router import HashRing
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStream
-from repro.sim.units import SEC, kb, mb
+from repro.sim.units import SEC, mb
 
 
 #: Each replica's private page cache (every node is its own machine).
 PAGE_CACHE_BYTES = mb(2)
-
-
-def _node_options() -> Options:
-    """Per-replica DB options: small, synced, checksum-paranoid.
-
-    WAL_SYNC makes every replication ack a durability promise (the
-    property the serving DST audits); the hash memtable rep keeps
-    in-process reruns bit-identical.
-    """
-    return Options(
-        write_buffer_size=kb(16),
-        max_bytes_for_level_base=kb(64),
-        target_file_size_base=kb(32),
-        block_cache_bytes=kb(32),
-        memtable_rep=HASH_REP,
-        wal_mode=WAL_SYNC,
-        paranoid_checks=True,
-        name="resilient",
-    )
 
 
 @dataclass(frozen=True)
@@ -112,48 +86,6 @@ class ResilientServingConfig:
     @property
     def total_nodes(self) -> int:
         return self.shards * self.replicas
-
-
-class ShardGroup:
-    """One replicated shard: cluster + network + per-node fault plumbing.
-
-    Doubles as the :class:`~repro.serving.client.ShardClient` group
-    duck type (leader_id / replica_ids / applied_seq / read / write /
-    rediscover) and the brownout probe (write_quorum_reachable).
-    """
-
-    def __init__(
-        self, cluster: Cluster, network: Network, injectors: List[FaultInjector]
-    ) -> None:
-        self.cluster = cluster
-        self.network = network
-        self.injectors = injectors
-
-    @property
-    def leader_id(self) -> Optional[int]:
-        return self.cluster.leader_id
-
-    def replica_ids(self) -> List[int]:
-        return list(range(len(self.cluster.nodes)))
-
-    def applied_seq(self, node_id: int) -> int:
-        return self.cluster.applied_seq(node_id)
-
-    def read(self, node_id: int, key: bytes):
-        result = yield from self.cluster.get_from(node_id, key)
-        return result
-
-    def write(self, key: bytes, value):
-        result = yield from self.cluster.put(key, value)
-        return result
-
-    def rediscover(self) -> Optional[int]:
-        """Leader re-discovery: ask the control plane for an election."""
-        self.cluster.elect()
-        return self.cluster.leader_id
-
-    def write_quorum_reachable(self) -> bool:
-        return self.cluster.write_quorum_reachable()
 
 
 @dataclass
@@ -226,10 +158,12 @@ class ResilientServingStack:
         self.crash_specs: List[FaultSpec] = [s for s in specs if s.kind == CRASH]
         node_specs = self._route_node_specs(specs)
 
-        self.groups: List[ShardGroup] = []
+        #: One replicated group per shard; a replica's fault injector is
+        #: ``node.fs.injector``, its group's network ``cluster.network``.
+        self.clusters: List[Cluster] = []
         for g in range(config.shards):
             base = g * config.replicas
-            machines = [
+            fss = [
                 Machine.build(
                     self.engine,
                     self.rng,
@@ -237,33 +171,22 @@ class ResilientServingStack:
                     PAGE_CACHE_BYTES,
                     schedule=FaultSchedule(node_specs[base + r]),
                     device_stream=f"device/{base + r}",
-                )
+                ).fs
                 for r in range(config.replicas)
             ]
-            injectors = [m.injector for m in machines]
-            fss = [m.fs for m in machines]
             network = Network(self.engine, config.replicas, self.rng.fork(f"net/{g}"))
             network.install_schedule(self._localize_net_specs(specs, g))
-            cluster = Cluster(
-                self.engine,
-                network,
-                fss,
-                _node_options,
-                self.rng.fork(f"cluster/{g}"),
+            self.clusters.append(
+                Cluster(
+                    self.engine, network, fss, replica_options, self.rng.fork(f"cluster/{g}")
+                )
             )
-            self.groups.append(ShardGroup(cluster, network, injectors))
 
         self.clients = [
-            ShardClient(
-                self.engine,
-                g,
-                group,
-                self.policy,
-                self.rng.fork(f"client/{g}"),
-            )
-            for g, group in enumerate(self.groups)
+            ShardClient(self.engine, g, cluster, self.policy, self.rng.fork(f"client/{g}"))
+            for g, cluster in enumerate(self.clusters)
         ]
-        self.admission = BrownoutAdmission(self._live_controllers, self.groups)
+        self.admission = BrownoutAdmission(self._live_controllers, self.clusters)
         self.sessions: List[ClientSession] = []
         #: (start, end) virtual-ns windows during which faults were live;
         #: set by the harness so tenant tails split honestly.
@@ -328,26 +251,26 @@ class ResilientServingStack:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        for group in self.groups:
-            group.cluster.start()
+        for cluster in self.clusters:
+            cluster.start()
 
     def shutdown(self) -> None:
-        for group in self.groups:
-            group.cluster.shutdown()
+        for cluster in self.clusters:
+            cluster.shutdown()
 
     def crash_global(self, node: int) -> None:
         """Crash one node by global id (harness control plane)."""
-        group = self.groups[node // self.config.replicas]
-        group.cluster.crash_node(node % self.config.replicas)
+        cluster = self.clusters[node // self.config.replicas]
+        cluster.crash_node(node % self.config.replicas)
 
     def restart_global(self, node: int) -> None:
-        group = self.groups[node // self.config.replicas]
-        group.cluster.restart_node(node % self.config.replicas)
+        cluster = self.clusters[node // self.config.replicas]
+        cluster.restart_node(node % self.config.replicas)
 
     def _live_controllers(self):
         out = []
-        for group in self.groups:
-            leader = group.cluster.leader_node
+        for cluster in self.clusters:
+            leader = cluster.leader_node
             if leader is not None and leader.state == ACTIVE and leader.db is not None:
                 out.append(leader.db.controller)
         return out
@@ -409,9 +332,10 @@ class ResilientServingStack:
     def scan(self, session: ClientSession, start: bytes, end: bytes, limit=None):
         """Generator: scatter-gather scan over every group's leader.
 
-        Same deadline/backoff contract as point ops: a group that stays
-        leaderless or faulting past the attempt budget raises a typed
-        error instead of hanging the scan.
+        Its own loop, not the shard client's: no breaker, and one deadline
+        for the whole scatter-gather.  A group that stays leaderless or
+        faulting past the attempt budget raises a typed error instead of
+        hanging the scan.
         """
         policy = self.policy
         engine = self.engine
@@ -420,7 +344,7 @@ class ResilientServingStack:
         deadline = began + policy.op_deadline_ns
         try:
             merged: List[Tuple[bytes, object]] = []
-            for g, (group, client) in enumerate(zip(self.groups, self.clients)):
+            for g, (cluster, client) in enumerate(zip(self.clusters, self.clients)):
                 for attempt in range(policy.max_attempts):
                     if engine.now >= deadline:
                         raise DeadlineExceededError(
@@ -430,13 +354,13 @@ class ResilientServingStack:
                         )
                     part = None
                     try:
-                        part = yield from group.cluster.scan(start, end, limit=limit)
+                        part = yield from cluster.scan(start, end, limit=limit)
                     except (IOFaultError, DBError, FileSystemError):
                         part = None  # storm-era leader read: retryable
                     if part is not None:
                         merged.extend(part)
                         break
-                    group.rediscover()
+                    cluster.elect()
                     if attempt + 1 >= policy.max_attempts:
                         raise ShardUnavailableError(
                             f"scan exhausted {policy.max_attempts} attempts "
@@ -537,8 +461,7 @@ class ResilientServingStack:
             top_seq, top_value = max(acked)
             acked_values = {v for _s, v in acked}
             allowed = {top_value} | (self._issued.get(key, set()) - acked_values)
-            group = self.groups[self.shard_of(key)]
-            final = yield from group.cluster.get(key)
+            final = yield from self.clusters[self.shard_of(key)].get(key)
             if final not in allowed:
                 if final is None:
                     got = "miss"
@@ -571,8 +494,7 @@ class ResilientServingStack:
             total_users=sum(wl.spec.users for wl in workloads),
             tenant_rows=[wl.stats.row() for wl in workloads],
         )
-        for g, group in enumerate(self.groups):
-            cluster = group.cluster
+        for g, cluster in enumerate(self.clusters):
             leader = cluster.leader_node
             result.group_rows.append(
                 {
@@ -613,5 +535,4 @@ __all__ = [
     "ResilientServingConfig",
     "ResilientServingResult",
     "ResilientServingStack",
-    "ShardGroup",
 ]

@@ -6,8 +6,9 @@ the steady-state LSM shape directly: keys are deterministically distributed
 across levels (L1 .. Lk filled to their byte targets, the remainder in the
 deepest level), cut into target-size SST files on durably "synced" files,
 and installed by one version edit.  The page cache starts cold, as after a
-reboot.  The edit is applied in memory and never logged to MANIFEST: a
-prefilled database does not survive a reopen (ROADMAP item 1).
+reboot.  The edit is applied in memory and logged to MANIFEST as one
+synced record (``SimFile.append_synced``), so a prefilled database
+survives a reopen.
 
 A prefilled table holds its keys — C ``bisect`` over the key tuple *is* the
 index — and entry columns (:class:`~repro.lsm.sst.EntryColumns`) that are

@@ -203,8 +203,6 @@ def test_every_flag_is_refused_or_applied(mode):
         argv = mode_flag + ([flag] if flag == "--no-faults" else [flag, str(value)])
         args = parser.parse_args(argv)
         config = make_config(MODES[mode][1], **_config_flags(parser, args, mode))
-        if flag == "--keys" and mode == "serving":
-            field = "key_count"
         assert getattr(config, field) == value, (flag, mode)
 
 

@@ -110,10 +110,9 @@ def test_cluster_dst_device_streams():
 
 def test_resilient_serving_device_streams():
     stack = ResilientServingStack(ResilientServingConfig(shards=2, replicas=2))
-    names = [
-        node.fs.device.rng.name for group in stack.groups for node in group.cluster.nodes
-    ]
+    nodes = [node for cluster in stack.clusters for node in cluster.nodes]
+    names = [node.fs.device.rng.name for node in nodes]
     assert names == [f"resilient-serving/device/{n}/device/xpoint" for n in range(4)]
-    for group in stack.groups:
-        for node, injector in zip(group.cluster.nodes, group.injectors):
-            assert node.fs.injector is injector is node.fs.device.injector
+    for node in nodes:
+        assert node.fs.injector is node.fs.device.injector
+    assert len({id(node.fs.injector) for node in nodes}) == len(nodes)  # one each

@@ -42,7 +42,7 @@ from repro.workloads.prefill import PrefillSpec, prefill, prefill_keys
 from repro.workloads.ycsb import WORKLOAD_A, YcsbRunner
 from tests.cluster.conftest import make_cluster, put_n
 from tests.conftest import group_sizes, make_db, run_op, tiny_options
-from tests.serving.test_client_policy import FakeGroup, make_client
+from tests.serving.test_client_policy import FakeCluster, make_client
 
 
 def key(i: int) -> bytes:
@@ -217,10 +217,10 @@ def test_client_ops_that_miss_their_deadline():
     """Every read and write outlives its deadline: the client's wait ends at
     the deadline and the abandoned attempts finish later."""
     engine = Engine()
-    group = FakeGroup(engine)
-    group.read_latency = {i: ms(20) for i in range(3)}
-    group.write_latency = ms(20)
-    client = make_client(engine, group, op_deadline_ns=ms(5))
+    cluster = FakeCluster(engine)
+    cluster.read_latency = {i: ms(20) for i in range(3)}
+    cluster.write_latency = ms(20)
+    client = make_client(engine, cluster, op_deadline_ns=ms(5))
     session = ClientSession("t0")
 
     def burst():

@@ -66,13 +66,15 @@ class TestDataPath:
         stack.shutdown()
 
     def test_rediscover_asks_the_control_plane_for_a_leader(self):
+        """What a leaderless write's attempt asks of the shard's cluster."""
         stack = make_stack(shards=1)
-        group = stack.groups[0]
+        cluster = stack.clusters[0]
         for node_id in (0, 1):
-            group.cluster.crash_node(node_id)
-        assert group.leader_id is None and group.rediscover() is None  # no quorum
-        group.cluster.restart_node(0)
-        assert group.rediscover() == group.leader_id is not None
+            cluster.crash_node(node_id)
+        assert cluster.leader_id is None
+        assert not cluster.elect() and cluster.leader_id is None  # no quorum
+        cluster.restart_node(0)
+        assert cluster.elect() and cluster.leader_id is not None
         stack.shutdown()
 
     def test_audit_rejects_a_phantom_ack(self):
@@ -91,17 +93,17 @@ class TestDataPath:
 class TestBrownout:
     def test_quorum_loss_sheds_writes_before_reads(self):
         stack = make_stack(shards=2)
-        group = stack.groups[0]
-        assert group.write_quorum_reachable()
+        cluster = stack.clusters[0]
+        assert cluster.write_quorum_reachable()
         stack.admission.check("t", 0, True, stack.engine.now)  # no shed
-        group.network.partition([group.cluster.leader_id])  # leader alone
-        assert not group.write_quorum_reachable()
+        cluster.network.partition([cluster.leader_id])  # leader alone
+        assert not cluster.write_quorum_reachable()
         with pytest.raises(ShedError) as exc_info:
             stack.admission.check("t", 0, True, stack.engine.now)
         assert exc_info.value.reason == "brownout-write"
         stack.admission.check("t", 0, False, stack.engine.now)  # reads pass
         stack.admission.check("t", 1, True, stack.engine.now)  # other group fine
-        group.network.heal()
+        cluster.network.heal()
         stack.admission.check("t", 0, True, stack.engine.now)
         stack.shutdown()
 
@@ -141,10 +143,10 @@ class TestChaosRouting:
         assert [s.node for s in stack.crash_specs] == [4]
         # The write_error spec routed to global node 2 (group 0, replica 2)
         # and nowhere else.
-        assert len(stack.groups[0].injectors[2]._device_states) == 1
+        assert len(stack.clusters[0].nodes[2].fs.injector._device_states) == 1
         assert all(
-            len(stack.groups[1].injectors[r]._device_states) == 0
-            for r in range(3)
+            len(node.fs.injector._device_states) == 0
+            for node in stack.clusters[1].nodes
         )
 
     def test_partitions_localize_to_the_groups_they_cross(self):
@@ -161,16 +163,16 @@ class TestChaosRouting:
         stack = ResilientServingStack(
             ResilientServingConfig(shards=2, replicas=3), chaos=chaos
         )
-        assert len(stack.groups[0].network._windows) == 1
-        assert len(stack.groups[1].network._windows) == 0
+        assert len(stack.clusters[0].network._windows) == 1
+        assert len(stack.clusters[1].network._windows) == 0
 
     def test_global_crash_control_maps_to_group_local_node(self):
         stack = make_stack(shards=2, replicas=3)
         stack.crash_global(4)  # group 1, local node 1
-        assert not stack.groups[1].cluster.nodes[1].alive
-        assert all(n.alive for n in stack.groups[0].cluster.nodes)
+        assert not stack.clusters[1].nodes[1].alive
+        assert all(n.alive for n in stack.clusters[0].nodes)
         stack.restart_global(4)
-        assert stack.groups[1].cluster.nodes[1].alive
+        assert stack.clusters[1].nodes[1].alive
         stack.shutdown()
 
 

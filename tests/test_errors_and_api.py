@@ -107,6 +107,7 @@ CLI_ERRORS = [
     ({}, ["repro.fuzz", "--batch", "-1", "--iters", "4"]),
     ({}, ["repro.fuzz", "--iters", "-1"]),
     ({}, ["repro.fuzz", "--corpus-dir", "/nonexistent-corpus", "--iters", "1"]),
+    ({}, ["repro.fuzz", "--modes", ",", "--no-corpus", "--iters", "1", "--quiet"]),
 ] + [
     ({"REPRO_BENCH_SECONDS": value}, ["repro.harness", "fig07", "--preset", "tiny"])
     for value in ("abc", "nan", "inf", "0")

@@ -63,7 +63,7 @@ MEASURED = {
     "prefill": (0.00738333, 0.0526, 0),
     "read": (42.1079, 532.653, 1.59107),
     "cluster_dst": (225.719, 2204.66, 12.1562),
-    "serving_dst": (155.976, 1361.96, 7.49783),
+    "serving_dst": (153.978, 1355.28, 7.49783),
 }
 MARGIN = {"calls": 1.05, "lines": 1.005, "events": 1.005}
 RUNS = {
